@@ -46,8 +46,8 @@ def main():
     print()
 
     print("An instructive falsification: for hyp-cos at p = 2 the second")
-    print("derivative of x^3 f' is NOT single-signed (it turns negative near")
-    print("pi/2), even though f itself is increasing.  The engine reports the")
+    print("derivative of x^3 f' is NOT single-signed (it turns negative beyond")
+    print("x = 1.3170), even though f itself is increasing.  The engine reports the")
     print("counterexample instead of glossing over it:\n")
     show(verify_sign_D(FamilyKind.HYP_COS, 2, expected_sign_D(FamilyKind.HYP_COS, 2), cfg))
     show(verify_monotonicity(FamilyKind.HYP_COS, 2, cfg))

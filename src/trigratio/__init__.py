@@ -12,9 +12,9 @@ from .families import (
     limit_at_zero,
 )
 from .derivatives import (
-    DerivativeForm,
     ParityError,
     d_general,
+    d_general_hyp_cos,
     d_sum,
     d_sum_even_sin,
     d_sum_odd,
@@ -43,7 +43,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ChebPoly",
-    "DerivativeForm",
     "Direction",
     "DomainError",
     "EnvelopeConstants",
@@ -62,6 +61,7 @@ __all__ = [
     "cheb_u_eval",
     "corollary_bounds",
     "d_general",
+    "d_general_hyp_cos",
     "d_sum",
     "d_sum_even_sin",
     "d_sum_odd",

@@ -6,10 +6,15 @@ D(x) in outward-rounded interval arithmetic over adaptively bisected
 subintervals, so a CERTIFIED verdict is a machine-checked sign proof up to
 the soundness of the interval primitives.
 
-Near x -> 0 the sin-family general closed form is numerically treacherous
-(csc^4(x/p) against a bracket that vanishes like x^5), so sign evaluation
-dispatches to the parity sum forms for the sin family and to the sec^4
-general form for the cos family; both are benign on the whole interior.
+Both modes evaluate D by closed form, chosen in one place
+(`derivatives.has_sum_form`): the parity sum form wherever one exists, and
+the sec^4 general form for the cos families at even p.  Near x -> 0 the sin-family general closed form is
+numerically treacherous (csc^4(x/p) against a bracket that vanishes like
+x^5), which is why the sin families always take a sum form; both choices
+are benign on the whole interior.  GRID sign claims for the hyperbolic
+families use the same forms under x -> ix (sin -> sinh, cos -> cosh), so all
+four families share one path; the finite-difference `numeric_D` is an
+independent oracle for the tests, not a certification route.
 """
 
 from __future__ import annotations
@@ -23,12 +28,13 @@ import numpy as np
 from .chebyshev import cheb_u_eval
 from .derivatives import (
     d_general,
+    d_general_hyp_cos,
     d_sum,
     d_sum_even_sin,
     d_sum_odd,
     dirichlet_sum,
     general_weights,
-    numeric_D_with_estimate,
+    has_sum_form,
     vanishing_limits_check,
 )
 from .envelopes import Direction, EnvelopeConstants, envelope_constants
@@ -88,11 +94,20 @@ def expected_sign_D(family: FamilyKind, p: int) -> Sign:
     """Sign D(x) would need on (0, pi/2) for the single-sign monotonicity route.
 
     Positive only for the cos families at p = 2.  Caveat: for HYP_COS with
-    p = 2 the positive sign holds only on roughly (0, 1.357); D turns
-    negative near pi/2, so verify_sign_D correctly falsifies that claim even
-    though f itself is increasing there (verify_monotonicity certifies it
-    directly)."""
+    p = 2 the positive sign holds only on (0, 1.3170); D turns negative
+    beyond it, so verify_sign_D correctly falsifies that claim even though
+    f itself is increasing there (verify_monotonicity certifies it
+    directly).  GRID mode evaluates the hyperbolic D by its x -> ix closed
+    forms, the trigonometric ones by theirs."""
     return Sign.POS if family.is_cos and p == 2 else Sign.NEG
+
+
+def _grid_D(family: FamilyKind, p: int, xs: np.ndarray) -> np.ndarray:
+    if has_sum_form(family, p):
+        return d_sum(family, p, xs)
+    if family.is_trig:
+        return d_general(family, p, xs)
+    return d_general_hyp_cos(p, xs)
 
 
 # --- rigorous interval evaluation of D --------------------------------------
@@ -107,29 +122,23 @@ def _interval_sin_comb(x: Interval, terms, scale: Interval) -> Interval:
 
 
 def _interval_D(family: FamilyKind, p: int, x: Interval) -> Interval:
-    if family is FamilyKind.TRIG_SIN:
-        if p % 2 == 0:
-            k = p // 2
-            terms = [((2 * j + 1) ** 3, (2 * j + 1) / (2.0 * k)) for j in range(k)]
-            scale = -x * (1.0 / (4.0 * k**3))
-        else:
-            k = (p - 1) // 2
-            terms = [(j**3, 2.0 * j / p) for j in range(1, k + 1)]
-            scale = -x * (16.0 / p**3)
-        return _interval_sin_comb(x, terms, scale)
-    if family is FamilyKind.TRIG_COS:
-        if p % 2 == 1:
-            k = (p - 1) // 2
-            terms = [((-1) ** (k - j) * j**3, 2.0 * j / p) for j in range(1, k + 1)]
-            scale = -x * (16.0 / p**3)
-            return _interval_sin_comb(x, terms, scale)
+    """D over the cell x, trigonometric families only."""
+    if not has_sum_form(family, p):
         w = general_weights(family, float(p))
         s = 1.0 / p
         terms = list(zip(w, (1.0 - 3.0 * s, 1.0 + 3.0 * s, 1.0 - s, 1.0 + s)))
         sec4 = (x * s).cos().reciprocal() ** 4
         scale = -x * sec4 * (1.0 / (8.0 * p**3))
-        return _interval_sin_comb(x, terms, scale)
-    raise ModeError("rigorous evaluation exists only for the trigonometric families")
+    elif p % 2 == 0:
+        k = p // 2
+        terms = [((2 * j + 1) ** 3, (2 * j + 1) / (2.0 * k)) for j in range(k)]
+        scale = -x * (1.0 / (4.0 * k**3))
+    else:
+        k = (p - 1) // 2
+        sgn = -1 if family.is_cos else 1
+        terms = [(sgn ** (k - j) * j**3, 2.0 * j / p) for j in range(1, k + 1)]
+        scale = -x * (16.0 / p**3)
+    return _interval_sin_comb(x, terms, scale)
 
 
 def _verify_sign_rigorous(family, p, expected_sign, cfg) -> VerificationReport:
@@ -176,38 +185,15 @@ def verify_sign_D(
     p = check_param_int(p)
     if cfg.mode is Mode.RIGOROUS:
         if not family.is_trig:
-            raise ModeError("no closed form for hyperbolic families; use GRID mode")
+            raise ModeError("rigorous mode covers only the trigonometric families; use GRID mode")
         return _verify_sign_rigorous(family, p, expected_sign, cfg)
 
     claim = f"sign-D:{family.value}:p={p}:{expected_sign.name}"
     xs = _grid(cfg)
-    s = float(expected_sign.value)
-    if family.is_trig:
-        if family is FamilyKind.TRIG_SIN:
-            values = d_sum(family, p, xs)
-        elif p % 2 == 1:
-            values = d_sum(family, p, xs)
-        else:
-            values = d_general(family, p, xs)
-        margins = s * values
-        worst = int(np.argmin(margins))
-        status = Status.CERTIFIED if margins[worst] > 0.0 else Status.FALSIFIED
-        return VerificationReport(claim, status, float(margins[worst]), float(xs[worst]), len(xs), Mode.GRID)
-
-    h = min(1e-4, cfg.interior_margin / 4.0)
-    if h < 1e-5:
-        raise ParameterError("interior_margin too small for the difference stencil")
-    values, est = numeric_D_with_estimate(family, p, xs, h)
-    signed = s * values
-    worst = int(np.argmin(signed))
-    if signed[worst] <= 0.0:
-        return VerificationReport(claim, Status.FALSIFIED, float(signed[worst]), float(xs[worst]), len(xs), Mode.GRID)
-    guarded = signed - 10.0 * est
-    gworst = int(np.argmin(guarded))
-    if guarded[gworst] <= 0.0:
-        # sign agrees everywhere but is not resolvable above the noise model
-        return VerificationReport(claim, Status.INCONCLUSIVE, float(signed[worst]), float(xs[gworst]), len(xs), Mode.GRID)
-    return VerificationReport(claim, Status.CERTIFIED, float(signed[worst]), float(xs[worst]), len(xs), Mode.GRID)
+    margins = float(expected_sign.value) * _grid_D(family, p, xs)
+    worst = int(np.argmin(margins))
+    status = Status.CERTIFIED if margins[worst] > 0.0 else Status.FALSIFIED
+    return VerificationReport(claim, status, float(margins[worst]), float(xs[worst]), len(xs), Mode.GRID)
 
 
 def verify_monotonicity(family: FamilyKind, p, cfg: VerificationConfig) -> VerificationReport:

@@ -1,7 +1,12 @@
-"""Closed forms and finite-difference oracles for D(x) = d^2/dx^2 (x^3 f'(x)).
+"""Closed forms and the finite-difference oracle for D(x) = d^2/dx^2 (x^3 f'(x)).
 
 The sign of D over (0, pi/2) is what drives every monotonicity claim about
-the ratio families.  This module provides:
+the ratio families.  The hyperbolic families are the x -> ix images of the
+trigonometric ones: f_hyp(x) = -f_trig(ix), hence D_hyp(x) = -D_trig(ix).
+Under that substitution every closed form keeps its shape with sin -> sinh
+and cos -> cosh (the powers of i cancel the leading minus), so each form
+below is written once and takes its sin/cos pair from the family.  This
+module provides:
 
 * `d_general` -- the closed form for the two trigonometric families, valid
   for any real p != 0.  Note: the printed source for the cos-family formula
@@ -9,12 +14,17 @@ the ratio families.  This module provides:
   the sec^4 version agrees with the p = 2 factored display, with the
   parity sum forms and with the finite-difference oracle, so that is what
   is implemented here.
-* `d_sum_even_sin`, `d_sum_odd` -- the finite-sum forms for integer p.
-  For the cos family with p = 2k+1 the alternating factor is (-1)^(k-j);
-  the (-1)^(j-1) variant agrees only for odd k and is numerically wrong
-  for even k.
+* `d_general_hyp_cos` -- its x -> ix image for the hyperbolic cos family,
+  with sech^4(x/p) in place of sec^4(x/p).
+* `d_sum`, `d_sum_even_sin`, `d_sum_odd` -- the finite-sum forms for
+  integer p, all four families; `has_sum_form` says which (family, p)
+  have one.  For the cos families with p = 2k+1 the
+  alternating factor is (-1)^(k-j); the (-1)^(j-1) variant agrees only for
+  odd k and is numerically wrong for even k.
 * `numeric_D` -- a nested central-difference oracle, evaluated internally
   in 80-bit extended precision so the h = 1e-4 tolerances are attainable.
+  It is an independent oracle only: the tests check the closed forms
+  against it, and no verdict rests on it.
 * `dirichlet_sum`, `vanishing_limits_check` -- the auxiliary identities.
 
 All evaluators accept numpy arrays for x.
@@ -22,7 +32,6 @@ All evaluators accept numpy arrays for x.
 
 from __future__ import annotations
 
-import enum
 import math
 
 import numpy as np
@@ -33,6 +42,7 @@ from .families import (
     ParameterError,
     PoleError,
     HALF_PI,
+    check_param_int,
     check_param_real,
     eval_f_grid,
     f_series_coeffs,
@@ -43,39 +53,67 @@ class ParityError(ParameterError):
     """p does not have the parity the requested sum form needs."""
 
 
-class DerivativeForm(enum.Enum):
-    GENERAL_COS = "general-cos"
-    GENERAL_SIN = "general-sin"
-    SUM_EVEN_SIN = "sum-even-sin"
-    SUM_ODD_COS = "sum-odd-cos"
-    SUM_ODD_SIN = "sum-odd-sin"
-
-
 def general_weights(family: FamilyKind, p: float) -> tuple[float, float, float, float]:
-    """The four coefficients multiplying sin((1 -/+ 3/p)x), sin((1 -/+ 1/p)x)."""
+    """The four coefficients multiplying sin((1 -/+ 3/p)x), sin((1 -/+ 1/p)x).
+
+    x -> ix leaves them unchanged: a hyperbolic family shares the weights
+    of its trigonometric partner."""
     p3, p2 = p**3, p**2
-    if family is FamilyKind.TRIG_COS:
+    if family.is_cos:
         return (
             (p + 1) ** 3,
             (p - 1) ** 3,
             3 * p3 + 3 * p2 - 15 * p - 23,
             3 * p3 - 3 * p2 - 15 * p + 23,
         )
-    if family is FamilyKind.TRIG_SIN:
-        return (
-            (p + 1) ** 3,
-            -((p - 1) ** 3),
-            -3 * p3 - 3 * p2 + 15 * p + 23,
-            3 * p3 - 3 * p2 - 15 * p + 23,
-        )
-    raise ParameterError("closed form exists only for the trigonometric families")
+    return (
+        (p + 1) ** 3,
+        -((p - 1) ** 3),
+        -3 * p3 - 3 * p2 + 15 * p + 23,
+        3 * p3 - 3 * p2 - 15 * p + 23,
+    )
+
+
+def _sin_cos(family: FamilyKind):
+    """The family's (sin, cos): circular, or hyperbolic for the x -> ix images."""
+    return (np.sin, np.cos) if family.is_trig else (np.sinh, np.cosh)
 
 
 def _check_x_open(x) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
-    if np.any(x <= 0.0) or np.any(x >= HALF_PI):
+    # written so that NaN fails the test too
+    if not np.all((x > 0.0) & (x < HALF_PI)):
         raise DomainError("x must lie in (0, pi/2)")
     return x
+
+
+def _unwrap(out):
+    return out if out.ndim else float(out)
+
+
+def _general_form(family: FamilyKind, p, x, weights):
+    """-/+ x/(8p^3) * sum_i w_i sin(c_i x) / den(x/p)^4, in the dtype of x and p.
+
+    den is the family's cos (leading minus) or sin (leading plus)."""
+    sin, cos = _sin_cos(family)
+    s = 1.0 / p
+    w1, w2, w3, w4 = weights
+    bracket = (
+        w1 * sin(x * (1.0 - 3.0 * s))
+        + w2 * sin(x * (1.0 + 3.0 * s))
+        + w3 * sin(x * (1.0 - s))
+        + w4 * sin(x * (1.0 + s))
+    )
+    pre = x / (8.0 * p**3)
+    if family.is_cos:
+        den = cos(s * x)
+        if np.any(np.abs(den) < 1e-12):
+            raise PoleError(f"cos(x/p) vanishes for p={p}")
+        return -pre * bracket / den**4
+    den = sin(s * x)
+    if np.any(np.abs(den) < 1e-300):
+        raise PoleError(f"sin(x/p) vanishes for p={p}")
+    return pre * bracket / den**4
 
 
 def d_general(family: FamilyKind, p, x, *, weights=None):
@@ -86,75 +124,83 @@ def d_general(family: FamilyKind, p, x, *, weights=None):
     would otherwise cost ~1e-9 relative accuracy at small x for p ~ 12.
 
     `weights` overrides the four bracket coefficients (test hook)."""
+    if not family.is_trig:
+        raise ParameterError("d_general covers the trigonometric families; see d_sum")
     p = check_param_real(p)
     x = _check_x_open(x)
-    xl = x.astype(np.longdouble)
-    s = np.longdouble(1.0) / np.longdouble(p)
     if weights is None:
         weights = general_weights(family, p)
-    w1, w2, w3, w4 = (np.longdouble(w) for w in weights)
-    one = np.longdouble(1.0)
-    three = np.longdouble(3.0)
-    bracket = (
-        w1 * np.sin(xl * (one - three * s))
-        + w2 * np.sin(xl * (one + three * s))
-        + w3 * np.sin(xl * (one - s))
-        + w4 * np.sin(xl * (one + s))
-    )
-    pre = xl / (np.longdouble(8.0) * np.longdouble(p) ** 3)
-    if family is FamilyKind.TRIG_COS:
-        den = np.cos(s * xl)
-        if np.any(np.abs(den) < 1e-12):
-            raise PoleError(f"cos(x/p) vanishes for p={p}")
-        out = (-pre * bracket / den**4).astype(np.float64)
-    else:
-        den = np.sin(s * xl)
-        if np.any(np.abs(den) < 1e-300):
-            raise PoleError(f"sin(x/p) vanishes for p={p}")
-        out = (pre * bracket / den**4).astype(np.float64)
-    return out if out.ndim else float(out)
+    out = _general_form(family, np.longdouble(p), x.astype(np.longdouble), weights)
+    return _unwrap(out.astype(np.float64))
+
+
+def d_general_hyp_cos(p, x):
+    """Closed-form D(x) for HYP_COS, any real p != 0, in float64:
+    -x/(8p^3) * sum_i w_i sinh(c_i x) / cosh^4(x/p) with the TRIG_COS weights.
+
+    Unlike the sin-family bracket this one does not cancel towards x = 0
+    (D ~ x^2 against a bracket ~ x), and cosh has no zero, so float64 is
+    accurate to a few ulps relative to |D|."""
+    p = check_param_real(p)
+    x = _check_x_open(x)
+    return _unwrap(_general_form(FamilyKind.HYP_COS, p, x, general_weights(FamilyKind.HYP_COS, p)))
+
+
+def _sum_even(family: FamilyKind, k: int, x):
+    """-x/(4k^3) * sum_{j<k} (2j+1)^3 sin((2j+1)x/(2k)): the sin families, p = 2k."""
+    sin, _ = _sin_cos(family)
+    acc = 0.0
+    for j in range(k):
+        m = 2 * j + 1
+        acc = acc + m**3 * sin(m * x / (2.0 * k))
+    return -x / (4.0 * k**3) * acc
+
+
+def _sum_odd(family: FamilyKind, k: int, x):
+    """-16x/p^3 * sum_{j=1..k} j^3 sin(2jx/p), p = 2k+1, with the factor
+    (-1)^(k-j) on each term for the cos families."""
+    sin, _ = _sin_cos(family)
+    p = 2 * k + 1
+    sgn = -1 if family.is_cos else 1
+    acc = 0.0
+    for j in range(1, k + 1):
+        acc = acc + sgn ** (k - j) * j**3 * sin(2.0 * j * x / p)
+    return -16.0 * x / p**3 * acc
+
+
+def _check_k(k: int) -> None:
+    if k < 1:
+        raise ParameterError(f"k must be >= 1, got {k}")
 
 
 def d_sum_even_sin(k: int, x):
     """Sum form of D for the sin family with p = 2k; every term is <= 0."""
-    if k < 1:
-        raise ParameterError(f"k must be >= 1, got {k}")
-    x = _check_x_open(x)
-    acc = 0.0
-    for j in range(k):
-        m = 2 * j + 1
-        acc = acc + m**3 * np.sin(m * x / (2.0 * k))
-    out = -x / (4.0 * k**3) * acc
-    return out if out.ndim else float(out)
+    _check_k(k)
+    return _unwrap(_sum_even(FamilyKind.TRIG_SIN, k, _check_x_open(x)))
 
 
 def d_sum_odd(family: FamilyKind, k: int, x):
-    """Sum form of D for p = 2k+1; plain for sin, alternating for cos."""
-    if k < 1:
-        raise ParameterError(f"k must be >= 1, got {k}")
-    if family not in (FamilyKind.TRIG_COS, FamilyKind.TRIG_SIN):
-        raise ParameterError("sum forms exist only for the trigonometric families")
-    x = _check_x_open(x)
-    p = 2 * k + 1
-    acc = 0.0
-    for j in range(1, k + 1):
-        sgn = (-1) ** (k - j) if family is FamilyKind.TRIG_COS else 1
-        acc = acc + sgn * j**3 * np.sin(2.0 * j * x / p)
-    out = -16.0 * x / p**3 * acc
-    return out if out.ndim else float(out)
+    """Sum form of D for p = 2k+1; plain for the sin families, alternating for the cos families."""
+    _check_k(k)
+    return _unwrap(_sum_odd(family, k, _check_x_open(x)))
+
+
+def has_sum_form(family: FamilyKind, p: int) -> bool:
+    """Whether D has a parity sum form at integer p: every family except the
+    cos families at even p, which take the general form instead."""
+    return not (family.is_cos and p % 2 == 0)
 
 
 def d_sum(family: FamilyKind, p: int, x):
-    """Parity-dispatched sum form of D; raises ParityError on a mismatch."""
-    if family is FamilyKind.TRIG_SIN:
-        if p % 2 == 0:
-            return d_sum_even_sin(p // 2, x)
-        return d_sum_odd(family, (p - 1) // 2, x)
-    if family is FamilyKind.TRIG_COS:
-        if p % 2 == 0:
-            raise ParityError("no printed sum form for the cos family with even p")
-        return d_sum_odd(family, (p - 1) // 2, x)
-    raise ParameterError("sum forms exist only for the trigonometric families")
+    """Parity-dispatched sum form of D for any family and integer p >= 2.
+
+    Raises ParityError for the cos families with even p, which have none."""
+    p = check_param_int(p)
+    if not has_sum_form(family, p):
+        raise ParityError("no sum form for the cos families with even p")
+    x = _check_x_open(x)
+    form = _sum_even if p % 2 == 0 else _sum_odd
+    return _unwrap(form(family, p // 2, x))
 
 
 def dirichlet_sum(k: int, x: float) -> tuple[float, float]:

@@ -56,6 +56,8 @@ class FamilyKind(enum.Enum):
 
 
 def check_param_real(p) -> float:
+    if isinstance(p, (bool, np.bool_)):
+        raise ParameterError(f"p must be a number, got {p!r}")
     p = float(p)
     if p == 0.0 or not math.isfinite(p):
         raise ParameterError("p must be a nonzero finite real")
@@ -206,7 +208,8 @@ def eval_f_grid(family: FamilyKind, p, xs: np.ndarray, dtype=np.float64) -> np.n
     """Vectorized eval_f over an array of points in [0, pi/2)."""
     p = check_param_real(p)
     xs = np.asarray(xs, dtype=dtype)
-    if np.any(xs < 0.0) or np.any(xs >= HALF_PI):
+    # written so that NaN fails the test too
+    if not np.all((xs >= 0.0) & (xs < HALF_PI)):
         raise DomainError("grid points must lie in [0, pi/2)")
     out = np.empty_like(xs)
     th = series_threshold(family, p)

@@ -91,9 +91,8 @@ def test_criterion_3_hyperbolic_sweep():
             for p in range(2, 17):
                 assert verify_envelope(family, p, CFG).status is Status.CERTIFIED
                 assert verify_monotonicity(family, p, CFG).status is Status.CERTIFIED
-        # sign claims via the finite-difference oracle, with the signed value
-        # clearing 10x the error estimate at every grid point (this is what
-        # CERTIFIED means in GRID mode for hyperbolic families)
+        # sign claims via the x -> ix closed forms of D, the same GRID path
+        # as the trigonometric families (strictly signed at every grid point)
         for family, p_lo in ((HC, 3), (HS, 2)):
             for p in range(p_lo, 17):
                 r = verify_sign_D(family, p, Sign.NEG, CFG)

@@ -18,7 +18,7 @@ from trigratio.certify import (
     verify_monotonicity,
     verify_sign_D,
 )
-from trigratio.derivatives import d_general, general_weights
+from trigratio.derivatives import d_general, d_sum, general_weights
 from trigratio.envelopes import envelope_constants
 from trigratio.families import FamilyKind, HALF_PI, ParameterError
 
@@ -71,8 +71,17 @@ def test_sign_grid_hyperbolic(family, p_range):
         assert r.status is Status.CERTIFIED, (family, p)
 
 
+def test_sign_grid_hyperbolic_reports_closed_form_value():
+    # the margin is -D at the worst point, by closed form; no difference
+    # stencil, so a tiny interior margin is fine
+    cfg = VerificationConfig(interior_margin=1e-6)
+    r = verify_sign_D(HS, 5, Sign.NEG, cfg)
+    assert r.status is Status.CERTIFIED
+    assert r.min_margin == -d_sum(HS, 5, r.worst_x)
+
+
 def test_sign_hyp_cos_p2_not_single_signed():
-    """D for HYP_COS at p = 2 really does change sign (~x = 1.357): a
+    """D for HYP_COS at p = 2 really does change sign (at x = 1.3170): a
     POS claim over the whole interior must be falsified with the
     counterexample sitting in the negative tail near pi/2."""
     r = verify_sign_D(HC, 2, Sign.POS, CFG)

@@ -8,6 +8,7 @@ import pytest
 from trigratio.derivatives import (
     ParityError,
     d_general,
+    d_general_hyp_cos,
     d_sum,
     d_sum_even_sin,
     d_sum_odd,
@@ -45,12 +46,25 @@ def test_d_general_oracle(family, p, x, expected):
     assert d_general(family, p, x) == pytest.approx(expected, rel=1e-13)
 
 
-NUMERIC_D_ORACLE = D_ORACLE + [
+HYP_D_ORACLE = [
     (HS, 3, 1.0, -0.424982791710247060672),
     (HC, 2, 1.0, 0.06022249509254610023),
     (HC, 2, 1.5, -0.0710941200530615207248),
     (HS, 2, 0.6, -0.0456780440170713894125),
 ]
+NUMERIC_D_ORACLE = D_ORACLE + HYP_D_ORACLE
+
+
+def hyp_closed(family, p, x):
+    """Hyperbolic closed-form D: the sum form, or the general form for hyp-cos at even p."""
+    if family is HC and p % 2 == 0:
+        return d_general_hyp_cos(p, x)
+    return d_sum(family, p, x)
+
+
+@pytest.mark.parametrize("family,p,x,expected", HYP_D_ORACLE)
+def test_hyp_closed_form_oracle(family, p, x, expected):
+    assert hyp_closed(family, p, x) == pytest.approx(expected, rel=1e-13)
 
 
 @pytest.mark.parametrize("family,p,x,expected", NUMERIC_D_ORACLE)
@@ -70,6 +84,29 @@ def test_general_matches_numeric_on_grid(p):
         closed = d_general(family, p, xs)
         numeric, _ = numeric_D_with_estimate(family, p, xs, 1e-4)
         np.testing.assert_allclose(numeric, closed, atol=1e-5, rtol=0.0)
+
+
+@pytest.mark.parametrize("p", range(2, 9))
+def test_hyp_closed_matches_numeric_on_grid(p):
+    """x -> ix closed forms vs finite differences, 1e-5 absolute at h = 1e-4."""
+    xs = np.linspace(0.05, HALF_PI - 0.05, 40)
+    for family in (HC, HS):
+        numeric, _ = numeric_D_with_estimate(family, p, xs, 1e-4)
+        np.testing.assert_allclose(numeric, hyp_closed(family, p, xs), atol=1e-5, rtol=0.0)
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_hyp_cos_general_matches_odd_sum(k):
+    xs = np.linspace(1e-3, HALF_PI - 1e-3, 40)
+    a = d_general_hyp_cos(2 * k + 1, xs)
+    b = d_sum_odd(HC, k, xs)
+    assert np.max(np.abs(a - b) / np.maximum(1.0, np.abs(b))) < 1e-13
+
+
+def test_hyp_cos_p2_sign_change():
+    # 40-digit values: D(1.316) = +3.0e-4, D(1.318) = -3.3e-4, root near 1.3170
+    assert d_general_hyp_cos(2, 1.316) > 0.0
+    assert d_general_hyp_cos(2, 1.318) < 0.0
 
 
 def test_numeric_D_error_estimate_is_honest():
@@ -117,6 +154,9 @@ def test_d_sum_parity_dispatch():
     assert d_sum(TC, 7, 0.5) == pytest.approx(d_sum_odd(TC, 3, 0.5), rel=1e-15)
     with pytest.raises(ParityError):
         d_sum(TC, 4, 0.5)
+    with pytest.raises(ParityError):
+        d_sum(HC, 4, 0.5)
+    assert d_sum(HS, 4, 0.5) < 0.0
 
 
 def test_sin_sum_terms_all_negative():
@@ -182,6 +222,23 @@ def test_numeric_D_h_and_stencil_validation():
 def test_d_general_rejects_hyperbolic():
     with pytest.raises(ParameterError):
         d_general(HC, 2, 0.5)
+
+
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        lambda x: d_sum(TS, 4, x),
+        lambda x: d_sum(HS, 3, x),
+        lambda x: d_general(TC, 2, x),
+        lambda x: d_general_hyp_cos(2, x),
+    ],
+    ids=["d_sum-trig", "d_sum-hyp", "d_general", "d_general_hyp_cos"],
+)
+def test_closed_forms_reject_nan(evaluate):
+    with pytest.raises(DomainError):
+        evaluate(math.nan)
+    with pytest.raises(DomainError):
+        evaluate(np.array([0.5, math.nan]))
 
 
 def test_weights_hook_changes_result():

@@ -166,6 +166,19 @@ def test_parameter_errors(p):
         eval_f(FamilyKind.TRIG_COS, p, 0.5)
 
 
+@pytest.mark.parametrize("p", [True, False, np.True_])
+def test_bool_p_rejected(p):
+    with pytest.raises(ParameterError):
+        eval_f(FamilyKind.TRIG_SIN, p, 0.5)
+
+
+def test_eval_f_grid_rejects_nan():
+    with pytest.raises(DomainError):
+        eval_f_grid(FamilyKind.TRIG_SIN, 2, np.array([0.5, math.nan]))
+    with pytest.raises(DomainError):
+        eval_f_grid(FamilyKind.HYP_COS, 2, np.array([math.nan]), dtype=np.longdouble)
+
+
 def test_pole_error_trig_cos():
     # p = 1/3 puts the cos(x/p) zero at x = 3*pi/6 < pi/2... use x near pole
     with pytest.raises(PoleError):
