@@ -1,10 +1,14 @@
 """Numerical certification campaigns for the envelope and sign claims.
 
 GRID mode samples the interior of (0, pi/2) and reports the worst margin;
-RIGOROUS mode (trigonometric families only) evaluates the closed forms of
-D(x) in outward-rounded interval arithmetic over adaptively bisected
-subintervals, so a CERTIFIED verdict is a machine-checked sign proof up to
-the soundness of the interval primitives.
+RIGOROUS mode (trigonometric families only, sign-of-D claims only) evaluates
+the closed forms of D(x) in outward-rounded interval arithmetic over
+adaptively bisected subintervals, so a CERTIFIED verdict is a
+machine-checked sign proof up to the soundness of the interval primitives.
+Every closed form is one weighted sum of sines, so a cell's D is one
+`interval.sin_comb` over a (w, c) table built once per (family, p).  The
+envelope, monotonicity and identity checks sample a grid in either mode and
+say Mode.GRID.
 
 Both modes evaluate D by closed form, chosen in one place
 (`derivatives.has_sum_form`): the parity sum form wherever one exists, and
@@ -20,7 +24,9 @@ independent oracle for the tests, not a certification route.
 from __future__ import annotations
 
 import enum
+import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,7 +45,7 @@ from .derivatives import (
 )
 from .envelopes import Direction, EnvelopeConstants, envelope_constants
 from .families import FamilyKind, HALF_PI, ParameterError, check_param_int, eval_f_grid
-from .interval import Interval
+from .interval import Interval, sin_comb
 
 
 class Mode(enum.Enum):
@@ -74,6 +80,9 @@ class VerificationConfig:
             raise ParameterError("grid_points must be >= 16")
         if not 0.0 < self.interior_margin < math.pi / 8.0:
             raise ParameterError("interior_margin must lie in (0, pi/8)")
+        depth = self.max_subdivisions
+        if isinstance(depth, bool) or not isinstance(depth, numbers.Integral) or depth < 0:
+            raise ParameterError(f"max_subdivisions must be an integer >= 0, got {depth!r}")
 
 
 @dataclass(frozen=True)
@@ -113,32 +122,29 @@ def _grid_D(family: FamilyKind, p: int, xs: np.ndarray) -> np.ndarray:
 # --- rigorous interval evaluation of D --------------------------------------
 
 
-def _interval_sin_comb(x: Interval, terms, scale: Interval) -> Interval:
-    """scale * sum_i w_i * sin(c_i * x), all outward rounded."""
-    acc = Interval(0.0, 0.0)
-    for w, c in terms:
-        acc = acc + (x * c).sin() * w
-    return scale * acc
+@functools.lru_cache(maxsize=256)
+def _sin_comb_table(family: FamilyKind, p: int) -> tuple[tuple, float]:
+    """The (w, c) terms and the constant factor of D at integer p, so that
+    D(x) = -x * factor * sum_i w_i sin(c_i x), times sec^4(x/p) for the general form."""
+    if not has_sum_form(family, p):
+        s = 1.0 / p
+        cs = (1.0 - 3.0 * s, 1.0 + 3.0 * s, 1.0 - s, 1.0 + s)
+        return tuple(zip(general_weights(family, float(p)), cs)), 1.0 / (8.0 * p**3)
+    if p % 2 == 0:
+        k = p // 2
+        return tuple(((2 * j + 1) ** 3, (2 * j + 1) / (2.0 * k)) for j in range(k)), 1.0 / (4.0 * k**3)
+    k = (p - 1) // 2
+    sgn = -1 if family.is_cos else 1
+    return tuple((sgn ** (k - j) * j**3, 2.0 * j / p) for j in range(1, k + 1)), 16.0 / p**3
 
 
 def _interval_D(family: FamilyKind, p: int, x: Interval) -> Interval:
     """D over the cell x, trigonometric families only."""
+    terms, factor = _sin_comb_table(family, p)
+    scale = -x
     if not has_sum_form(family, p):
-        w = general_weights(family, float(p))
-        s = 1.0 / p
-        terms = list(zip(w, (1.0 - 3.0 * s, 1.0 + 3.0 * s, 1.0 - s, 1.0 + s)))
-        sec4 = (x * s).cos().reciprocal() ** 4
-        scale = -x * sec4 * (1.0 / (8.0 * p**3))
-    elif p % 2 == 0:
-        k = p // 2
-        terms = [((2 * j + 1) ** 3, (2 * j + 1) / (2.0 * k)) for j in range(k)]
-        scale = -x * (1.0 / (4.0 * k**3))
-    else:
-        k = (p - 1) // 2
-        sgn = -1 if family.is_cos else 1
-        terms = [(sgn ** (k - j) * j**3, 2.0 * j / p) for j in range(1, k + 1)]
-        scale = -x * (16.0 / p**3)
-    return _interval_sin_comb(x, terms, scale)
+        scale = scale * (x * (1.0 / p)).cos().reciprocal() ** 4
+    return scale * factor * sin_comb(x, terms)
 
 
 def _verify_sign_rigorous(family, p, expected_sign, cfg) -> VerificationReport:
@@ -197,7 +203,9 @@ def verify_sign_D(
 
 
 def verify_monotonicity(family: FamilyKind, p, cfg: VerificationConfig) -> VerificationReport:
-    """Strict ordering of f over consecutive grid points, per the envelope direction."""
+    """Strict ordering of f over consecutive grid points, per the envelope direction.
+
+    A grid check under any `cfg.mode`, so the report says Mode.GRID."""
     p = check_param_int(p)
     claim = f"monotone:{family.value}:p={p}"
     ec = envelope_constants(family, p)
@@ -208,7 +216,7 @@ def verify_monotonicity(family: FamilyKind, p, cfg: VerificationConfig) -> Verif
         diffs = -diffs
     worst = int(np.argmin(diffs))
     status = Status.CERTIFIED if diffs[worst] > 0.0 else Status.FALSIFIED
-    return VerificationReport(claim, status, float(diffs[worst]), float(xs[worst]), len(xs) - 1, cfg.mode)
+    return VerificationReport(claim, status, float(diffs[worst]), float(xs[worst]), len(xs) - 1, Mode.GRID)
 
 
 def verify_envelope(
@@ -219,6 +227,7 @@ def verify_envelope(
 ) -> VerificationReport:
     """Strict containment lower < f(x) < upper at every interior grid point.
 
+    A grid check under any `cfg.mode`, so the report says Mode.GRID.
     `constants` overrides the computed envelope (test hook)."""
     p = check_param_int(p)
     claim = f"envelope:{family.value}:p={p}"
@@ -228,7 +237,7 @@ def verify_envelope(
     margins = np.minimum(fs - ec.lower, ec.upper - fs)
     worst = int(np.argmin(margins))
     status = Status.CERTIFIED if margins[worst] > 0.0 else Status.FALSIFIED
-    return VerificationReport(claim, status, float(margins[worst]), float(xs[worst]), len(xs), cfg.mode)
+    return VerificationReport(claim, status, float(margins[worst]), float(xs[worst]), len(xs), Mode.GRID)
 
 
 # --- identity suite ---------------------------------------------------------
@@ -240,19 +249,18 @@ def _cheb_nodes(n: int, lo: float, hi: float) -> np.ndarray:
     return 0.5 * (lo + hi) + 0.5 * (hi - lo) * t
 
 
-def _tolerance_report(claim, errors, xs, tol, cfg, n_checked=None) -> VerificationReport:
+def _tolerance_report(claim, errors, xs, tol) -> VerificationReport:
     errors = np.asarray(errors)
     worst = int(np.argmax(errors))
     margin = tol - float(errors[worst])
     status = Status.CERTIFIED if margin > 0.0 else Status.FALSIFIED
-    return VerificationReport(
-        claim, status, margin, float(xs[worst]), n_checked or errors.size, cfg.mode
-    )
+    return VerificationReport(claim, status, margin, float(xs[worst]), errors.size, Mode.GRID)
 
 
 def verify_identities(cfg: VerificationConfig, d_general_fn=d_general) -> list[VerificationReport]:
     """Cross-check every closed-form identity against its independent partner.
 
+    Sampled checks under any `cfg.mode`, so every report says Mode.GRID.
     `d_general_fn` substitutes the general-form evaluator (mutation hook)."""
     reports = []
     xs = _cheb_nodes(40, 0.05, HALF_PI - 0.05)
@@ -265,7 +273,7 @@ def verify_identities(cfg: VerificationConfig, d_general_fn=d_general) -> list[V
         errs.append(np.abs(a - b) / np.maximum(1.0, np.abs(b)))
         pts.append(xs)
     reports.append(
-        _tolerance_report("identity:general-vs-even-sum", np.concatenate(errs), np.concatenate(pts), 1e-12, cfg)
+        _tolerance_report("identity:general-vs-even-sum", np.concatenate(errs), np.concatenate(pts), 1e-12)
     )
 
     # general vs odd-parity sums, both trig families
@@ -277,7 +285,7 @@ def verify_identities(cfg: VerificationConfig, d_general_fn=d_general) -> list[V
             errs.append(np.abs(a - b) / np.maximum(1.0, np.abs(b)))
             pts.append(xs)
     reports.append(
-        _tolerance_report("identity:general-vs-odd-sum", np.concatenate(errs), np.concatenate(pts), 1e-12, cfg)
+        _tolerance_report("identity:general-vs-odd-sum", np.concatenate(errs), np.concatenate(pts), 1e-12)
     )
 
     # Dirichlet-style sum of cosines vs its closed form
@@ -288,7 +296,7 @@ def verify_identities(cfg: VerificationConfig, d_general_fn=d_general) -> list[V
             term_sum, closed = dirichlet_sum(k, float(x))
             errs.append(abs(term_sum - closed) / max(1.0, abs(closed)))
             pts.append(x)
-    reports.append(_tolerance_report("identity:dirichlet-sum", errs, pts, 1e-13, cfg))
+    reports.append(_tolerance_report("identity:dirichlet-sum", errs, pts, 1e-13))
 
     # vanishing limits of x^3 f' and its derivative
     errs, pts = [], []
@@ -297,7 +305,7 @@ def verify_identities(cfg: VerificationConfig, d_general_fn=d_general) -> list[V
             l1, l2 = vanishing_limits_check(family, p)
             errs.extend([abs(l1), abs(l2)])
             pts.extend([0.0, 0.0])
-    reports.append(_tolerance_report("identity:vanishing-limits", errs, pts, 1e-8, cfg))
+    reports.append(_tolerance_report("identity:vanishing-limits", errs, pts, 1e-8))
 
     # U_n(cos t) * sin t = sin((n+1) t)
     errs, pts = [], []
@@ -307,6 +315,6 @@ def verify_identities(cfg: VerificationConfig, d_general_fn=d_general) -> list[V
             err = abs(cheb_u_eval(n, math.cos(t)) * math.sin(t) - math.sin((n + 1) * t))
             errs.append(err)
             pts.append(t)
-    reports.append(_tolerance_report("identity:chebyshev-trig", errs, pts, 1e-11, cfg))
+    reports.append(_tolerance_report("identity:chebyshev-trig", errs, pts, 1e-11))
 
     return reports

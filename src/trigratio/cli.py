@@ -130,14 +130,11 @@ def _cmd_verify(args) -> int:
     cfg = VerificationConfig(
         grid_points=args.grid_points, interior_margin=args.interior_margin, mode=mode
     )
-    grid_cfg = VerificationConfig(
-        grid_points=args.grid_points, interior_margin=args.interior_margin, mode=Mode.GRID
-    )
     if mode is Mode.RIGOROUS and not args.family.is_trig:
         raise DomainError("rigorous mode is unavailable for hyperbolic families")
     reports = [
-        verify_envelope(args.family, args.p, grid_cfg),
-        verify_monotonicity(args.family, args.p, grid_cfg),
+        verify_envelope(args.family, args.p, cfg),
+        verify_monotonicity(args.family, args.p, cfg),
         verify_sign_D(args.family, args.p, expected_sign_D(args.family, args.p), cfg),
     ]
     code = EXIT_OK

@@ -232,7 +232,8 @@ def _numeric_D_arrays(family: FamilyKind, p: float, x: np.ndarray, h: np.ndarray
     Keeping delta independent of h matters: the outer stencil amplifies
     inner noise by ~1/h^2, so an h-coupled inner step drowns at h = 1e-4
     even in the 80-bit arithmetic used here.  The error estimate combines
-    the two observable truncation differences with a roundoff model.
+    the two observable truncation differences with a roundoff model; it is
+    a heuristic, not a bound (see numeric_D_with_estimate).
     """
     x = np.asarray(x, dtype=_LD)
     h = np.broadcast_to(np.asarray(h, dtype=_LD), x.shape)
@@ -289,7 +290,14 @@ def numeric_D(family: FamilyKind, p, x: float, h: float = 1e-4) -> float:
 
 
 def numeric_D_with_estimate(family: FamilyKind, p, x, h):
-    """Vectorized numeric_D returning (value, error_estimate) arrays."""
+    """Vectorized numeric_D returning (value, error_estimate) arrays.
+
+    The estimate is a heuristic, not a bound: it models the truncation and
+    roundoff of the stencil but does not enclose the error.  At h = 1e-4 on
+    2048 evenly spaced points of [1e-3, pi/2 - 1e-3], |value - closed form|
+    exceeds it at 220 points for trig-sin p = 3 and at 283 for hyp-sin
+    p = 11, all in x in [0.13, 1.08], by up to ~6x.  Use it to size a
+    tolerance, never as a certificate."""
     p = check_param_real(p)
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
     h = np.broadcast_to(np.asarray(h, dtype=np.float64), x.shape)

@@ -4,7 +4,8 @@ Every operation returns an interval guaranteed to contain the exact result
 for any points of the input intervals.  Arithmetic relies on IEEE-754
 correct rounding plus a one-ulp outward inflation via math.nextafter;
 transcendental enclosures decompose the argument into monotonic pieces and
-inflate libm endpoint values by two ulps.
+inflate libm endpoint values by two ulps.  `sin_comb` encloses a weighted
+sum of sines, the shape of every closed form of D, in the same arithmetic.
 """
 
 from __future__ import annotations
@@ -120,23 +121,7 @@ class Interval:
     # --- transcendental enclosures -----------------------------------------
 
     def sin(self) -> "Interval":
-        a, b = self.lo, self.hi
-        if b - a >= 2.0 * math.pi:
-            return Interval(-1.0, 1.0)
-        lo = min(_down2(math.sin(a)), _down2(math.sin(b)))
-        hi = max(_up2(math.sin(a)), _up2(math.sin(b)))
-        # widen the critical-point test so pi rounding can only add slack
-        slack = 1e-9 * (1.0 + max(abs(a), abs(b)))
-        n0 = math.floor((a - HALF_PI_LO) / TWO_PI) - 1
-        n1 = math.floor((b + slack - HALF_PI_LO) / TWO_PI) + 1
-        for n in range(n0, n1 + 1):
-            crit = HALF_PI_LO + TWO_PI * n
-            if a - slack <= crit <= b + slack:
-                hi = 1.0
-            crit = -HALF_PI_LO + TWO_PI * n
-            if a - slack <= crit <= b + slack:
-                lo = -1.0
-        return Interval(max(lo, -1.0), min(hi, 1.0))
+        return Interval(*_sin_bounds(self.lo, self.hi))
 
     def cos(self) -> "Interval":
         return (self + Interval(HALF_PI_LO, HALF_PI_HI)).sin()
@@ -154,3 +139,47 @@ class Interval:
 HALF_PI_LO = _down(math.pi / 2.0)
 HALF_PI_HI = _up(math.pi / 2.0)
 TWO_PI = 2.0 * math.pi
+
+
+def _sin_bounds(a: float, b: float) -> tuple[float, float]:
+    """Outward-rounded (lo, hi) of sin over [a, b]: libm at both endpoints,
+    two ulps outward, saturated to -1/+1 where [a, b] may hold a critical point."""
+    if b - a >= 2.0 * math.pi:
+        return -1.0, 1.0
+    sa, sb = math.sin(a), math.sin(b)
+    lo = _down2(min(sa, sb))
+    hi = _up2(max(sa, sb))
+    # widen the critical-point test so pi rounding can only add slack
+    slack = 1e-9 * (1.0 + max(abs(a), abs(b)))
+    a_lo, b_hi = a - slack, b + slack
+    n0 = math.floor((a - HALF_PI_LO) / TWO_PI) - 1
+    n1 = math.floor((b_hi - HALF_PI_LO) / TWO_PI) + 1
+    for n in range(n0, n1 + 1):
+        turns = TWO_PI * n
+        if a_lo <= HALF_PI_LO + turns <= b_hi:
+            hi = 1.0
+        if a_lo <= -HALF_PI_LO + turns <= b_hi:
+            lo = -1.0
+    return max(lo, -1.0), min(hi, 1.0)
+
+
+def sin_comb(x: Interval, terms) -> Interval:
+    """Enclosure of sum_i w_i * sin(c_i * x) for point weights and frequencies.
+
+    `terms` is a sequence of real (w, c) pairs; either may be negative.
+    The result is bitwise the one of the Interval expression
+    ``acc = acc + (x * c).sin() * w`` summed from Interval(0, 0): the same
+    min/max of endpoint products with a one-ulp outward step (against a
+    point factor the four products are two), the same libm sine enclosure
+    and the same sequential outward-rounded sum, but on plain floats, so
+    only the result is an Interval."""
+    nextafter, inf = math.nextafter, _INF
+    xl, xh = x.lo, x.hi
+    lo = hi = 0.0
+    for w, c in terms:
+        u, v = xl * c, xh * c
+        s_lo, s_hi = _sin_bounds(nextafter(min(u, v), -inf), nextafter(max(u, v), inf))
+        u, v = s_lo * w, s_hi * w
+        lo = nextafter(lo + nextafter(min(u, v), -inf), -inf)
+        hi = nextafter(hi + nextafter(max(u, v), inf), inf)
+    return Interval(lo, hi)

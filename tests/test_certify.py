@@ -2,7 +2,9 @@
 
 import dataclasses
 import math
+import random
 
+import mpmath
 import pytest
 
 from trigratio.certify import (
@@ -17,10 +19,12 @@ from trigratio.certify import (
     verify_identities,
     verify_monotonicity,
     verify_sign_D,
+    _interval_D,
 )
-from trigratio.derivatives import d_general, d_sum, general_weights
+from trigratio.derivatives import d_general, d_sum, general_weights, has_sum_form
 from trigratio.envelopes import envelope_constants
 from trigratio.families import FamilyKind, HALF_PI, ParameterError
+from trigratio.interval import Interval
 
 TC, TS, HC, HS = (
     FamilyKind.TRIG_COS,
@@ -40,6 +44,16 @@ def test_config_validation():
         VerificationConfig(interior_margin=0.0)
     with pytest.raises(ParameterError):
         VerificationConfig(interior_margin=1.0)
+
+
+@pytest.mark.parametrize("depth", [-1, 2.0, True, None])
+def test_config_rejects_bad_max_subdivisions(depth):
+    with pytest.raises(ParameterError):
+        VerificationConfig(mode=Mode.RIGOROUS, max_subdivisions=depth)
+
+
+def test_config_accepts_zero_max_subdivisions():
+    assert VerificationConfig(max_subdivisions=0).max_subdivisions == 0
 
 
 def test_expected_signs():
@@ -177,3 +191,113 @@ def test_report_shape():
     assert isinstance(r, VerificationReport)
     assert r.cells_checked == CFG.grid_points
     assert math.isfinite(r.worst_x)
+
+
+# --- grid checks keep their label under a RIGOROUS config --------------------
+
+
+def test_monotonicity_reports_grid_under_rigorous_config():
+    r = verify_monotonicity(TS, 3, RIGOROUS)
+    assert r.mode is Mode.GRID
+    assert r.cells_checked == RIGOROUS.grid_points - 1
+
+
+def test_envelope_reports_grid_under_rigorous_config():
+    r = verify_envelope(TS, 3, RIGOROUS)
+    assert r.mode is Mode.GRID
+    assert r.cells_checked == RIGOROUS.grid_points
+
+
+def test_identities_report_grid_under_rigorous_config():
+    reports = verify_identities(RIGOROUS)
+    assert [r.mode for r in reports] == [Mode.GRID] * 5
+
+
+# --- the interval evaluation of D ---------------------------------------------
+
+
+def _reference_interval_D(family, p, x):
+    """_interval_D as written before the sin-combination kernel: Interval
+    objects throughout, the (w, c) table rebuilt for every cell."""
+    if not has_sum_form(family, p):
+        w = general_weights(family, float(p))
+        s = 1.0 / p
+        terms = list(zip(w, (1.0 - 3.0 * s, 1.0 + 3.0 * s, 1.0 - s, 1.0 + s)))
+        sec4 = (x * s).cos().reciprocal() ** 4
+        scale = -x * sec4 * (1.0 / (8.0 * p**3))
+    elif p % 2 == 0:
+        k = p // 2
+        terms = [((2 * j + 1) ** 3, (2 * j + 1) / (2.0 * k)) for j in range(k)]
+        scale = -x * (1.0 / (4.0 * k**3))
+    else:
+        k = (p - 1) // 2
+        sgn = -1 if family.is_cos else 1
+        terms = [(sgn ** (k - j) * j**3, 2.0 * j / p) for j in range(1, k + 1)]
+        scale = -x * (16.0 / p**3)
+    acc = Interval(0.0, 0.0)
+    for w, c in terms:
+        acc = acc + (x * c).sin() * w
+    return scale * acc
+
+
+def _seeded_cells(rng, n, margin=1e-6):
+    """Cells in the root cell [margin, pi/2 - margin], of width 1e-12 up to
+    the whole root cell; every other one has a term's argument c*x straddle
+    pi/2 for some frequency c in (0.5, 2.5)."""
+    lo_root, hi_root = margin, HALF_PI - margin
+    cells = [Interval(lo_root, hi_root)]
+    for i in range(n):
+        width = 10.0 ** rng.uniform(-12.0, math.log10(hi_root - lo_root))
+        if i % 2:
+            centre = (math.pi / 2.0) / rng.uniform(1.0, 2.5)
+        else:
+            centre = rng.uniform(lo_root, hi_root)
+        lo = min(max(centre - rng.uniform(0.0, width), lo_root), hi_root - width)
+        cells.append(Interval(lo, lo + width))
+    return cells
+
+
+@pytest.mark.parametrize("family", [TC, TS])
+def test_interval_D_bitwise_matches_reference(family):
+    """Every form: even sum (trig-sin), odd sums (both families), and the
+    general form (trig-cos at even p, whose frequency 1 - 3/p is -0.5 at p = 2)."""
+    rng = random.Random(1729)
+    for p in range(2, 65):
+        for x in _seeded_cells(rng, 12):
+            assert _interval_D(family, p, x) == _reference_interval_D(family, p, x), (p, x)
+
+
+def _mp_D(family, p, x):
+    """D at x from the definition, by mpmath differentiation at 40 digits."""
+    with mpmath.workdps(40):
+        p, x = mpmath.mpf(p), mpmath.mpf(x)
+        if family is TC:
+            def f(t):
+                return (1 - mpmath.cos(t) / mpmath.cos(t / p)) / t**2
+        else:
+            def f(t):
+                return (p - mpmath.sin(t) / mpmath.sin(t / p)) / t**2
+        return mpmath.diff(lambda t: t**3 * mpmath.diff(f, t), x, 2)
+
+
+@pytest.mark.parametrize("family", [TC, TS])
+def test_interval_D_contains_mpmath_D(family):
+    rng = random.Random(4096 + family.is_cos)
+    for p in [2, 3, 4, 5, 16, 17, 63, 64]:
+        for x in _seeded_cells(rng, 3):
+            enc = _interval_D(family, p, x)
+            for t in (x.lo, x.mid, x.hi):
+                d = _mp_D(family, p, t)
+                assert enc.lo <= d <= enc.hi, (p, x, t, enc, d)
+
+
+@pytest.mark.parametrize(
+    "p,margin,cap,cells",
+    [(63, 1e-6, 40, 125), (63, 1e-3, 20, 65), (2, 1e-3, 20, 12)],
+)
+def test_rigorous_trig_cos_pinned_cell_counts(p, margin, cap, cells):
+    """The deepest proofs of the trig-cos campaigns, at their pinned cost."""
+    cfg = VerificationConfig(mode=Mode.RIGOROUS, interior_margin=margin, max_subdivisions=cap)
+    r = verify_sign_D(TC, p, expected_sign_D(TC, p), cfg)
+    assert r.status is Status.CERTIFIED
+    assert r.cells_checked == cells

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trigratio.interval import Interval
+from trigratio.interval import HALF_PI_LO, TWO_PI, Interval, _down2, _up2, sin_comb
 
 
 def test_construction_and_invariants():
@@ -129,3 +129,64 @@ def test_pow_rejects_bad_exponents():
         Interval(1.0, 2.0) ** -1
     with pytest.raises(ValueError):
         Interval(1.0, 2.0) ** 0.5
+
+
+def _reference_sin(iv):
+    """Interval.sin as written before the enclosure moved into _sin_bounds."""
+    a, b = iv.lo, iv.hi
+    if b - a >= 2.0 * math.pi:
+        return Interval(-1.0, 1.0)
+    lo = min(_down2(math.sin(a)), _down2(math.sin(b)))
+    hi = max(_up2(math.sin(a)), _up2(math.sin(b)))
+    slack = 1e-9 * (1.0 + max(abs(a), abs(b)))
+    n0 = math.floor((a - HALF_PI_LO) / TWO_PI) - 1
+    n1 = math.floor((b + slack - HALF_PI_LO) / TWO_PI) + 1
+    for n in range(n0, n1 + 1):
+        crit = HALF_PI_LO + TWO_PI * n
+        if a - slack <= crit <= b + slack:
+            hi = 1.0
+        crit = -HALF_PI_LO + TWO_PI * n
+        if a - slack <= crit <= b + slack:
+            lo = -1.0
+    return Interval(max(lo, -1.0), min(hi, 1.0))
+
+
+def _reference_sin_comb(x, terms):
+    acc = Interval(0.0, 0.0)
+    for w, c in terms:
+        acc = acc + (x * c).sin() * w
+    return acc
+
+
+def _seeded_cells(rng, n):
+    """Cells of width 1e-12..3, a third of them straddling +-pi/2 + 2 pi n."""
+    cells = []
+    for i in range(n):
+        width = 10.0 ** rng.uniform(-12.0, 0.5)
+        if i % 3 == 0:
+            crit = rng.choice((1.0, -1.0)) * math.pi / 2.0 + TWO_PI * rng.randint(-3, 3)
+            lo = crit - rng.uniform(0.0, width)
+        else:
+            lo = rng.uniform(-20.0, 20.0)
+        cells.append(Interval(lo, lo + width))
+    return cells
+
+
+def test_sin_bitwise_matches_reference():
+    rng = random.Random(314)
+    for iv in _seeded_cells(rng, 5000) + [Interval(0.0, 10.0), Interval(-7.0, -0.5)]:
+        assert iv.sin() == _reference_sin(iv), iv
+
+
+def test_sin_comb_bitwise_matches_interval_expression():
+    """Negative weights and frequencies included: the kernel must take the
+    min/max of the endpoint products, not assume c > 0 or w > 0."""
+    rng = random.Random(2718)
+    for x in _seeded_cells(rng, 600):
+        terms = [
+            (rng.choice((rng.uniform(-300.0, 300.0), float(rng.randint(-64, 64) ** 3))), rng.uniform(-2.5, 2.5))
+            for _ in range(rng.randint(1, 12))
+        ]
+        assert sin_comb(x, terms) == _reference_sin_comb(x, terms), (x, terms)
+    assert sin_comb(Interval(1.0, 2.0), ()) == Interval(0.0, 0.0)
+
