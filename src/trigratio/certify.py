@@ -5,26 +5,29 @@ RIGOROUS mode (trigonometric families only, sign-of-D claims only) evaluates
 the closed forms of D(x) in outward-rounded interval arithmetic over
 adaptively bisected subintervals, so a CERTIFIED verdict is a
 machine-checked sign proof up to the soundness of the interval primitives.
-Every closed form is one weighted sum of sines, so a cell's D is one
-`interval.sin_comb` over a (w, c) table built once per (family, p).  The
-envelope, monotonicity and identity checks sample a grid in either mode and
-say Mode.GRID.
+The envelope, monotonicity and identity checks sample a grid in either mode
+and say Mode.GRID.
 
-Both modes evaluate D by closed form, chosen in one place
-(`derivatives.has_sum_form`): the parity sum form wherever one exists, and
-the sec^4 general form for the cos families at even p.  Near x -> 0 the sin-family general closed form is
-numerically treacherous (csc^4(x/p) against a bracket that vanishes like
-x^5), which is why the sin families always take a sum form; both choices
-are benign on the whole interior.  GRID sign claims for the hyperbolic
-families use the same forms under x -> ix (sin -> sinh, cos -> cosh), so all
-four families share one path; the finite-difference `numeric_D` is an
-independent oracle for the tests, not a certification route.
+Both modes read D from one table, `derivatives.sin_comb_form`: the (w, c)
+terms and the factor of D(x) = -x * factor * sum_i w_i sin(c_i x), over
+den(x/p)^4 for the general form.  A rigorous cell's D is one
+`interval.sin_comb` over it; a GRID sign claim evaluates it in float64 with
+`derivatives.eval_sin_comb`, for all four families (the hyperbolic ones
+under x -> ix: sin -> sinh, cos -> cosh).  The form is chosen in one place,
+`derivatives.has_sum_form`: the parity sum form wherever one exists, and
+the sec^4 general form for the cos families at even p.  Near x -> 0 the
+sin-family general form is numerically treacherous (csc^4(x/p) against a
+bracket that vanishes like x^5), which is why the sin families always take
+a sum form; the cos bracket does not cancel, so float64 suffices for it.
+Of the closed forms only the public `derivatives.d_general` runs in 80
+bits, and only the identity checks call it.  The finite-difference
+`numeric_D` is an independent oracle for the tests, not a certification
+route.
 """
 
 from __future__ import annotations
 
 import enum
-import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -34,13 +37,12 @@ import numpy as np
 from .chebyshev import cheb_u_eval
 from .derivatives import (
     d_general,
-    d_general_hyp_cos,
-    d_sum,
     d_sum_even_sin,
     d_sum_odd,
     dirichlet_sum,
-    general_weights,
+    eval_sin_comb,
     has_sum_form,
+    sin_comb_form,
     vanishing_limits_check,
 )
 from .envelopes import Direction, EnvelopeConstants, envelope_constants
@@ -111,38 +113,15 @@ def expected_sign_D(family: FamilyKind, p: int) -> Sign:
     return Sign.POS if family.is_cos and p == 2 else Sign.NEG
 
 
-def _grid_D(family: FamilyKind, p: int, xs: np.ndarray) -> np.ndarray:
-    if has_sum_form(family, p):
-        return d_sum(family, p, xs)
-    if family.is_trig:
-        return d_general(family, p, xs)
-    return d_general_hyp_cos(p, xs)
-
-
 # --- rigorous interval evaluation of D --------------------------------------
 
 
-@functools.lru_cache(maxsize=256)
-def _sin_comb_table(family: FamilyKind, p: int) -> tuple[tuple, float]:
-    """The (w, c) terms and the constant factor of D at integer p, so that
-    D(x) = -x * factor * sum_i w_i sin(c_i x), times sec^4(x/p) for the general form."""
-    if not has_sum_form(family, p):
-        s = 1.0 / p
-        cs = (1.0 - 3.0 * s, 1.0 + 3.0 * s, 1.0 - s, 1.0 + s)
-        return tuple(zip(general_weights(family, float(p)), cs)), 1.0 / (8.0 * p**3)
-    if p % 2 == 0:
-        k = p // 2
-        return tuple(((2 * j + 1) ** 3, (2 * j + 1) / (2.0 * k)) for j in range(k)), 1.0 / (4.0 * k**3)
-    k = (p - 1) // 2
-    sgn = -1 if family.is_cos else 1
-    return tuple((sgn ** (k - j) * j**3, 2.0 * j / p) for j in range(1, k + 1)), 16.0 / p**3
-
-
 def _interval_D(family: FamilyKind, p: int, x: Interval) -> Interval:
-    """D over the cell x, trigonometric families only."""
-    terms, factor = _sin_comb_table(family, p)
+    """D over the cell x from `sin_comb_form`, trigonometric families only."""
+    general = not has_sum_form(family, p)
+    terms, factor = sin_comb_form(family, p, general)
     scale = -x
-    if not has_sum_form(family, p):
+    if general:
         scale = scale * (x * (1.0 / p)).cos().reciprocal() ** 4
     return scale * factor * sin_comb(x, terms)
 
@@ -160,25 +139,20 @@ def _verify_sign_rigorous(family, p, expected_sign, cfg) -> VerificationReport:
         enc = _interval_D(family, p, cell)
         if expected_sign is Sign.NEG:
             enc = -enc
-        if enc.strictly_positive:
-            cells += 1
-            if enc.lo < min_margin:
-                min_margin = enc.lo
-                if math.isnan(worst_x) or status is Status.CERTIFIED:
-                    worst_x = cell.mid
-            continue
-        if enc.strictly_negative:
-            # the whole enclosure is on the wrong side: a real counterexample
-            return VerificationReport(claim, Status.FALSIFIED, enc.hi, cell.mid, cells + 1, Mode.RIGOROUS)
-        if depth >= cfg.max_subdivisions:
+        if not enc.strictly_positive:
+            if enc.strictly_negative:
+                # the whole enclosure is on the wrong side: a real counterexample
+                return VerificationReport(claim, Status.FALSIFIED, enc.hi, cell.mid, cells + 1, Mode.RIGOROUS)
+            if depth < cfg.max_subdivisions:
+                left, right = cell.split()
+                stack.append((right, depth + 1))
+                stack.append((left, depth + 1))
+                continue
             status = Status.INCONCLUSIVE
-            min_margin = min(min_margin, enc.lo)
-            worst_x = cell.mid
-            cells += 1
-            continue
-        left, right = cell.split()
-        stack.append((right, depth + 1))
-        stack.append((left, depth + 1))
+        # a certified or a given-up leaf; worst_x names the cell of min_margin
+        cells += 1
+        if enc.lo < min_margin:
+            min_margin, worst_x = enc.lo, cell.mid
     if not math.isfinite(min_margin):
         min_margin = math.nan
     return VerificationReport(claim, status, min_margin, worst_x, cells, Mode.RIGOROUS)
@@ -196,7 +170,7 @@ def verify_sign_D(
 
     claim = f"sign-D:{family.value}:p={p}:{expected_sign.name}"
     xs = _grid(cfg)
-    margins = float(expected_sign.value) * _grid_D(family, p, xs)
+    margins = float(expected_sign.value) * eval_sin_comb(family, p, xs, not has_sum_form(family, p))
     worst = int(np.argmin(margins))
     status = Status.CERTIFIED if margins[worst] > 0.0 else Status.FALSIFIED
     return VerificationReport(claim, status, float(margins[worst]), float(xs[worst]), len(xs), Mode.GRID)

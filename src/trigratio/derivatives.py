@@ -1,21 +1,29 @@
 """Closed forms and the finite-difference oracle for D(x) = d^2/dx^2 (x^3 f'(x)).
 
 The sign of D over (0, pi/2) is what drives every monotonicity claim about
-the ratio families.  The hyperbolic families are the x -> ix images of the
-trigonometric ones: f_hyp(x) = -f_trig(ix), hence D_hyp(x) = -D_trig(ix).
-Under that substitution every closed form keeps its shape with sin -> sinh
-and cos -> cosh (the powers of i cancel the leading minus), so each form
-below is written once and takes its sin/cos pair from the family.  This
-module provides:
+the ratio families.  Every closed form of D is one weighted sum of sines,
 
-* `d_general` -- the closed form for the two trigonometric families, valid
-  for any real p != 0.  Note: the printed source for the cos-family formula
-  carries csc^4(x/p), but differentiating the definition gives sec^4(x/p);
-  the sec^4 version agrees with the p = 2 factored display, with the
-  parity sum forms and with the finite-difference oracle, so that is what
-  is implemented here.
+    D(x) = -x * factor * sum_i w_i sin(c_i x),  divided by den(x/p)^4 for the general form,
+
+and `sin_comb_form` builds its (w, c) terms and factor once per
+(family, p, form).  Both number backends read that one table: the numpy
+evaluator `eval_sin_comb` here, and the interval kernel `interval.sin_comb`
+behind the rigorous proofs in `certify`.  The hyperbolic families are the
+x -> ix images of the trigonometric ones: f_hyp(x) = -f_trig(ix), hence
+D_hyp(x) = -D_trig(ix).  Under that substitution every form keeps its
+shape and its table with sin -> sinh and cos -> cosh (the powers of i
+cancel the leading minus), so the evaluator takes its sin/cos pair from
+the family.  Entry points:
+
+* `d_general` -- the general form for the two trigonometric families,
+  valid for any real p != 0, and the only closed form evaluated in 80-bit
+  extended precision, table included.  Note: the printed source for the
+  cos-family formula carries csc^4(x/p), but differentiating the
+  definition gives sec^4(x/p); the sec^4 version agrees with the p = 2
+  factored display, with the parity sum forms and with the
+  finite-difference oracle, so that is what is implemented here.
 * `d_general_hyp_cos` -- its x -> ix image for the hyperbolic cos family,
-  with sech^4(x/p) in place of sec^4(x/p).
+  with sech^4(x/p) in place of sec^4(x/p), in float64.
 * `d_sum`, `d_sum_even_sin`, `d_sum_odd` -- the finite-sum forms for
   integer p, all four families; `has_sum_form` says which (family, p)
   have one.  For the cos families with p = 2k+1 the
@@ -32,6 +40,7 @@ All evaluators accept numpy arrays for x.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -53,25 +62,42 @@ class ParityError(ParameterError):
     """p does not have the parity the requested sum form needs."""
 
 
+@functools.lru_cache(maxsize=256, typed=True)
+def sin_comb_form(family: FamilyKind, p, general: bool) -> tuple[tuple, object]:
+    """D as a sin-combination: the (w, c) terms and the constant factor with
+
+        D(x) = -x * factor * sum_i w_i sin(c_i x)                    (sum forms)
+        D(x) = -x * factor * sum_i w_i sin(c_i x) / den(x/p)^4       (general form)
+
+    where den is the family's cos or sin.  The hyperbolic families read the
+    same table with sin -> sinh, cos -> cosh.  The general form takes any
+    real p != 0 and is built in the type of p (a longdouble p gives an
+    80-bit table; `typed=True` keeps 2, 2.0 and longdouble(2) apart); the
+    sum forms take an integer p >= 2 for which `has_sum_form` holds: the
+    sin families at p = 2k, and p = 2k+1 with the factor (-1)^(k-j) on
+    each term for the cos families."""
+    if general:
+        p3, p2 = p**3, p**2
+        s = 1.0 / p
+        cs = (1.0 - 3.0 * s, 1.0 + 3.0 * s, 1.0 - s, 1.0 + s)
+        if family.is_cos:
+            ws = ((p + 1) ** 3, (p - 1) ** 3, 3 * p3 + 3 * p2 - 15 * p - 23, 3 * p3 - 3 * p2 - 15 * p + 23)
+            return tuple(zip(ws, cs)), 1.0 / (8.0 * p3)
+        ws = ((p + 1) ** 3, -((p - 1) ** 3), -3 * p3 - 3 * p2 + 15 * p + 23, 3 * p3 - 3 * p2 - 15 * p + 23)
+        return tuple(zip(ws, cs)), -1.0 / (8.0 * p3)
+    k = p // 2
+    if p % 2 == 0:
+        return tuple(((2 * j + 1) ** 3, (2 * j + 1) / (2.0 * k)) for j in range(k)), 1.0 / (4.0 * k**3)
+    sgn = -1 if family.is_cos else 1
+    return tuple((sgn ** (k - j) * j**3, 2.0 * j / p) for j in range(1, k + 1)), 16.0 / p**3
+
+
 def general_weights(family: FamilyKind, p: float) -> tuple[float, float, float, float]:
     """The four coefficients multiplying sin((1 -/+ 3/p)x), sin((1 -/+ 1/p)x).
 
     x -> ix leaves them unchanged: a hyperbolic family shares the weights
     of its trigonometric partner."""
-    p3, p2 = p**3, p**2
-    if family.is_cos:
-        return (
-            (p + 1) ** 3,
-            (p - 1) ** 3,
-            3 * p3 + 3 * p2 - 15 * p - 23,
-            3 * p3 - 3 * p2 - 15 * p + 23,
-        )
-    return (
-        (p + 1) ** 3,
-        -((p - 1) ** 3),
-        -3 * p3 - 3 * p2 + 15 * p + 23,
-        3 * p3 - 3 * p2 - 15 * p + 23,
-    )
+    return tuple(w for w, _ in sin_comb_form(family, p, True)[0])
 
 
 def _sin_cos(family: FamilyKind):
@@ -91,46 +117,48 @@ def _unwrap(out):
     return out if out.ndim else float(out)
 
 
-def _general_form(family: FamilyKind, p, x, weights):
-    """-/+ x/(8p^3) * sum_i w_i sin(c_i x) / den(x/p)^4, in the dtype of x and p.
+def eval_sin_comb(family: FamilyKind, p, x, general: bool, weights=None):
+    """D at x from `sin_comb_form`, in the dtype of x and p, with no checks
+    on x; `weights` overrides the table's w_i.
 
-    den is the family's cos (leading minus) or sin (leading plus)."""
+    The general form's den(x/p) is the family's cos (PoleError below 1e-12)
+    or sin (below 1e-300)."""
     sin, cos = _sin_cos(family)
+    terms, factor = sin_comb_form(family, p, general)
+    if weights is not None:
+        terms = [(w, c) for w, (_, c) in zip(weights, terms)]
+    acc = 0.0
+    for w, c in terms:
+        acc += w * sin(c * x)
+    out = x * -factor
+    out *= acc
+    if not general:
+        return out
     s = 1.0 / p
-    w1, w2, w3, w4 = weights
-    bracket = (
-        w1 * sin(x * (1.0 - 3.0 * s))
-        + w2 * sin(x * (1.0 + 3.0 * s))
-        + w3 * sin(x * (1.0 - s))
-        + w4 * sin(x * (1.0 + s))
-    )
-    pre = x / (8.0 * p**3)
     if family.is_cos:
-        den = cos(s * x)
-        if np.any(np.abs(den) < 1e-12):
-            raise PoleError(f"cos(x/p) vanishes for p={p}")
-        return -pre * bracket / den**4
-    den = sin(s * x)
-    if np.any(np.abs(den) < 1e-300):
-        raise PoleError(f"sin(x/p) vanishes for p={p}")
-    return pre * bracket / den**4
+        den, tol, name = cos(s * x), 1e-12, "cos"
+    else:
+        den, tol, name = sin(s * x), 1e-300, "sin"
+    if np.any(np.abs(den) < tol):
+        raise PoleError(f"{name}(x/p) vanishes for p={float(p)}")
+    out /= den**4
+    return out
 
 
 def d_general(family: FamilyKind, p, x, *, weights=None):
     """Closed-form D(x) for TRIG_COS / TRIG_SIN, any real p != 0.
 
-    Internally evaluated in 80-bit extended precision: the sin-family
-    bracket vanishes like x^5 against csc^4(x/p), and the cancellation
-    would otherwise cost ~1e-9 relative accuracy at small x for p ~ 12.
+    Internally evaluated in 80-bit extended precision, table included: the
+    sin-family bracket vanishes like x^5 against csc^4(x/p), and the
+    cancellation would otherwise cost ~1e-9 relative accuracy at small x
+    for p ~ 12, and far more at non-integer p.
 
     `weights` overrides the four bracket coefficients (test hook)."""
     if not family.is_trig:
         raise ParameterError("d_general covers the trigonometric families; see d_sum")
     p = check_param_real(p)
     x = _check_x_open(x)
-    if weights is None:
-        weights = general_weights(family, p)
-    out = _general_form(family, np.longdouble(p), x.astype(np.longdouble), weights)
+    out = eval_sin_comb(family, np.longdouble(p), x.astype(np.longdouble), True, weights)
     return _unwrap(out.astype(np.float64))
 
 
@@ -142,30 +170,7 @@ def d_general_hyp_cos(p, x):
     (D ~ x^2 against a bracket ~ x), and cosh has no zero, so float64 is
     accurate to a few ulps relative to |D|."""
     p = check_param_real(p)
-    x = _check_x_open(x)
-    return _unwrap(_general_form(FamilyKind.HYP_COS, p, x, general_weights(FamilyKind.HYP_COS, p)))
-
-
-def _sum_even(family: FamilyKind, k: int, x):
-    """-x/(4k^3) * sum_{j<k} (2j+1)^3 sin((2j+1)x/(2k)): the sin families, p = 2k."""
-    sin, _ = _sin_cos(family)
-    acc = 0.0
-    for j in range(k):
-        m = 2 * j + 1
-        acc = acc + m**3 * sin(m * x / (2.0 * k))
-    return -x / (4.0 * k**3) * acc
-
-
-def _sum_odd(family: FamilyKind, k: int, x):
-    """-16x/p^3 * sum_{j=1..k} j^3 sin(2jx/p), p = 2k+1, with the factor
-    (-1)^(k-j) on each term for the cos families."""
-    sin, _ = _sin_cos(family)
-    p = 2 * k + 1
-    sgn = -1 if family.is_cos else 1
-    acc = 0.0
-    for j in range(1, k + 1):
-        acc = acc + sgn ** (k - j) * j**3 * sin(2.0 * j * x / p)
-    return -16.0 * x / p**3 * acc
+    return _unwrap(eval_sin_comb(FamilyKind.HYP_COS, p, _check_x_open(x), True))
 
 
 def _check_k(k: int) -> None:
@@ -176,13 +181,13 @@ def _check_k(k: int) -> None:
 def d_sum_even_sin(k: int, x):
     """Sum form of D for the sin family with p = 2k; every term is <= 0."""
     _check_k(k)
-    return _unwrap(_sum_even(FamilyKind.TRIG_SIN, k, _check_x_open(x)))
+    return _unwrap(eval_sin_comb(FamilyKind.TRIG_SIN, 2 * k, _check_x_open(x), False))
 
 
 def d_sum_odd(family: FamilyKind, k: int, x):
     """Sum form of D for p = 2k+1; plain for the sin families, alternating for the cos families."""
     _check_k(k)
-    return _unwrap(_sum_odd(family, k, _check_x_open(x)))
+    return _unwrap(eval_sin_comb(family, 2 * k + 1, _check_x_open(x), False))
 
 
 def has_sum_form(family: FamilyKind, p: int) -> bool:
@@ -198,15 +203,12 @@ def d_sum(family: FamilyKind, p: int, x):
     p = check_param_int(p)
     if not has_sum_form(family, p):
         raise ParityError("no sum form for the cos families with even p")
-    x = _check_x_open(x)
-    form = _sum_even if p % 2 == 0 else _sum_odd
-    return _unwrap(form(family, p // 2, x))
+    return _unwrap(eval_sin_comb(family, p, _check_x_open(x), False))
 
 
 def dirichlet_sum(k: int, x: float) -> tuple[float, float]:
     """Sum of cos((2j+1)x/(2k)) term by term and via sin x / (2 sin(x/(2k)))."""
-    if k < 1:
-        raise ParameterError(f"k must be >= 1, got {k}")
+    _check_k(k)
     if not 0.0 < x < math.pi:
         raise DomainError(f"x={x} outside (0, pi)")
     den = math.sin(x / (2.0 * k))

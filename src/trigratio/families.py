@@ -164,30 +164,25 @@ def _f_direct(family: FamilyKind, p: float, x, xp=np):
 
 _POLE_TOL = 1e-12
 
+# the function each family takes at x and at x/p
+_MATH_FN = {
+    FamilyKind.TRIG_COS: math.cos,
+    FamilyKind.TRIG_SIN: math.sin,
+    FamilyKind.HYP_COS: math.cosh,
+    FamilyKind.HYP_SIN: math.sinh,
+}
+
 
 def eval_ratio(family: FamilyKind, p, x: float) -> float:
     """The bare quotient, e.g. cos x / cos(x/p), for x in (0, pi/2)."""
     p = check_param_real(p)
     if not 0.0 < x < HALF_PI:
         raise DomainError(f"x={x} outside (0, pi/2)")
-    s = 1.0 / p
-    if family is FamilyKind.TRIG_COS:
-        den = math.cos(s * x)
-    elif family is FamilyKind.TRIG_SIN:
-        den = math.sin(s * x)
-    elif family is FamilyKind.HYP_COS:
-        den = math.cosh(s * x)
-    else:
-        den = math.sinh(s * x)
+    fn = _MATH_FN[family]
+    den = fn((1.0 / p) * x)
     if abs(den) < _POLE_TOL:
         raise PoleError(f"denominator vanishes at x={x}, p={p}")
-    if family is FamilyKind.TRIG_COS:
-        return math.cos(x) / den
-    if family is FamilyKind.TRIG_SIN:
-        return math.sin(x) / den
-    if family is FamilyKind.HYP_COS:
-        return math.cosh(x) / den
-    return math.sinh(x) / den
+    return fn(x) / den
 
 
 def eval_f(family: FamilyKind, p, x: float) -> float:

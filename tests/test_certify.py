@@ -5,6 +5,7 @@ import math
 import random
 
 import mpmath
+import numpy as np
 import pytest
 
 from trigratio.certify import (
@@ -21,7 +22,7 @@ from trigratio.certify import (
     verify_sign_D,
     _interval_D,
 )
-from trigratio.derivatives import d_general, d_sum, general_weights, has_sum_form
+from trigratio.derivatives import d_general, d_sum, eval_sin_comb, general_weights, has_sum_form
 from trigratio.envelopes import envelope_constants
 from trigratio.families import FamilyKind, HALF_PI, ParameterError
 from trigratio.interval import Interval
@@ -289,6 +290,29 @@ def test_interval_D_contains_mpmath_D(family):
             for t in (x.lo, x.mid, x.hi):
                 d = _mp_D(family, p, t)
                 assert enc.lo <= d <= enc.hi, (p, x, t, enc, d)
+
+
+@pytest.mark.parametrize("family", [TC, TS])
+def test_grid_D_lies_in_interval_D(family):
+    """Both backends read one table: the float64 D that GRID claims use lies
+    inside the interval enclosure of every cell at its lo, mid and hi."""
+    rng = random.Random(2718 + family.is_cos)
+    for p in range(2, 65):
+        for x in _seeded_cells(rng, 6):
+            enc = _interval_D(family, p, x)
+            ds = eval_sin_comb(family, p, np.array([x.lo, x.mid, x.hi]), not has_sum_form(family, p))
+            for d in ds:
+                assert enc.lo <= d <= enc.hi, (p, x, enc, d)
+
+
+def test_rigorous_worst_x_is_the_cell_of_min_margin():
+    """With several INCONCLUSIVE cells, worst_x names the one whose enclosure
+    gave min_margin, not the last one popped (x = 9.239e-6 here)."""
+    cfg = VerificationConfig(mode=Mode.RIGOROUS, interior_margin=1e-6, max_subdivisions=20)
+    r = verify_sign_D(TC, 63, Sign.NEG, cfg)
+    assert r.status is Status.INCONCLUSIVE
+    assert r.min_margin == -2.577682467244663e-11
+    assert r.worst_x == 4.7450655145523465e-06
 
 
 @pytest.mark.parametrize(
