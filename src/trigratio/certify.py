@@ -101,6 +101,13 @@ def _grid(cfg: VerificationConfig) -> np.ndarray:
     return np.linspace(cfg.interior_margin, HALF_PI - cfg.interior_margin, cfg.grid_points)
 
 
+def _grid_verdict(claim, margins, xs, cells) -> VerificationReport:
+    """CERTIFIED when every margin is positive; the worst names the smallest."""
+    worst = int(np.argmin(margins))
+    status = Status.CERTIFIED if margins[worst] > 0.0 else Status.FALSIFIED
+    return VerificationReport(claim, status, float(margins[worst]), float(xs[worst]), cells, Mode.GRID)
+
+
 def expected_sign_D(family: FamilyKind, p: int) -> Sign:
     """Sign D(x) would need on (0, pi/2) for the single-sign monotonicity route.
 
@@ -171,9 +178,7 @@ def verify_sign_D(
     claim = f"sign-D:{family.value}:p={p}:{expected_sign.name}"
     xs = _grid(cfg)
     margins = float(expected_sign.value) * eval_sin_comb(family, p, xs, not has_sum_form(family, p))
-    worst = int(np.argmin(margins))
-    status = Status.CERTIFIED if margins[worst] > 0.0 else Status.FALSIFIED
-    return VerificationReport(claim, status, float(margins[worst]), float(xs[worst]), len(xs), Mode.GRID)
+    return _grid_verdict(claim, margins, xs, len(xs))
 
 
 def verify_monotonicity(family: FamilyKind, p, cfg: VerificationConfig) -> VerificationReport:
@@ -188,9 +193,7 @@ def verify_monotonicity(family: FamilyKind, p, cfg: VerificationConfig) -> Verif
     diffs = np.diff(fs)
     if ec.direction is Direction.DECREASING:
         diffs = -diffs
-    worst = int(np.argmin(diffs))
-    status = Status.CERTIFIED if diffs[worst] > 0.0 else Status.FALSIFIED
-    return VerificationReport(claim, status, float(diffs[worst]), float(xs[worst]), len(xs) - 1, Mode.GRID)
+    return _grid_verdict(claim, diffs, xs, len(xs) - 1)
 
 
 def verify_envelope(
@@ -209,9 +212,7 @@ def verify_envelope(
     xs = _grid(cfg)
     fs = eval_f_grid(family, p, xs)
     margins = np.minimum(fs - ec.lower, ec.upper - fs)
-    worst = int(np.argmin(margins))
-    status = Status.CERTIFIED if margins[worst] > 0.0 else Status.FALSIFIED
-    return VerificationReport(claim, status, float(margins[worst]), float(xs[worst]), len(xs), Mode.GRID)
+    return _grid_verdict(claim, margins, xs, len(xs))
 
 
 # --- identity suite ---------------------------------------------------------

@@ -12,8 +12,8 @@ behind the rigorous proofs in `certify`.  The hyperbolic families are the
 x -> ix images of the trigonometric ones: f_hyp(x) = -f_trig(ix), hence
 D_hyp(x) = -D_trig(ix).  Under that substitution every form keeps its
 shape and its table with sin -> sinh and cos -> cosh (the powers of i
-cancel the leading minus), so the evaluator takes its sin/cos pair from
-the family.  Entry points:
+cancel the leading minus), so the evaluator takes its sine and the general
+form's den from the family table `families.FAMILY_FNS`.  Entry points:
 
 * `d_general` -- the general form for the two trigonometric families,
   valid for any real p != 0, and the only closed form evaluated in 80-bit
@@ -46,6 +46,8 @@ import math
 import numpy as np
 
 from .families import (
+    FAMILY_FNS,
+    POLE_TOL,
     DomainError,
     FamilyKind,
     ParameterError,
@@ -69,7 +71,7 @@ def sin_comb_form(family: FamilyKind, p, general: bool) -> tuple[tuple, object]:
         D(x) = -x * factor * sum_i w_i sin(c_i x)                    (sum forms)
         D(x) = -x * factor * sum_i w_i sin(c_i x) / den(x/p)^4       (general form)
 
-    where den is the family's cos or sin.  The hyperbolic families read the
+    where den is the family's own function g.  The hyperbolic families read the
     same table with sin -> sinh, cos -> cosh.  The general form takes any
     real p != 0 and is built in the type of p (a longdouble p gives an
     80-bit table; `typed=True` keeps 2, 2.0 and longdouble(2) apart); the
@@ -100,11 +102,6 @@ def general_weights(family: FamilyKind, p: float) -> tuple[float, float, float, 
     return tuple(w for w, _ in sin_comb_form(family, p, True)[0])
 
 
-def _sin_cos(family: FamilyKind):
-    """The family's (sin, cos): circular, or hyperbolic for the x -> ix images."""
-    return (np.sin, np.cos) if family.is_trig else (np.sinh, np.cosh)
-
-
 def _check_x_open(x) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     # written so that NaN fails the test too
@@ -121,9 +118,9 @@ def eval_sin_comb(family: FamilyKind, p, x, general: bool, weights=None):
     """D at x from `sin_comb_form`, in the dtype of x and p, with no checks
     on x; `weights` overrides the table's w_i.
 
-    The general form's den(x/p) is the family's cos (PoleError below 1e-12)
-    or sin (below 1e-300)."""
-    sin, cos = _sin_cos(family)
+    The sines and the general form's den = g((1/p) * x) come from
+    `families.FAMILY_FNS`; PoleError where |den| < 1e-12."""
+    g, sin = FAMILY_FNS[family][np]
     terms, factor = sin_comb_form(family, p, general)
     if weights is not None:
         terms = [(w, c) for w, (_, c) in zip(weights, terms)]
@@ -134,13 +131,9 @@ def eval_sin_comb(family: FamilyKind, p, x, general: bool, weights=None):
     out *= acc
     if not general:
         return out
-    s = 1.0 / p
-    if family.is_cos:
-        den, tol, name = cos(s * x), 1e-12, "cos"
-    else:
-        den, tol, name = sin(s * x), 1e-300, "sin"
-    if np.any(np.abs(den) < tol):
-        raise PoleError(f"{name}(x/p) vanishes for p={float(p)}")
+    den = g((1.0 / p) * x)
+    if np.abs(den).min() < POLE_TOL:
+        raise PoleError(f"{g.__name__}(x/p) vanishes for p={float(p)}")
     out /= den**4
     return out
 
@@ -151,7 +144,10 @@ def d_general(family: FamilyKind, p, x, *, weights=None):
     Internally evaluated in 80-bit extended precision, table included: the
     sin-family bracket vanishes like x^5 against csc^4(x/p), and the
     cancellation would otherwise cost ~1e-9 relative accuracy at small x
-    for p ~ 12, and far more at non-integer p.
+    for p ~ 12, and far more at non-integer p.  Even in 80 bits it loses
+    accuracy towards x -> 0 at non-integer p: against 40-digit mpmath,
+    trig-sin p = 7.3 is off by 1.0e-4 relative at x = 1e-3 and 9.0e-10 at
+    x = 1e-2 (p = 3.7: 3.9e-6 and 1.2e-9).
 
     `weights` overrides the four bracket coefficients (test hook)."""
     if not family.is_trig:
@@ -282,12 +278,7 @@ def _numeric_D_arrays(family: FamilyKind, p: float, x: np.ndarray, h: np.ndarray
 
 def numeric_D(family: FamilyKind, p, x: float, h: float = 1e-4) -> float:
     """Finite-difference estimate of D(x) at outer step h (Richardson-paired with h/2)."""
-    p = check_param_real(p)
-    if not 1e-5 <= h <= 1e-3:
-        raise DomainError(f"h={h} outside [1e-5, 1e-3]")
-    if x - 2.5 * h <= 0.0 or x + 2.5 * h >= HALF_PI:
-        raise DomainError(f"stencil around x={x} with h={h} leaves (0, pi/2)")
-    value, _ = _numeric_D_arrays(family, p, np.asarray([x]), np.asarray([h]))
+    value, _ = numeric_D_with_estimate(family, p, x, h)
     return float(value[0])
 
 
@@ -299,11 +290,15 @@ def numeric_D_with_estimate(family: FamilyKind, p, x, h):
     2048 evenly spaced points of [1e-3, pi/2 - 1e-3], |value - closed form|
     exceeds it at 220 points for trig-sin p = 3 and at 283 for hyp-sin
     p = 11, all in x in [0.13, 1.08], by up to ~6x.  Use it to size a
-    tolerance, never as a certificate."""
+    tolerance, never as a certificate.  h must lie in [1e-5, 1e-3]: below,
+    roundoff swamps the stencil; above, truncation does."""
     p = check_param_real(p)
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
     h = np.broadcast_to(np.asarray(h, dtype=np.float64), x.shape)
-    if np.any(x - 2.5 * h <= 0.0) or np.any(x + 2.5 * h >= HALF_PI):
+    # written so that NaN fails the tests too
+    if not np.all((h >= 1e-5) & (h <= 1e-3)):
+        raise DomainError("h outside [1e-5, 1e-3]")
+    if not np.all((x - 2.5 * h > 0.0) & (x + 2.5 * h < HALF_PI)):
         raise DomainError("stencil leaves (0, pi/2)")
     return _numeric_D_arrays(family, p, x, h)
 

@@ -1,6 +1,6 @@
 """The four normalized ratio families and their endpoint limits.
 
-Each family is a quotient of a trigonometric or hyperbolic function at x
+Each family is a quotient of a trigonometric or hyperbolic function g at x
 by the same function at x/p, normalized so that the x -> 0 singularity is
 removable:
 
@@ -8,6 +8,12 @@ removable:
     TRIG_SIN:  (p - sin x / sin(x/p)) / x^2
     HYP_COS:   (1 - cosh x / cosh(x/p)) / x^2
     HYP_SIN:   (p - sinh x / sinh(x/p)) / x^2
+
+Family dispatch lives in one table, `FAMILY_FNS`, read by f, its limits, the
+bare ratio and D: per family and backend (math, numpy), g and the sine of
+the product forms, sinh for the x -> ix images f_hyp(x) = -f_trig(ix); the
+sin families are those whose g is that sine.  One pole rule holds for all:
+den = g((1/p) * x) is computed once, and |den| < 1e-12 raises PoleError.
 
 All functions are defined on (0, pi/2); `eval_f` extends to x = 0 by
 continuity.  Near zero the direct quotient cancels catastrophically, so
@@ -53,6 +59,20 @@ class FamilyKind(enum.Enum):
     @property
     def is_cos(self) -> bool:
         return self in (FamilyKind.TRIG_COS, FamilyKind.HYP_COS)
+
+
+# family -> backend -> (g, sin): g as in g(x)/g(x/p), sin of the product forms
+FAMILY_FNS = {
+    family: {xp: (getattr(xp, g), getattr(xp, sin)) for xp in (math, np)}
+    for family, g, sin in (
+        (FamilyKind.TRIG_COS, "cos", "sin"),
+        (FamilyKind.TRIG_SIN, "sin", "sin"),
+        (FamilyKind.HYP_COS, "cosh", "sinh"),
+        (FamilyKind.HYP_SIN, "sinh", "sinh"),
+    )
+}
+
+POLE_TOL = 1e-12
 
 
 def check_param_real(p) -> float:
@@ -133,15 +153,18 @@ def _f_series_coeffs_ld(family: FamilyKind, p: float) -> tuple[np.longdouble, ..
     return tuple(-_to_longdouble(ri) for ri in r[1:])
 
 
-def series_threshold(family: FamilyKind, p: float) -> float:
-    """Crossover point between the series and direct branches of eval_f."""
-    base = _TH_COS if family.is_cos else _TH_SIN
+def _series_threshold(g, sin, p: float) -> float:
     # series convergence is governed by the pole/zero at |x| = |p|*pi;
     # shrink the branch point for |p| < 1 so the truncation stays < 1e-14
-    return min(base, 0.45 * abs(p))
+    return min(_TH_SIN if g is sin else _TH_COS, 0.45 * abs(p))
 
 
-def _f_series(family: FamilyKind, p: float, x, coeffs):
+def series_threshold(family: FamilyKind, p: float) -> float:
+    """Crossover point between the series and direct branches of eval_f."""
+    return _series_threshold(*FAMILY_FNS[family][math], p)
+
+
+def _f_series(x, coeffs):
     x2 = x * x
     acc = coeffs[-1]
     for a in reversed(coeffs[:-1]):
@@ -149,28 +172,16 @@ def _f_series(family: FamilyKind, p: float, x, coeffs):
     return acc
 
 
-def _f_direct(family: FamilyKind, p: float, x, xp=np):
+def _f_direct(p: float, x, den, g, sin, xp):
+    """f off the series branch in backend xp, given den = g((1/p) * x)."""
+    if g is sin:
+        return (p - g(x) / den) / (x * x)
+    # 1 - g(x)/den as a product of sines, free of cancellation; sinh in place
+    # of sin brings the i^2 = -1 of x -> ix
     s = 1.0 / p
-    if family is FamilyKind.TRIG_COS:
-        num = 2.0 * xp.sin(x * ((1.0 + s) / 2.0)) * xp.sin(x * ((1.0 - s) / 2.0))
-        return num / (x * x * xp.cos(s * x))
-    if family is FamilyKind.HYP_COS:
-        num = -2.0 * xp.sinh(x * ((1.0 + s) / 2.0)) * xp.sinh(x * ((1.0 - s) / 2.0))
-        return num / (x * x * xp.cosh(s * x))
-    if family is FamilyKind.TRIG_SIN:
-        return (p - xp.sin(x) / xp.sin(s * x)) / (x * x)
-    return (p - xp.sinh(x) / xp.sinh(s * x)) / (x * x)
-
-
-_POLE_TOL = 1e-12
-
-# the function each family takes at x and at x/p
-_MATH_FN = {
-    FamilyKind.TRIG_COS: math.cos,
-    FamilyKind.TRIG_SIN: math.sin,
-    FamilyKind.HYP_COS: math.cosh,
-    FamilyKind.HYP_SIN: math.sinh,
-}
+    two = 2.0 if sin is xp.sin else -2.0
+    num = two * sin(x * ((1.0 + s) / 2.0)) * sin(x * ((1.0 - s) / 2.0))
+    return num / (x * x * den)
 
 
 def eval_ratio(family: FamilyKind, p, x: float) -> float:
@@ -178,11 +189,11 @@ def eval_ratio(family: FamilyKind, p, x: float) -> float:
     p = check_param_real(p)
     if not 0.0 < x < HALF_PI:
         raise DomainError(f"x={x} outside (0, pi/2)")
-    fn = _MATH_FN[family]
-    den = fn((1.0 / p) * x)
-    if abs(den) < _POLE_TOL:
+    g, _ = FAMILY_FNS[family][math]
+    den = g((1.0 / p) * x)
+    if abs(den) < POLE_TOL:
         raise PoleError(f"denominator vanishes at x={x}, p={p}")
-    return fn(x) / den
+    return g(x) / den
 
 
 def eval_f(family: FamilyKind, p, x: float) -> float:
@@ -190,13 +201,13 @@ def eval_f(family: FamilyKind, p, x: float) -> float:
     p = check_param_real(p)
     if not 0.0 <= x < HALF_PI:
         raise DomainError(f"x={x} outside [0, pi/2)")
-    if x < series_threshold(family, p):
-        return float(_f_series(family, p, x, f_series_coeffs(family, p)))
-    if family.is_trig:
-        den = math.cos(x / p) if family.is_cos else math.sin(x / p)
-        if abs(den) < _POLE_TOL:
-            raise PoleError(f"denominator vanishes at x={x}, p={p}")
-    return float(_f_direct(family, p, x, math))
+    g, sin = FAMILY_FNS[family][math]
+    if x < _series_threshold(g, sin, p):
+        return float(_f_series(x, f_series_coeffs(family, p)))
+    den = g((1.0 / p) * x)
+    if abs(den) < POLE_TOL:
+        raise PoleError(f"denominator vanishes at x={x}, p={p}")
+    return float(_f_direct(p, x, den, g, sin, math))
 
 
 def eval_f_grid(family: FamilyKind, p, xs: np.ndarray, dtype=np.float64) -> np.ndarray:
@@ -204,43 +215,35 @@ def eval_f_grid(family: FamilyKind, p, xs: np.ndarray, dtype=np.float64) -> np.n
     p = check_param_real(p)
     xs = np.asarray(xs, dtype=dtype)
     # written so that NaN fails the test too
-    if not np.all((xs >= 0.0) & (xs < HALF_PI)):
+    if not ((xs >= 0.0) & (xs < HALF_PI)).all():
         raise DomainError("grid points must lie in [0, pi/2)")
     out = np.empty_like(xs)
-    th = series_threshold(family, p)
-    small = xs < th
-    if dtype == np.longdouble:
-        coeffs = _f_series_coeffs_ld(family, p)
-    else:
-        coeffs = f_series_coeffs(family, p)
-    if np.any(small):
-        out[small] = _f_series(family, p, xs[small], coeffs)
+    g, sin = FAMILY_FNS[family][np]
+    small = xs < _series_threshold(g, sin, p)
+    if small.any():
+        coeffs = (_f_series_coeffs_ld if dtype == np.longdouble else f_series_coeffs)(family, p)
+        out[small] = _f_series(xs[small], coeffs)
     big = ~small
-    if np.any(big):
-        out[big] = _f_direct(family, p, xs[big])
+    if big.any():
+        x = xs[big]
+        den = g((1.0 / p) * x)
+        if np.abs(den).min() < POLE_TOL:
+            raise PoleError(f"denominator vanishes on the grid, p={p}")
+        out[big] = _f_direct(p, x, den, g, sin, np)
     return out
 
 
 def limit_at_zero(family: FamilyKind, p) -> float:
-    """Limit of the family as x -> 0, in closed form."""
-    p = check_param_int(p)
-    if family is FamilyKind.TRIG_COS:
-        return (p * p - 1) / (2.0 * p * p)
-    if family is FamilyKind.TRIG_SIN:
-        return (p * p - 1) / (6.0 * p)
-    if family is FamilyKind.HYP_COS:
-        return (1 - p * p) / (2.0 * p * p)
-    return (1 - p * p) / (6.0 * p)
+    """Limit of the family as x -> 0: the series' exact constant term, rounded once."""
+    return f_series_coeffs(family, check_param_int(p))[0]
 
 
 def limit_at_half_pi(family: FamilyKind, p) -> float:
-    """Limit of the family as x -> pi/2, in closed form."""
+    """Limit of the family as x -> pi/2, in closed form:
+    4/pi^2 * (A - g(pi/2)/g(pi/(2p))) with A = 1 (cos families) or p (sin families)."""
     p = check_param_int(p)
-    c = 4.0 / (math.pi * math.pi)
-    if family is FamilyKind.TRIG_COS:
-        return c
-    if family is FamilyKind.TRIG_SIN:
-        return c * (p - 1.0 / math.sin(HALF_PI / p))
-    if family is FamilyKind.HYP_COS:
-        return c * (1.0 - math.cosh(HALF_PI) / math.cosh(HALF_PI / p))
-    return c * (p - math.sinh(HALF_PI) / math.sinh(HALF_PI / p))
+    g, sin = FAMILY_FNS[family][math]
+    a = p if g is sin else 1.0
+    # cos(pi/2) = 0; cos(HALF_PI) is only the rounding of pi/2 showing
+    top = 0.0 if g is math.cos else g(HALF_PI)
+    return 4.0 / (math.pi * math.pi) * (a - top / g(HALF_PI / p))

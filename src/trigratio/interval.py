@@ -152,14 +152,12 @@ def _sin_bounds(a: float, b: float) -> tuple[float, float]:
     # widen the critical-point test so pi rounding can only add slack
     slack = 1e-9 * (1.0 + max(abs(a), abs(b)))
     a_lo, b_hi = a - slack, b + slack
-    n0 = math.floor((a - HALF_PI_LO) / TWO_PI) - 1
-    n1 = math.floor((b_hi - HALF_PI_LO) / TWO_PI) + 1
-    for n in range(n0, n1 + 1):
-        turns = TWO_PI * n
-        if a_lo <= HALF_PI_LO + turns <= b_hi:
-            hi = 1.0
-        if a_lo <= -HALF_PI_LO + turns <= b_hi:
-            lo = -1.0
+    # the first maximum and the first minimum at or above a_lo; the quotient's
+    # rounding (~1e-16 relative) is far inside the slack
+    if HALF_PI_LO + TWO_PI * math.ceil((a_lo - HALF_PI_LO) / TWO_PI) <= b_hi:
+        hi = 1.0
+    if -HALF_PI_LO + TWO_PI * math.ceil((a_lo + HALF_PI_LO) / TWO_PI) <= b_hi:
+        lo = -1.0
     return max(lo, -1.0), min(hi, 1.0)
 
 

@@ -19,7 +19,7 @@ from trigratio.derivatives import (
     numeric_D_with_estimate,
     vanishing_limits_check,
 )
-from trigratio.families import DomainError, FamilyKind, HALF_PI, ParameterError
+from trigratio.families import DomainError, FamilyKind, HALF_PI, ParameterError, PoleError
 
 TC, TS, HC, HS = (
     FamilyKind.TRIG_COS,
@@ -243,6 +243,27 @@ def test_numeric_D_h_and_stencil_validation():
         numeric_D(TS, 2, 2e-4, h=1e-4)  # stencil pokes below 0
     with pytest.raises(DomainError):
         numeric_D(TS, 2, HALF_PI - 2e-4, h=1e-4)
+
+
+def test_numeric_D_with_estimate_checks_h_and_stencil():
+    """The vectorized oracle applies numeric_D's checks: at h = 1e-7 roundoff
+    gives -0.3853 against the closed form's -0.3664."""
+    for h in (1e-7, 1e-2, math.nan):
+        with pytest.raises(DomainError):
+            numeric_D_with_estimate(TS, 3, [1.0], h)
+    with pytest.raises(DomainError):
+        numeric_D_with_estimate(TS, 3, [0.5, 1.0], [1e-4, 1e-6])
+    with pytest.raises(DomainError):
+        numeric_D_with_estimate(TS, 3, [1.0, math.nan], 1e-4)
+
+
+def test_d_general_pole_rule():
+    """The general form's den = g(x/p) follows the pole rule of f, |den| < 1e-12,
+    for the sin family too (sin(pi) is 1.2e-16 in floats)."""
+    with pytest.raises(PoleError):
+        d_general(TC, 1.0 / 3.0, math.pi / 6.0)
+    with pytest.raises(PoleError):
+        d_general(TS, 0.2, math.pi / 5.0)
 
 
 def test_d_general_rejects_hyperbolic():

@@ -197,3 +197,44 @@ def test_series_coeffs_leading_term(family):
     for p in (2, 3, 7):
         a = f_series_coeffs(family, float(p))
         assert a[0] == pytest.approx(limit_at_zero(family, p), rel=1e-15)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+@pytest.mark.parametrize(
+    "family,p,x", [(TC, 1.0 / 3.0, math.pi / 6.0), (TS, 0.2, math.pi / 5.0)], ids=["trig-cos", "trig-sin"]
+)
+def test_grid_pole_error(family, p, x, dtype):
+    """eval_f_grid applies the pole rule of eval_f and eval_ratio, |g(x/p)| < 1e-12."""
+    with pytest.raises(PoleError):
+        eval_f(family, p, x)
+    with pytest.raises(PoleError):
+        eval_f_grid(family, p, np.array([0.5 * x, x]), dtype=dtype)
+
+
+def _limit_at_zero_closed_form(family, p):
+    if family is TC:
+        return (p * p - 1) / (2.0 * p * p)
+    if family is TS:
+        return (p * p - 1) / (6.0 * p)
+    if family is HC:
+        return (1 - p * p) / (2.0 * p * p)
+    return (1 - p * p) / (6.0 * p)
+
+
+def _limit_at_half_pi_closed_form(family, p):
+    c = 4.0 / (math.pi * math.pi)
+    if family is TC:
+        return c
+    if family is TS:
+        return c * (p - 1.0 / math.sin(HALF_PI / p))
+    if family is HC:
+        return c * (1.0 - math.cosh(HALF_PI) / math.cosh(HALF_PI / p))
+    return c * (p - math.sinh(HALF_PI) / math.sinh(HALF_PI / p))
+
+
+@pytest.mark.parametrize("family", FamilyKind)
+def test_limits_bitwise_match_per_family_closed_forms(family):
+    """The table-driven limits equal the per-family formulas bit for bit."""
+    for p in range(2, 201):
+        assert limit_at_zero(family, p) == _limit_at_zero_closed_form(family, p), p
+        assert limit_at_half_pi(family, p) == _limit_at_half_pi_closed_form(family, p), p

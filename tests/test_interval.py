@@ -3,6 +3,7 @@
 import math
 import random
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -190,3 +191,68 @@ def test_sin_comb_bitwise_matches_interval_expression():
         assert sin_comb(x, terms) == _reference_sin_comb(x, terms), (x, terms)
     assert sin_comb(Interval(1.0, 2.0), ()) == Interval(0.0, 0.0)
 
+
+
+def _critical_points():
+    """+-pi/2 + 2 pi n for n = -8..8, both as the enclosure computes them and
+    as the rounding of the exact value."""
+    for n in range(-8, 9):
+        for sign in (1.0, -1.0):
+            yield sign * HALF_PI_LO + TWO_PI * n
+            yield sign * math.pi / 2.0 + 2.0 * math.pi * n
+
+
+def _step(v, ulps):
+    for _ in range(abs(ulps)):
+        v = math.nextafter(v, math.copysign(math.inf, ulps))
+    return v
+
+
+def _hugging_cells():
+    """Cells with an endpoint within 4 ulps of a critical point, 0 to 3 wide."""
+    for crit in _critical_points():
+        for ulps in range(-4, 5):
+            e = _step(crit, ulps)
+            for width in (0.0, 1e-12, 1e-6, 0.5, 3.0):
+                yield Interval(e, e + width)
+                yield Interval(e - width, e)
+
+
+def test_sin_critical_point_tests_match_turn_scan():
+    """_sin_bounds tests only the first maximum and minimum at or above the
+    slackened left end; the per-turn scan of _reference_sin is the reference."""
+    rng = random.Random(141)
+    cells = list(_hugging_cells())
+    for i in range(20_000):
+        width = 10.0 ** rng.uniform(-12.0, 0.5)
+        if i % 3 == 0:
+            crit = rng.choice((1.0, -1.0)) * math.pi / 2.0 + TWO_PI * rng.randint(-8, 8)
+            lo = crit - rng.uniform(0.0, width)
+        else:
+            lo = rng.uniform(-55.0, 55.0)
+        cells.append(Interval(lo, lo + width))
+    for iv in cells:
+        assert iv.sin() == _reference_sin(iv), iv
+
+
+def test_sin_sound_at_the_slack_edge():
+    """Where a critical point sits at the 1e-9 slack's edge the quotient's
+    rounding can move the first critical point tested by one turn, so the two
+    tests may not saturate where the scan did; the enclosure must still hold
+    sin over the cell (checked at 30 digits)."""
+    with mpmath.workdps(30):
+        for n in range(-8, 9):
+            for sign in (1, -1):
+                exact = (2 * n + sign * mpmath.mpf(1) / 2) * mpmath.pi
+                crit = float(exact)
+                slack = 1e-9 * (1.0 + abs(crit))
+                for edge in (crit + slack, crit - slack):
+                    for ulps in range(-4, 5):
+                        e = _step(edge, ulps)
+                        for iv in (Interval(e, e + 1e-6), Interval(e - 1e-6, e)):
+                            enc = iv.sin()
+                            lo, hi = mpmath.mpf(iv.lo), mpmath.mpf(iv.hi)
+                            if lo <= exact <= hi:
+                                assert enc.lo == -1.0 if sign < 0 else enc.hi == 1.0
+                            for x in (lo, hi):
+                                assert enc.lo <= mpmath.sin(x) <= enc.hi, iv
