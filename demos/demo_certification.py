@@ -38,18 +38,23 @@ def main():
         show(verify_sign_D(family, p, expected_sign_D(family, p), cfg))
         print()
 
-    print("RIGOROUS mode re-proves the trig sign claims with outward-rounded")
-    print("interval arithmetic over adaptively bisected cells:\n")
+    print("RIGOROUS mode re-proves the sign claims with outward-rounded interval")
+    print("arithmetic over adaptively bisected cells, for all four families (the")
+    print("hyperbolic ones through their x -> ix images, sin -> sinh):\n")
     for p in (2, 3, 8):
-        show(verify_sign_D(FamilyKind.TRIG_COS, p, expected_sign_D(FamilyKind.TRIG_COS, p), rigorous))
-        show(verify_sign_D(FamilyKind.TRIG_SIN, p, expected_sign_D(FamilyKind.TRIG_SIN, p), rigorous))
+        for family in FamilyKind:
+            if (family, p) != (FamilyKind.HYP_COS, 2):
+                show(verify_sign_D(family, p, expected_sign_D(family, p), rigorous))
     print()
 
     print("An instructive falsification: for hyp-cos at p = 2 the second")
     print("derivative of x^3 f' is NOT single-signed (it turns negative beyond")
     print("x = 1.3170), even though f itself is increasing.  The engine reports the")
-    print("counterexample instead of glossing over it:\n")
+    print("counterexample instead of glossing over it, in both modes:\n")
     show(verify_sign_D(FamilyKind.HYP_COS, 2, expected_sign_D(FamilyKind.HYP_COS, 2), cfg))
+    falsified = verify_sign_D(FamilyKind.HYP_COS, 2, expected_sign_D(FamilyKind.HYP_COS, 2), rigorous)
+    show(falsified)
+    print(f"  (the second is RIGOROUS: D < 0 on the whole cell around x = {falsified.worst_x:.6f})")
     show(verify_monotonicity(FamilyKind.HYP_COS, 2, cfg))
     print()
 

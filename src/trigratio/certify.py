@@ -1,8 +1,8 @@
 """Numerical certification campaigns for the envelope and sign claims.
 
 GRID mode samples the interior of (0, pi/2) and reports the worst margin;
-RIGOROUS mode (trigonometric families only, sign-of-D claims only) evaluates
-the closed forms of D(x) in outward-rounded interval arithmetic over
+RIGOROUS mode (sign-of-D claims only, all four families) evaluates the
+closed forms of D(x) in outward-rounded interval arithmetic over
 adaptively bisected subintervals, so a CERTIFIED verdict is a
 machine-checked sign proof up to the soundness of the interval primitives.
 The envelope, monotonicity and identity checks sample a grid in either mode
@@ -10,10 +10,10 @@ and say Mode.GRID.
 
 Both modes read D from one table, `derivatives.sin_comb_form`: the (w, c)
 terms and the factor of D(x) = -x * factor * sum_i w_i sin(c_i x), over
-den(x/p)^4 for the general form.  A rigorous cell's D is one
-`interval.sin_comb` over it; a GRID sign claim evaluates it in float64 with
-`derivatives.eval_sin_comb`, for all four families (the hyperbolic ones
-under x -> ix: sin -> sinh, cos -> cosh).  The form is chosen in one place,
+den(x/p)^4 for the general form, with den and the sine (sinh for the x -> ix
+hyperbolic images) from `families.FAMILY_FNS`.  A GRID sign claim evaluates
+it in float64 with `derivatives.eval_sin_comb`; a rigorous cell's D is one
+`interval.sin_comb` over it.  The form is chosen in one place,
 `derivatives.has_sum_form`: the parity sum form wherever one exists, and
 the sec^4 general form for the cos families at even p.  Near x -> 0 the
 sin-family general form is numerically treacherous (csc^4(x/p) against a
@@ -46,7 +46,8 @@ from .derivatives import (
     vanishing_limits_check,
 )
 from .envelopes import Direction, EnvelopeConstants, envelope_constants
-from .families import FamilyKind, HALF_PI, ParameterError, check_param_int, eval_f_grid
+from . import interval
+from .families import FAMILY_FNS, FamilyKind, HALF_PI, ParameterError, check_param_int, eval_f_grid
 from .interval import Interval, sin_comb
 
 
@@ -67,7 +68,7 @@ class Status(enum.Enum):
 
 
 class ModeError(ValueError):
-    """Requested mode is unavailable for the claim."""
+    """Kept for API compatibility; verify_sign_D no longer raises it."""
 
 
 @dataclass(frozen=True)
@@ -113,10 +114,10 @@ def expected_sign_D(family: FamilyKind, p: int) -> Sign:
 
     Positive only for the cos families at p = 2.  Caveat: for HYP_COS with
     p = 2 the positive sign holds only on (0, 1.3170); D turns negative
-    beyond it, so verify_sign_D correctly falsifies that claim even though
-    f itself is increasing there (verify_monotonicity certifies it
-    directly).  GRID mode evaluates the hyperbolic D by its x -> ix closed
-    forms, the trigonometric ones by theirs."""
+    beyond it, so verify_sign_D correctly falsifies that claim in both modes
+    (RIGOROUS on a cell at x = 1.31696) even though f itself is increasing
+    there (verify_monotonicity certifies it directly).  Both modes evaluate
+    the hyperbolic D by its x -> ix closed forms."""
     return Sign.POS if family.is_cos and p == 2 else Sign.NEG
 
 
@@ -124,17 +125,17 @@ def expected_sign_D(family: FamilyKind, p: int) -> Sign:
 
 
 def _interval_D(family: FamilyKind, p: int, x: Interval) -> Interval:
-    """D over the cell x from `sin_comb_form`, trigonometric families only."""
+    """D over the cell x from `sin_comb_form`, g and sine from `FAMILY_FNS`."""
+    g, sin = FAMILY_FNS[family][interval]
     general = not has_sum_form(family, p)
     terms, factor = sin_comb_form(family, p, general)
     scale = -x
     if general:
-        scale = scale * (x * (1.0 / p)).cos().reciprocal() ** 4
-    return scale * factor * sin_comb(x, terms)
+        scale = scale * g(x * (1.0 / p)).reciprocal() ** 4
+    return scale * factor * sin_comb(x, terms, sin)
 
 
-def _verify_sign_rigorous(family, p, expected_sign, cfg) -> VerificationReport:
-    claim = f"sign-D:{family.value}:p={p}:{expected_sign.name}"
+def _verify_sign_rigorous(claim, family, p, expected_sign, cfg) -> VerificationReport:
     root = Interval(cfg.interior_margin, HALF_PI - cfg.interior_margin)
     stack = [(root, 0)]
     cells = 0
@@ -160,8 +161,6 @@ def _verify_sign_rigorous(family, p, expected_sign, cfg) -> VerificationReport:
         cells += 1
         if enc.lo < min_margin:
             min_margin, worst_x = enc.lo, cell.mid
-    if not math.isfinite(min_margin):
-        min_margin = math.nan
     return VerificationReport(claim, status, min_margin, worst_x, cells, Mode.RIGOROUS)
 
 
@@ -170,12 +169,9 @@ def verify_sign_D(
 ) -> VerificationReport:
     """Certify that D(x) keeps `expected_sign` on the interior of (0, pi/2)."""
     p = check_param_int(p)
-    if cfg.mode is Mode.RIGOROUS:
-        if not family.is_trig:
-            raise ModeError("rigorous mode covers only the trigonometric families; use GRID mode")
-        return _verify_sign_rigorous(family, p, expected_sign, cfg)
-
     claim = f"sign-D:{family.value}:p={p}:{expected_sign.name}"
+    if cfg.mode is Mode.RIGOROUS:
+        return _verify_sign_rigorous(claim, family, p, expected_sign, cfg)
     xs = _grid(cfg)
     margins = float(expected_sign.value) * eval_sin_comb(family, p, xs, not has_sum_form(family, p))
     return _grid_verdict(claim, margins, xs, len(xs))

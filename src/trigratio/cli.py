@@ -130,8 +130,6 @@ def _cmd_verify(args) -> int:
     cfg = VerificationConfig(
         grid_points=args.grid_points, interior_margin=args.interior_margin, mode=mode
     )
-    if mode is Mode.RIGOROUS and not args.family.is_trig:
-        raise DomainError("rigorous mode is unavailable for hyperbolic families")
     reports = [
         verify_envelope(args.family, args.p, cfg),
         verify_monotonicity(args.family, args.p, cfg),

@@ -10,10 +10,12 @@ removable:
     HYP_SIN:   (p - sinh x / sinh(x/p)) / x^2
 
 Family dispatch lives in one table, `FAMILY_FNS`, read by f, its limits, the
-bare ratio and D: per family and backend (math, numpy), g and the sine of
-the product forms, sinh for the x -> ix images f_hyp(x) = -f_trig(ix); the
-sin families are those whose g is that sine.  One pole rule holds for all:
-den = g((1/p) * x) is computed once, and |den| < 1e-12 raises PoleError.
+bare ratio and D: per family and backend (math, numpy, interval), g and the
+sine of the product forms, sinh for the x -> ix images f_hyp(x) = -f_trig(ix);
+the sin families are those whose g is that sine.  f and the bare ratio share
+one pole rule: den = g((1/p) * x) is computed once, and |den| < 1e-12 raises
+PoleError where x > |p|; below, it is the removable zero at x -> 0, since
+every other zero of g has |x/p| >= pi/2.
 
 All functions are defined on (0, pi/2); `eval_f` extends to x = 0 by
 continuity.  Near zero the direct quotient cancels catastrophically, so
@@ -26,10 +28,13 @@ from __future__ import annotations
 import enum
 import math
 import operator
+import sys
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
+
+from . import interval
 
 HALF_PI = math.pi / 2.0
 
@@ -61,9 +66,10 @@ class FamilyKind(enum.Enum):
         return self in (FamilyKind.TRIG_COS, FamilyKind.HYP_COS)
 
 
-# family -> backend -> (g, sin): g as in g(x)/g(x/p), sin of the product forms
+# family -> backend -> (g, sin): g as in g(x)/g(x/p), sin of the product forms;
+# the interval backend's sin encloses over a float pair (see `interval`)
 FAMILY_FNS = {
-    family: {xp: (getattr(xp, g), getattr(xp, sin)) for xp in (math, np)}
+    family: {xp: (getattr(xp, g), getattr(xp, sin)) for xp in (math, np, interval)}
     for family, g, sin in (
         (FamilyKind.TRIG_COS, "cos", "sin"),
         (FamilyKind.TRIG_SIN, "sin", "sin"),
@@ -191,7 +197,9 @@ def eval_ratio(family: FamilyKind, p, x: float) -> float:
         raise DomainError(f"x={x} outside (0, pi/2)")
     g, _ = FAMILY_FNS[family][math]
     den = g((1.0 / p) * x)
-    if abs(den) < POLE_TOL:
+    # at x <= |p| den is subnormal or 0 only where x/p is (|p| > ~4.5e307 x),
+    # too coarse a quotient to return
+    if abs(den) < POLE_TOL and (x > abs(p) or abs(den) < sys.float_info.min):
         raise PoleError(f"denominator vanishes at x={x}, p={p}")
     return g(x) / den
 
@@ -205,7 +213,7 @@ def eval_f(family: FamilyKind, p, x: float) -> float:
     if x < _series_threshold(g, sin, p):
         return float(_f_series(x, f_series_coeffs(family, p)))
     den = g((1.0 / p) * x)
-    if abs(den) < POLE_TOL:
+    if abs(den) < POLE_TOL and x > abs(p):
         raise PoleError(f"denominator vanishes at x={x}, p={p}")
     return float(_f_direct(p, x, den, g, sin, math))
 
@@ -227,7 +235,8 @@ def eval_f_grid(family: FamilyKind, p, xs: np.ndarray, dtype=np.float64) -> np.n
     if big.any():
         x = xs[big]
         den = g((1.0 / p) * x)
-        if np.abs(den).min() < POLE_TOL:
+        # every x < pi/2, so a pole needs |p| < pi/2 too
+        if abs(p) < HALF_PI and (np.abs(den[x > abs(p)]) < POLE_TOL).any():
             raise PoleError(f"denominator vanishes on the grid, p={p}")
         out[big] = _f_direct(p, x, den, g, sin, np)
     return out

@@ -127,7 +127,7 @@ class Interval:
         return (self + Interval(HALF_PI_LO, HALF_PI_HI)).sin()
 
     def sinh(self) -> "Interval":
-        return Interval(_down2(math.sinh(self.lo)), _up2(math.sinh(self.hi)))
+        return Interval(*_sinh_bounds(self.lo, self.hi))
 
     def cosh(self) -> "Interval":
         lo_c, hi_c = math.cosh(self.lo), math.cosh(self.hi)
@@ -161,8 +161,18 @@ def _sin_bounds(a: float, b: float) -> tuple[float, float]:
     return max(lo, -1.0), min(hi, 1.0)
 
 
-def sin_comb(x: Interval, terms) -> Interval:
-    """Enclosure of sum_i w_i * sin(c_i * x) for point weights and frequencies.
+def _sinh_bounds(a: float, b: float) -> tuple[float, float]:
+    """(lo, hi) of the monotone sinh over [a, b]: libm at both ends, two ulps outward."""
+    return _down2(math.sinh(a)), _up2(math.sinh(b))
+
+
+# the interval backend of families.FAMILY_FNS: g on an Interval, sin on a float pair
+cos, cosh, sin, sinh = Interval.cos, Interval.cosh, _sin_bounds, _sinh_bounds
+
+
+def sin_comb(x: Interval, terms, sin) -> Interval:
+    """Enclosure of sum_i w_i * sin(c_i * x) for point weights and frequencies;
+    `sin` is `_sin_bounds`, or `_sinh_bounds` for sinh (read .sinh() for .sin() below).
 
     `terms` is a sequence of real (w, c) pairs; either may be negative.
     The result is bitwise the one of the Interval expression
@@ -176,7 +186,7 @@ def sin_comb(x: Interval, terms) -> Interval:
     lo = hi = 0.0
     for w, c in terms:
         u, v = xl * c, xh * c
-        s_lo, s_hi = _sin_bounds(nextafter(min(u, v), -inf), nextafter(max(u, v), inf))
+        s_lo, s_hi = sin(nextafter(min(u, v), -inf), nextafter(max(u, v), inf))
         u, v = s_lo * w, s_hi * w
         lo = nextafter(lo + nextafter(min(u, v), -inf), -inf)
         hi = nextafter(hi + nextafter(max(u, v), inf), inf)

@@ -10,7 +10,6 @@ import pytest
 
 from trigratio.certify import (
     Mode,
-    ModeError,
     Sign,
     Status,
     VerificationConfig,
@@ -22,7 +21,14 @@ from trigratio.certify import (
     verify_sign_D,
     _interval_D,
 )
-from trigratio.derivatives import d_general, d_sum, eval_sin_comb, general_weights, has_sum_form
+from trigratio.derivatives import (
+    d_general,
+    d_general_hyp_cos,
+    d_sum,
+    eval_sin_comb,
+    general_weights,
+    has_sum_form,
+)
 from trigratio.envelopes import envelope_constants
 from trigratio.families import FamilyKind, HALF_PI, ParameterError
 from trigratio.interval import Interval
@@ -115,9 +121,31 @@ def test_sign_rigorous(family, p):
     assert r.min_margin > 0.0
 
 
-def test_rigorous_rejects_hyperbolic():
-    with pytest.raises(ModeError):
-        verify_sign_D(HS, 2, Sign.NEG, RIGOROUS)
+@pytest.mark.parametrize("margin,cap,hyp_cos_63_cells", [(1e-3, 20, 69), (1e-6, 40, 129)])
+def test_rigorous_hyperbolic_certified(margin, cap, hyp_cos_63_cells):
+    """The x -> ix images prove like their partners: hyp-sin p = 2..64 and
+    hyp-cos p = 3..64, in 1 cell at even p."""
+    cfg = VerificationConfig(mode=Mode.RIGOROUS, interior_margin=margin, max_subdivisions=cap)
+    cells = {}
+    for family, ps in ((HS, range(2, 65)), (HC, range(3, 65))):
+        for p in ps:
+            r = verify_sign_D(family, p, expected_sign_D(family, p), cfg)
+            assert (r.status, r.mode) == (Status.CERTIFIED, Mode.RIGOROUS), r
+            assert r.min_margin > 0.0
+            cells[family, p] = r.cells_checked
+    assert all(n == 1 for (_, p), n in cells.items() if p % 2 == 0)
+    assert cells[HC, 63] == hyp_cos_63_cells
+
+
+def test_rigorous_hyp_cos_p2_falsified():
+    """The rigorous proof finds what GRID finds: D for hyp-cos at p = 2 turns
+    negative at x = 1.3170, so the POS claim falls on a cell just past it."""
+    r = verify_sign_D(HC, 2, expected_sign_D(HC, 2), RIGOROUS)
+    assert (r.status, r.mode) == (Status.FALSIFIED, Mode.RIGOROUS)
+    assert 1.31695 <= r.worst_x <= 1.31697
+    assert r.cells_checked == 39
+    assert -1.1e-7 < r.min_margin < 0.0
+    assert d_general_hyp_cos(2, r.worst_x) < 0.0
 
 
 def test_rigorous_inconclusive_at_zero_depth():
@@ -219,12 +247,14 @@ def test_identities_report_grid_under_rigorous_config():
 
 def _reference_interval_D(family, p, x):
     """_interval_D as written before the sin-combination kernel: Interval
-    objects throughout, the (w, c) table rebuilt for every cell."""
+    objects throughout, the (w, c) table rebuilt for every cell; cosh and
+    sinh in place of cos and sin for the hyperbolic families."""
+    g, sin = (Interval.cos, Interval.sin) if family.is_trig else (Interval.cosh, Interval.sinh)
     if not has_sum_form(family, p):
         w = general_weights(family, float(p))
         s = 1.0 / p
         terms = list(zip(w, (1.0 - 3.0 * s, 1.0 + 3.0 * s, 1.0 - s, 1.0 + s)))
-        sec4 = (x * s).cos().reciprocal() ** 4
+        sec4 = g(x * s).reciprocal() ** 4
         scale = -x * sec4 * (1.0 / (8.0 * p**3))
     elif p % 2 == 0:
         k = p // 2
@@ -237,7 +267,7 @@ def _reference_interval_D(family, p, x):
         scale = -x * (16.0 / p**3)
     acc = Interval(0.0, 0.0)
     for w, c in terms:
-        acc = acc + (x * c).sin() * w
+        acc = acc + sin(x * c) * w
     return scale * acc
 
 
@@ -258,10 +288,10 @@ def _seeded_cells(rng, n, margin=1e-6):
     return cells
 
 
-@pytest.mark.parametrize("family", [TC, TS])
+@pytest.mark.parametrize("family", [TC, TS, HC, HS])
 def test_interval_D_bitwise_matches_reference(family):
-    """Every form: even sum (trig-sin), odd sums (both families), and the
-    general form (trig-cos at even p, whose frequency 1 - 3/p is -0.5 at p = 2)."""
+    """Every form: even sums (sin families), odd sums (all four), and the
+    general form (cos families at even p, whose frequency 1 - 3/p is -0.5 at p = 2)."""
     rng = random.Random(1729)
     for p in range(2, 65):
         for x in _seeded_cells(rng, 12):
@@ -272,16 +302,16 @@ def _mp_D(family, p, x):
     """D at x from the definition, by mpmath differentiation at 40 digits."""
     with mpmath.workdps(40):
         p, x = mpmath.mpf(p), mpmath.mpf(x)
-        if family is TC:
-            def f(t):
-                return (1 - mpmath.cos(t) / mpmath.cos(t / p)) / t**2
-        else:
-            def f(t):
-                return (p - mpmath.sin(t) / mpmath.sin(t / p)) / t**2
+        g = {TC: mpmath.cos, TS: mpmath.sin, HC: mpmath.cosh, HS: mpmath.sinh}[family]
+        a = 1 if family.is_cos else p
+
+        def f(t):
+            return (a - g(t) / g(t / p)) / t**2
+
         return mpmath.diff(lambda t: t**3 * mpmath.diff(f, t), x, 2)
 
 
-@pytest.mark.parametrize("family", [TC, TS])
+@pytest.mark.parametrize("family", [TC, TS, HC, HS])
 def test_interval_D_contains_mpmath_D(family):
     rng = random.Random(4096 + family.is_cos)
     for p in [2, 3, 4, 5, 16, 17, 63, 64]:
@@ -292,7 +322,7 @@ def test_interval_D_contains_mpmath_D(family):
                 assert enc.lo <= d <= enc.hi, (p, x, t, enc, d)
 
 
-@pytest.mark.parametrize("family", [TC, TS])
+@pytest.mark.parametrize("family", [TC, TS, HC, HS])
 def test_grid_D_lies_in_interval_D(family):
     """Both backends read one table: the float64 D that GRID claims use lies
     inside the interval enclosure of every cell at its lo, mid and hi."""

@@ -73,6 +73,8 @@ def test_eval_domain():
         cheb_u_eval(3, 1.0001)
     assert cheb_u_eval(3, 1.0) == pytest.approx(4.0)  # U_3(1) = 4
     assert cheb_u_eval(4, -1.0) == pytest.approx(5.0)  # U_4(-1) = 5
+    with pytest.raises(ParameterError):
+        cheb_u_eval(-1, 0.5)
 
 
 def test_corollary_bounds_contain_u6():

@@ -1,12 +1,17 @@
 """End-to-end tests of the command-line interface and its exit codes."""
 
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import trigratio
 from trigratio.cli import (
     EXIT_DOMAIN,
     EXIT_FALSIFIED,
+    EXIT_INCONCLUSIVE,
     EXIT_OK,
     EXIT_USAGE,
     parse_number,
@@ -71,9 +76,34 @@ def test_verify_hyp_cos_p2_reports_falsified_sign(capsys):
     assert "envelope:hyp-cos:p=2: certified" in out
 
 
-def test_verify_rigorous_hyperbolic_rejected(capsys):
-    code = run(["verify", "--family", "hyp-sin", "--p", "3", "--mode", "rigorous"])
-    assert code == EXIT_DOMAIN
+def test_verify_rigorous_hyperbolic(capsys):
+    assert run(["verify", "--family", "hyp-sin", "--p", "3", "--mode", "rigorous"]) == EXIT_OK
+    assert "sign-D:hyp-sin:p=3:NEG: certified" in capsys.readouterr().out
+
+
+def test_verify_rigorous_hyp_cos_p2_falsified(capsys):
+    code = run(["verify", "--family", "hyp-cos", "--p", "2", "--mode", "rigorous"])
+    sign_line = capsys.readouterr().out.splitlines()[-1]
+    assert code == EXIT_FALSIFIED
+    assert sign_line.startswith("sign-D:hyp-cos:p=2:POS: falsified ")
+    assert sign_line.endswith(" cells=39 mode=rigorous")
+
+
+def test_verify_rigorous_inconclusive_exit(capsys):
+    argv = ["verify", "--family", "trig-cos", "--p", "63", "--mode", "rigorous", "--interior-margin", "1e-6"]
+    assert run(argv) == EXIT_INCONCLUSIVE
+    sign_line = capsys.readouterr().out.splitlines()[-1]
+    assert sign_line.startswith("sign-D:trig-cos:p=63:NEG: inconclusive ")
+    assert sign_line.endswith(" cells=109 mode=rigorous")
+
+
+def test_main_module_exit_code():
+    """`python -m trigratio.cli` reaches main() and exits with run()'s code."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(trigratio.__file__)))
+    argv = ["verify", "--family", "hyp-cos", "--p", "2", "--mode", "rigorous"]
+    proc = subprocess.run([sys.executable, "-m", "trigratio.cli", *argv], env=env, capture_output=True, text=True)
+    assert proc.returncode == EXIT_FALSIFIED
+    assert "sign-D:hyp-cos:p=2:POS: falsified" in proc.stdout
 
 
 def test_cheb_by_degree(capsys):

@@ -220,6 +220,22 @@ def test_dirichlet_sum_identity(k):
         assert term_sum == pytest.approx(closed, rel=1e-13, abs=1e-13)
 
 
+@pytest.mark.parametrize(
+    "call,error",
+    [
+        (lambda: d_sum_even_sin(0, 0.5), ParameterError),
+        (lambda: d_sum_odd(TC, 0, 0.5), ParameterError),
+        (lambda: dirichlet_sum(0, 1.0), ParameterError),
+        (lambda: dirichlet_sum(3, 0.0), DomainError),
+        (lambda: dirichlet_sum(3, math.pi), DomainError),
+    ],
+    ids=["even-sum-k0", "odd-sum-k0", "dirichlet-k0", "dirichlet-x0", "dirichlet-x-pi"],
+)
+def test_sum_forms_reject_bad_arguments(call, error):
+    with pytest.raises(error):
+        call()
+
+
 def test_dirichlet_sum_oracle():
     term_sum, closed = dirichlet_sum(3, 1.1)
     assert closed == pytest.approx(2.44423477638280740344, rel=1e-15)

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -204,11 +205,35 @@ def test_series_coeffs_leading_term(family):
     "family,p,x", [(TC, 1.0 / 3.0, math.pi / 6.0), (TS, 0.2, math.pi / 5.0)], ids=["trig-cos", "trig-sin"]
 )
 def test_grid_pole_error(family, p, x, dtype):
-    """eval_f_grid applies the pole rule of eval_f and eval_ratio, |g(x/p)| < 1e-12."""
+    """eval_f_grid applies the pole rule of eval_f and eval_ratio, |g(x/p)| < 1e-12 at x > |p|."""
     with pytest.raises(PoleError):
         eval_f(family, p, x)
     with pytest.raises(PoleError):
         eval_f_grid(family, p, np.array([0.5 * x, x]), dtype=dtype)
+
+
+def test_removable_zero_is_not_a_pole():
+    """|sin(x/p)| < 1e-12 at x <= |p| is the removable zero, not a pole: the
+    nearest nonzero zero has |x/p| >= pi/2 > 1."""
+    assert eval_ratio(TS, 2, 1e-13) == 2.0
+    with mpmath.workdps(30):
+        exact = mpmath.sinh(mpmath.mpf(1e-12)) / mpmath.sinh(mpmath.mpf(1e-12) / 3)
+    assert eval_ratio(HS, 3, 1e-12) == pytest.approx(float(exact), rel=4.5e-16)
+    for x in (1e-30, 1e-20):  # x/p underflows to 0, or to a subnormal 1e-320
+        with pytest.raises(PoleError):
+            eval_ratio(TS, 1e300, x)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+@pytest.mark.parametrize("family,sin", [(TS, mpmath.sin), (HS, mpmath.sinh)], ids=["trig-sin", "hyp-sin"])
+def test_huge_p_takes_the_direct_branch(family, sin, dtype):
+    """At p = 2e12, sin(x/p) < 1e-12 on the whole direct branch, which stays
+    accurate there (to ~eps/x^2 relative, as at any p)."""
+    p, xs = 2e12, [0.15, 1.0, 1.5]
+    with mpmath.workdps(50):
+        exact = [float((p - sin(mpmath.mpf(x)) / sin(mpmath.mpf(x) / p)) / mpmath.mpf(x) ** 2) for x in xs]
+    np.testing.assert_allclose(eval_f_grid(family, p, np.array(xs), dtype=dtype).astype(float), exact, rtol=1e-13)
+    assert eval_f(family, p, 1.0) == pytest.approx(exact[1], rel=1e-15)
 
 
 def _limit_at_zero_closed_form(family, p):

@@ -8,7 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trigratio.interval import HALF_PI_LO, TWO_PI, Interval, _down2, _up2, sin_comb
+from trigratio.interval import (
+    HALF_PI_LO,
+    TWO_PI,
+    Interval,
+    _down2,
+    _sin_bounds,
+    _sinh_bounds,
+    _up2,
+    sin_comb,
+)
 
 
 def test_construction_and_invariants():
@@ -118,6 +127,12 @@ def test_power_containment_property(lo, width, n, frac):
     assert (iv**n).contains(x**n)
 
 
+def test_reflected_ops_with_a_float_on_the_left():
+    assert 2.0 - Interval(0.5, 1.0) == Interval(math.nextafter(1.0, 0.0), math.nextafter(1.5, 2.0))
+    rec = 1.0 / Interval(2.0, 4.0)
+    assert rec.lo < 0.25 and rec.hi > 0.5 and rec.width < 0.25 + 1e-15
+
+
 def test_reciprocal_containment():
     iv = Interval(0.3, 0.7)
     rec = iv.reciprocal()
@@ -152,10 +167,10 @@ def _reference_sin(iv):
     return Interval(max(lo, -1.0), min(hi, 1.0))
 
 
-def _reference_sin_comb(x, terms):
+def _reference_sin_comb(x, terms, sin):
     acc = Interval(0.0, 0.0)
     for w, c in terms:
-        acc = acc + (x * c).sin() * w
+        acc = acc + sin(x * c) * w
     return acc
 
 
@@ -181,15 +196,17 @@ def test_sin_bitwise_matches_reference():
 
 def test_sin_comb_bitwise_matches_interval_expression():
     """Negative weights and frequencies included: the kernel must take the
-    min/max of the endpoint products, not assume c > 0 or w > 0."""
+    min/max of the endpoint products, not assume c > 0 or w > 0; with the
+    sine bounds and with the sinh bounds."""
     rng = random.Random(2718)
     for x in _seeded_cells(rng, 600):
         terms = [
             (rng.choice((rng.uniform(-300.0, 300.0), float(rng.randint(-64, 64) ** 3))), rng.uniform(-2.5, 2.5))
             for _ in range(rng.randint(1, 12))
         ]
-        assert sin_comb(x, terms) == _reference_sin_comb(x, terms), (x, terms)
-    assert sin_comb(Interval(1.0, 2.0), ()) == Interval(0.0, 0.0)
+        for bounds, sin in ((_sin_bounds, Interval.sin), (_sinh_bounds, Interval.sinh)):
+            assert sin_comb(x, terms, bounds) == _reference_sin_comb(x, terms, sin), (x, terms, bounds)
+    assert sin_comb(Interval(1.0, 2.0), (), _sin_bounds) == Interval(0.0, 0.0)
 
 
 
@@ -256,3 +273,20 @@ def test_sin_sound_at_the_slack_edge():
                                 assert enc.lo == -1.0 if sign < 0 else enc.hi == 1.0
                             for x in (lo, hi):
                                 assert enc.lo <= mpmath.sin(x) <= enc.hi, iv
+
+
+def test_sinh_sound_on_seeded_cells():
+    """_sinh_bounds, which the hyperbolic proofs rest on, holds sinh over the
+    cell at 30 digits: widths 1e-12..3, negative cells and cells across 0."""
+    rng = random.Random(1618)
+    cells = []
+    for i in range(3000):
+        width = 10.0 ** rng.uniform(-12.0, 0.5)
+        lo = -rng.uniform(0.0, width) if i % 3 == 0 else rng.uniform(-6.0, 6.0)
+        cells.append(Interval(lo, lo + width))
+    with mpmath.workdps(30):
+        for iv in cells:
+            lo, hi = _sinh_bounds(iv.lo, iv.hi)
+            assert Interval(lo, hi) == iv.sinh()
+            for x in (iv.lo, iv.mid, iv.hi):
+                assert lo <= mpmath.sinh(mpmath.mpf(x)) <= hi, iv
