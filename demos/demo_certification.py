@@ -47,6 +47,12 @@ def main():
                 show(verify_sign_D(family, p, expected_sign_D(family, p), rigorous))
     print()
 
+    print("Every term of the cos families' general form keeps one sign at p >= 3,")
+    print("so even trig-cos p = 63 at margin 1e-6 is a one-cell proof:\n")
+    near_edge = VerificationConfig(mode=Mode.RIGOROUS, interior_margin=1e-6)
+    show(verify_sign_D(FamilyKind.TRIG_COS, 63, expected_sign_D(FamilyKind.TRIG_COS, 63), near_edge))
+    print()
+
     print("An instructive falsification: for hyp-cos at p = 2 the second")
     print("derivative of x^3 f' is NOT single-signed (it turns negative beyond")
     print("x = 1.3170), even though f itself is increasing.  The engine reports the")

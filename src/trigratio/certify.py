@@ -13,12 +13,15 @@ terms and the factor of D(x) = -x * factor * sum_i w_i sin(c_i x), over
 den(x/p)^4 for the general form, with den and the sine (sinh for the x -> ix
 hyperbolic images) from `families.FAMILY_FNS`.  A GRID sign claim evaluates
 it in float64 with `derivatives.eval_sin_comb`; a rigorous cell's D is one
-`interval.sin_comb` over it.  The form is chosen in one place,
-`derivatives.has_sum_form`: the parity sum form wherever one exists, and
-the sec^4 general form for the cos families at even p.  Near x -> 0 the
-sin-family general form is numerically treacherous (csc^4(x/p) against a
-bracket that vanishes like x^5), which is why the sin families always take
-a sum form; the cos bracket does not cancel, so float64 suffices for it.
+`interval.sin_comb` over it.  The form goes by family, the same on both
+backends and at every p: `general = family.is_cos`.  The cos families take
+the sec^4 (sech^4) general form: at p >= 3 its weights are all positive and
+its frequencies lie in [0, 2], so every term keeps one sign on (0, pi/2)
+and a proof takes one cell, where their odd-p sum form alternates and
+cancels terms of size up to k^3, which drives bisection deep.  Near x -> 0
+the sin-family general form is numerically treacherous (csc^4(x/p) against
+a bracket that vanishes like x^5), which is why the sin families always
+take a sum form; the cos bracket does not cancel, so float64 suffices for it.
 Of the closed forms only the public `derivatives.d_general` runs in 80
 bits, and only the identity checks call it.  The finite-difference
 `numeric_D` is an independent oracle for the tests, not a certification
@@ -41,7 +44,6 @@ from .derivatives import (
     d_sum_odd,
     dirichlet_sum,
     eval_sin_comb,
-    has_sum_form,
     sin_comb_form,
     vanishing_limits_check,
 )
@@ -127,10 +129,9 @@ def expected_sign_D(family: FamilyKind, p: int) -> Sign:
 def _interval_D(family: FamilyKind, p: int, x: Interval) -> Interval:
     """D over the cell x from `sin_comb_form`, g and sine from `FAMILY_FNS`."""
     g, sin = FAMILY_FNS[family][interval]
-    general = not has_sum_form(family, p)
-    terms, factor = sin_comb_form(family, p, general)
+    terms, factor = sin_comb_form(family, p, family.is_cos)
     scale = -x
-    if general:
+    if family.is_cos:
         scale = scale * g(x * (1.0 / p)).reciprocal() ** 4
     return scale * factor * sin_comb(x, terms, sin)
 
@@ -173,7 +174,7 @@ def verify_sign_D(
     if cfg.mode is Mode.RIGOROUS:
         return _verify_sign_rigorous(claim, family, p, expected_sign, cfg)
     xs = _grid(cfg)
-    margins = float(expected_sign.value) * eval_sin_comb(family, p, xs, not has_sum_form(family, p))
+    margins = float(expected_sign.value) * eval_sin_comb(family, p, xs, family.is_cos)
     return _grid_verdict(claim, margins, xs, len(xs))
 
 

@@ -25,8 +25,9 @@ form's den from the family table `families.FAMILY_FNS`.  Entry points:
 * `d_general_hyp_cos` -- its x -> ix image for the hyperbolic cos family,
   with sech^4(x/p) in place of sec^4(x/p), in float64.
 * `d_sum`, `d_sum_even_sin`, `d_sum_odd` -- the finite-sum forms for
-  integer p, all four families; `has_sum_form` says which (family, p)
-  have one.  For the cos families with p = 2k+1 the
+  integer p, all four families, except the cos families at even p.
+  `certify` proves the sin families by them and the cos families by the
+  general form, at every p.  For the cos families with p = 2k+1 the
   alternating factor is (-1)^(k-j); the (-1)^(j-1) variant agrees only for
   odd k and is numerically wrong for even k.
 * `numeric_D` -- a nested central-difference oracle, evaluated internally
@@ -75,9 +76,12 @@ def sin_comb_form(family: FamilyKind, p, general: bool) -> tuple[tuple, object]:
     same table with sin -> sinh, cos -> cosh.  The general form takes any
     real p != 0 and is built in the type of p (a longdouble p gives an
     80-bit table; `typed=True` keeps 2, 2.0 and longdouble(2) apart); the
-    sum forms take an integer p >= 2 for which `has_sum_form` holds: the
-    sin families at p = 2k, and p = 2k+1 with the factor (-1)^(k-j) on
-    each term for the cos families."""
+    sum forms take an integer p >= 2: the sin families at p = 2k, and
+    p = 2k+1 with the factor (-1)^(k-j) on each term for the cos families.
+
+    For the cos families at p >= 3 every general-form weight is > 0 and every
+    frequency lies in [0, 2], so each term keeps one sign on (0, pi/2): the
+    termwise lemma behind their one-cell rigorous proofs."""
     if general:
         p3, p2 = p**3, p**2
         s = 1.0 / p
@@ -186,18 +190,12 @@ def d_sum_odd(family: FamilyKind, k: int, x):
     return _unwrap(eval_sin_comb(family, 2 * k + 1, _check_x_open(x), False))
 
 
-def has_sum_form(family: FamilyKind, p: int) -> bool:
-    """Whether D has a parity sum form at integer p: every family except the
-    cos families at even p, which take the general form instead."""
-    return not (family.is_cos and p % 2 == 0)
-
-
 def d_sum(family: FamilyKind, p: int, x):
     """Parity-dispatched sum form of D for any family and integer p >= 2.
 
     Raises ParityError for the cos families with even p, which have none."""
     p = check_param_int(p)
-    if not has_sum_form(family, p):
+    if family.is_cos and p % 2 == 0:
         raise ParityError("no sum form for the cos families with even p")
     return _unwrap(eval_sin_comb(family, p, _check_x_open(x), False))
 

@@ -81,6 +81,15 @@ FAMILY_FNS = {
 POLE_TOL = 1e-12
 
 
+def _pole(den, x, p):
+    """Where den = g((1/p) * x) is a pole of f and the bare ratio, on scalars
+    or arrays: |den| < 1e-12 where x > |p|.  At x <= |p| it is the removable
+    zero at x -> 0, since every other zero of g has |x/p| >= pi/2, unless den
+    is subnormal or 0 (only where |p| > ~4.5e307 x): too coarse a quotient."""
+    small = abs(den)
+    return (small < POLE_TOL) & ((x > abs(p)) | (small < sys.float_info.min))
+
+
 def check_param_real(p) -> float:
     if isinstance(p, (bool, np.bool_)):
         raise ParameterError(f"p must be a number, got {p!r}")
@@ -197,9 +206,7 @@ def eval_ratio(family: FamilyKind, p, x: float) -> float:
         raise DomainError(f"x={x} outside (0, pi/2)")
     g, _ = FAMILY_FNS[family][math]
     den = g((1.0 / p) * x)
-    # at x <= |p| den is subnormal or 0 only where x/p is (|p| > ~4.5e307 x),
-    # too coarse a quotient to return
-    if abs(den) < POLE_TOL and (x > abs(p) or abs(den) < sys.float_info.min):
+    if _pole(den, x, p):
         raise PoleError(f"denominator vanishes at x={x}, p={p}")
     return g(x) / den
 
@@ -213,7 +220,7 @@ def eval_f(family: FamilyKind, p, x: float) -> float:
     if x < _series_threshold(g, sin, p):
         return float(_f_series(x, f_series_coeffs(family, p)))
     den = g((1.0 / p) * x)
-    if abs(den) < POLE_TOL and x > abs(p):
+    if _pole(den, x, p):
         raise PoleError(f"denominator vanishes at x={x}, p={p}")
     return float(_f_direct(p, x, den, g, sin, math))
 
@@ -235,8 +242,9 @@ def eval_f_grid(family: FamilyKind, p, xs: np.ndarray, dtype=np.float64) -> np.n
     if big.any():
         x = xs[big]
         den = g((1.0 / p) * x)
-        # every x < pi/2, so a pole needs |p| < pi/2 too
-        if abs(p) < HALF_PI and (np.abs(den[x > abs(p)]) < POLE_TOL).any():
+        # every x < pi/2, so x > |p| needs |p| < pi/2; at |p| >= 1/45 every x
+        # here is >= 1e-2, so a subnormal den needs |p| > 1e-2 / 2.2e-308
+        if not HALF_PI <= abs(p) <= 4e305 and _pole(den, x, p).any():
             raise PoleError(f"denominator vanishes on the grid, p={p}")
         out[big] = _f_direct(p, x, den, g, sin, np)
     return out

@@ -27,11 +27,12 @@ from trigratio.derivatives import (
     d_sum,
     eval_sin_comb,
     general_weights,
-    has_sum_form,
+    sin_comb_form,
 )
 from trigratio.envelopes import envelope_constants
 from trigratio.families import FamilyKind, HALF_PI, ParameterError
-from trigratio.interval import Interval
+from trigratio.interval import Interval, sin_comb
+from trigratio import certify, interval
 
 TC, TS, HC, HS = (
     FamilyKind.TRIG_COS,
@@ -121,20 +122,29 @@ def test_sign_rigorous(family, p):
     assert r.min_margin > 0.0
 
 
-@pytest.mark.parametrize("margin,cap,hyp_cos_63_cells", [(1e-3, 20, 69), (1e-6, 40, 129)])
-def test_rigorous_hyperbolic_certified(margin, cap, hyp_cos_63_cells):
+@pytest.mark.parametrize("margin,cap", [(1e-3, 20), (1e-6, 40)])
+def test_rigorous_hyperbolic_certified(margin, cap):
     """The x -> ix images prove like their partners: hyp-sin p = 2..64 and
-    hyp-cos p = 3..64, in 1 cell at even p."""
+    hyp-cos p = 3..64, each in 1 cell."""
     cfg = VerificationConfig(mode=Mode.RIGOROUS, interior_margin=margin, max_subdivisions=cap)
-    cells = {}
     for family, ps in ((HS, range(2, 65)), (HC, range(3, 65))):
         for p in ps:
             r = verify_sign_D(family, p, expected_sign_D(family, p), cfg)
             assert (r.status, r.mode) == (Status.CERTIFIED, Mode.RIGOROUS), r
             assert r.min_margin > 0.0
-            cells[family, p] = r.cells_checked
-    assert all(n == 1 for (_, p), n in cells.items() if p % 2 == 0)
-    assert cells[HC, 63] == hyp_cos_63_cells
+            assert r.cells_checked == 1, r
+
+
+@pytest.mark.parametrize("margin,cap", [(1e-3, 20), (1e-6, 40)])
+@pytest.mark.parametrize("family", [TC, HC])
+def test_rigorous_cos_odd_p_one_cell(family, margin, cap):
+    """Every term of the cos families' general form keeps one sign at p >= 3
+    (see test_cos_general_form_termwise_positive), so the whole root cell's
+    enclosure is one-signed: every odd-p claim is a one-cell proof."""
+    cfg = VerificationConfig(mode=Mode.RIGOROUS, interior_margin=margin, max_subdivisions=cap)
+    for p in range(3, 64, 2):
+        r = verify_sign_D(family, p, expected_sign_D(family, p), cfg)
+        assert (r.status, r.cells_checked) == (Status.CERTIFIED, 1), r
 
 
 def test_rigorous_hyp_cos_p2_falsified():
@@ -248,9 +258,10 @@ def test_identities_report_grid_under_rigorous_config():
 def _reference_interval_D(family, p, x):
     """_interval_D as written before the sin-combination kernel: Interval
     objects throughout, the (w, c) table rebuilt for every cell; cosh and
-    sinh in place of cos and sin for the hyperbolic families."""
+    sinh in place of cos and sin for the hyperbolic families.  The cos
+    families take the general form, the sin families their parity sums."""
     g, sin = (Interval.cos, Interval.sin) if family.is_trig else (Interval.cosh, Interval.sinh)
-    if not has_sum_form(family, p):
+    if family.is_cos:
         w = general_weights(family, float(p))
         s = 1.0 / p
         terms = list(zip(w, (1.0 - 3.0 * s, 1.0 + 3.0 * s, 1.0 - s, 1.0 + s)))
@@ -262,8 +273,7 @@ def _reference_interval_D(family, p, x):
         scale = -x * (1.0 / (4.0 * k**3))
     else:
         k = (p - 1) // 2
-        sgn = -1 if family.is_cos else 1
-        terms = [(sgn ** (k - j) * j**3, 2.0 * j / p) for j in range(1, k + 1)]
+        terms = [(j**3, 2.0 * j / p) for j in range(1, k + 1)]
         scale = -x * (16.0 / p**3)
     acc = Interval(0.0, 0.0)
     for w, c in terms:
@@ -290,8 +300,8 @@ def _seeded_cells(rng, n, margin=1e-6):
 
 @pytest.mark.parametrize("family", [TC, TS, HC, HS])
 def test_interval_D_bitwise_matches_reference(family):
-    """Every form: even sums (sin families), odd sums (all four), and the
-    general form (cos families at even p, whose frequency 1 - 3/p is -0.5 at p = 2)."""
+    """Every form: even and odd sums (sin families), and the general form
+    (cos families, whose frequency 1 - 3/p is -0.5 at p = 2)."""
     rng = random.Random(1729)
     for p in range(2, 65):
         for x in _seeded_cells(rng, 12):
@@ -330,27 +340,39 @@ def test_grid_D_lies_in_interval_D(family):
     for p in range(2, 65):
         for x in _seeded_cells(rng, 6):
             enc = _interval_D(family, p, x)
-            ds = eval_sin_comb(family, p, np.array([x.lo, x.mid, x.hi]), not has_sum_form(family, p))
+            ds = eval_sin_comb(family, p, np.array([x.lo, x.mid, x.hi]), family.is_cos)
             for d in ds:
                 assert enc.lo <= d <= enc.hi, (p, x, enc, d)
 
 
-def test_rigorous_worst_x_is_the_cell_of_min_margin():
+def _trig_cos_odd_sum_interval_D(family, p, x):
+    """The trig-cos enclosure by the alternating odd-p sum form, whose
+    cancellation leaves deep cells INCONCLUSIVE."""
+    terms, factor = sin_comb_form(TC, p, False)
+    return -x * factor * sin_comb(x, terms, interval.sin)
+
+
+def test_rigorous_worst_x_is_the_cell_of_min_margin(monkeypatch):
     """With several INCONCLUSIVE cells, worst_x names the one whose enclosure
-    gave min_margin, not the last one popped (x = 9.239e-6 here)."""
+    gave min_margin, not the last one popped (x = 9.239e-6 here).  The
+    general form proves this claim in 1 cell, so the proof runs on the odd
+    sum form, which leaves cells INCONCLUSIVE."""
+    monkeypatch.setattr(certify, "_interval_D", _trig_cos_odd_sum_interval_D)
     cfg = VerificationConfig(mode=Mode.RIGOROUS, interior_margin=1e-6, max_subdivisions=20)
     r = verify_sign_D(TC, 63, Sign.NEG, cfg)
     assert r.status is Status.INCONCLUSIVE
     assert r.min_margin == -2.577682467244663e-11
     assert r.worst_x == 4.7450655145523465e-06
+    assert r.cells_checked == 109
 
 
 @pytest.mark.parametrize(
     "p,margin,cap,cells",
-    [(63, 1e-6, 40, 125), (63, 1e-3, 20, 65), (2, 1e-3, 20, 12)],
+    [(63, 1e-6, 40, 1), (63, 1e-3, 20, 1), (2, 1e-3, 20, 12)],
 )
 def test_rigorous_trig_cos_pinned_cell_counts(p, margin, cap, cells):
-    """The deepest proofs of the trig-cos campaigns, at their pinned cost."""
+    """Trig-cos proofs at their pinned cost: the general form's terms keep one
+    sign at p >= 3, so p = 63 is one cell; at p = 2 they do not (1 - 3/p < 0)."""
     cfg = VerificationConfig(mode=Mode.RIGOROUS, interior_margin=margin, max_subdivisions=cap)
     r = verify_sign_D(TC, p, expected_sign_D(TC, p), cfg)
     assert r.status is Status.CERTIFIED

@@ -90,11 +90,13 @@ def test_verify_rigorous_hyp_cos_p2_falsified(capsys):
 
 
 def test_verify_rigorous_inconclusive_exit(capsys):
-    argv = ["verify", "--family", "trig-cos", "--p", "63", "--mode", "rigorous", "--interior-margin", "1e-6"]
+    """At p = 2 the cos general form has a negative weight and frequency, so
+    near x = 0 its enclosure straddles zero below the default 20 bisections."""
+    argv = ["verify", "--family", "trig-cos", "--p", "2", "--mode", "rigorous", "--interior-margin", "1e-6"]
     assert run(argv) == EXIT_INCONCLUSIVE
     sign_line = capsys.readouterr().out.splitlines()[-1]
-    assert sign_line.startswith("sign-D:trig-cos:p=63:NEG: inconclusive ")
-    assert sign_line.endswith(" cells=109 mode=rigorous")
+    assert sign_line.startswith("sign-D:trig-cos:p=2:POS: inconclusive ")
+    assert sign_line.endswith(" cells=21 mode=rigorous")
 
 
 def test_main_module_exit_code():

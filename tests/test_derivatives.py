@@ -17,6 +17,7 @@ from trigratio.derivatives import (
     general_weights,
     numeric_D,
     numeric_D_with_estimate,
+    sin_comb_form,
     vanishing_limits_check,
 )
 from trigratio.families import DomainError, FamilyKind, HALF_PI, ParameterError, PoleError
@@ -193,6 +194,18 @@ def test_sin_sum_terms_all_negative():
             m = 2 * j + 1
             term = -xs / (4.0 * k**3) * m**3 * np.sin(m * xs / (2.0 * k))
             assert np.all(term < 0.0)
+
+
+@pytest.mark.parametrize("family", [TC, HC])
+def test_cos_general_form_termwise_positive(family):
+    """The termwise lemma: at p >= 3 every general-form weight of the cos
+    families is > 0 and every frequency lies in [0, 2], so each w sin(c x) and
+    w sinh(c x) is >= 0 on (0, pi/2) and D keeps one sign term by term."""
+    for p in range(3, 201):
+        terms, factor = sin_comb_form(family, p, True)
+        assert factor > 0.0
+        for w, c in terms:
+            assert w > 0 and 0.0 <= c <= 2.0, (p, w, c)
 
 
 @pytest.mark.parametrize("p", range(3, 13))

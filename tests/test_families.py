@@ -224,6 +224,27 @@ def test_removable_zero_is_not_a_pole():
             eval_ratio(TS, 1e300, x)
 
 
+@pytest.mark.parametrize("family", [TS, HS])
+def test_subnormal_den_is_a_pole(family):
+    """At p = 1.7e308 and x = 0.15, x/p is subnormal and so is g(x/p): eval_f
+    and eval_f_grid raise PoleError there, as eval_ratio does, rather than
+    return a quotient off by ~7e-13 relative."""
+    for fn in (eval_f, eval_ratio):
+        with pytest.raises(PoleError):
+            fn(family, 1.7e308, 0.15)
+    with pytest.raises(PoleError):
+        eval_f_grid(family, 1.7e308, np.array([0.15, 1.0]))
+
+
+@pytest.mark.parametrize("family,cos", [(TC, mpmath.cos), (HC, mpmath.cosh)], ids=["trig-cos", "hyp-cos"])
+def test_subnormal_x_over_p_under_a_cos_is_no_pole(family, cos):
+    """cos(x/p) = cosh(x/p) = 1 for a subnormal x/p: nothing to raise."""
+    with mpmath.workdps(40):
+        exact = float((1 - cos(mpmath.mpf(0.15))) / mpmath.mpf(0.15) ** 2)
+    assert eval_f(family, 1.7e308, 0.15) == pytest.approx(exact, rel=1e-15)
+    assert eval_f_grid(family, 1.7e308, np.array([0.15]))[0] == pytest.approx(exact, rel=1e-15)
+
+
 @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
 @pytest.mark.parametrize("family,sin", [(TS, mpmath.sin), (HS, mpmath.sinh)], ids=["trig-sin", "hyp-sin"])
 def test_huge_p_takes_the_direct_branch(family, sin, dtype):
