@@ -1,84 +1,71 @@
-"""Certified quadratic envelopes for trigonometric and hyperbolic ratio functions."""
+"""Certified quadratic envelopes for trigonometric and hyperbolic ratio functions.
 
-from .families import (
-    DomainError,
-    FamilyKind,
-    ParameterError,
-    PoleError,
-    eval_f,
-    eval_f_grid,
-    eval_ratio,
-    limit_at_half_pi,
-    limit_at_zero,
-)
-from .derivatives import (
-    ParityError,
-    d_general,
-    d_general_hyp_cos,
-    d_sum,
-    d_sum_even_sin,
-    d_sum_odd,
-    dirichlet_sum,
-    numeric_D,
-    vanishing_limits_check,
-)
-from .envelopes import Direction, EnvelopeConstants, envelope_constants, ratio_bounds
-from .chebyshev import ChebPoly, cheb_u, cheb_u_eval, corollary_bounds
-from .interval import Interval
-from .certify import (
-    Mode,
-    ModeError,
-    Sign,
-    Status,
-    VerificationConfig,
-    VerificationReport,
-    expected_sign_D,
-    verify_envelope,
-    verify_identities,
-    verify_monotonicity,
-    verify_sign_D,
-)
+Every exported name is loaded with its submodule on first use (PEP 562), so
+`import trigratio` imports no submodule and no numpy; point evaluation,
+envelope constants and the Chebyshev bounds never load numpy at all.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ChebPoly",
-    "Direction",
-    "DomainError",
-    "EnvelopeConstants",
-    "FamilyKind",
-    "Interval",
-    "Mode",
-    "ModeError",
-    "ParameterError",
-    "ParityError",
-    "PoleError",
-    "Sign",
-    "Status",
-    "VerificationConfig",
-    "VerificationReport",
-    "cheb_u",
-    "cheb_u_eval",
-    "corollary_bounds",
-    "d_general",
-    "d_general_hyp_cos",
-    "d_sum",
-    "d_sum_even_sin",
-    "d_sum_odd",
-    "dirichlet_sum",
-    "envelope_constants",
-    "eval_f",
-    "eval_f_grid",
-    "eval_ratio",
-    "expected_sign_D",
-    "limit_at_half_pi",
-    "limit_at_zero",
-    "numeric_D",
-    "ratio_bounds",
-    "vanishing_limits_check",
-    "verify_envelope",
-    "verify_identities",
-    "verify_monotonicity",
-    "verify_sign_D",
-    "__version__",
-]
+# submodule -> the names it exports here; __all__ is these names and __version__
+_EXPORTS = {
+    "families": (
+        "DomainError",
+        "FamilyKind",
+        "ParameterError",
+        "PoleError",
+        "eval_f",
+        "eval_f_grid",
+        "eval_ratio",
+        "limit_at_half_pi",
+        "limit_at_zero",
+    ),
+    "derivatives": (
+        "ParityError",
+        "d_general",
+        "d_general_hyp_cos",
+        "d_sum",
+        "d_sum_even_sin",
+        "d_sum_odd",
+        "dirichlet_sum",
+        "numeric_D",
+        "vanishing_limits_check",
+    ),
+    "envelopes": ("Direction", "EnvelopeConstants", "envelope_constants", "ratio_bounds"),
+    "chebyshev": ("ChebPoly", "cheb_u", "cheb_u_eval", "corollary_bounds"),
+    "interval": ("Interval",),
+    "certify": (
+        "Mode",
+        "ModeError",
+        "Sign",
+        "Status",
+        "VerificationConfig",
+        "VerificationReport",
+        "expected_sign_D",
+        "verify_envelope",
+        "verify_identities",
+        "verify_monotonicity",
+        "verify_sign_D",
+    ),
+}
+_SUBMODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_SUBMODULE_OF) + ["__version__"]
+
+
+def __getattr__(name):
+    """An exported name or a submodule, imported on first use and bound here."""
+    if name in _SUBMODULE_OF:
+        value = getattr(importlib.import_module(f".{_SUBMODULE_OF[name]}", __name__), name)
+    elif name in _EXPORTS:
+        value = importlib.import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -1,7 +1,11 @@
 """Command-line front end: point evaluation, bounds, certification, CSV tables.
 
 Exit codes: 0 success / all CERTIFIED, 1 any FALSIFIED, 2 any INCONCLUSIVE,
-64 usage error, 65 domain error.
+64 usage error, 65 domain error, 73 `table` cannot create its --out file
+(64, 65 and 73 are sysexits' EX_USAGE, EX_DATAERR and EX_CANTCREAT).
+
+`eval`, `bounds` and `cheb` run without loading numpy: `verify` imports the
+certification engine and `table` imports numpy when they run.
 """
 
 from __future__ import annotations
@@ -11,17 +15,6 @@ import math
 import re
 import sys
 
-import numpy as np
-
-from .certify import (
-    Mode,
-    Status,
-    VerificationConfig,
-    expected_sign_D,
-    verify_envelope,
-    verify_monotonicity,
-    verify_sign_D,
-)
 from .chebyshev import cheb_u_eval, corollary_bounds
 from .envelopes import envelope_constants
 from .families import (
@@ -40,6 +33,7 @@ EXIT_FALSIFIED = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 64
 EXIT_DOMAIN = 65
+EXIT_CANTCREAT = 73
 
 _PI_FRACTION = re.compile(r"^pi/(-?\d+)$")
 
@@ -126,6 +120,16 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .certify import (
+        Mode,
+        Status,
+        VerificationConfig,
+        expected_sign_D,
+        verify_envelope,
+        verify_monotonicity,
+        verify_sign_D,
+    )
+
     mode = Mode(args.mode)
     cfg = VerificationConfig(
         grid_points=args.grid_points, interior_margin=args.interior_margin, mode=mode
@@ -168,19 +172,24 @@ def _cmd_cheb(args) -> int:
 def _cmd_table(args) -> int:
     if args.points < 2:
         raise UsageError("--points must be >= 2")
+    import numpy as np
+
     ec = envelope_constants(args.family, args.p)
     margin = 1e-3
     xs = np.linspace(margin, HALF_PI - margin, args.points)
     fs = eval_f_grid(args.family, args.p, xs)
-    lines = ["x,f,lower,upper,margin_lower,margin_upper"]
-    for x, f in zip(xs, fs):
-        lines.append(
-            ",".join(
-                _fmt(v) for v in (x, f, ec.lower, ec.upper, f - ec.lower, ec.upper - f)
-            )
-        )
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    # one format call per row; the constant columns are formatted once
+    row = f"{{:.17g}},{{:.17g}},{_fmt(ec.lower)},{_fmt(ec.upper)},{{:.17g}},{{:.17g}}\n"
+    columns = (xs, fs, fs - ec.lower, ec.upper - fs)
+    text = "x,f,lower,upper,margin_lower,margin_upper\n" + "".join(
+        map(row.format, *(c.tolist() for c in columns))
+    )
+    try:
+        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CANTCREAT
     print(f"wrote {args.points} rows to {args.out}")
     return EXIT_OK
 

@@ -44,8 +44,6 @@ from __future__ import annotations
 import functools
 import math
 
-import numpy as np
-
 from .families import (
     FAMILY_FNS,
     POLE_TOL,
@@ -58,7 +56,10 @@ from .families import (
     check_param_real,
     eval_f_grid,
     f_series_coeffs,
+    load_numpy,
 )
+
+np = load_numpy()  # with its backend in FAMILY_FNS, read by eval_sin_comb
 
 
 class ParityError(ParameterError):

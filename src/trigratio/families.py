@@ -17,6 +17,11 @@ one pole rule: den = g((1/p) * x) is computed once, and |den| < 1e-12 raises
 PoleError where x > |p|; below, it is the removable zero at x -> 0, since
 every other zero of g has |x/p| >= pi/2.
 
+The scalar and interval backends need no numpy.  The numpy backend loads on
+the first array call (`eval_f_grid`, the 80-bit series, `derivatives`):
+`load_numpy` imports numpy then and adds its entries to `FAMILY_FNS`, so
+point evaluation never pays numpy's import.
+
 All functions are defined on (0, pi/2); `eval_f` extends to x = 0 by
 continuity.  Near zero the direct quotient cancels catastrophically, so
 evaluation switches to a truncated even-power series whose coefficients
@@ -31,8 +36,6 @@ import operator
 import sys
 from fractions import Fraction
 from functools import lru_cache
-
-import numpy as np
 
 from . import interval
 
@@ -66,17 +69,36 @@ class FamilyKind(enum.Enum):
         return self in (FamilyKind.TRIG_COS, FamilyKind.HYP_COS)
 
 
-# family -> backend -> (g, sin): g as in g(x)/g(x/p), sin of the product forms;
-# the interval backend's sin encloses over a float pair (see `interval`)
-FAMILY_FNS = {
-    family: {xp: (getattr(xp, g), getattr(xp, sin)) for xp in (math, np, interval)}
-    for family, g, sin in (
-        (FamilyKind.TRIG_COS, "cos", "sin"),
-        (FamilyKind.TRIG_SIN, "sin", "sin"),
-        (FamilyKind.HYP_COS, "cosh", "sinh"),
-        (FamilyKind.HYP_SIN, "sinh", "sinh"),
-    )
+# family -> (g, sin) names: g as in g(x)/g(x/p), sin of the product forms
+_FNS_NAMES = {
+    FamilyKind.TRIG_COS: ("cos", "sin"),
+    FamilyKind.TRIG_SIN: ("sin", "sin"),
+    FamilyKind.HYP_COS: ("cosh", "sinh"),
+    FamilyKind.HYP_SIN: ("sinh", "sinh"),
 }
+
+# family -> backend module -> (g, sin); the interval backend's sin encloses
+# over a float pair (see `interval`); numpy's entries come with `load_numpy`
+FAMILY_FNS = {family: {} for family in _FNS_NAMES}
+
+
+def _add_backend(xp):
+    for family, names in _FNS_NAMES.items():
+        FAMILY_FNS[family][xp] = tuple(getattr(xp, name) for name in names)
+    return xp
+
+
+_add_backend(math)
+_add_backend(interval)
+
+
+@lru_cache(maxsize=None)
+def load_numpy():
+    """numpy, imported on the first array call, with its backend in FAMILY_FNS."""
+    import numpy
+
+    return _add_backend(numpy)
+
 
 POLE_TOL = 1e-12
 
@@ -91,7 +113,8 @@ def _pole(den, x, p):
 
 
 def check_param_real(p) -> float:
-    if isinstance(p, (bool, np.bool_)):
+    # bool and numpy's bool_ (named "bool" since numpy 2), without importing numpy
+    if type(p).__name__ in ("bool", "bool_"):
         raise ParameterError(f"p must be a number, got {p!r}")
     p = float(p)
     if p == 0.0 or not math.isfinite(p):
@@ -148,8 +171,9 @@ def _ratio_series(family: FamilyKind, p: float) -> tuple[Fraction, ...]:
     return tuple(r)
 
 
-def _to_longdouble(fr: Fraction) -> np.longdouble:
+def _to_longdouble(fr: Fraction):
     # two-float split keeps ~106 bits, enough for the 64-bit longdouble mantissa
+    np = load_numpy()
     hi = float(fr)
     lo = float(fr - Fraction(hi))
     return np.longdouble(hi) + np.longdouble(lo)
@@ -163,7 +187,7 @@ def f_series_coeffs(family: FamilyKind, p: float) -> tuple[float, ...]:
 
 
 @lru_cache(maxsize=None)
-def _f_series_coeffs_ld(family: FamilyKind, p: float) -> tuple[np.longdouble, ...]:
+def _f_series_coeffs_ld(family: FamilyKind, p: float) -> tuple:
     r = _ratio_series(family, p)
     return tuple(-_to_longdouble(ri) for ri in r[1:])
 
@@ -225,10 +249,12 @@ def eval_f(family: FamilyKind, p, x: float) -> float:
     return float(_f_direct(p, x, den, g, sin, math))
 
 
-def eval_f_grid(family: FamilyKind, p, xs: np.ndarray, dtype=np.float64) -> np.ndarray:
-    """Vectorized eval_f over an array of points in [0, pi/2)."""
+def eval_f_grid(family: FamilyKind, p, xs, dtype=None):
+    """Vectorized eval_f: a numpy array of f at the points xs in [0, pi/2),
+    in float64 unless dtype says otherwise (np.longdouble for the 80-bit series)."""
     p = check_param_real(p)
-    xs = np.asarray(xs, dtype=dtype)
+    np = load_numpy()
+    xs = np.asarray(xs, dtype=np.float64 if dtype is None else dtype)
     # written so that NaN fails the test too
     if not ((xs >= 0.0) & (xs < HALF_PI)).all():
         raise DomainError("grid points must lie in [0, pi/2)")

@@ -5,10 +5,12 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import trigratio
 from trigratio.cli import (
+    EXIT_CANTCREAT,
     EXIT_DOMAIN,
     EXIT_FALSIFIED,
     EXIT_INCONCLUSIVE,
@@ -165,3 +167,38 @@ def test_table_idempotent(tmp_path, capsys):
 
 def test_table_rejects_single_point():
     assert run(["table", "--family", "trig-sin", "--p", "2", "--points", "1", "--out", "/tmp/x.csv"]) == EXIT_USAGE
+
+
+def _table_reference(family, p, points):
+    """The CSV as built one field at a time over numpy scalars."""
+    from trigratio import FamilyKind, envelope_constants, eval_f_grid
+    from trigratio.families import HALF_PI
+
+    family = FamilyKind(family)
+    ec = envelope_constants(family, p)
+    xs = np.linspace(1e-3, HALF_PI - 1e-3, points)
+    fs = eval_f_grid(family, p, xs)
+    lines = ["x,f,lower,upper,margin_lower,margin_upper"]
+    for x, f in zip(xs, fs):
+        lines.append(",".join(format(v, ".17g") for v in (x, f, ec.lower, ec.upper, f - ec.lower, ec.upper - f)))
+    return ("\n".join(lines) + "\n").encode()
+
+
+@pytest.mark.parametrize("points", [2, 3, 777])
+@pytest.mark.parametrize("p", [2, 3, 16])
+@pytest.mark.parametrize("family", ["trig-cos", "trig-sin", "hyp-cos", "hyp-sin"])
+def test_table_bytes_match_per_field_reference(tmp_path, capsys, family, p, points):
+    out_path = tmp_path / "table.csv"
+    args = ["table", "--family", family, "--p", str(p), "--points", str(points), "--out", str(out_path)]
+    assert run(args) == EXIT_OK
+    assert out_path.read_bytes() == _table_reference(family, p, points)
+
+
+@pytest.mark.parametrize("where", ["missing/table.csv", "."])
+def test_table_unwritable_out_is_cantcreat(tmp_path, capsys, where):
+    """An --out that cannot be created exits 73, not the 1 of a FALSIFIED claim."""
+    args = ["table", "--family", "trig-cos", "--p", "3", "--points", "3", "--out", str(tmp_path / where)]
+    assert run(args) == EXIT_CANTCREAT == 73
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and str(tmp_path) in captured.err

@@ -167,7 +167,7 @@ def test_parameter_errors(p):
         eval_f(FamilyKind.TRIG_COS, p, 0.5)
 
 
-@pytest.mark.parametrize("p", [True, False, np.True_])
+@pytest.mark.parametrize("p", [True, False, np.True_, np.False_])
 def test_bool_p_rejected(p):
     with pytest.raises(ParameterError):
         eval_f(FamilyKind.TRIG_SIN, p, 0.5)
