@@ -22,8 +22,11 @@ cancels terms of size up to k^3, which drives bisection deep.  Near x -> 0
 the sin-family general form is numerically treacherous (csc^4(x/p) against
 a bracket that vanishes like x^5), which is why the sin families always
 take a sum form; the cos bracket does not cancel, so float64 suffices for it.
-Of the closed forms only the public `derivatives.d_general` runs in 80
-bits, and only the identity checks call it.  The finite-difference
+The public `derivatives.d_general` runs in float64 too, taking D's even
+series near 0, where the sin-family form would cancel; certification does
+not call it.  The identity checks hold the general form itself, in 80 bits
+at every node, against the sum forms, and D's series against the closed
+forms.  The finite-difference
 `numeric_D` is an independent oracle for the tests, not a certification
 route.
 """
@@ -39,7 +42,7 @@ import numpy as np
 
 from .chebyshev import cheb_u_eval
 from .derivatives import (
-    d_general,
+    _d_general_form_ld,
     d_sum_even_sin,
     d_sum_odd,
     dirichlet_sum,
@@ -229,11 +232,14 @@ def _tolerance_report(claim, errors, xs, tol) -> VerificationReport:
     return VerificationReport(claim, status, margin, float(xs[worst]), errors.size, Mode.GRID)
 
 
-def verify_identities(cfg: VerificationConfig, d_general_fn=d_general) -> list[VerificationReport]:
+def verify_identities(cfg: VerificationConfig, d_general_fn=_d_general_form_ld) -> list[VerificationReport]:
     """Cross-check every closed-form identity against its independent partner.
 
     Sampled checks under any `cfg.mode`, so every report says Mode.GRID.
-    `d_general_fn` substitutes the general-form evaluator (mutation hook)."""
+    The general form is checked at every node in 80 bits, not `d_general`,
+    which takes D's series below |p|*pi/4 (sin) or |p|*pi/8 (cos); D's
+    series is checked by `identity:vanishing-limits`.  `d_general_fn`
+    substitutes the general-form evaluator (mutation hook)."""
     reports = []
     xs = _cheb_nodes(40, 0.05, HALF_PI - 0.05)
 
@@ -270,14 +276,14 @@ def verify_identities(cfg: VerificationConfig, d_general_fn=d_general) -> list[V
             pts.append(x)
     reports.append(_tolerance_report("identity:dirichlet-sum", errs, pts, 1e-13))
 
-    # vanishing limits of x^3 f' and its derivative
+    # vanishing limits of x^3 f' and its derivative: f's series against f and D
     errs, pts = [], []
     for family in FamilyKind:
         for p in range(2, 9):
-            l1, l2 = vanishing_limits_check(family, p)
-            errs.extend([abs(l1), abs(l2)])
+            d_gap, f_gap = vanishing_limits_check(family, p)
+            errs.extend([d_gap, f_gap])
             pts.extend([0.0, 0.0])
-    reports.append(_tolerance_report("identity:vanishing-limits", errs, pts, 1e-8))
+    reports.append(_tolerance_report("identity:vanishing-limits", errs, pts, 1e-12))
 
     # U_n(cos t) * sin t = sin((n+1) t)
     errs, pts = [], []

@@ -16,8 +16,9 @@ cancel the leading minus), so the evaluator takes its sine and the general
 form's den from the family table `families.FAMILY_FNS`.  Entry points:
 
 * `d_general` -- the general form for the two trigonometric families,
-  valid for any real p != 0, and the only closed form evaluated in 80-bit
-  extended precision, table included.  Note: the printed source for the
+  valid for any real p != 0, in float64, with D's even series (exact
+  rationals rounded once) near 0, where the sin family's general form
+  cancels.  Note: the printed source for the
   cos-family formula carries csc^4(x/p), but differentiating the
   definition gives sec^4(x/p); the sec^4 version agrees with the p = 2
   factored display, with the parity sum forms and with the
@@ -31,9 +32,11 @@ form's den from the family table `families.FAMILY_FNS`.  Entry points:
   alternating factor is (-1)^(k-j); the (-1)^(j-1) variant agrees only for
   odd k and is numerically wrong for even k.
 * `numeric_D` -- a nested central-difference oracle, evaluated internally
-  in 80-bit extended precision so the h = 1e-4 tolerances are attainable.
-  It is an independent oracle only: the tests check the closed forms
-  against it, and no verdict rests on it.
+  in numpy's longdouble, x87 80-bit extended precision on x86, so the
+  h = 1e-4 tolerances are attainable.  Where longdouble is float64 (arm64
+  macOS) its roundoff at h = 1e-4 is ~2e-4 and those tolerances fail.  It
+  is an independent oracle only: the tests check the closed forms against
+  it, and no verdict rests on it.
 * `dirichlet_sum`, `vanishing_limits_check` -- the auxiliary identities.
 
 All evaluators accept numpy arrays for x.
@@ -52,11 +55,15 @@ from .families import (
     ParameterError,
     PoleError,
     HALF_PI,
+    _even_series,
+    _ratio_series,
     check_param_int,
     check_param_real,
+    eval_f,
     eval_f_grid,
     f_series_coeffs,
     load_numpy,
+    series_threshold,
 )
 
 np = load_numpy()  # with its backend in FAMILY_FNS, read by eval_sin_comb
@@ -75,9 +82,9 @@ def sin_comb_form(family: FamilyKind, p, general: bool) -> tuple[tuple, object]:
 
     where den is the family's own function g.  The hyperbolic families read the
     same table with sin -> sinh, cos -> cosh.  The general form takes any
-    real p != 0 and is built in the type of p (a longdouble p gives an
-    80-bit table; `typed=True` keeps 2, 2.0 and longdouble(2) apart); the
-    sum forms take an integer p >= 2: the sin families at p = 2k, and
+    real p != 0 and is built in the type of p (`typed=True` keeps the int
+    tables of the sum forms apart from float p); the sum forms take an
+    integer p >= 2: the sin families at p = 2k, and
     p = 2k+1 with the factor (-1)^(k-j) on each term for the cos families.
 
     For the cos families at p >= 3 every general-form weight is > 0 and every
@@ -143,24 +150,72 @@ def eval_sin_comb(family: FamilyKind, p, x, general: bool, weights=None):
     return out
 
 
-def d_general(family: FamilyKind, p, x, *, weights=None):
-    """Closed-form D(x) for TRIG_COS / TRIG_SIN, any real p != 0.
+# D's even series, D(x) = sum_{i=1..16} d_i x^(2i).  The ratio's nearest
+# singularity is the first zero of g(x/p), at |x| = |p|*pi for the sin
+# families and |p|*pi/2 for the cos families; below a quarter of that
+# (`_d_series_reach`) the terms shrink >= 16x each and 16 terms reach eps.
+# That covers all of (0, pi/2) for |p| >= 2 (sin) and |p| >= 4 (cos).
+_D_TERMS = 16
 
-    Internally evaluated in 80-bit extended precision, table included: the
-    sin-family bracket vanishes like x^5 against csc^4(x/p), and the
-    cancellation would otherwise cost ~1e-9 relative accuracy at small x
-    for p ~ 12, and far more at non-integer p.  Even in 80 bits it loses
-    accuracy towards x -> 0 at non-integer p: against 40-digit mpmath,
-    trig-sin p = 7.3 is off by 1.0e-4 relative at x = 1e-3 and 9.0e-10 at
-    x = 1e-2 (p = 3.7: 3.9e-6 and 1.2e-9).
 
-    `weights` overrides the four bracket coefficients (test hook)."""
+def _d_series_reach(family: FamilyKind, p: float) -> float:
+    return abs(p) * math.pi / (8.0 if family.is_cos else 4.0)
+
+
+@functools.lru_cache(maxsize=256)
+def _d_series_coeffs(family: FamilyKind, p: float) -> tuple[float, ...]:
+    """d_0..d_16 for `_even_series`: d_0 = 0 and d_i = 2i(2i+1)(2i+2) a_i from
+    f's exact series f = sum a_i x^(2i) (a_i = -r_(i+1) of the ratio), each
+    rounded once.  The 18 exact terms are not kept: only f's 9 are cached."""
+    r = _ratio_series.__wrapped__(family, p, _D_TERMS + 2)
+    return (0.0, *(float(-2 * i * (2 * i + 1) * (2 * i + 2) * r[i + 1]) for i in range(1, _D_TERMS + 1)))
+
+
+def _general_args(family: FamilyKind, p, x):
     if not family.is_trig:
         raise ParameterError("d_general covers the trigonometric families; see d_sum")
-    p = check_param_real(p)
-    x = _check_x_open(x)
+    return check_param_real(p), _check_x_open(x)
+
+
+def _d_general_form_ld(family: FamilyKind, p, x, weights=None):
+    """D's general form at every x, built and evaluated in numpy's longdouble
+    (x87 80-bit on x86), returned in float64: the form `certify`'s identity
+    checks hold against the sum forms.  In float64 the sin-family form
+    cancels towards 0 (8.4e-10 off at p = 12, x = 0.05, against their 1e-12
+    tolerance), and `d_general` takes D's series over most of (0, pi/2).
+    Where longdouble is float64 (arm64 macOS) those checks fail, as
+    `numeric_D`'s tolerances do."""
+    p, x = _general_args(family, p, x)
     out = eval_sin_comb(family, np.longdouble(p), x.astype(np.longdouble), True, weights)
     return _unwrap(out.astype(np.float64))
+
+
+def d_general(family: FamilyKind, p, x, *, weights=None):
+    """Closed-form D(x) for TRIG_COS / TRIG_SIN, any real p != 0, in float64.
+
+    Below a quarter of the first zero of g(x/p), x < |p|*pi/4 (sin) or
+    |p|*pi/8 (cos), it sums D's even series (`_d_series_coeffs`, exact
+    rationals rounded once, built on the first call per p); above, the
+    general form.  The sin family's general form cancels towards 0 (a
+    bracket ~ x^5 against csc^4(x/p), an error of ~eps*(p/x)^4), so it
+    must not run there; the cos family's does not cancel, but its weights
+    ~ p^3 overflow at |p| > ~5e102.  Only the general form has a
+    denominator, so only it raises PoleError.
+
+    `weights` overrides the four bracket coefficients and keeps the general
+    form at every x (test hook)."""
+    p, x = _general_args(family, p, x)
+    if weights is not None:
+        return _unwrap(eval_sin_comb(family, p, x, True, weights))
+    small = x < _d_series_reach(family, p)
+    if small.all():
+        return _unwrap(_even_series(x, _d_series_coeffs(family, p)))
+    out = np.empty_like(x)
+    big = ~small
+    out[big] = eval_sin_comb(family, p, x[big], True)
+    if small.any():
+        out[small] = _even_series(x[small], _d_series_coeffs(family, p))
+    return _unwrap(out)
 
 
 def d_general_hyp_cos(p, x):
@@ -276,7 +331,10 @@ def _numeric_D_arrays(family: FamilyKind, p: float, x: np.ndarray, h: np.ndarray
 
 
 def numeric_D(family: FamilyKind, p, x: float, h: float = 1e-4) -> float:
-    """Finite-difference estimate of D(x) at outer step h (Richardson-paired with h/2)."""
+    """Finite-difference estimate of D(x) at outer step h (Richardson-paired with h/2).
+
+    Within ~2e-7 of D at h = 1e-4 only where numpy's longdouble is x87
+    80-bit; where it is float64 (arm64 macOS) the roundoff is ~2e-4."""
     value, _ = numeric_D_with_estimate(family, p, x, h)
     return float(value[0])
 
@@ -302,28 +360,39 @@ def numeric_D_with_estimate(family: FamilyKind, p, x, h):
     return _numeric_D_arrays(family, p, x, h)
 
 
+_VANISHING_XS = (0.1, 0.5)
+
+
 def vanishing_limits_check(family: FamilyKind, p) -> tuple[float, float]:
-    """Extrapolated x -> 0 limits of d/dx(x^3 f') and of x^3 f' themselves.
+    """How far f's exact series is from f and D, for real p != 0.
 
-    Both are evaluated from the series branch at x = 1e-2, 1e-3, 1e-4 and
-    Richardson-extrapolated with their known leading orders (x^3 and x^4)."""
+    Near 0, f = sum a_i x^(2i), so x^3 f' = sum 2i a_i x^(2i+2) and its
+    derivative have no constant term and both vanish as x -> 0, provided the
+    series is f's.  That is what this checks, returning the largest relative
+    gap of each:
+    * D's series, sum 2i(2i+1)(2i+2) a_i x^(2i), against a closed form of D
+      at those of x = 0.1, 0.5 and x_r/2 that lie in (0, pi/2) below the
+      series' reach x_r (`_d_series_reach`); at 0.1 D's leading coefficient
+      alone sets the gap, further out the others do.  The closed form is
+      the one `certify` takes: the sin families' sum form at integer p >= 2,
+      else the general form.  The sin families' general form cancels below
+      x_r/2 = |p|*pi/8, so at other p it is compared at x_r/2 only, and at
+      |p| >= 4, where that is past pi/2, ParameterError is raised;
+    * the series branch of `eval_f` against its direct branch at their
+      crossover.
+    A wrong coefficient shows in one gap or both."""
     p = check_param_real(p)
-    a = f_series_coeffs(family, p)
-
-    def l2(x):  # x^3 f'(x) = sum 2i * a_i * x^(2i+2)
-        return math.fsum(2 * i * a[i] * x ** (2 * i + 2) for i in range(1, len(a)))
-
-    def l1(x):  # d/dx (x^3 f')
-        return math.fsum(2 * i * (2 * i + 2) * a[i] * x ** (2 * i + 1) for i in range(1, len(a)))
-
-    xs = (1e-2, 1e-3, 1e-4)
-
-    def extrapolate(fn, order):
-        v = [fn(x) for x in xs]
-        scale = 10.0**order
-        # eliminate the leading x^order term between successive points
-        v01 = (scale * v[1] - v[0]) / (scale - 1.0)
-        v12 = (scale * v[2] - v[1]) / (scale - 1.0)
-        return (scale * 100.0 * v12 - v01) / (scale * 100.0 - 1.0)
-
-    return extrapolate(l1, 3), extrapolate(l2, 4)
+    x_r = _d_series_reach(family, p)
+    sum_form = not family.is_cos and p >= 2 and p.is_integer()
+    xs = [x for x in _VANISHING_XS if x < x_r] if family.is_cos or sum_form else []
+    if x_r / 2 < HALF_PI:
+        xs.append(x_r / 2)
+    elif not xs:
+        raise ParameterError(f"no closed form of D is accurate on (0, pi/2) to check the series at p={p}")
+    closed = eval_sin_comb(family, int(p) if sum_form else p, np.array(xs), not sum_form)
+    coeffs = _d_series_coeffs(family, p)
+    d_gap = max(abs(_even_series(x, coeffs) / c - 1.0) for x, c in zip(xs, closed.tolist()))
+    th = series_threshold(family, p)
+    direct = eval_f(family, p, th)
+    f_gap = abs(_even_series(th, f_series_coeffs(family, p)) / direct - 1.0)
+    return d_gap, f_gap

@@ -150,18 +150,19 @@ _TH_SIN = 0.15
 
 
 @lru_cache(maxsize=None)
-def _ratio_series(family: FamilyKind, p: float) -> tuple[Fraction, ...]:
-    """Exact coefficients r0..r8 of the even-power series of the ratio."""
+def _ratio_series(family: FamilyKind, p: float, n: int = _N_COEFFS) -> tuple[Fraction, ...]:
+    """Exact coefficients r0..r(n-1) of the even-power series of the ratio
+    (r0..r8 for f's series branch; D's series asks for more)."""
     pf = Fraction(p)
     q = 1 / (pf * pf)
     sgn = -1 if family.is_trig else 1
     if family.is_cos:
-        num = [Fraction(sgn**i, math.factorial(2 * i)) for i in range(_N_COEFFS)]
+        num = [Fraction(sgn**i, math.factorial(2 * i)) for i in range(n)]
     else:
-        num = [Fraction(sgn**i, math.factorial(2 * i + 1)) for i in range(_N_COEFFS)]
-    den = [num[i] * q**i for i in range(_N_COEFFS)]
+        num = [Fraction(sgn**i, math.factorial(2 * i + 1)) for i in range(n)]
+    den = [num[i] * q**i for i in range(n)]
     r: list[Fraction] = []
-    for i in range(_N_COEFFS):
+    for i in range(n):
         acc = num[i]
         for j in range(1, i + 1):
             acc -= den[j] * r[i - j]
@@ -203,7 +204,9 @@ def series_threshold(family: FamilyKind, p: float) -> float:
     return _series_threshold(*FAMILY_FNS[family][math], p)
 
 
-def _f_series(x, coeffs):
+def _even_series(x, coeffs):
+    """sum_i coeffs[i] x^(2i) by Horner in x^2: f's series here, D's in
+    `derivatives`."""
     x2 = x * x
     acc = coeffs[-1]
     for a in reversed(coeffs[:-1]):
@@ -242,7 +245,7 @@ def eval_f(family: FamilyKind, p, x: float) -> float:
         raise DomainError(f"x={x} outside [0, pi/2)")
     g, sin = FAMILY_FNS[family][math]
     if x < _series_threshold(g, sin, p):
-        return float(_f_series(x, f_series_coeffs(family, p)))
+        return float(_even_series(x, f_series_coeffs(family, p)))
     den = g((1.0 / p) * x)
     if _pole(den, x, p):
         raise PoleError(f"denominator vanishes at x={x}, p={p}")
@@ -263,7 +266,7 @@ def eval_f_grid(family: FamilyKind, p, xs, dtype=None):
     small = xs < _series_threshold(g, sin, p)
     if small.any():
         coeffs = (_f_series_coeffs_ld if dtype == np.longdouble else f_series_coeffs)(family, p)
-        out[small] = _f_series(xs[small], coeffs)
+        out[small] = _even_series(xs[small], coeffs)
     big = ~small
     if big.any():
         x = xs[big]

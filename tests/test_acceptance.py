@@ -25,6 +25,7 @@ from trigratio.certify import (
 )
 from trigratio.chebyshev import cheb_u, cheb_u_eval, corollary_bounds
 from trigratio.derivatives import (
+    _d_general_form_ld,
     d_general,
     dirichlet_sum,
     general_weights,
@@ -113,9 +114,11 @@ def test_criterion_4_lemma_identity_suite():
         xs = np.linspace(0.05, HALF_PI - 0.05, 40)
         for p in (2, 2.5, 3, 4, 7, -2):
             for family in (TC, TS):
-                closed = d_general(family, p, xs)
                 numeric, _ = numeric_D_with_estimate(family, p, xs, 1e-4)
-                assert np.max(np.abs(numeric - closed)) < 1e-5, (family, p)
+                # the general form itself, and d_general, which takes D's series below |p|*pi/8 or |p|*pi/4
+                for closed_fn in (_d_general_form_ld, d_general):
+                    closed = closed_fn(family, p, xs)
+                    assert np.max(np.abs(numeric - closed)) < 1e-5, (closed_fn.__name__, family, p)
         for k in range(1, 11):
             for x in np.linspace(0.01, math.pi - 0.01, 100):
                 a, b = dirichlet_sum(k, float(x))
@@ -160,10 +163,10 @@ def test_criterion_6_chebyshev_identity():
 def test_criterion_7_mutation_sensitivity():
     with _Budget("criterion 7: mutation sensitivity", 10.0):
 
-        def mutated(family, p, x, *, weights=None):
+        def mutated(family, p, x):
             w = list(general_weights(family, float(p)))
             w[3] = w[3] + (1.0 if w[3] > 0 else -1.0)  # the 23 -> 24 perturbation
-            return d_general(family, p, x, weights=tuple(w))
+            return _d_general_form_ld(family, p, x, tuple(w))
 
         reports = {r.claim_id: r for r in verify_identities(CFG, d_general_fn=mutated)}
         assert reports["identity:general-vs-even-sum"].status is Status.FALSIFIED

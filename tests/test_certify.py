@@ -32,7 +32,7 @@ from trigratio.derivatives import (
 from trigratio.envelopes import envelope_constants
 from trigratio.families import FamilyKind, HALF_PI, ParameterError
 from trigratio.interval import Interval, sin_comb
-from trigratio import certify, interval
+from trigratio import certify, derivatives, interval
 
 TC, TS, HC, HS = (
     FamilyKind.TRIG_COS,
@@ -211,18 +211,65 @@ def test_identities_all_certified():
 
 
 def test_identities_mutation_falsifies():
-    """Perturbing the +-23 bracket coefficient must break form agreement."""
+    """Perturbing the +-23 bracket coefficient must break form agreement;
+    the same hook with the table's own weights passes, so the failure is
+    the mutation's (in float64 the sin-family form alone misses 1e-12)."""
 
-    def mutated(family, p, x, *, weights=None):
-        w = list(general_weights(family, float(p)))
-        w[3] = w[3] + (1.0 if w[3] > 0 else -1.0)  # 23 -> 24 in magnitude
-        return d_general(family, p, x, weights=tuple(w))
+    def hooked(delta):
+        def general_fn(family, p, x):
+            w = list(general_weights(family, float(p)))
+            w[3] = w[3] + (delta if w[3] > 0 else -delta)  # 23 -> 24 in magnitude at delta = 1
+            return derivatives._d_general_form_ld(family, p, x, tuple(w))
 
-    reports = {r.claim_id: r for r in verify_identities(CFG, d_general_fn=mutated)}
+        return {r.claim_id: r for r in verify_identities(CFG, d_general_fn=general_fn)}
+
+    reports = hooked(0.0)
+    assert reports["identity:general-vs-even-sum"].status is Status.CERTIFIED
+    assert reports["identity:general-vs-odd-sum"].status is Status.CERTIFIED
+    reports = hooked(1.0)
     assert reports["identity:general-vs-even-sum"].status is Status.FALSIFIED
     assert reports["identity:general-vs-odd-sum"].status is Status.FALSIFIED
     # identities not touching d_general stay green
     assert reports["identity:dirichlet-sum"].status is Status.CERTIFIED
+
+
+def test_identities_check_the_general_form_by_default(monkeypatch):
+    """Without the hook the general-vs-sum claims still evaluate the general
+    form at every node, where d_general would take D's series: a trig-sin
+    general-form table perturbed as in the mutation test above, with the sum
+    forms intact, fails both."""
+    table = derivatives.sin_comb_form
+
+    def mutated(family, p, general):
+        terms, factor = table(family, p, general)
+        if not general or family is not FamilyKind.TRIG_SIN:
+            return terms, factor
+        w3, c3 = terms[3]
+        return (*terms[:3], (w3 + (1.0 if w3 > 0 else -1.0), c3)), factor
+
+    monkeypatch.setattr(derivatives, "sin_comb_form", mutated)
+    reports = {r.claim_id: r for r in verify_identities(CFG)}
+    assert reports["identity:general-vs-even-sum"].status is Status.FALSIFIED
+    assert reports["identity:general-vs-odd-sum"].status is Status.FALSIFIED
+    assert reports["identity:vanishing-limits"].status is Status.CERTIFIED
+
+
+def test_vanishing_limits_mutation_falsifies(monkeypatch):
+    """One perturbed coefficient of D's series (d_2, by one part in 1e6)
+    breaks its agreement with the closed forms, so the claim can fail."""
+    coeffs = derivatives._d_series_coeffs
+
+    def mutated(family, p):
+        d = list(coeffs(family, p))
+        d[2] *= 1.0 + 1e-6
+        return tuple(d)
+
+    monkeypatch.setattr(derivatives, "_d_series_coeffs", mutated)
+    reports = {r.claim_id: r for r in verify_identities(CFG)}
+    assert reports["identity:vanishing-limits"].status is Status.FALSIFIED
+    assert reports["identity:dirichlet-sum"].status is Status.CERTIFIED
+    d_gap, f_gap = derivatives.vanishing_limits_check(FamilyKind.HYP_COS, 4)
+    assert d_gap > 1e-9 and f_gap < 1e-12
 
 
 def test_report_shape():

@@ -14,13 +14,16 @@ from trigratio.derivatives import (
     d_sum_even_sin,
     d_sum_odd,
     dirichlet_sum,
+    eval_sin_comb,
     general_weights,
     numeric_D,
     numeric_D_with_estimate,
     sin_comb_form,
     vanishing_limits_check,
+    _d_general_form_ld,
+    _d_series_coeffs,
 )
-from trigratio.families import DomainError, FamilyKind, HALF_PI, ParameterError, PoleError
+from trigratio.families import _even_series, DomainError, FamilyKind, HALF_PI, ParameterError, PoleError
 
 TC, TS, HC, HS = (
     FamilyKind.TRIG_COS,
@@ -78,25 +81,123 @@ def test_numeric_D_hyp_sin_example_is_negative():
     assert numeric_D(FamilyKind.HYP_SIN, 3, 1.0, h=1e-4) < 0.0
 
 
-def _mp_D_trig_sin(p, x):
-    """D at x from the definition, by mpmath differentiation at 40 digits."""
+def _mp_D(family, p, x):
+    """D at x from the definition of a trig family, by mpmath differentiation at 40 digits."""
     with mpmath.workdps(40):
         p, x = mpmath.mpf(p), mpmath.mpf(x)
+        g, a = (mpmath.cos, 1) if family is TC else (mpmath.sin, p)
 
         def f(t):
-            return (p - mpmath.sin(t) / mpmath.sin(t / p)) / t**2
+            return (a - g(t) / g(t / p)) / t**2
 
         return mpmath.diff(lambda t: t**3 * mpmath.diff(f, t), x, 2)
 
 
 @pytest.mark.parametrize("p", [3.7, 7.3])
-@pytest.mark.parametrize("x", [0.05, 0.2, 1.0])
+@pytest.mark.parametrize("x", [1e-3, 0.05, 0.2, 1.0])
 def test_d_general_non_integer_p_matches_mpmath(p, x):
-    """The general form's table is built in the precision of the bracket:
-    float64 weights at p = 7.3 cost 2e-8 relative at x = 0.05 through the
-    x^5 cancellation against csc^4(x/p)."""
-    expected = float(_mp_D_trig_sin(p, x))
+    """Towards x = 0 the sin-family general form cancels (csc^4(x/p) against a
+    bracket ~ x^5), by 1.0e-4 relative at x = 1e-3 for p = 7.3 even in 80
+    bits; the series branch below |p|*pi/4 has no cancellation."""
+    expected = float(_mp_D(TS, p, x))
     assert d_general(TS, p, x) == pytest.approx(expected, rel=1e-10, abs=0.0)
+
+
+def _rel_tol(family, p):
+    if abs(p) < 2:
+        return 1e-12
+    if family is TS or p == int(p):
+        return 1e-15
+    return 1e-13
+
+
+@pytest.mark.parametrize("p", [0.5, 1.5, 2, 2.5, 3.7, 7.3, 16, 64, 1000, 1e4, -2])
+@pytest.mark.parametrize("family", [TC, TS])
+def test_d_general_matches_mpmath_on_log_grid(family, p):
+    """40-digit mpmath on x from 1e-8 to pi/2 - 1e-3: a few ulps at |p| >= 2
+    (1e-13 at non-integer cos p, which passes near D's sign change at 2.5),
+    1e-12 at |p| < 2 away from the poles (|g(x/p)| >= 1e-3 where x > |p|,
+    the pole rule's side), and no wrong sign."""
+    xs = np.geomspace(1e-8, HALF_PI - 1e-3, 17)
+    g = np.cos if family is TC else np.sin
+    xs = xs[(np.abs(g(xs / p)) >= 1e-3) | (xs <= abs(p))]
+    assert len(xs) >= 16
+    got = d_general(family, p, xs)
+    for x, value in zip(xs.tolist(), got.tolist()):
+        expected = float(_mp_D(family, p, x))
+        assert value == pytest.approx(expected, rel=_rel_tol(family, p), abs=0.0), x
+        assert math.copysign(1.0, value) == math.copysign(1.0, expected), x
+
+
+@pytest.mark.parametrize(
+    "p,x,expected",
+    [
+        (2, 1e-13, -1.25e-27),  # D ~ 24 a_1 x^2 with a_1 = -1/192 at p = 2
+        (2, 1e-6, -1.2499999999999478e-13),  # the general form, even in 80 bits: -2.07e-7
+        (1e4, 1e-2, -0.19999761239037835),  # there: +2.33
+        (1000, 1e-3, -1.9999930952444378e-4),  # there: +0.0284
+    ],
+)
+def test_d_general_sin_near_zero(p, x, expected):
+    """At the removable zero of sin(x/p) the sin family sums D's series: no
+    PoleError and no cancellation (values from 40-digit mpmath and d_sum)."""
+    assert d_general(TS, p, x) == pytest.approx(expected, rel=1e-14, abs=0.0)
+
+
+def test_d_general_sin_tiny_x_matches_sum_form():
+    for x in (1e-13, 1e-9, 1e-6):
+        assert d_general(TS, 2, x) == pytest.approx(d_sum(TS, 2, x), rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "family,p", [(TS, 0.5), (TS, 0.8), (TS, 1.5), (TS, 1.9), (TS, -1.5), (TC, 0.5), (TC, 2.5), (TC, 3.7), (TC, -2)]
+)
+def test_general_form_and_series_agree_at_crossover(family, p):
+    """Either side of x_c, a quarter of the first zero of g(x/p) (|p|*pi/4
+    for sin, |p|*pi/8 for cos) and inside (0, pi/2) for these p, the float64
+    general form and D's series agree: the sin form's error ~ eps*(p/x)^4
+    and the series' truncation both stay small there (their gap is under
+    3.1e-14 for these p)."""
+    x_c = abs(p) * math.pi / (8.0 if family is TC else 4.0)
+    xs = np.linspace(0.9 * x_c, 1.1 * x_c, 41)
+    general = eval_sin_comb(family, p, xs, True)
+    series = _even_series(xs, _d_series_coeffs(family, p))
+    np.testing.assert_allclose(series, general, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("p", range(4, 17))
+def test_cos_general_form_matches_series(p):
+    """The cos family's general form, which its sign claims evaluate, against
+    D's series over (0, pi/2), where d_general takes the series for p >= 4
+    (below, the crossover test compares the two)."""
+    xs = np.linspace(1e-3, HALF_PI - 1e-3, 200)
+    general = eval_sin_comb(TC, p, xs, True)
+    series = _even_series(xs, _d_series_coeffs(TC, p))
+    np.testing.assert_allclose(general, series, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("family", [TC, TS])
+def test_d_general_huge_p(family):
+    """At |p| > ~5e102 the general form's weights ~ p^3 overflow; D's series
+    covers (0, pi/2) there, and D tends to its p -> infinity limit."""
+    for p in (1e103, 1e300):
+        got = d_general(family, p, np.array([1e-3, 0.5, 1.5]))
+        assert np.all(np.isfinite(got)) and np.all(got < 0.0)
+    # p -> infinity: f -> (1 - cos x)/x^2, D = -x sin x, for trig-cos
+    assert d_general(TC, 1e300, 0.5) == pytest.approx(-0.5 * math.sin(0.5), rel=1e-15)
+
+
+@pytest.mark.parametrize("family", [TC, TS])
+def test_d_general_runs_in_float64(family, monkeypatch):
+    """d_general's answer is bitwise the same with np.longdouble made float64:
+    it does not touch the platform's extended type."""
+    xs = np.concatenate([np.geomspace(1e-8, 1.5, 30), [HALF_PI - 1e-3]])
+    before = [d_general(family, p, xs) for p in (1.5, 2, 7.3, 16)]
+    monkeypatch.setattr(np, "longdouble", np.float64)
+    after = [d_general(family, p, xs) for p in (1.5, 2, 7.3, 16)]
+    for a, b in zip(before, after):
+        assert a.dtype == np.float64
+        assert a.tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize("p", [2, 2.5, 3, 4, 7, -2])
@@ -104,9 +205,9 @@ def test_general_matches_numeric_on_grid(p):
     """Closed form vs finite differences, 1e-5 absolute at h = 1e-4."""
     xs = np.linspace(0.05, HALF_PI - 0.05, 40)
     for family in (TC, TS):
-        closed = d_general(family, p, xs)
         numeric, _ = numeric_D_with_estimate(family, p, xs, 1e-4)
-        np.testing.assert_allclose(numeric, closed, atol=1e-5, rtol=0.0)
+        np.testing.assert_allclose(numeric, _d_general_form_ld(family, p, xs), atol=1e-5, rtol=0.0)
+        np.testing.assert_allclose(numeric, d_general(family, p, xs), atol=1e-5, rtol=0.0)
 
 
 @pytest.mark.parametrize("p", range(2, 9))
@@ -146,18 +247,20 @@ def test_numeric_D_error_estimate_on_sparse_trig_sin_sample():
 @pytest.mark.parametrize("k", range(1, 7))
 def test_even_sum_matches_general(k):
     xs = np.linspace(0.05, HALF_PI - 0.05, 40)
-    a = d_general(TS, 2 * k, xs)
     b = d_sum_even_sin(k, xs)
-    assert np.max(np.abs(a - b) / np.maximum(1.0, np.abs(b))) < 1e-12
+    for general_fn in (_d_general_form_ld, d_general):
+        a = general_fn(TS, 2 * k, xs)
+        assert np.max(np.abs(a - b) / np.maximum(1.0, np.abs(b))) < 1e-12, general_fn.__name__
 
 
 @pytest.mark.parametrize("k", range(1, 7))
 @pytest.mark.parametrize("family", [TC, TS])
 def test_odd_sum_matches_general(family, k):
     xs = np.linspace(0.05, HALF_PI - 0.05, 40)
-    a = d_general(family, 2 * k + 1, xs)
     b = d_sum_odd(family, k, xs)
-    assert np.max(np.abs(a - b) / np.maximum(1.0, np.abs(b))) < 1e-12
+    for general_fn in (_d_general_form_ld, d_general):
+        a = general_fn(family, 2 * k + 1, xs)
+        assert np.max(np.abs(a - b) / np.maximum(1.0, np.abs(b))) < 1e-12, general_fn.__name__
 
 
 def test_d_sum_odd_cos_oracle():
@@ -261,6 +364,29 @@ def test_vanishing_limits(family, p):
     l1, l2 = vanishing_limits_check(family, p)
     assert abs(l1) < 1e-8
     assert abs(l2) < 1e-8
+
+
+@pytest.mark.parametrize("family", FamilyKind)
+@pytest.mark.parametrize("p", [0.5, 1.5, 2.5, 3.7, -2, -3.7])
+def test_vanishing_limits_real_p(family, p):
+    """Real p, where the closed form is the general form, which the sin
+    families evaluate at |p|*pi/8 only."""
+    d_gap, f_gap = vanishing_limits_check(family, p)
+    assert d_gap < 1e-12 and f_gap < 1e-12
+
+
+def test_vanishing_limits_rejects_uncheckable_p():
+    """At non-integer or negative |p| >= 4 the sin families' general form
+    cancels all over (0, pi/2), so no closed form is accurate enough to check
+    D's series against; the cos families' general form does not cancel."""
+    for family in (TS, HS):
+        for p in (7.3, -4):
+            with pytest.raises(ParameterError):
+                vanishing_limits_check(family, p)
+        assert vanishing_limits_check(family, 3.99)[0] < 1e-12
+    for family in (TC, HC):
+        for p in (7.3, -4, 1000.5):
+            assert vanishing_limits_check(family, p)[0] < 1e-12
 
 
 def test_numeric_D_h_and_stencil_validation():
