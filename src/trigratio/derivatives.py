@@ -15,16 +15,14 @@ shape and its table with sin -> sinh and cos -> cosh (the powers of i
 cancel the leading minus), so the evaluator takes its sine and the general
 form's den from the family table `families.FAMILY_FNS`.  Entry points:
 
-* `d_general` -- the general form for the two trigonometric families,
-  valid for any real p != 0, in float64, with D's even series (exact
-  rationals rounded once) near 0, where the sin family's general form
-  cancels.  Note: the printed source for the
-  cos-family formula carries csc^4(x/p), but differentiating the
-  definition gives sec^4(x/p); the sec^4 version agrees with the p = 2
-  factored display, with the parity sum forms and with the
-  finite-difference oracle, so that is what is implemented here.
-* `d_general_hyp_cos` -- its x -> ix image for the hyperbolic cos family,
-  with sech^4(x/p) in place of sec^4(x/p), in float64.
+* `d_general` -- D for all four families by one path, any real p != 0,
+  in float64: D's even series (exact rationals rounded once) near 0, where
+  the sin families' general form cancels, and the general form above.
+  Note: the printed source for the cos-family formula carries csc^4(x/p),
+  but differentiating the definition gives sec^4(x/p); the sec^4 version
+  agrees with the p = 2 factored display, with the parity sum forms and
+  with the finite-difference oracle, so that is what is implemented here.
+* `d_general_hyp_cos` -- `d_general` at HYP_COS, kept as a name.
 * `d_sum`, `d_sum_even_sin`, `d_sum_odd` -- the finite-sum forms for
   integer p, all four families, except the cos families at even p.
   `certify` proves the sin families by them and the cos families by the
@@ -56,6 +54,7 @@ from .families import (
     PoleError,
     HALF_PI,
     _even_series,
+    _RADIUS,
     _ratio_series,
     check_param_int,
     check_param_real,
@@ -150,31 +149,28 @@ def eval_sin_comb(family: FamilyKind, p, x, general: bool, weights=None):
     return out
 
 
-# D's even series, D(x) = sum_{i=1..16} d_i x^(2i).  The ratio's nearest
-# singularity is the first zero of g(x/p), at |x| = |p|*pi for the sin
-# families and |p|*pi/2 for the cos families; below a quarter of that
-# (`_d_series_reach`) the terms shrink >= 16x each and 16 terms reach eps.
-# That covers all of (0, pi/2) for |p| >= 2 (sin) and |p| >= 4 (cos).
+# D's even series, D(x) = sum_{i=1..16} d_i x^(2i).  Below a quarter of
+# the series' radius (`families._RADIUS`), |p|*pi/4 for the sin
+# families and |p|*pi/8 for the cos families, the terms shrink >= 16x each
+# and 16 terms reach eps.  That covers all of (0, pi/2) for |p| >= 2 (sin)
+# and |p| >= 4 (cos).
 _D_TERMS = 16
 
 
 def _d_series_reach(family: FamilyKind, p: float) -> float:
-    return abs(p) * math.pi / (8.0 if family.is_cos else 4.0)
+    return _RADIUS[not family.is_cos] * abs(p) * math.pi / 4.0
 
 
 @functools.lru_cache(maxsize=256)
 def _d_series_coeffs(family: FamilyKind, p: float) -> tuple[float, ...]:
     """d_0..d_16 for `_even_series`: d_0 = 0 and d_i = 2i(2i+1)(2i+2) a_i from
     f's exact series f = sum a_i x^(2i) (a_i = -r_(i+1) of the ratio), each
-    rounded once.  The 18 exact terms are not kept: only f's 9 are cached."""
-    r = _ratio_series.__wrapped__(family, p, _D_TERMS + 2)
-    return (0.0, *(float(-2 * i * (2 * i + 1) * (2 * i + 2) * r[i + 1]) for i in range(1, _D_TERMS + 1)))
-
-
-def _general_args(family: FamilyKind, p, x):
-    if not family.is_trig:
-        raise ParameterError("d_general covers the trigonometric families; see d_sum")
-    return check_param_real(p), _check_x_open(x)
+    rounded once.  ParameterError where one overflows float64, at |p| < ~7.5e-10."""
+    r = _ratio_series(family, p, _D_TERMS + 2)
+    try:
+        return (0.0, *(float(-2 * i * (2 * i + 1) * (2 * i + 2) * r[i + 1]) for i in range(1, _D_TERMS + 1)))
+    except OverflowError:
+        raise ParameterError(f"D's series overflows float64 at p={p}") from None
 
 
 def _d_general_form_ld(family: FamilyKind, p, x, weights=None):
@@ -185,26 +181,33 @@ def _d_general_form_ld(family: FamilyKind, p, x, weights=None):
     tolerance), and `d_general` takes D's series over most of (0, pi/2).
     Where longdouble is float64 (arm64 macOS) those checks fail, as
     `numeric_D`'s tolerances do."""
-    p, x = _general_args(family, p, x)
+    p, x = check_param_real(p), _check_x_open(x)
     out = eval_sin_comb(family, np.longdouble(p), x.astype(np.longdouble), True, weights)
     return _unwrap(out.astype(np.float64))
 
 
 def d_general(family: FamilyKind, p, x, *, weights=None):
-    """Closed-form D(x) for TRIG_COS / TRIG_SIN, any real p != 0, in float64.
+    """Closed-form D(x) for any family and real p != 0, in float64.
 
-    Below a quarter of the first zero of g(x/p), x < |p|*pi/4 (sin) or
-    |p|*pi/8 (cos), it sums D's even series (`_d_series_coeffs`, exact
-    rationals rounded once, built on the first call per p); above, the
-    general form.  The sin family's general form cancels towards 0 (a
-    bracket ~ x^5 against csc^4(x/p), an error of ~eps*(p/x)^4), so it
-    must not run there; the cos family's does not cancel, but its weights
-    ~ p^3 overflow at |p| > ~5e102.  Only the general form has a
-    denominator, so only it raises PoleError.
+    Below a quarter of the first zero of g(x/p), x < |p|*pi/4 (sin families)
+    or |p|*pi/8 (cos families), every family sums D's even series
+    (`_d_series_coeffs`, built on the first call per p); above, the general
+    form, with sinh, cosh for sin, cos in the hyperbolic families.  The sin
+    families' general form cancels towards 0 (a bracket ~ x^5 against
+    csc^4(x/p), an error of ~eps*(p/x)^4); the cos families' weights ~ p^3
+    overflow at |p| > ~5e102.  Only the general form raises PoleError.
+
+    Small |p| makes D ill-conditioned: its median error against 60-digit
+    mpmath is ~eps*x/|p| (2.5e-14 at p = 0.01, 2e-11 at 1e-5, trig families),
+    more near D's zeros.  ParameterError where 3/|p| >= 2^52 (1 +- 3/p rounds
+    to +-3/p), and for the hyperbolic families where x > 175|p| (cosh(x/p)^4
+    would pass e^700).
 
     `weights` overrides the four bracket coefficients and keeps the general
     form at every x (test hook)."""
-    p, x = _general_args(family, p, x)
+    p, x = check_param_real(p), _check_x_open(x)
+    if 3.0 / abs(p) >= 2.0**52 or not family.is_trig and (x > 175.0 * abs(p)).any():
+        raise ParameterError(f"D overflows or loses every digit at p={p}")
     if weights is not None:
         return _unwrap(eval_sin_comb(family, p, x, True, weights))
     small = x < _d_series_reach(family, p)
@@ -219,14 +222,8 @@ def d_general(family: FamilyKind, p, x, *, weights=None):
 
 
 def d_general_hyp_cos(p, x):
-    """Closed-form D(x) for HYP_COS, any real p != 0, in float64:
-    -x/(8p^3) * sum_i w_i sinh(c_i x) / cosh^4(x/p) with the TRIG_COS weights.
-
-    Unlike the sin-family bracket this one does not cancel towards x = 0
-    (D ~ x^2 against a bracket ~ x), and cosh has no zero, so float64 is
-    accurate to a few ulps relative to |D|."""
-    p = check_param_real(p)
-    return _unwrap(eval_sin_comb(FamilyKind.HYP_COS, p, _check_x_open(x), True))
+    """`d_general(FamilyKind.HYP_COS, p, x)`."""
+    return d_general(FamilyKind.HYP_COS, p, x)
 
 
 def _check_k(k: int) -> None:

@@ -4,9 +4,9 @@ import dataclasses
 import math
 import random
 
-import mpmath
 import numpy as np
 import pytest
+from mp_oracle import mp_D
 
 from trigratio.certify import (
     Mode,
@@ -355,19 +355,6 @@ def test_interval_D_bitwise_matches_reference(family):
             assert _interval_D(family, p, x) == _reference_interval_D(family, p, x), (p, x)
 
 
-def _mp_D(family, p, x):
-    """D at x from the definition, by mpmath differentiation at 40 digits."""
-    with mpmath.workdps(40):
-        p, x = mpmath.mpf(p), mpmath.mpf(x)
-        g = {TC: mpmath.cos, TS: mpmath.sin, HC: mpmath.cosh, HS: mpmath.sinh}[family]
-        a = 1 if family.is_cos else p
-
-        def f(t):
-            return (a - g(t) / g(t / p)) / t**2
-
-        return mpmath.diff(lambda t: t**3 * mpmath.diff(f, t), x, 2)
-
-
 @pytest.mark.parametrize("family", [TC, TS, HC, HS])
 def test_interval_D_contains_mpmath_D(family):
     rng = random.Random(4096 + family.is_cos)
@@ -375,7 +362,7 @@ def test_interval_D_contains_mpmath_D(family):
         for x in _seeded_cells(rng, 3):
             enc = _interval_D(family, p, x)
             for t in (x.lo, x.mid, x.hi):
-                d = _mp_D(family, p, t)
+                d = mp_D(family, p, t)
                 assert enc.lo <= d <= enc.hi, (p, x, t, enc, d)
 
 

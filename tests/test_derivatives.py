@@ -2,9 +2,9 @@
 
 import math
 
-import mpmath
 import numpy as np
 import pytest
+from mp_oracle import mp_D
 
 from trigratio.derivatives import (
     ParityError,
@@ -23,7 +23,19 @@ from trigratio.derivatives import (
     _d_general_form_ld,
     _d_series_coeffs,
 )
-from trigratio.families import _even_series, DomainError, FamilyKind, HALF_PI, ParameterError, PoleError
+from trigratio.families import (
+    _even_series,
+    _f_series_coeffs_ld,
+    _ratio_series,
+    DomainError,
+    FamilyKind,
+    HALF_PI,
+    ParameterError,
+    PoleError,
+    eval_f,
+    eval_f_grid,
+    f_series_coeffs,
+)
 
 TC, TS, HC, HS = (
     FamilyKind.TRIG_COS,
@@ -44,13 +56,6 @@ D_ORACLE = [
     (TS, -2, 0.9, 0.0978672451750268020086),
     (TC, 4, 0.9, -0.485803217764098621811),
 ]
-
-
-@pytest.mark.parametrize("family,p,x,expected", D_ORACLE)
-def test_d_general_oracle(family, p, x, expected):
-    assert d_general(family, p, x) == pytest.approx(expected, rel=1e-13)
-
-
 HYP_D_ORACLE = [
     (HS, 3, 1.0, -0.424982791710247060672),
     (HC, 2, 1.0, 0.06022249509254610023),
@@ -58,6 +63,11 @@ HYP_D_ORACLE = [
     (HS, 2, 0.6, -0.0456780440170713894125),
 ]
 NUMERIC_D_ORACLE = D_ORACLE + HYP_D_ORACLE
+
+
+@pytest.mark.parametrize("family,p,x,expected", NUMERIC_D_ORACLE)
+def test_d_general_oracle(family, p, x, expected):
+    assert d_general(family, p, x) == pytest.approx(expected, rel=1e-13)
 
 
 def hyp_closed(family, p, x):
@@ -81,25 +91,13 @@ def test_numeric_D_hyp_sin_example_is_negative():
     assert numeric_D(FamilyKind.HYP_SIN, 3, 1.0, h=1e-4) < 0.0
 
 
-def _mp_D(family, p, x):
-    """D at x from the definition of a trig family, by mpmath differentiation at 40 digits."""
-    with mpmath.workdps(40):
-        p, x = mpmath.mpf(p), mpmath.mpf(x)
-        g, a = (mpmath.cos, 1) if family is TC else (mpmath.sin, p)
-
-        def f(t):
-            return (a - g(t) / g(t / p)) / t**2
-
-        return mpmath.diff(lambda t: t**3 * mpmath.diff(f, t), x, 2)
-
-
 @pytest.mark.parametrize("p", [3.7, 7.3])
 @pytest.mark.parametrize("x", [1e-3, 0.05, 0.2, 1.0])
 def test_d_general_non_integer_p_matches_mpmath(p, x):
     """Towards x = 0 the sin-family general form cancels (csc^4(x/p) against a
     bracket ~ x^5), by 1.0e-4 relative at x = 1e-3 for p = 7.3 even in 80
     bits; the series branch below |p|*pi/4 has no cancellation."""
-    expected = float(_mp_D(TS, p, x))
+    expected = float(mp_D(TS, p, x))
     assert d_general(TS, p, x) == pytest.approx(expected, rel=1e-10, abs=0.0)
 
 
@@ -112,19 +110,21 @@ def _rel_tol(family, p):
 
 
 @pytest.mark.parametrize("p", [0.5, 1.5, 2, 2.5, 3.7, 7.3, 16, 64, 1000, 1e4, -2])
-@pytest.mark.parametrize("family", [TC, TS])
+@pytest.mark.parametrize("family", FamilyKind)
 def test_d_general_matches_mpmath_on_log_grid(family, p):
     """40-digit mpmath on x from 1e-8 to pi/2 - 1e-3: a few ulps at |p| >= 2
-    (1e-13 at non-integer cos p, which passes near D's sign change at 2.5),
-    1e-12 at |p| < 2 away from the poles (|g(x/p)| >= 1e-3 where x > |p|,
-    the pole rule's side), and no wrong sign."""
+    (1e-13 at non-integer p outside trig-sin, which passes near trig-cos's
+    sign change at 2.5), 1e-12 at |p| < 2 away from the poles
+    (|g(x/p)| >= 1e-3 where x > |p|, the pole rule's side), and no wrong
+    sign.  The hyperbolic families take the same path (worst 2.8e-14,
+    hyp-sin p = 0.5)."""
     xs = np.geomspace(1e-8, HALF_PI - 1e-3, 17)
-    g = np.cos if family is TC else np.sin
+    g = {TC: np.cos, TS: np.sin, HC: np.cosh, HS: np.sinh}[family]
     xs = xs[(np.abs(g(xs / p)) >= 1e-3) | (xs <= abs(p))]
     assert len(xs) >= 16
     got = d_general(family, p, xs)
     for x, value in zip(xs.tolist(), got.tolist()):
-        expected = float(_mp_D(family, p, x))
+        expected = float(mp_D(family, p, x))
         assert value == pytest.approx(expected, rel=_rel_tol(family, p), abs=0.0), x
         assert math.copysign(1.0, value) == math.copysign(1.0, expected), x
 
@@ -176,15 +176,48 @@ def test_cos_general_form_matches_series(p):
     np.testing.assert_allclose(general, series, rtol=1e-13, atol=0.0)
 
 
-@pytest.mark.parametrize("family", [TC, TS])
+@pytest.mark.parametrize("family", FamilyKind)
 def test_d_general_huge_p(family):
     """At |p| > ~5e102 the general form's weights ~ p^3 overflow; D's series
     covers (0, pi/2) there, and D tends to its p -> infinity limit."""
     for p in (1e103, 1e300):
         got = d_general(family, p, np.array([1e-3, 0.5, 1.5]))
         assert np.all(np.isfinite(got)) and np.all(got < 0.0)
-    # p -> infinity: f -> (1 - cos x)/x^2, D = -x sin x, for trig-cos
-    assert d_general(TC, 1e300, 0.5) == pytest.approx(-0.5 * math.sin(0.5), rel=1e-15)
+        if family.is_cos:
+            # f -> (1 - cos x)/x^2, D = -x sin x for trig-cos; -x sinh x, its
+            # x -> ix image, for hyp-cos
+            limit = -0.5 * (math.sin if family is TC else math.sinh)(0.5)
+            assert got[1] == pytest.approx(limit, rel=1e-15)
+
+
+@pytest.mark.parametrize(
+    "family,p,x",
+    [
+        (TC, 1e-120, 0.5),  # p^3 underflows: ZeroDivisionError
+        (TS, 1e-300, 0.5),
+        (TC, 1e-103, 0.5),  # 1/(8p^3) overflows
+        (TS, 1e-90, 0.5),  # 1 +- 3/p rounds to +-3/p: a silent 0.0
+        (HC, 0.005, 1.5),  # sinh((1 + 3/p)x) and cosh(x/p)^4 overflow: nan
+        (HS, 0.005, 1.5),
+        (TC, 1e-10, 1e-12),  # D's series coefficients overflow
+    ],
+)
+def test_d_general_extreme_p_raises(family, p, x):
+    """Where float64 holds no D, d_general raises ParameterError, not an
+    arithmetic error, a warning or a wrong number."""
+    with pytest.raises(ParameterError):
+        d_general(family, p, x)
+    if family is HC:
+        with pytest.raises(ParameterError):
+            d_general_hyp_cos(p, x)
+
+
+def test_d_general_hyperbolic_small_p_is_finite():
+    """Below the x > 175|p| cut every hyperbolic term stays below e^700."""
+    for family in (HC, HS):
+        for p in (1e-15, 1e-6, 0.005, 0.5):
+            xs = np.linspace(0.01, 1.0, 50) * min(175.0 * p, HALF_PI - 1e-3)
+            assert np.all(np.isfinite(d_general(family, p, xs[xs >= abs(p)])))
 
 
 @pytest.mark.parametrize("family", [TC, TS])
@@ -421,11 +454,6 @@ def test_d_general_pole_rule():
         d_general(TS, 0.2, math.pi / 5.0)
 
 
-def test_d_general_rejects_hyperbolic():
-    with pytest.raises(ParameterError):
-        d_general(HC, 2, 0.5)
-
-
 @pytest.mark.parametrize(
     "evaluate",
     [
@@ -433,8 +461,9 @@ def test_d_general_rejects_hyperbolic():
         lambda x: d_sum(HS, 3, x),
         lambda x: d_general(TC, 2, x),
         lambda x: d_general_hyp_cos(2, x),
+        lambda x: d_general(HS, 2.5, x),
     ],
-    ids=["d_sum-trig", "d_sum-hyp", "d_general", "d_general_hyp_cos"],
+    ids=["d_sum-trig", "d_sum-hyp", "d_general", "d_general_hyp_cos", "d_general-hyp-sin"],
 )
 def test_closed_forms_reject_nan(evaluate):
     with pytest.raises(DomainError):
@@ -449,3 +478,15 @@ def test_weights_hook_changes_result():
     w[3] += 1.0
     mutated = d_general(TC, 3, 0.8, weights=tuple(w))
     assert abs(mutated - base) > 1e-6
+
+
+def test_series_caches_are_bounded():
+    """A sweep over 300 distinct p holds at most 256 entries in each series
+    cache (unbounded, 20,000 p through eval_f grew the process by 53 MiB)."""
+    for i in range(300):
+        p = 2.0 + i / 512  # dyadic, so the exact series stay short
+        eval_f(TS, p, 0.01)
+        eval_f_grid(TC, p, [0.005], dtype=np.longdouble)
+        d_general(HS, p, 0.5)
+    for cache in (_ratio_series, f_series_coeffs, _f_series_coeffs_ld, _d_series_coeffs):
+        assert cache.cache_info().currsize <= 256

@@ -5,6 +5,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from mp_oracle import mp_f
 
 from trigratio.families import (
     DomainError,
@@ -190,6 +191,21 @@ def test_series_threshold_shrinks_with_small_p():
     assert series_threshold(FamilyKind.TRIG_SIN, 2) == pytest.approx(0.15)
     assert series_threshold(FamilyKind.TRIG_COS, 5) == pytest.approx(1e-2)
     assert series_threshold(FamilyKind.TRIG_SIN, 0.1) == pytest.approx(0.045)
+
+
+@pytest.mark.parametrize("p", [0.003, -0.003, 0.01, 0.02, 0.04])
+@pytest.mark.parametrize("family", [TC, HC])
+def test_cos_families_small_p_crossover(family, p):
+    """At |p| < 0.0444 the cos families cross over at 0.225|p|, 0.45/pi of
+    their series' radius |p|*pi/2 as for the sin families; both branches
+    stay within 1e-13 of 50-digit mpmath (at 0.45|p| the series was 1.8e-9
+    off)."""
+    th = series_threshold(family, p)
+    assert th == 0.225 * abs(p)
+    xs = [0.5 * th, 0.99 * th, th, math.nextafter(th, 2.0), 1.01 * th, 2.0 * th]
+    exact = [float(mp_f(family, p, x)) for x in xs]
+    np.testing.assert_allclose([eval_f(family, p, x) for x in xs], exact, rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(eval_f_grid(family, p, xs), exact, rtol=1e-13, atol=0.0)
 
 
 @pytest.mark.parametrize("family", FamilyKind)
