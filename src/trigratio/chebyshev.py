@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .envelopes import ratio_bounds
-from .families import DomainError, FamilyKind, ParameterError, check_param_int
+from .families import DomainError, FamilyKind, ParameterError, _p_text, check_param_int
 
 DEGREE_CAP = 64
 
@@ -74,6 +74,10 @@ def corollary_bounds(p, y: float) -> tuple[float, float]:
     Delegates to ratio_bounds at x = p*y so the two share one arithmetic
     path (the corollary is exactly that substitution)."""
     p = check_param_int(p)
-    if not 0.0 < y < math.pi / (2.0 * p):
+    try:
+        y_max = math.pi / (2.0 * p)
+    except OverflowError:
+        raise ParameterError(f"2p overflows float64 at {_p_text(p)}") from None
+    if not 0.0 < y < y_max:
         raise DomainError(f"y={y} outside (0, pi/(2p)) for p={p}")
     return ratio_bounds(FamilyKind.TRIG_SIN, p, p * y)

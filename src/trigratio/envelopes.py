@@ -3,12 +3,16 @@
 Every family is strictly monotone on (0, pi/2), so its infimum and
 supremum are the two endpoint limits.  All families are decreasing except
 the two cos-type ones at p = 2, where the ordering reverses.
+
+The constants are computed once per (family, p), from the limit formulas,
+and kept in a bounded cache, so every later scalar call reads them.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .families import (
     DomainError,
@@ -37,9 +41,15 @@ class EnvelopeConstants:
 def envelope_constants(family: FamilyKind, p) -> EnvelopeConstants:
     """Sharp (lower, upper) constants with lower < f(x) < upper on (0, pi/2).
 
-    Constants are computed from the limit formulas on demand rather than
-    stored as decimal literals, so sharpness checks compare like for like."""
-    p = check_param_int(p)
+    p is checked on every call.  Constants are computed from the limit
+    formulas once per (family, p), kept in a bounded cache, rather than
+    stored as decimal literals, so sharpness checks compare like for like.
+    ParameterError at p > ~1.8e308, where a limit overflows float64."""
+    return _envelope_constants(family, check_param_int(p))
+
+
+@lru_cache(maxsize=256)
+def _envelope_constants(family: FamilyKind, p: int) -> EnvelopeConstants:
     at_zero = limit_at_zero(family, p)
     at_half_pi = limit_at_half_pi(family, p)
     if family.is_cos and p == 2:

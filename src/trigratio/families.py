@@ -15,7 +15,9 @@ sine of the product forms, sinh for the x -> ix images f_hyp(x) = -f_trig(ix);
 the sin families are those whose g is that sine.  f and the bare ratio share
 one pole rule: den = g((1/p) * x) is computed once, and |den| < 1e-12 raises
 PoleError where x > |p|; below, it is the removable zero at x -> 0, since
-every other zero of g has |x/p| >= pi/2.
+every other zero of g has |x/p| >= pi/2.  What the dispatch does not read
+from the table it reads from `FamilyKind`'s `is_trig` and `is_cos`, plain
+member attributes.
 
 The scalar and interval backends need no numpy.  The numpy backend loads on
 the first array call (`eval_f_grid`, the 80-bit series, `derivatives`):
@@ -55,18 +57,22 @@ class ParameterError(ValueError):
 
 
 class FamilyKind(enum.Enum):
+    """A family; `is_trig` and `is_cos` are plain member attributes, set once
+    from the value string."""
+
     TRIG_COS = "trig-cos"
     TRIG_SIN = "trig-sin"
     HYP_COS = "hyp-cos"
     HYP_SIN = "hyp-sin"
 
-    @property
-    def is_trig(self) -> bool:
-        return self in (FamilyKind.TRIG_COS, FamilyKind.TRIG_SIN)
+    def __init__(self, value: str):
+        self.is_trig = value.startswith("trig-")
+        self.is_cos = value.endswith("-cos")
 
-    @property
-    def is_cos(self) -> bool:
-        return self in (FamilyKind.TRIG_COS, FamilyKind.HYP_COS)
+    # members are singletons and equality is identity, so the C-level identity
+    # hash serves every FAMILY_FNS lookup and lru_cache key (Enum's own hashes
+    # the name in Python)
+    __hash__ = object.__hash__
 
 
 # family -> (g, sin) names: g as in g(x)/g(x/p), sin of the product forms
@@ -116,7 +122,10 @@ def check_param_real(p) -> float:
     # bool and numpy's bool_ (named "bool" since numpy 2), without importing numpy
     if type(p).__name__ in ("bool", "bool_"):
         raise ParameterError(f"p must be a number, got {p!r}")
-    p = float(p)
+    try:
+        p = float(p)
+    except OverflowError:  # an integer past float64's range
+        p = math.inf
     if p == 0.0 or not math.isfinite(p):
         raise ParameterError("p must be a nonzero finite real")
     return p
@@ -130,6 +139,14 @@ def check_param_int(p) -> int:
     if p < 2:
         raise ParameterError(f"p must be >= 2, got {p}")
     return p
+
+
+def _p_text(p) -> str:
+    """p for an error message: an integer past float64's range by its size
+    (str() of one past 4300 digits raises ValueError)."""
+    if isinstance(p, int) and abs(p) >= 2**1024:
+        return f"|p| >= 2^{abs(p).bit_length() - 1}"
+    return f"p={p}"
 
 
 # --- series branch ----------------------------------------------------------
@@ -181,15 +198,26 @@ def _to_longdouble(fr: Fraction):
     return load_numpy().longdouble(hi) + float(fr - Fraction(hi))
 
 
+def _f_series(family: FamilyKind, p: float, rounded) -> tuple:
+    try:
+        return tuple(-rounded(ri) for ri in _ratio_series(family, p)[1:])
+    except OverflowError:
+        raise ParameterError(f"f's series overflows float64 at {_p_text(p)}") from None
+
+
 @lru_cache(maxsize=256)
 def f_series_coeffs(family: FamilyKind, p: float) -> tuple[float, ...]:
-    """Coefficients a0..a7 with f(x) = a0 + a1 x^2 + ... + a7 x^14 near 0."""
-    return tuple(-float(ri) for ri in _ratio_series(family, p)[1:])
+    """Coefficients a0..a7 with f(x) = a0 + a1 x^2 + ... + a7 x^14 near 0.
+    ParameterError where one overflows float64: a7 ~ p^-14 at |p| < ~3.5e-20
+    (cos families) or ~8.7e-22 (sin families), and a0 ~ -p/6 (sin families)
+    at integer p > ~1.1e309."""
+    return _f_series(family, p, float)
 
 
 @lru_cache(maxsize=256)
 def _f_series_coeffs_ld(family: FamilyKind, p: float) -> tuple:
-    return tuple(-_to_longdouble(ri) for ri in _ratio_series(family, p)[1:])
+    # _to_longdouble rounds to float64 first, so it overflows where float does
+    return _f_series(family, p, _to_longdouble)
 
 
 def _series_threshold(g, sin, p: float) -> float:
@@ -292,4 +320,7 @@ def limit_at_half_pi(family: FamilyKind, p) -> float:
     a = p if g is sin else 1.0
     # cos(pi/2) = 0; cos(HALF_PI) is only the rounding of pi/2 showing
     top = 0.0 if g is math.cos else g(HALF_PI)
-    return 4.0 / (math.pi * math.pi) * (a - top / g(HALF_PI / p))
+    try:
+        return 4.0 / (math.pi * math.pi) * (a - top / g(HALF_PI / p))
+    except OverflowError:
+        raise ParameterError(f"the limit at pi/2 overflows float64 at {_p_text(p)}") from None

@@ -117,3 +117,6 @@ def test_corollary_domain():
         corollary_bounds(7, 0.0)
     with pytest.raises(ParameterError):
         corollary_bounds(1, 0.1)
+    for p in (10**400, 10**5000):  # 2p past float64; past str()'s 4300 digits
+        with pytest.raises(ParameterError, match=r"\|p\| >= 2\^"):
+            corollary_bounds(p, 1e-3)

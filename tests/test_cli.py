@@ -194,6 +194,29 @@ def test_table_bytes_match_per_field_reference(tmp_path, capsys, family, p, poin
     assert out_path.read_bytes() == _table_reference(family, p, points)
 
 
+HUGE_P = str(10**400)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bounds", "--family", "trig-sin", "--p", HUGE_P],
+        ["bounds", "--family", "hyp-cos", "--p", HUGE_P],
+        ["eval", "--family", "trig-cos", "--p", HUGE_P, "--x", "0.5"],
+        ["cheb", "--p", HUGE_P, "--y", "1e-3"],
+        ["verify", "--family", "hyp-sin", "--p", HUGE_P],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_p_past_float64_is_domain_error(capsys, argv):
+    """A p whose constants overflow float64 exits 65 with a one-line message,
+    not a traceback and the 1 of a FALSIFIED claim."""
+    assert run(argv) == EXIT_DOMAIN == 65
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("domain error: ") and captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("where", ["missing/table.csv", "."])
 def test_table_unwritable_out_is_cantcreat(tmp_path, capsys, where):
     """An --out that cannot be created exits 73, not the 1 of a FALSIFIED claim."""

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from trigratio.envelopes import Direction, envelope_constants, ratio_bounds
+from trigratio.envelopes import Direction, _envelope_constants, envelope_constants, ratio_bounds
 from trigratio.families import (
     DomainError,
     FamilyKind,
@@ -13,6 +13,8 @@ from trigratio.families import (
     ParameterError,
     eval_f,
     eval_ratio,
+    limit_at_half_pi,
+    limit_at_zero,
 )
 
 TC, TS, HC, HS = (
@@ -121,3 +123,52 @@ def test_sharpness_against_endpoint_values():
     near_half_pi = eval_f(TS, 5, HALF_PI - 1e-6)
     assert ec.upper - near_zero < 1e-11
     assert near_half_pi - ec.lower < 1e-5
+
+
+@pytest.mark.parametrize("family", FamilyKind)
+def test_cached_constants_bitwise_match_the_limits(family):
+    """Each cached envelope holds the limit formulas' values bit for bit, in
+    the order the direction gives (increasing only for the cos families at p = 2)."""
+    for p in [*range(2, 65), 10**8, 10**20]:
+        ec = envelope_constants(family, p)
+        at_zero, at_half_pi = limit_at_zero(family, p).hex(), limit_at_half_pi(family, p).hex()
+        if family.is_cos and p == 2:
+            expected = (at_zero, at_half_pi, Direction.INCREASING)
+        else:
+            expected = (at_half_pi, at_zero, Direction.DECREASING)
+        assert (ec.lower.hex(), ec.upper.hex(), ec.direction) == expected, p
+        assert envelope_constants(family, p) is ec
+
+
+@pytest.mark.parametrize("family", FamilyKind)
+def test_constants_are_cached_per_integer_p(family):
+    ec = envelope_constants(family, np.int64(3))
+    assert ec is envelope_constants(family, 3)
+    assert type(ec.p) is int
+
+
+@pytest.mark.parametrize("p", [2.0, True, 1, "3"])
+def test_bad_p_raises_on_every_call(p):
+    for _ in range(2):
+        with pytest.raises(ParameterError):
+            envelope_constants(TS, p)
+
+
+@pytest.mark.parametrize("family", FamilyKind)
+def test_p_past_float64_raises_parameter_error(family):
+    """At p past float64's range a limit overflows: ParameterError on every
+    call (not a bare OverflowError), and the cache stores nothing."""
+    size = _envelope_constants.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(ParameterError):
+            envelope_constants(family, 10**400)
+        with pytest.raises(ParameterError):
+            ratio_bounds(family, 10**400, 0.5)
+    assert _envelope_constants.cache_info().currsize == size
+
+
+def test_envelope_cache_is_bounded():
+    """300 distinct p hold at most 256 entries, like the series caches."""
+    for p in range(2, 302):
+        envelope_constants(TC, p)
+    assert _envelope_constants.cache_info().currsize <= 256

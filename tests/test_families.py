@@ -1,6 +1,8 @@
 """Tests for the ratio families: oracle values, branches, limits, errors."""
 
+import functools
 import math
+import pickle
 
 import mpmath
 import numpy as np
@@ -300,3 +302,62 @@ def test_limits_bitwise_match_per_family_closed_forms(family):
     for p in range(2, 201):
         assert limit_at_zero(family, p) == _limit_at_zero_closed_form(family, p), p
         assert limit_at_half_pi(family, p) == _limit_at_half_pi_closed_form(family, p), p
+
+
+def test_family_flags_truth_table():
+    flags = {family: (family.is_trig, family.is_cos) for family in FamilyKind}
+    assert flags == {TC: (True, True), TS: (True, False), HC: (False, True), HS: (False, False)}
+    assert all(type(flag) is bool for pair in flags.values() for flag in pair)
+
+
+def test_family_lookup_by_value_and_pickle_return_the_member():
+    assert FamilyKind("hyp-cos") is HC
+    for family in FamilyKind:
+        assert FamilyKind(family.value) is family
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(family, protocol)) is family
+
+
+def test_family_members_are_dict_and_lru_cache_keys():
+    table = {family: family.value for family in FamilyKind}
+    assert [table[FamilyKind(v)] for v in ("trig-cos", "trig-sin", "hyp-cos", "hyp-sin")] == [
+        "trig-cos", "trig-sin", "hyp-cos", "hyp-sin"
+    ]
+
+    @functools.lru_cache(maxsize=None)
+    def token(family):
+        return object()
+
+    assert all(token(family) is token(FamilyKind(family.value)) for family in FamilyKind)
+    assert token.cache_info().currsize == 4
+    hashes = [hash(family) for family in FamilyKind]
+    assert hashes == [hash(family) for family in FamilyKind]
+    assert hashes == [hash(pickle.loads(pickle.dumps(family))) for family in FamilyKind]
+    assert len(set(hashes)) == 4
+
+
+@pytest.mark.parametrize(
+    "fn,args",
+    [
+        (eval_f, (TC, 1e-21, 0.0)),  # a7 ~ p^-14 overflows
+        (eval_f, (HC, -1e-21, 1e-30)),
+        (eval_f, (TS, 1e-22, 0.0)),
+        (eval_f_grid, (TS, 1e-22, [0.0])),
+        (eval_f_grid, (HS, 1e-22, [0.0, 1e-30])),
+        (eval_f_grid, (TC, 1e-21, [0.0], np.longdouble)),
+        (eval_f, (TS, 10**400, 0.5)),  # p itself past float64
+        (limit_at_zero, (TS, 10**400)),  # a0 ~ -p/6 overflows
+        (limit_at_zero, (HS, 10**400)),
+        (limit_at_half_pi, (TC, 10**400)),  # pi/(2p) overflows
+        (limit_at_half_pi, (HC, 10**400)),
+        (limit_at_half_pi, (TS, 10**309)),
+        (limit_at_half_pi, (HS, 10**5000)),  # past str()'s 4300 digits
+    ],
+    ids=lambda v: getattr(v, "__name__", None),
+)
+def test_p_beyond_float64_raises_parameter_error(fn, args):
+    """Where f's series or a limit leaves float64, ParameterError on every call,
+    not a bare OverflowError; the cached series keep no failure."""
+    for _ in range(2):
+        with pytest.raises(ParameterError):
+            fn(*args)
