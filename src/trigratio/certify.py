@@ -5,8 +5,8 @@ RIGOROUS mode (sign-of-D claims only, all four families) evaluates the
 closed forms of D(x) in outward-rounded interval arithmetic over
 adaptively bisected subintervals, so a CERTIFIED verdict is a
 machine-checked sign proof up to the soundness of the interval primitives.
-The envelope, monotonicity and identity checks sample a grid in either mode
-and say Mode.GRID.
+The envelope and monotonicity checks sample a grid in either mode and say
+Mode.GRID, as do the identity checks, some of which are exact.
 
 Both modes read D from one table, `derivatives.sin_comb_form`: the (w, c)
 terms and the factor of D(x) = -x * factor * sum_i w_i sin(c_i x), over
@@ -24,11 +24,10 @@ a bracket that vanishes like x^5), which is why the sin families always
 take a sum form; the cos bracket does not cancel, so float64 suffices for it.
 The public `derivatives.d_general` runs in float64 too, taking D's even
 series near 0, where the sin-family form would cancel; certification does
-not call it.  The identity checks hold the general form itself, in 80 bits
-at every node, against the sum forms, and D's series against the closed
-forms.  The finite-difference
-`numeric_D` is an independent oracle for the tests, not a certification
-route.
+not call it.  The identity checks prove the general form equal to the sum
+forms by exact algebra on their tables, and check D's series against the
+closed forms.  The finite-difference `numeric_D` is an independent oracle
+for the tests, not a certification route.
 """
 
 from __future__ import annotations
@@ -42,11 +41,9 @@ import numpy as np
 
 from .chebyshev import cheb_u_eval
 from .derivatives import (
-    _d_general_form_ld,
-    d_sum_even_sin,
-    d_sum_odd,
     dirichlet_sum,
     eval_sin_comb,
+    general_vs_sum_check,
     sin_comb_form,
     vanishing_limits_check,
 )
@@ -218,12 +215,6 @@ def verify_envelope(
 # --- identity suite ---------------------------------------------------------
 
 
-def _cheb_nodes(n: int, lo: float, hi: float) -> np.ndarray:
-    k = np.arange(n)
-    t = np.cos((2 * k + 1) * math.pi / (2 * n))
-    return 0.5 * (lo + hi) + 0.5 * (hi - lo) * t
-
-
 def _tolerance_report(claim, errors, xs, tol) -> VerificationReport:
     errors = np.asarray(errors)
     worst = int(np.argmax(errors))
@@ -232,39 +223,23 @@ def _tolerance_report(claim, errors, xs, tol) -> VerificationReport:
     return VerificationReport(claim, status, margin, float(xs[worst]), errors.size, Mode.GRID)
 
 
-def verify_identities(cfg: VerificationConfig, d_general_fn=_d_general_form_ld) -> list[VerificationReport]:
+def verify_identities(cfg: VerificationConfig) -> list[VerificationReport]:
     """Cross-check every closed-form identity against its independent partner.
 
-    Sampled checks under any `cfg.mode`, so every report says Mode.GRID.
-    The general form is checked at every node in 80 bits, not `d_general`,
-    which takes D's series below |p|*pi/4 (sin) or |p|*pi/8 (cos); D's
-    series is checked by `identity:vanishing-limits`.  `d_general_fn`
-    substitutes the general-form evaluator (mutation hook)."""
+    Every report says Mode.GRID, under any `cfg.mode`.  The general-vs-sum
+    claims are exact: `derivatives.general_vs_sum_check` proves the general
+    form equal to the sum forms from their exact tables, for the trig families
+    at p <= 13, and so for the hyperbolic families, which share the tables.
+    Each (family, p) pair is one cell, with error 0, or infinite where the
+    tables differ at all, and worst_x 0.0 as for the x-free vanishing-limits
+    claim.  D's series, which `d_general` takes near 0, is checked by
+    `identity:vanishing-limits`."""
     reports = []
-    xs = _cheb_nodes(40, 0.05, HALF_PI - 0.05)
-
-    # general vs even-parity sum, sin family
-    errs, pts = [], []
-    for k in range(1, 7):
-        a = d_general_fn(FamilyKind.TRIG_SIN, 2 * k, xs)
-        b = d_sum_even_sin(k, xs)
-        errs.append(np.abs(a - b) / np.maximum(1.0, np.abs(b)))
-        pts.append(xs)
-    reports.append(
-        _tolerance_report("identity:general-vs-even-sum", np.concatenate(errs), np.concatenate(pts), 1e-12)
-    )
-
-    # general vs odd-parity sums, both trig families
-    errs, pts = [], []
-    for k in range(1, 7):
-        for family in (FamilyKind.TRIG_COS, FamilyKind.TRIG_SIN):
-            a = d_general_fn(family, 2 * k + 1, xs)
-            b = d_sum_odd(family, k, xs)
-            errs.append(np.abs(a - b) / np.maximum(1.0, np.abs(b)))
-            pts.append(xs)
-    reports.append(
-        _tolerance_report("identity:general-vs-odd-sum", np.concatenate(errs), np.concatenate(pts), 1e-12)
-    )
+    even = [(FamilyKind.TRIG_SIN, 2 * k) for k in range(1, 7)]
+    odd = [(family, 2 * k + 1) for k in range(1, 7) for family in (FamilyKind.TRIG_COS, FamilyKind.TRIG_SIN)]
+    for claim, pairs in (("identity:general-vs-even-sum", even), ("identity:general-vs-odd-sum", odd)):
+        errs = [0.0 if general_vs_sum_check(family, p) else math.inf for family, p in pairs]
+        reports.append(_tolerance_report(claim, errs, [0.0] * len(errs), 1e-12))
 
     # Dirichlet-style sum of cosines vs its closed form
     errs, pts = [], []

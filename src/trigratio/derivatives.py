@@ -5,15 +5,16 @@ the ratio families.  Every closed form of D is one weighted sum of sines,
 
     D(x) = -x * factor * sum_i w_i sin(c_i x),  divided by den(x/p)^4 for the general form,
 
-and `sin_comb_form` builds its (w, c) terms and factor once per
-(family, p, form).  Both number backends read that one table: the numpy
-evaluator `eval_sin_comb` here, and the interval kernel `interval.sin_comb`
-behind the rigorous proofs in `certify`.  The hyperbolic families are the
-x -> ix images of the trigonometric ones: f_hyp(x) = -f_trig(ix), hence
-D_hyp(x) = -D_trig(ix).  Under that substitution every form keeps its
-shape and its table with sin -> sinh and cos -> cosh (the powers of i
-cancel the leading minus), so the evaluator takes its sine and the general
-form's den from the family table `families.FAMILY_FNS`.  Entry points:
+and `exact_sin_comb_form` builds its (w, c) terms and factor in exact
+rationals.  Both number backends read its float view `sin_comb_form`: the
+numpy evaluator `eval_sin_comb` here, and the interval kernel
+`interval.sin_comb` behind the rigorous proofs in `certify`.  The
+hyperbolic families are the x -> ix images of the trigonometric ones:
+f_hyp(x) = -f_trig(ix), hence D_hyp(x) = -D_trig(ix).  Under that
+substitution every form keeps its shape and its table with sin -> sinh and
+cos -> cosh (the powers of i cancel the leading minus), so the evaluator
+takes its sine and the general form's den from the family table
+`families.FAMILY_FNS`.  Entry points:
 
 * `d_general` -- D for all four families by one path, any real p != 0,
   in float64: D's even series (exact rationals rounded once) near 0, where
@@ -29,13 +30,11 @@ form's den from the family table `families.FAMILY_FNS`.  Entry points:
   general form, at every p.  For the cos families with p = 2k+1 the
   alternating factor is (-1)^(k-j); the (-1)^(j-1) variant agrees only for
   odd k and is numerically wrong for even k.
-* `numeric_D` -- a nested central-difference oracle, evaluated internally
-  in numpy's longdouble, x87 80-bit extended precision on x86, so the
-  h = 1e-4 tolerances are attainable.  Where longdouble is float64 (arm64
-  macOS) its roundoff at h = 1e-4 is ~2e-4 and those tolerances fail.  It
-  is an independent oracle only: the tests check the closed forms against
-  it, and no verdict rests on it.
-* `dirichlet_sum`, `vanishing_limits_check` -- the auxiliary identities.
+* `numeric_D` -- a nested central-difference oracle, the one evaluator that
+  needs x87 80-bit extended precision.  It is an independent oracle only:
+  the tests check the closed forms against it, and no verdict rests on it.
+* `general_vs_sum_check`, `dirichlet_sum`, `vanishing_limits_check` -- the
+  auxiliary identities.
 
 All evaluators accept numpy arrays for x.
 """
@@ -44,6 +43,8 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
+from fractions import Fraction
 
 from .families import (
     FAMILY_FNS,
@@ -55,6 +56,7 @@ from .families import (
     HALF_PI,
     _even_series,
     _RADIUS,
+    _p_text,
     _ratio_series,
     check_param_int,
     check_param_real,
@@ -72,45 +74,86 @@ class ParityError(ParameterError):
     """p does not have the parity the requested sum form needs."""
 
 
-@functools.lru_cache(maxsize=256, typed=True)
-def sin_comb_form(family: FamilyKind, p, general: bool) -> tuple[tuple, object]:
-    """D as a sin-combination: the (w, c) terms and the constant factor with
+@functools.lru_cache(maxsize=256)
+def exact_sin_comb_form(family: FamilyKind, p, general: bool) -> tuple[tuple, Fraction]:
+    """D as a sin-combination in exact rationals: the (w, c) terms and the
+    constant factor, all `Fraction`s built from Fraction(p), with
 
         D(x) = -x * factor * sum_i w_i sin(c_i x)                    (sum forms)
         D(x) = -x * factor * sum_i w_i sin(c_i x) / den(x/p)^4       (general form)
 
     where den is the family's own function g.  The hyperbolic families read the
     same table with sin -> sinh, cos -> cosh.  The general form takes any
-    real p != 0 and is built in the type of p (`typed=True` keeps the int
-    tables of the sum forms apart from float p); the sum forms take an
-    integer p >= 2: the sin families at p = 2k, and
-    p = 2k+1 with the factor (-1)^(k-j) on each term for the cos families.
+    real p != 0 (every float is an exact binary rational); the sum forms take
+    an integer p >= 2: the sin families at p = 2k, and p = 2k+1 with the
+    factor (-1)^(k-j) on each term for the cos families.
 
     For the cos families at p >= 3 every general-form weight is > 0 and every
     frequency lies in [0, 2], so each term keeps one sign on (0, pi/2): the
     termwise lemma behind their one-cell rigorous proofs."""
+    pf = Fraction(p)
     if general:
-        p3, p2 = p**3, p**2
-        s = 1.0 / p
-        cs = (1.0 - 3.0 * s, 1.0 + 3.0 * s, 1.0 - s, 1.0 + s)
-        if family.is_cos:
-            ws = ((p + 1) ** 3, (p - 1) ** 3, 3 * p3 + 3 * p2 - 15 * p - 23, 3 * p3 - 3 * p2 - 15 * p + 23)
-            return tuple(zip(ws, cs)), 1.0 / (8.0 * p3)
-        ws = ((p + 1) ** 3, -((p - 1) ** 3), -3 * p3 - 3 * p2 + 15 * p + 23, 3 * p3 - 3 * p2 - 15 * p + 23)
-        return tuple(zip(ws, cs)), -1.0 / (8.0 * p3)
+        s = 1 / pf
+        cs = (1 - 3 * s, 1 + 3 * s, 1 - s, 1 + s)
+        # 3p^3 +- 3p^2 - 15p -+ 23 = u +- v; the sin families negate two weights and the factor
+        u, v = 3 * pf**3 - 15 * pf, 3 * pf**2 - 23
+        flip = 1 if family.is_cos else -1
+        ws = ((pf + 1) ** 3, flip * (pf - 1) ** 3, flip * (u + v), u - v)
+        return tuple(zip(ws, cs)), flip / (8 * pf**3)
     k = p // 2
     if p % 2 == 0:
-        return tuple(((2 * j + 1) ** 3, (2 * j + 1) / (2.0 * k)) for j in range(k)), 1.0 / (4.0 * k**3)
+        return tuple((Fraction((2 * j + 1) ** 3), (2 * j + 1) / pf) for j in range(k)), Fraction(1, 4 * k**3)
     sgn = -1 if family.is_cos else 1
-    return tuple((sgn ** (k - j) * j**3, 2.0 * j / p) for j in range(1, k + 1)), 16.0 / p**3
+    return tuple((Fraction(sgn ** (k - j) * j**3), 2 * j / pf) for j in range(1, k + 1)), 16 / pf**3
 
 
-def general_weights(family: FamilyKind, p: float) -> tuple[float, float, float, float]:
-    """The four coefficients multiplying sin((1 -/+ 3/p)x), sin((1 -/+ 1/p)x).
+@functools.lru_cache(maxsize=256)
+def sin_comb_form(family: FamilyKind, p, general: bool) -> tuple[tuple, float]:
+    """`exact_sin_comb_form` in float64, each entry rounded once: the table
+    both number backends read.  ParameterError where an entry overflows
+    float64 or the factor has lost bits as a subnormal: 1/(8p^3), for the cos
+    families' general form at p > ~1.8e102."""
+    terms, factor = exact_sin_comb_form(family, p, general)
+    try:
+        if abs(factor) >= sys.float_info.min:
+            return tuple((float(w), float(c)) for w, c in terms), float(factor)
+    except OverflowError:
+        pass
+    raise ParameterError(f"D's sin-combination overflows float64 at {_p_text(p)}")
 
-    x -> ix leaves them unchanged: a hyperbolic family shares the weights
-    of its trigonometric partner."""
-    return tuple(w for w, _ in sin_comb_form(family, p, True)[0])
+
+def general_vs_sum_check(family: FamilyKind, p: int) -> bool:
+    """Whether D's general form (factor F, terms (w, c)) and its sum form (G,
+    (v, e)) are one function, for an integer p with a sum form, proved by
+    exact algebra on `exact_sin_comb_form`'s tables.  The identity is
+
+        16 F sum w sin(c x) = G sum v 16 sin(e x) den(x/p)^4,
+
+    and sin^4 y = (3 - 4 cos 2y + cos 4y)/8, cos^4 y = (3 + 4 cos 2y + cos 4y)/8
+    and sin a cos b = (sin(a+b) + sin(a-b))/2 give 16 sin(a) den(y)^4 =
+    6 sin a -+ 4 sin(a +- 2y) + sin(a +- 4y) (-4 for den = sin, +4 for cos).
+    Sines of distinct positive frequencies are linearly independent, so the
+    sides are equal iff their {frequency: weight} tables are, after merging
+    sin(-cx) = -sin(cx) and dropping zero frequencies and weights; compared
+    in integers (frequencies in units of 1/q, weights of 1/m, F and G
+    cross-multiplied).  sinh and cosh obey the same identities, so the one
+    proof covers the hyperbolic families, which share the tables."""
+    (gen, f), (sums, g) = exact_sin_comb_form(family, p, True), exact_sin_comb_form(family, p, False)
+    q = math.lcm(p, *(c.denominator for _, c in gen + sums))
+    m = math.lcm(*(w.denominator for w, _ in gen + sums))
+    step, four = q // p, (4 if family.is_cos else -4)  # 1/p in units of 1/q
+    den4 = ((0, 6), (2 * step, four), (-2 * step, four), (4 * step, 1), (-4 * step, 1))
+    left, right = {}, {}
+    for table, terms, shifts, scale in (
+        (left, gen, ((0, 1),), 16 * f.numerator * g.denominator),
+        (right, sums, den4, g.numerator * f.denominator),
+    ):
+        for w, c in terms:
+            w, n = w.numerator * (m // w.denominator) * scale, c.numerator * (q // c.denominator)
+            for shift, a in shifts:
+                k = n + shift
+                table[abs(k)] = table.get(abs(k), 0) + (a * w if k > 0 else -a * w)
+    return {k: v for k, v in left.items() if k and v} == {k: v for k, v in right.items() if k and v}
 
 
 def _check_x_open(x) -> np.ndarray:
@@ -125,16 +168,13 @@ def _unwrap(out):
     return out if out.ndim else float(out)
 
 
-def eval_sin_comb(family: FamilyKind, p, x, general: bool, weights=None):
-    """D at x from `sin_comb_form`, in the dtype of x and p, with no checks
-    on x; `weights` overrides the table's w_i.
+def eval_sin_comb(family: FamilyKind, p, x, general: bool):
+    """D at x from `sin_comb_form`, in float64, with no checks on x.
 
     The sines and the general form's den = g((1/p) * x) come from
     `families.FAMILY_FNS`; PoleError where |den| < 1e-12."""
     g, sin = FAMILY_FNS[family][np]
     terms, factor = sin_comb_form(family, p, general)
-    if weights is not None:
-        terms = [(w, c) for w, (_, c) in zip(weights, terms)]
     acc = 0.0
     for w, c in terms:
         acc += w * sin(c * x)
@@ -173,20 +213,7 @@ def _d_series_coeffs(family: FamilyKind, p: float) -> tuple[float, ...]:
         raise ParameterError(f"D's series overflows float64 at p={p}") from None
 
 
-def _d_general_form_ld(family: FamilyKind, p, x, weights=None):
-    """D's general form at every x, built and evaluated in numpy's longdouble
-    (x87 80-bit on x86), returned in float64: the form `certify`'s identity
-    checks hold against the sum forms.  In float64 the sin-family form
-    cancels towards 0 (8.4e-10 off at p = 12, x = 0.05, against their 1e-12
-    tolerance), and `d_general` takes D's series over most of (0, pi/2).
-    Where longdouble is float64 (arm64 macOS) those checks fail, as
-    `numeric_D`'s tolerances do."""
-    p, x = check_param_real(p), _check_x_open(x)
-    out = eval_sin_comb(family, np.longdouble(p), x.astype(np.longdouble), True, weights)
-    return _unwrap(out.astype(np.float64))
-
-
-def d_general(family: FamilyKind, p, x, *, weights=None):
+def d_general(family: FamilyKind, p, x):
     """Closed-form D(x) for any family and real p != 0, in float64.
 
     Below a quarter of the first zero of g(x/p), x < |p|*pi/4 (sin families)
@@ -201,15 +228,10 @@ def d_general(family: FamilyKind, p, x, *, weights=None):
     mpmath is ~eps*x/|p| (2.5e-14 at p = 0.01, 2e-11 at 1e-5, trig families),
     more near D's zeros.  ParameterError where 3/|p| >= 2^52 (1 +- 3/p rounds
     to +-3/p), and for the hyperbolic families where x > 175|p| (cosh(x/p)^4
-    would pass e^700).
-
-    `weights` overrides the four bracket coefficients and keeps the general
-    form at every x (test hook)."""
+    would pass e^700)."""
     p, x = check_param_real(p), _check_x_open(x)
     if 3.0 / abs(p) >= 2.0**52 or not family.is_trig and (x > 175.0 * abs(p)).any():
         raise ParameterError(f"D overflows or loses every digit at p={p}")
-    if weights is not None:
-        return _unwrap(eval_sin_comb(family, p, x, True, weights))
     small = x < _d_series_reach(family, p)
     if small.all():
         return _unwrap(_even_series(x, _d_series_coeffs(family, p)))

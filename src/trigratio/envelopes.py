@@ -50,8 +50,10 @@ def envelope_constants(family: FamilyKind, p) -> EnvelopeConstants:
 
 @lru_cache(maxsize=256)
 def _envelope_constants(family: FamilyKind, p: int) -> EnvelopeConstants:
-    at_zero = limit_at_zero(family, p)
+    # the limit at pi/2 first: it raises at once at p >= 2^1024, where the
+    # limit at 0 would first build f's exact series
     at_half_pi = limit_at_half_pi(family, p)
+    at_zero = limit_at_zero(family, p)
     if family.is_cos and p == 2:
         direction = Direction.INCREASING
         lower, upper = at_zero, at_half_pi

@@ -25,10 +25,8 @@ from trigratio.certify import (
 )
 from trigratio.chebyshev import cheb_u, cheb_u_eval, corollary_bounds
 from trigratio.derivatives import (
-    _d_general_form_ld,
     d_general,
     dirichlet_sum,
-    general_weights,
     numeric_D_with_estimate,
     vanishing_limits_check,
 )
@@ -115,10 +113,7 @@ def test_criterion_4_lemma_identity_suite():
         for p in (2, 2.5, 3, 4, 7, -2):
             for family in (TC, TS):
                 numeric, _ = numeric_D_with_estimate(family, p, xs, 1e-4)
-                # the general form itself, and d_general, which takes D's series below |p|*pi/8 or |p|*pi/4
-                for closed_fn in (_d_general_form_ld, d_general):
-                    closed = closed_fn(family, p, xs)
-                    assert np.max(np.abs(numeric - closed)) < 1e-5, (closed_fn.__name__, family, p)
+                assert np.max(np.abs(numeric - d_general(family, p, xs))) < 1e-5, (family, p)
         for k in range(1, 11):
             for x in np.linspace(0.01, math.pi - 0.01, 100):
                 a, b = dirichlet_sum(k, float(x))
@@ -160,15 +155,10 @@ def test_criterion_6_chebyshev_identity():
             assert cheb_u(n).coeffs == coeffs
 
 
-def test_criterion_7_mutation_sensitivity():
+def test_criterion_7_mutation_sensitivity(mutate_general_form):
     with _Budget("criterion 7: mutation sensitivity", 10.0):
-
-        def mutated(family, p, x):
-            w = list(general_weights(family, float(p)))
-            w[3] = w[3] + (1.0 if w[3] > 0 else -1.0)  # the 23 -> 24 perturbation
-            return _d_general_form_ld(family, p, x, tuple(w))
-
-        reports = {r.claim_id: r for r in verify_identities(CFG, d_general_fn=mutated)}
+        mutate_general_form(tuple(FamilyKind), w3_delta=1)  # the 23 -> 24 perturbation
+        reports = {r.claim_id: r for r in verify_identities(CFG)}
         assert reports["identity:general-vs-even-sum"].status is Status.FALSIFIED
         assert reports["identity:general-vs-odd-sum"].status is Status.FALSIFIED
 

@@ -3,6 +3,8 @@
 import dataclasses
 import math
 import random
+import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -26,7 +28,6 @@ from trigratio.derivatives import (
     d_general_hyp_cos,
     d_sum,
     eval_sin_comb,
-    general_weights,
     sin_comb_form,
 )
 from trigratio.envelopes import envelope_constants
@@ -173,6 +174,22 @@ def test_rigorous_falsifies_wrong_sign():
     assert verify_sign_D(TS, 3, Sign.POS, CFG).status is Status.FALSIFIED
 
 
+@pytest.mark.parametrize("mode", Mode)
+@pytest.mark.parametrize("family", [TC, HC])
+@pytest.mark.parametrize("p", [2 * 10**102, 10**103, 10**400], ids=["2e102", "1e103", "1e400"])
+def test_sign_D_past_float64_is_parameter_error(family, p, mode):
+    """The cos families' general-form factor 1/(8p^3) is subnormal at
+    p > ~1.8e102, and their weights ~ p^3 pass float64 at p > ~3.9e102:
+    ParameterError naming p, in both modes, not a verdict from a table that
+    lost its digits (FALSIFIED with margin nan at 3e102) or a bare
+    OverflowError (at 1e103)."""
+    cfg = VerificationConfig(mode=mode)
+    name = f"p={p}" if p < 2**1024 else "|p| >= 2^1328"
+    with pytest.raises(ParameterError, match=f"overflows float64 at {re.escape(name)}$"):
+        verify_sign_D(family, p, expected_sign_D(family, p), cfg)
+    assert verify_sign_D(family, 10**102, expected_sign_D(family, p), cfg).status is Status.CERTIFIED
+
+
 @pytest.mark.parametrize("family", FamilyKind)
 @pytest.mark.parametrize("p", range(2, 17))
 def test_monotonicity_sweep(family, p):
@@ -210,48 +227,59 @@ def test_identities_all_certified():
         assert r.status is Status.CERTIFIED, r.claim_id
 
 
-def test_identities_mutation_falsifies():
+def test_identities_mutation_falsifies(mutate_general_form):
     """Perturbing the +-23 bracket coefficient must break form agreement;
     the same hook with the table's own weights passes, so the failure is
-    the mutation's (in float64 the sin-family form alone misses 1e-12)."""
+    the mutation's."""
 
     def hooked(delta):
-        def general_fn(family, p, x):
-            w = list(general_weights(family, float(p)))
-            w[3] = w[3] + (delta if w[3] > 0 else -delta)  # 23 -> 24 in magnitude at delta = 1
-            return derivatives._d_general_form_ld(family, p, x, tuple(w))
+        mutate_general_form((TC, TS), w3_delta=delta)  # 23 -> 24 in magnitude at delta = 1
+        return {r.claim_id: r for r in verify_identities(CFG)}
 
-        return {r.claim_id: r for r in verify_identities(CFG, d_general_fn=general_fn)}
-
-    reports = hooked(0.0)
+    reports = hooked(0)
     assert reports["identity:general-vs-even-sum"].status is Status.CERTIFIED
     assert reports["identity:general-vs-odd-sum"].status is Status.CERTIFIED
-    reports = hooked(1.0)
+    reports = hooked(1)
     assert reports["identity:general-vs-even-sum"].status is Status.FALSIFIED
     assert reports["identity:general-vs-odd-sum"].status is Status.FALSIFIED
-    # identities not touching d_general stay green
+    # identities not touching the general form stay green
     assert reports["identity:dirichlet-sum"].status is Status.CERTIFIED
 
 
-def test_identities_check_the_general_form_by_default(monkeypatch):
-    """Without the hook the general-vs-sum claims still evaluate the general
-    form at every node, where d_general would take D's series: a trig-sin
-    general-form table perturbed as in the mutation test above, with the sum
-    forms intact, fails both."""
-    table = derivatives.sin_comb_form
-
-    def mutated(family, p, general):
-        terms, factor = table(family, p, general)
-        if not general or family is not FamilyKind.TRIG_SIN:
-            return terms, factor
-        w3, c3 = terms[3]
-        return (*terms[:3], (w3 + (1.0 if w3 > 0 else -1.0), c3)), factor
-
-    monkeypatch.setattr(derivatives, "sin_comb_form", mutated)
+def test_identities_check_the_general_form_by_default(mutate_general_form):
+    """The general-vs-sum claims read the general form's own table, not
+    d_general, which takes D's series near 0: a trig-sin general-form table
+    perturbed as in the mutation test above, with the sum forms intact,
+    fails both."""
+    mutate_general_form((TS,), w3_delta=1)
     reports = {r.claim_id: r for r in verify_identities(CFG)}
     assert reports["identity:general-vs-even-sum"].status is Status.FALSIFIED
     assert reports["identity:general-vs-odd-sum"].status is Status.FALSIFIED
     assert reports["identity:vanishing-limits"].status is Status.CERTIFIED
+
+
+def test_identities_are_exact(mutate_general_form):
+    """Both general-vs-sum claims are exact: error 0 on every (family, p)
+    pair, so the margin is the tolerance, and one weight scaled by
+    1 + 1e-12, far below any sampled tolerance, falsifies them."""
+    reports = {r.claim_id: r for r in verify_identities(CFG)}
+    for claim, cells in (("identity:general-vs-even-sum", 6), ("identity:general-vs-odd-sum", 12)):
+        assert reports[claim] == VerificationReport(claim, Status.CERTIFIED, 1e-12, 0.0, cells, Mode.GRID)
+    mutate_general_form((TC, TS), scale=Fraction(1.0 + 1e-12))
+    reports = {r.claim_id: r for r in verify_identities(CFG)}
+    for claim in ("identity:general-vs-even-sum", "identity:general-vs-odd-sum"):
+        assert reports[claim].status is Status.FALSIFIED
+        assert reports[claim].min_margin == -math.inf
+
+
+def test_identities_do_not_need_80_bits(monkeypatch):
+    """With numpy's longdouble made float64, as on arm64 macOS, the identity
+    suite gives the same five CERTIFIED reports."""
+    before = verify_identities(CFG)
+    monkeypatch.setattr(np, "longdouble", np.float64)
+    after = verify_identities(CFG)
+    assert after == before
+    assert [r.status for r in after] == [Status.CERTIFIED] * 5
 
 
 def test_vanishing_limits_mutation_falsifies(monkeypatch):
@@ -309,10 +337,9 @@ def _reference_interval_D(family, p, x):
     families take the general form, the sin families their parity sums."""
     g, sin = (Interval.cos, Interval.sin) if family.is_trig else (Interval.cosh, Interval.sinh)
     if family.is_cos:
-        w = general_weights(family, float(p))
-        s = 1.0 / p
-        terms = list(zip(w, (1.0 - 3.0 * s, 1.0 + 3.0 * s, 1.0 - s, 1.0 + s)))
-        sec4 = g(x * s).reciprocal() ** 4
+        w = ((p + 1) ** 3, (p - 1) ** 3, 3 * p**3 + 3 * p**2 - 15 * p - 23, 3 * p**3 - 3 * p**2 - 15 * p + 23)
+        terms = list(zip(w, ((p - 3) / p, (p + 3) / p, (p - 1) / p, (p + 1) / p)))
+        sec4 = g(x * (1.0 / p)).reciprocal() ** 4
         scale = -x * sec4 * (1.0 / (8.0 * p**3))
     elif p % 2 == 0:
         k = p // 2

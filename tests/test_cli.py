@@ -205,6 +205,11 @@ HUGE_P = str(10**400)
         ["eval", "--family", "trig-cos", "--p", HUGE_P, "--x", "0.5"],
         ["cheb", "--p", HUGE_P, "--y", "1e-3"],
         ["verify", "--family", "hyp-sin", "--p", HUGE_P],
+        # the cos families' D table leaves float64 at p > ~1.8e102
+        pytest.param(["verify", "--family", "trig-cos", "--p", str(10**103)], id="verify-trig-cos-1e103"),
+        pytest.param(
+            ["verify", "--family", "hyp-cos", "--p", str(10**103), "--mode", "rigorous"], id="verify-hyp-cos-1e103"
+        ),
     ],
     ids=lambda argv: argv[0],
 )

@@ -1,6 +1,7 @@
 """Tests for the closed forms of D(x) and the finite-difference oracle."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,12 +16,12 @@ from trigratio.derivatives import (
     d_sum_odd,
     dirichlet_sum,
     eval_sin_comb,
-    general_weights,
+    exact_sin_comb_form,
+    general_vs_sum_check,
     numeric_D,
     numeric_D_with_estimate,
     sin_comb_form,
     vanishing_limits_check,
-    _d_general_form_ld,
     _d_series_coeffs,
 )
 from trigratio.families import (
@@ -239,7 +240,6 @@ def test_general_matches_numeric_on_grid(p):
     xs = np.linspace(0.05, HALF_PI - 0.05, 40)
     for family in (TC, TS):
         numeric, _ = numeric_D_with_estimate(family, p, xs, 1e-4)
-        np.testing.assert_allclose(numeric, _d_general_form_ld(family, p, xs), atol=1e-5, rtol=0.0)
         np.testing.assert_allclose(numeric, d_general(family, p, xs), atol=1e-5, rtol=0.0)
 
 
@@ -280,20 +280,16 @@ def test_numeric_D_error_estimate_on_sparse_trig_sin_sample():
 @pytest.mark.parametrize("k", range(1, 7))
 def test_even_sum_matches_general(k):
     xs = np.linspace(0.05, HALF_PI - 0.05, 40)
-    b = d_sum_even_sin(k, xs)
-    for general_fn in (_d_general_form_ld, d_general):
-        a = general_fn(TS, 2 * k, xs)
-        assert np.max(np.abs(a - b) / np.maximum(1.0, np.abs(b))) < 1e-12, general_fn.__name__
+    a, b = d_general(TS, 2 * k, xs), d_sum_even_sin(k, xs)
+    assert np.max(np.abs(a - b) / np.maximum(1.0, np.abs(b))) < 1e-12
 
 
 @pytest.mark.parametrize("k", range(1, 7))
 @pytest.mark.parametrize("family", [TC, TS])
 def test_odd_sum_matches_general(family, k):
     xs = np.linspace(0.05, HALF_PI - 0.05, 40)
-    b = d_sum_odd(family, k, xs)
-    for general_fn in (_d_general_form_ld, d_general):
-        a = general_fn(family, 2 * k + 1, xs)
-        assert np.max(np.abs(a - b) / np.maximum(1.0, np.abs(b))) < 1e-12, general_fn.__name__
+    a, b = d_general(family, 2 * k + 1, xs), d_sum_odd(family, k, xs)
+    assert np.max(np.abs(a - b) / np.maximum(1.0, np.abs(b))) < 1e-12
 
 
 def test_d_sum_odd_cos_oracle():
@@ -356,10 +352,56 @@ def test_sign_trig_cos_positive_for_p_2():
 
 
 def test_general_weights_values():
-    # p = 2, cos family: ((p+1)^3, (p-1)^3, 3p^3+3p^2-15p-23, 3p^3-3p^2-15p+23)
-    assert general_weights(TC, 2.0) == (27.0, 1.0, -17.0, 5.0)
-    # p = 2, sin family: ((p+1)^3, -(p-1)^3, -3p^3-3p^2+15p+23, 3p^3-3p^2-15p+23)
-    assert general_weights(TS, 2.0) == (27.0, -1.0, 17.0, 5.0)
+    """The exact table at p = 2, with 2.0 giving the same one."""
+    for p in (2, 2.0):
+        # cos family: ((p+1)^3, (p-1)^3, 3p^3+3p^2-15p-23, 3p^3-3p^2-15p+23)
+        terms, factor = exact_sin_comb_form(TC, p, True)
+        assert [w for w, _ in terms] == [27, 1, -17, 5]
+        assert [c for _, c in terms] == [Fraction(-1, 2), Fraction(5, 2), Fraction(1, 2), Fraction(3, 2)]
+        assert factor == Fraction(1, 64)
+        # sin family: ((p+1)^3, -(p-1)^3, -3p^3-3p^2+15p+23, 3p^3-3p^2-15p+23)
+        terms, factor = exact_sin_comb_form(TS, p, True)
+        assert [w for w, _ in terms] == [27, -1, 17, 5]
+        assert factor == Fraction(-1, 64)
+
+
+def _forms(family):
+    """(p, general) of every table at p = 2..64: the general form, and the sum
+    form where the family has one."""
+    for p in range(2, 65):
+        yield p, True
+        if not family.is_cos or p % 2:
+            yield p, False
+
+
+@pytest.mark.parametrize("family", FamilyKind)
+def test_float_table_is_the_exact_table_rounded_once(family):
+    """sin_comb_form is float() of exact_sin_comb_form, entry by entry,
+    bitwise; the exact table is all Fractions."""
+    forms = [*_forms(family), *((p, True) for p in (2.5, 7.3, -2.0, 0.5))]
+    for p, general in forms:
+        terms, factor = exact_sin_comb_form(family, p, general)
+        floats, float_factor = sin_comb_form(family, p, general)
+        assert all(type(e) is Fraction for e in (factor, *(e for term in terms for e in term)))
+        assert float_factor.hex() == float(factor).hex()
+        assert [(w.hex(), c.hex()) for w, c in floats] == [(float(w).hex(), float(c).hex()) for w, c in terms]
+
+
+def test_float_table_rounds_frequencies_once():
+    """1 - 1/p at p = 3 is 2/3 rounded once, not 1.0 - 1.0 * (1.0 / 3.0),
+    which rounds twice to 0.6666666666666667."""
+    terms, _ = sin_comb_form(TC, 3, True)
+    assert terms[2][1] == 0.6666666666666666
+    assert (terms[0][1], terms[1][1], terms[3][1]) == (0.0, 2.0, 4.0 / 3.0)
+
+
+@pytest.mark.parametrize("family", FamilyKind)
+def test_general_form_equals_sum_form_exactly(family):
+    """The exact identity holds at every p = 2..64 where the family has a sum
+    form, the hyperbolic families included."""
+    for p, general in _forms(family):
+        if not general:
+            assert general_vs_sum_check(family, p), p
 
 
 @pytest.mark.parametrize("k", range(1, 11))
@@ -472,12 +514,12 @@ def test_closed_forms_reject_nan(evaluate):
         evaluate(np.array([0.5, math.nan]))
 
 
-def test_weights_hook_changes_result():
-    base = d_general(TC, 3, 0.8)
-    w = list(general_weights(TC, 3.0))
-    w[3] += 1.0
-    mutated = d_general(TC, 3, 0.8, weights=tuple(w))
-    assert abs(mutated - base) > 1e-6
+def test_weights_hook_changes_result(mutate_general_form):
+    """D is read from the exact table: one weight changed there changes the
+    general form's D, which d_general takes above 3*pi/8 at p = 3."""
+    base = d_general(TC, 3, 1.4)
+    mutate_general_form((TC,), w3_delta=1)
+    assert abs(d_general(TC, 3, 1.4) - base) > 1e-6
 
 
 def test_series_caches_are_bounded():

@@ -15,6 +15,7 @@ from trigratio.families import (
     eval_ratio,
     limit_at_half_pi,
     limit_at_zero,
+    _ratio_series,
 )
 
 TC, TS, HC, HS = (
@@ -157,14 +158,18 @@ def test_bad_p_raises_on_every_call(p):
 @pytest.mark.parametrize("family", FamilyKind)
 def test_p_past_float64_raises_parameter_error(family):
     """At p past float64's range a limit overflows: ParameterError on every
-    call (not a bare OverflowError), and the cache stores nothing."""
+    call (not a bare OverflowError), and the cache stores nothing.  The limit
+    at pi/2 raises first, before the limit at 0 builds f's exact series
+    (~1.3 s at 10**5000): the series cache is not even looked up."""
     size = _envelope_constants.cache_info().currsize
-    for _ in range(2):
+    series = _ratio_series.cache_info()
+    for p in (10**400, 10**400, 10**5000):
         with pytest.raises(ParameterError):
-            envelope_constants(family, 10**400)
+            envelope_constants(family, p)
         with pytest.raises(ParameterError):
-            ratio_bounds(family, 10**400, 0.5)
+            ratio_bounds(family, p, 0.5)
     assert _envelope_constants.cache_info().currsize == size
+    assert _ratio_series.cache_info() == series
 
 
 def test_envelope_cache_is_bounded():
