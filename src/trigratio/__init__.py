@@ -25,10 +25,7 @@ _EXPORTS = {
     "derivatives": (
         "ParityError",
         "d_general",
-        "d_general_hyp_cos",
         "d_sum",
-        "d_sum_even_sin",
-        "d_sum_odd",
         "dirichlet_sum",
         "numeric_D",
         "vanishing_limits_check",
@@ -38,7 +35,6 @@ _EXPORTS = {
     "interval": ("Interval",),
     "certify": (
         "Mode",
-        "ModeError",
         "Sign",
         "Status",
         "VerificationConfig",

@@ -69,10 +69,6 @@ class Status(enum.Enum):
     INCONCLUSIVE = "inconclusive"
 
 
-class ModeError(ValueError):
-    """Kept for API compatibility; verify_sign_D no longer raises it."""
-
-
 @dataclass(frozen=True)
 class VerificationConfig:
     grid_points: int = 2048
@@ -81,13 +77,12 @@ class VerificationConfig:
     max_subdivisions: int = 20
 
     def __post_init__(self):
-        if self.grid_points < 16:
-            raise ParameterError("grid_points must be >= 16")
+        for name, least in (("grid_points", 16), ("max_subdivisions", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+                raise ParameterError(f"{name} must be an integer >= {least}, got {value!r}")
         if not 0.0 < self.interior_margin < math.pi / 8.0:
             raise ParameterError("interior_margin must lie in (0, pi/8)")
-        depth = self.max_subdivisions
-        if isinstance(depth, bool) or not isinstance(depth, numbers.Integral) or depth < 0:
-            raise ParameterError(f"max_subdivisions must be an integer >= 0, got {depth!r}")
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ f_hyp(x) = -f_trig(ix), hence D_hyp(x) = -D_trig(ix).  Under that
 substitution every form keeps its shape and its table with sin -> sinh and
 cos -> cosh (the powers of i cancel the leading minus), so the evaluator
 takes its sine and the general form's den from the family table
-`families.FAMILY_FNS`.  Entry points:
+`families.FAMILY_FNS`.  D has three evaluators, one entry point each:
 
 * `d_general` -- D for all four families by one path, any real p != 0,
   in float64: D's even series (exact rationals rounded once) near 0, where
@@ -23,20 +23,19 @@ takes its sine and the general form's den from the family table
   but differentiating the definition gives sec^4(x/p); the sec^4 version
   agrees with the p = 2 factored display, with the parity sum forms and
   with the finite-difference oracle, so that is what is implemented here.
-* `d_general_hyp_cos` -- `d_general` at HYP_COS, kept as a name.
-* `d_sum`, `d_sum_even_sin`, `d_sum_odd` -- the finite-sum forms for
-  integer p, all four families, except the cos families at even p.
-  `certify` proves the sin families by them and the cos families by the
-  general form, at every p.  For the cos families with p = 2k+1 the
-  alternating factor is (-1)^(k-j); the (-1)^(j-1) variant agrees only for
-  odd k and is numerically wrong for even k.
+* `d_sum` -- the finite-sum forms for integer 2 <= p <= MAX_SUM_P, all
+  four families, except the cos families at even p.  `certify` proves the
+  sin families by them and the cos families by the general form, at every
+  p.  For the cos families with p = 2k+1 the alternating factor is
+  (-1)^(k-j); the (-1)^(j-1) variant agrees only for odd k and is
+  numerically wrong for even k.
 * `numeric_D` -- a nested central-difference oracle, the one evaluator that
   needs x87 80-bit extended precision.  It is an independent oracle only:
   the tests check the closed forms against it, and no verdict rests on it.
-* `general_vs_sum_check`, `dirichlet_sum`, `vanishing_limits_check` -- the
-  auxiliary identities.
 
-All evaluators accept numpy arrays for x.
+Each takes a float or a numpy array for x, and returns a float for a float.
+`general_vs_sum_check`, `dirichlet_sum` and `vanishing_limits_check` are the
+auxiliary identities.
 """
 
 from __future__ import annotations
@@ -72,6 +71,18 @@ np = load_numpy()  # with its backend in FAMILY_FNS, read by eval_sin_comb
 
 class ParityError(ParameterError):
     """p does not have the parity the requested sum form needs."""
+
+
+# The sum forms have p//2 terms, built in exact rationals (~260 bytes each)
+# and summed one by one.  At p = 2^16 the table takes 0.13 s, the first
+# d_sum on 2048 points 0.9 s and `trigratio verify` 1.5 s (Xeon, CPython
+# 3.11), all linear in p: at p = 10^9 the table alone would need ~130 GB.
+MAX_SUM_P = 2**16
+
+
+def _check_sum_p(p: int) -> None:
+    if p > MAX_SUM_P:
+        raise ParameterError(f"D's sum form has p//2 terms, too many at {_p_text(p)} > {MAX_SUM_P}")
 
 
 @functools.lru_cache(maxsize=256)
@@ -112,7 +123,9 @@ def sin_comb_form(family: FamilyKind, p, general: bool) -> tuple[tuple, float]:
     """`exact_sin_comb_form` in float64, each entry rounded once: the table
     both number backends read.  ParameterError where an entry overflows
     float64 or the factor has lost bits as a subnormal: 1/(8p^3), for the cos
-    families' general form at p > ~1.8e102."""
+    families' general form at p > ~1.8e102, and for a sum form at p > MAX_SUM_P."""
+    if not general:
+        _check_sum_p(p)
     terms, factor = exact_sin_comb_form(family, p, general)
     try:
         if abs(factor) >= sys.float_info.min:
@@ -137,7 +150,9 @@ def general_vs_sum_check(family: FamilyKind, p: int) -> bool:
     sin(-cx) = -sin(cx) and dropping zero frequencies and weights; compared
     in integers (frequencies in units of 1/q, weights of 1/m, F and G
     cross-multiplied).  sinh and cosh obey the same identities, so the one
-    proof covers the hyperbolic families, which share the tables."""
+    proof covers the hyperbolic families, which share the tables.
+    ParameterError at p > MAX_SUM_P."""
+    _check_sum_p(p)
     (gen, f), (sums, g) = exact_sin_comb_form(family, p, True), exact_sin_comb_form(family, p, False)
     q = math.lcm(p, *(c.denominator for _, c in gen + sums))
     m = math.lcm(*(w.denominator for w, _ in gen + sums))
@@ -243,32 +258,13 @@ def d_general(family: FamilyKind, p, x):
     return _unwrap(out)
 
 
-def d_general_hyp_cos(p, x):
-    """`d_general(FamilyKind.HYP_COS, p, x)`."""
-    return d_general(FamilyKind.HYP_COS, p, x)
-
-
-def _check_k(k: int) -> None:
-    if k < 1:
-        raise ParameterError(f"k must be >= 1, got {k}")
-
-
-def d_sum_even_sin(k: int, x):
-    """Sum form of D for the sin family with p = 2k; every term is <= 0."""
-    _check_k(k)
-    return _unwrap(eval_sin_comb(FamilyKind.TRIG_SIN, 2 * k, _check_x_open(x), False))
-
-
-def d_sum_odd(family: FamilyKind, k: int, x):
-    """Sum form of D for p = 2k+1; plain for the sin families, alternating for the cos families."""
-    _check_k(k)
-    return _unwrap(eval_sin_comb(family, 2 * k + 1, _check_x_open(x), False))
-
-
 def d_sum(family: FamilyKind, p: int, x):
-    """Parity-dispatched sum form of D for any family and integer p >= 2.
+    """Parity-dispatched sum form of D for any family and an integer p with
+    2 <= p <= MAX_SUM_P = 2^16: at p = 2k (sin families only) every term is
+    <= 0; at p = 2k+1 the terms alternate for the cos families.
 
-    Raises ParityError for the cos families with even p, which have none."""
+    Raises ParityError for the cos families with even p, which have none,
+    and ParameterError past MAX_SUM_P, before building any of the p//2 terms."""
     p = check_param_int(p)
     if family.is_cos and p % 2 == 0:
         raise ParityError("no sum form for the cos families with even p")
@@ -277,7 +273,8 @@ def d_sum(family: FamilyKind, p: int, x):
 
 def dirichlet_sum(k: int, x: float) -> tuple[float, float]:
     """Sum of cos((2j+1)x/(2k)) term by term and via sin x / (2 sin(x/(2k)))."""
-    _check_k(k)
+    if k < 1:
+        raise ParameterError(f"k must be >= 1, got {k}")
     if not 0.0 < x < math.pi:
         raise DomainError(f"x={x} outside (0, pi)")
     den = math.sin(x / (2.0 * k))
@@ -290,93 +287,50 @@ def dirichlet_sum(k: int, x: float) -> tuple[float, float]:
 
 # --- finite-difference oracle ----------------------------------------------
 
-_LD = np.longdouble
-_EPS_LD = float(np.finfo(np.longdouble).eps)
 
-
-def _numeric_D_arrays(family: FamilyKind, p: float, x: np.ndarray, h: np.ndarray):
-    """Richardson-extrapolated nested differences; returns (value, error_est).
+def numeric_D(family: FamilyKind, p, x, h=1e-4):
+    """Finite-difference estimate of D(x) at outer step h, for a float or an
+    array x and a float h or an array broadcast to x.
 
     g(t) = t^3 f'(t) with f' a 5-point central difference at a fixed inner
     step delta (0.01, shrunk near the interval ends); D is the 5-point
-    second difference of g at the outer step h, Richardson-paired with h/2.
-    Keeping delta independent of h matters: the outer stencil amplifies
-    inner noise by ~1/h^2, so an h-coupled inner step drowns at h = 1e-4
-    even in the 80-bit arithmetic used here.  The error estimate combines
-    the two observable truncation differences with a roundoff model; it is
-    a heuristic, not a bound (see numeric_D_with_estimate).
-    """
-    x = np.asarray(x, dtype=_LD)
-    h = np.broadcast_to(np.asarray(h, dtype=_LD), x.shape)
-    room = np.minimum(x - 2 * h, HALF_PI - x - 2 * h)
-    delta = np.minimum(_LD(0.01), 0.45 * room)
-
-    def f(t):
-        return eval_f_grid(family, p, t, dtype=np.longdouble)
-
-    max_f = np.zeros_like(x)
-
-    def g(t, d):
-        f1, f2 = f(t + d), f(t + 2 * d)
-        f3, f4 = f(t - d), f(t - 2 * d)
-        np.maximum(max_f, np.abs(f1), out=max_f)
-        np.maximum(max_f, np.abs(f3), out=max_f)
-        deriv = (-f2 + 8.0 * f1 - 8.0 * f3 + f4) / (12.0 * d)
-        return t**3 * deriv
-
-    def second_diff(hh, d):
-        return (
-            -g(x - 2 * hh, d)
-            + 16.0 * g(x - hh, d)
-            - 30.0 * g(x, d)
-            + 16.0 * g(x + hh, d)
-            - g(x + 2 * hh, d)
-        ) / (12.0 * hh * hh)
-
-    d1 = second_diff(h, delta)
-    d2 = second_diff(h / 2.0, delta)
-    d3 = second_diff(h, delta / 2.0)
-    value = (16.0 * d2 - d1) / 15.0
-    outer_trunc = np.abs(d2 - d1) / 15.0
-    inner_trunc = np.abs(d1 - d3) * (16.0 / 15.0)
-    x_hi = x + 2 * h
-    roundoff = 64.0 * x_hi**3 * _EPS_LD * max_f / (delta * h * h)
-    est = (
-        2.0 * (outer_trunc + inner_trunc)
-        + roundoff
-        + 4.0 * np.finfo(np.float64).eps * np.abs(value)
-    )
-    return value.astype(np.float64), est.astype(np.float64)
-
-
-def numeric_D(family: FamilyKind, p, x: float, h: float = 1e-4) -> float:
-    """Finite-difference estimate of D(x) at outer step h (Richardson-paired with h/2).
-
-    Within ~2e-7 of D at h = 1e-4 only where numpy's longdouble is x87
-    80-bit; where it is float64 (arm64 macOS) the roundoff is ~2e-4."""
-    value, _ = numeric_D_with_estimate(family, p, x, h)
-    return float(value[0])
-
-
-def numeric_D_with_estimate(family: FamilyKind, p, x, h):
-    """Vectorized numeric_D returning (value, error_estimate) arrays.
-
-    The estimate is a heuristic, not a bound: it models the truncation and
-    roundoff of the stencil but does not enclose the error.  At h = 1e-4 on
-    2048 evenly spaced points of [1e-3, pi/2 - 1e-3], |value - closed form|
-    exceeds it at 220 points for trig-sin p = 3 and at 283 for hyp-sin
-    p = 11, all in x in [0.13, 1.08], by up to ~6x.  Use it to size a
-    tolerance, never as a certificate.  h must lie in [1e-5, 1e-3]: below,
-    roundoff swamps the stencil; above, truncation does."""
+    second difference of g at the outer step h, Richardson-paired with h/2,
+    so g is taken once at each of x, x +- h/2, x +- h and x +- 2h.  Keeping
+    delta independent of h matters: the outer stencil amplifies inner noise
+    by ~1/h^2, so an h-coupled inner step drowns at h = 1e-4 even in the
+    80-bit arithmetic used here.  Within ~2e-7 of D at h = 1e-4 only where
+    numpy's longdouble is x87 80-bit; where it is float64 (arm64 macOS) the
+    roundoff is ~2e-4.  h must lie in [1e-5, 1e-3]: below, roundoff swamps
+    the stencil; above, truncation does."""
     p = check_param_real(p)
-    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    x = np.asarray(x, dtype=np.float64)
     h = np.broadcast_to(np.asarray(h, dtype=np.float64), x.shape)
     # written so that NaN fails the tests too
     if not np.all((h >= 1e-5) & (h <= 1e-3)):
         raise DomainError("h outside [1e-5, 1e-3]")
     if not np.all((x - 2.5 * h > 0.0) & (x + 2.5 * h < HALF_PI)):
         raise DomainError("stencil leaves (0, pi/2)")
-    return _numeric_D_arrays(family, p, x, h)
+    shape = x.shape
+    x, h = np.atleast_1d(x).astype(np.longdouble), np.atleast_1d(h).astype(np.longdouble)
+    room = np.minimum(x - 2 * h, HALF_PI - x - 2 * h)
+    delta = np.minimum(np.longdouble(0.01), 0.45 * room)
+
+    def f(t):
+        return eval_f_grid(family, p, t, dtype=np.longdouble)
+
+    def g(t):
+        f1, f2 = f(t + delta), f(t + 2 * delta)
+        f3, f4 = f(t - delta), f(t - 2 * delta)
+        deriv = (-f2 + 8.0 * f1 - 8.0 * f3 + f4) / (12.0 * delta)
+        return t**3 * deriv
+
+    # 2 * (h/2) is h exactly, so the h/2 stencil's outer points are x +- h
+    half = h / 2.0
+    g_x, g_lo, g_hi = g(x), g(x - h), g(x + h)
+    d1 = (-g(x - 2 * h) + 16.0 * g_lo - 30.0 * g_x + 16.0 * g_hi - g(x + 2 * h)) / (12.0 * h * h)
+    d2 = (-g_lo + 16.0 * g(x - half) - 30.0 * g_x + 16.0 * g(x + half) - g_hi) / (12.0 * half * half)
+    value = (16.0 * d2 - d1) / 15.0
+    return _unwrap(value.astype(np.float64).reshape(shape))
 
 
 _VANISHING_XS = (0.1, 0.5)

@@ -27,7 +27,7 @@ from trigratio.chebyshev import cheb_u, cheb_u_eval, corollary_bounds
 from trigratio.derivatives import (
     d_general,
     dirichlet_sum,
-    numeric_D_with_estimate,
+    numeric_D,
     vanishing_limits_check,
 )
 from trigratio.envelopes import envelope_constants
@@ -112,7 +112,7 @@ def test_criterion_4_lemma_identity_suite():
         xs = np.linspace(0.05, HALF_PI - 0.05, 40)
         for p in (2, 2.5, 3, 4, 7, -2):
             for family in (TC, TS):
-                numeric, _ = numeric_D_with_estimate(family, p, xs, 1e-4)
+                numeric = numeric_D(family, p, xs, 1e-4)
                 assert np.max(np.abs(numeric - d_general(family, p, xs))) < 1e-5, (family, p)
         for k in range(1, 11):
             for x in np.linspace(0.01, math.pi - 0.01, 100):

@@ -25,7 +25,6 @@ from trigratio.certify import (
 )
 from trigratio.derivatives import (
     d_general,
-    d_general_hyp_cos,
     d_sum,
     eval_sin_comb,
     sin_comb_form,
@@ -47,8 +46,10 @@ RIGOROUS = VerificationConfig(mode=Mode.RIGOROUS)
 
 
 def test_config_validation():
-    with pytest.raises(ParameterError):
-        VerificationConfig(grid_points=8)
+    # grid_points: an integer >= 16, checked as max_subdivisions is
+    for points in (8, 15, 100.5, 2048.0, True, None, "2048"):
+        with pytest.raises(ParameterError):
+            VerificationConfig(grid_points=points)
     with pytest.raises(ParameterError):
         VerificationConfig(interior_margin=0.0)
     with pytest.raises(ParameterError):
@@ -148,6 +149,22 @@ def test_rigorous_cos_odd_p_one_cell(family, margin, cap):
         assert (r.status, r.cells_checked) == (Status.CERTIFIED, 1), r
 
 
+@pytest.mark.parametrize("mode", Mode)
+def test_sign_D_refuses_sum_form_past_limit(mode):
+    """The sin families' proofs take the sum form, which has no table past
+    derivatives.MAX_SUM_P: ParameterError at once, in both modes, before
+    any of its p//2 exact terms is built."""
+    before = derivatives.exact_sin_comb_form.cache_info()
+    cfg = VerificationConfig(mode=mode)
+    for family in (TS, HS):
+        for p in (10**9, 10**103):
+            with pytest.raises(ParameterError, match="sum form"):
+                verify_sign_D(family, p, Sign.NEG, cfg)
+    assert derivatives.exact_sin_comb_form.cache_info() == before
+    # the cos families take their general form, with no such limit
+    assert verify_sign_D(TC, 10**9 + 1, Sign.NEG, cfg).status is Status.CERTIFIED
+
+
 def test_rigorous_hyp_cos_p2_falsified():
     """The rigorous proof finds what GRID finds: D for hyp-cos at p = 2 turns
     negative at x = 1.3170, so the POS claim falls on a cell just past it."""
@@ -156,7 +173,7 @@ def test_rigorous_hyp_cos_p2_falsified():
     assert 1.31695 <= r.worst_x <= 1.31697
     assert r.cells_checked == 39
     assert -1.1e-7 < r.min_margin < 0.0
-    assert d_general_hyp_cos(2, r.worst_x) < 0.0
+    assert d_general(HC, 2, r.worst_x) < 0.0
 
 
 def test_rigorous_inconclusive_at_zero_depth():

@@ -210,12 +210,19 @@ HUGE_P = str(10**400)
         pytest.param(
             ["verify", "--family", "hyp-cos", "--p", str(10**103), "--mode", "rigorous"], id="verify-hyp-cos-1e103"
         ),
+        # the sin families' sum form of p//2 terms exists only up to p = 2^16
+        pytest.param(["verify", "--family", "trig-sin", "--p", "1000000000"], id="verify-trig-sin-1e9"),
+        pytest.param(
+            ["verify", "--family", "trig-sin", "--p", "1000000000", "--mode", "rigorous"],
+            id="verify-trig-sin-1e9-rigorous",
+        ),
     ],
     ids=lambda argv: argv[0],
 )
 def test_p_past_float64_is_domain_error(capsys, argv):
-    """A p whose constants overflow float64 exits 65 with a one-line message,
-    not a traceback and the 1 of a FALSIFIED claim."""
+    """A p whose constants overflow float64, or whose sum form would take
+    minutes and run out of memory to build, exits 65 at once with a
+    one-line message, not a traceback and the 1 of a FALSIFIED claim."""
     assert run(argv) == EXIT_DOMAIN == 65
     captured = capsys.readouterr()
     assert captured.out == ""

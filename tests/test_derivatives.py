@@ -1,25 +1,24 @@
 """Tests for the closed forms of D(x) and the finite-difference oracle."""
 
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from mp_oracle import mp_D
 
+from trigratio import derivatives
 from trigratio.derivatives import (
     ParityError,
+    MAX_SUM_P,
     d_general,
-    d_general_hyp_cos,
     d_sum,
-    d_sum_even_sin,
-    d_sum_odd,
     dirichlet_sum,
     eval_sin_comb,
     exact_sin_comb_form,
     general_vs_sum_check,
     numeric_D,
-    numeric_D_with_estimate,
     sin_comb_form,
     vanishing_limits_check,
     _d_series_coeffs,
@@ -74,7 +73,7 @@ def test_d_general_oracle(family, p, x, expected):
 def hyp_closed(family, p, x):
     """Hyperbolic closed-form D: the sum form, or the general form for hyp-cos at even p."""
     if family is HC and p % 2 == 0:
-        return d_general_hyp_cos(p, x)
+        return d_general(HC, p, x)
     return d_sum(family, p, x)
 
 
@@ -210,7 +209,7 @@ def test_d_general_extreme_p_raises(family, p, x):
         d_general(family, p, x)
     if family is HC:
         with pytest.raises(ParameterError):
-            d_general_hyp_cos(p, x)
+            d_general(HC, p, x)
 
 
 def test_d_general_hyperbolic_small_p_is_finite():
@@ -239,7 +238,7 @@ def test_general_matches_numeric_on_grid(p):
     """Closed form vs finite differences, 1e-5 absolute at h = 1e-4."""
     xs = np.linspace(0.05, HALF_PI - 0.05, 40)
     for family in (TC, TS):
-        numeric, _ = numeric_D_with_estimate(family, p, xs, 1e-4)
+        numeric = numeric_D(family, p, xs, 1e-4)
         np.testing.assert_allclose(numeric, d_general(family, p, xs), atol=1e-5, rtol=0.0)
 
 
@@ -248,39 +247,28 @@ def test_hyp_closed_matches_numeric_on_grid(p):
     """x -> ix closed forms vs finite differences, 1e-5 absolute at h = 1e-4."""
     xs = np.linspace(0.05, HALF_PI - 0.05, 40)
     for family in (HC, HS):
-        numeric, _ = numeric_D_with_estimate(family, p, xs, 1e-4)
+        numeric = numeric_D(family, p, xs, 1e-4)
         np.testing.assert_allclose(numeric, hyp_closed(family, p, xs), atol=1e-5, rtol=0.0)
 
 
 @pytest.mark.parametrize("k", range(1, 7))
 def test_hyp_cos_general_matches_odd_sum(k):
     xs = np.linspace(1e-3, HALF_PI - 1e-3, 40)
-    a = d_general_hyp_cos(2 * k + 1, xs)
-    b = d_sum_odd(HC, k, xs)
+    a = d_general(HC, 2 * k + 1, xs)
+    b = d_sum(HC, 2 * k + 1, xs)
     assert np.max(np.abs(a - b) / np.maximum(1.0, np.abs(b))) < 1e-13
 
 
 def test_hyp_cos_p2_sign_change():
     # 40-digit values: D(1.316) = +3.0e-4, D(1.318) = -3.3e-4, root near 1.3170
-    assert d_general_hyp_cos(2, 1.316) > 0.0
-    assert d_general_hyp_cos(2, 1.318) < 0.0
-
-
-def test_numeric_D_error_estimate_on_sparse_trig_sin_sample():
-    """A 25-point sample with the estimate floored at 1e-7, not a bound:
-    numeric_D_with_estimate's estimate is a heuristic, not a bound (see its
-    docstring); for this same claim it is exceeded at 220 of the 2048
-    points of the default grid."""
-    xs = np.linspace(0.01, HALF_PI - 0.01, 25)
-    closed = d_general(TS, 3, xs)
-    numeric, est = numeric_D_with_estimate(TS, 3, xs, 1e-4)
-    assert np.all(np.abs(numeric - closed) <= np.maximum(est, 1e-7))
+    assert d_general(HC, 2, 1.316) > 0.0
+    assert d_general(HC, 2, 1.318) < 0.0
 
 
 @pytest.mark.parametrize("k", range(1, 7))
 def test_even_sum_matches_general(k):
     xs = np.linspace(0.05, HALF_PI - 0.05, 40)
-    a, b = d_general(TS, 2 * k, xs), d_sum_even_sin(k, xs)
+    a, b = d_general(TS, 2 * k, xs), d_sum(TS, 2 * k, xs)
     assert np.max(np.abs(a - b) / np.maximum(1.0, np.abs(b))) < 1e-12
 
 
@@ -288,14 +276,14 @@ def test_even_sum_matches_general(k):
 @pytest.mark.parametrize("family", [TC, TS])
 def test_odd_sum_matches_general(family, k):
     xs = np.linspace(0.05, HALF_PI - 0.05, 40)
-    a, b = d_general(family, 2 * k + 1, xs), d_sum_odd(family, k, xs)
+    a, b = d_general(family, 2 * k + 1, xs), d_sum(family, 2 * k + 1, xs)
     assert np.max(np.abs(a - b) / np.maximum(1.0, np.abs(b))) < 1e-12
 
 
 def test_d_sum_odd_cos_oracle():
     # p = 5 (k = 2): the alternating-sign variant with (-1)^(j-1) would
     # return +0.684..., the correct form returns the negative value
-    val = d_sum_odd(TC, 2, 1.0)
+    val = d_sum(TC, 5, 1.0)
     assert val == pytest.approx(d_general(TC, 5, 1.0), rel=1e-12)
     assert val < 0.0
 
@@ -303,19 +291,91 @@ def test_d_sum_odd_cos_oracle():
 def test_d_sum_odd_k1_closed_value():
     # single term: -(16/27) sin(2x/3); alternating and plain forms coincide
     expected = -16.0 / 27.0 * math.sin(2.0 / 3.0)  # -0.36644136478...
-    assert d_sum_odd(TS, 1, 1.0) == pytest.approx(expected, rel=1e-15)
-    assert d_sum_odd(TC, 1, 1.0) == pytest.approx(expected, rel=1e-15)
+    assert d_sum(TS, 3, 1.0) == pytest.approx(expected, rel=1e-15)
+    assert d_sum(TC, 3, 1.0) == pytest.approx(expected, rel=1e-15)
+
+
+def _even_sum(family, k, x):
+    """The sin families' sum form at p = 2k, written out:
+    -x/(4k^3) sum_{j<k} (2j+1)^3 sin((2j+1)x/(2k)), each constant rounded once."""
+    sin = np.sinh if family is HS else np.sin
+    acc = 0.0
+    for j in range(k):
+        acc += float((2 * j + 1) ** 3) * sin((2 * j + 1) / (2 * k) * x)
+    out = x * -(1 / (4 * k**3))
+    out *= acc
+    return out
+
+
+def _odd_sum(family, k, x):
+    """The sum form at p = 2k+1, written out: -16x/p^3 sum_{j<=k} s_j j^3
+    sin(2jx/p), with s_j = (-1)^(k-j) for the cos families and 1 for the sin
+    families, each constant rounded once."""
+    p = 2 * k + 1
+    sin = np.sin if family.is_trig else np.sinh
+    sgn = -1 if family.is_cos else 1
+    acc = 0.0
+    for j in range(1, k + 1):
+        acc += float(sgn ** (k - j) * j**3) * sin(2 * j / p * x)
+    out = x * -(16 / p**3)
+    out *= acc
+    return out
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_d_sum_is_the_written_out_sum_forms(k):
+    """d_sum at p = 2k (the sin families) and p = 2k+1 (every family) is
+    bitwise the sum written out term by term, on arrays and on floats: the
+    values of the former k-indexed entry points d_sum_even_sin(k, x) and
+    d_sum_odd(family, k, x), pinned."""
+    xs = np.linspace(1e-3, HALF_PI - 1e-3, 64)
+    for family in (TS, HS):
+        assert d_sum(family, 2 * k, xs).tobytes() == _even_sum(family, k, xs).tobytes()
+        assert d_sum(family, 2 * k, 0.7) == float(_even_sum(family, k, np.float64(0.7)))
+    for family in FamilyKind:
+        assert d_sum(family, 2 * k + 1, xs).tobytes() == _odd_sum(family, k, xs).tobytes()
+        assert d_sum(family, 2 * k + 1, 0.7) == float(_odd_sum(family, k, np.float64(0.7)))
 
 
 def test_d_sum_parity_dispatch():
-    assert d_sum(TS, 4, 0.5) == pytest.approx(d_sum_even_sin(2, 0.5), rel=1e-15)
-    assert d_sum(TS, 5, 0.5) == pytest.approx(d_sum_odd(TS, 2, 0.5), rel=1e-15)
-    assert d_sum(TC, 7, 0.5) == pytest.approx(d_sum_odd(TC, 3, 0.5), rel=1e-15)
+    assert d_sum(TS, 4, 0.5) == pytest.approx(_even_sum(TS, 2, 0.5), rel=1e-15)
+    assert d_sum(TS, 5, 0.5) == pytest.approx(_odd_sum(TS, 2, 0.5), rel=1e-15)
+    assert d_sum(TC, 7, 0.5) == pytest.approx(_odd_sum(TC, 3, 0.5), rel=1e-15)
     with pytest.raises(ParityError):
         d_sum(TC, 4, 0.5)
     with pytest.raises(ParityError):
         d_sum(HC, 4, 0.5)
     assert d_sum(HS, 4, 0.5) < 0.0
+
+
+@pytest.mark.parametrize("p", [10**9, 10**103], ids=["1e9", "1e103"])
+def test_sum_forms_refuse_p_past_limit(p):
+    """Past MAX_SUM_P = 2^16 no sum form is built: its p//2 exact terms
+    would take minutes and run out of memory at p = 10^9.  ParameterError
+    names p at once, with the exact table's cache untouched."""
+    before = exact_sin_comb_form.cache_info()
+    t0 = time.perf_counter()
+    calls = [
+        *(lambda f=f: d_sum(f, p, 0.5) for f in (TS, HS)),
+        *(lambda f=f: d_sum(f, p + 1, np.array([0.5, 1.0])) for f in (TC, HC)),
+        lambda: general_vs_sum_check(TS, p),
+        lambda: vanishing_limits_check(TS, p),
+    ]
+    for call in calls:
+        with pytest.raises(ParameterError, match=r"sum form .* at p=10"):
+            call()
+    assert time.perf_counter() - t0 < 1.0
+    assert exact_sin_comb_form.cache_info() == before
+
+
+def test_sum_forms_evaluate_up_to_limit():
+    """The largest p with a sum form evaluates, and agrees with D's series;
+    one past it has none."""
+    got = d_sum(TS, MAX_SUM_P, np.array([0.5, 1.5]))
+    np.testing.assert_allclose(got, d_general(TS, MAX_SUM_P, np.array([0.5, 1.5])), rtol=1e-10, atol=0.0)
+    assert np.all(got < 0.0)
+    with pytest.raises(ParameterError):
+        d_sum(TC, MAX_SUM_P + 1, 0.5)
 
 
 def test_sin_sum_terms_all_negative():
@@ -414,8 +474,8 @@ def test_dirichlet_sum_identity(k):
 @pytest.mark.parametrize(
     "call,error",
     [
-        (lambda: d_sum_even_sin(0, 0.5), ParameterError),
-        (lambda: d_sum_odd(TC, 0, 0.5), ParameterError),
+        (lambda: d_sum(TS, 0, 0.5), ParameterError),
+        (lambda: d_sum(TC, 1, 0.5), ParameterError),
         (lambda: dirichlet_sum(0, 1.0), ParameterError),
         (lambda: dirichlet_sum(3, 0.0), DomainError),
         (lambda: dirichlet_sum(3, math.pi), DomainError),
@@ -476,15 +536,92 @@ def test_numeric_D_h_and_stencil_validation():
 
 
 def test_numeric_D_with_estimate_checks_h_and_stencil():
-    """The vectorized oracle applies numeric_D's checks: at h = 1e-7 roundoff
-    gives -0.3853 against the closed form's -0.3664."""
+    """numeric_D applies its checks to every point of an array x and h: at
+    h = 1e-7 roundoff gives -0.3853 against the closed form's -0.3664."""
     for h in (1e-7, 1e-2, math.nan):
         with pytest.raises(DomainError):
-            numeric_D_with_estimate(TS, 3, [1.0], h)
+            numeric_D(TS, 3, [1.0], h)
     with pytest.raises(DomainError):
-        numeric_D_with_estimate(TS, 3, [0.5, 1.0], [1e-4, 1e-6])
+        numeric_D(TS, 3, [0.5, 1.0], [1e-4, 1e-6])
     with pytest.raises(DomainError):
-        numeric_D_with_estimate(TS, 3, [1.0, math.nan], 1e-4)
+        numeric_D(TS, 3, [1.0, math.nan], 1e-4)
+
+
+def _reference_numeric_D(family, p, x, h):
+    """numeric_D's stencil as written when each second difference took its
+    own five g evaluations: 10 of g, 40 of f, per call."""
+    x = np.asarray(x, dtype=np.longdouble)
+    h = np.broadcast_to(np.asarray(h, dtype=np.longdouble), x.shape)
+    room = np.minimum(x - 2 * h, HALF_PI - x - 2 * h)
+    delta = np.minimum(np.longdouble(0.01), 0.45 * room)
+
+    def f(t):
+        return eval_f_grid(family, p, t, dtype=np.longdouble)
+
+    def g(t, d):
+        f1, f2 = f(t + d), f(t + 2 * d)
+        f3, f4 = f(t - d), f(t - 2 * d)
+        deriv = (-f2 + 8.0 * f1 - 8.0 * f3 + f4) / (12.0 * d)
+        return t**3 * deriv
+
+    def second_diff(hh, d):
+        return (
+            -g(x - 2 * hh, d)
+            + 16.0 * g(x - hh, d)
+            - 30.0 * g(x, d)
+            + 16.0 * g(x + hh, d)
+            - g(x + 2 * hh, d)
+        ) / (12.0 * hh * hh)
+
+    d1 = second_diff(h, delta)
+    d2 = second_diff(h / 2.0, delta)
+    return ((16.0 * d2 - d1) / 15.0).astype(np.float64)
+
+
+@pytest.mark.parametrize("family", FamilyKind)
+def test_numeric_D_bitwise_matches_reference_stencil(family):
+    """Each g(t) is taken once per point of the stencil, with every
+    expression as the reference writes it, so the values are bitwise the
+    same, at a float h and at an array of h."""
+    rng = np.random.default_rng(20261018)
+    xs = np.sort(rng.uniform(0.01, HALF_PI - 0.01, 64))
+    hs = 10.0 ** rng.uniform(-5.0, -3.0, 64)
+    for p in (2, 2.5, 3, 7, 16, -2):
+        for h in (1e-4, 1e-3, 3e-5, hs):
+            got, want = numeric_D(family, p, xs, h), _reference_numeric_D(family, p, xs, h)
+            assert got.tobytes() == want.tobytes(), (p, h)
+
+
+def test_numeric_D_array_is_pointwise():
+    """An array x (and h) gives bitwise the values of one float call per
+    point; a float x gives a float."""
+    xs = np.linspace(0.05, HALF_PI - 0.05, 9)
+    hs = np.geomspace(1e-5, 1e-3, 9)
+    for family in FamilyKind:
+        got = numeric_D(family, 3, xs)
+        assert got.shape == xs.shape and got.dtype == np.float64
+        assert got.tolist() == [numeric_D(family, 3, x) for x in xs.tolist()]
+        got = numeric_D(family, 2.5, xs, hs)
+        assert got.tolist() == [numeric_D(family, 2.5, x, h) for x, h in zip(xs.tolist(), hs.tolist())]
+    assert type(numeric_D(TS, 3, 1.0)) is float
+    assert numeric_D(TS, 3, np.array([[0.5, 1.0]])).shape == (1, 2)
+
+
+def test_numeric_D_evaluates_f_28_times(monkeypatch):
+    """g(t) = t^3 f'(t) at the 7 distinct points x, x +- h/2, x +- h, x +- 2h,
+    each a 4-point difference of f: 28 calls of eval_f_grid per numeric_D,
+    whatever the number of points."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return eval_f_grid(*args, **kwargs)
+
+    monkeypatch.setattr(derivatives, "eval_f_grid", counted)
+    for x in (1.0, np.linspace(0.05, HALF_PI - 0.05, 40)):
+        calls.clear()
+        numeric_D(TS, 3, x)
+        assert len(calls) == 28
 
 
 def test_d_general_pole_rule():
@@ -502,7 +639,7 @@ def test_d_general_pole_rule():
         lambda x: d_sum(TS, 4, x),
         lambda x: d_sum(HS, 3, x),
         lambda x: d_general(TC, 2, x),
-        lambda x: d_general_hyp_cos(2, x),
+        lambda x: d_general(HC, 2, x),
         lambda x: d_general(HS, 2.5, x),
     ],
     ids=["d_sum-trig", "d_sum-hyp", "d_general", "d_general_hyp_cos", "d_general-hyp-sin"],

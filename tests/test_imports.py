@@ -24,7 +24,6 @@ PUBLIC_API = [
     "FamilyKind",
     "Interval",
     "Mode",
-    "ModeError",
     "ParameterError",
     "ParityError",
     "PoleError",
@@ -36,10 +35,7 @@ PUBLIC_API = [
     "cheb_u_eval",
     "corollary_bounds",
     "d_general",
-    "d_general_hyp_cos",
     "d_sum",
-    "d_sum_even_sin",
-    "d_sum_odd",
     "dirichlet_sum",
     "envelope_constants",
     "eval_f",
