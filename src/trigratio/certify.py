@@ -33,6 +33,7 @@ for the tests, not a certification route.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -95,8 +96,13 @@ class VerificationReport:
     mode: Mode
 
 
-def _grid(cfg: VerificationConfig) -> np.ndarray:
-    return np.linspace(cfg.interior_margin, HALF_PI - cfg.interior_margin, cfg.grid_points)
+@functools.lru_cache(maxsize=8)
+def _grid(margin: float, points: int) -> np.ndarray:
+    """The GRID checks' sample points, built once per (margin, points) and
+    read-only, since every caller shares the one array."""
+    xs = np.linspace(margin, HALF_PI - margin, points)
+    xs.flags.writeable = False
+    return xs
 
 
 def _grid_verdict(claim, margins, xs, cells) -> VerificationReport:
@@ -168,7 +174,7 @@ def verify_sign_D(
     claim = f"sign-D:{family.value}:p={p}:{expected_sign.name}"
     if cfg.mode is Mode.RIGOROUS:
         return _verify_sign_rigorous(claim, family, p, expected_sign, cfg)
-    xs = _grid(cfg)
+    xs = _grid(cfg.interior_margin, cfg.grid_points)
     margins = float(expected_sign.value) * eval_sin_comb(family, p, xs, family.is_cos)
     return _grid_verdict(claim, margins, xs, len(xs))
 
@@ -180,7 +186,7 @@ def verify_monotonicity(family: FamilyKind, p, cfg: VerificationConfig) -> Verif
     p = check_param_int(p)
     claim = f"monotone:{family.value}:p={p}"
     ec = envelope_constants(family, p)
-    xs = _grid(cfg)
+    xs = _grid(cfg.interior_margin, cfg.grid_points)
     fs = eval_f_grid(family, p, xs)
     diffs = np.diff(fs)
     if ec.direction is Direction.DECREASING:
@@ -201,7 +207,7 @@ def verify_envelope(
     p = check_param_int(p)
     claim = f"envelope:{family.value}:p={p}"
     ec = constants if constants is not None else envelope_constants(family, p)
-    xs = _grid(cfg)
+    xs = _grid(cfg.interior_margin, cfg.grid_points)
     fs = eval_f_grid(family, p, xs)
     margins = np.minimum(fs - ec.lower, ec.upper - fs)
     return _grid_verdict(claim, margins, xs, len(xs))
@@ -236,15 +242,13 @@ def verify_identities(cfg: VerificationConfig) -> list[VerificationReport]:
         errs = [0.0 if general_vs_sum_check(family, p) else math.inf for family, p in pairs]
         reports.append(_tolerance_report(claim, errs, [0.0] * len(errs), 1e-12))
 
-    # Dirichlet-style sum of cosines vs its closed form
-    errs, pts = [], []
+    # Dirichlet-style sum of cosines vs its closed form, k-major
     grid = np.linspace(cfg.interior_margin, math.pi - cfg.interior_margin, 100)
+    errs = []
     for k in range(1, 11):
-        for x in grid:
-            term_sum, closed = dirichlet_sum(k, float(x))
-            errs.append(abs(term_sum - closed) / max(1.0, abs(closed)))
-            pts.append(x)
-    reports.append(_tolerance_report("identity:dirichlet-sum", errs, pts, 1e-13))
+        term_sum, closed = dirichlet_sum(k, grid)
+        errs.append(np.abs(term_sum - closed) / np.maximum(1.0, np.abs(closed)))
+    reports.append(_tolerance_report("identity:dirichlet-sum", np.concatenate(errs), np.tile(grid, 10), 1e-13))
 
     # vanishing limits of x^3 f' and its derivative: f's series against f and D
     errs, pts = [], []
@@ -255,14 +259,10 @@ def verify_identities(cfg: VerificationConfig) -> list[VerificationReport]:
             pts.extend([0.0, 0.0])
     reports.append(_tolerance_report("identity:vanishing-limits", errs, pts, 1e-12))
 
-    # U_n(cos t) * sin t = sin((n+1) t)
-    errs, pts = [], []
+    # U_n(cos t) * sin t = sin((n+1) t), n-major
     thetas = np.linspace(0.01, math.pi - 0.01, 100)
-    for n in range(0, 31):
-        for t in thetas:
-            err = abs(cheb_u_eval(n, math.cos(t)) * math.sin(t) - math.sin((n + 1) * t))
-            errs.append(err)
-            pts.append(t)
-    reports.append(_tolerance_report("identity:chebyshev-trig", errs, pts, 1e-11))
+    cos_t, sin_t = np.cos(thetas), np.sin(thetas)
+    errs = [np.abs(cheb_u_eval(n, cos_t) * sin_t - np.sin((n + 1) * thetas)) for n in range(0, 31)]
+    reports.append(_tolerance_report("identity:chebyshev-trig", np.concatenate(errs), np.tile(thetas, 31), 1e-11))
 
     return reports

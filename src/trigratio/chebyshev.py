@@ -3,12 +3,16 @@
 U_n satisfies U_n(cos t) = sin((n+1)t)/sin t, which identifies the sin
 ratio family at integer p with U_{p-1}: sin(p y)/sin y = U_{p-1}(cos y).
 `corollary_bounds` transports the quadratic envelope of that ratio into a
-polynomial inequality on (0, pi/(2p)).
+polynomial inequality on (0, pi/(2p)).  `cheb_u_eval` takes a float or a
+numpy array t, and runs the same recurrence on both, so an array's values
+equal the scalar calls bit for bit; this module itself imports no numpy,
+so the CLI's `cheb` verb never loads it.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from .envelopes import ratio_bounds
@@ -29,8 +33,19 @@ class ChebPoly:
     coeffs: tuple[int, ...]
 
 
+def check_index(n, name: str) -> int:
+    """n as an int; ParameterError for a bool or a non-integer."""
+    if not isinstance(n, bool):
+        try:
+            return operator.index(n)
+        except TypeError:
+            pass
+    raise ParameterError(f"{name} must be an integer, got {n!r}")
+
+
 def cheb_u(n: int) -> ChebPoly:
     """U_n by the three-term recurrence U_{n+1} = 2x U_n - U_{n-1}, exactly."""
+    n = check_index(n, "degree")
     if n < 0:
         raise ParameterError(f"degree must be >= 0, got {n}")
     if n > DEGREE_CAP:
@@ -47,17 +62,32 @@ def cheb_u(n: int) -> ChebPoly:
     return ChebPoly(n, tuple(cur))
 
 
-def cheb_u_eval(n: int, t: float) -> float:
-    """U_n(t) for |t| <= 1 by the value-space recurrence (numerically stable)."""
+def cheb_u_eval(n: int, t):
+    """U_n(t) for |t| <= 1 by the value-space recurrence (numerically stable).
+
+    t is a float, or a numpy array taken as float64 and run through the same
+    recurrence elementwise; DomainError if any of it lies outside [-1, 1] or
+    is NaN.  U_0 of an array is ones of its shape."""
+    if type(n) is not int:
+        n = check_index(n, "degree")
     if n < 0:
         raise ParameterError(f"degree must be >= 0, got {n}")
-    if not -1.0 <= t <= 1.0:
-        raise DomainError(f"t={t} outside [-1, 1]")
-    u_prev, u_cur = 1.0, 2.0 * t
+    if type(t) is float or isinstance(t, int):
+        if not -1.0 <= t <= 1.0:
+            raise DomainError(f"t={t} outside [-1, 1]")
+        u_prev = 1.0
+    else:
+        t = t.astype(float)
+        # written so that NaN fails the test too: min and max propagate it
+        if t.size and not (-1.0 <= t.min() and t.max() <= 1.0):
+            raise DomainError("t outside [-1, 1]")
+        u_prev = 0.0 * t + 1.0  # ones of t's shape, t being finite
+    # 2.0 * t * u_cur rounds as (2.0 * t) * u_cur, so 2t is taken once
+    two_t = u_cur = 2.0 * t
     if n == 0:
         return u_prev
     for _ in range(n - 1):
-        u_prev, u_cur = u_cur, 2.0 * t * u_cur - u_prev
+        u_prev, u_cur = u_cur, two_t * u_cur - u_prev
     return u_cur
 
 

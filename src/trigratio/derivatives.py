@@ -35,7 +35,7 @@ takes its sine and the general form's den from the family table
 
 Each takes a float or a numpy array for x, and returns a float for a float.
 `general_vs_sum_check`, `dirichlet_sum` and `vanishing_limits_check` are the
-auxiliary identities.
+auxiliary identities; `dirichlet_sum` too takes a float or an array x.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ import math
 import sys
 from fractions import Fraction
 
+from .chebyshev import check_index
 from .families import (
     FAMILY_FNS,
     POLE_TOL,
@@ -271,18 +272,25 @@ def d_sum(family: FamilyKind, p: int, x):
     return _unwrap(eval_sin_comb(family, p, _check_x_open(x), False))
 
 
-def dirichlet_sum(k: int, x: float) -> tuple[float, float]:
-    """Sum of cos((2j+1)x/(2k)) term by term and via sin x / (2 sin(x/(2k)))."""
+def dirichlet_sum(k: int, x):
+    """Sum of cos((2j+1)x/(2k)) for j < k, term by term and via sin x / (2 sin(x/(2k))),
+    for a float or an array x in (0, pi): one numpy call takes every term's
+    cosine, and each point's terms are summed by `math.fsum`."""
+    if type(k) is not int:
+        k = check_index(k, "k")
     if k < 1:
         raise ParameterError(f"k must be >= 1, got {k}")
-    if not 0.0 < x < math.pi:
-        raise DomainError(f"x={x} outside (0, pi)")
-    den = math.sin(x / (2.0 * k))
-    if abs(den) < 1e-300:
-        raise PoleError(f"sin(x/(2k)) vanishes at x={x}, k={k}")
-    term_sum = math.fsum(math.cos((2 * j + 1) * x / (2.0 * k)) for j in range(k))
-    closed = math.sin(x) / (2.0 * den)
-    return term_sum, closed
+    x = np.asarray(x, dtype=np.float64)
+    # written so that NaN fails the test too
+    if not np.all((x > 0.0) & (x < math.pi)):
+        raise DomainError("x must lie in (0, pi)")
+    den = np.sin(x / (2.0 * k))
+    if x.size and np.abs(den).min() < 1e-300:
+        raise PoleError(f"sin(x/(2k)) vanishes for k={k}")
+    terms = np.cos(np.multiply.outer(x, np.arange(1.0, 2 * k, 2.0)) / (2.0 * k))
+    term_sum = np.array([math.fsum(row) for row in terms.reshape(-1, k).tolist()]).reshape(x.shape)
+    closed = np.sin(x) / (2.0 * den)
+    return _unwrap(term_sum), _unwrap(closed)
 
 
 # --- finite-difference oracle ----------------------------------------------

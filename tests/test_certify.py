@@ -22,12 +22,17 @@ from trigratio.certify import (
     verify_monotonicity,
     verify_sign_D,
     _interval_D,
+    _tolerance_report,
 )
+from trigratio.chebyshev import cheb_u_eval
 from trigratio.derivatives import (
     d_general,
     d_sum,
+    dirichlet_sum,
     eval_sin_comb,
+    general_vs_sum_check,
     sin_comb_form,
+    vanishing_limits_check,
 )
 from trigratio.envelopes import envelope_constants
 from trigratio.families import FamilyKind, HALF_PI, ParameterError
@@ -299,6 +304,53 @@ def test_identities_do_not_need_80_bits(monkeypatch):
     assert [r.status for r in after] == [Status.CERTIFIED] * 5
 
 
+def _reference_identities(cfg):
+    """verify_identities as written before its array paths: one scalar
+    `dirichlet_sum` or `cheb_u_eval` call per point, math.cos and math.sin
+    for the Chebyshev identity, the errors listed k-major and n-major."""
+    reports = []
+    even = [(FamilyKind.TRIG_SIN, 2 * k) for k in range(1, 7)]
+    odd = [(family, 2 * k + 1) for k in range(1, 7) for family in (FamilyKind.TRIG_COS, FamilyKind.TRIG_SIN)]
+    for claim, pairs in (("identity:general-vs-even-sum", even), ("identity:general-vs-odd-sum", odd)):
+        errs = [0.0 if general_vs_sum_check(family, p) else math.inf for family, p in pairs]
+        reports.append(_tolerance_report(claim, errs, [0.0] * len(errs), 1e-12))
+
+    errs, pts = [], []
+    grid = np.linspace(cfg.interior_margin, math.pi - cfg.interior_margin, 100)
+    for k in range(1, 11):
+        for x in grid:
+            term_sum, closed = dirichlet_sum(k, float(x))
+            errs.append(abs(term_sum - closed) / max(1.0, abs(closed)))
+            pts.append(x)
+    reports.append(_tolerance_report("identity:dirichlet-sum", errs, pts, 1e-13))
+
+    errs, pts = [], []
+    for family in FamilyKind:
+        for p in range(2, 9):
+            d_gap, f_gap = vanishing_limits_check(family, p)
+            errs.extend([d_gap, f_gap])
+            pts.extend([0.0, 0.0])
+    reports.append(_tolerance_report("identity:vanishing-limits", errs, pts, 1e-12))
+
+    errs, pts = [], []
+    thetas = np.linspace(0.01, math.pi - 0.01, 100)
+    for n in range(0, 31):
+        for t in thetas:
+            err = abs(cheb_u_eval(n, math.cos(t)) * math.sin(t) - math.sin((n + 1) * t))
+            errs.append(err)
+            pts.append(t)
+    reports.append(_tolerance_report("identity:chebyshev-trig", errs, pts, 1e-11))
+    return reports
+
+
+@pytest.mark.parametrize("margin", [1e-3, 1e-6, 0.3])
+def test_identities_match_scalar_reference(margin):
+    """The array identity suite gives the scalar loops' five reports exactly:
+    the same errors in the same order, so the same worst point and margin."""
+    cfg = VerificationConfig(interior_margin=margin)
+    assert verify_identities(cfg) == _reference_identities(cfg)
+
+
 def test_vanishing_limits_mutation_falsifies(monkeypatch):
     """One perturbed coefficient of D's series (d_2, by one part in 1e6)
     breaks its agreement with the closed forms, so the claim can fail."""
@@ -342,6 +394,61 @@ def test_envelope_reports_grid_under_rigorous_config():
 def test_identities_report_grid_under_rigorous_config():
     reports = verify_identities(RIGOROUS)
     assert [r.mode for r in reports] == [Mode.GRID] * 5
+
+
+# --- the shared sample grid --------------------------------------------------
+
+
+def test_grid_is_read_only():
+    xs = certify._grid(CFG.interior_margin, CFG.grid_points)
+    assert xs.tolist() == np.linspace(1e-3, HALF_PI - 1e-3, 2048).tolist()
+    with pytest.raises(ValueError):
+        xs[0] = 0.5
+    with pytest.raises(ValueError):
+        xs += 1.0
+
+
+def test_grid_is_built_once_per_margin_and_points():
+    """A GRID and a RIGOROUS config with one margin and point count share one
+    array, whichever check asks for it."""
+    certify._grid.cache_clear()
+    grid_cfg = VerificationConfig(interior_margin=2e-3, grid_points=300)
+    rigorous_cfg = VerificationConfig(interior_margin=2e-3, grid_points=300, mode=Mode.RIGOROUS)
+    verify_envelope(TS, 3, grid_cfg)
+    verify_monotonicity(HC, 4, rigorous_cfg)
+    verify_sign_D(TC, 5, Sign.NEG, grid_cfg)
+    info = certify._grid.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    assert certify._grid(2e-3, 300) is certify._grid(rigorous_cfg.interior_margin, rigorous_cfg.grid_points)
+
+
+def test_grid_cache_is_bounded():
+    certify._grid.cache_clear()
+    for points in range(16, 66):
+        verify_envelope(TS, 3, VerificationConfig(grid_points=points))
+    info = certify._grid.cache_info()
+    assert info.maxsize is not None and info.currsize == info.maxsize <= 16
+    assert info.misses == 50
+
+
+@pytest.mark.parametrize(
+    "cfg", [CFG, VerificationConfig(interior_margin=1e-6, grid_points=512)], ids=["default", "margin-1e-6"]
+)
+def test_grid_reports_equal_fresh_linspace(cfg, monkeypatch):
+    """Every grid check on the shared array reports what it reports on a
+    fresh, writable np.linspace, for 4 families x p = 2..16."""
+
+    def run():
+        return [
+            (verify_envelope(family, p, cfg), verify_monotonicity(family, p, cfg),
+             verify_sign_D(family, p, expected_sign_D(family, p), cfg))
+            for family in FamilyKind
+            for p in range(2, 17)
+        ]
+
+    shared = run()
+    monkeypatch.setattr(certify, "_grid", lambda margin, points: np.linspace(margin, HALF_PI - margin, points))
+    assert run() == shared
 
 
 # --- the interval evaluation of D ---------------------------------------------

@@ -66,6 +66,10 @@ def test_degree_cap():
         cheb_u(DEGREE_CAP + 1)
     with pytest.raises(ParameterError):
         cheb_u(-1)
+    for n in (True, False, 2.5, 3.0, "3", None):  # a bool or a non-integer fails loudly
+        with pytest.raises(ParameterError):
+            cheb_u(n)
+    assert cheb_u(np.int64(4)) == cheb_u(4)
 
 
 def test_eval_domain():
@@ -75,6 +79,45 @@ def test_eval_domain():
     assert cheb_u_eval(4, -1.0) == pytest.approx(5.0)  # U_4(-1) = 5
     with pytest.raises(ParameterError):
         cheb_u_eval(-1, 0.5)
+    for n in (True, False, 2.5, 3.0, "3", None):  # a bool or a non-integer fails loudly
+        with pytest.raises(ParameterError):
+            cheb_u_eval(n, 0.5)
+        with pytest.raises(ParameterError):
+            cheb_u_eval(n, np.array([0.5]))
+    assert cheb_u_eval(np.int64(3), 0.5) == cheb_u_eval(3, 0.5)
+    # arrays: every value is checked, and NaN fails too
+    for bad in ([0.5, 1.0001], [-1.0001, 0.0], [0.5, math.nan], [math.nan]):
+        with pytest.raises(DomainError):
+            cheb_u_eval(3, np.array(bad))
+    with pytest.raises(DomainError):
+        cheb_u_eval(3, math.nan)
+
+
+@pytest.mark.parametrize("n", [0, 1, 5, 17, 30])
+def test_eval_arrays_match_scalar_calls(n):
+    """An array runs the scalar recurrence elementwise: bit for bit the
+    scalar call at each point, the ends +-1 included."""
+    t = np.concatenate([[-1.0, 1.0, 0.0], np.linspace(-1.0, 1.0, 201), np.cos(np.linspace(0.01, 3.0, 100))])
+    got = cheb_u_eval(n, t)
+    want = np.array([cheb_u_eval(n, v) for v in t.tolist()])
+    assert got.dtype == np.float64 and got.shape == t.shape
+    assert got.tobytes() == want.tobytes()
+    assert cheb_u_eval(n, t.reshape(2, -1)).tobytes() == want.tobytes()
+
+
+def test_eval_keeps_the_shape_of_t():
+    for shape in ((0,), (1,), (3,), (2, 5)):
+        t = np.full(shape, 0.5)
+        for n in (0, 1, 4):
+            assert cheb_u_eval(n, t).shape == shape
+        assert (cheb_u_eval(0, t) == 1.0).all()
+    assert cheb_u_eval(0, np.array([-1, 0, 1])).tolist() == [1.0, 1.0, 1.0]  # integer t is taken as float
+    assert cheb_u_eval(3, np.array([1, -1])).tolist() == [4.0, -4.0]
+    # a float32 array runs in float64, as its values do in the scalar calls
+    t32 = np.linspace(-1.0, 1.0, 50, dtype=np.float32)
+    got = cheb_u_eval(9, t32)
+    assert got.dtype == np.float64
+    assert got.tolist() == [cheb_u_eval(9, v) for v in t32.tolist()]
 
 
 def test_corollary_bounds_contain_u6():

@@ -479,12 +479,52 @@ def test_dirichlet_sum_identity(k):
         (lambda: dirichlet_sum(0, 1.0), ParameterError),
         (lambda: dirichlet_sum(3, 0.0), DomainError),
         (lambda: dirichlet_sum(3, math.pi), DomainError),
+        (lambda: dirichlet_sum(True, 0.5), ParameterError),
+        (lambda: dirichlet_sum(2.5, 0.5), ParameterError),
+        (lambda: dirichlet_sum(3.0, 0.5), ParameterError),
+        (lambda: dirichlet_sum(3, np.array([0.5, math.pi])), DomainError),
+        (lambda: dirichlet_sum(3, np.array([0.5, math.nan])), DomainError),
     ],
-    ids=["even-sum-k0", "odd-sum-k0", "dirichlet-k0", "dirichlet-x0", "dirichlet-x-pi"],
+    ids=[
+        "even-sum-k0",
+        "odd-sum-k0",
+        "dirichlet-k0",
+        "dirichlet-x0",
+        "dirichlet-x-pi",
+        "dirichlet-k-bool",
+        "dirichlet-k-float",
+        "dirichlet-k-integral-float",
+        "dirichlet-array-x-pi",
+        "dirichlet-array-x-nan",
+    ],
 )
 def test_sum_forms_reject_bad_arguments(call, error):
     with pytest.raises(error):
         call()
+
+
+def _reference_dirichlet_sum(k, x):
+    """dirichlet_sum as written before its array path, for a float x."""
+    den = math.sin(x / (2.0 * k))
+    term_sum = math.fsum(math.cos((2 * j + 1) * x / (2.0 * k)) for j in range(k))
+    return term_sum, math.sin(x) / (2.0 * den)
+
+
+@pytest.mark.parametrize("k", range(1, 11))
+def test_dirichlet_sum_arrays_match_scalar_calls(k):
+    """An array gives, bit for bit, the scalar call at each point, in the
+    shape of x, and a float gives floats; both are the scalar formula's
+    values, the terms summed by math.fsum (numpy's cos and sin being libm's)."""
+    xs = np.linspace(1e-6, math.pi - 1e-6, 101)
+    term_sums, closeds = dirichlet_sum(k, xs)
+    scalar = [dirichlet_sum(k, x) for x in xs.tolist()]
+    assert all(type(v) is float for pair in scalar for v in pair)
+    assert scalar == [_reference_dirichlet_sum(k, x) for x in xs.tolist()]
+    assert term_sums.tobytes() == np.array([s for s, _ in scalar]).tobytes()
+    assert closeds.tobytes() == np.array([c for _, c in scalar]).tobytes()
+    term_sums, closeds = dirichlet_sum(k, xs[1:].reshape(4, 25))
+    assert term_sums.shape == closeds.shape == (4, 25)
+    assert term_sums.tobytes() == np.array([s for s, _ in scalar[1:]]).tobytes()
 
 
 def test_dirichlet_sum_oracle():
