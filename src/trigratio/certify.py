@@ -18,15 +18,15 @@ backends and at every p: `general = family.is_cos`.  The cos families take
 the sec^4 (sech^4) general form: at p >= 3 its weights are all positive and
 its frequencies lie in [0, 2], so every term keeps one sign on (0, pi/2)
 and a proof takes one cell, where their odd-p sum form alternates and
-cancels terms of size up to k^3, which drives bisection deep.  Near x -> 0
-the sin-family general form is numerically treacherous (csc^4(x/p) against
-a bracket that vanishes like x^5), which is why the sin families always
-take a sum form; the cos bracket does not cancel, so float64 suffices for it.
-The public `derivatives.d_general` runs in float64 too, taking D's even
-series near 0, where the sin-family form would cancel; certification does
-not call it.  The identity checks prove the general form equal to the sum
-forms by exact algebra on their tables, and check D's series against the
-closed forms.  The finite-difference `numeric_D` is an independent oracle
+cancels terms of size up to (p-1)^3, which drives bisection deep.  Near
+x -> 0 the sin-family general form is numerically treacherous (csc^4(x/p)
+against a bracket that vanishes like x^5), which is why the sin families
+always take the sum form, one table for both parities of p; the cos bracket
+does not cancel, so float64 suffices for it.  Certification does not call
+`derivatives.d_general`.  The identity checks prove the general form equal
+to the sum form by exact algebra on their tables, and check D's series
+against the closed forms; every grid and identity verdict is built by one
+`_grid_verdict`.  The finite-difference `numeric_D` is an independent oracle
 for the tests, not a certification route.
 """
 
@@ -35,7 +35,6 @@ from __future__ import annotations
 import enum
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,12 +77,12 @@ class VerificationConfig:
     max_subdivisions: int = 20
 
     def __post_init__(self):
-        for name, least in (("grid_points", 16), ("max_subdivisions", 0)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-                raise ParameterError(f"{name} must be an integer >= {least}, got {value!r}")
+        check_param_int(self.grid_points, "grid_points", 16)
+        check_param_int(self.max_subdivisions, "max_subdivisions", 0)
         if not 0.0 < self.interior_margin < math.pi / 8.0:
             raise ParameterError("interior_margin must lie in (0, pi/8)")
+        if not isinstance(self.mode, Mode):
+            raise ParameterError(f"mode must be a Mode, got {self.mode!r}")
 
 
 @dataclass(frozen=True)
@@ -121,6 +120,7 @@ def expected_sign_D(family: FamilyKind, p: int) -> Sign:
     (RIGOROUS on a cell at x = 1.31696) even though f itself is increasing
     there (verify_monotonicity certifies it directly).  Both modes evaluate
     the hyperbolic D by its x -> ix closed forms."""
+    p = check_param_int(p)
     return Sign.POS if family.is_cos and p == 2 else Sign.NEG
 
 
@@ -217,11 +217,8 @@ def verify_envelope(
 
 
 def _tolerance_report(claim, errors, xs, tol) -> VerificationReport:
-    errors = np.asarray(errors)
-    worst = int(np.argmax(errors))
-    margin = tol - float(errors[worst])
-    status = Status.CERTIFIED if margin > 0.0 else Status.FALSIFIED
-    return VerificationReport(claim, status, margin, float(xs[worst]), errors.size, Mode.GRID)
+    """The verdict on errors <= tol: its margins are tol - errors."""
+    return _grid_verdict(claim, tol - np.asarray(errors), xs, len(errors))
 
 
 def verify_identities(cfg: VerificationConfig) -> list[VerificationReport]:
@@ -251,13 +248,8 @@ def verify_identities(cfg: VerificationConfig) -> list[VerificationReport]:
     reports.append(_tolerance_report("identity:dirichlet-sum", np.concatenate(errs), np.tile(grid, 10), 1e-13))
 
     # vanishing limits of x^3 f' and its derivative: f's series against f and D
-    errs, pts = [], []
-    for family in FamilyKind:
-        for p in range(2, 9):
-            d_gap, f_gap = vanishing_limits_check(family, p)
-            errs.extend([d_gap, f_gap])
-            pts.extend([0.0, 0.0])
-    reports.append(_tolerance_report("identity:vanishing-limits", errs, pts, 1e-12))
+    errs = [gap for family in FamilyKind for p in range(2, 9) for gap in vanishing_limits_check(family, p)]
+    reports.append(_tolerance_report("identity:vanishing-limits", errs, [0.0] * len(errs), 1e-12))
 
     # U_n(cos t) * sin t = sin((n+1) t), n-major
     thetas = np.linspace(0.01, math.pi - 0.01, 100)

@@ -12,11 +12,10 @@ so the CLI's `cheb` verb never loads it.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 from .envelopes import ratio_bounds
-from .families import DomainError, FamilyKind, ParameterError, _p_text, check_param_int
+from .families import DomainError, FamilyKind, ParameterError, _is_bool, _p_text, check_param_int
 
 DEGREE_CAP = 64
 
@@ -33,21 +32,9 @@ class ChebPoly:
     coeffs: tuple[int, ...]
 
 
-def check_index(n, name: str) -> int:
-    """n as an int; ParameterError for a bool or a non-integer."""
-    if not isinstance(n, bool):
-        try:
-            return operator.index(n)
-        except TypeError:
-            pass
-    raise ParameterError(f"{name} must be an integer, got {n!r}")
-
-
 def cheb_u(n: int) -> ChebPoly:
     """U_n by the three-term recurrence U_{n+1} = 2x U_n - U_{n-1}, exactly."""
-    n = check_index(n, "degree")
-    if n < 0:
-        raise ParameterError(f"degree must be >= 0, got {n}")
+    n = check_param_int(n, "degree", 0)
     if n > DEGREE_CAP:
         raise DegreeCapError(f"degree {n} above cap {DEGREE_CAP}")
     prev = [1]
@@ -67,20 +54,18 @@ def cheb_u_eval(n: int, t):
 
     t is a float, or a numpy array taken as float64 and run through the same
     recurrence elementwise; DomainError if any of it lies outside [-1, 1] or
-    is NaN.  U_0 of an array is ones of its shape."""
-    if type(n) is not int:
-        n = check_index(n, "degree")
-    if n < 0:
-        raise ParameterError(f"degree must be >= 0, got {n}")
+    is NaN or a bool.  U_0 of an array is ones of its shape."""
+    if type(n) is not int or n < 0:
+        n = check_param_int(n, "degree", 0)
     if type(t) is float or isinstance(t, int):
-        if not -1.0 <= t <= 1.0:
+        if type(t) is bool or not -1.0 <= t <= 1.0:
             raise DomainError(f"t={t} outside [-1, 1]")
         u_prev = 1.0
     else:
-        t = t.astype(float)
         # written so that NaN fails the test too: min and max propagate it
-        if t.size and not (-1.0 <= t.min() and t.max() <= 1.0):
+        if t.dtype.kind == "b" or t.size and not (-1.0 <= t.min() and t.max() <= 1.0):
             raise DomainError("t outside [-1, 1]")
+        t = t.astype(float)
         u_prev = 0.0 * t + 1.0  # ones of t's shape, t being finite
     # 2.0 * t * u_cur rounds as (2.0 * t) * u_cur, so 2t is taken once
     two_t = u_cur = 2.0 * t
@@ -108,6 +93,6 @@ def corollary_bounds(p, y: float) -> tuple[float, float]:
         y_max = math.pi / (2.0 * p)
     except OverflowError:
         raise ParameterError(f"2p overflows float64 at {_p_text(p)}") from None
-    if not 0.0 < y < y_max:
+    if type(y) is not float and _is_bool(y) or not 0.0 < y < y_max:
         raise DomainError(f"y={y} outside (0, pi/(2p)) for p={p}")
     return ratio_bounds(FamilyKind.TRIG_SIN, p, p * y)

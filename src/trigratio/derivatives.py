@@ -21,16 +21,14 @@ takes its sine and the general form's den from the family table
   the sin families' general form cancels, and the general form above.
   Note: the printed source for the cos-family formula carries csc^4(x/p),
   but differentiating the definition gives sec^4(x/p); the sec^4 version
-  agrees with the p = 2 factored display, with the parity sum forms and
-  with the finite-difference oracle, so that is what is implemented here.
-* `d_sum` -- the finite-sum forms for integer 2 <= p <= MAX_SUM_P, all
-  four families, except the cos families at even p.  `certify` proves the
-  sin families by them and the cos families by the general form, at every
-  p.  For the cos families with p = 2k+1 the alternating factor is
-  (-1)^(k-j); the (-1)^(j-1) variant agrees only for odd k and is
-  numerically wrong for even k.
+  agrees with the p = 2 factored display, with the sum form and with the
+  finite-difference oracle, so that is what is implemented here.
+* `d_sum` -- the sum form for integer 2 <= p <= MAX_SUM_P, one expression
+  in m = 1..p-1 for both parities of p (`exact_sin_comb_form`); the cos
+  families have it at odd p only.  `certify` proves the sin families by it
+  and the cos families by the general form, at every p.
 * `numeric_D` -- a nested central-difference oracle, the one evaluator that
-  needs x87 80-bit extended precision.  It is an independent oracle only:
+  needs x87 80-bit extended arithmetic.  It is an independent oracle only:
   the tests check the closed forms against it, and no verdict rests on it.
 
 Each takes a float or a numpy array for x, and returns a float for a float.
@@ -45,7 +43,6 @@ import math
 import sys
 from fractions import Fraction
 
-from .chebyshev import check_index
 from .families import (
     FAMILY_FNS,
     POLE_TOL,
@@ -56,6 +53,7 @@ from .families import (
     HALF_PI,
     _even_series,
     _RADIUS,
+    _as_points,
     _p_text,
     _ratio_series,
     check_param_int,
@@ -96,9 +94,10 @@ def exact_sin_comb_form(family: FamilyKind, p, general: bool) -> tuple[tuple, Fr
 
     where den is the family's own function g.  The hyperbolic families read the
     same table with sin -> sinh, cos -> cosh.  The general form takes any
-    real p != 0 (every float is an exact binary rational); the sum forms take
-    an integer p >= 2: the sin families at p = 2k, and p = 2k+1 with the
-    factor (-1)^(k-j) on each term for the cos families.
+    real p != 0 (every float is an exact binary rational); the sum form an
+    integer p >= 2, one table for both parities: terms (eps_m m^3, m/p) over
+    0 < m < p with m = p-1 (mod 2), eps_m = (-1)^((p-1-m)/2) for the cos
+    families (odd p only) and 1 for the sin families, and factor 2/p^3.
 
     For the cos families at p >= 3 every general-form weight is > 0 and every
     frequency lies in [0, 2], so each term keeps one sign on (0, pi/2): the
@@ -112,11 +111,9 @@ def exact_sin_comb_form(family: FamilyKind, p, general: bool) -> tuple[tuple, Fr
         flip = 1 if family.is_cos else -1
         ws = ((pf + 1) ** 3, flip * (pf - 1) ** 3, flip * (u + v), u - v)
         return tuple(zip(ws, cs)), flip / (8 * pf**3)
-    k = p // 2
-    if p % 2 == 0:
-        return tuple((Fraction((2 * j + 1) ** 3), (2 * j + 1) / pf) for j in range(k)), Fraction(1, 4 * k**3)
     sgn = -1 if family.is_cos else 1
-    return tuple((Fraction(sgn ** (k - j) * j**3), 2 * j / pf) for j in range(1, k + 1)), 16 / pf**3
+    terms = tuple((Fraction(sgn ** ((p - 1 - m) // 2) * m**3), m / pf) for m in range(1 + p % 2, p, 2))
+    return terms, 2 / pf**3
 
 
 @functools.lru_cache(maxsize=256)
@@ -173,7 +170,7 @@ def general_vs_sum_check(family: FamilyKind, p: int) -> bool:
 
 
 def _check_x_open(x) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
+    x = _as_points(x)
     # written so that NaN fails the test too
     if not np.all((x > 0.0) & (x < HALF_PI)):
         raise DomainError("x must lie in (0, pi/2)")
@@ -260,9 +257,9 @@ def d_general(family: FamilyKind, p, x):
 
 
 def d_sum(family: FamilyKind, p: int, x):
-    """Parity-dispatched sum form of D for any family and an integer p with
-    2 <= p <= MAX_SUM_P = 2^16: at p = 2k (sin families only) every term is
-    <= 0; at p = 2k+1 the terms alternate for the cos families.
+    """The sum form of D (`exact_sin_comb_form`) for any family and an integer
+    p with 2 <= p <= MAX_SUM_P = 2^16: every term is <= 0 for the sin
+    families, and the cos families' terms alternate, at odd p only.
 
     Raises ParityError for the cos families with even p, which have none,
     and ParameterError past MAX_SUM_P, before building any of the p//2 terms."""
@@ -276,11 +273,9 @@ def dirichlet_sum(k: int, x):
     """Sum of cos((2j+1)x/(2k)) for j < k, term by term and via sin x / (2 sin(x/(2k))),
     for a float or an array x in (0, pi): one numpy call takes every term's
     cosine, and each point's terms are summed by `math.fsum`."""
-    if type(k) is not int:
-        k = check_index(k, "k")
-    if k < 1:
-        raise ParameterError(f"k must be >= 1, got {k}")
-    x = np.asarray(x, dtype=np.float64)
+    if type(k) is not int or k < 1:
+        k = check_param_int(k, "k", 1)
+    x = _as_points(x)
     # written so that NaN fails the test too
     if not np.all((x > 0.0) & (x < math.pi)):
         raise DomainError("x must lie in (0, pi)")
@@ -306,12 +301,14 @@ def numeric_D(family: FamilyKind, p, x, h=1e-4):
     so g is taken once at each of x, x +- h/2, x +- h and x +- 2h.  Keeping
     delta independent of h matters: the outer stencil amplifies inner noise
     by ~1/h^2, so an h-coupled inner step drowns at h = 1e-4 even in the
-    80-bit arithmetic used here.  Within ~2e-7 of D at h = 1e-4 only where
-    numpy's longdouble is x87 80-bit; where it is float64 (arm64 macOS) the
-    roundoff is ~2e-4.  h must lie in [1e-5, 1e-3]: below, roundoff swamps
-    the stencil; above, truncation does."""
+    80-bit arithmetic used here (`eval_f_grid` in longdouble; its float64
+    series coefficients err smoothly, which the stencil does not amplify).
+    Within ~2e-7 of D at h = 1e-4 only where numpy's longdouble is x87
+    80-bit; where it is float64 (arm64 macOS) the roundoff is ~2e-4.  h must
+    lie in [1e-5, 1e-3]: below, roundoff swamps the stencil; above,
+    truncation does."""
     p = check_param_real(p)
-    x = np.asarray(x, dtype=np.float64)
+    x = _as_points(x)
     h = np.broadcast_to(np.asarray(h, dtype=np.float64), x.shape)
     # written so that NaN fails the tests too
     if not np.all((h >= 1e-5) & (h <= 1e-3)):

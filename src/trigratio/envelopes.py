@@ -18,6 +18,7 @@ from .families import (
     DomainError,
     FamilyKind,
     HALF_PI,
+    _is_bool,
     check_param_int,
     limit_at_half_pi,
     limit_at_zero,
@@ -70,7 +71,7 @@ def ratio_bounds(family: FamilyKind, p, x: float) -> tuple[float, float]:
     or A = p (sin families); the p = 2 reversal is already folded into the
     envelope constants, so lo < hi always holds."""
     ec = envelope_constants(family, p)
-    if not 0.0 < x < HALF_PI:
+    if type(x) is not float and _is_bool(x) or not 0.0 < x < HALF_PI:
         raise DomainError(f"x={x} outside (0, pi/2)")
     a = 1.0 if family.is_cos else float(ec.p)
     x2 = x * x

@@ -20,14 +20,15 @@ from the table it reads from `FamilyKind`'s `is_trig` and `is_cos`, plain
 member attributes.
 
 The scalar and interval backends need no numpy.  The numpy backend loads on
-the first array call (`eval_f_grid`, the 80-bit series, `derivatives`):
+the first array call (`eval_f_grid`, `derivatives`):
 `load_numpy` imports numpy then and adds its entries to `FAMILY_FNS`, so
 point evaluation never pays numpy's import.
 
 All functions are defined on (0, pi/2); `eval_f` extends to x = 0 by
 continuity.  Near zero the direct quotient cancels catastrophically, so
 evaluation switches to a truncated even-power series whose coefficients
-are computed once per (family, p) in exact rational arithmetic.
+are computed once per (family, p) in exact rational arithmetic and rounded
+once to float64.  Every evaluator raises DomainError for a bool point.
 """
 
 from __future__ import annotations
@@ -118,9 +119,13 @@ def _pole(den, x, p):
     return (small < POLE_TOL) & ((x > abs(p)) | (small < sys.float_info.min))
 
 
-def check_param_real(p) -> float:
+def _is_bool(v) -> bool:
     # bool and numpy's bool_ (named "bool" since numpy 2), without importing numpy
-    if type(p).__name__ in ("bool", "bool_"):
+    return type(v).__name__ in ("bool", "bool_")
+
+
+def check_param_real(p) -> float:
+    if type(p).__name__ in ("bool", "bool_"):  # _is_bool, inlined on the hot path
         raise ParameterError(f"p must be a number, got {p!r}")
     try:
         p = float(p)
@@ -131,14 +136,16 @@ def check_param_real(p) -> float:
     return p
 
 
-def check_param_int(p) -> int:
-    try:
-        p = operator.index(p)
-    except TypeError:
-        raise ParameterError(f"p must be an integer, got {p!r}") from None
-    if p < 2:
-        raise ParameterError(f"p must be >= 2, got {p}")
-    return p
+def check_param_int(value, name: str = "p", least: int = 2) -> int:
+    """value as an int: ParameterError for a bool, a non-integer or one below least."""
+    if type(value) is not int:
+        try:
+            value = operator.index(None if isinstance(value, bool) else value)
+        except TypeError:
+            raise ParameterError(f"{name} must be an integer, got {value!r}") from None
+    if value < least:
+        raise ParameterError(f"{name} must be >= {least}, got {value}")
+    return value
 
 
 def _p_text(p) -> str:
@@ -192,32 +199,17 @@ def _ratio_series(family: FamilyKind, p: float, n: int = _N_COEFFS) -> tuple[Fra
     return tuple(r)
 
 
-def _to_longdouble(fr: Fraction):
-    # two-float split keeps ~106 bits, enough for the 64-bit longdouble mantissa
-    hi = float(fr)
-    return load_numpy().longdouble(hi) + float(fr - Fraction(hi))
-
-
-def _f_series(family: FamilyKind, p: float, rounded) -> tuple:
-    try:
-        return tuple(-rounded(ri) for ri in _ratio_series(family, p)[1:])
-    except OverflowError:
-        raise ParameterError(f"f's series overflows float64 at {_p_text(p)}") from None
-
-
 @lru_cache(maxsize=256)
 def f_series_coeffs(family: FamilyKind, p: float) -> tuple[float, ...]:
-    """Coefficients a0..a7 with f(x) = a0 + a1 x^2 + ... + a7 x^14 near 0.
+    """Coefficients a0..a7 with f(x) = a0 + a1 x^2 + ... + a7 x^14 near 0,
+    each exact coefficient rounded once to float64, for every dtype.
     ParameterError where one overflows float64: a7 ~ p^-14 at |p| < ~3.5e-20
     (cos families) or ~8.7e-22 (sin families), and a0 ~ -p/6 (sin families)
     at integer p > ~1.1e309."""
-    return _f_series(family, p, float)
-
-
-@lru_cache(maxsize=256)
-def _f_series_coeffs_ld(family: FamilyKind, p: float) -> tuple:
-    # _to_longdouble rounds to float64 first, so it overflows where float does
-    return _f_series(family, p, _to_longdouble)
+    try:
+        return tuple(-float(ri) for ri in _ratio_series(family, p)[1:])
+    except OverflowError:
+        raise ParameterError(f"f's series overflows float64 at {_p_text(p)}") from None
 
 
 def _series_threshold(g, sin, p: float) -> float:
@@ -257,7 +249,7 @@ def _f_direct(p: float, x, den, g, sin, xp):
 def eval_ratio(family: FamilyKind, p, x: float) -> float:
     """The bare quotient, e.g. cos x / cos(x/p), for x in (0, pi/2)."""
     p = check_param_real(p)
-    if not 0.0 < x < HALF_PI:
+    if type(x) is not float and _is_bool(x) or not 0.0 < x < HALF_PI:
         raise DomainError(f"x={x} outside (0, pi/2)")
     g, _ = FAMILY_FNS[family][math]
     den = g((1.0 / p) * x)
@@ -269,7 +261,7 @@ def eval_ratio(family: FamilyKind, p, x: float) -> float:
 def eval_f(family: FamilyKind, p, x: float) -> float:
     """Normalized ratio family at x in [0, pi/2); continuous through x = 0."""
     p = check_param_real(p)
-    if not 0.0 <= x < HALF_PI:
+    if type(x) is not float and _is_bool(x) or not 0.0 <= x < HALF_PI:
         raise DomainError(f"x={x} outside [0, pi/2)")
     g, sin = FAMILY_FNS[family][math]
     if x < _series_threshold(g, sin, p):
@@ -280,12 +272,20 @@ def eval_f(family: FamilyKind, p, x: float) -> float:
     return float(_f_direct(p, x, den, g, sin, math))
 
 
+def _as_points(x, dtype=None):
+    """x as a numpy array of dtype (float64 by default); DomainError for bools."""
+    x = load_numpy().asarray(x)
+    if x.dtype.kind == "b":
+        raise DomainError("points must be real numbers, not bools")
+    return x.astype(dtype or float, copy=False)
+
+
 def eval_f_grid(family: FamilyKind, p, xs, dtype=None):
-    """Vectorized eval_f: a numpy array of f at the points xs in [0, pi/2),
-    in float64 unless dtype says otherwise (np.longdouble for the 80-bit series)."""
+    """Vectorized eval_f: a numpy array of f at the points xs in [0, pi/2), in
+    the arithmetic of dtype (float64 by default) on float64 series coefficients."""
     p = check_param_real(p)
     np = load_numpy()
-    xs = np.asarray(xs, dtype=np.float64 if dtype is None else dtype)
+    xs = _as_points(xs, dtype)
     # written so that NaN fails the test too
     if not ((xs >= 0.0) & (xs < HALF_PI)).all():
         raise DomainError("grid points must lie in [0, pi/2)")
@@ -293,8 +293,7 @@ def eval_f_grid(family: FamilyKind, p, xs, dtype=None):
     g, sin = FAMILY_FNS[family][np]
     small = xs < _series_threshold(g, sin, p)
     if small.any():
-        coeffs = (_f_series_coeffs_ld if dtype == np.longdouble else f_series_coeffs)(family, p)
-        out[small] = _even_series(xs[small], coeffs)
+        out[small] = _even_series(xs[small], f_series_coeffs(family, p))
     big = ~small
     if big.any():
         x = xs[big]

@@ -24,7 +24,7 @@ from trigratio.certify import (
     _interval_D,
     _tolerance_report,
 )
-from trigratio.chebyshev import cheb_u_eval
+from trigratio.chebyshev import cheb_u_eval, corollary_bounds
 from trigratio.derivatives import (
     d_general,
     d_sum,
@@ -34,8 +34,8 @@ from trigratio.derivatives import (
     sin_comb_form,
     vanishing_limits_check,
 )
-from trigratio.envelopes import envelope_constants
-from trigratio.families import FamilyKind, HALF_PI, ParameterError
+from trigratio.envelopes import envelope_constants, ratio_bounds
+from trigratio.families import FamilyKind, HALF_PI, ParameterError, limit_at_half_pi, limit_at_zero
 from trigratio.interval import Interval, sin_comb
 from trigratio import certify, derivatives, interval
 
@@ -69,6 +69,78 @@ def test_config_rejects_bad_max_subdivisions(depth):
 
 def test_config_accepts_zero_max_subdivisions():
     assert VerificationConfig(max_subdivisions=0).max_subdivisions == 0
+
+
+def test_config_messages():
+    """The config's integers take the one integer rule, `check_param_int`."""
+    with pytest.raises(ParameterError, match="^grid_points must be >= 16, got 10$"):
+        VerificationConfig(grid_points=10)
+    with pytest.raises(ParameterError, match="^grid_points must be an integer, got True$"):
+        VerificationConfig(grid_points=True)
+    with pytest.raises(ParameterError, match="^max_subdivisions must be >= 0, got -1$"):
+        VerificationConfig(max_subdivisions=-1)
+    assert VerificationConfig(grid_points=np.int64(16)).grid_points == 16
+
+
+@pytest.mark.parametrize("mode", ["rigorous", "grid", None, 1])
+def test_config_rejects_a_mode_that_is_no_mode(mode):
+    """A mode string would have run GRID without a word, the report saying
+    mode=GRID; every mode that is not a Mode raises."""
+    with pytest.raises(ParameterError, match="mode must be a Mode"):
+        VerificationConfig(mode=mode)
+    with pytest.raises(ParameterError, match="mode must be a Mode"):
+        dataclasses.replace(CFG, mode=mode)
+
+
+def _integer_p_calls(p):
+    """Every public entry point that takes an integer p, called at p."""
+    return {
+        "envelope_constants": lambda: envelope_constants(TC, p),
+        "ratio_bounds": lambda: ratio_bounds(TS, p, 0.5),
+        "limit_at_zero": lambda: limit_at_zero(TS, p),
+        "limit_at_half_pi": lambda: limit_at_half_pi(HC, p),
+        "corollary_bounds": lambda: corollary_bounds(p, 0.1),
+        "verify_envelope": lambda: verify_envelope(TS, p, CFG),
+        "verify_monotonicity": lambda: verify_monotonicity(HS, p, CFG),
+        "verify_sign_D": lambda: verify_sign_D(TC, p, Sign.NEG, RIGOROUS),
+        "d_sum": lambda: d_sum(TS, p, np.array([0.5, 1.0])),
+        "expected_sign_D": lambda: expected_sign_D(TC, p),
+    }
+
+
+@pytest.mark.parametrize("p", [True, np.True_], ids=["bool", "np-bool"])
+@pytest.mark.parametrize("name", sorted(_integer_p_calls(3)))
+def test_bool_p_is_no_integer(name, p):
+    """A bool p fails the one integer rule everywhere (True was read as
+    p = 1, and expected_sign_D answered NEG)."""
+    with pytest.raises(ParameterError, match="^p must be an integer, got (np.)?True_?$"):
+        _integer_p_calls(p)[name]()
+
+
+@pytest.mark.parametrize("name", sorted(_integer_p_calls(3)))
+def test_numpy_integer_p_is_the_int(name):
+    """np.int64(3) gives bitwise the answer of 3, and p = 1 fails the rule."""
+    got, want = _integer_p_calls(np.int64(3))[name](), _integer_p_calls(3)[name]()
+    if isinstance(want, np.ndarray):
+        assert got.tobytes() == want.tobytes()
+    else:
+        assert repr(got) == repr(want)
+    with pytest.raises(ParameterError, match="^p must be >= 2, got 1$"):
+        _integer_p_calls(1)[name]()
+
+
+def test_tolerance_report_is_the_worst_error():
+    """It names the x of the largest error, its margin is tol - that error,
+    and one inf error falsifies; every error counts as a cell."""
+    xs = [0.1, 0.2, 0.3, 0.4]
+    r = _tolerance_report("c", np.array([1e-15, 3e-14, 2e-14, 0.0]), xs, 1e-13)
+    assert (r.status, r.worst_x, r.cells_checked, r.mode) == (Status.CERTIFIED, 0.2, 4, Mode.GRID)
+    assert r.min_margin == 1e-13 - 3e-14
+    r = _tolerance_report("c", [0.0, 2e-13, 0.0, 1e-14], xs, 1e-13)
+    assert (r.status, r.worst_x) == (Status.FALSIFIED, 0.2)
+    assert r.min_margin == 1e-13 - 2e-13
+    r = _tolerance_report("c", [0.0, 0.0, math.inf, 0.0], xs, 1e-12)
+    assert (r.status, r.worst_x, r.min_margin) == (Status.FALSIFIED, 0.3, -math.inf)
 
 
 def test_expected_signs():

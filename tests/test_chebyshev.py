@@ -93,6 +93,28 @@ def test_eval_domain():
         cheb_u_eval(3, math.nan)
 
 
+def test_integer_rule_messages():
+    """Degrees and k take the one integer rule, `families.check_param_int`."""
+    for call in (cheb_u, lambda n: cheb_u_eval(n, 0.5)):
+        with pytest.raises(ParameterError, match="^degree must be an integer, got True$"):
+            call(True)
+        with pytest.raises(ParameterError, match="^degree must be >= 0, got -1$"):
+            call(-1)
+
+
+@pytest.mark.parametrize("t", [True, False, np.True_, np.array([True])], ids=["true", "false", "np-true", "array"])
+def test_eval_rejects_bool_t(t):
+    """A bool t is no point of [-1, 1]: read as 1.0, U_3 would give 4.0."""
+    with pytest.raises(DomainError):
+        cheb_u_eval(3, t)
+
+
+@pytest.mark.parametrize("y", [True, np.True_])
+def test_corollary_rejects_bool_y(y):
+    with pytest.raises(DomainError):
+        corollary_bounds(2, y)
+
+
 @pytest.mark.parametrize("n", [0, 1, 5, 17, 30])
 def test_eval_arrays_match_scalar_calls(n):
     """An array runs the scalar recurrence elementwise: bit for bit the

@@ -25,7 +25,6 @@ from trigratio.derivatives import (
 )
 from trigratio.families import (
     _even_series,
-    _f_series_coeffs_ld,
     _ratio_series,
     DomainError,
     FamilyKind,
@@ -337,6 +336,34 @@ def test_d_sum_is_the_written_out_sum_forms(k):
         assert d_sum(family, 2 * k + 1, 0.7) == float(_odd_sum(family, k, np.float64(0.7)))
 
 
+def _reference_sum_table(family, p):
+    """The sum form's exact table as two parity branches, written out: at
+    p = 2k, terms ((2j+1)^3, (2j+1)/p) for j < k and factor 1/(4k^3); at
+    p = 2k+1, terms (s_j j^3, 2j/p) for 1 <= j <= k and factor 16/p^3, with
+    s_j = (-1)^(k-j) for the cos families and 1 for the sin families."""
+    pf, k = Fraction(p), p // 2
+    if p % 2 == 0:
+        return [(Fraction((2 * j + 1) ** 3), (2 * j + 1) / pf) for j in range(k)], Fraction(1, 4 * k**3)
+    sgn = -1 if family.is_cos else 1
+    return [(Fraction(sgn ** (k - j) * j**3), 2 * j / pf) for j in range(1, k + 1)], 16 / pf**3
+
+
+@pytest.mark.parametrize("family", FamilyKind)
+def test_sum_table_is_the_parity_branches(family):
+    """The one sum-form table, over 0 < m < p with m = p-1 (mod 2), defines
+    the same D as the two parity branches at every p = 2..40 where the
+    family has a sum form: term by term the frequencies are equal, and so
+    is each weight times its factor.  Its factor is 2/p^3 at either parity,
+    so at odd p its weights are 8x the branch's."""
+    for p in range(2, 41):
+        if family.is_cos and p % 2 == 0:
+            continue
+        terms, factor = exact_sin_comb_form(family, p, False)
+        ref_terms, ref_factor = _reference_sum_table(family, p)
+        assert [(w * factor, c) for w, c in terms] == [(w * ref_factor, c) for w, c in ref_terms], p
+        assert factor == Fraction(2, p**3)
+
+
 def test_d_sum_parity_dispatch():
     assert d_sum(TS, 4, 0.5) == pytest.approx(_even_sum(TS, 2, 0.5), rel=1e-15)
     assert d_sum(TS, 5, 0.5) == pytest.approx(_odd_sum(TS, 2, 0.5), rel=1e-15)
@@ -564,6 +591,17 @@ def test_vanishing_limits_rejects_uncheckable_p():
             assert vanishing_limits_check(family, p)[0] < 1e-12
 
 
+@pytest.mark.parametrize("family", FamilyKind)
+def test_numeric_D_near_zero_matches_mpmath(family):
+    """On x in [0.03, 0.3] the stencil's points reach eval_f_grid's series
+    branch, which runs in 80-bit arithmetic on the float64 coefficients:
+    within 1e-5 of D from 40-digit mpmath."""
+    xs = np.linspace(0.03, 0.3, 10)
+    for p in (2, 2.5, 3, 7, 16, -2):
+        want = [float(mp_D(family, p, x)) for x in xs.tolist()]
+        np.testing.assert_allclose(numeric_D(family, p, xs), want, rtol=0.0, atol=1e-5, err_msg=str(p))
+
+
 def test_numeric_D_h_and_stencil_validation():
     with pytest.raises(DomainError):
         numeric_D(TS, 2, 1.0, h=1e-6)
@@ -691,6 +729,22 @@ def test_closed_forms_reject_nan(evaluate):
         evaluate(np.array([0.5, math.nan]))
 
 
+@pytest.mark.parametrize("x", [True, np.True_, np.array([True, False])], ids=["bool", "np-bool", "bool-array"])
+def test_bool_points_fail_loudly(x):
+    """A bool is no point: read as 1.0 or 0.0 it would give D(1.0) or a
+    domain error about 0; every D evaluator and dirichlet_sum raise instead."""
+    calls = [
+        lambda: d_general(TS, 2, x),
+        lambda: d_sum(TS, 2, x),
+        lambda: d_sum(HC, 3, x),
+        lambda: numeric_D(TS, 2, x),
+        lambda: dirichlet_sum(3, x),
+    ]
+    for call in calls:
+        with pytest.raises(DomainError, match="bools"):
+            call()
+
+
 def test_weights_hook_changes_result(mutate_general_form):
     """D is read from the exact table: one weight changed there changes the
     general form's D, which d_general takes above 3*pi/8 at p = 3."""
@@ -707,5 +761,5 @@ def test_series_caches_are_bounded():
         eval_f(TS, p, 0.01)
         eval_f_grid(TC, p, [0.005], dtype=np.longdouble)
         d_general(HS, p, 0.5)
-    for cache in (_ratio_series, f_series_coeffs, _f_series_coeffs_ld, _d_series_coeffs):
+    for cache in (_ratio_series, f_series_coeffs, _d_series_coeffs):
         assert cache.cache_info().currsize <= 256

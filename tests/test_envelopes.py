@@ -111,6 +111,12 @@ def test_ratio_bounds_domain_error():
         ratio_bounds(TS, 2, HALF_PI)
 
 
+@pytest.mark.parametrize("x", [True, np.True_])
+def test_ratio_bounds_rejects_bool_x(x):
+    with pytest.raises(DomainError):
+        ratio_bounds(TS, 2, x)
+
+
 @pytest.mark.parametrize("p", [1, 0, -3, 2.5])
 def test_envelope_rejects_bad_p(p):
     with pytest.raises(ParameterError):

@@ -113,6 +113,33 @@ def test_grid_longdouble_dtype():
     np.testing.assert_allclose(out.astype(np.float64), ref, rtol=1e-13)
 
 
+def test_grid_dtype_sets_the_arithmetic_only():
+    """Every dtype reads the one float64 series: on the series branch a
+    longdouble grid is Horner in 80-bit arithmetic on f_series_coeffs."""
+    for family in FamilyKind:
+        xs = np.linspace(0.0, series_threshold(family, 3), 16, endpoint=False).astype(np.longdouble)
+        coeffs = f_series_coeffs(family, 3)
+        want = np.full_like(xs, coeffs[-1])
+        for a in reversed(coeffs[:-1]):
+            want = want * (xs * xs) + a
+        # values, not bytes: a longdouble's storage has padding bytes
+        assert np.array_equal(eval_f_grid(family, 3, xs, dtype=np.longdouble), want)
+
+
+@pytest.mark.parametrize("x", [True, False, np.True_])
+def test_bool_points_rejected(x):
+    """A bool is no point, in the scalar and in the array evaluators and
+    under either dtype: read as 1.0 it would give f(1.0)."""
+    with pytest.raises(DomainError):
+        eval_f(TS, 2, x)
+    with pytest.raises(DomainError):
+        eval_ratio(TS, 2, x)
+    for xs in (x, [x, x], np.array([x])):
+        for dtype in (None, np.longdouble):
+            with pytest.raises(DomainError, match="bools"):
+                eval_f_grid(TS, 2, xs, dtype)
+
+
 LIMIT_ZERO_CASES = [
     (TC, 3, 4.0 / 9.0),
     (TC, 2, 3.0 / 8.0),
