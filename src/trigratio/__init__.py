@@ -27,7 +27,6 @@ _EXPORTS = {
         "d_general",
         "d_sum",
         "dirichlet_sum",
-        "numeric_D",
         "vanishing_limits_check",
     ),
     "envelopes": ("Direction", "EnvelopeConstants", "envelope_constants", "ratio_bounds"),

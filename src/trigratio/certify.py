@@ -26,8 +26,7 @@ does not cancel, so float64 suffices for it.  Certification does not call
 `derivatives.d_general`.  The identity checks prove the general form equal
 to the sum form by exact algebra on their tables, and check D's series
 against the closed forms; every grid and identity verdict is built by one
-`_grid_verdict`.  The finite-difference `numeric_D` is an independent oracle
-for the tests, not a certification route.
+`_grid_verdict`.
 """
 
 from __future__ import annotations

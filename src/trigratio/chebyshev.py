@@ -36,7 +36,7 @@ def cheb_u(n: int) -> ChebPoly:
     """U_n by the three-term recurrence U_{n+1} = 2x U_n - U_{n-1}, exactly."""
     n = check_param_int(n, "degree", 0)
     if n > DEGREE_CAP:
-        raise DegreeCapError(f"degree {n} above cap {DEGREE_CAP}")
+        raise DegreeCapError(f"degree {_p_text(n, 'n', bare=True)} above cap {DEGREE_CAP}")
     prev = [1]
     if n == 0:
         return ChebPoly(0, (1,))

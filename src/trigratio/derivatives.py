@@ -1,4 +1,4 @@
-"""Closed forms and the finite-difference oracle for D(x) = d^2/dx^2 (x^3 f'(x)).
+"""Closed forms of D(x) = d^2/dx^2 (x^3 f'(x)).
 
 The sign of D over (0, pi/2) is what drives every monotonicity claim about
 the ratio families.  Every closed form of D is one weighted sum of sines,
@@ -14,22 +14,20 @@ f_hyp(x) = -f_trig(ix), hence D_hyp(x) = -D_trig(ix).  Under that
 substitution every form keeps its shape and its table with sin -> sinh and
 cos -> cosh (the powers of i cancel the leading minus), so the evaluator
 takes its sine and the general form's den from the family table
-`families.FAMILY_FNS`.  D has three evaluators, one entry point each:
+`families.FAMILY_FNS`.  D has two evaluators, one entry point each:
 
 * `d_general` -- D for all four families by one path, any real p != 0,
   in float64: D's even series (exact rationals rounded once) near 0, where
   the sin families' general form cancels, and the general form above.
   Note: the printed source for the cos-family formula carries csc^4(x/p),
   but differentiating the definition gives sec^4(x/p); the sec^4 version
-  agrees with the p = 2 factored display, with the sum form and with the
-  finite-difference oracle, so that is what is implemented here.
+  agrees with the p = 2 factored display, with the sum form and with D
+  differentiated from the definition in 40-digit mpmath, so that is what is
+  implemented here.
 * `d_sum` -- the sum form for integer 2 <= p <= MAX_SUM_P, one expression
   in m = 1..p-1 for both parities of p (`exact_sin_comb_form`); the cos
   families have it at odd p only.  `certify` proves the sin families by it
   and the cos families by the general form, at every p.
-* `numeric_D` -- a nested central-difference oracle, the one evaluator that
-  needs x87 80-bit extended arithmetic.  It is an independent oracle only:
-  the tests check the closed forms against it, and no verdict rests on it.
 
 Each takes a float or a numpy array for x, and returns a float for a float.
 `general_vs_sum_check`, `dirichlet_sum` and `vanishing_limits_check` are the
@@ -59,7 +57,6 @@ from .families import (
     check_param_int,
     check_param_real,
     eval_f,
-    eval_f_grid,
     f_series_coeffs,
     load_numpy,
     series_threshold,
@@ -286,56 +283,6 @@ def dirichlet_sum(k: int, x):
     term_sum = np.array([math.fsum(row) for row in terms.reshape(-1, k).tolist()]).reshape(x.shape)
     closed = np.sin(x) / (2.0 * den)
     return _unwrap(term_sum), _unwrap(closed)
-
-
-# --- finite-difference oracle ----------------------------------------------
-
-
-def numeric_D(family: FamilyKind, p, x, h=1e-4):
-    """Finite-difference estimate of D(x) at outer step h, for a float or an
-    array x and a float h or an array broadcast to x.
-
-    g(t) = t^3 f'(t) with f' a 5-point central difference at a fixed inner
-    step delta (0.01, shrunk near the interval ends); D is the 5-point
-    second difference of g at the outer step h, Richardson-paired with h/2,
-    so g is taken once at each of x, x +- h/2, x +- h and x +- 2h.  Keeping
-    delta independent of h matters: the outer stencil amplifies inner noise
-    by ~1/h^2, so an h-coupled inner step drowns at h = 1e-4 even in the
-    80-bit arithmetic used here (`eval_f_grid` in longdouble; its float64
-    series coefficients err smoothly, which the stencil does not amplify).
-    Within ~2e-7 of D at h = 1e-4 only where numpy's longdouble is x87
-    80-bit; where it is float64 (arm64 macOS) the roundoff is ~2e-4.  h must
-    lie in [1e-5, 1e-3]: below, roundoff swamps the stencil; above,
-    truncation does."""
-    p = check_param_real(p)
-    x = _as_points(x)
-    h = np.broadcast_to(np.asarray(h, dtype=np.float64), x.shape)
-    # written so that NaN fails the tests too
-    if not np.all((h >= 1e-5) & (h <= 1e-3)):
-        raise DomainError("h outside [1e-5, 1e-3]")
-    if not np.all((x - 2.5 * h > 0.0) & (x + 2.5 * h < HALF_PI)):
-        raise DomainError("stencil leaves (0, pi/2)")
-    shape = x.shape
-    x, h = np.atleast_1d(x).astype(np.longdouble), np.atleast_1d(h).astype(np.longdouble)
-    room = np.minimum(x - 2 * h, HALF_PI - x - 2 * h)
-    delta = np.minimum(np.longdouble(0.01), 0.45 * room)
-
-    def f(t):
-        return eval_f_grid(family, p, t, dtype=np.longdouble)
-
-    def g(t):
-        f1, f2 = f(t + delta), f(t + 2 * delta)
-        f3, f4 = f(t - delta), f(t - 2 * delta)
-        deriv = (-f2 + 8.0 * f1 - 8.0 * f3 + f4) / (12.0 * delta)
-        return t**3 * deriv
-
-    # 2 * (h/2) is h exactly, so the h/2 stencil's outer points are x +- h
-    half = h / 2.0
-    g_x, g_lo, g_hi = g(x), g(x - h), g(x + h)
-    d1 = (-g(x - 2 * h) + 16.0 * g_lo - 30.0 * g_x + 16.0 * g_hi - g(x + 2 * h)) / (12.0 * h * h)
-    d2 = (-g_lo + 16.0 * g(x - half) - 30.0 * g_x + 16.0 * g(x + half) - g_hi) / (12.0 * half * half)
-    value = (16.0 * d2 - d1) / 15.0
-    return _unwrap(value.astype(np.float64).reshape(shape))
 
 
 _VANISHING_XS = (0.1, 0.5)

@@ -144,16 +144,17 @@ def check_param_int(value, name: str = "p", least: int = 2) -> int:
         except TypeError:
             raise ParameterError(f"{name} must be an integer, got {value!r}") from None
     if value < least:
-        raise ParameterError(f"{name} must be >= {least}, got {value}")
+        raise ParameterError(f"{name} must be >= {least}, got {_p_text(value, name, bare=True)}")
     return value
 
 
-def _p_text(p) -> str:
-    """p for an error message: an integer past float64's range by its size
-    (str() of one past 4300 digits raises ValueError)."""
-    if isinstance(p, int) and abs(p) >= 2**1024:
-        return f"|p| >= 2^{abs(p).bit_length() - 1}"
-    return f"p={p}"
+def _p_text(value, name: str = "p", bare: bool = False) -> str:
+    """value for an error message, "p=3" ("3" if bare), but an integer past
+    float64's range by its size, "|p| >= 2^k" (str() of one past 4300 digits
+    raises ValueError)."""
+    if isinstance(value, int) and abs(value) >= 2**1024:
+        return f"|{name}| >= 2^{abs(value).bit_length() - 1}"
+    return str(value) if bare else f"{name}={value}"
 
 
 # --- series branch ----------------------------------------------------------

@@ -24,7 +24,7 @@ from trigratio.certify import (
     _interval_D,
     _tolerance_report,
 )
-from trigratio.chebyshev import cheb_u_eval, corollary_bounds
+from trigratio.chebyshev import cheb_u, cheb_u_eval, corollary_bounds
 from trigratio.derivatives import (
     d_general,
     d_sum,
@@ -127,6 +127,30 @@ def test_numpy_integer_p_is_the_int(name):
         assert repr(got) == repr(want)
     with pytest.raises(ParameterError, match="^p must be >= 2, got 1$"):
         _integer_p_calls(1)[name]()
+
+
+HUGE = 10**5000  # past the 4300 digits str() takes
+# every integer argument below its least, and cheb_u's degree past its cap; a
+# huge positive degree is not tried in cheb_u_eval, whose recurrence runs n steps
+_HUGE_INTEGER_CALLS = {
+    "envelope_constants": lambda: envelope_constants(TS, -HUGE),
+    "cheb_u": lambda: cheb_u(-HUGE),
+    "cheb_u-past-cap": lambda: cheb_u(HUGE),
+    "cheb_u_eval": lambda: cheb_u_eval(-HUGE, 0.5),
+    "dirichlet_sum": lambda: dirichlet_sum(-HUGE, 0.5),
+    "grid_points": lambda: VerificationConfig(grid_points=-HUGE),
+    "max_subdivisions": lambda: VerificationConfig(max_subdivisions=-HUGE),
+    "d_sum": lambda: d_sum(TS, -HUGE, 0.5),
+    "corollary_bounds": lambda: corollary_bounds(-HUGE, 0.1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_HUGE_INTEGER_CALLS))
+def test_huge_integers_are_worded_by_size(name):
+    """An integer too long for str() is worded by its size in the message:
+    ParameterError, not str()'s bare ValueError."""
+    with pytest.raises(ParameterError, match=r"\|\w+\| >= 2\^16609"):
+        _HUGE_INTEGER_CALLS[name]()
 
 
 def test_tolerance_report_is_the_worst_error():

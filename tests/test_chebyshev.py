@@ -62,7 +62,7 @@ def test_u6_point_value():
 
 def test_degree_cap():
     cheb_u(DEGREE_CAP)  # at the cap: fine
-    with pytest.raises(DegreeCapError):
+    with pytest.raises(DegreeCapError, match="^degree 65 above cap 64$"):
         cheb_u(DEGREE_CAP + 1)
     with pytest.raises(ParameterError):
         cheb_u(-1)

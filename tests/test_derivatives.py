@@ -1,4 +1,5 @@
-"""Tests for the closed forms of D(x) and the finite-difference oracle."""
+"""Tests for the closed forms of D(x), against D differentiated from the
+definition in 40-digit mpmath (`mp_oracle.mp_D`)."""
 
 import math
 import time
@@ -8,7 +9,6 @@ import numpy as np
 import pytest
 from mp_oracle import mp_D
 
-from trigratio import derivatives
 from trigratio.derivatives import (
     ParityError,
     MAX_SUM_P,
@@ -18,7 +18,6 @@ from trigratio.derivatives import (
     eval_sin_comb,
     exact_sin_comb_form,
     general_vs_sum_check,
-    numeric_D,
     sin_comb_form,
     vanishing_limits_check,
     _d_series_coeffs,
@@ -61,10 +60,10 @@ HYP_D_ORACLE = [
     (HC, 2, 1.5, -0.0710941200530615207248),
     (HS, 2, 0.6, -0.0456780440170713894125),
 ]
-NUMERIC_D_ORACLE = D_ORACLE + HYP_D_ORACLE
+ALL_D_ORACLE = D_ORACLE + HYP_D_ORACLE
 
 
-@pytest.mark.parametrize("family,p,x,expected", NUMERIC_D_ORACLE)
+@pytest.mark.parametrize("family,p,x,expected", ALL_D_ORACLE)
 def test_d_general_oracle(family, p, x, expected):
     assert d_general(family, p, x) == pytest.approx(expected, rel=1e-13)
 
@@ -81,13 +80,12 @@ def test_hyp_closed_form_oracle(family, p, x, expected):
     assert hyp_closed(family, p, x) == pytest.approx(expected, rel=1e-13)
 
 
-@pytest.mark.parametrize("family,p,x,expected", NUMERIC_D_ORACLE)
-def test_numeric_D_oracle(family, p, x, expected):
-    assert numeric_D(family, p, x, h=1e-4) == pytest.approx(expected, abs=1e-5)
-
-
-def test_numeric_D_hyp_sin_example_is_negative():
-    assert numeric_D(FamilyKind.HYP_SIN, 3, 1.0, h=1e-4) < 0.0
+@pytest.mark.parametrize("family,p,x,expected", ALL_D_ORACLE)
+def test_mp_D_oracle(family, p, x, expected):
+    """mp_D, the one reference for D that does not read the closed forms,
+    reproduces every frozen row: a change to its precision or to
+    `mp_oracle._f` fails here."""
+    assert float(mp_D(family, p, x)) == pytest.approx(expected, rel=1e-15, abs=0.0)
 
 
 @pytest.mark.parametrize("p", [3.7, 7.3])
@@ -232,22 +230,26 @@ def test_d_general_runs_in_float64(family, monkeypatch):
         assert a.tobytes() == b.tobytes()
 
 
+def _mp_D_grid(family, p, xs):
+    return np.array([float(mp_D(family, p, x)) for x in xs.tolist()])
+
+
 @pytest.mark.parametrize("p", [2, 2.5, 3, 4, 7, -2])
 def test_general_matches_numeric_on_grid(p):
-    """Closed form vs finite differences, 1e-5 absolute at h = 1e-4."""
+    """Closed form vs 40-digit numerical differentiation, 1e-13 absolute
+    (worst measured 8.9e-16)."""
     xs = np.linspace(0.05, HALF_PI - 0.05, 40)
     for family in (TC, TS):
-        numeric = numeric_D(family, p, xs, 1e-4)
-        np.testing.assert_allclose(numeric, d_general(family, p, xs), atol=1e-5, rtol=0.0)
+        np.testing.assert_allclose(d_general(family, p, xs), _mp_D_grid(family, p, xs), atol=1e-13, rtol=0.0)
 
 
 @pytest.mark.parametrize("p", range(2, 9))
 def test_hyp_closed_matches_numeric_on_grid(p):
-    """x -> ix closed forms vs finite differences, 1e-5 absolute at h = 1e-4."""
+    """x -> ix closed forms vs 40-digit numerical differentiation, 1e-13
+    absolute (worst measured 4.4e-16)."""
     xs = np.linspace(0.05, HALF_PI - 0.05, 40)
     for family in (HC, HS):
-        numeric = numeric_D(family, p, xs, 1e-4)
-        np.testing.assert_allclose(numeric, hyp_closed(family, p, xs), atol=1e-5, rtol=0.0)
+        np.testing.assert_allclose(hyp_closed(family, p, xs), _mp_D_grid(family, p, xs), atol=1e-13, rtol=0.0)
 
 
 @pytest.mark.parametrize("k", range(1, 7))
@@ -591,117 +593,6 @@ def test_vanishing_limits_rejects_uncheckable_p():
             assert vanishing_limits_check(family, p)[0] < 1e-12
 
 
-@pytest.mark.parametrize("family", FamilyKind)
-def test_numeric_D_near_zero_matches_mpmath(family):
-    """On x in [0.03, 0.3] the stencil's points reach eval_f_grid's series
-    branch, which runs in 80-bit arithmetic on the float64 coefficients:
-    within 1e-5 of D from 40-digit mpmath."""
-    xs = np.linspace(0.03, 0.3, 10)
-    for p in (2, 2.5, 3, 7, 16, -2):
-        want = [float(mp_D(family, p, x)) for x in xs.tolist()]
-        np.testing.assert_allclose(numeric_D(family, p, xs), want, rtol=0.0, atol=1e-5, err_msg=str(p))
-
-
-def test_numeric_D_h_and_stencil_validation():
-    with pytest.raises(DomainError):
-        numeric_D(TS, 2, 1.0, h=1e-6)
-    with pytest.raises(DomainError):
-        numeric_D(TS, 2, 1.0, h=1e-2)
-    with pytest.raises(DomainError):
-        numeric_D(TS, 2, 2e-4, h=1e-4)  # stencil pokes below 0
-    with pytest.raises(DomainError):
-        numeric_D(TS, 2, HALF_PI - 2e-4, h=1e-4)
-
-
-def test_numeric_D_with_estimate_checks_h_and_stencil():
-    """numeric_D applies its checks to every point of an array x and h: at
-    h = 1e-7 roundoff gives -0.3853 against the closed form's -0.3664."""
-    for h in (1e-7, 1e-2, math.nan):
-        with pytest.raises(DomainError):
-            numeric_D(TS, 3, [1.0], h)
-    with pytest.raises(DomainError):
-        numeric_D(TS, 3, [0.5, 1.0], [1e-4, 1e-6])
-    with pytest.raises(DomainError):
-        numeric_D(TS, 3, [1.0, math.nan], 1e-4)
-
-
-def _reference_numeric_D(family, p, x, h):
-    """numeric_D's stencil as written when each second difference took its
-    own five g evaluations: 10 of g, 40 of f, per call."""
-    x = np.asarray(x, dtype=np.longdouble)
-    h = np.broadcast_to(np.asarray(h, dtype=np.longdouble), x.shape)
-    room = np.minimum(x - 2 * h, HALF_PI - x - 2 * h)
-    delta = np.minimum(np.longdouble(0.01), 0.45 * room)
-
-    def f(t):
-        return eval_f_grid(family, p, t, dtype=np.longdouble)
-
-    def g(t, d):
-        f1, f2 = f(t + d), f(t + 2 * d)
-        f3, f4 = f(t - d), f(t - 2 * d)
-        deriv = (-f2 + 8.0 * f1 - 8.0 * f3 + f4) / (12.0 * d)
-        return t**3 * deriv
-
-    def second_diff(hh, d):
-        return (
-            -g(x - 2 * hh, d)
-            + 16.0 * g(x - hh, d)
-            - 30.0 * g(x, d)
-            + 16.0 * g(x + hh, d)
-            - g(x + 2 * hh, d)
-        ) / (12.0 * hh * hh)
-
-    d1 = second_diff(h, delta)
-    d2 = second_diff(h / 2.0, delta)
-    return ((16.0 * d2 - d1) / 15.0).astype(np.float64)
-
-
-@pytest.mark.parametrize("family", FamilyKind)
-def test_numeric_D_bitwise_matches_reference_stencil(family):
-    """Each g(t) is taken once per point of the stencil, with every
-    expression as the reference writes it, so the values are bitwise the
-    same, at a float h and at an array of h."""
-    rng = np.random.default_rng(20261018)
-    xs = np.sort(rng.uniform(0.01, HALF_PI - 0.01, 64))
-    hs = 10.0 ** rng.uniform(-5.0, -3.0, 64)
-    for p in (2, 2.5, 3, 7, 16, -2):
-        for h in (1e-4, 1e-3, 3e-5, hs):
-            got, want = numeric_D(family, p, xs, h), _reference_numeric_D(family, p, xs, h)
-            assert got.tobytes() == want.tobytes(), (p, h)
-
-
-def test_numeric_D_array_is_pointwise():
-    """An array x (and h) gives bitwise the values of one float call per
-    point; a float x gives a float."""
-    xs = np.linspace(0.05, HALF_PI - 0.05, 9)
-    hs = np.geomspace(1e-5, 1e-3, 9)
-    for family in FamilyKind:
-        got = numeric_D(family, 3, xs)
-        assert got.shape == xs.shape and got.dtype == np.float64
-        assert got.tolist() == [numeric_D(family, 3, x) for x in xs.tolist()]
-        got = numeric_D(family, 2.5, xs, hs)
-        assert got.tolist() == [numeric_D(family, 2.5, x, h) for x, h in zip(xs.tolist(), hs.tolist())]
-    assert type(numeric_D(TS, 3, 1.0)) is float
-    assert numeric_D(TS, 3, np.array([[0.5, 1.0]])).shape == (1, 2)
-
-
-def test_numeric_D_evaluates_f_28_times(monkeypatch):
-    """g(t) = t^3 f'(t) at the 7 distinct points x, x +- h/2, x +- h, x +- 2h,
-    each a 4-point difference of f: 28 calls of eval_f_grid per numeric_D,
-    whatever the number of points."""
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return eval_f_grid(*args, **kwargs)
-
-    monkeypatch.setattr(derivatives, "eval_f_grid", counted)
-    for x in (1.0, np.linspace(0.05, HALF_PI - 0.05, 40)):
-        calls.clear()
-        numeric_D(TS, 3, x)
-        assert len(calls) == 28
-
-
 def test_d_general_pole_rule():
     """The general form's den = g(x/p) follows the pole rule of f, |den| < 1e-12,
     for the sin family too (sin(pi) is 1.2e-16 in floats)."""
@@ -737,7 +628,6 @@ def test_bool_points_fail_loudly(x):
         lambda: d_general(TS, 2, x),
         lambda: d_sum(TS, 2, x),
         lambda: d_sum(HC, 3, x),
-        lambda: numeric_D(TS, 2, x),
         lambda: dirichlet_sum(3, x),
     ]
     for call in calls:

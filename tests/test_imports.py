@@ -44,7 +44,6 @@ PUBLIC_API = [
     "expected_sign_D",
     "limit_at_half_pi",
     "limit_at_zero",
-    "numeric_D",
     "ratio_bounds",
     "vanishing_limits_check",
     "verify_envelope",
