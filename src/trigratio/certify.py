@@ -23,10 +23,10 @@ x -> 0 the sin-family general form is numerically treacherous (csc^4(x/p)
 against a bracket that vanishes like x^5), which is why the sin families
 always take the sum form, one table for both parities of p; the cos bracket
 does not cancel, so float64 suffices for it.  Certification does not call
-`derivatives.d_general`.  The identity checks prove the general form equal
-to the sum form by exact algebra on their tables, and check D's series
-against the closed forms; every grid and identity verdict is built by one
-`_grid_verdict`.
+`derivatives.d_general`.  The identity checks prove by exact algebra on the
+tables that the general form equals the sum form, and that D's series,
+which `d_general` sums near 0, is the general form's; every grid and
+identity verdict is built by one `_grid_verdict`.
 """
 
 from __future__ import annotations
@@ -229,8 +229,10 @@ def verify_identities(cfg: VerificationConfig) -> list[VerificationReport]:
     at p <= 13, and so for the hyperbolic families, which share the tables.
     Each (family, p) pair is one cell, with error 0, or infinite where the
     tables differ at all, and worst_x 0.0 as for the x-free vanishing-limits
-    claim.  D's series, which `d_general` takes near 0, is checked by
-    `identity:vanishing-limits`."""
+    claim.  That one is exact in D: `derivatives.vanishing_limits_check`
+    compares D's series, which `d_general` takes near 0, with the general
+    form's table coefficient by coefficient, a gap of exactly 0.0 where they
+    agree, and f's series with f at their crossover."""
     reports = []
     even = [(FamilyKind.TRIG_SIN, 2 * k) for k in range(1, 7)]
     odd = [(family, 2 * k + 1) for k in range(1, 7) for family in (FamilyKind.TRIG_COS, FamilyKind.TRIG_SIN)]

@@ -18,10 +18,14 @@ from .envelopes import ratio_bounds
 from .families import DomainError, FamilyKind, ParameterError, _is_bool, _p_text, check_param_int
 
 DEGREE_CAP = 64
+# cheb_u_eval's degree cap: its recurrence takes ~50 ms for a float t at
+# this degree (~50 ns a step), ~1.5 s for a small array (numpy's per-call cost)
+_EVAL_DEGREE_CAP = 2**20
 
 
 class DegreeCapError(ParameterError):
-    """Coefficients above the cap overflow double precision."""
+    """A degree above a cap: `cheb_u`'s coefficients would overflow double
+    precision, and `cheb_u_eval`'s recurrence would run for hours."""
 
 
 @dataclass(frozen=True)
@@ -54,9 +58,13 @@ def cheb_u_eval(n: int, t):
 
     t is a float, or a numpy array taken as float64 and run through the same
     recurrence elementwise; DomainError if any of it lies outside [-1, 1] or
-    is NaN or a bool.  U_0 of an array is ones of its shape."""
-    if type(n) is not int or n < 0:
+    is NaN or a bool.  U_0 of an array is ones of its shape.  DegreeCapError
+    above n = 2^20, so that a huge degree fails at once instead of running
+    for hours."""
+    if type(n) is not int or not 0 <= n <= _EVAL_DEGREE_CAP:
         n = check_param_int(n, "degree", 0)
+        if n > _EVAL_DEGREE_CAP:
+            raise DegreeCapError(f"degree {_p_text(n, 'n', bare=True)} above cap {_EVAL_DEGREE_CAP} for U_n(t)")
     if type(t) is float or isinstance(t, int):
         if type(t) is bool or not -1.0 <= t <= 1.0:
             raise DomainError(f"t={t} outside [-1, 1]")

@@ -19,19 +19,18 @@ takes its sine and the general form's den from the family table
 * `d_general` -- D for all four families by one path, any real p != 0,
   in float64: D's even series (exact rationals rounded once) near 0, where
   the sin families' general form cancels, and the general form above.
-  Note: the printed source for the cos-family formula carries csc^4(x/p),
-  but differentiating the definition gives sec^4(x/p); the sec^4 version
-  agrees with the p = 2 factored display, with the sum form and with D
-  differentiated from the definition in 40-digit mpmath, so that is what is
-  implemented here.
+  Note: the printed source's cos-family formula carries csc^4(x/p), but
+  differentiating the definition gives sec^4(x/p), which agrees with the
+  p = 2 factored display, the sum form and D in 40-digit mpmath, so that is
+  what is implemented here.
 * `d_sum` -- the sum form for integer 2 <= p <= MAX_SUM_P, one expression
   in m = 1..p-1 for both parities of p (`exact_sin_comb_form`); the cos
   families have it at odd p only.  `certify` proves the sin families by it
   and the cos families by the general form, at every p.
 
-Each takes a float or a numpy array for x, and returns a float for a float.
-`general_vs_sum_check`, `dirichlet_sum` and `vanishing_limits_check` are the
-auxiliary identities; `dirichlet_sum` too takes a float or an array x.
+Each, like `dirichlet_sum`, takes a float or a numpy array for x and returns
+a float for a float.  The identities `general_vs_sum_check` and
+`vanishing_limits_check` (D's series, at every real p) are exact table algebra.
 """
 
 from __future__ import annotations
@@ -54,6 +53,7 @@ from .families import (
     _as_points,
     _p_text,
     _ratio_series,
+    _series_quotient,
     check_param_int,
     check_param_real,
     eval_f,
@@ -130,6 +130,11 @@ def sin_comb_form(family: FamilyKind, p, general: bool) -> tuple[tuple, float]:
     raise ParameterError(f"D's sin-combination overflows float64 at {_p_text(p)}")
 
 
+# 16 den(y)^4 = sum a cos(k y) over (k, a), den = sin first, then cos, by power reduction
+# (sin^4 y = (3 - 4 cos 2y + cos 4y)/8, cos^4 y = (3 + 4 cos 2y + cos 4y)/8); sinh, cosh alike
+_DEN4 = tuple(((0, 6), (2, four), (-2, four), (4, 1), (-4, 1)) for four in (-4, 4))
+
+
 def general_vs_sum_check(family: FamilyKind, p: int) -> bool:
     """Whether D's general form (factor F, terms (w, c)) and its sum form (G,
     (v, e)) are one function, for an integer p with a sum form, proved by
@@ -137,9 +142,8 @@ def general_vs_sum_check(family: FamilyKind, p: int) -> bool:
 
         16 F sum w sin(c x) = G sum v 16 sin(e x) den(x/p)^4,
 
-    and sin^4 y = (3 - 4 cos 2y + cos 4y)/8, cos^4 y = (3 + 4 cos 2y + cos 4y)/8
-    and sin a cos b = (sin(a+b) + sin(a-b))/2 give 16 sin(a) den(y)^4 =
-    6 sin a -+ 4 sin(a +- 2y) + sin(a +- 4y) (-4 for den = sin, +4 for cos).
+    and `_DEN4` with sin a cos b = (sin(a+b) + sin(a-b))/2 gives
+    16 sin(a) den(y)^4 = sum over its (k, a_k) of a_k sin(a + k y).
     Sines of distinct positive frequencies are linearly independent, so the
     sides are equal iff their {frequency: weight} tables are, after merging
     sin(-cx) = -sin(cx) and dropping zero frequencies and weights; compared
@@ -151,8 +155,7 @@ def general_vs_sum_check(family: FamilyKind, p: int) -> bool:
     (gen, f), (sums, g) = exact_sin_comb_form(family, p, True), exact_sin_comb_form(family, p, False)
     q = math.lcm(p, *(c.denominator for _, c in gen + sums))
     m = math.lcm(*(w.denominator for w, _ in gen + sums))
-    step, four = q // p, (4 if family.is_cos else -4)  # 1/p in units of 1/q
-    den4 = ((0, 6), (2 * step, four), (-2 * step, four), (4 * step, 1), (-4 * step, 1))
+    den4 = tuple((k * (q // p), a) for k, a in _DEN4[family.is_cos])  # k/p in units of 1/q
     left, right = {}, {}
     for table, terms, shifts, scale in (
         (left, gen, ((0, 1),), 16 * f.numerator * g.denominator),
@@ -199,16 +202,10 @@ def eval_sin_comb(family: FamilyKind, p, x, general: bool):
     return out
 
 
-# D's even series, D(x) = sum_{i=1..16} d_i x^(2i).  Below a quarter of
-# the series' radius (`families._RADIUS`), |p|*pi/4 for the sin
-# families and |p|*pi/8 for the cos families, the terms shrink >= 16x each
-# and 16 terms reach eps.  That covers all of (0, pi/2) for |p| >= 2 (sin)
-# and |p| >= 4 (cos).
+# D's even series, D(x) = sum_{i=1..16} d_i x^(2i): below a quarter of its
+# radius (`families._RADIUS`) the terms shrink >= 16x each and 16 reach eps,
+# which covers all of (0, pi/2) for |p| >= 2 (sin) and |p| >= 4 (cos families).
 _D_TERMS = 16
-
-
-def _d_series_reach(family: FamilyKind, p: float) -> float:
-    return _RADIUS[not family.is_cos] * abs(p) * math.pi / 4.0
 
 
 @functools.lru_cache(maxsize=256)
@@ -242,7 +239,7 @@ def d_general(family: FamilyKind, p, x):
     p, x = check_param_real(p), _check_x_open(x)
     if 3.0 / abs(p) >= 2.0**52 or not family.is_trig and (x > 175.0 * abs(p)).any():
         raise ParameterError(f"D overflows or loses every digit at p={p}")
-    small = x < _d_series_reach(family, p)
+    small = x < _RADIUS[not family.is_cos] * abs(p) * math.pi / 4.0
     if small.all():
         return _unwrap(_even_series(x, _d_series_coeffs(family, p)))
     out = np.empty_like(x)
@@ -285,7 +282,23 @@ def dirichlet_sum(k: int, x):
     return _unwrap(term_sum), _unwrap(closed)
 
 
-_VANISHING_XS = (0.1, 0.5)
+@functools.lru_cache(maxsize=256)
+def _table_d_series(family: FamilyKind, p) -> tuple[float, ...]:
+    """D's series d_-2, d_-1 (sin families only), d_0, ..., d_16 from the
+    general form's exact table, each coefficient rounded once.  By sin's
+    series, D den(x/p)^4 = -x * factor * sum w sin(c x) has -factor (-1)^k
+    M_k/(2k+1)! at x^(2k+2), M_k = sum w c^(2k+1), and `_DEN4` gives
+    16 den(x/p)^4 by cos's; D's series is their exact quotient, past den^4's
+    leading x^4 in the sin families.  The hyperbolic families drop the signs."""
+    terms, factor = exact_sin_comb_form(family, p, True)
+    sgn, lead, s2 = (-1 if family.is_trig else 1), (0 if family.is_cos else 2), 1 / Fraction(p) ** 2
+    n = lead + _D_TERMS + 1
+    num = [0] + [sgn**k * sum(w * c ** (2 * k + 1) for w, c in terms) / math.factorial(2 * k + 1) for k in range(n - 1)]
+    den = [
+        sgn**j * sum(a * k ** (2 * j) for k, a in _DEN4[family.is_cos]) * s2**j / math.factorial(2 * j)
+        for j in range(lead, n + lead)
+    ]
+    return tuple(float(-16 * factor * d) for d in _series_quotient(num, den))
 
 
 def vanishing_limits_check(family: FamilyKind, p) -> tuple[float, float]:
@@ -295,29 +308,16 @@ def vanishing_limits_check(family: FamilyKind, p) -> tuple[float, float]:
     derivative have no constant term and both vanish as x -> 0, provided the
     series is f's.  That is what this checks, returning the largest relative
     gap of each:
-    * D's series, sum 2i(2i+1)(2i+2) a_i x^(2i), against a closed form of D
-      at those of x = 0.1, 0.5 and x_r/2 that lie in (0, pi/2) below the
-      series' reach x_r (`_d_series_reach`); at 0.1 D's leading coefficient
-      alone sets the gap, further out the others do.  The closed form is
-      the one `certify` takes: the sin families' sum form at integer p >= 2,
-      else the general form.  The sin families' general form cancels below
-      x_r/2 = |p|*pi/8, so at other p it is compared at x_r/2 only, and at
-      |p| >= 4, where that is past pi/2, ParameterError is raised;
-    * the series branch of `eval_f` against its direct branch at their
-      crossover.
+    * D's series as `d_general` sums it, d_i = 2i(2i+1)(2i+2) a_i, against
+      `_table_d_series`, coefficient by coefficient: 0.0 where they agree,
+      at every p, as both round the same rationals once (d_0 and the sin
+      families' d_-2, d_-1 must be 0 for D to vanish at 0);
+    * the series branch of `eval_f` against its direct branch at their crossover.
     A wrong coefficient shows in one gap or both."""
     p = check_param_real(p)
-    x_r = _d_series_reach(family, p)
-    sum_form = not family.is_cos and p >= 2 and p.is_integer()
-    xs = [x for x in _VANISHING_XS if x < x_r] if family.is_cos or sum_form else []
-    if x_r / 2 < HALF_PI:
-        xs.append(x_r / 2)
-    elif not xs:
-        raise ParameterError(f"no closed form of D is accurate on (0, pi/2) to check the series at p={p}")
-    closed = eval_sin_comb(family, int(p) if sum_form else p, np.array(xs), not sum_form)
-    coeffs = _d_series_coeffs(family, p)
-    d_gap = max(abs(_even_series(x, coeffs) / c - 1.0) for x, c in zip(xs, closed.tolist()))
+    coeffs, table = _d_series_coeffs(family, p), _table_d_series(family, p)
+    series = (0.0,) * (len(table) - len(coeffs)) + coeffs
+    d_gap = max(abs(a - b) / abs(b) if b else (math.inf if a else 0.0) for a, b in zip(series, table))
     th = series_threshold(family, p)
-    direct = eval_f(family, p, th)
-    f_gap = abs(_even_series(th, f_series_coeffs(family, p)) / direct - 1.0)
+    f_gap = abs(_even_series(th, f_series_coeffs(family, p)) / eval_f(family, p, th) - 1.0)
     return d_gap, f_gap

@@ -180,6 +180,15 @@ _RADIUS = (0.5, 1.0)
 _TH = (1e-2, 0.15)
 
 
+def _series_quotient(num, den) -> list[Fraction]:
+    """q with num = den * q as power series, to num's length, by exact
+    division (den[0] != 0): the ratio's series here, D's in `derivatives`."""
+    q: list[Fraction] = []
+    for i in range(len(num)):
+        q.append((num[i] - sum(den[j] * q[i - j] for j in range(1, i + 1))) / den[0])
+    return q
+
+
 @lru_cache(maxsize=256)
 def _ratio_series(family: FamilyKind, p: float, n: int = _N_COEFFS) -> tuple[Fraction, ...]:
     """Exact coefficients r0..r(n-1) of the even-power series of the ratio
@@ -188,13 +197,7 @@ def _ratio_series(family: FamilyKind, p: float, n: int = _N_COEFFS) -> tuple[Fra
     q = 1 / (pf * pf)
     sgn, odd = (-1 if family.is_trig else 1), (0 if family.is_cos else 1)
     num = [Fraction(sgn**i, math.factorial(2 * i + odd)) for i in range(n)]
-    den = [num[i] * q**i for i in range(n)]
-    r: list[Fraction] = []
-    for i in range(n):
-        acc = num[i]
-        for j in range(1, i + 1):
-            acc -= den[j] * r[i - j]
-        r.append(acc / den[0])
+    r = _series_quotient(num, [num[i] * q**i for i in range(n)])
     if not family.is_cos:
         r = [pf * ri for ri in r]
     return tuple(r)

@@ -2,8 +2,11 @@
 
 import dataclasses
 import math
+import os
 import random
 import re
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -37,6 +40,7 @@ from trigratio.derivatives import (
 from trigratio.envelopes import envelope_constants, ratio_bounds
 from trigratio.families import FamilyKind, HALF_PI, ParameterError, limit_at_half_pi, limit_at_zero
 from trigratio.interval import Interval, sin_comb
+import trigratio
 from trigratio import certify, derivatives, interval
 
 TC, TS, HC, HS = (
@@ -346,9 +350,10 @@ def test_identities_all_certified():
 
 
 def test_identities_mutation_falsifies(mutate_general_form):
-    """Perturbing the +-23 bracket coefficient must break form agreement;
-    the same hook with the table's own weights passes, so the failure is
-    the mutation's."""
+    """Perturbing the +-23 bracket coefficient must break form agreement,
+    and D's series, which is checked against the general table; the same
+    hook with the table's own weights passes, so the failure is the
+    mutation's, through D's side alone."""
 
     def hooked(delta):
         mutate_general_form((TC, TS), w3_delta=delta)  # 23 -> 24 in magnitude at delta = 1
@@ -357,9 +362,14 @@ def test_identities_mutation_falsifies(mutate_general_form):
     reports = hooked(0)
     assert reports["identity:general-vs-even-sum"].status is Status.CERTIFIED
     assert reports["identity:general-vs-odd-sum"].status is Status.CERTIFIED
+    assert reports["identity:vanishing-limits"].status is Status.CERTIFIED
     reports = hooked(1)
     assert reports["identity:general-vs-even-sum"].status is Status.FALSIFIED
     assert reports["identity:general-vs-odd-sum"].status is Status.FALSIFIED
+    assert reports["identity:vanishing-limits"].status is Status.FALSIFIED
+    for family in (TC, TS):
+        d_gap, f_gap = vanishing_limits_check(family, 3)
+        assert d_gap > 1e-6 and f_gap < 1e-12, family
     # identities not touching the general form stay green
     assert reports["identity:dirichlet-sum"].status is Status.CERTIFIED
 
@@ -368,12 +378,12 @@ def test_identities_check_the_general_form_by_default(mutate_general_form):
     """The general-vs-sum claims read the general form's own table, not
     d_general, which takes D's series near 0: a trig-sin general-form table
     perturbed as in the mutation test above, with the sum forms intact,
-    fails both."""
+    fails both, and the vanishing limits, which read that table too."""
     mutate_general_form((TS,), w3_delta=1)
     reports = {r.claim_id: r for r in verify_identities(CFG)}
     assert reports["identity:general-vs-even-sum"].status is Status.FALSIFIED
     assert reports["identity:general-vs-odd-sum"].status is Status.FALSIFIED
-    assert reports["identity:vanishing-limits"].status is Status.CERTIFIED
+    assert reports["identity:vanishing-limits"].status is Status.FALSIFIED
 
 
 def test_identities_are_exact(mutate_general_form):
@@ -390,14 +400,29 @@ def test_identities_are_exact(mutate_general_form):
         assert reports[claim].min_margin == -math.inf
 
 
-def test_identities_do_not_need_80_bits(monkeypatch):
-    """With numpy's longdouble made float64, as on arm64 macOS, the identity
-    suite gives the same five CERTIFIED reports."""
-    before = verify_identities(CFG)
-    monkeypatch.setattr(np, "longdouble", np.float64)
-    after = verify_identities(CFG)
-    assert after == before
-    assert [r.status for r in after] == [Status.CERTIFIED] * 5
+# d_general's values and the identity reports, as one string
+_NO_80_BITS = """
+import numpy as np
+from trigratio import FamilyKind, VerificationConfig, d_general, verify_identities
+xs = np.concatenate([np.geomspace(1e-8, 1.5, 30), [np.pi / 2 - 1e-3]])
+values = [d_general(f, p, xs).tobytes().hex() for f in FamilyKind for p in (1.5, 2, 7.3, 16)]
+result = repr((values, verify_identities(VerificationConfig())))
+"""
+
+
+def test_identities_do_not_need_80_bits():
+    """With numpy.longdouble made float64 before trigratio is imported, as on
+    arm64 macOS, a fresh interpreter gives bitwise the d_general values and
+    the five CERTIFIED identity reports of this process: no result reads the
+    platform's extended type."""
+    here = {}
+    exec(_NO_80_BITS, here)
+    patched = "import numpy\nnumpy.longdouble = numpy.float64\n" + _NO_80_BITS + "print(result)"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(trigratio.__file__)))
+    proc = subprocess.run([sys.executable, "-c", patched], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == here["result"] + "\n"
+    assert [r.status for r in verify_identities(CFG)] == [Status.CERTIFIED] * 5
 
 
 def _reference_identities(cfg):

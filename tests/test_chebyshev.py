@@ -1,6 +1,7 @@
 """Tests for the Chebyshev-U module and the corollary bounds."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -70,6 +71,19 @@ def test_degree_cap():
         with pytest.raises(ParameterError):
             cheb_u(n)
     assert cheb_u(np.int64(4)) == cheb_u(4)
+
+
+def test_eval_degree_cap():
+    """U_n(t) takes n recurrence steps, so a degree above 2^20 is refused at
+    once, a float t or an array, and one past float64's range is worded by
+    its size; at the cap the value is right (U_n(1) = n + 1)."""
+    assert cheb_u_eval(2**20, 1.0) == 2.0**20 + 1
+    t0 = time.perf_counter()
+    for n, text in ((2**20 + 1, "1048577"), (np.int64(10**12), "1000000000000"), (10**5000, r"\|n\| >= 2\^16609")):
+        for t in (0.5, np.array([0.5])):
+            with pytest.raises(DegreeCapError, match=rf"^degree {text} above cap 1048576 for U_n\(t\)$"):
+                cheb_u_eval(n, t)
+    assert time.perf_counter() - t0 < 0.1
 
 
 def test_eval_domain():

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -227,6 +228,25 @@ def test_p_past_float64_is_domain_error(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("domain error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, degree",
+    [
+        (["cheb", "--n", "1000000000000", "--t", "0.5"], 10**12),
+        (["cheb", "--p", "1000000000000", "--y", "1e-13"], 10**12 - 1),
+    ],
+    ids=["by-degree", "by-corollary"],
+)
+def test_cheb_huge_degree_is_domain_error(capsys, argv, degree):
+    """A degree of ~10^12, given or p - 1, would take hours of recurrence
+    steps: it exits 65 at once, naming the degree and the cap."""
+    t0 = time.perf_counter()
+    assert run(argv) == EXIT_DOMAIN
+    assert time.perf_counter() - t0 < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"domain error: degree {degree} above cap 1048576 for U_n(t)\n"
 
 
 @pytest.mark.parametrize("where", ["missing/table.csv", "."])

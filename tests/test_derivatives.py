@@ -21,6 +21,7 @@ from trigratio.derivatives import (
     sin_comb_form,
     vanishing_limits_check,
     _d_series_coeffs,
+    _table_d_series,
 )
 from trigratio.families import (
     _even_series,
@@ -217,19 +218,6 @@ def test_d_general_hyperbolic_small_p_is_finite():
             assert np.all(np.isfinite(d_general(family, p, xs[xs >= abs(p)])))
 
 
-@pytest.mark.parametrize("family", [TC, TS])
-def test_d_general_runs_in_float64(family, monkeypatch):
-    """d_general's answer is bitwise the same with np.longdouble made float64:
-    it does not touch the platform's extended type."""
-    xs = np.concatenate([np.geomspace(1e-8, 1.5, 30), [HALF_PI - 1e-3]])
-    before = [d_general(family, p, xs) for p in (1.5, 2, 7.3, 16)]
-    monkeypatch.setattr(np, "longdouble", np.float64)
-    after = [d_general(family, p, xs) for p in (1.5, 2, 7.3, 16)]
-    for a, b in zip(before, after):
-        assert a.dtype == np.float64
-        assert a.tobytes() == b.tobytes()
-
-
 def _mp_D_grid(family, p, xs):
     return np.array([float(mp_D(family, p, x)) for x in xs.tolist()])
 
@@ -381,20 +369,23 @@ def test_d_sum_parity_dispatch():
 def test_sum_forms_refuse_p_past_limit(p):
     """Past MAX_SUM_P = 2^16 no sum form is built: its p//2 exact terms
     would take minutes and run out of memory at p = 10^9.  ParameterError
-    names p at once, with the exact table's cache untouched."""
+    names p at once, with the exact table's cache untouched.  D's series
+    check reads the general form only, so it answers there, and exactly."""
     before = exact_sin_comb_form.cache_info()
     t0 = time.perf_counter()
     calls = [
         *(lambda f=f: d_sum(f, p, 0.5) for f in (TS, HS)),
         *(lambda f=f: d_sum(f, p + 1, np.array([0.5, 1.0])) for f in (TC, HC)),
         lambda: general_vs_sum_check(TS, p),
-        lambda: vanishing_limits_check(TS, p),
     ]
     for call in calls:
         with pytest.raises(ParameterError, match=r"sum form .* at p=10"):
             call()
     assert time.perf_counter() - t0 < 1.0
     assert exact_sin_comb_form.cache_info() == before
+    t0 = time.perf_counter()
+    assert vanishing_limits_check(TS, p)[0] == 0.0
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_sum_forms_evaluate_up_to_limit():
@@ -566,31 +557,19 @@ def test_dirichlet_sum_oracle():
 @pytest.mark.parametrize("p", range(2, 9))
 def test_vanishing_limits(family, p):
     l1, l2 = vanishing_limits_check(family, p)
-    assert abs(l1) < 1e-8
+    assert l1 == 0.0
     assert abs(l2) < 1e-8
 
 
 @pytest.mark.parametrize("family", FamilyKind)
-@pytest.mark.parametrize("p", [0.5, 1.5, 2.5, 3.7, -2, -3.7])
+@pytest.mark.parametrize("p", [0.5, 1.5, 2.5, 3.7, -2, -3.7, 3.99, 7.3, -4, 1000.5, 10**9])
 def test_vanishing_limits_real_p(family, p):
-    """Real p, where the closed form is the general form, which the sin
-    families evaluate at |p|*pi/8 only."""
+    """Real p: D's series from f's agrees with the general form's exactly.
+    It is compared by table algebra, not at sample points, so also where
+    that form cancels all over (0, pi/2), the sin families at non-integer or
+    negative |p| >= 4."""
     d_gap, f_gap = vanishing_limits_check(family, p)
-    assert d_gap < 1e-12 and f_gap < 1e-12
-
-
-def test_vanishing_limits_rejects_uncheckable_p():
-    """At non-integer or negative |p| >= 4 the sin families' general form
-    cancels all over (0, pi/2), so no closed form is accurate enough to check
-    D's series against; the cos families' general form does not cancel."""
-    for family in (TS, HS):
-        for p in (7.3, -4):
-            with pytest.raises(ParameterError):
-                vanishing_limits_check(family, p)
-        assert vanishing_limits_check(family, 3.99)[0] < 1e-12
-    for family in (TC, HC):
-        for p in (7.3, -4, 1000.5):
-            assert vanishing_limits_check(family, p)[0] < 1e-12
+    assert d_gap == 0.0 and f_gap < 1e-12
 
 
 def test_d_general_pole_rule():
@@ -651,5 +630,6 @@ def test_series_caches_are_bounded():
         eval_f(TS, p, 0.01)
         eval_f_grid(TC, p, [0.005], dtype=np.longdouble)
         d_general(HS, p, 0.5)
-    for cache in (_ratio_series, f_series_coeffs, _d_series_coeffs):
+        vanishing_limits_check(TC, p)
+    for cache in (_ratio_series, f_series_coeffs, _d_series_coeffs, _table_d_series):
         assert cache.cache_info().currsize <= 256
