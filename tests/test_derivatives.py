@@ -2,6 +2,9 @@
 definition in 40-digit mpmath (`mp_oracle.mp_D`)."""
 
 import math
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
@@ -9,6 +12,7 @@ import numpy as np
 import pytest
 from mp_oracle import mp_D
 
+import trigratio
 from trigratio.derivatives import (
     ParityError,
     MAX_SUM_P,
@@ -216,6 +220,31 @@ def test_d_general_hyperbolic_small_p_is_finite():
         for p in (1e-15, 1e-6, 0.005, 0.5):
             xs = np.linspace(0.01, 1.0, 50) * min(175.0 * p, HALF_PI - 1e-3)
             assert np.all(np.isfinite(d_general(family, p, xs[xs >= abs(p)])))
+
+
+# d_general's float64 bytes at four p, for the family named in `family`
+_FLOAT64_VALUES = """
+import numpy as np
+from trigratio import FamilyKind, d_general
+xs = np.concatenate([np.geomspace(1e-8, 1.5, 30), [np.pi / 2 - 1e-3]])
+values = [d_general(FamilyKind[family], p, xs) for p in (1.5, 2, 7.3, 16)]
+assert all(v.dtype == np.float64 for v in values)
+result = repr([v.tobytes().hex() for v in values])
+"""
+
+
+@pytest.mark.parametrize("family", [TC, TS])
+def test_d_general_runs_in_float64(family):
+    """A fresh interpreter with np.longdouble made float64 before trigratio
+    is imported, as on arm64 macOS, gives bitwise this process's d_general:
+    it does not touch the platform's extended type."""
+    here = {"family": family.name}
+    exec(_FLOAT64_VALUES, here)
+    patched = f"import numpy\nnumpy.longdouble = numpy.float64\nfamily = {family.name!r}\n" + _FLOAT64_VALUES + "print(result)"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(trigratio.__file__)))
+    proc = subprocess.run([sys.executable, "-c", patched], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == here["result"] + "\n"
 
 
 def _mp_D_grid(family, p, xs):
