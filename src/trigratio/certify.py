@@ -13,7 +13,11 @@ terms and the factor of D(x) = -x * factor * sum_i w_i sin(c_i x), over
 den(x/p)^4 for the general form, with den and the sine (sinh for the x -> ix
 hyperbolic images) from `families.FAMILY_FNS`.  A GRID sign claim evaluates
 it in float64 with `derivatives.eval_sin_comb`; a rigorous cell's D is one
-`interval.sin_comb` over it.  The form goes by family, the same on both
+`interval.sin_comb` over it.  The rigorous proof runs on endpoint floats end
+to end: it bisects (lo, hi) cells, and `_interval_D` encloses D over one
+through the float-pair functions of `interval` (den and the sine included),
+each step bitwise the one an `Interval` expression of D would take, but
+building no Interval.  The form goes by family, the same on both
 backends and at every p: `general = family.is_cos`.  The cos families take
 the sec^4 (sech^4) general form: at p >= 3 its weights are all positive and
 its frequencies lie in [0, 2], so every term keeps one sign on (0, pi/2)
@@ -49,7 +53,7 @@ from .derivatives import (
 from .envelopes import Direction, EnvelopeConstants, envelope_constants
 from . import interval
 from .families import FAMILY_FNS, FamilyKind, HALF_PI, ParameterError, check_param_int, eval_f_grid
-from .interval import Interval, sin_comb
+from .interval import _mul_bounds, _pow_bounds, _reciprocal_bounds, sin_comb
 
 
 class Mode(enum.Enum):
@@ -126,42 +130,49 @@ def expected_sign_D(family: FamilyKind, p: int) -> Sign:
 # --- rigorous interval evaluation of D --------------------------------------
 
 
-def _interval_D(family: FamilyKind, p: int, x: Interval) -> Interval:
-    """D over the cell x from `sin_comb_form`, g and sine from `FAMILY_FNS`."""
+def _interval_D(family: FamilyKind, p: int, lo: float, hi: float) -> tuple[float, float]:
+    """D's bounds over the cell [lo, hi] from `sin_comb_form`, g and sine from
+    `FAMILY_FNS`: -x (times 1/g(x/p)^4 for the general form) * factor * sum,
+    on endpoint floats, each step bitwise that of the Interval expression."""
     g, sin = FAMILY_FNS[family][interval]
     terms, factor = sin_comb_form(family, p, family.is_cos)
-    scale = -x
+    s_lo, s_hi = -hi, -lo
     if family.is_cos:
-        scale = scale * g(x * (1.0 / p)).reciprocal() ** 4
-    return scale * factor * sin_comb(x, terms, sin)
+        s = 1.0 / p
+        sec = _reciprocal_bounds(*g(*_mul_bounds(lo, hi, s, s)))
+        s_lo, s_hi = _mul_bounds(s_lo, s_hi, *_pow_bounds(*sec, 4))
+    s_lo, s_hi = _mul_bounds(s_lo, s_hi, factor, factor)
+    return _mul_bounds(s_lo, s_hi, *sin_comb(lo, hi, terms, sin))
 
 
 def _verify_sign_rigorous(claim, family, p, expected_sign, cfg) -> VerificationReport:
-    root = Interval(cfg.interior_margin, HALF_PI - cfg.interior_margin)
-    stack = [(root, 0)]
+    """Bisect [margin, pi/2 - margin] on (lo, hi, depth) floats until every
+    leaf's enclosure of D has the expected sign or the depth cap is hit."""
+    stack = [(cfg.interior_margin, HALF_PI - cfg.interior_margin, 0)]
+    flip = expected_sign is Sign.NEG
     cells = 0
     min_margin = math.inf
     status = Status.CERTIFIED
     worst_x = math.nan
     while stack:
-        cell, depth = stack.pop()
-        enc = _interval_D(family, p, cell)
-        if expected_sign is Sign.NEG:
-            enc = -enc
-        if not enc.strictly_positive:
-            if enc.strictly_negative:
+        lo, hi, depth = stack.pop()
+        e_lo, e_hi = _interval_D(family, p, lo, hi)
+        if flip:
+            e_lo, e_hi = -e_hi, -e_lo
+        if not e_lo > 0.0:
+            if e_hi < 0.0:
                 # the whole enclosure is on the wrong side: a real counterexample
-                return VerificationReport(claim, Status.FALSIFIED, enc.hi, cell.mid, cells + 1, Mode.RIGOROUS)
+                return VerificationReport(claim, Status.FALSIFIED, e_hi, 0.5 * (lo + hi), cells + 1, Mode.RIGOROUS)
             if depth < cfg.max_subdivisions:
-                left, right = cell.split()
-                stack.append((right, depth + 1))
-                stack.append((left, depth + 1))
+                mid = 0.5 * (lo + hi)
+                stack.append((mid, hi, depth + 1))
+                stack.append((lo, mid, depth + 1))
                 continue
             status = Status.INCONCLUSIVE
         # a certified or a given-up leaf; worst_x names the cell of min_margin
         cells += 1
-        if enc.lo < min_margin:
-            min_margin, worst_x = enc.lo, cell.mid
+        if e_lo < min_margin:
+            min_margin, worst_x = e_lo, 0.5 * (lo + hi)
     return VerificationReport(claim, status, min_margin, worst_x, cells, Mode.RIGOROUS)
 
 

@@ -15,7 +15,8 @@ sine of the product forms, sinh for the x -> ix images f_hyp(x) = -f_trig(ix);
 the sin families are those whose g is that sine.  f and the bare ratio share
 one pole rule: den = g((1/p) * x) is computed once, and |den| < 1e-12 raises
 PoleError where x > |p|; below, it is the removable zero at x -> 0, since
-every other zero of g has |x/p| >= pi/2.  What the dispatch does not read
+every other zero of g has |x/p| >= pi/2, unless x/p underflows to a
+subnormal or 0, which raises ParameterError.  What the dispatch does not read
 from the table it reads from `FamilyKind`'s `is_trig` and `is_cos`, plain
 member attributes.
 
@@ -84,8 +85,8 @@ _FNS_NAMES = {
     FamilyKind.HYP_SIN: ("sinh", "sinh"),
 }
 
-# family -> backend module -> (g, sin); the interval backend's sin encloses
-# over a float pair (see `interval`); numpy's entries come with `load_numpy`
+# family -> backend module -> (g, sin); the interval backend's g and sin both
+# enclose on float pairs (see `interval`); numpy's entries come with `load_numpy`
 FAMILY_FNS = {family: {} for family in _FNS_NAMES}
 
 
@@ -114,9 +115,19 @@ def _pole(den, x, p):
     """Where den = g((1/p) * x) is a pole of f and the bare ratio, on scalars
     or arrays: |den| < 1e-12 where x > |p|.  At x <= |p| it is the removable
     zero at x -> 0, since every other zero of g has |x/p| >= pi/2, unless den
-    is subnormal or 0 (only where |p| > ~4.5e307 x): too coarse a quotient."""
+    is subnormal or 0 (only where |p| > ~4.5e307 x): too coarse a quotient,
+    which `_pole_error` words as a limit of p."""
     small = abs(den)
     return (small < POLE_TOL) & ((x > abs(p)) | (small < sys.float_info.min))
+
+
+def _pole_error(at: str, beyond, p) -> PoleError | ParameterError:
+    """The error for a den that `_pole` flags `at` the points: PoleError where
+    some point lies beyond |p|, else ParameterError, since den is then only
+    subnormal or 0 because x/p underflows, a float64 limit of p like the others."""
+    if beyond:
+        return PoleError(f"denominator vanishes {at}, p={p}")
+    return ParameterError(f"x/p underflows float64 {at}, {_p_text(p)}")
 
 
 def _is_bool(v) -> bool:
@@ -258,7 +269,7 @@ def eval_ratio(family: FamilyKind, p, x: float) -> float:
     g, _ = FAMILY_FNS[family][math]
     den = g((1.0 / p) * x)
     if _pole(den, x, p):
-        raise PoleError(f"denominator vanishes at x={x}, p={p}")
+        raise _pole_error(f"at x={x}", x > abs(p), p)
     return g(x) / den
 
 
@@ -272,7 +283,7 @@ def eval_f(family: FamilyKind, p, x: float) -> float:
         return float(_even_series(x, f_series_coeffs(family, p)))
     den = g((1.0 / p) * x)
     if _pole(den, x, p):
-        raise PoleError(f"denominator vanishes at x={x}, p={p}")
+        raise _pole_error(f"at x={x}", x > abs(p), p)
     return float(_f_direct(p, x, den, g, sin, math))
 
 
@@ -305,7 +316,7 @@ def eval_f_grid(family: FamilyKind, p, xs, dtype=None):
         # every x < pi/2, so x > |p| needs |p| < pi/2; at |p| >= 1/45 every x
         # here is >= 1e-2, so a subnormal den needs |p| > 1e-2 / 2.2e-308
         if not HALF_PI <= abs(p) <= 4e305 and _pole(den, x, p).any():
-            raise PoleError(f"denominator vanishes on the grid, p={p}")
+            raise _pole_error("on the grid", (x > abs(p)).any(), p)
         out[big] = _f_direct(p, x, den, g, sin, np)
     return out
 

@@ -1,11 +1,20 @@
 """Outward-rounded interval arithmetic for rigorous sign certification.
 
-Every operation returns an interval guaranteed to contain the exact result
-for any points of the input intervals.  Arithmetic relies on IEEE-754
-correct rounding plus a one-ulp outward inflation via math.nextafter;
-transcendental enclosures decompose the argument into monotonic pieces and
-inflate libm endpoint values by two ulps.  `sin_comb` encloses a weighted
-sum of sines, the shape of every closed form of D, in the same arithmetic.
+Every enclosure is written once, as a function of float pairs: the bounds
+(lo, hi) of its operands in, the bounds of the result out.  `Interval` is
+their object face, and the rigorous proofs in `certify` call them on the
+endpoint floats of each cell, so a proof builds no Interval.  Every
+enclosure contains the exact result for any points of its operands.
+Arithmetic relies on IEEE-754 correct rounding plus a one-ulp outward step
+via math.nextafter; transcendental enclosures decompose the argument into
+monotonic pieces and inflate libm endpoint values by two ulps.  `sin_comb`
+encloses a weighted sum of sines, the shape of every closed form of D, in
+the same arithmetic.  A float-pair function whose bounds come out unordered
+(a NaN operand) raises ValueError, as building an Interval of them does.
+
+The hot loops pick a least and a greatest value by comparisons that keep
+what min() and max() keep (the first on ties, and NaN as they do), at a
+fraction of the builtins' call cost.
 """
 
 from __future__ import annotations
@@ -14,22 +23,165 @@ import math
 from dataclasses import dataclass
 
 _INF = math.inf
+_nextafter = math.nextafter
 
 
 def _down(v: float) -> float:
-    return math.nextafter(v, -_INF)
+    return _nextafter(v, -_INF)
 
 
 def _up(v: float) -> float:
-    return math.nextafter(v, _INF)
+    return _nextafter(v, _INF)
 
 
 def _down2(v: float) -> float:
-    return _down(_down(v))
+    return _nextafter(_nextafter(v, -_INF), -_INF)
 
 
 def _up2(v: float) -> float:
-    return _up(_up(v))
+    return _nextafter(_nextafter(v, _INF), _INF)
+
+
+def _invalid(lo: float, hi: float) -> ValueError:
+    return ValueError(f"invalid interval [{lo}, {hi}]")
+
+
+# --- the enclosures, on float pairs -----------------------------------------
+
+
+def _add_bounds(al: float, ah: float, bl: float, bh: float) -> tuple[float, float]:
+    """[al, ah] + [bl, bh], one ulp outward."""
+    lo, hi = _nextafter(al + bl, -_INF), _nextafter(ah + bh, _INF)
+    if not lo <= hi:
+        raise _invalid(lo, hi)
+    return lo, hi
+
+
+def _mul_bounds(al: float, ah: float, bl: float, bh: float) -> tuple[float, float]:
+    """[al, ah] * [bl, bh]: the least and the greatest endpoint product, one
+    ulp outward (against a point factor the four products are two)."""
+    lo = hi = al * bl
+    for v in (al * bh, ah * bl, ah * bh):
+        if v < lo:
+            lo = v
+        if v > hi:
+            hi = v
+    lo, hi = _nextafter(lo, -_INF), _nextafter(hi, _INF)
+    if not lo <= hi:
+        raise _invalid(lo, hi)
+    return lo, hi
+
+
+def _reciprocal_bounds(lo: float, hi: float) -> tuple[float, float]:
+    """1 / [lo, hi]; ZeroDivisionError where it holds 0."""
+    if lo <= 0.0 <= hi:
+        raise ZeroDivisionError(f"interval [{lo}, {hi}] contains 0")
+    r_lo, r_hi = _nextafter(1.0 / hi, -_INF), _nextafter(1.0 / lo, _INF)
+    if not r_lo <= r_hi:
+        raise _invalid(r_lo, r_hi)
+    return r_lo, r_hi
+
+
+def _pow_bounds(lo: float, hi: float, n: int) -> tuple[float, float]:
+    """[lo, hi] ** n for an integer n >= 0: monotone for odd n, through 0
+    for even n where the interval holds it."""
+    if n == 0:
+        return 1.0, 1.0
+    lo_p, hi_p = lo**n, hi**n
+    if n % 2 == 1:
+        p_lo, p_hi = _down(lo_p), _up(hi_p)
+    elif lo <= 0.0 <= hi:
+        p_lo, p_hi = 0.0, _up(max(lo_p, hi_p))
+    else:
+        p_lo, p_hi = _down(min(lo_p, hi_p)), _up(max(lo_p, hi_p))
+    if not p_lo <= p_hi:
+        raise _invalid(p_lo, p_hi)
+    return p_lo, p_hi
+
+
+HALF_PI_LO = _down(math.pi / 2.0)
+HALF_PI_HI = _up(math.pi / 2.0)
+TWO_PI = 2.0 * math.pi
+
+
+def _sin_bounds(a: float, b: float) -> tuple[float, float]:
+    """Outward-rounded (lo, hi) of sin over [a, b]: libm at both endpoints,
+    two ulps outward, saturated to -1/+1 where [a, b] may hold a critical point."""
+    if b - a >= 2.0 * math.pi:
+        return -1.0, 1.0
+    sa, sb = math.sin(a), math.sin(b)
+    lo = _nextafter(_nextafter(sb if sb < sa else sa, -_INF), -_INF)
+    hi = _nextafter(_nextafter(sb if sb > sa else sa, _INF), _INF)
+    if -1.57 < a and b < 1.57:
+        # inside (-1.57, 1.57) the slack-widened tests below cannot fire: the
+        # nearest critical points are +-pi/2 ~ +-1.5708, and the slack is
+        # < 3e-9.  Every term c x of the sin families' sum forms lands here
+        # (c <= 1 - 1/p on x <= pi/2 - margin: every p at margin 1e-3, p up
+        # to ~1977 at 1e-6).  A NaN fails the comparisons and raises below.
+        return lo, hi
+    # widen the critical-point test so pi rounding can only add slack
+    slack = 1e-9 * (1.0 + max(abs(a), abs(b)))
+    a_lo, b_hi = a - slack, b + slack
+    # the first maximum and the first minimum at or above a_lo; the quotient's
+    # rounding (~1e-16 relative) is far inside the slack
+    if HALF_PI_LO + TWO_PI * math.ceil((a_lo - HALF_PI_LO) / TWO_PI) <= b_hi:
+        hi = 1.0
+    if -HALF_PI_LO + TWO_PI * math.ceil((a_lo + HALF_PI_LO) / TWO_PI) <= b_hi:
+        lo = -1.0
+    return max(lo, -1.0), min(hi, 1.0)
+
+
+def _cos_bounds(a: float, b: float) -> tuple[float, float]:
+    """cos over [a, b] as sin over [a, b] + [pi/2], pi/2 enclosed."""
+    return _sin_bounds(*_add_bounds(a, b, HALF_PI_LO, HALF_PI_HI))
+
+
+def _sinh_bounds(a: float, b: float) -> tuple[float, float]:
+    """(lo, hi) of the monotone sinh over [a, b]: libm at both ends, two ulps outward."""
+    return _down2(math.sinh(a)), _up2(math.sinh(b))
+
+
+def _cosh_bounds(a: float, b: float) -> tuple[float, float]:
+    """cosh over [a, b]: libm at both ends, two ulps outward, and 1 at its
+    minimum where [a, b] holds 0."""
+    lo_c, hi_c = math.cosh(a), math.cosh(b)
+    if a <= 0.0 <= b:
+        lo, hi = 1.0, _up2(max(lo_c, hi_c))
+    else:
+        lo, hi = _down2(min(lo_c, hi_c)), _up2(max(lo_c, hi_c))
+    if not lo <= hi:
+        raise _invalid(lo, hi)
+    return lo, hi
+
+
+# the interval backend of families.FAMILY_FNS: g and the sine, both on float pairs
+cos, cosh, sin, sinh = _cos_bounds, _cosh_bounds, _sin_bounds, _sinh_bounds
+
+
+def sin_comb(xl: float, xh: float, terms, sin) -> tuple[float, float]:
+    """Enclosure of sum_i w_i * sin(c_i * x) over x in [xl, xh], for point
+    weights and frequencies; `sin` is `_sin_bounds`, or `_sinh_bounds` for sinh.
+
+    `terms` is a sequence of real (w, c) pairs; either may be negative.
+    The result is bitwise the one of the Interval expression
+    ``acc = acc + (x * c).sin() * w`` summed from Interval(0, 0): the same
+    least and greatest endpoint product with a one-ulp outward step (against
+    a point factor the four products are two), the same libm sine enclosure
+    and the same sequential outward-rounded sum."""
+    nextafter, inf = _nextafter, _INF
+    lo = hi = 0.0
+    for w, c in terms:
+        u, v = xl * c, xh * c
+        s_lo, s_hi = sin(nextafter(v if v < u else u, -inf), nextafter(v if v > u else u, inf))
+        u, v = s_lo * w, s_hi * w
+        lo = nextafter(lo + nextafter(v if v < u else u, -inf), -inf)
+        hi = nextafter(hi + nextafter(v if v > u else u, inf), inf)
+    if not lo <= hi:
+        raise _invalid(lo, hi)
+    return lo, hi
+
+
+# --- the object face ----------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -39,7 +191,7 @@ class Interval:
 
     def __post_init__(self):
         if not self.lo <= self.hi:
-            raise ValueError(f"invalid interval [{self.lo}, {self.hi}]")
+            raise _invalid(self.lo, self.hi)
 
     @classmethod
     def point(cls, v: float) -> "Interval":
@@ -74,7 +226,7 @@ class Interval:
 
     def __add__(self, other) -> "Interval":
         o = Interval._coerce(other)
-        return Interval(_down(self.lo + o.lo), _up(self.hi + o.hi))
+        return Interval(*_add_bounds(self.lo, self.hi, o.lo, o.hi))
 
     __radd__ = __add__
 
@@ -86,15 +238,12 @@ class Interval:
 
     def __mul__(self, other) -> "Interval":
         o = Interval._coerce(other)
-        products = (self.lo * o.lo, self.lo * o.hi, self.hi * o.lo, self.hi * o.hi)
-        return Interval(_down(min(products)), _up(max(products)))
+        return Interval(*_mul_bounds(self.lo, self.hi, o.lo, o.hi))
 
     __rmul__ = __mul__
 
     def reciprocal(self) -> "Interval":
-        if self.lo <= 0.0 <= self.hi:
-            raise ZeroDivisionError(f"interval [{self.lo}, {self.hi}] contains 0")
-        return Interval(_down(1.0 / self.hi), _up(1.0 / self.lo))
+        return Interval(*_reciprocal_bounds(self.lo, self.hi))
 
     def __truediv__(self, other) -> "Interval":
         return self * Interval._coerce(other).reciprocal()
@@ -105,14 +254,7 @@ class Interval:
     def __pow__(self, n: int) -> "Interval":
         if not isinstance(n, int) or n < 0:
             raise ValueError("only nonnegative integer powers")
-        if n == 0:
-            return Interval(1.0, 1.0)
-        lo_p, hi_p = self.lo**n, self.hi**n
-        if n % 2 == 1:
-            return Interval(_down(lo_p), _up(hi_p))
-        if self.lo <= 0.0 <= self.hi:
-            return Interval(0.0, _up(max(lo_p, hi_p)))
-        return Interval(_down(min(lo_p, hi_p)), _up(max(lo_p, hi_p)))
+        return Interval(*_pow_bounds(self.lo, self.hi, n))
 
     def split(self) -> tuple["Interval", "Interval"]:
         m = self.mid
@@ -124,70 +266,10 @@ class Interval:
         return Interval(*_sin_bounds(self.lo, self.hi))
 
     def cos(self) -> "Interval":
-        return (self + Interval(HALF_PI_LO, HALF_PI_HI)).sin()
+        return Interval(*_cos_bounds(self.lo, self.hi))
 
     def sinh(self) -> "Interval":
         return Interval(*_sinh_bounds(self.lo, self.hi))
 
     def cosh(self) -> "Interval":
-        lo_c, hi_c = math.cosh(self.lo), math.cosh(self.hi)
-        if self.lo <= 0.0 <= self.hi:
-            return Interval(1.0, _up2(max(lo_c, hi_c)))
-        return Interval(_down2(min(lo_c, hi_c)), _up2(max(lo_c, hi_c)))
-
-
-HALF_PI_LO = _down(math.pi / 2.0)
-HALF_PI_HI = _up(math.pi / 2.0)
-TWO_PI = 2.0 * math.pi
-
-
-def _sin_bounds(a: float, b: float) -> tuple[float, float]:
-    """Outward-rounded (lo, hi) of sin over [a, b]: libm at both endpoints,
-    two ulps outward, saturated to -1/+1 where [a, b] may hold a critical point."""
-    if b - a >= 2.0 * math.pi:
-        return -1.0, 1.0
-    sa, sb = math.sin(a), math.sin(b)
-    lo = _down2(min(sa, sb))
-    hi = _up2(max(sa, sb))
-    # widen the critical-point test so pi rounding can only add slack
-    slack = 1e-9 * (1.0 + max(abs(a), abs(b)))
-    a_lo, b_hi = a - slack, b + slack
-    # the first maximum and the first minimum at or above a_lo; the quotient's
-    # rounding (~1e-16 relative) is far inside the slack
-    if HALF_PI_LO + TWO_PI * math.ceil((a_lo - HALF_PI_LO) / TWO_PI) <= b_hi:
-        hi = 1.0
-    if -HALF_PI_LO + TWO_PI * math.ceil((a_lo + HALF_PI_LO) / TWO_PI) <= b_hi:
-        lo = -1.0
-    return max(lo, -1.0), min(hi, 1.0)
-
-
-def _sinh_bounds(a: float, b: float) -> tuple[float, float]:
-    """(lo, hi) of the monotone sinh over [a, b]: libm at both ends, two ulps outward."""
-    return _down2(math.sinh(a)), _up2(math.sinh(b))
-
-
-# the interval backend of families.FAMILY_FNS: g on an Interval, sin on a float pair
-cos, cosh, sin, sinh = Interval.cos, Interval.cosh, _sin_bounds, _sinh_bounds
-
-
-def sin_comb(x: Interval, terms, sin) -> Interval:
-    """Enclosure of sum_i w_i * sin(c_i * x) for point weights and frequencies;
-    `sin` is `_sin_bounds`, or `_sinh_bounds` for sinh (read .sinh() for .sin() below).
-
-    `terms` is a sequence of real (w, c) pairs; either may be negative.
-    The result is bitwise the one of the Interval expression
-    ``acc = acc + (x * c).sin() * w`` summed from Interval(0, 0): the same
-    min/max of endpoint products with a one-ulp outward step (against a
-    point factor the four products are two), the same libm sine enclosure
-    and the same sequential outward-rounded sum, but on plain floats, so
-    only the result is an Interval."""
-    nextafter, inf = math.nextafter, _INF
-    xl, xh = x.lo, x.hi
-    lo = hi = 0.0
-    for w, c in terms:
-        u, v = xl * c, xh * c
-        s_lo, s_hi = sin(nextafter(min(u, v), -inf), nextafter(max(u, v), inf))
-        u, v = s_lo * w, s_hi * w
-        lo = nextafter(lo + nextafter(min(u, v), -inf), -inf)
-        hi = nextafter(hi + nextafter(max(u, v), inf), inf)
-    return Interval(lo, hi)
+        return Interval(*_cosh_bounds(self.lo, self.hi))

@@ -24,7 +24,6 @@ from trigratio.certify import (
     verify_identities,
     verify_monotonicity,
     verify_sign_D,
-    _interval_D,
     _tolerance_report,
 )
 from trigratio.chebyshev import cheb_u, cheb_u_eval, corollary_bounds
@@ -39,7 +38,7 @@ from trigratio.derivatives import (
 )
 from trigratio.envelopes import envelope_constants, ratio_bounds
 from trigratio.families import FamilyKind, HALF_PI, ParameterError, limit_at_half_pi, limit_at_zero
-from trigratio.interval import Interval, sin_comb
+from trigratio.interval import Interval
 import trigratio
 from trigratio import certify, derivatives, interval
 
@@ -575,6 +574,16 @@ def test_grid_reports_equal_fresh_linspace(cfg, monkeypatch):
 # --- the interval evaluation of D ---------------------------------------------
 
 
+def _interval_D(family, p, x):
+    """certify._interval_D over an Interval cell, as an Interval."""
+    return Interval(*certify._interval_D(family, p, x.lo, x.hi))
+
+
+def sin_comb(x, terms, sin):
+    """interval.sin_comb over an Interval cell, as an Interval."""
+    return Interval(*interval.sin_comb(x.lo, x.hi, terms, sin))
+
+
 def _reference_interval_D(family, p, x):
     """_interval_D as written before the sin-combination kernel: Interval
     objects throughout, the (w, c) table rebuilt for every cell; cosh and
@@ -658,18 +667,90 @@ def _trig_cos_odd_sum_interval_D(family, p, x):
     return -x * factor * sin_comb(x, terms, interval.sin)
 
 
+def _on_endpoints(interval_D):
+    """An Interval D evaluator as certify._interval_D's (lo, hi) -> (lo, hi)."""
+
+    def on_floats(family, p, lo, hi):
+        enc = interval_D(family, p, Interval(lo, hi))
+        return enc.lo, enc.hi
+
+    return on_floats
+
+
 def test_rigorous_worst_x_is_the_cell_of_min_margin(monkeypatch):
     """With several INCONCLUSIVE cells, worst_x names the one whose enclosure
     gave min_margin, not the last one popped (x = 9.239e-6 here).  The
     general form proves this claim in 1 cell, so the proof runs on the odd
     sum form, which leaves cells INCONCLUSIVE."""
-    monkeypatch.setattr(certify, "_interval_D", _trig_cos_odd_sum_interval_D)
+    monkeypatch.setattr(certify, "_interval_D", _on_endpoints(_trig_cos_odd_sum_interval_D))
     cfg = VerificationConfig(mode=Mode.RIGOROUS, interior_margin=1e-6, max_subdivisions=20)
     r = verify_sign_D(TC, 63, Sign.NEG, cfg)
     assert r.status is Status.INCONCLUSIVE
     assert r.min_margin == -2.577682467244663e-11
     assert r.worst_x == 4.7450655145523465e-06
     assert r.cells_checked == 109
+
+
+def _reference_verify_sign_rigorous(family, p, expected_sign, cfg):
+    """verify_sign_D's RIGOROUS proof as written before it ran on endpoint
+    floats: Interval cells, bisected by Interval.split, over
+    `_reference_interval_D`."""
+    claim = f"sign-D:{family.value}:p={p}:{expected_sign.name}"
+    stack = [(Interval(cfg.interior_margin, HALF_PI - cfg.interior_margin), 0)]
+    cells = 0
+    min_margin = math.inf
+    status = Status.CERTIFIED
+    worst_x = math.nan
+    while stack:
+        cell, depth = stack.pop()
+        enc = _reference_interval_D(family, p, cell)
+        if expected_sign is Sign.NEG:
+            enc = -enc
+        if not enc.strictly_positive:
+            if enc.strictly_negative:
+                return VerificationReport(claim, Status.FALSIFIED, enc.hi, cell.mid, cells + 1, Mode.RIGOROUS)
+            if depth < cfg.max_subdivisions:
+                left, right = cell.split()
+                stack.append((right, depth + 1))
+                stack.append((left, depth + 1))
+                continue
+            status = Status.INCONCLUSIVE
+        cells += 1
+        if enc.lo < min_margin:
+            min_margin, worst_x = enc.lo, cell.mid
+    return VerificationReport(claim, status, min_margin, worst_x, cells, Mode.RIGOROUS)
+
+
+@pytest.mark.parametrize("margin,cap", [(1e-3, 20), (1e-6, 40), (1e-6, 20)])
+@pytest.mark.parametrize("family", [TC, TS, HC, HS])
+def test_rigorous_reports_bitwise_match_reference_prover(family, margin, cap):
+    """Every RIGOROUS report, p = 2..64, is repr-equal to the Interval-cell
+    reference prover's: the same cells, verdict, margin and worst x."""
+    cfg = VerificationConfig(mode=Mode.RIGOROUS, interior_margin=margin, max_subdivisions=cap)
+    for p in range(2, 65):
+        sign = expected_sign_D(family, p)
+        assert repr(verify_sign_D(family, p, sign, cfg)) == repr(_reference_verify_sign_rigorous(family, p, sign, cfg))
+
+
+@pytest.mark.parametrize("entry", ["factor", "weight", "frequency"])
+@pytest.mark.parametrize("family,p", [(TC, 2), (TS, 7), (HC, 5), (HS, 4)])
+def test_rigorous_nan_in_table_raises(family, p, entry, monkeypatch):
+    """A NaN in the table raises ValueError, as an Interval of it did: min()
+    and max() can drop a NaN, so the float path checks lo <= hi itself."""
+    table = sin_comb_form
+
+    def with_nan(family, p, general):
+        terms, factor = table(family, p, general)
+        (w, c), rest = terms[-1], terms[:-1]
+        if entry == "factor":
+            return terms, math.nan
+        return (*rest, (math.nan, c) if entry == "weight" else (w, math.nan)), factor
+
+    monkeypatch.setattr(certify, "sin_comb_form", with_nan)
+    # a NaN that slipped through would bisect to the cap: keep that quick
+    cfg = VerificationConfig(mode=Mode.RIGOROUS, max_subdivisions=3)
+    with pytest.raises(ValueError):
+        verify_sign_D(family, p, expected_sign_D(family, p), cfg)
 
 
 @pytest.mark.parametrize(

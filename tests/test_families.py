@@ -3,11 +3,14 @@
 import functools
 import math
 import pickle
+import re
 
 import mpmath
 import numpy as np
 import pytest
 from mp_oracle import mp_f
+
+from trigratio.derivatives import vanishing_limits_check
 
 from trigratio.families import (
     DomainError,
@@ -265,20 +268,30 @@ def test_removable_zero_is_not_a_pole():
         exact = mpmath.sinh(mpmath.mpf(1e-12)) / mpmath.sinh(mpmath.mpf(1e-12) / 3)
     assert eval_ratio(HS, 3, 1e-12) == pytest.approx(float(exact), rel=4.5e-16)
     for x in (1e-30, 1e-20):  # x/p underflows to 0, or to a subnormal 1e-320
-        with pytest.raises(PoleError):
+        with pytest.raises(ParameterError, match=r"x/p underflows float64 at x=.*, p=1e\+300"):
             eval_ratio(TS, 1e300, x)
 
 
-@pytest.mark.parametrize("family", [TS, HS])
-def test_subnormal_den_is_a_pole(family):
-    """At p = 1.7e308 and x = 0.15, x/p is subnormal and so is g(x/p): eval_f
-    and eval_f_grid raise PoleError there, as eval_ratio does, rather than
-    return a quotient off by ~7e-13 relative."""
-    for fn in (eval_f, eval_ratio):
-        with pytest.raises(PoleError):
-            fn(family, 1.7e308, 0.15)
-    with pytest.raises(PoleError):
-        eval_f_grid(family, 1.7e308, np.array([0.15, 1.0]))
+@pytest.mark.parametrize("family", FamilyKind)
+def test_subnormal_den_is_a_parameter_error(family):
+    """At p = +-1.7e308 and x = 0.15, x/p is subnormal.  So is sin(x/p)
+    (sinh), and eval_f, eval_ratio, eval_f_grid and vanishing_limits_check
+    raise ParameterError naming p, as at every other float64 limit of p, not
+    PoleError and not a quotient off by ~7e-13 relative.  cos(x/p) =
+    cosh(x/p) = 1 there, so the cos families answer."""
+    for p in (1.7e308, -1.7e308):
+        calls = (
+            lambda: eval_f(family, p, 0.15),
+            lambda: eval_ratio(family, p, 0.15),
+            lambda: eval_f_grid(family, p, np.array([0.15, 1.0])),
+            lambda: vanishing_limits_check(family, p),
+        )
+        for call in calls:
+            if family.is_cos:
+                assert np.isfinite(call()).all()
+            else:
+                with pytest.raises(ParameterError, match=rf"^x/p underflows float64 .*, {re.escape(f'p={p}')}$"):
+                    call()
 
 
 @pytest.mark.parametrize("family,cos", [(TC, mpmath.cos), (HC, mpmath.cosh)], ids=["trig-cos", "hyp-cos"])

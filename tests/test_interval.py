@@ -1,23 +1,30 @@
 """Tests for the outward-rounded interval arithmetic."""
 
+import contextlib
 import math
 import random
 
 import mpmath
 import pytest
+from mpmath import iv
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trigratio.interval import (
+    HALF_PI_HI,
     HALF_PI_LO,
     TWO_PI,
     Interval,
+    _add_bounds,
     _down2,
+    _mul_bounds,
+    _pow_bounds,
+    _reciprocal_bounds,
     _sin_bounds,
     _sinh_bounds,
     _up2,
-    sin_comb,
 )
+from trigratio import interval
 
 
 def test_construction_and_invariants():
@@ -167,6 +174,11 @@ def _reference_sin(iv):
     return Interval(max(lo, -1.0), min(hi, 1.0))
 
 
+def sin_comb(x, terms, sin):
+    """interval.sin_comb over an Interval cell, as an Interval."""
+    return Interval(*interval.sin_comb(x.lo, x.hi, terms, sin))
+
+
 def _reference_sin_comb(x, terms, sin):
     acc = Interval(0.0, 0.0)
     for w, c in terms:
@@ -290,3 +302,109 @@ def test_sinh_sound_on_seeded_cells():
             assert Interval(lo, hi) == iv.sinh()
             for x in (iv.lo, iv.mid, iv.hi):
                 assert lo <= mpmath.sinh(mpmath.mpf(x)) <= hi, iv
+
+
+# --- the float-pair enclosures against mpmath.iv at 30 digits ----------------
+#
+# Each enclosure must hold mpmath.iv's (outward-rounded, so a superset of the
+# exact range) over the same cell; the endpoints compare exactly, as floats
+# are exact binary numbers.  mpmath 1.3.0's iv has no sinh or cosh, so both
+# are built from iv.exp: e^X - e^-X pairs X's ends the right way, so sinh is
+# tight on a whole cell (given the digits its cancellation near 0 takes),
+# while cosh is taken at its ends (and at 0, its minimum, in a cell holding
+# 0), since it is monotone on either side of 0.
+
+_ANCHORS = (0.0, 1.5, 1.57, math.pi / 2.0, HALF_PI_LO, HALF_PI_HI, math.pi, 1.5 * math.pi, 2.0 * math.pi)
+
+
+@st.composite
+def _cells(draw, span=10.0):
+    """(lo, hi) at, within ulps of, or across an anchor (+-1.5, +-1.57,
+    +-pi/2, past pi where sin < 0 ...), or anywhere in [-span, span]; width 0
+    up to 3."""
+    if draw(st.booleans()):
+        lo = draw(st.sampled_from(_ANCHORS)) * draw(st.sampled_from((1.0, -1.0)))
+        lo += draw(st.one_of(st.integers(-4, 4).map(lambda k: k * 2.0**-52), st.floats(-0.05, 0.05)))
+    else:
+        lo = draw(st.floats(-span, span))
+    width = draw(st.one_of(st.just(0.0), st.floats(0.0, 1e-9), st.floats(0.0, 3.0)))
+    return lo, lo + width
+
+
+def _holds(bounds, r):
+    """The float pair `bounds` holds the mpmath.iv interval r."""
+    lo, hi = bounds
+    return lo <= hi and lo <= r.a and r.b <= hi
+
+
+@contextlib.contextmanager
+def _iv_digits(dps):
+    """mpmath.iv at dps digits (iv has no workdps)."""
+    saved, iv.dps = iv.dps, dps
+    try:
+        yield
+    finally:
+        iv.dps = saved
+
+
+def _iv(cell):
+    return iv.mpf(list(cell))
+
+
+def _iv_sinh(cell):
+    """sinh over the cell from iv.exp, with 30 digits left after e^x - e^-x
+    cancels the first ~log10(1/|x|) of them at the smallest nonzero end."""
+    tiny = min((abs(t) for t in cell if t), default=1.0)
+    with _iv_digits(30 + max(0, math.ceil(-math.log10(tiny)))):
+        x = _iv(cell)
+        return (iv.exp(x) - iv.exp(-x)) / 2
+
+
+def _iv_cosh_at(t):
+    """cosh(t) from iv.exp, with 30 digits of cosh(t) - 1 ~ t^2/2 left."""
+    with _iv_digits(30 + max(0, 2 * math.ceil(-math.log10(abs(t))) if t else 0)):
+        x = iv.mpf(t)
+        return (iv.exp(x) + iv.exp(-x)) / 2
+
+
+_IV_SETTINGS = settings(max_examples=400, deadline=None, derandomize=True)
+
+
+@given(cell=_cells())
+@_IV_SETTINGS
+def test_sin_and_cos_bounds_hold_mpmath_iv(cell):
+    with _iv_digits(30):
+        assert _holds(_sin_bounds(*cell), iv.sin(_iv(cell))), cell
+        assert _holds(interval.cos(*cell), iv.cos(_iv(cell))), cell
+
+
+@given(cell=_cells(span=20.0))
+@_IV_SETTINGS
+def test_sinh_and_cosh_bounds_hold_mpmath_iv(cell):
+    lo, hi = cell
+    with _iv_digits(30):
+        assert _holds(interval.sinh(lo, hi), _iv_sinh(cell)), cell
+        bounds = interval.cosh(lo, hi)
+        for t in (lo, hi) + ((0.0,) if lo <= 0.0 <= hi else ()):
+            assert _holds(bounds, _iv_cosh_at(t)), (cell, t)
+
+
+@given(cell=_cells(), n=st.sampled_from((4, 4, 4, 0, 1, 2, 3, 5, 6)))  # mostly D's sec^4
+@_IV_SETTINGS
+def test_reciprocal_and_power_bounds_hold_mpmath_iv(cell, n):
+    lo, hi = cell
+    with _iv_digits(30):
+        assert _holds(_pow_bounds(lo, hi, n), _iv(cell) ** n), (cell, n)
+        if lo <= 0.0 <= hi:
+            with pytest.raises(ZeroDivisionError):
+                _reciprocal_bounds(lo, hi)
+        else:
+            assert _holds(_reciprocal_bounds(lo, hi), 1 / _iv(cell)), cell
+
+
+@given(a=_cells(), b=_cells())
+@_IV_SETTINGS
+def test_add_and_mul_bounds_hold_mpmath_iv(a, b):
+    with _iv_digits(30):
+        assert _holds(_add_bounds(*a, *b), _iv(a) + _iv(b)), (a, b)
+        assert _holds(_mul_bounds(*a, *b), _iv(a) * _iv(b)), (a, b)
