@@ -29,7 +29,10 @@ takes its sine and the general form's den from the family table
   and the cos families by the general form, at every p.
 
 Each, like `dirichlet_sum`, takes a float or a numpy array for x and returns
-a float for a float.  The identities `general_vs_sum_check` and
+a float for a float.  `d_general` and `d_sum` run an array in blocks of
+`families._BLOCK` points after one check of the whole array, as
+`families.eval_f_grid` does: values bitwise independent of the blocking,
+temporaries of about one block.  The identities `general_vs_sum_check` and
 `vanishing_limits_check` (D's series, at every real p) are exact table algebra.
 """
 
@@ -51,6 +54,7 @@ from .families import (
     _even_series,
     _RADIUS,
     _as_points,
+    _by_blocks,
     _p_text,
     _ratio_series,
     _series_quotient,
@@ -235,19 +239,35 @@ def d_general(family: FamilyKind, p, x):
     mpmath is ~eps*x/|p| (2.5e-14 at p = 0.01, 2e-11 at 1e-5, trig families),
     more near D's zeros.  ParameterError where 3/|p| >= 2^52 (1 +- 3/p rounds
     to +-3/p), and for the hyperbolic families where x > 175|p| (cosh(x/p)^4
-    would pass e^700)."""
+    would pass e^700).  An array runs in blocks of 2^14 points after those
+    checks (`families._by_blocks`): values bitwise independent of the
+    blocking, temporaries of about one block."""
     p, x = check_param_real(p), _check_x_open(x)
     if 3.0 / abs(p) >= 2.0**52 or not family.is_trig and (x > 175.0 * abs(p)).any():
         raise ParameterError(f"D overflows or loses every digit at p={p}")
-    small = x < _RADIUS[not family.is_cos] * abs(p) * math.pi / 4.0
-    if small.all():
-        return _unwrap(_even_series(x, _d_series_coeffs(family, p)))
-    out = np.empty_like(x)
-    big = ~small
-    out[big] = eval_sin_comb(family, p, x[big], True)
-    if small.any():
-        out[small] = _even_series(x[small], _d_series_coeffs(family, p))
-    return _unwrap(out)
+    reach = _RADIUS[not family.is_cos] * abs(p) * math.pi / 4.0
+
+    def block(x):
+        small = x < reach
+        if small.all():
+            return _even_series(x, _d_series_coeffs(family, p))
+        out = np.empty_like(x)
+        big = ~small
+        out[big] = eval_sin_comb(family, p, x[big], True)
+        if small.any():
+            out[small] = _even_series(x[small], _d_series_coeffs(family, p))
+        return out
+
+    try:
+        return _unwrap(_by_blocks(block, x))
+    except ParameterError:
+        # as on the unsplit array, the general form's errors on every point (a
+        # PoleError, its table's ParameterError) come before D's series'
+        # ParameterError (|p| < ~7.5e-10), even from a later block
+        big = x >= reach
+        if big.any():
+            _by_blocks(lambda b: eval_sin_comb(family, p, b, True), x[big])
+        raise
 
 
 def d_sum(family: FamilyKind, p: int, x):
@@ -256,11 +276,15 @@ def d_sum(family: FamilyKind, p: int, x):
     families, and the cos families' terms alternate, at odd p only.
 
     Raises ParityError for the cos families with even p, which have none,
-    and ParameterError past MAX_SUM_P, before building any of the p//2 terms."""
+    and ParameterError past MAX_SUM_P, before building any of the p//2 terms.
+    An array runs in blocks of 2^14 points after those checks
+    (`families._by_blocks`): values bitwise independent of the blocking,
+    temporaries of about one block."""
     p = check_param_int(p)
     if family.is_cos and p % 2 == 0:
         raise ParityError("no sum form for the cos families with even p")
-    return _unwrap(eval_sin_comb(family, p, _check_x_open(x), False))
+    x = _check_x_open(x)
+    return _unwrap(_by_blocks(lambda b: eval_sin_comb(family, p, b, False), x))
 
 
 def dirichlet_sum(k: int, x):

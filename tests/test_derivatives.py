@@ -30,6 +30,7 @@ from trigratio.derivatives import (
 from trigratio.families import (
     _even_series,
     _ratio_series,
+    _scalar_fns,
     DomainError,
     FamilyKind,
     HALF_PI,
@@ -653,12 +654,13 @@ def test_weights_hook_changes_result(mutate_general_form):
 
 def test_series_caches_are_bounded():
     """A sweep over 300 distinct p holds at most 256 entries in each series
-    cache (unbounded, 20,000 p through eval_f grew the process by 53 MiB)."""
+    cache and in eval_f's per-(family, p) record (unbounded, 20,000 p
+    through eval_f grew the process by 53 MiB)."""
     for i in range(300):
         p = 2.0 + i / 512  # dyadic, so the exact series stay short
         eval_f(TS, p, 0.01)
         eval_f_grid(TC, p, [0.005], dtype=np.longdouble)
         d_general(HS, p, 0.5)
         vanishing_limits_check(TC, p)
-    for cache in (_ratio_series, f_series_coeffs, _d_series_coeffs, _table_d_series):
+    for cache in (_ratio_series, f_series_coeffs, _scalar_fns, _d_series_coeffs, _table_d_series):
         assert cache.cache_info().currsize <= 256
