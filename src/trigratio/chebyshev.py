@@ -3,8 +3,8 @@
 U_n satisfies U_n(cos t) = sin((n+1)t)/sin t, which identifies the sin
 ratio family at integer p with U_{p-1}: sin(p y)/sin y = U_{p-1}(cos y).
 `corollary_bounds` transports the quadratic envelope of that ratio into a
-polynomial inequality on (0, pi/(2p)).  `cheb_u_eval` takes a float or a
-numpy array t, and runs the same recurrence on both, so an array's values
+polynomial inequality on (0, pi/(2p)).  `cheb_u_eval` takes a float or an
+array-like t, and runs the same recurrence on both, so an array's values
 equal the scalar calls bit for bit; this module itself imports no numpy,
 so the CLI's `cheb` verb never loads it.
 """
@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .envelopes import ratio_bounds
-from .families import DomainError, FamilyKind, ParameterError, _is_bool, _p_text, check_param_int
+from .families import DomainError, FamilyKind, ParameterError, _as_points, _is_bool, _p_text, check_param_int
 
 DEGREE_CAP = 64
 # cheb_u_eval's degree cap: its recurrence takes ~50 ms for a float t at
@@ -56,11 +56,11 @@ def cheb_u(n: int) -> ChebPoly:
 def cheb_u_eval(n: int, t):
     """U_n(t) for |t| <= 1 by the value-space recurrence (numerically stable).
 
-    t is a float, or a numpy array taken as float64 and run through the same
-    recurrence elementwise; DomainError if any of it lies outside [-1, 1] or
-    is NaN or a bool.  U_0 of an array is ones of its shape.  DegreeCapError
-    above n = 2^20, so that a huge degree fails at once instead of running
-    for hours."""
+    t is a float, or an array-like taken as float64 (`families._as_points`)
+    and run through the same recurrence elementwise; DomainError if any of it
+    lies outside [-1, 1] or is NaN, a bool or complex.  U_0 of an array is
+    ones of its shape.  DegreeCapError above n = 2^20, so that a huge degree
+    fails at once instead of running for hours."""
     if type(n) is not int or not 0 <= n <= _EVAL_DEGREE_CAP:
         n = check_param_int(n, "degree", 0)
         if n > _EVAL_DEGREE_CAP:
@@ -70,10 +70,9 @@ def cheb_u_eval(n: int, t):
             raise DomainError(f"t={t} outside [-1, 1]")
         u_prev = 1.0
     else:
-        # written so that NaN fails the test too: min and max propagate it
-        if t.dtype.kind == "b" or t.size and not (-1.0 <= t.min() and t.max() <= 1.0):
+        t, least, most = _as_points(t)
+        if not (-1.0 <= least and most <= 1.0):
             raise DomainError("t outside [-1, 1]")
-        t = t.astype(float)
         u_prev = 0.0 * t + 1.0  # ones of t's shape, t being finite
     # 2.0 * t * u_cur rounds as (2.0 * t) * u_cur, so 2t is taken once
     two_t = u_cur = 2.0 * t

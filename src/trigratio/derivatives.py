@@ -28,11 +28,11 @@ takes its sine and the general form's den from the family table
   families have it at odd p only.  `certify` proves the sin families by it
   and the cos families by the general form, at every p.
 
-Each, like `dirichlet_sum`, takes a float or a numpy array for x and returns
-a float for a float.  `d_general` and `d_sum` run an array in blocks of
-`families._BLOCK` points after one check of the whole array, as
-`families.eval_f_grid` does: values bitwise independent of the blocking,
-temporaries of about one block.  The identities `general_vs_sum_check` and
+Each, like `dirichlet_sum`, takes a float or an array-like for x, checks it
+on its least and greatest point (`families._as_points`) and returns a float
+for a float; `d_general` and `d_sum` run an array in blocks of
+`families._BLOCK` points as `families.eval_f_grid` does, values bitwise
+independent of the blocking.  The identities `general_vs_sum_check` and
 `vanishing_limits_check` (D's series, at every real p) are exact table algebra.
 """
 
@@ -53,6 +53,7 @@ from .families import (
     HALF_PI,
     _even_series,
     _RADIUS,
+    _BLOCK,
     _as_points,
     _by_blocks,
     _p_text,
@@ -173,14 +174,6 @@ def general_vs_sum_check(family: FamilyKind, p: int) -> bool:
     return {k: v for k, v in left.items() if k and v} == {k: v for k, v in right.items() if k and v}
 
 
-def _check_x_open(x) -> np.ndarray:
-    x = _as_points(x)
-    # written so that NaN fails the test too
-    if not np.all((x > 0.0) & (x < HALF_PI)):
-        raise DomainError("x must lie in (0, pi/2)")
-    return x
-
-
 def _unwrap(out):
     return out if out.ndim else float(out)
 
@@ -239,11 +232,14 @@ def d_general(family: FamilyKind, p, x):
     mpmath is ~eps*x/|p| (2.5e-14 at p = 0.01, 2e-11 at 1e-5, trig families),
     more near D's zeros.  ParameterError where 3/|p| >= 2^52 (1 +- 3/p rounds
     to +-3/p), and for the hyperbolic families where x > 175|p| (cosh(x/p)^4
-    would pass e^700).  An array runs in blocks of 2^14 points after those
-    checks (`families._by_blocks`): values bitwise independent of the
-    blocking, temporaries of about one block."""
-    p, x = check_param_real(p), _check_x_open(x)
-    if 3.0 / abs(p) >= 2.0**52 or not family.is_trig and (x > 175.0 * abs(p)).any():
+    would pass e^700), decided on x's greatest point.  An array then runs in
+    blocks of 2^14 points (`families._by_blocks`): values bitwise independent
+    of the blocking, temporaries of about one block."""
+    p = check_param_real(p)
+    x, least, most = _as_points(x)
+    if not (0.0 < least and most < HALF_PI):
+        raise DomainError("x must lie in (0, pi/2)")
+    if 3.0 / abs(p) >= 2.0**52 or not family.is_trig and most > 175.0 * abs(p):
         raise ParameterError(f"D overflows or loses every digit at p={p}")
     reach = _RADIUS[not family.is_cos] * abs(p) * math.pi / 4.0
 
@@ -261,12 +257,10 @@ def d_general(family: FamilyKind, p, x):
     try:
         return _unwrap(_by_blocks(block, x))
     except ParameterError:
-        # as on the unsplit array, the general form's errors on every point (a
-        # PoleError, its table's ParameterError) come before D's series'
-        # ParameterError (|p| < ~7.5e-10), even from a later block
-        big = x >= reach
-        if big.any():
-            _by_blocks(lambda b: eval_sin_comb(family, p, b, True), x[big])
+        # as on one block, the general form's PoleError or table ParameterError
+        # outranks D's series' ParameterError (|p| < ~7.5e-10) from any block
+        if most >= reach:
+            _by_blocks(lambda b: eval_sin_comb(family, p, b, True), x[x >= reach])
         raise
 
 
@@ -283,27 +277,38 @@ def d_sum(family: FamilyKind, p: int, x):
     p = check_param_int(p)
     if family.is_cos and p % 2 == 0:
         raise ParityError("no sum form for the cos families with even p")
-    x = _check_x_open(x)
+    x, least, most = _as_points(x)
+    if not (0.0 < least and most < HALF_PI):
+        raise DomainError("x must lie in (0, pi/2)")
     return _unwrap(_by_blocks(lambda b: eval_sin_comb(family, p, b, False), x))
+
+
+# dirichlet_sum's cap on k: one point's k cosines and their list peak at 48 MiB there
+_DIRICHLET_K_CAP = 2**20
 
 
 def dirichlet_sum(k: int, x):
     """Sum of cos((2j+1)x/(2k)) for j < k, term by term and via sin x / (2 sin(x/(2k))),
-    for a float or an array x in (0, pi): one numpy call takes every term's
-    cosine, and each point's terms are summed by `math.fsum`."""
-    if type(k) is not int or k < 1:
+    for a float or an array-like x in (0, pi), k <= 2^20: one numpy call per
+    chunk of about `families._BLOCK` cosines, and `math.fsum`, exactly
+    rounded, per point, so the values do not depend on the chunking."""
+    if type(k) is not int or not 1 <= k <= _DIRICHLET_K_CAP:
         k = check_param_int(k, "k", 1)
-    x = _as_points(x)
-    # written so that NaN fails the test too
-    if not np.all((x > 0.0) & (x < math.pi)):
+        if k > _DIRICHLET_K_CAP:
+            raise ParameterError(f"{_p_text(k, 'k')} above cap {_DIRICHLET_K_CAP} for the Dirichlet sum")
+    x, least, most = _as_points(x)
+    if not (0.0 < least and most < math.pi):
         raise DomainError("x must lie in (0, pi)")
-    den = np.sin(x / (2.0 * k))
-    if x.size and np.abs(den).min() < 1e-300:
+    # sin(x/(2k)) is least at the least x, and sin(y) = y there
+    if least / (2.0 * k) < 1e-300:
         raise PoleError(f"sin(x/(2k)) vanishes for k={k}")
-    terms = np.cos(np.multiply.outer(x, np.arange(1.0, 2 * k, 2.0)) / (2.0 * k))
-    term_sum = np.array([math.fsum(row) for row in terms.reshape(-1, k).tolist()]).reshape(x.shape)
-    closed = np.sin(x) / (2.0 * den)
-    return _unwrap(term_sum), _unwrap(closed)
+    odd, flat = np.arange(1.0, 2 * k, 2.0), x.reshape(-1)
+    term_sum, step = np.empty(flat.size), max(1, _BLOCK // k)
+    for i in range(0, flat.size, step):
+        terms = np.cos(np.multiply.outer(flat[i : i + step], odd) / (2.0 * k))
+        term_sum[i : i + step] = [math.fsum(row) for row in terms.tolist()]
+    closed = np.sin(x) / (2.0 * np.sin(x / (2.0 * k)))
+    return _unwrap(term_sum.reshape(x.shape)), _unwrap(closed)
 
 
 @functools.lru_cache(maxsize=256)

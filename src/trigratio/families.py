@@ -11,14 +11,13 @@ removable:
 
 Family dispatch lives in one table, `FAMILY_FNS`, read by f, its limits, the
 bare ratio and D: per family and backend (math, numpy, interval), g and the
-sine of the product forms, sinh for the x -> ix images f_hyp(x) = -f_trig(ix);
-the sin families are those whose g is that sine.  f and the bare ratio share
-one pole rule: den = g((1/p) * x) is computed once, and |den| < 1e-12 raises
-PoleError where x > |p|; below, it is the removable zero at x -> 0, since
-every other zero of g has |x/p| >= pi/2, unless x/p underflows to a
-subnormal or 0, which raises ParameterError.  What the dispatch does not read
-from the table it reads from `FamilyKind`'s `is_trig` and `is_cos`, plain
-member attributes.
+sine of the product forms, sinh for the x -> ix images f_hyp(x) = -f_trig(ix).
+f and the bare ratio share one pole rule: den = g((1/p) * x) is computed
+once, and |den| < 1e-12 raises PoleError where x > |p|; below, it is the
+removable zero at x -> 0, since every other zero of g has |x/p| >= pi/2,
+unless x/p underflows to a subnormal or 0, which raises ParameterError.
+What the dispatch does not read from the table it reads from `FamilyKind`'s
+`is_trig` and `is_cos`, plain member attributes.
 
 The scalar and interval backends need no numpy.  The numpy backend loads on
 the first array call (`eval_f_grid`, `derivatives`):
@@ -29,7 +28,7 @@ All functions are defined on (0, pi/2); `eval_f` extends to x = 0 by
 continuity.  Near zero the direct quotient cancels catastrophically, so
 evaluation switches to a truncated even-power series whose coefficients
 are computed once per (family, p) in exact rational arithmetic and rounded
-once to float64.  Every evaluator raises DomainError for a bool point.
+once to float64.  Every evaluator raises DomainError for a bool or complex point.
 """
 
 from __future__ import annotations
@@ -178,7 +177,7 @@ def _p_text(value, name: str = "p", bare: bool = False) -> str:
 
 _N_COEFFS = 9
 
-# Indexed by whether g is the family's sine, so the cos families first:
+# Indexed by `not family.is_cos`, so the cos families first:
 # * the radius of the ratio's series in units of |p|*pi, read by f's
 #   crossover and D's series reach (`derivatives`): the first zero of g(x/p)
 #   is at |x| = |p|*pi/2 (cos families) or |p|*pi (sin families), on the
@@ -227,16 +226,12 @@ def f_series_coeffs(family: FamilyKind, p: float) -> tuple[float, ...]:
         raise ParameterError(f"f's series overflows float64 at {_p_text(p)}") from None
 
 
-def _series_threshold(g, sin, p: float) -> float:
-    # at small |p| the crossover is 0.45/pi of the series' radius, where the
-    # truncation after x^14 is < 4e-14 relative (3.9e-14 worst measured)
-    sin_family = g is sin
-    return min(_TH[sin_family], 0.45 * _RADIUS[sin_family] * abs(p))
-
-
 def series_threshold(family: FamilyKind, p: float) -> float:
     """Crossover point between the series and direct branches of eval_f."""
-    return _series_threshold(*FAMILY_FNS[family][math], p)
+    # at small |p| the crossover is 0.45/pi of the series' radius, where the
+    # truncation after x^14 is < 4e-14 relative (3.9e-14 worst measured)
+    sin_family = not family.is_cos
+    return min(_TH[sin_family], 0.45 * _RADIUS[sin_family] * abs(p))
 
 
 def _even_series(x, coeffs):
@@ -249,14 +244,14 @@ def _even_series(x, coeffs):
     return acc
 
 
-def _f_direct(p: float, x, den, g, sin, xp):
-    """f off the series branch in backend xp, given den = g((1/p) * x)."""
-    if g is sin:
+def _f_direct(family: FamilyKind, p: float, x, den, g, sin):
+    """f off the series branch from one backend's g and sine, given den = g((1/p) * x)."""
+    if not family.is_cos:
         return (p - g(x) / den) / (x * x)
     # 1 - g(x)/den as a product of sines, free of cancellation; sinh in place
     # of sin brings the i^2 = -1 of x -> ix
     s = 1.0 / p
-    two = 2.0 if sin is xp.sin else -2.0
+    two = 2.0 if family.is_trig else -2.0
     num = two * sin(x * ((1.0 + s) / 2.0)) * sin(x * ((1.0 - s) / 2.0))
     return num / (x * x * den)
 
@@ -277,8 +272,7 @@ def eval_ratio(family: FamilyKind, p, x: float) -> float:
 @lru_cache(maxsize=256)
 def _scalar_fns(family: FamilyKind, p: float) -> tuple:
     """(g, sin, series threshold) of eval_f at one (family, p), math backend."""
-    g, sin = FAMILY_FNS[family][math]
-    return g, sin, _series_threshold(g, sin, p)
+    return (*FAMILY_FNS[family][math], series_threshold(family, p))
 
 
 def eval_f(family: FamilyKind, p, x: float) -> float:
@@ -292,15 +286,22 @@ def eval_f(family: FamilyKind, p, x: float) -> float:
     den = g((1.0 / p) * x)
     if abs(den) < POLE_TOL and _pole(den, x, p):  # as in eval_ratio
         raise _pole_error(f"at x={x}", x > abs(p), p)
-    return float(_f_direct(p, x, den, g, sin, math))
+    return float(_f_direct(family, p, x, den, g, sin))
 
 
 def _as_points(x, dtype=None):
-    """x as a numpy array of dtype (float64 by default); DomainError for bools."""
-    x = load_numpy().asarray(x)
-    if x.dtype.kind == "b":
-        raise DomainError("points must be real numbers, not bools")
-    return x.astype(dtype or float, copy=False)
+    """(x, least, most): x as a numpy array of dtype (float64 by default) and
+    its least and greatest point, one pass each.  DomainError for bools and
+    complex numbers, which conversion would read as 1.0 or make real.  A NaN
+    makes both NaN, failing any domain comparison on them; an empty array
+    spans (inf, -inf), passing every one."""
+    np = load_numpy()
+    x = np.asarray(x)
+    not_real = {"b": "bools", "c": "complex numbers"}.get(x.dtype.kind)
+    if not_real:
+        raise DomainError(f"points must be real numbers, not {not_real}")
+    x = x.astype(dtype or float, copy=False)
+    return x, x.min(initial=np.inf), x.max(initial=-np.inf)
 
 
 # Points per block of the array evaluators: 128 KiB per float64 temporary, so
@@ -311,11 +312,11 @@ _BLOCK = 1 << 14
 
 def _by_blocks(kernel, xs):
     """kernel(block) over xs in C order, in blocks of at most _BLOCK points,
-    written into one new array of xs's shape and dtype.  Numpy's ufuncs work
-    element by element, so the values do not depend on the blocking.  An xs
-    of one block (a scalar, a 2048-point grid) is that block, as it is: a
-    scalar keeps numpy's scalar arithmetic, 3x faster on D's 16-term series
-    than a one-point array's.  A larger non-contiguous xs is copied first."""
+    written into one new array of xs's shape and dtype: values independent of
+    the blocking, as numpy's ufuncs work element by element.  An xs of one
+    block (a scalar, a 2048-point grid) is that block, as it is, so a scalar
+    keeps numpy's scalar arithmetic, 3x faster on D's 16-term series than a
+    one-point array's.  A larger non-contiguous xs is copied first."""
     if xs.size <= _BLOCK:
         return kernel(xs)
     out = load_numpy().empty(xs.shape, xs.dtype)
@@ -329,23 +330,24 @@ def eval_f_grid(family: FamilyKind, p, xs, dtype=None):
     """Vectorized eval_f: a numpy array of f at the points xs in [0, pi/2), in
     the arithmetic of dtype (float64 by default) on float64 series coefficients.
 
-    The points run in blocks of `_BLOCK` (2^14) points after one check of the
-    whole array, so temporaries stay at about one block and every value is
-    bitwise the same however the array is split."""
+    The points run in blocks of `_BLOCK` (2^14) points: temporaries of about
+    one block, values bitwise the same however the array is split.  The
+    errors are one block's, decided by the least and greatest point
+    (`_as_points`): the domain, f's series (built first), a pole's type."""
     p = check_param_real(p)
     np = load_numpy()
-    xs = _as_points(xs, dtype)
-    # written so that NaN fails the test too
-    if not ((xs >= 0.0) & (xs < HALF_PI)).all():
+    xs, least, most = _as_points(xs, dtype)
+    if not (0.0 <= least and most < HALF_PI):
         raise DomainError("grid points must lie in [0, pi/2)")
     g, sin = FAMILY_FNS[family][np]
-    th = _series_threshold(g, sin, p)
+    th = series_threshold(family, p)
+    coeffs = f_series_coeffs(family, p) if least < th else ()  # first: its error outranks a pole
 
     def block(x):
         out = np.empty_like(x)
         small = x < th
         if small.any():
-            out[small] = _even_series(x[small], f_series_coeffs(family, p))
+            out[small] = _even_series(x[small], coeffs)
         big = ~small
         if big.any():
             x = x[big]
@@ -353,18 +355,11 @@ def eval_f_grid(family: FamilyKind, p, xs, dtype=None):
             # every x < pi/2, so x > |p| needs |p| < pi/2; at |p| >= 1/45 every x
             # here is >= 1e-2, so a subnormal den needs |p| > 1e-2 / 2.2e-308
             if not HALF_PI <= abs(p) <= 4e305 and _pole(den, x, p).any():
-                raise _pole_error("on the grid", ((xs >= th) & (xs > abs(p))).any(), p)
-            out[big] = _f_direct(p, x, den, g, sin, np)
+                raise _pole_error("on the grid", most >= th and most > abs(p), p)
+            out[big] = _f_direct(family, p, x, den, g, sin)
         return out
 
-    try:
-        return _by_blocks(block, xs)
-    except (PoleError, ParameterError):
-        # as on the unsplit array, f's series (ParameterError at |p| < ~3.5e-20)
-        # fails first wherever a point needs it, even in a later block
-        if (xs < th).any():
-            f_series_coeffs(family, p)
-        raise
+    return _by_blocks(block, xs)
 
 
 def limit_at_zero(family: FamilyKind, p) -> float:
@@ -376,10 +371,10 @@ def limit_at_half_pi(family: FamilyKind, p) -> float:
     """Limit of the family as x -> pi/2, in closed form:
     4/pi^2 * (A - g(pi/2)/g(pi/(2p))) with A = 1 (cos families) or p (sin families)."""
     p = check_param_int(p)
-    g, sin = FAMILY_FNS[family][math]
-    a = p if g is sin else 1.0
+    g, _ = FAMILY_FNS[family][math]
+    a = 1.0 if family.is_cos else p
     # cos(pi/2) = 0; cos(HALF_PI) is only the rounding of pi/2 showing
-    top = 0.0 if g is math.cos else g(HALF_PI)
+    top = 0.0 if family.is_cos and family.is_trig else g(HALF_PI)
     try:
         return 4.0 / (math.pi * math.pi) * (a - top / g(HALF_PI / p))
     except OverflowError:

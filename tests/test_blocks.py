@@ -1,15 +1,19 @@
 """Tests for the block-wise array evaluators `eval_f_grid`, `d_general` and
 `d_sum`: their values do not depend on how an array is split, whole-array
-checks run before any block, and temporaries stay at about one block."""
+checks run before any block, and temporaries stay at about one block.  Also
+the one point check all five array evaluators share (`families._as_points`),
+and `dirichlet_sum`'s chunks."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from trigratio import derivatives, families
-from trigratio.derivatives import d_general, d_sum
+from trigratio.chebyshev import cheb_u_eval
+from trigratio.derivatives import d_general, d_sum, dirichlet_sum
 from trigratio.families import (
     _BLOCK as B,
     DomainError,
@@ -17,6 +21,7 @@ from trigratio.families import (
     HALF_PI,
     ParameterError,
     PoleError,
+    _as_points,
     eval_f_grid,
 )
 
@@ -193,3 +198,98 @@ def test_peak_memory_of_an_array_call(fn, family):
     finally:
         tracemalloc.stop()
     assert peak <= out.nbytes + (4 << 20)
+
+
+# the five array evaluators, each on its own domain: name -> call on x
+FIVE = {
+    "eval_f_grid": lambda x: eval_f_grid(TS, 3, x),
+    "d_general": lambda x: d_general(TC, 3, x),
+    "d_sum": lambda x: d_sum(TS, 3, x),
+    "dirichlet_sum": lambda x: dirichlet_sum(3, x),
+    "cheb_u_eval": lambda x: cheb_u_eval(3, x),
+}
+
+
+NOT_REAL = [
+    (x, "complex numbers") for x in (0.5 + 0j, np.array([0.5 + 0j]), [0.5, 0.5 + 0.1j], np.array([0.5], dtype=np.complex64))
+] + [(x, "bools") for x in (np.array([True]), [True, False], np.True_)]
+
+
+@pytest.mark.parametrize("name", FIVE)
+def test_points_that_are_not_real_raise(name):
+    """A complex point is no real point, even with a zero imaginary part:
+    numpy would drop that part with a ComplexWarning.  Neither is a bool,
+    which it would read as 1.0.  All five evaluators say so alike."""
+    for x, what in NOT_REAL:
+        with pytest.raises(DomainError, match=f"^points must be real numbers, not {what}$"):
+            FIVE[name](x)
+
+
+@pytest.mark.parametrize("name", FIVE)
+def test_a_list_is_its_array(name):
+    """Each evaluator takes any array-like: a list or a tuple gives, bit for
+    bit, the array's result; an empty array is in every domain."""
+    x = [0.1, 0.2, 0.7, 0.9]
+    want = FIVE[name](np.array(x))
+    for got in (FIVE[name](x), FIVE[name](tuple(x))):
+        for a, b in zip(*(w if isinstance(w, tuple) else (w,) for w in (want, got))):
+            assert a.dtype == b.dtype == np.float64 and a.tobytes() == b.tobytes()
+    empty = FIVE[name](np.array([]))
+    assert all(e.shape == (0,) for e in (empty if isinstance(empty, tuple) else (empty,)))
+
+
+def test_as_points_reads_the_span():
+    """least and greatest point by one pass each: NaN makes both NaN, and an
+    empty array spans (inf, -inf), so a domain comparison on them passes it."""
+    x, least, most = _as_points([0.3, -2.0, 5.0])
+    assert x.dtype == np.float64 and (least, most) == (-2.0, 5.0)
+    _, least, most = _as_points([0.3, math.nan, 5.0])
+    assert math.isnan(least) and math.isnan(most)
+    assert _as_points(np.array([]))[1:] == (math.inf, -math.inf)
+    x, least, most = _as_points(np.arange(4), np.longdouble)
+    assert x.dtype == np.longdouble and (least, most) == (0, 3)
+    x = np.linspace(0.0, 1.0, 5)
+    assert _as_points(x)[0] is x  # no copy where x already has the dtype
+
+
+def _dirichlet_points(n):
+    return np.random.default_rng(20).uniform(1e-3, math.pi - 1e-3, n)
+
+
+@pytest.mark.parametrize("k", [1, 3, 64, 300, B + 1])
+def test_dirichlet_values_do_not_depend_on_the_chunks(k):
+    """dirichlet_sum on one array equals, bit for bit, its calls on random
+    slices and on each point alone: each point's fsum rounds exactly."""
+    rng = np.random.default_rng(k)
+    xs = _dirichlet_points(3 * max(1, B // k) + 7 if k <= B else 5)
+    terms, closed = dirichlet_sum(k, xs)
+    parts = _split_calls(lambda x: dirichlet_sum(k, x)[0], xs, rng)
+    assert terms.tobytes() == parts.tobytes()
+    assert [dirichlet_sum(k, float(x))[0] for x in xs[:5]] == terms[:5].tolist()
+    assert closed.tobytes() == _split_calls(lambda x: dirichlet_sum(k, x)[1], xs, rng).tobytes()
+    two_d = dirichlet_sum(k, xs[:4].reshape(2, 2))
+    assert two_d[0].tobytes() == terms[:4].tobytes() and two_d[1].shape == (2, 2)
+
+
+def test_peak_memory_of_dirichlet_sum():
+    """k cosines per point run in chunks of about a block: the peak stays
+    within the result plus 4 MiB, where all n*k cosines and their list took
+    ~10 MiB on these points (41.6 MiB on 2^14)."""
+    xs = _dirichlet_points(1 << 12)
+    dirichlet_sum(64, xs[:10])
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        terms, closed = dirichlet_sum(64, xs)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= terms.nbytes + closed.nbytes + (4 << 20)
+
+
+def test_dirichlet_caps_k():
+    """k above 2^20 is refused before any cosine is taken, as a point's k
+    terms alone peak at 48 MiB there."""
+    for k, text in ((2**20 + 1, "k=1048577"), (10**400, "|k| >= 2^1328")):
+        with pytest.raises(ParameterError, match=rf"^{re.escape(text)} above cap 1048576 for the Dirichlet sum$"):
+            dirichlet_sum(k, np.full(1 << 20, 0.5))
