@@ -20,7 +20,7 @@ def main():
     xs = [1e-4, 0.1, 0.5, 1.0, 1.5, HALF_PI - 1e-6]
     for family in FamilyKind:
         p = 3
-        print(f"  {family.value}, p={p}  (series branch below x={series_threshold(family, p):g})")
+        print(f"  {family.value}, p={p}  (series branch below x={series_threshold(family):g})")
         print(f"    limit at 0     = {limit_at_zero(family, p):+.12f}")
         for x in xs:
             print(f"    f({x:<9.6g}) = {eval_f(family, p, x):+.12f}")
@@ -35,7 +35,7 @@ def main():
 
     print("\nThe series and direct branches agree at the crossover:")
     for family in FamilyKind:
-        th = series_threshold(family, 3)
+        th = series_threshold(family)
         below = eval_f(family, 3, np.nextafter(th, 0.0))
         above = eval_f(family, 3, np.nextafter(th, 2.0))
         print(f"  {family.value}: f(th-) = {below:.15f}, f(th+) = {above:.15f}")

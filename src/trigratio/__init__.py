@@ -15,7 +15,6 @@ _EXPORTS = {
         "DomainError",
         "FamilyKind",
         "ParameterError",
-        "PoleError",
         "eval_f",
         "eval_f_grid",
         "eval_ratio",

@@ -96,10 +96,7 @@ def corollary_bounds(p, y: float) -> tuple[float, float]:
     Delegates to ratio_bounds at x = p*y so the two share one arithmetic
     path (the corollary is exactly that substitution)."""
     p = check_param_int(p)
-    try:
-        y_max = math.pi / (2.0 * p)
-    except OverflowError:
-        raise ParameterError(f"2p overflows float64 at {_p_text(p)}") from None
+    y_max = math.pi / (2.0 * p)
     if type(y) is not float and _is_bool(y) or not 0.0 < y < y_max:
         raise DomainError(f"y={y} outside (0, pi/(2p)) for p={p}")
     return ratio_bounds(FamilyKind.TRIG_SIN, p, p * y)

@@ -21,7 +21,6 @@ from .families import (
     DomainError,
     FamilyKind,
     ParameterError,
-    PoleError,
     HALF_PI,
     eval_f,
     eval_f_grid,
@@ -218,7 +217,7 @@ def run(argv: list[str]) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DomainError, PoleError, ParameterError) as exc:
+    except (DomainError, ParameterError) as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
 

@@ -16,9 +16,10 @@ cos -> cosh (the powers of i cancel the leading minus), so the evaluator
 takes its sine and the general form's den from the family table
 `families.FAMILY_FNS`.  D has two evaluators, one entry point each:
 
-* `d_general` -- D for all four families by one path, any real p != 0,
-  in float64: D's even series (exact rationals rounded once) near 0, where
-  the sin families' general form cancels, and the general form above.
+* `d_general` -- D for all four families by one path, at every real p of
+  the supported range 3/2 <= |p| <= 2^53, in float64: D's even series
+  (exact rationals rounded once) near 0, where the sin families' general
+  form cancels, and the general form above.
   Note: the printed source's cos-family formula carries csc^4(x/p), but
   differentiating the definition gives sec^4(x/p), which agrees with the
   p = 2 factored display, the sum form and D in 40-digit mpmath, so that is
@@ -33,23 +34,21 @@ on its least and greatest point (`families._as_points`) and returns a float
 for a float; `d_general` and `d_sum` run an array in blocks of
 `families._BLOCK` points as `families.eval_f_grid` does, values bitwise
 independent of the blocking.  The identities `general_vs_sum_check` and
-`vanishing_limits_check` (D's series, at every real p) are exact table algebra.
+`vanishing_limits_check` (D's series, at every real p of the range) are
+exact table algebra.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import sys
 from fractions import Fraction
 
 from .families import (
     FAMILY_FNS,
-    POLE_TOL,
     DomainError,
     FamilyKind,
     ParameterError,
-    PoleError,
     HALF_PI,
     _even_series,
     _RADIUS,
@@ -96,10 +95,11 @@ def exact_sin_comb_form(family: FamilyKind, p, general: bool) -> tuple[tuple, Fr
 
     where den is the family's own function g.  The hyperbolic families read the
     same table with sin -> sinh, cos -> cosh.  The general form takes any
-    real p != 0 (every float is an exact binary rational); the sum form an
-    integer p >= 2, one table for both parities: terms (eps_m m^3, m/p) over
-    0 < m < p with m = p-1 (mod 2), eps_m = (-1)^((p-1-m)/2) for the cos
-    families (odd p only) and 1 for the sin families, and factor 2/p^3.
+    real p of the range 3/2 <= |p| <= 2^53 (every float is an exact binary
+    rational); the sum form an integer p >= 2, one table for both parities:
+    terms (eps_m m^3, m/p) over 0 < m < p with m = p-1 (mod 2),
+    eps_m = (-1)^((p-1-m)/2) for the cos families (odd p only) and 1 for
+    the sin families, and factor 2/p^3.
 
     For the cos families at p >= 3 every general-form weight is > 0 and every
     frequency lies in [0, 2], so each term keeps one sign on (0, pi/2): the
@@ -121,18 +121,11 @@ def exact_sin_comb_form(family: FamilyKind, p, general: bool) -> tuple[tuple, Fr
 @functools.lru_cache(maxsize=256)
 def sin_comb_form(family: FamilyKind, p, general: bool) -> tuple[tuple, float]:
     """`exact_sin_comb_form` in float64, each entry rounded once: the table
-    both number backends read.  ParameterError where an entry overflows
-    float64 or the factor has lost bits as a subnormal: 1/(8p^3), for the cos
-    families' general form at p > ~1.8e102, and for a sum form at p > MAX_SUM_P."""
+    both number backends read.  ParameterError for a sum form at p > MAX_SUM_P."""
     if not general:
         _check_sum_p(p)
     terms, factor = exact_sin_comb_form(family, p, general)
-    try:
-        if abs(factor) >= sys.float_info.min:
-            return tuple((float(w), float(c)) for w, c in terms), float(factor)
-    except OverflowError:
-        pass
-    raise ParameterError(f"D's sin-combination overflows float64 at {_p_text(p)}")
+    return tuple((float(w), float(c)) for w, c in terms), float(factor)
 
 
 # 16 den(y)^4 = sum a cos(k y) over (k, a), den = sin first, then cos, by power reduction
@@ -182,7 +175,7 @@ def eval_sin_comb(family: FamilyKind, p, x, general: bool):
     """D at x from `sin_comb_form`, in float64, with no checks on x.
 
     The sines and the general form's den = g((1/p) * x) come from
-    `families.FAMILY_FNS`; PoleError where |den| < 1e-12."""
+    `families.FAMILY_FNS`."""
     g, sin = FAMILY_FNS[family][np]
     terms, factor = sin_comb_form(family, p, general)
     acc = 0.0
@@ -192,10 +185,7 @@ def eval_sin_comb(family: FamilyKind, p, x, general: bool):
     out *= acc
     if not general:
         return out
-    den = g((1.0 / p) * x)
-    if np.abs(den).min() < POLE_TOL:
-        raise PoleError(f"{g.__name__}(x/p) vanishes for p={float(p)}")
-    out /= den**4
+    out /= g((1.0 / p) * x) ** 4
     return out
 
 
@@ -209,38 +199,28 @@ _D_TERMS = 16
 def _d_series_coeffs(family: FamilyKind, p: float) -> tuple[float, ...]:
     """d_0..d_16 for `_even_series`: d_0 = 0 and d_i = 2i(2i+1)(2i+2) a_i from
     f's exact series f = sum a_i x^(2i) (a_i = -r_(i+1) of the ratio), each
-    rounded once.  ParameterError where one overflows float64, at |p| < ~7.5e-10."""
+    rounded once."""
     r = _ratio_series(family, p, _D_TERMS + 2)
-    try:
-        return (0.0, *(float(-2 * i * (2 * i + 1) * (2 * i + 2) * r[i + 1]) for i in range(1, _D_TERMS + 1)))
-    except OverflowError:
-        raise ParameterError(f"D's series overflows float64 at p={p}") from None
+    return (0.0, *(float(-2 * i * (2 * i + 1) * (2 * i + 2) * r[i + 1]) for i in range(1, _D_TERMS + 1)))
 
 
 def d_general(family: FamilyKind, p, x):
-    """Closed-form D(x) for any family and real p != 0, in float64.
+    """Closed-form D(x) for any family and real 3/2 <= |p| <= 2^53, in float64.
 
     Below a quarter of the first zero of g(x/p), x < |p|*pi/4 (sin families)
     or |p|*pi/8 (cos families), every family sums D's even series
     (`_d_series_coeffs`, built on the first call per p); above, the general
-    form, with sinh, cosh for sin, cos in the hyperbolic families.  The sin
-    families' general form cancels towards 0 (a bracket ~ x^5 against
-    csc^4(x/p), an error of ~eps*(p/x)^4); the cos families' weights ~ p^3
-    overflow at |p| > ~5e102.  Only the general form raises PoleError.
+    form, with sinh, cosh for sin, cos in the hyperbolic families, whose den
+    has no zero on (0, pi/2) in p's range.  The sin families' general form
+    cancels towards 0 (a bracket ~ x^5 against csc^4(x/p), an error of
+    ~eps*(p/x)^4), which the series avoids.
 
-    Small |p| makes D ill-conditioned: its median error against 60-digit
-    mpmath is ~eps*x/|p| (2.5e-14 at p = 0.01, 2e-11 at 1e-5, trig families),
-    more near D's zeros.  ParameterError where 3/|p| >= 2^52 (1 +- 3/p rounds
-    to +-3/p), and for the hyperbolic families where x > 175|p| (cosh(x/p)^4
-    would pass e^700), decided on x's greatest point.  An array then runs in
-    blocks of 2^14 points (`families._by_blocks`): values bitwise independent
-    of the blocking, temporaries of about one block."""
+    An array runs in blocks of 2^14 points (`families._by_blocks`): values
+    bitwise independent of the blocking, temporaries of about one block."""
     p = check_param_real(p)
     x, least, most = _as_points(x)
     if not (0.0 < least and most < HALF_PI):
         raise DomainError("x must lie in (0, pi/2)")
-    if 3.0 / abs(p) >= 2.0**52 or not family.is_trig and most > 175.0 * abs(p):
-        raise ParameterError(f"D overflows or loses every digit at p={p}")
     reach = _RADIUS[not family.is_cos] * abs(p) * math.pi / 4.0
 
     def block(x):
@@ -254,14 +234,7 @@ def d_general(family: FamilyKind, p, x):
             out[small] = _even_series(x[small], _d_series_coeffs(family, p))
         return out
 
-    try:
-        return _unwrap(_by_blocks(block, x))
-    except ParameterError:
-        # as on one block, the general form's PoleError or table ParameterError
-        # outranks D's series' ParameterError (|p| < ~7.5e-10) from any block
-        if most >= reach:
-            _by_blocks(lambda b: eval_sin_comb(family, p, b, True), x[x >= reach])
-        raise
+    return _unwrap(_by_blocks(block, x))
 
 
 def d_sum(family: FamilyKind, p: int, x):
@@ -301,7 +274,7 @@ def dirichlet_sum(k: int, x):
         raise DomainError("x must lie in (0, pi)")
     # sin(x/(2k)) is least at the least x, and sin(y) = y there
     if least / (2.0 * k) < 1e-300:
-        raise PoleError(f"sin(x/(2k)) vanishes for k={k}")
+        raise DomainError(f"sin(x/(2k)) vanishes for k={k}")
     odd, flat = np.arange(1.0, 2 * k, 2.0), x.reshape(-1)
     term_sum, step = np.empty(flat.size), max(1, _BLOCK // k)
     for i in range(0, flat.size, step):
@@ -331,7 +304,7 @@ def _table_d_series(family: FamilyKind, p) -> tuple[float, ...]:
 
 
 def vanishing_limits_check(family: FamilyKind, p) -> tuple[float, float]:
-    """How far f's exact series is from f and D, for real p != 0.
+    """How far f's exact series is from f and D, for real 3/2 <= |p| <= 2^53.
 
     Near 0, f = sum a_i x^(2i), so x^3 f' = sum 2i a_i x^(2i+2) and its
     derivative have no constant term and both vanish as x -> 0, provided the
@@ -347,6 +320,6 @@ def vanishing_limits_check(family: FamilyKind, p) -> tuple[float, float]:
     coeffs, table = _d_series_coeffs(family, p), _table_d_series(family, p)
     series = (0.0,) * (len(table) - len(coeffs)) + coeffs
     d_gap = max(abs(a - b) / abs(b) if b else (math.inf if a else 0.0) for a, b in zip(series, table))
-    th = series_threshold(family, p)
+    th = series_threshold(family)
     f_gap = abs(_even_series(th, f_series_coeffs(family, p)) / eval_f(family, p, th) - 1.0)
     return d_gap, f_gap

@@ -45,14 +45,12 @@ def envelope_constants(family: FamilyKind, p) -> EnvelopeConstants:
     p is checked on every call.  Constants are computed from the limit
     formulas once per (family, p), kept in a bounded cache, rather than
     stored as decimal literals, so sharpness checks compare like for like.
-    ParameterError at p > ~1.8e308, where a limit overflows float64."""
+    ParameterError outside p's range, 2 <= p <= 2^53."""
     return _envelope_constants(family, check_param_int(p))
 
 
 @lru_cache(maxsize=256)
 def _envelope_constants(family: FamilyKind, p: int) -> EnvelopeConstants:
-    # the limit at pi/2 first: it raises at once at p >= 2^1024, where the
-    # limit at 0 would first build f's exact series
     at_half_pi = limit_at_half_pi(family, p)
     at_zero = limit_at_zero(family, p)
     if family.is_cos and p == 2:

@@ -12,12 +12,14 @@ removable:
 Family dispatch lives in one table, `FAMILY_FNS`, read by f, its limits, the
 bare ratio and D: per family and backend (math, numpy, interval), g and the
 sine of the product forms, sinh for the x -> ix images f_hyp(x) = -f_trig(ix).
-f and the bare ratio share one pole rule: den = g((1/p) * x) is computed
-once, and |den| < 1e-12 raises PoleError where x > |p|; below, it is the
-removable zero at x -> 0, since every other zero of g has |x/p| >= pi/2,
-unless x/p underflows to a subnormal or 0, which raises ParameterError.
 What the dispatch does not read from the table it reads from `FamilyKind`'s
 `is_trig` and `is_cos`, plain member attributes.
+
+Every entry point takes p in one range: a real 3/2 <= |p| <= 2^53 of either
+sign (`check_param_real`), or an integer 2 <= p <= 2^53 (`check_param_int`);
+anything else raises ParameterError.  There g(x/p) has no pole on
+(0, pi/2): cos(x/p) >= 1/2, and sin(x/p) vanishes only at the removable
+zero x = 0.  Every series coefficient and D-table entry fits float64.
 
 The scalar and interval backends need no numpy.  The numpy backend loads on
 the first array call (`eval_f_grid`, `derivatives`):
@@ -47,10 +49,6 @@ HALF_PI = math.pi / 2.0
 
 class DomainError(ValueError):
     """Argument outside the function's real domain."""
-
-
-class PoleError(ZeroDivisionError):
-    """The denominator's argument hit a zero of the denominator function."""
 
 
 class ParameterError(ValueError):
@@ -107,26 +105,9 @@ def load_numpy():
     return _add_backend(numpy)
 
 
-POLE_TOL = 1e-12
-
-
-def _pole(den, x, p):
-    """Where den = g((1/p) * x) is a pole of f and the bare ratio, on scalars
-    or arrays: |den| < 1e-12 where x > |p|.  At x <= |p| it is the removable
-    zero at x -> 0, since every other zero of g has |x/p| >= pi/2, unless den
-    is subnormal or 0 (only where |p| > ~4.5e307 x): too coarse a quotient,
-    which `_pole_error` words as a limit of p."""
-    small = abs(den)
-    return (small < POLE_TOL) & ((x > abs(p)) | (small < sys.float_info.min))
-
-
-def _pole_error(at: str, beyond, p) -> PoleError | ParameterError:
-    """The error for a den that `_pole` flags `at` the points: PoleError where
-    some point lies beyond |p|, else ParameterError, since den is then only
-    subnormal or 0 because x/p underflows, a float64 limit of p like the others."""
-    if beyond:
-        return PoleError(f"denominator vanishes {at}, p={p}")
-    return ParameterError(f"x/p underflows float64 {at}, {_p_text(p)}")
+# the top of p's range, up to which an integer p converts to float exactly
+# (far past it, at p > ~1.8e102, the cos families' D table leaves float64)
+_P_MAX = 2.0**53
 
 
 def _is_bool(v) -> bool:
@@ -135,36 +116,37 @@ def _is_bool(v) -> bool:
 
 
 def check_param_real(p) -> float:
-    if type(p).__name__ in ("bool", "bool_"):  # _is_bool, inlined on the hot path
-        raise ParameterError(f"p must be a number, got {p!r}")
+    """p as a float, for 3/2 <= |p| <= 2^53.  One comparison refuses NaN, inf,
+    0, a bool (|p| <= 1) and an integer past float64; abs() refuses a string."""
     try:
-        p = float(p)
-    except OverflowError:  # an integer past float64's range
-        p = math.inf
-    if p == 0.0 or not math.isfinite(p):
-        raise ParameterError("p must be a nonzero finite real")
-    return p
+        if 1.5 <= abs(p) <= _P_MAX:
+            return float(p)
+    except TypeError:
+        pass
+    raise ParameterError(f"p must satisfy 3/2 <= |p| <= 2^53, got {_p_text(p, bare=True)}")
 
 
 def check_param_int(value, name: str = "p", least: int = 2) -> int:
-    """value as an int: ParameterError for a bool, a non-integer or one below least."""
+    """value as an int: ParameterError for a bool, a non-integer or one below
+    least, and for p (the default) one past 2^53, the top of its range."""
     if type(value) is not int:
         try:
             value = operator.index(None if isinstance(value, bool) else value)
         except TypeError:
             raise ParameterError(f"{name} must be an integer, got {value!r}") from None
-    if value < least:
-        raise ParameterError(f"{name} must be >= {least}, got {_p_text(value, name, bare=True)}")
+    if value < least or name == "p" and value > _P_MAX:
+        rule = f"in [{least}, 2^53]" if name == "p" else f">= {least}"
+        raise ParameterError(f"{name} must be {rule}, got {_p_text(value, name, bare=True)}")
     return value
 
 
 def _p_text(value, name: str = "p", bare: bool = False) -> str:
-    """value for an error message, "p=3" ("3" if bare), but an integer past
-    float64's range by its size, "|p| >= 2^k" (str() of one past 4300 digits
-    raises ValueError)."""
+    """value for an error message, "p=3" (its repr, "3", if bare), but an
+    integer past float64's range by its size, "|p| >= 2^k" (str() of one
+    past 4300 digits raises ValueError)."""
     if isinstance(value, int) and abs(value) >= 2**1024:
         return f"|{name}| >= 2^{abs(value).bit_length() - 1}"
-    return str(value) if bare else f"{name}={value}"
+    return repr(value) if bare else f"{name}={value}"
 
 
 # --- series branch ----------------------------------------------------------
@@ -178,14 +160,14 @@ def _p_text(value, name: str = "p", bare: bool = False) -> str:
 _N_COEFFS = 9
 
 # Indexed by `not family.is_cos`, so the cos families first:
-# * the radius of the ratio's series in units of |p|*pi, read by f's
-#   crossover and D's series reach (`derivatives`): the first zero of g(x/p)
-#   is at |x| = |p|*pi/2 (cos families) or |p|*pi (sin families), on the
-#   imaginary axis for the hyperbolic ones;
-# * the crossover at large |p|.  The cos-type direct branch uses a product
-#   identity with no cancellation, so a small threshold suffices; the
-#   sin-type direct branch loses ~eps*p/x^2 absolute accuracy, so it
-#   switches over later.
+# * the radius of the ratio's series in units of |p|*pi, read by D's series
+#   reach (`derivatives`): the first zero of g(x/p) is at |x| = |p|*pi/2
+#   (cos families) or |p|*pi (sin families), on the imaginary axis for the
+#   hyperbolic ones;
+# * f's crossover.  The cos-type direct branch uses a product identity with
+#   no cancellation, so a small threshold suffices; the sin-type direct
+#   branch loses ~eps*p/x^2 absolute accuracy, so it switches over later.
+#   Both lie below 0.45/pi of the series' radius at every |p| >= 3/2.
 _RADIUS = (0.5, 1.0)
 _TH = (1e-2, 0.15)
 
@@ -216,22 +198,13 @@ def _ratio_series(family: FamilyKind, p: float, n: int = _N_COEFFS) -> tuple[Fra
 @lru_cache(maxsize=256)
 def f_series_coeffs(family: FamilyKind, p: float) -> tuple[float, ...]:
     """Coefficients a0..a7 with f(x) = a0 + a1 x^2 + ... + a7 x^14 near 0,
-    each exact coefficient rounded once to float64, for every dtype.
-    ParameterError where one overflows float64: a7 ~ p^-14 at |p| < ~3.5e-20
-    (cos families) or ~8.7e-22 (sin families), and a0 ~ -p/6 (sin families)
-    at integer p > ~1.1e309."""
-    try:
-        return tuple(-float(ri) for ri in _ratio_series(family, p)[1:])
-    except OverflowError:
-        raise ParameterError(f"f's series overflows float64 at {_p_text(p)}") from None
+    each exact coefficient rounded once to float64, for every dtype."""
+    return tuple(-float(ri) for ri in _ratio_series(family, p)[1:])
 
 
-def series_threshold(family: FamilyKind, p: float) -> float:
+def series_threshold(family: FamilyKind) -> float:
     """Crossover point between the series and direct branches of eval_f."""
-    # at small |p| the crossover is 0.45/pi of the series' radius, where the
-    # truncation after x^14 is < 4e-14 relative (3.9e-14 worst measured)
-    sin_family = not family.is_cos
-    return min(_TH[sin_family], 0.45 * _RADIUS[sin_family] * abs(p))
+    return _TH[not family.is_cos]
 
 
 def _even_series(x, coeffs):
@@ -263,16 +236,16 @@ def eval_ratio(family: FamilyKind, p, x: float) -> float:
         raise DomainError(f"x={x} outside (0, pi/2)")
     g, _ = FAMILY_FNS[family][math]
     den = g((1.0 / p) * x)
-    # the first test is _pole's own, so it decides only where |den| < 1e-12 (never for NaN)
-    if abs(den) < POLE_TOL and _pole(den, x, p):
-        raise _pole_error(f"at x={x}", x > abs(p), p)
+    # no series branch here: sin(x/p) underflows where x < ~2^-1022 |p|
+    if abs(den) < sys.float_info.min:
+        raise ParameterError(f"x/p underflows float64 at x={x}, p={p}")
     return g(x) / den
 
 
-@lru_cache(maxsize=256)
-def _scalar_fns(family: FamilyKind, p: float) -> tuple:
-    """(g, sin, series threshold) of eval_f at one (family, p), math backend."""
-    return (*FAMILY_FNS[family][math], series_threshold(family, p))
+@lru_cache(maxsize=None)
+def _scalar_fns(family: FamilyKind) -> tuple:
+    """(g, sin, series threshold) of eval_f for one family, math backend."""
+    return (*FAMILY_FNS[family][math], series_threshold(family))
 
 
 def eval_f(family: FamilyKind, p, x: float) -> float:
@@ -280,26 +253,24 @@ def eval_f(family: FamilyKind, p, x: float) -> float:
     p = check_param_real(p)
     if type(x) is not float and _is_bool(x) or not 0.0 <= x < HALF_PI:
         raise DomainError(f"x={x} outside [0, pi/2)")
-    g, sin, th = _scalar_fns(family, p)
+    g, sin, th = _scalar_fns(family)
     if x < th:
         return float(_even_series(x, f_series_coeffs(family, p)))
-    den = g((1.0 / p) * x)
-    if abs(den) < POLE_TOL and _pole(den, x, p):  # as in eval_ratio
-        raise _pole_error(f"at x={x}", x > abs(p), p)
-    return float(_f_direct(family, p, x, den, g, sin))
+    return float(_f_direct(family, p, x, g((1.0 / p) * x), g, sin))
 
 
 def _as_points(x, dtype=None):
     """(x, least, most): x as a numpy array of dtype (float64 by default) and
-    its least and greatest point, one pass each.  DomainError for bools and
-    complex numbers, which conversion would read as 1.0 or make real.  A NaN
+    its least and greatest point, one pass each.  DomainError for any dtype
+    but integers and floats: bools, complex numbers, strings and objects,
+    which conversion would read as 1.0, make real or parse.  A NaN
     makes both NaN, failing any domain comparison on them; an empty array
     spans (inf, -inf), passing every one."""
     np = load_numpy()
     x = np.asarray(x)
-    not_real = {"b": "bools", "c": "complex numbers"}.get(x.dtype.kind)
-    if not_real:
-        raise DomainError(f"points must be real numbers, not {not_real}")
+    if x.dtype.kind not in "iuf":
+        what = {"b": "bools", "c": "complex numbers"}.get(x.dtype.kind, f"{x.dtype} values")
+        raise DomainError(f"points must be real numbers, not {what}")
     x = x.astype(dtype or float, copy=False)
     return x, x.min(initial=np.inf), x.max(initial=-np.inf)
 
@@ -332,31 +303,25 @@ def eval_f_grid(family: FamilyKind, p, xs, dtype=None):
 
     The points run in blocks of `_BLOCK` (2^14) points: temporaries of about
     one block, values bitwise the same however the array is split.  The
-    errors are one block's, decided by the least and greatest point
-    (`_as_points`): the domain, f's series (built first), a pole's type."""
+    domain is checked on the least and greatest point (`_as_points`) before
+    any block runs."""
     p = check_param_real(p)
     np = load_numpy()
     xs, least, most = _as_points(xs, dtype)
     if not (0.0 <= least and most < HALF_PI):
         raise DomainError("grid points must lie in [0, pi/2)")
     g, sin = FAMILY_FNS[family][np]
-    th = series_threshold(family, p)
-    coeffs = f_series_coeffs(family, p) if least < th else ()  # first: its error outranks a pole
+    th = series_threshold(family)
 
     def block(x):
         out = np.empty_like(x)
         small = x < th
         if small.any():
-            out[small] = _even_series(x[small], coeffs)
+            out[small] = _even_series(x[small], f_series_coeffs(family, p))
         big = ~small
         if big.any():
             x = x[big]
-            den = g((1.0 / p) * x)
-            # every x < pi/2, so x > |p| needs |p| < pi/2; at |p| >= 1/45 every x
-            # here is >= 1e-2, so a subnormal den needs |p| > 1e-2 / 2.2e-308
-            if not HALF_PI <= abs(p) <= 4e305 and _pole(den, x, p).any():
-                raise _pole_error("on the grid", most >= th and most > abs(p), p)
-            out[big] = _f_direct(family, p, x, den, g, sin)
+            out[big] = _f_direct(family, p, x, g((1.0 / p) * x), g, sin)
         return out
 
     return _by_blocks(block, xs)
@@ -375,7 +340,4 @@ def limit_at_half_pi(family: FamilyKind, p) -> float:
     a = 1.0 if family.is_cos else p
     # cos(pi/2) = 0; cos(HALF_PI) is only the rounding of pi/2 showing
     top = 0.0 if family.is_cos and family.is_trig else g(HALF_PI)
-    try:
-        return 4.0 / (math.pi * math.pi) * (a - top / g(HALF_PI / p))
-    except OverflowError:
-        raise ParameterError(f"the limit at pi/2 overflows float64 at {_p_text(p)}") from None
+    return 4.0 / (math.pi * math.pi) * (a - top / g(HALF_PI / p))

@@ -234,7 +234,10 @@ HUGE_P = str(10**400)
         ["eval", "--family", "trig-cos", "--p", HUGE_P, "--x", "0.5"],
         ["cheb", "--p", HUGE_P, "--y", "1e-3"],
         ["verify", "--family", "hyp-sin", "--p", HUGE_P],
-        # the cos families' D table leaves float64 at p > ~1.8e102
+        # past the top of p's range, 2^53 (the cos families' D table leaves
+        # float64 at p > ~1.8e102), and below its bottom, where cos(x/p) has a pole
+        pytest.param(["eval", "--family", "trig-cos", "--p", str(2**53 + 2), "--x", "1.0"], id="eval-trig-cos-2^53+2"),
+        pytest.param(["eval", "--family", "trig-cos", "--p", "1", "--x", "1.5707963267948963"], id="eval-trig-cos-p1"),
         pytest.param(["verify", "--family", "trig-cos", "--p", str(10**103)], id="verify-trig-cos-1e103"),
         pytest.param(
             ["verify", "--family", "hyp-cos", "--p", str(10**103), "--mode", "rigorous"], id="verify-hyp-cos-1e103"
@@ -249,7 +252,7 @@ HUGE_P = str(10**400)
     ids=lambda argv: argv[0],
 )
 def test_p_past_float64_is_domain_error(capsys, argv):
-    """A p whose constants overflow float64, or whose sum form would take
+    """A p outside its range 2 <= p <= 2^53, or whose sum form would take
     minutes and run out of memory to build, exits 65 at once with a
     one-line message, not a traceback and the 1 of a FALSIFIED claim."""
     assert run(argv) == EXIT_DOMAIN == 65

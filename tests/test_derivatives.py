@@ -35,7 +35,6 @@ from trigratio.families import (
     FamilyKind,
     HALF_PI,
     ParameterError,
-    PoleError,
     eval_f,
     eval_f_grid,
     f_series_coeffs,
@@ -112,19 +111,14 @@ def _rel_tol(family, p):
     return 1e-13
 
 
-@pytest.mark.parametrize("p", [0.5, 1.5, 2, 2.5, 3.7, 7.3, 16, 64, 1000, 1e4, -2])
+@pytest.mark.parametrize("p", [1.5, 2, 2.5, 3.7, 7.3, 16, 64, 1000, 1e4, -2])
 @pytest.mark.parametrize("family", FamilyKind)
 def test_d_general_matches_mpmath_on_log_grid(family, p):
     """40-digit mpmath on x from 1e-8 to pi/2 - 1e-3: a few ulps at |p| >= 2
     (1e-13 at non-integer p outside trig-sin, which passes near trig-cos's
-    sign change at 2.5), 1e-12 at |p| < 2 away from the poles
-    (|g(x/p)| >= 1e-3 where x > |p|, the pole rule's side), and no wrong
-    sign.  The hyperbolic families take the same path (worst 2.8e-14,
-    hyp-sin p = 0.5)."""
+    sign change at 2.5), 1e-12 at |p| < 2, and no wrong sign.  The
+    hyperbolic families take the same path."""
     xs = np.geomspace(1e-8, HALF_PI - 1e-3, 17)
-    g = {TC: np.cos, TS: np.sin, HC: np.cosh, HS: np.sinh}[family]
-    xs = xs[(np.abs(g(xs / p)) >= 1e-3) | (xs <= abs(p))]
-    assert len(xs) >= 16
     got = d_general(family, p, xs)
     for x, value in zip(xs.tolist(), got.tolist()):
         expected = float(mp_D(family, p, x))
@@ -143,7 +137,7 @@ def test_d_general_matches_mpmath_on_log_grid(family, p):
 )
 def test_d_general_sin_near_zero(p, x, expected):
     """At the removable zero of sin(x/p) the sin family sums D's series: no
-    PoleError and no cancellation (values from 40-digit mpmath and d_sum)."""
+    cancellation (values from 40-digit mpmath and d_sum)."""
     assert d_general(TS, p, x) == pytest.approx(expected, rel=1e-14, abs=0.0)
 
 
@@ -153,7 +147,7 @@ def test_d_general_sin_tiny_x_matches_sum_form():
 
 
 @pytest.mark.parametrize(
-    "family,p", [(TS, 0.5), (TS, 0.8), (TS, 1.5), (TS, 1.9), (TS, -1.5), (TC, 0.5), (TC, 2.5), (TC, 3.7), (TC, -2)]
+    "family,p", [(TS, 1.5), (TS, 1.9), (TS, -1.5), (TC, 1.5), (TC, 2.5), (TC, 3.7), (TC, -2)]
 )
 def test_general_form_and_series_agree_at_crossover(family, p):
     """Either side of x_c, a quarter of the first zero of g(x/p) (|p|*pi/4
@@ -181,9 +175,9 @@ def test_cos_general_form_matches_series(p):
 
 @pytest.mark.parametrize("family", FamilyKind)
 def test_d_general_huge_p(family):
-    """At |p| > ~5e102 the general form's weights ~ p^3 overflow; D's series
-    covers (0, pi/2) there, and D tends to its p -> infinity limit."""
-    for p in (1e103, 1e300):
+    """At the top of p's range, p = 2^53, D's series covers (0, pi/2), and
+    D is its p -> infinity limit."""
+    for p in (2.0**53,):
         got = d_general(family, p, np.array([1e-3, 0.5, 1.5]))
         assert np.all(np.isfinite(got)) and np.all(got < 0.0)
         if family.is_cos:
@@ -196,31 +190,24 @@ def test_d_general_huge_p(family):
 @pytest.mark.parametrize(
     "family,p,x",
     [
-        (TC, 1e-120, 0.5),  # p^3 underflows: ZeroDivisionError
+        (TC, 1e-120, 0.5),  # p^3 would underflow: ZeroDivisionError
         (TS, 1e-300, 0.5),
-        (TC, 1e-103, 0.5),  # 1/(8p^3) overflows
-        (TS, 1e-90, 0.5),  # 1 +- 3/p rounds to +-3/p: a silent 0.0
-        (HC, 0.005, 1.5),  # sinh((1 + 3/p)x) and cosh(x/p)^4 overflow: nan
+        (TC, 1e-103, 0.5),  # 1/(8p^3) would overflow
+        (TS, 1e-90, 0.5),  # 1 +- 3/p would round to +-3/p: a silent 0.0
+        (HC, 0.005, 1.5),  # sinh((1 + 3/p)x) and cosh(x/p)^4 would overflow: nan
         (HS, 0.005, 1.5),
-        (TC, 1e-10, 1e-12),  # D's series coefficients overflow
+        (TC, 1e-10, 1e-12),  # D's series coefficients would overflow
     ],
 )
 def test_d_general_extreme_p_raises(family, p, x):
-    """Where float64 holds no D, d_general raises ParameterError, not an
-    arithmetic error, a warning or a wrong number."""
+    """Where float64 holds no D, p lies outside its range, and d_general
+    raises ParameterError, not an arithmetic error, a warning or a wrong
+    number."""
     with pytest.raises(ParameterError):
         d_general(family, p, x)
     if family is HC:
         with pytest.raises(ParameterError):
             d_general(HC, p, x)
-
-
-def test_d_general_hyperbolic_small_p_is_finite():
-    """Below the x > 175|p| cut every hyperbolic term stays below e^700."""
-    for family in (HC, HS):
-        for p in (1e-15, 1e-6, 0.005, 0.5):
-            xs = np.linspace(0.01, 1.0, 50) * min(175.0 * p, HALF_PI - 1e-3)
-            assert np.all(np.isfinite(d_general(family, p, xs[xs >= abs(p)])))
 
 
 # d_general's float64 bytes at four p, for the family named in `family`
@@ -395,7 +382,7 @@ def test_d_sum_parity_dispatch():
     assert d_sum(HS, 4, 0.5) < 0.0
 
 
-@pytest.mark.parametrize("p", [10**9, 10**103], ids=["1e9", "1e103"])
+@pytest.mark.parametrize("p", [10**9, 2**53 - 2], ids=["1e9", "2^53-2"])
 def test_sum_forms_refuse_p_past_limit(p):
     """Past MAX_SUM_P = 2^16 no sum form is built: its p//2 exact terms
     would take minutes and run out of memory at p = 10^9.  ParameterError
@@ -409,7 +396,7 @@ def test_sum_forms_refuse_p_past_limit(p):
         lambda: general_vs_sum_check(TS, p),
     ]
     for call in calls:
-        with pytest.raises(ParameterError, match=r"sum form .* at p=10"):
+        with pytest.raises(ParameterError, match=r"sum form .* at p=\d+ > 65536$"):
             call()
     assert time.perf_counter() - t0 < 1.0
     assert exact_sin_comb_form.cache_info() == before
@@ -592,7 +579,7 @@ def test_vanishing_limits(family, p):
 
 
 @pytest.mark.parametrize("family", FamilyKind)
-@pytest.mark.parametrize("p", [0.5, 1.5, 2.5, 3.7, -2, -3.7, 3.99, 7.3, -4, 1000.5, 10**9])
+@pytest.mark.parametrize("p", [1.5, 2.5, 3.7, -2, -3.7, 3.99, 7.3, -4, 1000.5, 10**9, -1.5, 2**53, -(2**53)])
 def test_vanishing_limits_real_p(family, p):
     """Real p: D's series from f's agrees with the general form's exactly.
     It is compared by table algebra, not at sample points, so also where
@@ -600,15 +587,6 @@ def test_vanishing_limits_real_p(family, p):
     negative |p| >= 4."""
     d_gap, f_gap = vanishing_limits_check(family, p)
     assert d_gap == 0.0 and f_gap < 1e-12
-
-
-def test_d_general_pole_rule():
-    """The general form's den = g(x/p) follows the pole rule of f, |den| < 1e-12,
-    for the sin family too (sin(pi) is 1.2e-16 in floats)."""
-    with pytest.raises(PoleError):
-        d_general(TC, 1.0 / 3.0, math.pi / 6.0)
-    with pytest.raises(PoleError):
-        d_general(TS, 0.2, math.pi / 5.0)
 
 
 @pytest.mark.parametrize(

@@ -26,7 +26,6 @@ PUBLIC_API = [
     "Mode",
     "ParameterError",
     "ParityError",
-    "PoleError",
     "Sign",
     "Status",
     "VerificationConfig",
