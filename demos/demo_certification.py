@@ -38,9 +38,10 @@ def main():
         show(verify_sign_D(family, p, expected_sign_D(family, p), cfg))
         print()
 
-    print("RIGOROUS mode re-proves the sign claims with outward-rounded interval")
-    print("arithmetic over adaptively bisected cells, for all four families (the")
-    print("hyperbolic ones through their x -> ix images, sin -> sinh):\n")
+    print("RIGOROUS mode re-proves the sign claims for all four families (the")
+    print("hyperbolic ones through their x -> ix images, sin -> sinh): by the termwise")
+    print("lemma on D's exact table where every term keeps one sign (0 cells), else")
+    print("in outward-rounded interval arithmetic over adaptively bisected cells:\n")
     for p in (2, 3, 8):
         for family in FamilyKind:
             if (family, p) != (FamilyKind.HYP_COS, 2):
@@ -48,7 +49,7 @@ def main():
     print()
 
     print("Every term of the cos families' general form keeps one sign at p >= 3,")
-    print("so even trig-cos p = 63 at margin 1e-6 is a one-cell proof:\n")
+    print("so the lemma proves trig-cos p = 63 on all of (0, pi/2), whatever the margin:\n")
     near_edge = VerificationConfig(mode=Mode.RIGOROUS, interior_margin=1e-6)
     show(verify_sign_D(FamilyKind.TRIG_COS, 63, expected_sign_D(FamilyKind.TRIG_COS, 63), near_edge))
     print()

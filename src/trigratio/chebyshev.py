@@ -97,6 +97,9 @@ def corollary_bounds(p, y: float) -> tuple[float, float]:
     path (the corollary is exactly that substitution)."""
     p = check_param_int(p)
     y_max = math.pi / (2.0 * p)
-    if type(y) is not float and _is_bool(y) or not 0.0 < y < y_max:
-        raise DomainError(f"y={y} outside (0, pi/(2p)) for p={p}")
+    try:
+        if type(y) is not float and _is_bool(y) or not 0.0 < y < y_max:
+            raise DomainError(f"y={y} outside (0, pi/(2p)) for p={p}")
+    except TypeError:  # a string, None or complex y fails the comparison
+        raise DomainError(f"y must be a real number, got {y!r}") from None
     return ratio_bounds(FamilyKind.TRIG_SIN, p, p * y)

@@ -6,9 +6,11 @@ the ratio families.  Every closed form of D is one weighted sum of sines,
     D(x) = -x * factor * sum_i w_i sin(c_i x),  divided by den(x/p)^4 for the general form,
 
 and `exact_sin_comb_form` builds its (w, c) terms and factor in exact
-rationals.  Both number backends read its float view `sin_comb_form`: the
-numpy evaluator `eval_sin_comb` here, and the interval kernel
-`interval.sin_comb` behind the rigorous proofs in `certify`.  The
+rationals.  `termwise_sign` reads the rationals themselves: the sign D
+keeps on (0, pi/2) where every term keeps one, the first route of the
+rigorous proofs in `certify`.  Both number backends read its float view
+`sin_comb_form`: the numpy evaluator `eval_sin_comb` here, and the interval
+kernel `interval.sin_comb` behind the rigorous bisection in `certify`.  The
 hyperbolic families are the x -> ix images of the trigonometric ones:
 f_hyp(x) = -f_trig(ix), hence D_hyp(x) = -D_trig(ix).  Under that
 substitution every form keeps its shape and its table with sin -> sinh and
@@ -103,7 +105,8 @@ def exact_sin_comb_form(family: FamilyKind, p, general: bool) -> tuple[tuple, Fr
 
     For the cos families at p >= 3 every general-form weight is > 0 and every
     frequency lies in [0, 2], so each term keeps one sign on (0, pi/2): the
-    termwise lemma behind their one-cell rigorous proofs."""
+    termwise lemma (`termwise_sign`) proves their RIGOROUS sign claims, and
+    the sin families' by the sum form, with no interval cell."""
     pf = Fraction(p)
     if general:
         s = 1 / pf
@@ -126,6 +129,36 @@ def sin_comb_form(family: FamilyKind, p, general: bool) -> tuple[tuple, float]:
         _check_sum_p(p)
     terms, factor = exact_sin_comb_form(family, p, general)
     return tuple((float(w), float(c)) for w, c in terms), float(factor)
+
+
+@functools.lru_cache(maxsize=256)
+def termwise_sign(family: FamilyKind, p, general: bool) -> int:
+    """The sign D keeps on all of (0, pi/2) by the termwise lemma, read off
+    `exact_sin_comb_form`'s table: +1 or -1, or 0 where the lemma is silent.
+
+    A term w sin(c x) keeps the sign of w*c on (0, pi/2) where |c| <= 2,
+    since then |c x| < pi; w sinh(c x) keeps it for every c.  When every
+    term with nonzero w and c has one such sign, so has the sum, and D,
+    -x * factor * sum (over den(x/p)^4 > 0, no pole in p's range), has
+    that sign times -sign(factor).  A comparison of rationals: no pi, no
+    libm, no rounding.  The cos families' p = 2 general form mixes signs
+    (weights 27 at frequency -1/2 and 5 at 3/2), so 0 there, as for any
+    table the lemma does not reach.  ParameterError for a sum form at
+    p > MAX_SUM_P."""
+    if not general:
+        _check_sum_p(p)
+    terms, factor = exact_sin_comb_form(family, p, general)
+    sign = 0
+    for w, c in terms:
+        if not (w and c):
+            continue
+        if family.is_trig and abs(c) > 2:
+            return 0
+        term = 1 if (w > 0) == (c > 0) else -1
+        if term == -sign:
+            return 0
+        sign = term
+    return -sign if factor > 0 else sign
 
 
 # 16 den(y)^4 = sum a cos(k y) over (k, a), den = sin first, then cos, by power reduction
@@ -256,20 +289,26 @@ def d_sum(family: FamilyKind, p: int, x):
     return _unwrap(_by_blocks(lambda b: eval_sin_comb(family, p, b, False), x))
 
 
-# dirichlet_sum's cap on k: one point's k cosines and their list peak at 48 MiB there
+# dirichlet_sum's caps: on k, where one point's k cosines and their list peak
+# at 48 MiB, and on the cosines of one call, points x k, which take 0.6-1.1 s
+# at the cap (Xeon, CPython 3.11; a 2^20-point array at k = 2^20 would take a day)
 _DIRICHLET_K_CAP = 2**20
+_DIRICHLET_TERMS_CAP = 2**24
 
 
 def dirichlet_sum(k: int, x):
     """Sum of cos((2j+1)x/(2k)) for j < k, term by term and via sin x / (2 sin(x/(2k))),
-    for a float or an array-like x in (0, pi), k <= 2^20: one numpy call per
-    chunk of about `families._BLOCK` cosines, and `math.fsum`, exactly
-    rounded, per point, so the values do not depend on the chunking."""
+    for a float or an array-like x in (0, pi), k <= 2^20 and points x k <= 2^24:
+    one numpy call per chunk of about `families._BLOCK` cosines, and
+    `math.fsum`, exactly rounded, per point, so the values do not depend on
+    the chunking.  ParameterError past either cap, before any cosine."""
     if type(k) is not int or not 1 <= k <= _DIRICHLET_K_CAP:
         k = check_param_int(k, "k", 1)
         if k > _DIRICHLET_K_CAP:
             raise ParameterError(f"{_p_text(k, 'k')} above cap {_DIRICHLET_K_CAP} for the Dirichlet sum")
     x, least, most = _as_points(x)
+    if x.size * k > _DIRICHLET_TERMS_CAP:
+        raise ParameterError(f"{x.size} points x k={k} cosines above cap 2^24 for the Dirichlet sum")
     if not (0.0 < least and most < math.pi):
         raise DomainError("x must lie in (0, pi)")
     # sin(x/(2k)) is least at the least x, and sin(y) = y there

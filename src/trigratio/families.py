@@ -232,8 +232,11 @@ def _f_direct(family: FamilyKind, p: float, x, den, g, sin):
 def eval_ratio(family: FamilyKind, p, x: float) -> float:
     """The bare quotient, e.g. cos x / cos(x/p), for x in (0, pi/2)."""
     p = check_param_real(p)
-    if type(x) is not float and _is_bool(x) or not 0.0 < x < HALF_PI:
-        raise DomainError(f"x={x} outside (0, pi/2)")
+    try:
+        if type(x) is not float and _is_bool(x) or not 0.0 < x < HALF_PI:
+            raise DomainError(f"x={x} outside (0, pi/2)")
+    except TypeError:  # a string, None or complex x fails the comparison
+        raise DomainError(f"x must be a real number, got {x!r}") from None
     g, _ = FAMILY_FNS[family][math]
     den = g((1.0 / p) * x)
     # no series branch here: sin(x/p) underflows where x < ~2^-1022 |p|
@@ -251,8 +254,11 @@ def _scalar_fns(family: FamilyKind) -> tuple:
 def eval_f(family: FamilyKind, p, x: float) -> float:
     """Normalized ratio family at x in [0, pi/2); continuous through x = 0."""
     p = check_param_real(p)
-    if type(x) is not float and _is_bool(x) or not 0.0 <= x < HALF_PI:
-        raise DomainError(f"x={x} outside [0, pi/2)")
+    try:
+        if type(x) is not float and _is_bool(x) or not 0.0 <= x < HALF_PI:
+            raise DomainError(f"x={x} outside [0, pi/2)")
+    except TypeError:  # a string, None or complex x fails the comparison
+        raise DomainError(f"x must be a real number, got {x!r}") from None
     g, sin, th = _scalar_fns(family)
     if x < th:
         return float(_even_series(x, f_series_coeffs(family, p)))

@@ -11,8 +11,9 @@ def mutate_general_form(monkeypatch):
     general form, for the given families, has its +-23 bracket weight (the
     last) moved away from 0 by w3_delta and its first weight scaled by scale;
     the sum forms stay intact.  The caches built from the table,
-    `sin_comb_form` and D's series `_table_d_series`, are emptied on both
-    sides, so no entry built from the mutation outlives the test."""
+    `sin_comb_form`, `termwise_sign` and D's series `_table_d_series`, are
+    emptied on both sides, so no entry built from the mutation outlives the
+    test."""
     table = derivatives.exact_sin_comb_form
 
     def mutate(families, w3_delta=0, scale=1):
@@ -33,4 +34,5 @@ def mutate_general_form(monkeypatch):
 
 def _clear():
     derivatives.sin_comb_form.cache_clear()
+    derivatives.termwise_sign.cache_clear()
     derivatives._table_d_series.cache_clear()

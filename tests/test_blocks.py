@@ -257,3 +257,12 @@ def test_dirichlet_caps_k():
     for k, text in ((2**20 + 1, "k=1048577"), (10**400, "|k| >= 2^1328")):
         with pytest.raises(ParameterError, match=rf"^{re.escape(text)} above cap 1048576 for the Dirichlet sum$"):
             dirichlet_sum(k, np.full(1 << 20, 0.5))
+
+
+def test_dirichlet_caps_points_times_k(monkeypatch):
+    """points x k above 2^24 cosines is refused before any cosine is taken:
+    2^20 points at k = 2^20 would run for about a day."""
+    monkeypatch.setattr(np, "cos", None)  # any cosine would raise TypeError
+    for n, k in ((1 << 20, 1 << 20), ((1 << 24) // 7 + 1, 7), (17, 1 << 20)):
+        with pytest.raises(ParameterError, match=rf"^{n} points x k={k} cosines above cap 2\^24 for the Dirichlet sum$"):
+            dirichlet_sum(k, np.broadcast_to(0.5, (n,)))

@@ -34,6 +34,7 @@ from trigratio.derivatives import (
     eval_sin_comb,
     general_vs_sum_check,
     sin_comb_form,
+    termwise_sign,
     vanishing_limits_check,
 )
 from trigratio.envelopes import envelope_constants, ratio_bounds
@@ -228,14 +229,19 @@ def test_sign_rigorous(family, p):
     assert r.min_margin > 0.0
 
 
+def _bisect(family, p, sign, cfg):
+    """The interval bisection alone, past verify_sign_D's termwise route."""
+    return certify._verify_sign_rigorous(f"sign-D:{family.value}:p={p}:{sign.name}", family, p, sign, cfg)
+
+
 @pytest.mark.parametrize("margin,cap", [(1e-3, 20), (1e-6, 40)])
 def test_rigorous_hyperbolic_certified(margin, cap):
-    """The x -> ix images prove like their partners: hyp-sin p = 2..64 and
+    """The x -> ix images bisect like their partners: hyp-sin p = 2..64 and
     hyp-cos p = 3..64, each in 1 cell."""
     cfg = VerificationConfig(mode=Mode.RIGOROUS, interior_margin=margin, max_subdivisions=cap)
     for family, ps in ((HS, range(2, 65)), (HC, range(3, 65))):
         for p in ps:
-            r = verify_sign_D(family, p, expected_sign_D(family, p), cfg)
+            r = _bisect(family, p, expected_sign_D(family, p), cfg)
             assert (r.status, r.mode) == (Status.CERTIFIED, Mode.RIGOROUS), r
             assert r.min_margin > 0.0
             assert r.cells_checked == 1, r
@@ -246,10 +252,10 @@ def test_rigorous_hyperbolic_certified(margin, cap):
 def test_rigorous_cos_odd_p_one_cell(family, margin, cap):
     """Every term of the cos families' general form keeps one sign at p >= 3
     (see test_cos_general_form_termwise_positive), so the whole root cell's
-    enclosure is one-signed: every odd-p claim is a one-cell proof."""
+    enclosure is one-signed: every odd-p claim is a one-cell bisection."""
     cfg = VerificationConfig(mode=Mode.RIGOROUS, interior_margin=margin, max_subdivisions=cap)
     for p in range(3, 64, 2):
-        r = verify_sign_D(family, p, expected_sign_D(family, p), cfg)
+        r = _bisect(family, p, expected_sign_D(family, p), cfg)
         assert (r.status, r.cells_checked) == (Status.CERTIFIED, 1), r
 
 
@@ -685,7 +691,7 @@ def test_rigorous_worst_x_is_the_cell_of_min_margin(monkeypatch):
     sum form, which leaves cells INCONCLUSIVE."""
     monkeypatch.setattr(certify, "_interval_D", _on_endpoints(_trig_cos_odd_sum_interval_D))
     cfg = VerificationConfig(mode=Mode.RIGOROUS, interior_margin=1e-6, max_subdivisions=20)
-    r = verify_sign_D(TC, 63, Sign.NEG, cfg)
+    r = _bisect(TC, 63, Sign.NEG, cfg)
     assert r.status is Status.INCONCLUSIVE
     assert r.min_margin == -2.577682467244663e-11
     assert r.worst_x == 4.7450655145523465e-06
@@ -725,12 +731,12 @@ def _reference_verify_sign_rigorous(family, p, expected_sign, cfg):
 @pytest.mark.parametrize("margin,cap", [(1e-3, 20), (1e-6, 40), (1e-6, 20)])
 @pytest.mark.parametrize("family", [TC, TS, HC, HS])
 def test_rigorous_reports_bitwise_match_reference_prover(family, margin, cap):
-    """Every RIGOROUS report, p = 2..64, is repr-equal to the Interval-cell
+    """Every bisection report, p = 2..64, is repr-equal to the Interval-cell
     reference prover's: the same cells, verdict, margin and worst x."""
     cfg = VerificationConfig(mode=Mode.RIGOROUS, interior_margin=margin, max_subdivisions=cap)
     for p in range(2, 65):
         sign = expected_sign_D(family, p)
-        assert repr(verify_sign_D(family, p, sign, cfg)) == repr(_reference_verify_sign_rigorous(family, p, sign, cfg))
+        assert repr(_bisect(family, p, sign, cfg)) == repr(_reference_verify_sign_rigorous(family, p, sign, cfg))
 
 
 @pytest.mark.parametrize("entry", ["factor", "weight", "frequency"])
@@ -751,7 +757,7 @@ def test_rigorous_nan_in_table_raises(family, p, entry, monkeypatch):
     # a NaN that slipped through would bisect to the cap: keep that quick
     cfg = VerificationConfig(mode=Mode.RIGOROUS, max_subdivisions=3)
     with pytest.raises(ValueError):
-        verify_sign_D(family, p, expected_sign_D(family, p), cfg)
+        _bisect(family, p, expected_sign_D(family, p), cfg)
 
 
 @pytest.mark.parametrize(
@@ -759,9 +765,58 @@ def test_rigorous_nan_in_table_raises(family, p, entry, monkeypatch):
     [(63, 1e-6, 40, 1), (63, 1e-3, 20, 1), (2, 1e-3, 20, 12)],
 )
 def test_rigorous_trig_cos_pinned_cell_counts(p, margin, cap, cells):
-    """Trig-cos proofs at their pinned cost: the general form's terms keep one
-    sign at p >= 3, so p = 63 is one cell; at p = 2 they do not (1 - 3/p < 0)."""
+    """Trig-cos bisections at their pinned cost: the general form's terms keep
+    one sign at p >= 3, so p = 63 is one cell; at p = 2 they do not (1 - 3/p < 0)."""
     cfg = VerificationConfig(mode=Mode.RIGOROUS, interior_margin=margin, max_subdivisions=cap)
-    r = verify_sign_D(TC, p, expected_sign_D(TC, p), cfg)
+    r = _bisect(TC, p, expected_sign_D(TC, p), cfg)
     assert r.status is Status.CERTIFIED
     assert r.cells_checked == cells
+
+
+# --- the termwise route ------------------------------------------------------
+
+TERMWISE = [(family, p) for family in FamilyKind for p in range(2, 65)]
+
+
+def test_termwise_sign_is_silent_only_at_the_cos_families_p2():
+    """Over the 252 claims the lemma gives expected_sign_D's sign, and is
+    silent (0) exactly at the cos families' p = 2."""
+    silent = [(f, p) for f, p in TERMWISE if termwise_sign(f, p, f.is_cos) == 0]
+    assert silent == [(TC, 2), (HC, 2)]
+    for family, p in TERMWISE:
+        if (family, p) not in silent:
+            assert termwise_sign(family, p, family.is_cos) == expected_sign_D(family, p).value
+
+
+@pytest.mark.parametrize("family", FamilyKind)
+def test_termwise_sign_agrees_with_bisection_and_mpmath(family):
+    """Wherever the lemma gives a sign, the interval bisection at margin 1e-3
+    and depth 20 certifies that same sign, and D from the definition in
+    40-digit mpmath has it near both ends of (0, pi/2)."""
+    for p in range(2, 65):
+        sign = termwise_sign(family, p, family.is_cos)
+        if not sign:
+            continue
+        assert _bisect(family, p, Sign(sign), RIGOROUS).status is Status.CERTIFIED, p
+        for x in (1e-8, HALF_PI - 1e-8):
+            assert sign * mp_D(family, p, x) > 0, (p, x)
+
+
+def test_termwise_route_reports():
+    """A termwise proof reports a bisection that visited no cell; a claim the
+    lemma does not prove gets the bisection's own report."""
+    r = verify_sign_D(TS, 64, Sign.NEG, RIGOROUS)
+    assert r == VerificationReport("sign-D:trig-sin:p=64:NEG", Status.CERTIFIED, math.inf, math.nan, 0, Mode.RIGOROUS)
+    for family, p in ((TC, 2), (HC, 2)):
+        sign = expected_sign_D(family, p)
+        assert repr(verify_sign_D(family, p, sign, RIGOROUS)) == repr(_bisect(family, p, sign, RIGOROUS))
+
+
+@pytest.mark.parametrize("family,p", [(TC, 3), (TS, 3), (HC, 17), (HS, 64)])
+def test_wrong_sign_claim_still_bisects(family, p):
+    """The lemma proves the other sign, so the claim falls through to the
+    bisection, which looks at cells and does not certify it."""
+    wrong = Sign(-termwise_sign(family, p, family.is_cos))
+    r = verify_sign_D(family, p, wrong, RIGOROUS)
+    assert repr(r) == repr(_bisect(family, p, wrong, RIGOROUS))
+    assert r.status is not Status.CERTIFIED and r.cells_checked >= 1

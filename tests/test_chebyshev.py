@@ -129,6 +129,12 @@ def test_corollary_rejects_bool_y(y):
         corollary_bounds(2, y)
 
 
+@pytest.mark.parametrize("y", ["0.1", None, 0.1j])
+def test_corollary_rejects_y_that_is_no_real_number(y):
+    with pytest.raises(DomainError, match="^y must be a real number, got "):
+        corollary_bounds(2, y)
+
+
 @pytest.mark.parametrize("n", [0, 1, 5, 17, 30])
 def test_eval_arrays_match_scalar_calls(n):
     """An array runs the scalar recurrence elementwise: bit for bit the

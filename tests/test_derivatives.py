@@ -23,6 +23,7 @@ from trigratio.derivatives import (
     exact_sin_comb_form,
     general_vs_sum_check,
     sin_comb_form,
+    termwise_sign,
     vanishing_limits_check,
     _d_series_coeffs,
     _table_d_series,
@@ -501,6 +502,66 @@ def test_general_form_equals_sum_form_exactly(family):
             assert general_vs_sum_check(family, p), p
 
 
+# --- D's table from f's definition, in exact algebra --------------------------
+#
+# A trig polynomial is a {(kind, freq): weight} dict, kind "sin" or "cos" and
+# freq >= 0 a Fraction, for sum weight * kind(freq x): sin(-a) = -sin(a) and
+# cos(-a) = cos(a) fold negative frequencies, and sin(0 x) and zero weights
+# drop out, so two polynomials are one function iff their dicts are equal
+# (sines and cosines of distinct frequencies are linearly independent).
+
+
+def _trig(terms):
+    """The trig polynomial of (kind, freq, weight) triples, merged."""
+    out = {}
+    for kind, freq, weight in terms:
+        if freq < 0:
+            freq, weight = -freq, (-weight if kind == "sin" else weight)
+        if kind == "cos" or freq:
+            out[kind, freq] = out.get((kind, freq), 0) + weight
+    return {key: w for key, w in out.items() if w}
+
+
+def _trig_diff(a):
+    """d/dx: sin(f x)' = f cos(f x), cos(f x)' = -f sin(f x)."""
+    return _trig(("cos", f, w * f) if kind == "sin" else ("sin", f, -w * f) for (kind, f), w in a.items())
+
+
+def _trig_mul_terms(a, b, scale):
+    """The triples of scale * a * b, by product-to-sum."""
+    for (ka, fa), wa in a.items():
+        for (kb, fb), wb in b.items():
+            h = scale * wa * wb / 2
+            if ka == kb:  # sin sin = (cos(a-b) - cos(a+b))/2, cos cos = (cos(a-b) + cos(a+b))/2
+                yield from (("cos", fa - fb, h), ("cos", fa + fb, h if ka == "cos" else -h))
+            else:  # sin a cos b = (sin(a+b) + sin(a-b))/2
+                s, c = (fa, fb) if ka == "sin" else (fb, fa)
+                yield from (("sin", s + c, h), ("sin", s - c, h))
+
+
+def _third_derivative_numerator(family, p):
+    """N_3 = R''' den^4 for R = g(x)/den, den = g(x/p), g = cos or sin, from
+    R^(k) = N_k / den^(k+1): N_0 = g(x), N_(k+1) = N_k' den - (k+1) N_k den'."""
+    kind = "cos" if family.is_cos else "sin"
+    n, den = _trig([(kind, Fraction(1), 1)]), _trig([(kind, 1 / Fraction(p), 1)])
+    dden = _trig_diff(den)
+    for k in range(3):
+        n = _trig([*_trig_mul_terms(_trig_diff(n), den, 1), *_trig_mul_terms(n, dden, -(k + 1))])
+    return n
+
+
+@pytest.mark.parametrize("family", [TC, TS])
+def test_general_table_is_D_exactly(family):
+    """exact_sin_comb_form's general table is D, derived from f's definition
+    in exact algebra.  f = (A - R)/x^2 gives x^3 f' = 2R - 2A - x R', and
+    D = (x^3 f')'' = -x R''', so the table's D = -x * factor * sum w sin(c x)
+    / den(x/p)^4 holds iff N_3 = factor * sum w sin(c x) as trig polynomials.
+    The hyperbolic families read the same table by x -> ix."""
+    for p in [*range(2, 65), 1.5, 2.25, 7.3, -4]:
+        terms, factor = exact_sin_comb_form(family, p, True)
+        assert _third_derivative_numerator(family, p) == _trig(("sin", c, factor * w) for w, c in terms), p
+
+
 @pytest.mark.parametrize("k", range(1, 11))
 def test_dirichlet_sum_identity(k):
     for x in np.linspace(0.01, math.pi - 0.01, 100):
@@ -640,5 +701,6 @@ def test_series_caches_are_bounded():
         eval_f_grid(TC, p, [0.005], dtype=np.longdouble)
         d_general(HS, p, 0.5)
         vanishing_limits_check(TC, p)
-    for cache in (_ratio_series, f_series_coeffs, _scalar_fns, _d_series_coeffs, _table_d_series):
+        termwise_sign(TC, p, True)
+    for cache in (_ratio_series, f_series_coeffs, _scalar_fns, _d_series_coeffs, _table_d_series, termwise_sign):
         assert cache.cache_info().currsize <= 256

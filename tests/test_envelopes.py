@@ -117,6 +117,12 @@ def test_ratio_bounds_rejects_bool_x(x):
         ratio_bounds(TS, 2, x)
 
 
+@pytest.mark.parametrize("x", ["0.5", None, 0.5j])
+def test_ratio_bounds_rejects_x_that_is_no_real_number(x):
+    with pytest.raises(DomainError, match="^x must be a real number, got "):
+        ratio_bounds(TS, 2, x)
+
+
 @pytest.mark.parametrize("p", [1, 0, -3, 2.5])
 def test_envelope_rejects_bad_p(p):
     with pytest.raises(ParameterError):

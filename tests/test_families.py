@@ -142,6 +142,15 @@ def test_bool_points_rejected(x):
                 eval_f_grid(TS, 2, xs, dtype)
 
 
+@pytest.mark.parametrize("evaluate", [eval_f, eval_ratio], ids=["eval_f", "eval_ratio"])
+@pytest.mark.parametrize("x", ["0.5", None, 0.5j, b"0.5"])
+def test_points_that_are_not_real_numbers_rejected(evaluate, x):
+    """A string, None or a complex x is a DomainError, not the bare TypeError
+    of its comparison with 0.0."""
+    with pytest.raises(DomainError, match=f"^x must be a real number, got {re.escape(repr(x))}$"):
+        evaluate(TS, 2, x)
+
+
 LIMIT_ZERO_CASES = [
     (TC, 3, 4.0 / 9.0),
     (TC, 2, 3.0 / 8.0),
