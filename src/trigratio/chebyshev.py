@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .envelopes import ratio_bounds
-from .families import DomainError, FamilyKind, ParameterError, _as_points, _is_bool, _p_text, check_param_int
+from .families import DomainError, FamilyKind, ParameterError, _as_point, _as_points, _p_text, check_param_int
 
 DEGREE_CAP = 64
 # cheb_u_eval's degree cap: its recurrence takes ~50 ms for a float t at
@@ -97,9 +97,6 @@ def corollary_bounds(p, y: float) -> tuple[float, float]:
     path (the corollary is exactly that substitution)."""
     p = check_param_int(p)
     y_max = math.pi / (2.0 * p)
-    try:
-        if type(y) is not float and _is_bool(y) or not 0.0 < y < y_max:
-            raise DomainError(f"y={y} outside (0, pi/(2p)) for p={p}")
-    except TypeError:  # a string, None or complex y fails the comparison
-        raise DomainError(f"y must be a real number, got {y!r}") from None
+    if type(y) is not float or not 0.0 < y < y_max:
+        y = _as_point(y, y_max, name="y", where=f"(0, pi/(2p)) for p={p}")
     return ratio_bounds(FamilyKind.TRIG_SIN, p, p * y)

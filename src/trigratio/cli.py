@@ -35,6 +35,9 @@ EXIT_DOMAIN = 65
 EXIT_CANTCREAT = 73
 
 _PI_FRACTION = re.compile(r"^pi/(-?\d+)$")
+# table's row cap: 2^20 rows peak at ~500 MiB RSS (the text and the Python
+# floats of its columns, ~460 B a row) and take ~5 s
+_TABLE_ROWS_CAP = 2**20
 
 
 def parse_number(text: str) -> float:
@@ -171,6 +174,8 @@ def _cmd_cheb(args) -> int:
 def _cmd_table(args) -> int:
     if args.points < 2:
         raise UsageError("--points must be >= 2")
+    if args.points > _TABLE_ROWS_CAP:
+        raise UsageError("--points must be <= 2^20")
     import numpy as np
 
     ec = envelope_constants(args.family, args.p)

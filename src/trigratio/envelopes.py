@@ -15,10 +15,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .families import (
-    DomainError,
     FamilyKind,
     HALF_PI,
-    _is_bool,
+    _as_point,
     check_param_int,
     limit_at_half_pi,
     limit_at_zero,
@@ -69,11 +68,8 @@ def ratio_bounds(family: FamilyKind, p, x: float) -> tuple[float, float]:
     or A = p (sin families); the p = 2 reversal is already folded into the
     envelope constants, so lo < hi always holds."""
     ec = envelope_constants(family, p)
-    try:
-        if type(x) is not float and _is_bool(x) or not 0.0 < x < HALF_PI:
-            raise DomainError(f"x={x} outside (0, pi/2)")
-    except TypeError:  # a string, None or complex x fails the comparison
-        raise DomainError(f"x must be a real number, got {x!r}") from None
+    if type(x) is not float or not 0.0 < x < HALF_PI:
+        x = _as_point(x, HALF_PI)
     a = 1.0 if family.is_cos else float(ec.p)
     x2 = x * x
     return a - ec.upper * x2, a - ec.lower * x2

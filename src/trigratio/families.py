@@ -30,13 +30,19 @@ All functions are defined on (0, pi/2); `eval_f` extends to x = 0 by
 continuity.  Near zero the direct quotient cancels catastrophically, so
 evaluation switches to a truncated even-power series whose coefficients
 are computed once per (family, p) in exact rational arithmetic and rounded
-once to float64.  Every evaluator raises DomainError for a bool or complex point.
+once to float64.
+
+A scalar point is a real number (`numbers.Real`, not a bool), converted once
+to float before any arithmetic (`_as_point`): a numpy float32 point computes
+in float64 and every result is a Python float.  Anything else, a bool, a
+complex number, a string, None or a Decimal, raises DomainError.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import numbers
 import operator
 import sys
 from fractions import Fraction
@@ -108,11 +114,6 @@ def load_numpy():
 # the top of p's range, up to which an integer p converts to float exactly
 # (far past it, at p > ~1.8e102, the cos families' D table leaves float64)
 _P_MAX = 2.0**53
-
-
-def _is_bool(v) -> bool:
-    # bool and numpy's bool_ (named "bool" since numpy 2), without importing numpy
-    return type(v).__name__ in ("bool", "bool_")
 
 
 def check_param_real(p) -> float:
@@ -232,11 +233,8 @@ def _f_direct(family: FamilyKind, p: float, x, den, g, sin):
 def eval_ratio(family: FamilyKind, p, x: float) -> float:
     """The bare quotient, e.g. cos x / cos(x/p), for x in (0, pi/2)."""
     p = check_param_real(p)
-    try:
-        if type(x) is not float and _is_bool(x) or not 0.0 < x < HALF_PI:
-            raise DomainError(f"x={x} outside (0, pi/2)")
-    except TypeError:  # a string, None or complex x fails the comparison
-        raise DomainError(f"x must be a real number, got {x!r}") from None
+    if type(x) is not float or not 0.0 < x < HALF_PI:
+        x = _as_point(x, HALF_PI)
     g, _ = FAMILY_FNS[family][math]
     den = g((1.0 / p) * x)
     # no series branch here: sin(x/p) underflows where x < ~2^-1022 |p|
@@ -254,25 +252,50 @@ def _scalar_fns(family: FamilyKind) -> tuple:
 def eval_f(family: FamilyKind, p, x: float) -> float:
     """Normalized ratio family at x in [0, pi/2); continuous through x = 0."""
     p = check_param_real(p)
-    try:
-        if type(x) is not float and _is_bool(x) or not 0.0 <= x < HALF_PI:
-            raise DomainError(f"x={x} outside [0, pi/2)")
-    except TypeError:  # a string, None or complex x fails the comparison
-        raise DomainError(f"x must be a real number, got {x!r}") from None
+    if type(x) is not float or not 0.0 <= x < HALF_PI:
+        x = _as_point(x, HALF_PI, closed=True, where="[0, pi/2)")
     g, sin, th = _scalar_fns(family)
     if x < th:
-        return float(_even_series(x, f_series_coeffs(family, p)))
-    return float(_f_direct(family, p, x, g((1.0 / p) * x), g, sin))
+        return _even_series(x, f_series_coeffs(family, p))
+    return _f_direct(family, p, x, g((1.0 / p) * x), g, sin)
+
+
+def _as_real(v, error, name: str) -> float:
+    """v as a float, for a real number v: a numbers.Real (a numpy integer or
+    float, a Fraction) but no bool, and +-inf for one past float64.
+    error("... must be a real number") for anything else: a bool, numpy's
+    bool_, a complex number, a string, None or a Decimal, which a comparison
+    or float() would reject with a TypeError, read as 1.0 or parse."""
+    if not isinstance(v, numbers.Real) or isinstance(v, bool):
+        raise error(f"{name} must be a real number, got {v!r}")
+    try:
+        return float(v)
+    except OverflowError:
+        return math.inf if v > 0 else -math.inf
+
+
+def _as_point(x, hi, closed=False, name="x", where="(0, pi/2)") -> float:
+    """A scalar point x as a float (`_as_real`), for x in (0, hi), or [0, hi)
+    if closed; DomainError for one that is no real number, or out of range
+    or NaN ("x=... outside " where).  The range test reads float(x), the
+    point the arithmetic sees."""
+    v = _as_real(x, DomainError, name)
+    if not (0.0 <= v < hi if closed else 0.0 < v < hi):
+        raise DomainError(f"{_p_text(x, name)} outside {where}")
+    return v
 
 
 def _as_points(x, dtype=None):
     """(x, least, most): x as a numpy array of dtype (float64 by default) and
-    its least and greatest point, one pass each.  DomainError for any dtype
-    but integers and floats: bools, complex numbers, strings and objects,
+    its least and greatest point, one pass each.  ParameterError for a dtype
+    that is not a floating one.  DomainError for any array dtype but
+    integers and floats: bools, complex numbers, strings and objects,
     which conversion would read as 1.0, make real or parse.  A NaN
     makes both NaN, failing any domain comparison on them; an empty array
     spans (inf, -inf), passing every one."""
     np = load_numpy()
+    if dtype is not None and np.dtype(dtype).kind != "f":
+        raise ParameterError(f"dtype must be a floating dtype, got {np.dtype(dtype)}")
     x = np.asarray(x)
     if x.dtype.kind not in "iuf":
         what = {"b": "bools", "c": "complex numbers"}.get(x.dtype.kind, f"{x.dtype} values")

@@ -65,6 +65,37 @@ def test_config_validation():
         VerificationConfig(interior_margin=1.0)
 
 
+@pytest.mark.parametrize("margin", ["0.001", True, None, 1e-3j])
+def test_config_margin_that_is_no_real_number(margin):
+    """The string gave a bare TypeError from the range comparison."""
+    with pytest.raises(ParameterError, match=f"^interior_margin must be a real number, got {re.escape(repr(margin))}$"):
+        VerificationConfig(interior_margin=margin)
+
+
+def test_config_margin_fraction_is_its_float():
+    """A Fraction margin was kept as given, and then every GRID claim raised
+    "points must be real numbers, not object values" on its grid."""
+    cfg = VerificationConfig(interior_margin=Fraction(1, 1000))
+    assert type(cfg.interior_margin) is float and cfg.interior_margin == 1e-3
+    assert verify_envelope(FamilyKind.TRIG_SIN, 3, cfg) == verify_envelope(FamilyKind.TRIG_SIN, 3, CFG)
+
+
+def test_config_margin_numpy_float_is_stored_as_float():
+    cfg = VerificationConfig(interior_margin=np.float64(1e-3))
+    assert type(cfg.interior_margin) is float and cfg == CFG
+    assert type(VerificationConfig(interior_margin=np.float32(1e-3)).interior_margin) is float
+
+
+@pytest.mark.parametrize("points", [2**20 + 1, 10**12, 10**400])
+def test_config_caps_grid_points(points):
+    """10^12 points would ask numpy for 8 TB per array: refused before any
+    allocation.  2^20 points, the cap, peak at ~70 MiB."""
+    n = f"|grid_points| >= 2^{points.bit_length() - 1}" if points >= 2**1024 else str(points)
+    with pytest.raises(ParameterError, match=f"^grid_points must be <= 2\\^20, got {re.escape(n)}$"):
+        VerificationConfig(grid_points=points)
+    assert VerificationConfig(grid_points=2**20).grid_points == 2**20
+
+
 @pytest.mark.parametrize("depth", [-1, 2.0, True, None])
 def test_config_rejects_bad_max_subdivisions(depth):
     with pytest.raises(ParameterError):

@@ -1,7 +1,9 @@
 """Tests for the Chebyshev-U module and the corollary bounds."""
 
 import math
+import re
 import time
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -129,9 +131,13 @@ def test_corollary_rejects_bool_y(y):
         corollary_bounds(2, y)
 
 
-@pytest.mark.parametrize("y", ["0.1", None, 0.1j])
+@pytest.mark.parametrize(
+    "y",
+    ["0.1", None, 0.1j]
+    + [pytest.param(b"0.1", id="bytes"), pytest.param(Decimal("0.1"), id="Decimal"), True, pytest.param(np.True_, id="np-true")],
+)
 def test_corollary_rejects_y_that_is_no_real_number(y):
-    with pytest.raises(DomainError, match="^y must be a real number, got "):
+    with pytest.raises(DomainError, match=f"^y must be a real number, got {re.escape(repr(y))}$"):
         corollary_bounds(2, y)
 
 

@@ -196,6 +196,33 @@ def test_table_rejects_single_point():
     assert run(["table", "--family", "trig-sin", "--p", "2", "--points", "1", "--out", "/tmp/x.csv"]) == EXIT_USAGE
 
 
+_TABLE_CAP_ERR = "usage error: --points must be <= 2^20"
+
+
+@pytest.mark.parametrize(
+    "argv, code, err",
+    [
+        (["table", "--family", "trig-sin", "--p", "2", "--points", "1000000000000"], EXIT_USAGE, _TABLE_CAP_ERR),
+        (["table", "--family", "trig-sin", "--p", "2", "--points", str(2**20 + 1)], EXIT_USAGE, _TABLE_CAP_ERR),
+        (
+            ["verify", "--family", "trig-sin", "--p", "2", "--grid-points", "1000000000000"],
+            EXIT_DOMAIN,
+            "domain error: grid_points must be <= 2^20, got 1000000000000",
+        ),
+    ],
+    ids=["table-1e12", "table-2^20+1", "verify-1e12"],
+)
+def test_huge_counts_are_refused_at_once(tmp_path, capsys, argv, code, err):
+    """A count past 2^20 exits 64 (table) or 65 (verify) before any
+    allocation, not 1, the FALSIFIED code, after numpy's MemoryError."""
+    out = tmp_path / "t.csv"
+    t0 = time.perf_counter()
+    assert run(argv + (["--out", str(out)] if argv[0] == "table" else [])) == code
+    assert time.perf_counter() - t0 < 1.0
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", err + "\n") and not out.exists()
+
+
 def _table_reference(family, p, points):
     """The CSV as built one field at a time over numpy scalars."""
     from trigratio import FamilyKind, envelope_constants, eval_f_grid

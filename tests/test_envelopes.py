@@ -1,6 +1,8 @@
 """Tests for the envelope constants and the derived ratio bounds."""
 
 import math
+import re
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -117,9 +119,13 @@ def test_ratio_bounds_rejects_bool_x(x):
         ratio_bounds(TS, 2, x)
 
 
-@pytest.mark.parametrize("x", ["0.5", None, 0.5j])
+@pytest.mark.parametrize(
+    "x",
+    ["0.5", None, 0.5j]
+    + [pytest.param(b"0.5", id="bytes"), pytest.param(Decimal("0.5"), id="Decimal"), True, pytest.param(np.True_, id="np-true")],
+)
 def test_ratio_bounds_rejects_x_that_is_no_real_number(x):
-    with pytest.raises(DomainError, match="^x must be a real number, got "):
+    with pytest.raises(DomainError, match=f"^x must be a real number, got {re.escape(repr(x))}$"):
         ratio_bounds(TS, 2, x)
 
 

@@ -4,6 +4,7 @@ import functools
 import math
 import pickle
 import re
+from decimal import Decimal
 
 import mpmath
 import numpy as np
@@ -115,6 +116,23 @@ def test_grid_longdouble_dtype():
     np.testing.assert_allclose(out.astype(np.float64), ref, rtol=1e-13)
 
 
+@pytest.mark.parametrize("dtype", [None, np.float64, np.longdouble, np.float32, "f8"])
+def test_grid_takes_floating_dtypes(dtype):
+    out = eval_f_grid(TS, 3, [0.0, 0.1, 1.0], dtype)
+    assert out.dtype == np.dtype(dtype or float)
+    assert np.allclose(out.astype(float), [eval_f(TS, 3, x) for x in (0.0, 0.1, 1.0)], rtol=1e-6)
+
+
+@pytest.mark.parametrize("dtype", [np.bool_, np.int64, np.uint8, np.complex128, object, "U3"])
+def test_grid_refuses_other_dtypes(dtype):
+    """A bool dtype gave [True, True, True], an int64 one an OverflowError and
+    a complex one complex values; each is refused before any point is read,
+    even one outside the domain."""
+    for xs in ([0.1, 0.5, 1.0], [5.0]):
+        with pytest.raises(ParameterError, match="^dtype must be a floating dtype, got "):
+            eval_f_grid(TS, 2, xs, dtype)
+
+
 def test_grid_dtype_sets_the_arithmetic_only():
     """Every dtype reads the one float64 series: on the series branch a
     longdouble grid is Horner in 80-bit arithmetic on f_series_coeffs."""
@@ -143,10 +161,14 @@ def test_bool_points_rejected(x):
 
 
 @pytest.mark.parametrize("evaluate", [eval_f, eval_ratio], ids=["eval_f", "eval_ratio"])
-@pytest.mark.parametrize("x", ["0.5", None, 0.5j, b"0.5"])
+@pytest.mark.parametrize(
+    "x",
+    ["0.5", None, 0.5j, b"0.5", pytest.param(Decimal("0.5"), id="Decimal"), True, pytest.param(np.True_, id="np-true")],
+)
 def test_points_that_are_not_real_numbers_rejected(evaluate, x):
-    """A string, None or a complex x is a DomainError, not the bare TypeError
-    of its comparison with 0.0."""
+    """A string, None, a complex number, a Decimal or a bool x is a
+    DomainError, not the bare TypeError of its comparison with 0.0 or of
+    the arithmetic, nor f(1.0)."""
     with pytest.raises(DomainError, match=f"^x must be a real number, got {re.escape(repr(x))}$"):
         evaluate(TS, 2, x)
 
