@@ -67,7 +67,6 @@ from .families import (
     HALF_PI,
     ParameterError,
     _as_real,
-    _p_text,
     check_param_int,
     eval_f_grid,
 )
@@ -103,10 +102,8 @@ class VerificationConfig:
     max_subdivisions: int = 20
 
     def __post_init__(self):
-        n = check_param_int(self.grid_points, "grid_points", 16)
-        if n > _GRID_POINTS_CAP:
-            raise ParameterError(f"grid_points must be <= 2^20, got {_p_text(n, 'grid_points', bare=True)}")
-        check_param_int(self.max_subdivisions, "max_subdivisions", 0)
+        object.__setattr__(self, "grid_points", check_param_int(self.grid_points, "grid_points", 16, _GRID_POINTS_CAP))
+        object.__setattr__(self, "max_subdivisions", check_param_int(self.max_subdivisions, "max_subdivisions", 0))
         margin = _as_real(self.interior_margin, ParameterError, "interior_margin")
         if not 0.0 < margin < math.pi / 8.0:
             raise ParameterError("interior_margin must lie in (0, pi/8)")
@@ -151,14 +148,15 @@ def _grid_verdict(claim, margins, xs, cells) -> VerificationReport:
 def expected_sign_D(family: FamilyKind, p: int) -> Sign:
     """Sign D(x) would need on (0, pi/2) for the single-sign monotonicity route.
 
-    Positive only for the cos families at p = 2.  Caveat: for HYP_COS with
+    Positive where f increases (`envelope_constants`' direction), which is
+    only for the cos families at p = 2.  Caveat: for HYP_COS with
     p = 2 the positive sign holds only on (0, 1.3170); D turns negative
     beyond it, so verify_sign_D correctly falsifies that claim in both modes
     (RIGOROUS on a cell at x = 1.31696) even though f itself is increasing
     there (verify_monotonicity certifies it directly).  Both modes evaluate
     the hyperbolic D by its x -> ix closed forms."""
-    p = check_param_int(p)
-    return Sign.POS if family.is_cos and p == 2 else Sign.NEG
+    increasing = envelope_constants(family, p).direction is Direction.INCREASING
+    return Sign.POS if increasing else Sign.NEG
 
 
 # --- rigorous interval evaluation of D --------------------------------------
@@ -181,7 +179,9 @@ def _interval_D(family: FamilyKind, p: int, lo: float, hi: float) -> tuple[float
 
 def _verify_sign_rigorous(claim, family, p, expected_sign, cfg) -> VerificationReport:
     """Bisect [margin, pi/2 - margin] on (lo, hi, depth) floats until every
-    leaf's enclosure of D has the expected sign or the depth cap is hit."""
+    leaf's enclosure of D has the expected sign, or the depth cap is hit, or
+    the cell has no float strictly inside it to split at (near depth 53),
+    where two halves would copy the cell and double the work at each level."""
     stack = [(cfg.interior_margin, HALF_PI - cfg.interior_margin, 0)]
     flip = expected_sign is Sign.NEG
     cells = 0
@@ -193,12 +193,12 @@ def _verify_sign_rigorous(claim, family, p, expected_sign, cfg) -> VerificationR
         e_lo, e_hi = _interval_D(family, p, lo, hi)
         if flip:
             e_lo, e_hi = -e_hi, -e_lo
+        mid = 0.5 * (lo + hi)
         if not e_lo > 0.0:
             if e_hi < 0.0:
                 # the whole enclosure is on the wrong side: a real counterexample
-                return VerificationReport(claim, Status.FALSIFIED, e_hi, 0.5 * (lo + hi), cells + 1, Mode.RIGOROUS)
-            if depth < cfg.max_subdivisions:
-                mid = 0.5 * (lo + hi)
+                return VerificationReport(claim, Status.FALSIFIED, e_hi, mid, cells + 1, Mode.RIGOROUS)
+            if depth < cfg.max_subdivisions and lo < mid < hi:
                 stack.append((mid, hi, depth + 1))
                 stack.append((lo, mid, depth + 1))
                 continue
@@ -206,7 +206,7 @@ def _verify_sign_rigorous(claim, family, p, expected_sign, cfg) -> VerificationR
         # a certified or a given-up leaf; worst_x names the cell of min_margin
         cells += 1
         if e_lo < min_margin:
-            min_margin, worst_x = e_lo, 0.5 * (lo + hi)
+            min_margin, worst_x = e_lo, mid
     return VerificationReport(claim, status, min_margin, worst_x, cells, Mode.RIGOROUS)
 
 

@@ -3,29 +3,28 @@
 U_n satisfies U_n(cos t) = sin((n+1)t)/sin t, which identifies the sin
 ratio family at integer p with U_{p-1}: sin(p y)/sin y = U_{p-1}(cos y).
 `corollary_bounds` transports the quadratic envelope of that ratio into a
-polynomial inequality on (0, pi/(2p)).  `cheb_u_eval` takes a float or an
-array-like t, and runs the same recurrence on both, so an array's values
-equal the scalar calls bit for bit; this module itself imports no numpy,
-so the CLI's `cheb` verb never loads it.
+polynomial inequality on (0, pi/(2p)).  `cheb_u_eval` takes a real number
+or an array-like t, and runs the same recurrence on both, so an array's
+values equal the scalar calls bit for bit; this module itself imports no
+numpy, so the CLI's `cheb` verb never loads it.  A degree takes the one
+integer rule (`families.check_param_int`) with its cap: n <= 64 for
+`cheb_u`, whose coefficients would overflow double precision past it, and
+n <= 2^20 for `cheb_u_eval`, whose recurrence would run for hours.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 from .envelopes import ratio_bounds
-from .families import DomainError, FamilyKind, ParameterError, _as_point, _as_points, _p_text, check_param_int
+from .families import DomainError, FamilyKind, _as_point, _as_points, _as_real, check_param_int
 
 DEGREE_CAP = 64
 # cheb_u_eval's degree cap: its recurrence takes ~50 ms for a float t at
 # this degree (~50 ns a step), ~1.5 s for a small array (numpy's per-call cost)
 _EVAL_DEGREE_CAP = 2**20
-
-
-class DegreeCapError(ParameterError):
-    """A degree above a cap: `cheb_u`'s coefficients would overflow double
-    precision, and `cheb_u_eval`'s recurrence would run for hours."""
 
 
 @dataclass(frozen=True)
@@ -38,9 +37,7 @@ class ChebPoly:
 
 def cheb_u(n: int) -> ChebPoly:
     """U_n by the three-term recurrence U_{n+1} = 2x U_n - U_{n-1}, exactly."""
-    n = check_param_int(n, "degree", 0)
-    if n > DEGREE_CAP:
-        raise DegreeCapError(f"degree {_p_text(n, 'n', bare=True)} above cap {DEGREE_CAP}")
+    n = check_param_int(n, "degree", 0, DEGREE_CAP)
     prev = [1]
     if n == 0:
         return ChebPoly(0, (1,))
@@ -56,17 +53,18 @@ def cheb_u(n: int) -> ChebPoly:
 def cheb_u_eval(n: int, t):
     """U_n(t) for |t| <= 1 by the value-space recurrence (numerically stable).
 
-    t is a float, or an array-like taken as float64 (`families._as_points`)
-    and run through the same recurrence elementwise; DomainError if any of it
-    lies outside [-1, 1] or is NaN, a bool or complex.  U_0 of an array is
-    ones of its shape.  DegreeCapError above n = 2^20, so that a huge degree
+    t is a real number, taken as a float (`families._as_real`) and giving a
+    float, or an array-like taken as float64 (`families._as_points`) and run
+    through the same recurrence elementwise; DomainError if any of it lies
+    outside [-1, 1] or is NaN, a bool or complex.  U_0 of an array is ones
+    of its shape.  ParameterError above n = 2^20, so that a huge degree
     fails at once instead of running for hours."""
     if type(n) is not int or not 0 <= n <= _EVAL_DEGREE_CAP:
-        n = check_param_int(n, "degree", 0)
-        if n > _EVAL_DEGREE_CAP:
-            raise DegreeCapError(f"degree {_p_text(n, 'n', bare=True)} above cap {_EVAL_DEGREE_CAP} for U_n(t)")
-    if type(t) is float or isinstance(t, int):
-        if type(t) is bool or not -1.0 <= t <= 1.0:
+        n = check_param_int(n, "degree", 0, _EVAL_DEGREE_CAP)
+    if type(t) is not float and isinstance(t, numbers.Real):
+        t = _as_real(t, DomainError, "t")
+    if type(t) is float:
+        if not -1.0 <= t <= 1.0:
             raise DomainError(f"t={t} outside [-1, 1]")
         u_prev = 1.0
     else:

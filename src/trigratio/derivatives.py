@@ -82,11 +82,6 @@ class ParityError(ParameterError):
 MAX_SUM_P = 2**16
 
 
-def _check_sum_p(p: int) -> None:
-    if p > MAX_SUM_P:
-        raise ParameterError(f"D's sum form has p//2 terms, too many at {_p_text(p)} > {MAX_SUM_P}")
-
-
 @functools.lru_cache(maxsize=256)
 def exact_sin_comb_form(family: FamilyKind, p, general: bool) -> tuple[tuple, Fraction]:
     """D as a sin-combination in exact rationals: the (w, c) terms and the
@@ -101,7 +96,8 @@ def exact_sin_comb_form(family: FamilyKind, p, general: bool) -> tuple[tuple, Fr
     rational); the sum form an integer p >= 2, one table for both parities:
     terms (eps_m m^3, m/p) over 0 < m < p with m = p-1 (mod 2),
     eps_m = (-1)^((p-1-m)/2) for the cos families (odd p only) and 1 for
-    the sin families, and factor 2/p^3.
+    the sin families, and factor 2/p^3; ParameterError for a sum form at
+    p > MAX_SUM_P, before any term is built.
 
     For the cos families at p >= 3 every general-form weight is > 0 and every
     frequency lies in [0, 2], so each term keeps one sign on (0, pi/2): the
@@ -116,6 +112,8 @@ def exact_sin_comb_form(family: FamilyKind, p, general: bool) -> tuple[tuple, Fr
         flip = 1 if family.is_cos else -1
         ws = ((pf + 1) ** 3, flip * (pf - 1) ** 3, flip * (u + v), u - v)
         return tuple(zip(ws, cs)), flip / (8 * pf**3)
+    if p > MAX_SUM_P:
+        raise ParameterError(f"D's sum form has p//2 terms, too many at {_p_text(p)} > {MAX_SUM_P}")
     sgn = -1 if family.is_cos else 1
     terms = tuple((Fraction(sgn ** ((p - 1 - m) // 2) * m**3), m / pf) for m in range(1 + p % 2, p, 2))
     return terms, 2 / pf**3
@@ -125,8 +123,6 @@ def exact_sin_comb_form(family: FamilyKind, p, general: bool) -> tuple[tuple, Fr
 def sin_comb_form(family: FamilyKind, p, general: bool) -> tuple[tuple, float]:
     """`exact_sin_comb_form` in float64, each entry rounded once: the table
     both number backends read.  ParameterError for a sum form at p > MAX_SUM_P."""
-    if not general:
-        _check_sum_p(p)
     terms, factor = exact_sin_comb_form(family, p, general)
     return tuple((float(w), float(c)) for w, c in terms), float(factor)
 
@@ -145,8 +141,6 @@ def termwise_sign(family: FamilyKind, p, general: bool) -> int:
     (weights 27 at frequency -1/2 and 5 at 3/2), so 0 there, as for any
     table the lemma does not reach.  ParameterError for a sum form at
     p > MAX_SUM_P."""
-    if not general:
-        _check_sum_p(p)
     terms, factor = exact_sin_comb_form(family, p, general)
     sign = 0
     for w, c in terms:
@@ -182,8 +176,8 @@ def general_vs_sum_check(family: FamilyKind, p: int) -> bool:
     cross-multiplied).  sinh and cosh obey the same identities, so the one
     proof covers the hyperbolic families, which share the tables.
     ParameterError at p > MAX_SUM_P."""
-    _check_sum_p(p)
-    (gen, f), (sums, g) = exact_sin_comb_form(family, p, True), exact_sin_comb_form(family, p, False)
+    # the sum form first: past MAX_SUM_P it raises before either table is cached
+    (sums, g), (gen, f) = exact_sin_comb_form(family, p, False), exact_sin_comb_form(family, p, True)
     q = math.lcm(p, *(c.denominator for _, c in gen + sums))
     m = math.lcm(*(w.denominator for w, _ in gen + sums))
     den4 = tuple((k * (q // p), a) for k, a in _DEN4[family.is_cos])  # k/p in units of 1/q
@@ -303,9 +297,7 @@ def dirichlet_sum(k: int, x):
     `math.fsum`, exactly rounded, per point, so the values do not depend on
     the chunking.  ParameterError past either cap, before any cosine."""
     if type(k) is not int or not 1 <= k <= _DIRICHLET_K_CAP:
-        k = check_param_int(k, "k", 1)
-        if k > _DIRICHLET_K_CAP:
-            raise ParameterError(f"{_p_text(k, 'k')} above cap {_DIRICHLET_K_CAP} for the Dirichlet sum")
+        k = check_param_int(k, "k", 1, _DIRICHLET_K_CAP)
     x, least, most = _as_points(x)
     if x.size * k > _DIRICHLET_TERMS_CAP:
         raise ParameterError(f"{x.size} points x k={k} cosines above cap 2^24 for the Dirichlet sum")

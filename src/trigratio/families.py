@@ -16,7 +16,8 @@ What the dispatch does not read from the table it reads from `FamilyKind`'s
 `is_trig` and `is_cos`, plain member attributes.
 
 Every entry point takes p in one range: a real 3/2 <= |p| <= 2^53 of either
-sign (`check_param_real`), or an integer 2 <= p <= 2^53 (`check_param_int`);
+sign (`check_param_real`), or an integer 2 <= p <= 2^53 (`check_param_int`,
+the one rule of every integer argument, each with its own range);
 anything else raises ParameterError.  There g(x/p) has no pole on
 (0, pi/2): cos(x/p) >= 1/2, and sin(x/p) vanishes only at the removable
 zero x = 0.  Every series coefficient and D-table entry fits float64.
@@ -127,17 +128,20 @@ def check_param_real(p) -> float:
     raise ParameterError(f"p must satisfy 3/2 <= |p| <= 2^53, got {_p_text(p, bare=True)}")
 
 
-def check_param_int(value, name: str = "p", least: int = 2) -> int:
-    """value as an int: ParameterError for a bool, a non-integer or one below
-    least, and for p (the default) one past 2^53, the top of its range."""
+def check_param_int(value, name: str = "p", least: int = 2, most: int = int(_P_MAX)) -> int:
+    """value as an int (a numpy integer is its int) for least <= value <= most,
+    by default p's range [2, 2^53]: the one integer rule, caps included.
+    ParameterError for a bool, a non-integer ("p must be an integer, got
+    True") or one out of range ("p must be in [2, 2^53], got 1", each power
+    of two from 2^10 up written 2^k)."""
     if type(value) is not int:
         try:
             value = operator.index(None if isinstance(value, bool) else value)
         except TypeError:
             raise ParameterError(f"{name} must be an integer, got {value!r}") from None
-    if value < least or name == "p" and value > _P_MAX:
-        rule = f"in [{least}, 2^53]" if name == "p" else f">= {least}"
-        raise ParameterError(f"{name} must be {rule}, got {_p_text(value, name, bare=True)}")
+    if not least <= value <= most:
+        lo, hi = (f"2^{b.bit_length() - 1}" if b >= 1024 and not b & (b - 1) else b for b in (least, most))
+        raise ParameterError(f"{name} must be in [{lo}, {hi}], got {_p_text(value, name, bare=True)}")
     return value
 
 

@@ -254,8 +254,8 @@ def test_peak_memory_of_dirichlet_sum():
 def test_dirichlet_caps_k():
     """k above 2^20 is refused before any cosine is taken, as a point's k
     terms alone peak at 48 MiB there."""
-    for k, text in ((2**20 + 1, "k=1048577"), (10**400, "|k| >= 2^1328")):
-        with pytest.raises(ParameterError, match=rf"^{re.escape(text)} above cap 1048576 for the Dirichlet sum$"):
+    for k, text in ((2**20 + 1, "1048577"), (10**400, "|k| >= 2^1328")):
+        with pytest.raises(ParameterError, match=rf"^k must be in \[1, 2\^20\], got {re.escape(text)}$"):
             dirichlet_sum(k, np.full(1 << 20, 0.5))
 
 

@@ -5,6 +5,7 @@ import math
 import os
 import random
 import re
+import signal
 import subprocess
 import sys
 from fractions import Fraction
@@ -91,7 +92,7 @@ def test_config_caps_grid_points(points):
     """10^12 points would ask numpy for 8 TB per array: refused before any
     allocation.  2^20 points, the cap, peak at ~70 MiB."""
     n = f"|grid_points| >= 2^{points.bit_length() - 1}" if points >= 2**1024 else str(points)
-    with pytest.raises(ParameterError, match=f"^grid_points must be <= 2\\^20, got {re.escape(n)}$"):
+    with pytest.raises(ParameterError, match=f"^grid_points must be in \\[16, 2\\^20\\], got {re.escape(n)}$"):
         VerificationConfig(grid_points=points)
     assert VerificationConfig(grid_points=2**20).grid_points == 2**20
 
@@ -102,17 +103,25 @@ def test_config_rejects_bad_max_subdivisions(depth):
         VerificationConfig(mode=Mode.RIGOROUS, max_subdivisions=depth)
 
 
+def test_config_stores_ints():
+    """Both integer fields are stored as the int the integer rule returns."""
+    cfg = VerificationConfig(grid_points=np.int64(64), max_subdivisions=np.int32(7))
+    assert type(cfg.grid_points) is int and type(cfg.max_subdivisions) is int
+    assert cfg == VerificationConfig(grid_points=64, max_subdivisions=7)
+    assert type(dataclasses.replace(cfg, max_subdivisions=np.uint8(2)).max_subdivisions) is int
+
+
 def test_config_accepts_zero_max_subdivisions():
     assert VerificationConfig(max_subdivisions=0).max_subdivisions == 0
 
 
 def test_config_messages():
     """The config's integers take the one integer rule, `check_param_int`."""
-    with pytest.raises(ParameterError, match="^grid_points must be >= 16, got 10$"):
+    with pytest.raises(ParameterError, match=r"^grid_points must be in \[16, 2\^20\], got 10$"):
         VerificationConfig(grid_points=10)
     with pytest.raises(ParameterError, match="^grid_points must be an integer, got True$"):
         VerificationConfig(grid_points=True)
-    with pytest.raises(ParameterError, match="^max_subdivisions must be >= 0, got -1$"):
+    with pytest.raises(ParameterError, match=r"^max_subdivisions must be in \[0, 2\^53\], got -1$"):
         VerificationConfig(max_subdivisions=-1)
     assert VerificationConfig(grid_points=np.int64(16)).grid_points == 16
 
@@ -203,11 +212,11 @@ def test_tolerance_report_is_the_worst_error():
 
 
 def test_expected_signs():
-    assert expected_sign_D(TC, 2) is Sign.POS
-    assert expected_sign_D(HC, 2) is Sign.POS
-    assert expected_sign_D(TC, 3) is Sign.NEG
-    assert expected_sign_D(TS, 2) is Sign.NEG
-    assert expected_sign_D(HS, 2) is Sign.NEG
+    """POS exactly where f increases, read off the envelope's direction: the
+    cos families at p = 2, and no other family or p."""
+    for family in FamilyKind:
+        for p in [*range(2, 65), 2**53]:
+            assert expected_sign_D(family, p) is (Sign.POS if family.is_cos and p == 2 else Sign.NEG)
 
 
 @pytest.mark.parametrize("family", [TC, TS])
@@ -294,14 +303,14 @@ def test_rigorous_cos_odd_p_one_cell(family, margin, cap):
 def test_sign_D_refuses_sum_form_past_limit(mode):
     """The sin families' proofs take the sum form, which has no table past
     derivatives.MAX_SUM_P: ParameterError at once, in both modes, before
-    any of its p//2 exact terms is built."""
-    before = derivatives.exact_sin_comb_form.cache_info()
+    any of its p//2 exact terms is built, and with no table cached."""
+    derivatives.exact_sin_comb_form.cache_clear()
     cfg = VerificationConfig(mode=mode)
     for family in (TS, HS):
         for p in (10**9, 2**53):
             with pytest.raises(ParameterError, match="sum form"):
                 verify_sign_D(family, p, Sign.NEG, cfg)
-    assert derivatives.exact_sin_comb_form.cache_info() == before
+    assert derivatives.exact_sin_comb_form.cache_info().currsize == 0
     # the cos families take their general form, with no such limit
     assert verify_sign_D(TC, 10**9 + 1, Sign.NEG, cfg).status is Status.CERTIFIED
 
@@ -315,6 +324,26 @@ def test_rigorous_hyp_cos_p2_falsified():
     assert r.cells_checked == 39
     assert -1.1e-7 < r.min_margin < 0.0
     assert d_general(HC, 2, r.worst_x) < 0.0
+
+
+def test_rigorous_bisection_ends_where_floats_do():
+    """A cell with no float strictly inside it is a leaf.  Past depth ~53 its
+    halves would be copies of it, doubling the cells at each level, so a
+    depth cap of 200 never ended; now every cap from 54 up gives one report,
+    hyp-cos p = 2 POS falsified in 94 cells.  Run under a 10 s alarm."""
+
+    def alarm(signum, frame):
+        raise TimeoutError("the bisection did not end")
+
+    old = signal.signal(signal.SIGALRM, alarm)
+    signal.setitimer(signal.ITIMER_REAL, 10.0)
+    try:
+        reports = [_bisect(HC, 2, Sign.POS, dataclasses.replace(RIGOROUS, max_subdivisions=d)) for d in (54, 62, 200)]
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, old)
+    assert reports[0].status is Status.FALSIFIED and reports[0].cells_checked <= 120
+    assert repr(reports[1]) == repr(reports[2]) == repr(reports[0])
 
 
 def test_rigorous_inconclusive_at_zero_depth():

@@ -4,13 +4,13 @@ import math
 import re
 import time
 from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from trigratio.chebyshev import (
     DEGREE_CAP,
-    DegreeCapError,
     cheb_u,
     cheb_u_eval,
     corollary_bounds,
@@ -65,7 +65,7 @@ def test_u6_point_value():
 
 def test_degree_cap():
     cheb_u(DEGREE_CAP)  # at the cap: fine
-    with pytest.raises(DegreeCapError, match="^degree 65 above cap 64$"):
+    with pytest.raises(ParameterError, match=r"^degree must be in \[0, 64\], got 65$"):
         cheb_u(DEGREE_CAP + 1)
     with pytest.raises(ParameterError):
         cheb_u(-1)
@@ -81,9 +81,9 @@ def test_eval_degree_cap():
     its size; at the cap the value is right (U_n(1) = n + 1)."""
     assert cheb_u_eval(2**20, 1.0) == 2.0**20 + 1
     t0 = time.perf_counter()
-    for n, text in ((2**20 + 1, "1048577"), (np.int64(10**12), "1000000000000"), (10**5000, r"\|n\| >= 2\^16609")):
+    for n, text in ((2**20 + 1, "1048577"), (np.int64(10**12), "1000000000000"), (10**5000, "|degree| >= 2^16609")):
         for t in (0.5, np.array([0.5])):
-            with pytest.raises(DegreeCapError, match=rf"^degree {text} above cap 1048576 for U_n\(t\)$"):
+            with pytest.raises(ParameterError, match=rf"^degree must be in \[0, 2\^20\], got {re.escape(text)}$"):
                 cheb_u_eval(n, t)
     assert time.perf_counter() - t0 < 0.1
 
@@ -111,10 +111,10 @@ def test_eval_domain():
 
 def test_integer_rule_messages():
     """Degrees and k take the one integer rule, `families.check_param_int`."""
-    for call in (cheb_u, lambda n: cheb_u_eval(n, 0.5)):
+    for call, cap in ((cheb_u, "64"), (lambda n: cheb_u_eval(n, 0.5), "2^20")):
         with pytest.raises(ParameterError, match="^degree must be an integer, got True$"):
             call(True)
-        with pytest.raises(ParameterError, match="^degree must be >= 0, got -1$"):
+        with pytest.raises(ParameterError, match=rf"^degree must be in \[0, {re.escape(cap)}\], got -1$"):
             call(-1)
 
 
@@ -123,6 +123,21 @@ def test_eval_rejects_bool_t(t):
     """A bool t is no point of [-1, 1]: read as 1.0, U_3 would give 4.0."""
     with pytest.raises(DomainError):
         cheb_u_eval(3, t)
+
+
+@pytest.mark.parametrize(
+    "t", [np.float32(0.3), np.float64(-0.25), Fraction(1, 3), 1, np.int64(-1)], ids=["f32", "f64", "Fraction", "int", "np-int"]
+)
+def test_eval_scalar_t_is_a_float(t):
+    """A scalar t of any real type takes the scalar-point rule: it runs as
+    float(t) and gives a Python float, bitwise the call at float(t)."""
+    for n in (0, 1, 7):
+        got = cheb_u_eval(n, t)
+        assert type(got) is float and got.hex() == cheb_u_eval(n, float(t)).hex()
+    with pytest.raises(DomainError, match=r"^t=1.5 outside \[-1, 1\]$"):
+        cheb_u_eval(3, Fraction(3, 2))
+    with pytest.raises(DomainError, match="^t must be a real number, got True$"):
+        cheb_u_eval(3, True)
 
 
 @pytest.mark.parametrize("y", [True, np.True_])

@@ -207,7 +207,7 @@ _TABLE_CAP_ERR = "usage error: --points must be <= 2^20"
         (
             ["verify", "--family", "trig-sin", "--p", "2", "--grid-points", "1000000000000"],
             EXIT_DOMAIN,
-            "domain error: grid_points must be <= 2^20, got 1000000000000",
+            "domain error: grid_points must be in [16, 2^20], got 1000000000000",
         ),
     ],
     ids=["table-1e12", "table-2^20+1", "verify-1e12"],
@@ -246,6 +246,25 @@ def test_table_bytes_match_per_field_reference(tmp_path, capsys, family, p, poin
     args = ["table", "--family", family, "--p", str(p), "--points", str(points), "--out", str(out_path)]
     assert run(args) == EXIT_OK
     assert out_path.read_bytes() == _table_reference(family, p, points)
+
+
+def test_table_blocks_match_one_join(tmp_path, capsys):
+    """The rows go out in blocks of `families._BLOCK` rows: the bytes of one
+    join of every row, over a count that ends in a partial block."""
+    from trigratio import FamilyKind, envelope_constants, eval_f_grid
+    from trigratio.families import HALF_PI
+
+    points = 2**15 + 3
+    out_path = tmp_path / "table.csv"
+    assert run(["table", "--family", "hyp-sin", "--p", "5", "--points", str(points), "--out", str(out_path)]) == EXIT_OK
+    ec = envelope_constants(FamilyKind.HYP_SIN, 5)
+    xs = np.linspace(1e-3, HALF_PI - 1e-3, points)
+    fs = eval_f_grid(FamilyKind.HYP_SIN, 5, xs)
+    rows = zip(xs.tolist(), fs.tolist(), (fs - ec.lower).tolist(), (ec.upper - fs).tolist())
+    want = "x,f,lower,upper,margin_lower,margin_upper\n" + "".join(
+        f"{x:.17g},{f:.17g},{ec.lower:.17g},{ec.upper:.17g},{m:.17g},{u:.17g}\n" for x, f, m, u in rows
+    )
+    assert out_path.read_bytes() == want.encode()
 
 
 HUGE_P = str(10**400)
@@ -302,7 +321,7 @@ def test_cheb_huge_degree_is_domain_error(capsys, argv, degree):
     assert time.perf_counter() - t0 < 1.0
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"domain error: degree {degree} above cap 1048576 for U_n(t)\n"
+    assert captured.err == f"domain error: degree must be in [0, 2^20], got {degree}\n"
 
 
 @pytest.mark.parametrize("where", ["missing/table.csv", "."])

@@ -387,9 +387,10 @@ def test_d_sum_parity_dispatch():
 def test_sum_forms_refuse_p_past_limit(p):
     """Past MAX_SUM_P = 2^16 no sum form is built: its p//2 exact terms
     would take minutes and run out of memory at p = 10^9.  ParameterError
-    names p at once, with the exact table's cache untouched.  D's series
-    check reads the general form only, so it answers there, and exactly."""
-    before = exact_sin_comb_form.cache_info()
+    names p at once, from the builder itself, with no table cached.  D's
+    series check reads the general form only, so it answers there, and
+    exactly."""
+    exact_sin_comb_form.cache_clear()
     t0 = time.perf_counter()
     calls = [
         *(lambda f=f: d_sum(f, p, 0.5) for f in (TS, HS)),
@@ -400,10 +401,17 @@ def test_sum_forms_refuse_p_past_limit(p):
         with pytest.raises(ParameterError, match=r"sum form .* at p=\d+ > 65536$"):
             call()
     assert time.perf_counter() - t0 < 1.0
-    assert exact_sin_comb_form.cache_info() == before
+    assert exact_sin_comb_form.cache_info().currsize == 0
     t0 = time.perf_counter()
     assert vanishing_limits_check(TS, p)[0] == 0.0
     assert time.perf_counter() - t0 < 1.0
+
+
+def test_sum_form_builder_refuses_p_past_limit():
+    """The builder holds the sum form's cap itself, so no caller builds the
+    p//2 exact terms past MAX_SUM_P."""
+    with pytest.raises(ParameterError, match=r"^D's sum form has p//2 terms, too many at p=65537 > 65536$"):
+        exact_sin_comb_form(TS, MAX_SUM_P + 1, False)
 
 
 def test_sum_forms_evaluate_up_to_limit():
