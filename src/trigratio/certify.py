@@ -35,10 +35,10 @@ x -> 0 the sin-family general form is numerically treacherous (csc^4(x/p)
 against a bracket that vanishes like x^5), which is why the sin families
 always take the sum form, one table for both parities of p; the cos bracket
 does not cancel, so float64 suffices for it.  Certification does not call
-`derivatives.d_general`.  The identity checks prove by exact algebra on the
-tables that the general form equals the sum form, and that D's series,
-which `d_general` sums near 0, is the general form's; every grid and
-identity verdict is built by one `_grid_verdict`.
+`derivatives.d_general`.  The identity checks prove in exact algebra that
+the general and the sum tables are both D, derived from f's definition, and
+that D's series, which `d_general` sums near 0, is the general form's; every
+grid and identity verdict is built by one `_grid_verdict`.
 """
 
 from __future__ import annotations
@@ -279,8 +279,8 @@ def verify_identities(cfg: VerificationConfig) -> list[VerificationReport]:
 
     Every report says Mode.GRID, under any `cfg.mode`.  The general-vs-sum
     claims are exact: `derivatives.general_vs_sum_check` proves the general
-    form equal to the sum forms from their exact tables, for the trig families
-    at p <= 13, and so for the hyperbolic families, which share the tables.
+    and the sum tables both D, from f's definition, for the trig families at
+    p <= 13, and so for the hyperbolic families, which share the tables.
     Each (family, p) pair is one cell, with error 0, or infinite where the
     tables differ at all, and worst_x 0.0 as for the x-free vanishing-limits
     claim.  That one is exact in D: `derivatives.vanishing_limits_check`

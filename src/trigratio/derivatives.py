@@ -35,9 +35,9 @@ Each, like `dirichlet_sum`, takes a float or an array-like for x, checks it
 on its least and greatest point (`families._as_points`) and returns a float
 for a float; `d_general` and `d_sum` run an array in blocks of
 `families._BLOCK` points as `families.eval_f_grid` does, values bitwise
-independent of the blocking.  The identities `general_vs_sum_check` and
-`vanishing_limits_check` (D's series, at every real p of the range) are
-exact table algebra.
+independent of the blocking.  The identities `general_vs_sum_check` (both
+tables against D from f's definition, in exact trig polynomials) and
+`vanishing_limits_check` (D's series, at every real p of the range) are exact.
 """
 
 from __future__ import annotations
@@ -95,9 +95,9 @@ def exact_sin_comb_form(family: FamilyKind, p, general: bool) -> tuple[tuple, Fr
     real p of the range 3/2 <= |p| <= 2^53 (every float is an exact binary
     rational); the sum form an integer p >= 2, one table for both parities:
     terms (eps_m m^3, m/p) over 0 < m < p with m = p-1 (mod 2),
-    eps_m = (-1)^((p-1-m)/2) for the cos families (odd p only) and 1 for
-    the sin families, and factor 2/p^3; ParameterError for a sum form at
-    p > MAX_SUM_P, before any term is built.
+    eps_m = (-1)^((p-1-m)/2) for the cos families and 1 for the sin
+    families, and factor 2/p^3; before any term is built, ParityError for
+    the cos families' even p, which has none, and ParameterError past MAX_SUM_P.
 
     For the cos families at p >= 3 every general-form weight is > 0 and every
     frequency lies in [0, 2], so each term keeps one sign on (0, pi/2): the
@@ -112,6 +112,8 @@ def exact_sin_comb_form(family: FamilyKind, p, general: bool) -> tuple[tuple, Fr
         flip = 1 if family.is_cos else -1
         ws = ((pf + 1) ** 3, flip * (pf - 1) ** 3, flip * (u + v), u - v)
         return tuple(zip(ws, cs)), flip / (8 * pf**3)
+    if family.is_cos and p % 2 == 0:
+        raise ParityError("no sum form for the cos families with even p")
     if p > MAX_SUM_P:
         raise ParameterError(f"D's sum form has p//2 terms, too many at {_p_text(p)} > {MAX_SUM_P}")
     sgn = -1 if family.is_cos else 1
@@ -122,7 +124,7 @@ def exact_sin_comb_form(family: FamilyKind, p, general: bool) -> tuple[tuple, Fr
 @functools.lru_cache(maxsize=256)
 def sin_comb_form(family: FamilyKind, p, general: bool) -> tuple[tuple, float]:
     """`exact_sin_comb_form` in float64, each entry rounded once: the table
-    both number backends read.  ParameterError for a sum form at p > MAX_SUM_P."""
+    both number backends read.  A sum form raises as `exact_sin_comb_form`'s."""
     terms, factor = exact_sin_comb_form(family, p, general)
     return tuple((float(w), float(c)) for w, c in terms), float(factor)
 
@@ -139,8 +141,8 @@ def termwise_sign(family: FamilyKind, p, general: bool) -> int:
     that sign times -sign(factor).  A comparison of rationals: no pi, no
     libm, no rounding.  The cos families' p = 2 general form mixes signs
     (weights 27 at frequency -1/2 and 5 at 3/2), so 0 there, as for any
-    table the lemma does not reach.  ParameterError for a sum form at
-    p > MAX_SUM_P."""
+    table the lemma does not reach.  A sum form raises as
+    `exact_sin_comb_form`'s."""
     terms, factor = exact_sin_comb_form(family, p, general)
     sign = 0
     for w, c in terms:
@@ -155,43 +157,78 @@ def termwise_sign(family: FamilyKind, p, general: bool) -> int:
     return -sign if factor > 0 else sign
 
 
-# 16 den(y)^4 = sum a cos(k y) over (k, a), den = sin first, then cos, by power reduction
-# (sin^4 y = (3 - 4 cos 2y + cos 4y)/8, cos^4 y = (3 + 4 cos 2y + cos 4y)/8); sinh, cosh alike
-_DEN4 = tuple(((0, 6), (2, four), (-2, four), (4, 1), (-4, 1)) for four in (-4, 4))
+# An exact trig polynomial is a {(kind "sin" or "cos", freq >= 0): weight} dict of
+# rationals for sum weight * kind(freq x), negative frequencies folded by parity,
+# sin(0 x) and zero weights dropped: so two are one function iff their dicts are
+# equal.  Their identities hold for complex x, so at x -> ix (sinh, cosh) too.
 
 
-def general_vs_sum_check(family: FamilyKind, p: int) -> bool:
-    """Whether D's general form (factor F, terms (w, c)) and its sum form (G,
-    (v, e)) are one function, for an integer p with a sum form, proved by
-    exact algebra on `exact_sin_comb_form`'s tables.  The identity is
+def _trig(terms) -> dict:
+    """The trig polynomial of (kind, freq, weight) triples, merged."""
+    out = {}
+    for kind, freq, weight in terms:
+        if freq < 0:
+            freq, weight = -freq, (-weight if kind == "sin" else weight)
+        if kind == "cos" or freq:
+            out[kind, freq] = out.get((kind, freq), 0) + weight
+    return {key: w for key, w in out.items() if w}
 
-        16 F sum w sin(c x) = G sum v 16 sin(e x) den(x/p)^4,
 
-    and `_DEN4` with sin a cos b = (sin(a+b) + sin(a-b))/2 gives
-    16 sin(a) den(y)^4 = sum over its (k, a_k) of a_k sin(a + k y).
-    Sines of distinct positive frequencies are linearly independent, so the
-    sides are equal iff their {frequency: weight} tables are, after merging
-    sin(-cx) = -sin(cx) and dropping zero frequencies and weights; compared
-    in integers (frequencies in units of 1/q, weights of 1/m, F and G
-    cross-multiplied).  sinh and cosh obey the same identities, so the one
-    proof covers the hyperbolic families, which share the tables.
-    ParameterError at p > MAX_SUM_P."""
-    # the sum form first: past MAX_SUM_P it raises before either table is cached
+def _trig_diff(a: dict) -> dict:
+    """d/dx: sin(f x)' = f cos(f x), cos(f x)' = -f sin(f x)."""
+    return _trig(("cos", f, w * f) if kind == "sin" else ("sin", f, -w * f) for (kind, f), w in a.items())
+
+
+def _trig_product(a: dict, b: dict, scale=1):
+    """The triples of scale * a * b, by product-to-sum."""
+    for (ka, fa), wa in a.items():
+        for (kb, fb), wb in b.items():
+            h = scale * wa * wb / 2
+            if ka == kb:  # sin sin = (cos(a-b) - cos(a+b))/2, cos cos = (cos(a-b) + cos(a+b))/2
+                yield from (("cos", fa - fb, h), ("cos", fa + fb, h if ka == "cos" else -h))
+            else:  # sin a cos b = (sin(a+b) + sin(a-b))/2
+                s, c = (fa, fb) if ka == "sin" else (fb, fa)
+                yield from (("sin", s + c, h), ("sin", s - c, h))
+
+
+def _trig_square(a: dict) -> dict:
+    return _trig(_trig_product(a, a))
+
+
+# den(y)^4 = (den^2)^2, den = sin first, then cos: (3 -+ 4 cos 2y + cos 4y)/8
+_DEN4 = tuple(_trig_square(_trig_square({(kind, Fraction(1)): Fraction(1)})) for kind in ("sin", "cos"))
+
+
+def _third_derivative_numerator(family: FamilyKind, p) -> dict:
+    """N_3 = R''' den^4 for f's ratio R = g(x)/den, den = g(x/p), g = cos or
+    sin, from the definition: R^(k) = N_k / den^(k+1) with N_0 = g(x) and
+    N_(k+1) = N_k' den - (k+1) N_k den'.  f = (A - R)/x^2 gives
+    x^3 f' = 2R - 2A - x R', so D = (x^3 f')'' = -x R''' = -x N_3 / den^4."""
+    kind = "cos" if family.is_cos else "sin"
+    n, den = {(kind, Fraction(1)): Fraction(1)}, {(kind, 1 / Fraction(p)): Fraction(1)}
+    dden = _trig_diff(den)
+    for k in range(3):
+        n = _trig([*_trig_product(_trig_diff(n), den), *_trig_product(n, dden, -(k + 1))])
+    return n
+
+
+def general_vs_sum_check(family: FamilyKind, p) -> bool:
+    """Whether D's general table (F, terms (w, c)) and its sum table (G,
+    (v, e)) are both D, for an integer p with a sum form, in exact trig
+    polynomials: N_3 (`_third_derivative_numerator`) = F sum w sin(c x) =
+    G sum v sin(e x) den(x/p)^4 (`_DEN4`).  p is checked before the cache,
+    which keys 3 and 3.0 alike; ParameterError past MAX_SUM_P and
+    ParityError at the cos families' even p, from `exact_sin_comb_form`."""
+    return _general_vs_sum(family, check_param_int(p))
+
+
+@functools.lru_cache(maxsize=256)
+def _general_vs_sum(family: FamilyKind, p: int) -> bool:
+    # the sum form first: where it has none it raises before either table is cached
     (sums, g), (gen, f) = exact_sin_comb_form(family, p, False), exact_sin_comb_form(family, p, True)
-    q = math.lcm(p, *(c.denominator for _, c in gen + sums))
-    m = math.lcm(*(w.denominator for w, _ in gen + sums))
-    den4 = tuple((k * (q // p), a) for k, a in _DEN4[family.is_cos])  # k/p in units of 1/q
-    left, right = {}, {}
-    for table, terms, shifts, scale in (
-        (left, gen, ((0, 1),), 16 * f.numerator * g.denominator),
-        (right, sums, den4, g.numerator * f.denominator),
-    ):
-        for w, c in terms:
-            w, n = w.numerator * (m // w.denominator) * scale, c.numerator * (q // c.denominator)
-            for shift, a in shifts:
-                k = n + shift
-                table[abs(k)] = table.get(abs(k), 0) + (a * w if k > 0 else -a * w)
-    return {k: v for k, v in left.items() if k and v} == {k: v for k, v in right.items() if k and v}
+    den4 = {("cos", k / p): a for (_, k), a in _DEN4[family.is_cos].items()}
+    summed = _trig(_trig_product(_trig(("sin", e, v) for v, e in sums), den4, g))
+    return _third_derivative_numerator(family, p) == _trig(("sin", c, f * w) for w, c in gen) == summed
 
 
 def _unwrap(out):
@@ -269,14 +306,13 @@ def d_sum(family: FamilyKind, p: int, x):
     p with 2 <= p <= MAX_SUM_P = 2^16: every term is <= 0 for the sin
     families, and the cos families' terms alternate, at odd p only.
 
-    Raises ParityError for the cos families with even p, which have none,
-    and ParameterError past MAX_SUM_P, before building any of the p//2 terms.
+    The table is read before x: ParityError for the cos families with even
+    p, which have none, and ParameterError past MAX_SUM_P, from its builder.
     An array runs in blocks of 2^14 points after those checks
     (`families._by_blocks`): values bitwise independent of the blocking,
     temporaries of about one block."""
     p = check_param_int(p)
-    if family.is_cos and p % 2 == 0:
-        raise ParityError("no sum form for the cos families with even p")
+    sin_comb_form(family, p, False)  # the table's own checks, before x is read
     x, least, most = _as_points(x)
     if not (0.0 < least and most < HALF_PI):
         raise DomainError("x must lie in (0, pi/2)")
@@ -320,18 +356,16 @@ def _table_d_series(family: FamilyKind, p) -> tuple[float, ...]:
     """D's series d_-2, d_-1 (sin families only), d_0, ..., d_16 from the
     general form's exact table, each coefficient rounded once.  By sin's
     series, D den(x/p)^4 = -x * factor * sum w sin(c x) has -factor (-1)^k
-    M_k/(2k+1)! at x^(2k+2), M_k = sum w c^(2k+1), and `_DEN4` gives
-    16 den(x/p)^4 by cos's; D's series is their exact quotient, past den^4's
-    leading x^4 in the sin families.  The hyperbolic families drop the signs."""
+    M_k/(2k+1)! at x^(2k+2), M_k = sum w c^(2k+1), and `_DEN4`'s cosines give
+    den(x/p)^4's; D's series is their exact quotient, past den^4's leading
+    x^4 in the sin families.  The hyperbolic families drop the signs."""
     terms, factor = exact_sin_comb_form(family, p, True)
     sgn, lead, s2 = (-1 if family.is_trig else 1), (0 if family.is_cos else 2), 1 / Fraction(p) ** 2
     n = lead + _D_TERMS + 1
     num = [0] + [sgn**k * sum(w * c ** (2 * k + 1) for w, c in terms) / math.factorial(2 * k + 1) for k in range(n - 1)]
-    den = [
-        sgn**j * sum(a * k ** (2 * j) for k, a in _DEN4[family.is_cos]) * s2**j / math.factorial(2 * j)
-        for j in range(lead, n + lead)
-    ]
-    return tuple(float(-16 * factor * d) for d in _series_quotient(num, den))
+    den4 = _DEN4[family.is_cos].items()
+    den = [sgn**j * sum(a * k ** (2 * j) for (_, k), a in den4) * s2**j / math.factorial(2 * j) for j in range(lead, n + lead)]
+    return tuple(float(-factor * d) for d in _series_quotient(num, den))
 
 
 def vanishing_limits_check(family: FamilyKind, p) -> tuple[float, float]:

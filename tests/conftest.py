@@ -6,24 +6,25 @@ from trigratio import derivatives
 
 
 @pytest.fixture
-def mutate_general_form(monkeypatch):
+def mutate_table(monkeypatch):
     """Replace `derivatives.exact_sin_comb_form` for one test by one whose
-    general form, for the given families, has its +-23 bracket weight (the
-    last) moved away from 0 by w3_delta and its first weight scaled by scale;
-    the sum forms stay intact.  The caches built from the table,
-    `sin_comb_form`, `termwise_sign` and D's series `_table_d_series`, are
-    emptied on both sides, so no entry built from the mutation outlives the
-    test."""
+    general table (its sum table where general=False, both where None), for
+    the given families, has its last weight moved away from 0 by delta (in
+    the general table, the +-23 bracket weight), its first weight scaled by
+    scale and its factor by factor; the other tables stay intact.  The caches built from the table,
+    `sin_comb_form`, `termwise_sign`, D's series `_table_d_series` and the
+    general-vs-sum check `_general_vs_sum`, are emptied on both sides, so no
+    entry built from the mutation outlives the test."""
     table = derivatives.exact_sin_comb_form
 
-    def mutate(families, w3_delta=0, scale=1):
-        def mutated(family, p, general):
-            terms, factor = table(family, p, general)
-            if not general or family not in families:
-                return terms, factor
-            (w0, c0), (w3, c3) = terms[0], terms[3]
-            w3 += w3_delta if w3 > 0 else -w3_delta
-            return ((w0 * scale, c0), *terms[1:3], (w3, c3)), factor
+    def mutate(families, delta=0, scale=1, factor=1, general=True):
+        def mutated(family, p, form):
+            terms, f = table(family, p, form)
+            if general not in (form, None) or family not in families:
+                return terms, f
+            (w0, c0), *rest = terms
+            *head, (w, c) = ((w0 * scale, c0), *rest)
+            return (*head, (w + (delta if w > 0 else -delta), c)), f * factor
 
         _clear()
         monkeypatch.setattr(derivatives, "exact_sin_comb_form", mutated)
@@ -36,3 +37,4 @@ def _clear():
     derivatives.sin_comb_form.cache_clear()
     derivatives.termwise_sign.cache_clear()
     derivatives._table_d_series.cache_clear()
+    derivatives._general_vs_sum.cache_clear()

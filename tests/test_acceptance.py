@@ -155,9 +155,9 @@ def test_criterion_6_chebyshev_identity():
             assert cheb_u(n).coeffs == coeffs
 
 
-def test_criterion_7_mutation_sensitivity(mutate_general_form):
+def test_criterion_7_mutation_sensitivity(mutate_table):
     with _Budget("criterion 7: mutation sensitivity", 10.0):
-        mutate_general_form(tuple(FamilyKind), w3_delta=1)  # the 23 -> 24 perturbation
+        mutate_table(tuple(FamilyKind), delta=1)  # the 23 -> 24 perturbation
         reports = {r.claim_id: r for r in verify_identities(CFG)}
         assert reports["identity:general-vs-even-sum"].status is Status.FALSIFIED
         assert reports["identity:general-vs-odd-sum"].status is Status.FALSIFIED

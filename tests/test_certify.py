@@ -415,14 +415,14 @@ def test_identities_all_certified():
         assert r.status is Status.CERTIFIED, r.claim_id
 
 
-def test_identities_mutation_falsifies(mutate_general_form):
+def test_identities_mutation_falsifies(mutate_table):
     """Perturbing the +-23 bracket coefficient must break form agreement,
     and D's series, which is checked against the general table; the same
     hook with the table's own weights passes, so the failure is the
     mutation's, through D's side alone."""
 
     def hooked(delta):
-        mutate_general_form((TC, TS), w3_delta=delta)  # 23 -> 24 in magnitude at delta = 1
+        mutate_table((TC, TS), delta=delta)  # 23 -> 24 in magnitude at delta = 1
         return {r.claim_id: r for r in verify_identities(CFG)}
 
     reports = hooked(0)
@@ -440,30 +440,40 @@ def test_identities_mutation_falsifies(mutate_general_form):
     assert reports["identity:dirichlet-sum"].status is Status.CERTIFIED
 
 
-def test_identities_check_the_general_form_by_default(mutate_general_form):
-    """The general-vs-sum claims read the general form's own table, not
-    d_general, which takes D's series near 0: a trig-sin general-form table
-    perturbed as in the mutation test above, with the sum forms intact,
-    fails both, and the vanishing limits, which read that table too."""
-    mutate_general_form((TS,), w3_delta=1)
-    reports = {r.claim_id: r for r in verify_identities(CFG)}
-    assert reports["identity:general-vs-even-sum"].status is Status.FALSIFIED
-    assert reports["identity:general-vs-odd-sum"].status is Status.FALSIFIED
-    assert reports["identity:vanishing-limits"].status is Status.FALSIFIED
-
-
-def test_identities_are_exact(mutate_general_form):
+def test_identities_are_exact(mutate_table):
     """Both general-vs-sum claims are exact: error 0 on every (family, p)
     pair, so the margin is the tolerance, and one weight scaled by
     1 + 1e-12, far below any sampled tolerance, falsifies them."""
     reports = {r.claim_id: r for r in verify_identities(CFG)}
     for claim, cells in (("identity:general-vs-even-sum", 6), ("identity:general-vs-odd-sum", 12)):
         assert reports[claim] == VerificationReport(claim, Status.CERTIFIED, 1e-12, 0.0, cells, Mode.GRID)
-    mutate_general_form((TC, TS), scale=Fraction(1.0 + 1e-12))
+    mutate_table((TC, TS), scale=Fraction(1.0 + 1e-12))
     reports = {r.claim_id: r for r in verify_identities(CFG)}
     for claim in ("identity:general-vs-even-sum", "identity:general-vs-odd-sum"):
         assert reports[claim].status is Status.FALSIFIED
         assert reports[claim].min_margin == -math.inf
+
+
+def test_identities_check_both_tables_against_the_definition(mutate_table):
+    """Each general-vs-sum pair checks both tables against f's definition,
+    and reads each table itself, not d_general, which takes D's series near
+    0.  A trig-sin general table perturbed as in the mutation test above
+    fails both claims and the vanishing limits, which read that table too;
+    one sum-table weight moved by 1, the general tables intact, fails the
+    odd-sum claim through trig-cos and both through trig-sin; D doubled in
+    both tables, which then still agree with each other, fails both claims
+    and D's series.  No other claim fails."""
+    both, series = ["general-vs-even-sum", "general-vs-odd-sum"], ["vanishing-limits"]
+    cases = [
+        ((TS,), dict(delta=1), both + series),
+        ((TC,), dict(delta=1, general=False), ["general-vs-odd-sum"]),
+        ((TS,), dict(delta=1, general=False), both),
+        ((TC, TS), dict(factor=2, general=None), both + series),
+    ]
+    for families, how, claims in cases:
+        mutate_table(families, **how)
+        falsified = [r.claim_id for r in verify_identities(CFG) if r.status is Status.FALSIFIED]
+        assert falsified == [f"identity:{claim}" for claim in claims], how
 
 
 # d_general's values and the identity reports, as one string

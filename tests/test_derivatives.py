@@ -26,7 +26,11 @@ from trigratio.derivatives import (
     termwise_sign,
     vanishing_limits_check,
     _d_series_coeffs,
+    _DEN4,
+    _general_vs_sum,
     _table_d_series,
+    _third_derivative_numerator,
+    _trig,
 )
 from trigratio.families import (
     _even_series,
@@ -376,11 +380,20 @@ def test_d_sum_parity_dispatch():
     assert d_sum(TS, 4, 0.5) == pytest.approx(_even_sum(TS, 2, 0.5), rel=1e-15)
     assert d_sum(TS, 5, 0.5) == pytest.approx(_odd_sum(TS, 2, 0.5), rel=1e-15)
     assert d_sum(TC, 7, 0.5) == pytest.approx(_odd_sum(TC, 3, 0.5), rel=1e-15)
-    with pytest.raises(ParityError):
-        d_sum(TC, 4, 0.5)
-    with pytest.raises(ParityError):
-        d_sum(HC, 4, 0.5)
     assert d_sum(HS, 4, 0.5) < 0.0
+    # the cos families' even p has no sum table, refused where it is built, so by
+    # each of its readers, by d_sum before it reads x, and ahead of MAX_SUM_P's refusal
+    readers = [
+        lambda f: exact_sin_comb_form(f, 4, False),
+        lambda f: termwise_sign(f, 4, False),
+        lambda f: general_vs_sum_check(f, 4),
+        lambda f: d_sum(f, 4, "x"),
+        lambda f: d_sum(f, 2 * MAX_SUM_P, 0.5),
+    ]
+    for family in (TC, HC):
+        for read in readers:
+            with pytest.raises(ParityError, match="^no sum form for the cos families with even p$"):
+                read(family)
 
 
 @pytest.mark.parametrize("p", [10**9, 2**53 - 2], ids=["1e9", "2^53-2"])
@@ -511,51 +524,6 @@ def test_general_form_equals_sum_form_exactly(family):
 
 
 # --- D's table from f's definition, in exact algebra --------------------------
-#
-# A trig polynomial is a {(kind, freq): weight} dict, kind "sin" or "cos" and
-# freq >= 0 a Fraction, for sum weight * kind(freq x): sin(-a) = -sin(a) and
-# cos(-a) = cos(a) fold negative frequencies, and sin(0 x) and zero weights
-# drop out, so two polynomials are one function iff their dicts are equal
-# (sines and cosines of distinct frequencies are linearly independent).
-
-
-def _trig(terms):
-    """The trig polynomial of (kind, freq, weight) triples, merged."""
-    out = {}
-    for kind, freq, weight in terms:
-        if freq < 0:
-            freq, weight = -freq, (-weight if kind == "sin" else weight)
-        if kind == "cos" or freq:
-            out[kind, freq] = out.get((kind, freq), 0) + weight
-    return {key: w for key, w in out.items() if w}
-
-
-def _trig_diff(a):
-    """d/dx: sin(f x)' = f cos(f x), cos(f x)' = -f sin(f x)."""
-    return _trig(("cos", f, w * f) if kind == "sin" else ("sin", f, -w * f) for (kind, f), w in a.items())
-
-
-def _trig_mul_terms(a, b, scale):
-    """The triples of scale * a * b, by product-to-sum."""
-    for (ka, fa), wa in a.items():
-        for (kb, fb), wb in b.items():
-            h = scale * wa * wb / 2
-            if ka == kb:  # sin sin = (cos(a-b) - cos(a+b))/2, cos cos = (cos(a-b) + cos(a+b))/2
-                yield from (("cos", fa - fb, h), ("cos", fa + fb, h if ka == "cos" else -h))
-            else:  # sin a cos b = (sin(a+b) + sin(a-b))/2
-                s, c = (fa, fb) if ka == "sin" else (fb, fa)
-                yield from (("sin", s + c, h), ("sin", s - c, h))
-
-
-def _third_derivative_numerator(family, p):
-    """N_3 = R''' den^4 for R = g(x)/den, den = g(x/p), g = cos or sin, from
-    R^(k) = N_k / den^(k+1): N_0 = g(x), N_(k+1) = N_k' den - (k+1) N_k den'."""
-    kind = "cos" if family.is_cos else "sin"
-    n, den = _trig([(kind, Fraction(1), 1)]), _trig([(kind, 1 / Fraction(p), 1)])
-    dden = _trig_diff(den)
-    for k in range(3):
-        n = _trig([*_trig_mul_terms(_trig_diff(n), den, 1), *_trig_mul_terms(n, dden, -(k + 1))])
-    return n
 
 
 @pytest.mark.parametrize("family", [TC, TS])
@@ -570,6 +538,13 @@ def test_general_table_is_D_exactly(family):
         assert _third_derivative_numerator(family, p) == _trig(("sin", c, factor * w) for w, c in terms), p
 
 
+def test_den4_is_the_power_reduction():
+    """sin^4 y = (3 - 4 cos 2y + cos 4y)/8 and cos^4 y = (3 + 4 cos 2y + cos 4y)/8, in Fractions."""
+    for den4, sign in zip(_DEN4, (-1, 1)):
+        assert den4 == {("cos", 0): Fraction(3, 8), ("cos", 2): Fraction(sign, 2), ("cos", 4): Fraction(1, 8)}
+        assert all(type(e) is Fraction for (_, k), a in den4.items() for e in (k, a))
+
+
 @pytest.mark.parametrize("k", range(1, 11))
 def test_dirichlet_sum_identity(k):
     for x in np.linspace(0.01, math.pi - 0.01, 100):
@@ -582,6 +557,8 @@ def test_dirichlet_sum_identity(k):
     [
         (lambda: d_sum(TS, 0, 0.5), ParameterError),
         (lambda: d_sum(TC, 1, 0.5), ParameterError),
+        *((lambda p=p: general_vs_sum_check(TS, p), ParameterError) for p in (1, True, 2.5)),
+        (lambda: general_vs_sum_check(TS, np.int64(3)) and general_vs_sum_check(TS, 3.0), ParameterError),
         (lambda: dirichlet_sum(0, 1.0), ParameterError),
         (lambda: dirichlet_sum(3, 0.0), DomainError),
         (lambda: dirichlet_sum(3, math.pi), DomainError),
@@ -594,6 +571,8 @@ def test_dirichlet_sum_identity(k):
     ids=[
         "even-sum-k0",
         "odd-sum-k0",
+        *(f"general-vs-sum-p-{p}" for p in ("1", "bool", "float")),
+        "general-vs-sum-p-3.0-cached",
         "dirichlet-k0",
         "dirichlet-x0",
         "dirichlet-x-pi",
@@ -691,18 +670,18 @@ def test_bool_points_fail_loudly(x):
             call()
 
 
-def test_weights_hook_changes_result(mutate_general_form):
+def test_weights_hook_changes_result(mutate_table):
     """D is read from the exact table: one weight changed there changes the
     general form's D, which d_general takes above 3*pi/8 at p = 3."""
     base = d_general(TC, 3, 1.4)
-    mutate_general_form((TC,), w3_delta=1)
+    mutate_table((TC,), delta=1)
     assert abs(d_general(TC, 3, 1.4) - base) > 1e-6
 
 
 def test_series_caches_are_bounded():
     """A sweep over 300 distinct p holds at most 256 entries in each series
-    cache and in eval_f's per-(family, p) record (unbounded, 20,000 p
-    through eval_f grew the process by 53 MiB)."""
+    cache, in eval_f's per-(family, p) record (unbounded, 20,000 p through
+    eval_f grew the process by 53 MiB) and in the general-vs-sum check's."""
     for i in range(300):
         p = 2.0 + i / 512  # dyadic, so the exact series stay short
         eval_f(TS, p, 0.01)
@@ -710,5 +689,9 @@ def test_series_caches_are_bounded():
         d_general(HS, p, 0.5)
         vanishing_limits_check(TC, p)
         termwise_sign(TC, p, True)
-    for cache in (_ratio_series, f_series_coeffs, _scalar_fns, _d_series_coeffs, _table_d_series, termwise_sign):
+    for family in FamilyKind:  # 294 (family, p) pairs with a sum form, p < 100
+        for p in range(2 + family.is_cos, 100, 1 + family.is_cos):
+            general_vs_sum_check(family, p)
+    caches = (_ratio_series, f_series_coeffs, _scalar_fns, _d_series_coeffs, _table_d_series, termwise_sign, _general_vs_sum)
+    for cache in caches:
         assert cache.cache_info().currsize <= 256
