@@ -27,7 +27,8 @@ def main():
     cfg = VerificationConfig()
     rigorous = VerificationConfig(mode=Mode.RIGOROUS)
 
-    print("GRID campaigns (2048 interior points) for a few families:\n")
+    print("GRID campaigns (2048 interior points) for a few families; monotonicity")
+    print("follows from D's sign wherever the termwise lemma gives it, in either mode:\n")
     for family, p in [
         (FamilyKind.TRIG_COS, 2),
         (FamilyKind.TRIG_SIN, 5),
@@ -56,7 +57,8 @@ def main():
 
     print("An instructive falsification: for hyp-cos at p = 2 the second")
     print("derivative of x^3 f' is NOT single-signed (it turns negative beyond")
-    print("x = 1.3170), even though f itself is increasing.  The engine reports the")
+    print("x = 2 acosh(sqrt(3/2)) = 1.31696), even though f itself is increasing, which")
+    print("the grid still samples, as no sign of D proves it.  The engine reports the")
     print("counterexample instead of glossing over it, in both modes:\n")
     show(verify_sign_D(FamilyKind.HYP_COS, 2, expected_sign_D(FamilyKind.HYP_COS, 2), cfg))
     falsified = verify_sign_D(FamilyKind.HYP_COS, 2, expected_sign_D(FamilyKind.HYP_COS, 2), rigorous)

@@ -12,8 +12,12 @@ evaluates the closed forms of D(x) in outward-rounded interval arithmetic
 over adaptively bisected subintervals of [margin, pi/2 - margin], so a
 CERTIFIED verdict is a machine-checked sign proof up to the soundness of
 the interval primitives.  Both routes rest on the table being D.
-The envelope and monotonicity checks sample a grid in either mode and say
-Mode.GRID, as do the identity checks, some of which are exact.
+Monotonicity takes the termwise lemma in either mode: D = (x^3 f')'' and
+x^3 f' vanishes with its derivative at 0, so D's sign is f''s, a proof
+that says Mode.RIGOROUS; only where the lemma does not reach (the cos
+families at p = 2, the sin families past MAX_SUM_P) does it sample f on a
+grid.  The envelope checks sample a grid in either mode and say Mode.GRID,
+as do the identity checks, some of which are exact.
 
 Every route reads D from one table, `derivatives.exact_sin_comb_form`: the
 (w, c) terms and the factor of D(x) = -x * factor * sum_i w_i sin(c_i x),
@@ -52,6 +56,7 @@ import numpy as np
 
 from .chebyshev import cheb_u_eval
 from .derivatives import (
+    MAX_SUM_P,
     dirichlet_sum,
     eval_sin_comb,
     general_vs_sum_check,
@@ -145,16 +150,22 @@ def _grid_verdict(claim, margins, xs, cells) -> VerificationReport:
     return VerificationReport(claim, status, float(margins[worst]), float(xs[worst]), cells, Mode.GRID)
 
 
+def _termwise_proof(claim) -> VerificationReport:
+    """The report of a termwise sign proof, which looks at no cell."""
+    return VerificationReport(claim, Status.CERTIFIED, math.inf, math.nan, 0, Mode.RIGOROUS)
+
+
 def expected_sign_D(family: FamilyKind, p: int) -> Sign:
     """Sign D(x) would need on (0, pi/2) for the single-sign monotonicity route.
 
     Positive where f increases (`envelope_constants`' direction), which is
-    only for the cos families at p = 2.  Caveat: for HYP_COS with
-    p = 2 the positive sign holds only on (0, 1.3170); D turns negative
-    beyond it, so verify_sign_D correctly falsifies that claim in both modes
-    (RIGOROUS on a cell at x = 1.31696) even though f itself is increasing
-    there (verify_monotonicity certifies it directly).  Both modes evaluate
-    the hyperbolic D by its x -> ix closed forms."""
+    only for the cos families at p = 2.  Caveat: for HYP_COS with p = 2 the
+    positive sign holds only on (0, 2 acosh(sqrt(3/2))) = (0, 1.3169578969...);
+    D turns negative beyond it, so verify_sign_D correctly falsifies that
+    claim in both modes (RIGOROUS on a cell at x = 1.31696) even though f
+    itself is increasing there, which verify_monotonicity still certifies
+    by sampling f on its grid.  Both modes evaluate the hyperbolic D by its
+    x -> ix closed forms."""
     increasing = envelope_constants(family, p).direction is Direction.INCREASING
     return Sign.POS if increasing else Sign.NEG
 
@@ -225,7 +236,7 @@ def verify_sign_D(
     claim = f"sign-D:{family.value}:p={p}:{expected_sign.name}"
     if cfg.mode is Mode.RIGOROUS:
         if termwise_sign(family, p, family.is_cos) == expected_sign.value:
-            return VerificationReport(claim, Status.CERTIFIED, math.inf, math.nan, 0, Mode.RIGOROUS)
+            return _termwise_proof(claim)
         return _verify_sign_rigorous(claim, family, p, expected_sign, cfg)
     xs = _grid(cfg.interior_margin, cfg.grid_points)
     margins = float(expected_sign.value) * eval_sin_comb(family, p, xs, family.is_cos)
@@ -233,17 +244,22 @@ def verify_sign_D(
 
 
 def verify_monotonicity(family: FamilyKind, p, cfg: VerificationConfig) -> VerificationReport:
-    """Strict ordering of f over consecutive grid points, per the envelope direction.
+    """f strictly monotone on (0, pi/2) in the envelope direction.
 
-    A grid check under any `cfg.mode`, so the report says Mode.GRID."""
+    Proved under any `cfg.mode` wherever the termwise lemma gives D the sign
+    `expected_sign_D` names: h = x^3 f' has h(0) = h'(0) = 0 and h'' = D, so
+    that sign passes to h', to h and to f' on all of (0, pi/2).  The report
+    is the termwise sign proof's, Mode.RIGOROUS.  Elsewhere (the cos
+    families at p = 2, and the sin families past MAX_SUM_P, whose sum table
+    is refused) f is strictly ordered over consecutive grid points, a
+    Mode.GRID report."""
     p = check_param_int(p)
     claim = f"monotone:{family.value}:p={p}"
-    ec = envelope_constants(family, p)
+    sign = expected_sign_D(family, p)
+    if (family.is_cos or p <= MAX_SUM_P) and termwise_sign(family, p, family.is_cos) == sign.value:
+        return _termwise_proof(claim)
     xs = _grid(cfg.interior_margin, cfg.grid_points)
-    fs = eval_f_grid(family, p, xs)
-    diffs = np.diff(fs)
-    if ec.direction is Direction.DECREASING:
-        diffs = -diffs
+    diffs = float(sign.value) * np.diff(eval_f_grid(family, p, xs))
     return _grid_verdict(claim, diffs, xs, len(xs) - 1)
 
 

@@ -161,6 +161,9 @@ def termwise_sign(family: FamilyKind, p, general: bool) -> int:
 # rationals for sum weight * kind(freq x), negative frequencies folded by parity,
 # sin(0 x) and zero weights dropped: so two are one function iff their dicts are
 # equal.  Their identities hold for complex x, so at x -> ix (sinh, cosh) too.
+# At an integer p every frequency here is k/p for an integer k, and a dict may
+# key it by k alone, in units of 1/p: integers hash and add far faster than
+# Fractions.
 
 
 def _trig(terms) -> dict:
@@ -174,41 +177,47 @@ def _trig(terms) -> dict:
     return {key: w for key, w in out.items() if w}
 
 
-def _trig_diff(a: dict) -> dict:
-    """d/dx: sin(f x)' = f cos(f x), cos(f x)' = -f sin(f x)."""
-    return _trig(("cos", f, w * f) if kind == "sin" else ("sin", f, -w * f) for (kind, f), w in a.items())
+def _trig_diff(a: dict, unit=1) -> dict:
+    """d/dx, a key f standing for the frequency f * unit: sin(f x)' = f cos(f x), cos(f x)' = -f sin(f x)."""
+    return _trig(("cos", f, w * f * unit) if kind == "sin" else ("sin", f, -w * f * unit) for (kind, f), w in a.items())
 
 
 def _trig_product(a: dict, b: dict, scale=1):
-    """The triples of scale * a * b, by product-to-sum."""
+    """The triples of 2 * scale * a * b, by product-to-sum without its halves,
+    so that integer weights stay integers."""
     for (ka, fa), wa in a.items():
         for (kb, fb), wb in b.items():
-            h = scale * wa * wb / 2
-            if ka == kb:  # sin sin = (cos(a-b) - cos(a+b))/2, cos cos = (cos(a-b) + cos(a+b))/2
+            h = scale * wa * wb
+            if ka == kb:  # 2 sin sin = cos(a-b) - cos(a+b), 2 cos cos = cos(a-b) + cos(a+b)
                 yield from (("cos", fa - fb, h), ("cos", fa + fb, h if ka == "cos" else -h))
-            else:  # sin a cos b = (sin(a+b) + sin(a-b))/2
+            else:  # 2 sin a cos b = sin(a+b) + sin(a-b)
                 s, c = (fa, fb) if ka == "sin" else (fb, fa)
                 yield from (("sin", s + c, h), ("sin", s - c, h))
 
 
+_HALF = Fraction(1, 2)
+
+
 def _trig_square(a: dict) -> dict:
-    return _trig(_trig_product(a, a))
+    return _trig(_trig_product(a, a, _HALF))
 
 
 # den(y)^4 = (den^2)^2, den = sin first, then cos: (3 -+ 4 cos 2y + cos 4y)/8
 _DEN4 = tuple(_trig_square(_trig_square({(kind, Fraction(1)): Fraction(1)})) for kind in ("sin", "cos"))
 
 
-def _third_derivative_numerator(family: FamilyKind, p) -> dict:
+def _third_derivative_numerator(family: FamilyKind, p, per_p: bool = False) -> dict:
     """N_3 = R''' den^4 for f's ratio R = g(x)/den, den = g(x/p), g = cos or
     sin, from the definition: R^(k) = N_k / den^(k+1) with N_0 = g(x) and
     N_(k+1) = N_k' den - (k+1) N_k den'.  f = (A - R)/x^2 gives
-    x^3 f' = 2R - 2A - x R', so D = (x^3 f')'' = -x R''' = -x N_3 / den^4."""
+    x^3 f' = 2R - 2A - x R', so D = (x^3 f')'' = -x R''' = -x N_3 / den^4.
+    per_p, at an integer p, keys each frequency k/p by the integer k."""
     kind = "cos" if family.is_cos else "sin"
-    n, den = {(kind, Fraction(1)): Fraction(1)}, {(kind, 1 / Fraction(p)): Fraction(1)}
-    dden = _trig_diff(den)
+    (one, s), unit = ((p, 1), Fraction(1, p)) if per_p else ((Fraction(1), 1 / Fraction(p)), 1)
+    n, den = {(kind, one): Fraction(1)}, {(kind, s): Fraction(1)}
+    dden = _trig_diff(den, unit)
     for k in range(3):
-        n = _trig([*_trig_product(_trig_diff(n), den), *_trig_product(n, dden, -(k + 1))])
+        n = _trig([*_trig_product(_trig_diff(n, unit), den, _HALF), *_trig_product(n, dden, -(k + 1) * _HALF)])
     return n
 
 
@@ -222,13 +231,25 @@ def general_vs_sum_check(family: FamilyKind, p) -> bool:
     return _general_vs_sum(family, check_param_int(p))
 
 
+def _per_p(freq: Fraction, p: int) -> int:
+    """The integer k of a frequency k/p."""
+    return freq.numerator * (p // freq.denominator)
+
+
 @functools.lru_cache(maxsize=256)
 def _general_vs_sum(family: FamilyKind, p: int) -> bool:
-    # the sum form first: where it has none it raises before either table is cached
+    # Frequencies in units of 1/p.  The sum side, ~p/2 terms times den^4's
+    # three, runs in integers: its weights times their common denominator d,
+    # and den^4's times 8, give 16 d/G times G sum v sin(e x) den(x/p)^4.
+    # The sum form first: where it has none it raises before either table is cached.
     (sums, g), (gen, f) = exact_sin_comb_form(family, p, False), exact_sin_comb_form(family, p, True)
-    den4 = {("cos", k / p): a for (_, k), a in _DEN4[family.is_cos].items()}
-    summed = _trig(_trig_product(_trig(("sin", e, v) for v, e in sums), den4, g))
-    return _third_derivative_numerator(family, p) == _trig(("sin", c, f * w) for w, c in gen) == summed
+    n3 = _third_derivative_numerator(family, p, per_p=True)
+    if n3 != _trig(("sin", _per_p(c, p), f * w) for w, c in gen):
+        return False
+    d = math.lcm(*(v.denominator for v, _ in sums))
+    sums = _trig(("sin", _per_p(e, p), v.numerator * (d // v.denominator)) for v, e in sums)
+    den4 = {("cos", int(k)): int(8 * a) for (_, k), a in _DEN4[family.is_cos].items()}
+    return _trig(_trig_product(sums, den4)) == {key: w * 16 * d / g for key, w in n3.items()}
 
 
 def _unwrap(out):

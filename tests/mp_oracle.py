@@ -29,3 +29,9 @@ def mp_D(family, p, x):
     with mpmath.workdps(40):
         p, x = mpmath.mpf(p), mpmath.mpf(x)
         return mpmath.diff(lambda t: t**3 * mpmath.diff(lambda u: _f(family, p, u), t), x, 2)
+
+
+def mp_df(family, p, x):
+    """f' at x from the definition, by mpmath differentiation at 40 digits."""
+    with mpmath.workdps(40):
+        return mpmath.diff(lambda u: _f(family, mpmath.mpf(p), u), mpmath.mpf(x))

@@ -1,6 +1,7 @@
 """Tests for the verification engine: both modes, all claim kinds, mutations."""
 
 import dataclasses
+import hashlib
 import math
 import os
 import random
@@ -12,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from mp_oracle import mp_D
+from mp_oracle import mp_D, mp_df
 
 from trigratio.certify import (
     Mode,
@@ -39,7 +40,7 @@ from trigratio.derivatives import (
     vanishing_limits_check,
 )
 from trigratio.envelopes import envelope_constants, ratio_bounds
-from trigratio.families import FamilyKind, HALF_PI, ParameterError, limit_at_half_pi, limit_at_zero
+from trigratio.families import FamilyKind, HALF_PI, ParameterError, eval_f_grid, limit_at_half_pi, limit_at_zero
 from trigratio.interval import Interval
 import trigratio
 from trigratio import certify, derivatives, interval
@@ -573,13 +574,88 @@ def test_report_shape():
     assert math.isfinite(r.worst_x)
 
 
+# --- monotonicity: the termwise proof in either mode, else the grid ------------
+
+
+@pytest.mark.parametrize("cfg", [CFG, RIGOROUS], ids=["grid", "rigorous"])
+def test_monotonicity_is_the_termwise_proof_in_either_mode(cfg):
+    """Wherever the lemma gives D the sign expected_sign_D names, h = x^3 f'
+    (h(0) = h'(0) = 0, h'' = D) passes it to f', and the report is the
+    termwise sign proof's under either config; of the 252 (family, p =
+    2..64) pairs only the cos families' p = 2 are sampled, on the grid."""
+    sampled = []
+    for family in FamilyKind:
+        for p in range(2, 65):
+            r = verify_monotonicity(family, p, cfg)
+            claim = f"monotone:{family.value}:p={p}"
+            if termwise_sign(family, p, family.is_cos) == expected_sign_D(family, p).value:
+                assert r == VerificationReport(claim, Status.CERTIFIED, math.inf, math.nan, 0, Mode.RIGOROUS)
+            else:
+                sampled.append((family, p))
+                assert (r.claim_id, r.status, r.mode) == (claim, Status.CERTIFIED, Mode.GRID)
+                assert r.cells_checked == cfg.grid_points - 1
+    assert sampled == [(TC, 2), (HC, 2)]
+
+
+def test_monotonicity_takes_no_proof_of_the_other_sign(mutate_table):
+    """A table whose termwise sign is the other one proves nothing about the
+    envelope direction: the grid samples f, which does not read the table."""
+    mutate_table((TS,), factor=-1, general=False)
+    assert termwise_sign(TS, 5, False) == -expected_sign_D(TS, 5).value
+    r = verify_monotonicity(TS, 5, RIGOROUS)
+    assert (r.status, r.mode, r.cells_checked) == (Status.CERTIFIED, Mode.GRID, RIGOROUS.grid_points - 1)
+
+
+# verify_monotonicity's GRID reports where the lemma does not reach, at the
+# default config: the first 16 hex digits of the sha256 of each repr
+_MONOTONE_GRID_SHA = {
+    (TC, 2): "4c4fd7489e989707",
+    (HC, 2): "0ad90c24f1cd800d",
+    (TS, 2**16 + 1): "729335043a829686",
+    (HS, 2**16 + 1): "f736f9e6f674f1f6",
+    (TS, 2**53): "bdde9ec805795ac5",
+    (HS, 2**53): "d6ab16ec0d6bc8c3",
+}
+
+
+@pytest.mark.parametrize("family,p", list(_MONOTONE_GRID_SHA), ids=[f"{f.value}-{p}" for f, p in _MONOTONE_GRID_SHA])
+def test_monotonicity_falls_back_to_the_grid(family, p):
+    """The lemma is silent at the cos families' p = 2, and the sin families'
+    sum table is refused past MAX_SUM_P = 2^16, where no verdict may become
+    a ParameterError: there either config gets the sampled report, unchanged."""
+    assert p == 2 or p > derivatives.MAX_SUM_P
+    r = verify_monotonicity(family, p, CFG)
+    assert r.mode is Mode.GRID and r.status is Status.CERTIFIED
+    assert hashlib.sha256(repr(r).encode()).hexdigest()[:16] == _MONOTONE_GRID_SHA[family, p]
+    assert verify_monotonicity(family, p, RIGOROUS) == r
+
+
+@pytest.mark.parametrize("family", FamilyKind)
+def test_grid_f_is_ordered_in_the_envelope_direction(family):
+    """The float ordering the monotonicity grid sampled: on the default
+    2048-point grid eval_f_grid moves strictly in the envelope direction."""
+    xs = certify._grid(CFG.interior_margin, CFG.grid_points)
+    for p in range(2, 17):
+        steps = expected_sign_D(family, p).value * np.diff(eval_f_grid(family, p, xs))
+        assert (steps > 0.0).all(), p
+
+
+@pytest.mark.parametrize("family", FamilyKind)
+def test_proved_monotonicity_agrees_with_mpmath(family):
+    """Each direction the termwise route proves at p = 2..16 is the sign of
+    f' from f's definition in 40-digit mpmath, at 20 points spread over
+    (0, pi/2), 1e-6 and pi/2 - 1e-6 included."""
+    xs = [1e-6, *np.linspace(0.08, 1.49, 18), HALF_PI - 1e-6]
+    for p in range(2, 17):
+        r = verify_monotonicity(family, p, CFG)
+        if r.mode is not Mode.RIGOROUS:
+            continue
+        sign = expected_sign_D(family, p).value
+        for x in xs:
+            assert sign * mp_df(family, p, float(x)) > 0, (p, x)
+
+
 # --- grid checks keep their label under a RIGOROUS config --------------------
-
-
-def test_monotonicity_reports_grid_under_rigorous_config():
-    r = verify_monotonicity(TS, 3, RIGOROUS)
-    assert r.mode is Mode.GRID
-    assert r.cells_checked == RIGOROUS.grid_points - 1
 
 
 def test_envelope_reports_grid_under_rigorous_config():
@@ -612,7 +688,7 @@ def test_grid_is_built_once_per_margin_and_points():
     grid_cfg = VerificationConfig(interior_margin=2e-3, grid_points=300)
     rigorous_cfg = VerificationConfig(interior_margin=2e-3, grid_points=300, mode=Mode.RIGOROUS)
     verify_envelope(TS, 3, grid_cfg)
-    verify_monotonicity(HC, 4, rigorous_cfg)
+    verify_monotonicity(HC, 2, rigorous_cfg)
     verify_sign_D(TC, 5, Sign.NEG, grid_cfg)
     info = certify._grid.cache_info()
     assert (info.misses, info.hits) == (1, 2)

@@ -108,13 +108,13 @@ def test_verify_rigorous_inconclusive_exit(capsys):
         (
             ["verify", "--family", "trig-sin", "--p", "64", "--mode", "rigorous"],
             "envelope:trig-sin:p=64: certified min_margin=5.3289936730038789e-07 worst_x=0.001 cells=2048 mode=grid\n"
-            "monotone:trig-sin:p=64: certified min_margin=1.1298141053828203e-06 worst_x=0.001 cells=2047 mode=grid\n"
+            "monotone:trig-sin:p=64: certified min_margin=inf worst_x=nan cells=0 mode=rigorous\n"
             "sign-D:trig-sin:p=64:NEG: certified min_margin=inf worst_x=nan cells=0 mode=rigorous\n",
         ),
         (
             ["verify", "--family", "hyp-cos", "--p", "3", "--mode", "rigorous"],
             "envelope:hyp-cos:p=3: certified min_margin=1.6460905583048913e-08 worst_x=0.001 cells=2048 mode=grid\n"
-            "monotone:hyp-cos:p=3: certified min_margin=3.4899207468352955e-08 worst_x=0.001 cells=2047 mode=grid\n"
+            "monotone:hyp-cos:p=3: certified min_margin=inf worst_x=nan cells=0 mode=rigorous\n"
             "sign-D:hyp-cos:p=3:NEG: certified min_margin=inf worst_x=nan cells=0 mode=rigorous\n",
         ),
     ],
@@ -123,7 +123,8 @@ def test_verify_rigorous_inconclusive_exit(capsys):
 def test_verify_rigorous_output_bytes(capsys, argv, expected):
     """The stdout bytes of two CI smoke proofs: the 32-term sum form of
     trig-sin p = 64 and the general form of hyp-cos p = 3, both proved by
-    the termwise lemma, which checks no cell and finds no margin."""
+    the termwise lemma, which checks no cell and finds no margin; so is the
+    monotonicity, which follows from D's sign."""
     assert run(argv) == EXIT_OK
     assert capsys.readouterr().out == expected
 

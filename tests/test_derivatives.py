@@ -210,9 +210,6 @@ def test_d_general_extreme_p_raises(family, p, x):
     number."""
     with pytest.raises(ParameterError):
         d_general(family, p, x)
-    if family is HC:
-        with pytest.raises(ParameterError):
-            d_general(HC, p, x)
 
 
 # d_general's float64 bytes at four p, for the family named in `family`
