@@ -39,10 +39,11 @@ x -> 0 the sin-family general form is numerically treacherous (csc^4(x/p)
 against a bracket that vanishes like x^5), which is why the sin families
 always take the sum form, one table for both parities of p; the cos bracket
 does not cancel, so float64 suffices for it.  Certification does not call
-`derivatives.d_general`.  The identity checks prove in exact algebra that
-the general and the sum tables are both D, derived from f's definition, and
-that D's series, which `d_general` sums near 0, is the general form's; every
-grid and identity verdict is built by one `_grid_verdict`.
+`derivatives.d_general`.  The general table is the numerator of D
+differentiated from f's definition, so it is D at every p; the identity
+checks prove in exact algebra that the sum tables are D too, and that D's
+series, which `d_general` sums near 0, is the general form's; every grid
+and identity verdict is built by one `_grid_verdict`.
 """
 
 from __future__ import annotations
@@ -272,10 +273,13 @@ def verify_envelope(
     """Strict containment lower < f(x) < upper at every interior grid point.
 
     A grid check under any `cfg.mode`, so the report says Mode.GRID.
-    `constants` overrides the computed envelope (test hook)."""
+    `constants` overrides the computed envelope (test hook); ParameterError
+    where they are another claim's, of another family or p."""
     p = check_param_int(p)
     claim = f"envelope:{family.value}:p={p}"
     ec = constants if constants is not None else envelope_constants(family, p)
+    if (ec.family, ec.p) != (family, p):
+        raise ParameterError(f"constants of {ec.family.value}:p={ec.p} given for {claim}")
     xs = _grid(cfg.interior_margin, cfg.grid_points)
     fs = eval_f_grid(family, p, xs)
     margins = np.minimum(fs - ec.lower, ec.upper - fs)
@@ -294,9 +298,9 @@ def verify_identities(cfg: VerificationConfig) -> list[VerificationReport]:
     """Cross-check every closed-form identity against its independent partner.
 
     Every report says Mode.GRID, under any `cfg.mode`.  The general-vs-sum
-    claims are exact: `derivatives.general_vs_sum_check` proves the general
-    and the sum tables both D, from f's definition, for the trig families at
-    p <= 13, and so for the hyperbolic families, which share the tables.
+    claims are exact: `derivatives.general_vs_sum_check` proves the sum
+    tables D, from f's definition, for the trig families at p <= 13, and so
+    for the hyperbolic families, which share the tables.
     Each (family, p) pair is one cell, with error 0, or infinite where the
     tables differ at all, and worst_x 0.0 as for the x-free vanishing-limits
     claim.  That one is exact in D: `derivatives.vanishing_limits_check`

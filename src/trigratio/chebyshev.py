@@ -81,13 +81,6 @@ def cheb_u_eval(n: int, t):
     return u_cur
 
 
-def horner_eval(poly: ChebPoly, t: float) -> float:
-    acc = 0.0
-    for c in reversed(poly.coeffs):
-        acc = acc * t + c
-    return acc
-
-
 def corollary_bounds(p, y: float) -> tuple[float, float]:
     """Strict bounds lo < U_{p-1}(cos y) < hi for y in (0, pi/(2p)).
 

@@ -6,9 +6,9 @@ the ratio families.  Every closed form of D is one weighted sum of sines,
     D(x) = -x * factor * sum_i w_i sin(c_i x),  divided by den(x/p)^4 for the general form,
 
 and `exact_sin_comb_form` builds its (w, c) terms and factor in exact
-rationals.  `termwise_sign` reads the rationals themselves: the sign D
-keeps on (0, pi/2) where every term keeps one, the first route of the
-rigorous proofs in `certify`.  Both number backends read its float view
+rationals, the general form's from f's definition.  `termwise_sign` reads
+the rationals themselves: the sign D keeps on (0, pi/2) where every term
+keeps one, the first route of the rigorous proofs in `certify`.  Both number backends read its float view
 `sin_comb_form`: the numpy evaluator `eval_sin_comb` here, and the interval
 kernel `interval.sin_comb` behind the rigorous bisection in `certify`.  The
 hyperbolic families are the x -> ix images of the trigonometric ones:
@@ -22,10 +22,10 @@ takes its sine and the general form's den from the family table
   the supported range 3/2 <= |p| <= 2^53, in float64: D's even series
   (exact rationals rounded once) near 0, where the sin families' general
   form cancels, and the general form above.
-  Note: the printed source's cos-family formula carries csc^4(x/p), but
-  differentiating the definition gives sec^4(x/p), which agrees with the
-  p = 2 factored display, the sum form and D in 40-digit mpmath, so that is
-  what is implemented here.
+  Note: the printed source's cos-family general display carries csc^4(x/p)
+  where the definition gives sec^4(x/p); the table here is differentiated
+  from the definition, and the tests check that display, read with sec^4,
+  equal to it as exact trig polynomials.
 * `d_sum` -- the sum form for integer 2 <= p <= MAX_SUM_P, one expression
   in m = 1..p-1 for both parities of p (`exact_sin_comb_form`); the cos
   families have it at odd p only.  `certify` proves the sin families by it
@@ -35,8 +35,8 @@ Each, like `dirichlet_sum`, takes a float or an array-like for x, checks it
 on its least and greatest point (`families._as_points`) and returns a float
 for a float; `d_general` and `d_sum` run an array in blocks of
 `families._BLOCK` points as `families.eval_f_grid` does, values bitwise
-independent of the blocking.  The identities `general_vs_sum_check` (both
-tables against D from f's definition, in exact trig polynomials) and
+independent of the blocking.  The identities `general_vs_sum_check` (the sum
+table against D from f's definition, in exact trig polynomials) and
 `vanishing_limits_check` (D's series, at every real p of the range) are exact.
 """
 
@@ -93,30 +93,27 @@ def exact_sin_comb_form(family: FamilyKind, p, general: bool) -> tuple[tuple, Fr
     where den is the family's own function g.  The hyperbolic families read the
     same table with sin -> sinh, cos -> cosh.  The general form takes any
     real p of the range 3/2 <= |p| <= 2^53 (every float is an exact binary
-    rational); the sum form an integer p >= 2, one table for both parities:
+    rational), N_3's sin terms (`_third_derivative_numerator`, D from f's
+    definition) by frequency, factor 1; the sum form an integer p >= 2, one
+    table for both parities:
     terms (eps_m m^3, m/p) over 0 < m < p with m = p-1 (mod 2),
     eps_m = (-1)^((p-1-m)/2) for the cos families and 1 for the sin
     families, and factor 2/p^3; before any term is built, ParityError for
     the cos families' even p, which has none, and ParameterError past MAX_SUM_P.
 
     For the cos families at p >= 3 every general-form weight is > 0 and every
-    frequency lies in [0, 2], so each term keeps one sign on (0, pi/2): the
+    frequency lies in (0, 2], so each term keeps one sign on (0, pi/2): the
     termwise lemma (`termwise_sign`) proves their RIGOROUS sign claims, and
     the sin families' by the sum form, with no interval cell."""
-    pf = Fraction(p)
     if general:
-        s = 1 / pf
-        cs = (1 - 3 * s, 1 + 3 * s, 1 - s, 1 + s)
-        # 3p^3 +- 3p^2 - 15p -+ 23 = u +- v; the sin families negate two weights and the factor
-        u, v = 3 * pf**3 - 15 * pf, 3 * pf**2 - 23
-        flip = 1 if family.is_cos else -1
-        ws = ((pf + 1) ** 3, flip * (pf - 1) ** 3, flip * (u + v), u - v)
-        return tuple(zip(ws, cs)), flip / (8 * pf**3)
+        n3 = _third_derivative_numerator(family, p)
+        return tuple((n3[key], key[1]) for key in sorted(n3)), Fraction(1)
     if family.is_cos and p % 2 == 0:
         raise ParityError("no sum form for the cos families with even p")
     if p > MAX_SUM_P:
         raise ParameterError(f"D's sum form has p//2 terms, too many at {_p_text(p)} > {MAX_SUM_P}")
     sgn = -1 if family.is_cos else 1
+    pf = Fraction(p)
     terms = tuple((Fraction(sgn ** ((p - 1 - m) // 2) * m**3), m / pf) for m in range(1 + p % 2, p, 2))
     return terms, 2 / pf**3
 
@@ -140,8 +137,8 @@ def termwise_sign(family: FamilyKind, p, general: bool) -> int:
     -x * factor * sum (over den(x/p)^4 > 0, no pole in p's range), has
     that sign times -sign(factor).  A comparison of rationals: no pi, no
     libm, no rounding.  The cos families' p = 2 general form mixes signs
-    (weights 27 at frequency -1/2 and 5 at 3/2), so 0 there, as for any
-    table the lemma does not reach.  A sum form raises as
+    (weights -11/16 at frequency 1/2 and 5/64 at 3/2), so 0 there, as for
+    any table the lemma does not reach.  A sum form raises as
     `exact_sin_comb_form`'s."""
     terms, factor = exact_sin_comb_form(family, p, general)
     sign = 0
@@ -177,9 +174,9 @@ def _trig(terms) -> dict:
     return {key: w for key, w in out.items() if w}
 
 
-def _trig_diff(a: dict, unit=1) -> dict:
-    """d/dx, a key f standing for the frequency f * unit: sin(f x)' = f cos(f x), cos(f x)' = -f sin(f x)."""
-    return _trig(("cos", f, w * f * unit) if kind == "sin" else ("sin", f, -w * f * unit) for (kind, f), w in a.items())
+def _trig_diff(a: dict) -> dict:
+    """d/dx: sin(f x)' = f cos(f x), cos(f x)' = -f sin(f x)."""
+    return _trig(("cos", f, w * f) if kind == "sin" else ("sin", f, -w * f) for (kind, f), w in a.items())
 
 
 def _trig_product(a: dict, b: dict, scale=1):
@@ -206,26 +203,25 @@ def _trig_square(a: dict) -> dict:
 _DEN4 = tuple(_trig_square(_trig_square({(kind, Fraction(1)): Fraction(1)})) for kind in ("sin", "cos"))
 
 
-def _third_derivative_numerator(family: FamilyKind, p, per_p: bool = False) -> dict:
+def _third_derivative_numerator(family: FamilyKind, p) -> dict:
     """N_3 = R''' den^4 for f's ratio R = g(x)/den, den = g(x/p), g = cos or
     sin, from the definition: R^(k) = N_k / den^(k+1) with N_0 = g(x) and
     N_(k+1) = N_k' den - (k+1) N_k den'.  f = (A - R)/x^2 gives
     x^3 f' = 2R - 2A - x R', so D = (x^3 f')'' = -x R''' = -x N_3 / den^4.
-    per_p, at an integer p, keys each frequency k/p by the integer k."""
+    N_3 is odd in x, so it has sin terms only."""
     kind = "cos" if family.is_cos else "sin"
-    (one, s), unit = ((p, 1), Fraction(1, p)) if per_p else ((Fraction(1), 1 / Fraction(p)), 1)
-    n, den = {(kind, one): Fraction(1)}, {(kind, s): Fraction(1)}
-    dden = _trig_diff(den, unit)
+    n, den = {(kind, Fraction(1)): Fraction(1)}, {(kind, 1 / Fraction(p)): Fraction(1)}
+    dden = _trig_diff(den)
     for k in range(3):
-        n = _trig([*_trig_product(_trig_diff(n, unit), den, _HALF), *_trig_product(n, dden, -(k + 1) * _HALF)])
+        n = _trig([*_trig_product(_trig_diff(n), den, _HALF), *_trig_product(n, dden, -(k + 1) * _HALF)])
     return n
 
 
 def general_vs_sum_check(family: FamilyKind, p) -> bool:
-    """Whether D's general table (F, terms (w, c)) and its sum table (G,
-    (v, e)) are both D, for an integer p with a sum form, in exact trig
-    polynomials: N_3 (`_third_derivative_numerator`) = F sum w sin(c x) =
-    G sum v sin(e x) den(x/p)^4 (`_DEN4`).  p is checked before the cache,
+    """Whether D's sum table (G, terms (v, e)) is D, for an integer p with a
+    sum form, in exact trig polynomials: N_3 (`_third_derivative_numerator`)
+    = G sum v sin(e x) den(x/p)^4 (`_DEN4`), and = F sum w sin(c x), as the
+    general table (F, (w, c)) is by construction.  p is checked before the cache,
     which keys 3 and 3.0 alike; ParameterError past MAX_SUM_P and
     ParityError at the cos families' even p, from `exact_sin_comb_form`."""
     return _general_vs_sum(family, check_param_int(p))
@@ -238,18 +234,18 @@ def _per_p(freq: Fraction, p: int) -> int:
 
 @functools.lru_cache(maxsize=256)
 def _general_vs_sum(family: FamilyKind, p: int) -> bool:
-    # Frequencies in units of 1/p.  The sum side, ~p/2 terms times den^4's
-    # three, runs in integers: its weights times their common denominator d,
-    # and den^4's times 8, give 16 d/G times G sum v sin(e x) den(x/p)^4.
+    # The sum side, ~p/2 terms times den^4's three, runs in integers, its
+    # frequencies in units of 1/p: its weights times their common denominator
+    # d, and den^4's times 8, give 16 d/G times G sum v sin(e x) den(x/p)^4.
     # The sum form first: where it has none it raises before either table is cached.
     (sums, g), (gen, f) = exact_sin_comb_form(family, p, False), exact_sin_comb_form(family, p, True)
-    n3 = _third_derivative_numerator(family, p, per_p=True)
-    if n3 != _trig(("sin", _per_p(c, p), f * w) for w, c in gen):
+    n3 = _third_derivative_numerator(family, p)
+    if n3 != _trig(("sin", c, f * w) for w, c in gen):
         return False
     d = math.lcm(*(v.denominator for v, _ in sums))
     sums = _trig(("sin", _per_p(e, p), v.numerator * (d // v.denominator)) for v, e in sums)
     den4 = {("cos", int(k)): int(8 * a) for (_, k), a in _DEN4[family.is_cos].items()}
-    return _trig(_trig_product(sums, den4)) == {key: w * 16 * d / g for key, w in n3.items()}
+    return _trig(_trig_product(sums, den4)) == {("sin", _per_p(c, p)): w * 16 * d / g for (_, c), w in n3.items()}
 
 
 def _unwrap(out):

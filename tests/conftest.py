@@ -10,7 +10,7 @@ def mutate_table(monkeypatch):
     """Replace `derivatives.exact_sin_comb_form` for one test by one whose
     general table (its sum table where general=False, both where None), for
     the given families, has its last weight moved away from 0 by delta (in
-    the general table, the +-23 bracket weight), its first weight scaled by
+    the general table, that of its highest frequency), its first weight scaled by
     scale and its factor by factor; the other tables stay intact.  The caches built from the table,
     `sin_comb_form`, `termwise_sign`, D's series `_table_d_series` and the
     general-vs-sum check `_general_vs_sum`, are emptied on both sides, so no

@@ -355,9 +355,22 @@ def test_rigorous_inconclusive_at_zero_depth():
     assert r.status is Status.INCONCLUSIVE
 
 
+def _assert_falsified(family, p, wrong, r):
+    """r falsifies the claim that D has the sign `wrong`: a cell whose
+    enclosure lies wholly on the other side, and D from the definition in
+    40-digit mpmath has the other sign at its midpoint worst_x."""
+    assert (r.status, r.mode) == (Status.FALSIFIED, Mode.RIGOROUS), r
+    assert r.min_margin < 0.0 and r.cells_checked >= 1, r
+    assert wrong.value * mp_D(family, p, r.worst_x) < 0, r
+
+
 def test_rigorous_falsifies_wrong_sign():
-    r = verify_sign_D(TS, 3, Sign.POS, RIGOROUS)
-    assert r.status in (Status.FALSIFIED, Status.INCONCLUSIVE)
+    """The bisection over D's table falsifies every wrong-sign claim, 4
+    families x p = 2..64, the cos families' p = 2 included."""
+    for family in FamilyKind:
+        for p in range(2, 65):
+            wrong = Sign(-expected_sign_D(family, p).value)
+            _assert_falsified(family, p, wrong, verify_sign_D(family, p, wrong, RIGOROUS))
     # on a grid the wrong sign is flatly falsified
     assert verify_sign_D(TS, 3, Sign.POS, CFG).status is Status.FALSIFIED
 
@@ -402,6 +415,17 @@ def test_envelope_swapped_constants_falsified():
     assert r.status is Status.FALSIFIED
 
 
+@pytest.mark.parametrize("family,p", [(TS, 5), (TC, 3), (HS, 3)])
+def test_envelope_refuses_another_claims_constants(family, p):
+    """trig-sin p = 3 was certified against trig-cos p = 5's constants: a
+    claim takes only constants of its own family and p, in either mode."""
+    constants = envelope_constants(family, p)
+    for mode in Mode:
+        with pytest.raises(ParameterError, match=rf"^constants of {family.value}:p={p} given for envelope:trig-sin:p=3$"):
+            verify_envelope(TS, 3, VerificationConfig(mode=mode), constants=constants)
+    assert verify_envelope(TS, 3, CFG, constants=envelope_constants(TS, 3)) == verify_envelope(TS, 3, CFG)
+
+
 def test_identities_all_certified():
     reports = verify_identities(CFG)
     assert len(reports) == 5
@@ -417,13 +441,13 @@ def test_identities_all_certified():
 
 
 def test_identities_mutation_falsifies(mutate_table):
-    """Perturbing the +-23 bracket coefficient must break form agreement,
+    """Perturbing the general table's top-frequency weight must break form agreement,
     and D's series, which is checked against the general table; the same
     hook with the table's own weights passes, so the failure is the
     mutation's, through D's side alone."""
 
     def hooked(delta):
-        mutate_table((TC, TS), delta=delta)  # 23 -> 24 in magnitude at delta = 1
+        mutate_table((TC, TS), delta=delta)  # 1 further from 0 at delta = 1
         return {r.claim_id: r for r in verify_identities(CFG)}
 
     reports = hooked(0)
@@ -739,15 +763,15 @@ def sin_comb(x, terms, sin):
 
 def _reference_interval_D(family, p, x):
     """_interval_D as written before the sin-combination kernel: Interval
-    objects throughout, the (w, c) table rebuilt for every cell; cosh and
+    objects throughout, the sum tables rebuilt for every cell; cosh and
     sinh in place of cos and sin for the hyperbolic families.  The cos
-    families take the general form, the sin families their parity sums."""
+    families take the general form, whose table is `sin_comb_form`'s, the
+    sin families their parity sums."""
     g, sin = (Interval.cos, Interval.sin) if family.is_trig else (Interval.cosh, Interval.sinh)
     if family.is_cos:
-        w = ((p + 1) ** 3, (p - 1) ** 3, 3 * p**3 + 3 * p**2 - 15 * p - 23, 3 * p**3 - 3 * p**2 - 15 * p + 23)
-        terms = list(zip(w, ((p - 3) / p, (p + 3) / p, (p - 1) / p, (p + 1) / p)))
+        terms, factor = sin_comb_form(family, p, True)
         sec4 = g(x * (1.0 / p)).reciprocal() ** 4
-        scale = -x * sec4 * (1.0 / (8.0 * p**3))
+        scale = -x * sec4 * factor
     elif p % 2 == 0:
         k = p // 2
         terms = [((2 * j + 1) ** 3, (2 * j + 1) / (2.0 * k)) for j in range(k)]
@@ -961,8 +985,8 @@ def test_termwise_route_reports():
 @pytest.mark.parametrize("family,p", [(TC, 3), (TS, 3), (HC, 17), (HS, 64)])
 def test_wrong_sign_claim_still_bisects(family, p):
     """The lemma proves the other sign, so the claim falls through to the
-    bisection, which looks at cells and does not certify it."""
+    bisection, which looks at cells and falsifies it."""
     wrong = Sign(-termwise_sign(family, p, family.is_cos))
     r = verify_sign_D(family, p, wrong, RIGOROUS)
     assert repr(r) == repr(_bisect(family, p, wrong, RIGOROUS))
-    assert r.status is not Status.CERTIFIED and r.cells_checked >= 1
+    _assert_falsified(family, p, wrong, r)

@@ -14,7 +14,6 @@ from trigratio.chebyshev import (
     cheb_u,
     cheb_u_eval,
     corollary_bounds,
-    horner_eval,
 )
 from trigratio.envelopes import ratio_bounds
 from trigratio.families import DomainError, FamilyKind, ParameterError
@@ -47,13 +46,19 @@ def test_trig_identity(n):
         assert lhs == pytest.approx(rhs, abs=1e-11)
 
 
-@pytest.mark.parametrize("n", [2, 6, 11, 20])
+@pytest.mark.parametrize("n", range(DEGREE_CAP + 1))
 def test_horner_matches_recurrence(n):
-    poly = cheb_u(n)
-    for t in np.linspace(-0.99, 0.99, 41):
-        assert horner_eval(poly, float(t)) == pytest.approx(
-            cheb_u_eval(n, float(t)), rel=1e-9, abs=1e-9
-        )
+    """cheb_u(n)'s coefficients, summed by Horner's rule in Fractions, equal
+    U_n from the three-term recurrence in Fractions, exactly, at rational t."""
+    coeffs = cheb_u(n).coeffs
+    for t in (Fraction(k, 7) for k in range(-9, 10)):
+        u_prev, u = 1, 2 * t
+        for _ in range(n):
+            u_prev, u = u, 2 * t * u - u_prev
+        acc = 0
+        for c in reversed(coeffs):
+            acc = acc * t + c
+        assert acc == u_prev, t
 
 
 def test_u6_point_value():

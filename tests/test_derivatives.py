@@ -29,7 +29,6 @@ from trigratio.derivatives import (
     _DEN4,
     _general_vs_sum,
     _table_d_series,
-    _third_derivative_numerator,
     _trig,
 )
 from trigratio.families import (
@@ -468,17 +467,16 @@ def test_sign_trig_cos_positive_for_p_2():
 
 
 def test_general_weights_values():
-    """The exact table at p = 2, with 2.0 giving the same one."""
+    """The exact table at p = 2, with 2.0 giving the same one: N_3's sin
+    terms by frequency, factor 1.  The paper's four terms merge to three,
+    the frequency 1 - 3/p = -1/2 folding onto 1 - 1/p = 1/2."""
     for p in (2, 2.0):
-        # cos family: ((p+1)^3, (p-1)^3, 3p^3+3p^2-15p-23, 3p^3-3p^2-15p+23)
         terms, factor = exact_sin_comb_form(TC, p, True)
-        assert [w for w, _ in terms] == [27, 1, -17, 5]
-        assert [c for _, c in terms] == [Fraction(-1, 2), Fraction(5, 2), Fraction(1, 2), Fraction(3, 2)]
-        assert factor == Fraction(1, 64)
-        # sin family: ((p+1)^3, -(p-1)^3, -3p^3-3p^2+15p+23, 3p^3-3p^2-15p+23)
+        assert terms == ((Fraction(-11, 16), Fraction(1, 2)), (Fraction(5, 64), Fraction(3, 2)), (Fraction(1, 64), Fraction(5, 2)))
+        assert factor == 1
         terms, factor = exact_sin_comb_form(TS, p, True)
-        assert [w for w, _ in terms] == [27, -1, 17, 5]
-        assert factor == Fraction(-1, 64)
+        assert terms == ((Fraction(5, 32), Fraction(1, 2)), (Fraction(-5, 64), Fraction(3, 2)), (Fraction(1, 64), Fraction(5, 2)))
+        assert factor == 1
 
 
 def _forms(family):
@@ -505,10 +503,11 @@ def test_float_table_is_the_exact_table_rounded_once(family):
 
 def test_float_table_rounds_frequencies_once():
     """1 - 1/p at p = 3 is 2/3 rounded once, not 1.0 - 1.0 * (1.0 / 3.0),
-    which rounds twice to 0.6666666666666667."""
+    which rounds twice to 0.6666666666666667.  The zero frequency 1 - 3/p
+    has dropped from the table."""
     terms, _ = sin_comb_form(TC, 3, True)
-    assert terms[2][1] == 0.6666666666666666
-    assert (terms[0][1], terms[1][1], terms[3][1]) == (0.0, 2.0, 4.0 / 3.0)
+    assert terms[0][1] == 0.6666666666666666
+    assert [c for _, c in terms[1:]] == [4.0 / 3.0, 2.0]
 
 
 @pytest.mark.parametrize("family", FamilyKind)
@@ -523,16 +522,32 @@ def test_general_form_equals_sum_form_exactly(family):
 # --- D's table from f's definition, in exact algebra --------------------------
 
 
+def _paper_general_table(family, p):
+    """The paper's general form of D, typed from its display:
+    D = -x * factor * sum w sin(c x) / den(x/p)^4, with den^4 = sec^4(x/p)
+    for the cos families where the display prints csc^4."""
+    pf = Fraction(p)
+    s = 1 / pf
+    # 3p^3 +- 3p^2 - 15p -+ 23 = u +- v; the sin families negate two weights and the factor
+    u, v = 3 * pf**3 - 15 * pf, 3 * pf**2 - 23
+    flip = 1 if family.is_cos else -1
+    ws = ((pf + 1) ** 3, flip * (pf - 1) ** 3, flip * (u + v), u - v)
+    return tuple(zip(ws, (1 - 3 * s, 1 + 3 * s, 1 - s, 1 + s))), flip / (8 * pf**3)
+
+
 @pytest.mark.parametrize("family", [TC, TS])
 def test_general_table_is_D_exactly(family):
-    """exact_sin_comb_form's general table is D, derived from f's definition
-    in exact algebra.  f = (A - R)/x^2 gives x^3 f' = 2R - 2A - x R', and
-    D = (x^3 f')'' = -x R''', so the table's D = -x * factor * sum w sin(c x)
-    / den(x/p)^4 holds iff N_3 = factor * sum w sin(c x) as trig polynomials.
-    The hyperbolic families read the same table by x -> ix."""
-    for p in [*range(2, 65), 1.5, 2.25, 7.3, -4]:
+    """exact_sin_comb_form's general table, differentiated from f's
+    definition (`_third_derivative_numerator`), is the paper's display read
+    with sec^4, as trig polynomials in exact rationals.  It is N_3's sin
+    terms in increasing frequency, each frequency once and positive, with
+    factor 1.  The hyperbolic families read the same table by x -> ix."""
+    for p in [*range(2, 65), 1.5, 2.25, 7.3, -4, 10**9 + 1, 2**53]:
         terms, factor = exact_sin_comb_form(family, p, True)
-        assert _third_derivative_numerator(family, p) == _trig(("sin", c, factor * w) for w, c in terms), p
+        paper, paper_factor = _paper_general_table(family, p)
+        assert _trig(("sin", c, w) for w, c in terms) == _trig(("sin", c, paper_factor * w) for w, c in paper), p
+        assert factor == 1 and all(w for w, _ in terms), p
+        assert 0 < terms[0][1] and all(a[1] < b[1] for a, b in zip(terms, terms[1:])), p
 
 
 def test_den4_is_the_power_reduction():
