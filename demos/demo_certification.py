@@ -27,8 +27,9 @@ def main():
     cfg = VerificationConfig()
     rigorous = VerificationConfig(mode=Mode.RIGOROUS)
 
-    print("GRID campaigns (2048 interior points) for a few families; monotonicity")
-    print("follows from D's sign wherever the termwise lemma gives it, in either mode:\n")
+    print("GRID campaigns for a few families; monotonicity follows from D's sign")
+    print("wherever the termwise lemma gives it, in either mode, and then the envelope")
+    print("reads f at the grid's 2 ends, else at all 2048 interior points:\n")
     for family, p in [
         (FamilyKind.TRIG_COS, 2),
         (FamilyKind.TRIG_SIN, 5),

@@ -16,8 +16,10 @@ Monotonicity takes the termwise lemma in either mode: D = (x^3 f')'' and
 x^3 f' vanishes with its derivative at 0, so D's sign is f''s, a proof
 that says Mode.RIGOROUS; only where the lemma does not reach (the cos
 families at p = 2, the sin families past MAX_SUM_P) does it sample f on a
-grid.  The envelope checks sample a grid in either mode and say Mode.GRID,
-as do the identity checks, some of which are exact.
+grid.  The envelope checks say Mode.GRID in either mode, as do the
+identity checks, some of which are exact: where the lemma proves f
+monotone they read f at the grid's two ends, where the least margin of a
+monotone f lies, and elsewhere every grid point.
 
 Every route reads D from one table, `derivatives.exact_sin_comb_form`: the
 (w, c) terms and the factor of D(x) = -x * factor * sum_i w_i sin(c_i x),
@@ -73,6 +75,7 @@ from .families import (
     HALF_PI,
     ParameterError,
     _as_real,
+    _f_at,
     check_param_int,
     eval_f_grid,
 )
@@ -113,6 +116,9 @@ class VerificationConfig:
         margin = _as_real(self.interior_margin, ParameterError, "interior_margin")
         if not 0.0 < margin < math.pi / 8.0:
             raise ParameterError("interior_margin must lie in (0, pi/8)")
+        if HALF_PI - margin == HALF_PI:
+            # below ~1.1e-16 the grid's top end would round onto pi/2, off f's domain
+            raise ParameterError(f"interior_margin must leave pi/2 - margin below pi/2 in float64, got {margin!r}")
         object.__setattr__(self, "interior_margin", margin)
         if not isinstance(self.mode, Mode):
             raise ParameterError(f"mode must be a Mode, got {self.mode!r}")
@@ -123,9 +129,10 @@ class VerificationReport:
     """One verdict.  min_margin is the least margin found (the expected sign
     times D, or the claim's own slack) and worst_x the point or cell
     midpoint where it was found; cells_checked counts the grid points,
-    differences or leaf cells it looked at.  A termwise sign proof looks at
-    none: cells_checked 0, min_margin inf and worst_x nan, as a bisection
-    that visited no cell would report."""
+    differences or leaf cells it looked at: for an envelope claim, 2 (the
+    grid's ends) where f is proved monotone, else every grid point.  A
+    termwise sign proof looks at none: cells_checked 0, min_margin inf and
+    worst_x nan, as a bisection that visited no cell would report."""
 
     claim_id: str
     status: Status
@@ -244,6 +251,16 @@ def verify_sign_D(
     return _grid_verdict(claim, margins, xs, len(xs))
 
 
+def _proved_monotone(family: FamilyKind, p: int) -> bool:
+    """Whether the termwise lemma gives D the sign `expected_sign_D` names,
+    which makes f strictly monotone on (0, pi/2) in the envelope direction:
+    every pair but the cos families' p = 2, where the lemma is silent, and
+    the sin families' past MAX_SUM_P, whose sum table is refused."""
+    if not (family.is_cos or p <= MAX_SUM_P):
+        return False
+    return termwise_sign(family, p, family.is_cos) == expected_sign_D(family, p).value
+
+
 def verify_monotonicity(family: FamilyKind, p, cfg: VerificationConfig) -> VerificationReport:
     """f strictly monotone on (0, pi/2) in the envelope direction.
 
@@ -256,11 +273,10 @@ def verify_monotonicity(family: FamilyKind, p, cfg: VerificationConfig) -> Verif
     Mode.GRID report."""
     p = check_param_int(p)
     claim = f"monotone:{family.value}:p={p}"
-    sign = expected_sign_D(family, p)
-    if (family.is_cos or p <= MAX_SUM_P) and termwise_sign(family, p, family.is_cos) == sign.value:
+    if _proved_monotone(family, p):
         return _termwise_proof(claim)
     xs = _grid(cfg.interior_margin, cfg.grid_points)
-    diffs = float(sign.value) * np.diff(eval_f_grid(family, p, xs))
+    diffs = float(expected_sign_D(family, p).value) * np.diff(eval_f_grid(family, p, xs))
     return _grid_verdict(claim, diffs, xs, len(xs) - 1)
 
 
@@ -270,18 +286,28 @@ def verify_envelope(
     cfg: VerificationConfig,
     constants: EnvelopeConstants | None = None,
 ) -> VerificationReport:
-    """Strict containment lower < f(x) < upper at every interior grid point.
+    """Strict containment lower < f(x) < upper on [margin, pi/2 - margin].
 
-    A grid check under any `cfg.mode`, so the report says Mode.GRID.
-    `constants` overrides the computed envelope (test hook); ParameterError
-    where they are another claim's, of another family or p."""
+    Where verify_monotonicity proves f monotone (`_proved_monotone`), the
+    least of f - lower and upper - f over any points of the interval is at
+    its ends, so f is read at the grid's two ends alone, in numpy's scalar
+    arithmetic, bitwise eval_f_grid's values there: the whole grid's
+    verdict, min_margin and worst_x, with cells_checked 2.  Elsewhere f is
+    sampled at every grid point.  Float values of f either way, so the
+    report says Mode.GRID under any `cfg.mode`.  `constants` overrides the
+    computed envelope (test hook); ParameterError where they are another
+    claim's, of another family or p."""
     p = check_param_int(p)
     claim = f"envelope:{family.value}:p={p}"
     ec = constants if constants is not None else envelope_constants(family, p)
     if (ec.family, ec.p) != (family, p):
         raise ParameterError(f"constants of {ec.family.value}:p={ec.p} given for {claim}")
     xs = _grid(cfg.interior_margin, cfg.grid_points)
-    fs = eval_f_grid(family, p, xs)
+    if _proved_monotone(family, p):
+        xs = (xs[0], xs[-1])
+        fs = np.array([_f_at(family, float(p), x, np) for x in xs])
+    else:
+        fs = eval_f_grid(family, p, xs)
     margins = np.minimum(fs - ec.lower, ec.upper - fs)
     return _grid_verdict(claim, margins, xs, len(xs))
 

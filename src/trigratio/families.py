@@ -248,9 +248,20 @@ def eval_ratio(family: FamilyKind, p, x: float) -> float:
 
 
 @lru_cache(maxsize=None)
-def _scalar_fns(family: FamilyKind) -> tuple:
-    """(g, sin, series threshold) of eval_f for one family, math backend."""
-    return (*FAMILY_FNS[family][math], series_threshold(family))
+def _scalar_fns(family: FamilyKind, xp) -> tuple:
+    """(g, sin, series threshold) of `_f_at` for one family and backend."""
+    return (*FAMILY_FNS[family][xp], series_threshold(family))
+
+
+def _f_at(family: FamilyKind, p: float, x, xp=math):
+    """f at one point x of [0, pi/2), unchecked, on one backend's g and sine:
+    the series below the crossover, the direct quotient above.  eval_f on
+    math floats; on a numpy float64 scalar, bitwise eval_f_grid's value at
+    that point, in numpy's scalar arithmetic."""
+    g, sin, th = _scalar_fns(family, xp)
+    if x < th:
+        return _even_series(x, f_series_coeffs(family, p))
+    return _f_direct(family, p, x, g((1.0 / p) * x), g, sin)
 
 
 def eval_f(family: FamilyKind, p, x: float) -> float:
@@ -258,10 +269,7 @@ def eval_f(family: FamilyKind, p, x: float) -> float:
     p = check_param_real(p)
     if type(x) is not float or not 0.0 <= x < HALF_PI:
         x = _as_point(x, HALF_PI, closed=True, where="[0, pi/2)")
-    g, sin, th = _scalar_fns(family)
-    if x < th:
-        return _even_series(x, f_series_coeffs(family, p))
-    return _f_direct(family, p, x, g((1.0 / p) * x), g, sin)
+    return _f_at(family, p, x)
 
 
 def _as_real(v, error, name: str) -> float:

@@ -67,6 +67,19 @@ def test_config_validation():
         VerificationConfig(interior_margin=1.0)
 
 
+@pytest.mark.parametrize("margin", [1e-300, 5e-324, 1e-16, 2.0**-53])
+def test_config_refuses_margin_that_puts_the_grid_end_on_half_pi(margin):
+    """Below ~1.1e-16, pi/2 - margin rounds to pi/2, off f's domain: the
+    envelope and the monotone fallback raised DomainError on their grid,
+    and the grid sign claim said FALSIFIED at x = margin."""
+    assert HALF_PI - margin == HALF_PI
+    message = f"^interior_margin must leave pi/2 - margin below pi/2 in float64, got {margin!r}$"
+    with pytest.raises(ParameterError, match=message):
+        VerificationConfig(interior_margin=margin)
+    least = math.nextafter(2.0**-53, 1.0)
+    assert HALF_PI - VerificationConfig(interior_margin=least).interior_margin < HALF_PI
+
+
 @pytest.mark.parametrize("margin", ["0.001", True, None, 1e-3j])
 def test_config_margin_that_is_no_real_number(margin):
     """The string gave a bare TypeError from the range comparison."""
@@ -592,9 +605,11 @@ def test_vanishing_limits_mutation_falsifies(monkeypatch):
 
 
 def test_report_shape():
+    """trig-sin p = 2 is proved monotone, so its envelope reads f at the
+    grid's two ends."""
     r = verify_envelope(TS, 2, CFG)
     assert isinstance(r, VerificationReport)
-    assert r.cells_checked == CFG.grid_points
+    assert r.cells_checked == 2
     assert math.isfinite(r.worst_x)
 
 
@@ -679,13 +694,81 @@ def test_proved_monotonicity_agrees_with_mpmath(family):
             assert sign * mp_df(family, p, float(x)) > 0, (p, x)
 
 
+# --- the envelope: f at the grid's ends where f is proved monotone -------------
+
+
+def _full_grid_envelope(family, p, cfg, ec):
+    """The envelope verdict over every point of the shared grid, from
+    eval_f_grid: (status, float.hex of min_margin and of worst_x, mode)."""
+    xs = certify._grid(cfg.interior_margin, cfg.grid_points)
+    fs = eval_f_grid(family, p, xs)
+    margins = np.minimum(fs - ec.lower, ec.upper - fs)
+    worst = int(np.argmin(margins))
+    status = Status.CERTIFIED if margins[worst] > 0.0 else Status.FALSIFIED
+    return status, float(margins[worst]).hex(), float(xs[worst]).hex(), Mode.GRID
+
+
+def _swapped(ec):
+    return dataclasses.replace(ec, lower=ec.upper, upper=ec.lower)
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        CFG,
+        VerificationConfig(interior_margin=1e-6, grid_points=512),
+        VerificationConfig(interior_margin=1e-9, grid_points=16),
+        VerificationConfig(interior_margin=0.3, grid_points=17),
+    ],
+    ids=["default", "1e-6-512", "1e-9-16", "0.3-17"],
+)
+def test_envelope_reads_the_grid_ends_where_f_is_proved_monotone(cfg):
+    """Where verify_monotonicity proves f monotone (250 of the 252 pairs at
+    p = 2..64), f - lower and upper - f are monotone, so the least margin
+    over the grid is at one of its ends: the envelope reads f there alone,
+    cells_checked 2, and reports the full grid's verdict, margin and worst
+    x, bitwise: with the true constants, with swapped ones, which it
+    falsifies, and with a looser upper one, whose worst end is the other.
+    (At 1e-9 f's float values at the ends can meet the limits, so the true
+    constants are not always CERTIFIED there, on any route.)"""
+    xs = certify._grid(cfg.interior_margin, cfg.grid_points)
+    proved, worst = 0, set()
+    for family in FamilyKind:
+        for p in range(2, 65):
+            ends = verify_monotonicity(family, p, cfg).mode is Mode.RIGOROUS
+            proved += ends
+            ec = envelope_constants(family, p)
+            swapped = _swapped(ec)
+            # a looser upper constant puts the worst margin at the other end
+            for constants in (ec, swapped, dataclasses.replace(ec, upper=ec.upper + 1.0)):
+                r = verify_envelope(family, p, cfg, constants=constants)
+                got = (r.status, r.min_margin.hex(), r.worst_x.hex(), r.mode)
+                assert got == _full_grid_envelope(family, p, cfg, constants), (family, p, constants)
+                assert r.cells_checked == (2 if ends else cfg.grid_points)
+                assert constants is not swapped or r.status is Status.FALSIFIED
+                worst.add(r.worst_x)
+    assert worst == {xs[0], xs[-1]} and proved == 250
+
+
+@pytest.mark.parametrize("family,p", list(_MONOTONE_GRID_SHA), ids=[f"{f.value}-{p}" for f, p in _MONOTONE_GRID_SHA])
+def test_envelope_samples_the_grid_where_f_is_not_proved_monotone(family, p):
+    """Where the monotonicity is sampled, so is the envelope: every grid point."""
+    ec = envelope_constants(family, p)
+    for cfg in (CFG, VerificationConfig(interior_margin=1e-6, grid_points=512)):
+        r = verify_envelope(family, p, cfg)
+        assert (r.status, r.min_margin.hex(), r.worst_x.hex(), r.mode) == _full_grid_envelope(family, p, cfg, ec)
+        assert r.status is Status.CERTIFIED and r.cells_checked == cfg.grid_points
+        assert verify_envelope(family, p, cfg, constants=_swapped(ec)).status is Status.FALSIFIED
+
+
 # --- grid checks keep their label under a RIGOROUS config --------------------
 
 
 def test_envelope_reports_grid_under_rigorous_config():
+    """Two float values of f, at the grid's ends, are no enclosure."""
     r = verify_envelope(TS, 3, RIGOROUS)
     assert r.mode is Mode.GRID
-    assert r.cells_checked == RIGOROUS.grid_points
+    assert r.cells_checked == 2
 
 
 def test_identities_report_grid_under_rigorous_config():

@@ -107,13 +107,13 @@ def test_verify_rigorous_inconclusive_exit(capsys):
     [
         (
             ["verify", "--family", "trig-sin", "--p", "64", "--mode", "rigorous"],
-            "envelope:trig-sin:p=64: certified min_margin=5.3289936730038789e-07 worst_x=0.001 cells=2048 mode=grid\n"
+            "envelope:trig-sin:p=64: certified min_margin=5.3289936730038789e-07 worst_x=0.001 cells=2 mode=grid\n"
             "monotone:trig-sin:p=64: certified min_margin=inf worst_x=nan cells=0 mode=rigorous\n"
             "sign-D:trig-sin:p=64:NEG: certified min_margin=inf worst_x=nan cells=0 mode=rigorous\n",
         ),
         (
             ["verify", "--family", "hyp-cos", "--p", "3", "--mode", "rigorous"],
-            "envelope:hyp-cos:p=3: certified min_margin=1.6460905583048913e-08 worst_x=0.001 cells=2048 mode=grid\n"
+            "envelope:hyp-cos:p=3: certified min_margin=1.6460905583048913e-08 worst_x=0.001 cells=2 mode=grid\n"
             "monotone:hyp-cos:p=3: certified min_margin=inf worst_x=nan cells=0 mode=rigorous\n"
             "sign-D:hyp-cos:p=3:NEG: certified min_margin=inf worst_x=nan cells=0 mode=rigorous\n",
         ),
@@ -124,9 +124,20 @@ def test_verify_rigorous_output_bytes(capsys, argv, expected):
     """The stdout bytes of two CI smoke proofs: the 32-term sum form of
     trig-sin p = 64 and the general form of hyp-cos p = 3, both proved by
     the termwise lemma, which checks no cell and finds no margin; so is the
-    monotonicity, which follows from D's sign."""
+    monotonicity, which follows from D's sign, and so the envelope reads f
+    at the grid's two ends."""
     assert run(argv) == EXIT_OK
     assert capsys.readouterr().out == expected
+
+
+def test_verify_refuses_margin_that_puts_the_grid_end_on_half_pi(capsys):
+    """pi/2 - 1e-300 is pi/2 in float64: refused by the config, where every
+    claim's grid raised or falsified on it."""
+    argv = ["verify", "--family", "trig-cos", "--p", "3", "--interior-margin", "1e-300"]
+    assert run(argv) == EXIT_DOMAIN
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "domain error: interior_margin must leave pi/2 - margin below pi/2 in float64, got 1e-300\n"
 
 
 def test_main_module_exit_code():
