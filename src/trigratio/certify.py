@@ -1,9 +1,10 @@
 """Numerical certification campaigns for the envelope and sign claims.
 
-GRID mode samples the interior of (0, pi/2) and reports the worst margin.
+GRID mode samples the interior of (0, pi/2) and reports the worst margin,
+CERTIFIED if positive, FALSIFIED if negative, else (a 0.0 tie, NaN) INCONCLUSIVE.
 RIGOROUS mode (sign-of-D claims only, all four families) proves termwise,
-then bisects.  The termwise lemma comes first: where every term of D's
-exact table keeps the claimed sign on (0, pi/2)
+then bisects.  The termwise lemma comes first: where every term of the
+family's own exact table of D keeps the claimed sign on (0, pi/2)
 (`derivatives.termwise_sign`), D keeps it on all of (0, pi/2), by a
 comparison of rationals with no libm, no rounded constant and no cell.
 That proves 250 of the 252 claims at p = 2..64, all but the cos families'
@@ -43,9 +44,9 @@ always take the sum form, one table for both parities of p; the cos bracket
 does not cancel, so float64 suffices for it.  Certification does not call
 `derivatives.d_general`.  The general table is the numerator of D
 differentiated from f's definition, so it is D at every p; the identity
-checks prove in exact algebra that the sum tables are D too, and that D's
-series, which `d_general` sums near 0, is the general form's; every grid
-and identity verdict is built by one `_grid_verdict`.
+checks prove in exact algebra that the sum tables equal it, so are D too,
+and that D's series, which `d_general` sums near 0, is the general form's;
+every grid and identity verdict is built by one `_grid_verdict`.
 """
 
 from __future__ import annotations
@@ -59,7 +60,6 @@ import numpy as np
 
 from .chebyshev import cheb_u_eval
 from .derivatives import (
-    MAX_SUM_P,
     dirichlet_sum,
     eval_sin_comb,
     general_vs_sum_check,
@@ -152,10 +152,12 @@ def _grid(margin: float, points: int) -> np.ndarray:
 
 
 def _grid_verdict(claim, margins, xs, cells) -> VerificationReport:
-    """CERTIFIED when every margin is positive; the worst names the smallest."""
+    """CERTIFIED if the worst (smallest) margin is positive, FALSIFIED if it
+    is negative, else (a float tie at 0.0, or NaN) INCONCLUSIVE."""
     worst = int(np.argmin(margins))
-    status = Status.CERTIFIED if margins[worst] > 0.0 else Status.FALSIFIED
-    return VerificationReport(claim, status, float(margins[worst]), float(xs[worst]), cells, Mode.GRID)
+    margin = float(margins[worst])
+    status = Status.CERTIFIED if margin > 0.0 else Status.FALSIFIED if margin < 0.0 else Status.INCONCLUSIVE
+    return VerificationReport(claim, status, margin, float(xs[worst]), cells, Mode.GRID)
 
 
 def _termwise_proof(claim) -> VerificationReport:
@@ -243,7 +245,7 @@ def verify_sign_D(
     p = check_param_int(p)
     claim = f"sign-D:{family.value}:p={p}:{expected_sign.name}"
     if cfg.mode is Mode.RIGOROUS:
-        if termwise_sign(family, p, family.is_cos) == expected_sign.value:
+        if termwise_sign(family, p) == expected_sign.value:
             return _termwise_proof(claim)
         return _verify_sign_rigorous(claim, family, p, expected_sign, cfg)
     xs = _grid(cfg.interior_margin, cfg.grid_points)
@@ -256,9 +258,7 @@ def _proved_monotone(family: FamilyKind, p: int) -> bool:
     which makes f strictly monotone on (0, pi/2) in the envelope direction:
     every pair but the cos families' p = 2, where the lemma is silent, and
     the sin families' past MAX_SUM_P, whose sum table is refused."""
-    if not (family.is_cos or p <= MAX_SUM_P):
-        return False
-    return termwise_sign(family, p, family.is_cos) == expected_sign_D(family, p).value
+    return termwise_sign(family, p) == expected_sign_D(family, p).value
 
 
 def verify_monotonicity(family: FamilyKind, p, cfg: VerificationConfig) -> VerificationReport:
@@ -316,7 +316,7 @@ def verify_envelope(
 
 
 def _tolerance_report(claim, errors, xs, tol) -> VerificationReport:
-    """The verdict on errors <= tol: its margins are tol - errors."""
+    """The verdict on errors < tol, a tie INCONCLUSIVE: margins tol - errors."""
     return _grid_verdict(claim, tol - np.asarray(errors), xs, len(errors))
 
 
@@ -324,9 +324,9 @@ def verify_identities(cfg: VerificationConfig) -> list[VerificationReport]:
     """Cross-check every closed-form identity against its independent partner.
 
     Every report says Mode.GRID, under any `cfg.mode`.  The general-vs-sum
-    claims are exact: `derivatives.general_vs_sum_check` proves the sum
-    tables D, from f's definition, for the trig families at p <= 13, and so
-    for the hyperbolic families, which share the tables.
+    claims are exact: `derivatives.general_vs_sum_check` proves each sum
+    table equal to the general one, D by construction, for the trig families
+    at p <= 13, and so for the hyperbolic families, which share the tables.
     Each (family, p) pair is one cell, with error 0, or infinite where the
     tables differ at all, and worst_x 0.0 as for the x-free vanishing-limits
     claim.  That one is exact in D: `derivatives.vanishing_limits_check`

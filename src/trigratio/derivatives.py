@@ -6,17 +6,17 @@ the ratio families.  Every closed form of D is one weighted sum of sines,
     D(x) = -x * factor * sum_i w_i sin(c_i x),  divided by den(x/p)^4 for the general form,
 
 and `exact_sin_comb_form` builds its (w, c) terms and factor in exact
-rationals, the general form's from f's definition.  `termwise_sign` reads
-the rationals themselves: the sign D keeps on (0, pi/2) where every term
-keeps one, the first route of the rigorous proofs in `certify`.  Both number backends read its float view
-`sin_comb_form`: the numpy evaluator `eval_sin_comb` here, and the interval
-kernel `interval.sin_comb` behind the rigorous bisection in `certify`.  The
-hyperbolic families are the x -> ix images of the trigonometric ones:
-f_hyp(x) = -f_trig(ix), hence D_hyp(x) = -D_trig(ix).  Under that
-substitution every form keeps its shape and its table with sin -> sinh and
-cos -> cosh (the powers of i cancel the leading minus), so the evaluator
-takes its sine and the general form's den from the family table
-`families.FAMILY_FNS`.  D has two evaluators, one entry point each:
+rationals, the general form's from f's definition.  `termwise_sign` reads the
+rationals of the family's own table: the sign D keeps on (0, pi/2) where every
+term keeps one, the first route of the rigorous proofs in `certify`.  Both
+number backends read its float view `sin_comb_form`: the numpy evaluator
+`eval_sin_comb` here, and the interval kernel `interval.sin_comb` behind the
+rigorous bisection in `certify`.  The hyperbolic families are the x -> ix
+images of the trigonometric ones: f_hyp(x) = -f_trig(ix), hence
+D_hyp(x) = -D_trig(ix).  Under that substitution every form keeps its shape
+and its table with sin -> sinh and cos -> cosh (the powers of i cancel the
+leading minus), so the evaluator takes its sine and the general form's den
+from the family table `families.FAMILY_FNS`.  D has two evaluators, one entry point each:
 
 * `d_general` -- D for all four families by one path, at every real p of
   the supported range 3/2 <= |p| <= 2^53, in float64: D's even series
@@ -36,7 +36,7 @@ on its least and greatest point (`families._as_points`) and returns a float
 for a float; `d_general` and `d_sum` run an array in blocks of
 `families._BLOCK` points as `families.eval_f_grid` does, values bitwise
 independent of the blocking.  The identities `general_vs_sum_check` (the sum
-table against D from f's definition, in exact trig polynomials) and
+table against the general one, D by construction, in exact trig polynomials) and
 `vanishing_limits_check` (D's series, at every real p of the range) are exact.
 """
 
@@ -127,9 +127,10 @@ def sin_comb_form(family: FamilyKind, p, general: bool) -> tuple[tuple, float]:
 
 
 @functools.lru_cache(maxsize=256)
-def termwise_sign(family: FamilyKind, p, general: bool) -> int:
+def termwise_sign(family: FamilyKind, p) -> int:
     """The sign D keeps on all of (0, pi/2) by the termwise lemma, read off
-    `exact_sin_comb_form`'s table: +1 or -1, or 0 where the lemma is silent.
+    the family's own table (`general = family.is_cos`): +1 or -1, or 0 where
+    the lemma is silent or the table refused (sin families past MAX_SUM_P).
 
     A term w sin(c x) keeps the sign of w*c on (0, pi/2) where |c| <= 2,
     since then |c x| < pi; w sinh(c x) keeps it for every c.  When every
@@ -138,9 +139,10 @@ def termwise_sign(family: FamilyKind, p, general: bool) -> int:
     that sign times -sign(factor).  A comparison of rationals: no pi, no
     libm, no rounding.  The cos families' p = 2 general form mixes signs
     (weights -11/16 at frequency 1/2 and 5/64 at 3/2), so 0 there, as for
-    any table the lemma does not reach.  A sum form raises as
-    `exact_sin_comb_form`'s."""
-    terms, factor = exact_sin_comb_form(family, p, general)
+    any table the lemma does not reach."""
+    if not family.is_cos and p > MAX_SUM_P:
+        return 0
+    terms, factor = exact_sin_comb_form(family, p, family.is_cos)
     sign = 0
     # on numerators and denominators, ints: a rational's sign is its
     # numerator's, and |c| > 2 where |numerator| > 2 denominator
@@ -221,10 +223,10 @@ def _third_derivative_numerator(family: FamilyKind, p) -> dict:
 
 
 def general_vs_sum_check(family: FamilyKind, p) -> bool:
-    """Whether D's sum table (G, terms (v, e)) is D, for an integer p with a
-    sum form, in exact trig polynomials: N_3 (`_third_derivative_numerator`)
-    = G sum v sin(e x) den(x/p)^4 (`_DEN4`), and = F sum w sin(c x), as the
-    general table (F, (w, c)) is by construction.  p is checked before the cache,
+    """Whether D's sum table (G, terms (v, e)) equals its general table
+    (F, (w, c)), N_3 = R''' den^4 by construction, for an integer p with a
+    sum form, in exact trig polynomials: G sum v sin(e x) den(x/p)^4
+    (`_DEN4`) = F sum w sin(c x).  p is checked before the cache,
     which keys 3 and 3.0 alike; ParameterError past MAX_SUM_P and
     ParityError at the cos families' even p, from `exact_sin_comb_form`."""
     return _general_vs_sum(family, check_param_int(p))
@@ -237,18 +239,15 @@ def _per_p(freq: Fraction, p: int) -> int:
 
 @functools.lru_cache(maxsize=256)
 def _general_vs_sum(family: FamilyKind, p: int) -> bool:
-    # The sum side, ~p/2 terms times den^4's three, runs in integers, its
-    # frequencies in units of 1/p: its weights times their common denominator
-    # d, and den^4's times 8, give 16 d/G times G sum v sin(e x) den(x/p)^4.
-    # The sum form first: where it has none it raises before either table is cached.
+    # In units of 1/p, the sum side (~p/2 terms times den^4's three) runs in
+    # integers: its weights times their common denominator d, and den^4's times
+    # 8, give 16 d/G times the left side, so F w times 16 d/G on the right.  The
+    # sum form first: where it has none it raises before either table is cached.
     (sums, g), (gen, f) = exact_sin_comb_form(family, p, False), exact_sin_comb_form(family, p, True)
-    n3 = _third_derivative_numerator(family, p)
-    if n3 != _trig(("sin", c, f * w) for w, c in gen):
-        return False
     d = math.lcm(*(v.denominator for v, _ in sums))
     sums = _trig(("sin", _per_p(e, p), v.numerator * (d // v.denominator)) for v, e in sums)
     den4 = {("cos", int(k)): int(8 * a) for (_, k), a in _DEN4[family.is_cos].items()}
-    return _trig(_trig_product(sums, den4)) == {("sin", _per_p(c, p)): w * 16 * d / g for (_, c), w in n3.items()}
+    return _trig(_trig_product(sums, den4)) == _trig(("sin", _per_p(c, p), f * w * 16 * d / g) for w, c in gen)
 
 
 def _unwrap(out):

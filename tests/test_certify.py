@@ -493,20 +493,22 @@ def test_identities_are_exact(mutate_table):
 
 
 def test_identities_check_both_tables_against_the_definition(mutate_table):
-    """Each general-vs-sum pair checks both tables against f's definition,
-    and reads each table itself, not d_general, which takes D's series near
-    0.  A trig-sin general table perturbed as in the mutation test above
-    fails both claims and the vanishing limits, which read that table too;
-    one sum-table weight moved by 1, the general tables intact, fails the
-    odd-sum claim through trig-cos and both through trig-sin; D doubled in
-    both tables, which then still agree with each other, fails both claims
-    and D's series.  No other claim fails."""
+    """Each general-vs-sum pair checks the sum table against the general
+    table, which is D from f's definition by construction, and reads each
+    table itself, not d_general, which takes D's series near 0.  A trig-sin
+    general table perturbed as in the mutation test above fails both claims
+    and the vanishing limits, which read that table too; one sum-table
+    weight moved by 1, the general tables intact, fails the odd-sum claim
+    through trig-cos and both through trig-sin; D doubled in both tables,
+    which then still agree with each other, passes both claims and is
+    caught by D's series, which is checked against f's.  No other claim
+    fails."""
     both, series = ["general-vs-even-sum", "general-vs-odd-sum"], ["vanishing-limits"]
     cases = [
         ((TS,), dict(delta=1), both + series),
         ((TC,), dict(delta=1, general=False), ["general-vs-odd-sum"]),
         ((TS,), dict(delta=1, general=False), both),
-        ((TC, TS), dict(factor=2, general=None), both + series),
+        ((TC, TS), dict(factor=2, general=None), series),
     ]
     for families, how, claims in cases:
         mutate_table(families, **how)
@@ -627,7 +629,7 @@ def test_monotonicity_is_the_termwise_proof_in_either_mode(cfg):
         for p in range(2, 65):
             r = verify_monotonicity(family, p, cfg)
             claim = f"monotone:{family.value}:p={p}"
-            if termwise_sign(family, p, family.is_cos) == expected_sign_D(family, p).value:
+            if termwise_sign(family, p) == expected_sign_D(family, p).value:
                 assert r == VerificationReport(claim, Status.CERTIFIED, math.inf, math.nan, 0, Mode.RIGOROUS)
             else:
                 sampled.append((family, p))
@@ -640,7 +642,7 @@ def test_monotonicity_takes_no_proof_of_the_other_sign(mutate_table):
     """A table whose termwise sign is the other one proves nothing about the
     envelope direction: the grid samples f, which does not read the table."""
     mutate_table((TS,), factor=-1, general=False)
-    assert termwise_sign(TS, 5, False) == -expected_sign_D(TS, 5).value
+    assert termwise_sign(TS, 5) == -expected_sign_D(TS, 5).value
     r = verify_monotonicity(TS, 5, RIGOROUS)
     assert (r.status, r.mode, r.cells_checked) == (Status.CERTIFIED, Mode.GRID, RIGOROUS.grid_points - 1)
 
@@ -699,13 +701,15 @@ def test_proved_monotonicity_agrees_with_mpmath(family):
 
 def _full_grid_envelope(family, p, cfg, ec):
     """The envelope verdict over every point of the shared grid, from
-    eval_f_grid: (status, float.hex of min_margin and of worst_x, mode)."""
+    eval_f_grid: (status, float.hex of min_margin and of worst_x, mode), a
+    worst margin of 0.0, a float tie, INCONCLUSIVE."""
     xs = certify._grid(cfg.interior_margin, cfg.grid_points)
     fs = eval_f_grid(family, p, xs)
     margins = np.minimum(fs - ec.lower, ec.upper - fs)
     worst = int(np.argmin(margins))
-    status = Status.CERTIFIED if margins[worst] > 0.0 else Status.FALSIFIED
-    return status, float(margins[worst]).hex(), float(xs[worst]).hex(), Mode.GRID
+    margin = margins[worst]
+    status = Status.CERTIFIED if margin > 0.0 else Status.FALSIFIED if margin < 0.0 else Status.INCONCLUSIVE
+    return status, float(margin).hex(), float(xs[worst]).hex(), Mode.GRID
 
 
 def _swapped(ec):
@@ -759,6 +763,29 @@ def test_envelope_samples_the_grid_where_f_is_not_proved_monotone(family, p):
         assert (r.status, r.min_margin.hex(), r.worst_x.hex(), r.mode) == _full_grid_envelope(family, p, cfg, ec)
         assert r.status is Status.CERTIFIED and r.cells_checked == cfg.grid_points
         assert verify_envelope(family, p, cfg, constants=_swapped(ec)).status is Status.FALSIFIED
+
+
+def test_envelope_float_ties_are_inconclusive():
+    """At interior margin 1e-8 f's float value at a grid end rounds onto its
+    limit in all 252 (family, p = 2..64) envelopes: a worst margin of 0.0,
+    which no float sample decides, so INCONCLUSIVE, not a counterexample.
+    At 1e-15 the 31 whose worst margin is negative stay FALSIFIED."""
+    for margin, falsified in ((1e-8, 0), (1e-15, 31)):
+        cfg = VerificationConfig(interior_margin=margin)
+        reports = [verify_envelope(family, p, cfg) for family in FamilyKind for p in range(2, 65)]
+        for r in reports:
+            want = Status.FALSIFIED if r.min_margin < 0.0 else Status.INCONCLUSIVE
+            assert r.min_margin <= 0.0 and r.status is want, r
+        assert sum(r.status is Status.FALSIFIED for r in reports) == falsified
+
+
+def test_tolerance_report_tie_is_inconclusive():
+    """An error equal to the tolerance, or NaN, is no verdict either way."""
+    xs = [0.1, 0.2, 0.3]
+    r = _tolerance_report("c", [0.0, 1e-13, 0.0], xs, 1e-13)
+    assert (r.status, r.worst_x, r.min_margin) == (Status.INCONCLUSIVE, 0.2, 0.0)
+    r = _tolerance_report("c", [0.0, 0.0, math.nan], xs, 1e-13)
+    assert (r.status, r.worst_x) == (Status.INCONCLUSIVE, 0.3) and math.isnan(r.min_margin)
 
 
 # --- grid checks keep their label under a RIGOROUS config --------------------
@@ -1034,11 +1061,11 @@ TERMWISE = [(family, p) for family in FamilyKind for p in range(2, 65)]
 def test_termwise_sign_is_silent_only_at_the_cos_families_p2():
     """Over the 252 claims the lemma gives expected_sign_D's sign, and is
     silent (0) exactly at the cos families' p = 2."""
-    silent = [(f, p) for f, p in TERMWISE if termwise_sign(f, p, f.is_cos) == 0]
+    silent = [(f, p) for f, p in TERMWISE if termwise_sign(f, p) == 0]
     assert silent == [(TC, 2), (HC, 2)]
     for family, p in TERMWISE:
         if (family, p) not in silent:
-            assert termwise_sign(family, p, family.is_cos) == expected_sign_D(family, p).value
+            assert termwise_sign(family, p) == expected_sign_D(family, p).value
 
 
 @pytest.mark.parametrize("family", FamilyKind)
@@ -1047,7 +1074,7 @@ def test_termwise_sign_agrees_with_bisection_and_mpmath(family):
     and depth 20 certifies that same sign, and D from the definition in
     40-digit mpmath has it near both ends of (0, pi/2)."""
     for p in range(2, 65):
-        sign = termwise_sign(family, p, family.is_cos)
+        sign = termwise_sign(family, p)
         if not sign:
             continue
         assert _bisect(family, p, Sign(sign), RIGOROUS).status is Status.CERTIFIED, p
@@ -1065,11 +1092,23 @@ def test_termwise_route_reports():
         assert repr(verify_sign_D(family, p, sign, RIGOROUS)) == repr(_bisect(family, p, sign, RIGOROUS))
 
 
+def test_termwise_sign_reads_no_refused_table():
+    """Past MAX_SUM_P = 2^16 the sin families' own table, the sum form, is
+    refused, so the lemma is silent there without reading any table; the
+    RIGOROUS sign claim then reaches the refusal itself, as before."""
+    termwise_sign.cache_clear()
+    before = derivatives.exact_sin_comb_form.cache_info()
+    assert termwise_sign(TS, 2**16 + 1) == 0
+    assert derivatives.exact_sin_comb_form.cache_info() == before
+    with pytest.raises(ParameterError, match=r"^D's sum form has p//2 terms, too many at p=65537 > 65536$"):
+        verify_sign_D(TS, 2**16 + 1, Sign.NEG, RIGOROUS)
+
+
 @pytest.mark.parametrize("family,p", [(TC, 3), (TS, 3), (HC, 17), (HS, 64)])
 def test_wrong_sign_claim_still_bisects(family, p):
     """The lemma proves the other sign, so the claim falls through to the
     bisection, which looks at cells and falsifies it."""
-    wrong = Sign(-termwise_sign(family, p, family.is_cos))
+    wrong = Sign(-termwise_sign(family, p))
     r = verify_sign_D(family, p, wrong, RIGOROUS)
     assert repr(r) == repr(_bisect(family, p, wrong, RIGOROUS))
     _assert_falsified(family, p, wrong, r)

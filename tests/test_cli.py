@@ -102,6 +102,15 @@ def test_verify_rigorous_inconclusive_exit(capsys):
     assert sign_line.endswith(" cells=21 mode=rigorous")
 
 
+def test_verify_envelope_tie_exits_inconclusive(capsys):
+    """At interior margin 1e-8 f's float value at the grid's end ties its
+    limit: a worst margin of 0.0 is INCONCLUSIVE, exit 2, not a FALSIFIED 1."""
+    argv = ["verify", "--family", "trig-sin", "--p", "3", "--interior-margin", "1e-8"]
+    assert run(argv) == EXIT_INCONCLUSIVE
+    out = capsys.readouterr().out
+    assert "envelope:trig-sin:p=3: inconclusive min_margin=0 worst_x=1e-08 cells=2 mode=grid\n" in out
+
+
 @pytest.mark.parametrize(
     "argv,expected",
     [

@@ -13,6 +13,7 @@ import pytest
 from mp_oracle import mp_D
 
 import trigratio
+from trigratio import derivatives
 from trigratio.derivatives import (
     ParityError,
     MAX_SUM_P,
@@ -381,7 +382,6 @@ def test_d_sum_parity_dispatch():
     # each of its readers, by d_sum before it reads x, and ahead of MAX_SUM_P's refusal
     readers = [
         lambda f: exact_sin_comb_form(f, 4, False),
-        lambda f: termwise_sign(f, 4, False),
         lambda f: general_vs_sum_check(f, 4),
         lambda f: d_sum(f, 4, "x"),
         lambda f: d_sum(f, 2 * MAX_SUM_P, 0.5),
@@ -517,6 +517,22 @@ def test_general_form_equals_sum_form_exactly(family):
     for p, general in _forms(family):
         if not general:
             assert general_vs_sum_check(family, p), p
+
+
+def test_general_vs_sum_reads_the_two_tables_as_built(monkeypatch):
+    """The check compares the two tables as `exact_sin_comb_form` returns
+    them: once both are cached, it derives N_3 no further time, at every
+    pair with a sum form at p = 2..13 and at the largest sum form."""
+    pairs = [(f, p) for f in FamilyKind for p in range(2, 14) if not (f.is_cos and p % 2 == 0)]
+    pairs += [(TS, MAX_SUM_P), (TC, MAX_SUM_P - 1)]
+    for family, p in pairs:
+        exact_sin_comb_form(family, p, False), exact_sin_comb_form(family, p, True)
+    calls = []
+    n3 = derivatives._third_derivative_numerator
+    monkeypatch.setattr(derivatives, "_third_derivative_numerator", lambda *a: calls.append(a) or n3(*a))
+    _general_vs_sum.cache_clear()
+    assert all(general_vs_sum_check(family, p) for family, p in pairs)
+    assert calls == []
 
 
 # --- D's table from f's definition, in exact algebra --------------------------
@@ -700,7 +716,7 @@ def test_series_caches_are_bounded():
         eval_f_grid(TC, p, [0.005], dtype=np.longdouble)
         d_general(HS, p, 0.5)
         vanishing_limits_check(TC, p)
-        termwise_sign(TC, p, True)
+        termwise_sign(TC, p)
     for family in FamilyKind:  # 294 (family, p) pairs with a sum form, p < 100
         for p in range(2 + family.is_cos, 100, 1 + family.is_cos):
             general_vs_sum_check(family, p)
