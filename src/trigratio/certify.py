@@ -1,18 +1,18 @@
 """Numerical certification campaigns for the envelope and sign claims.
 
-GRID mode samples the interior of (0, pi/2) and reports the worst margin,
-CERTIFIED if positive, FALSIFIED if negative, else (a 0.0 tie, NaN) INCONCLUSIVE.
-RIGOROUS mode (sign-of-D claims only, all four families) proves termwise,
-then bisects.  The termwise lemma comes first: where every term of the
-family's own exact table of D keeps the claimed sign on (0, pi/2)
-(`derivatives.termwise_sign`), D keeps it on all of (0, pi/2), by a
-comparison of rationals with no libm, no rounded constant and no cell.
-That proves 250 of the 252 claims at p = 2..64, all but the cos families'
-at p = 2.  Where the lemma is silent or gives the other sign, the proof
+GRID mode samples the interior of (0, pi/2) and reports the worst margin:
+FALSIFIED if the least non-NaN one is negative, else INCONCLUSIVE at a 0.0
+tie or a NaN, else CERTIFIED.  RIGOROUS mode (sign-of-D claims only, all four
+families) proves termwise, then bisects.  The termwise lemma comes first:
+where every term of the family's own exact table of D keeps the claimed sign
+on (0, pi/2) (`derivatives.termwise_sign`), D keeps it on all of (0, pi/2),
+by a comparison of rationals with no libm, no rounded constant and no cell.
+That proves 250 of the 252 claims at p = 2..64, all but the cos families' at
+p = 2.  Where the lemma is silent or gives the other sign, the proof
 evaluates the closed forms of D(x) in outward-rounded interval arithmetic
 over adaptively bisected subintervals of [margin, pi/2 - margin], so a
-CERTIFIED verdict is a machine-checked sign proof up to the soundness of
-the interval primitives.  Both routes rest on the table being D.
+CERTIFIED verdict is a machine-checked sign proof up to the soundness of the
+interval primitives.  Both routes rest on the table being D.
 Monotonicity takes the termwise lemma in either mode: D = (x^3 f')'' and
 x^3 f' vanishes with its derivative at 0, so D's sign is f''s, a proof
 that says Mode.RIGOROUS; only where the lemma does not reach (the cos
@@ -152,9 +152,12 @@ def _grid(margin: float, points: int) -> np.ndarray:
 
 
 def _grid_verdict(claim, margins, xs, cells) -> VerificationReport:
-    """CERTIFIED if the worst (smallest) margin is positive, FALSIFIED if it
-    is negative, else (a float tie at 0.0, or NaN) INCONCLUSIVE."""
+    """The verdict on the least margin that is not NaN: FALSIFIED if negative,
+    else INCONCLUSIVE at a 0.0 tie or at the first NaN, else CERTIFIED."""
     worst = int(np.argmin(margins))
+    if math.isnan(margins[worst]):  # argmin stops at the first NaN, which must not hide a negative margin
+        least = int(np.argmin(np.where(np.isnan(margins), np.inf, margins)))
+        worst = least if margins[least] < 0.0 else worst
     margin = float(margins[worst])
     status = Status.CERTIFIED if margin > 0.0 else Status.FALSIFIED if margin < 0.0 else Status.INCONCLUSIVE
     return VerificationReport(claim, status, margin, float(xs[worst]), cells, Mode.GRID)

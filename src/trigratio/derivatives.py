@@ -31,12 +31,12 @@ from the family table `families.FAMILY_FNS`.  D has two evaluators, one entry po
   families have it at odd p only.  `certify` proves the sin families by it
   and the cos families by the general form, at every p.
 
-Each, like `dirichlet_sum`, takes a float or an array-like for x, checks it
-on its least and greatest point (`families._as_points`) and returns a float
-for a float; `d_general` and `d_sum` run an array in blocks of
-`families._BLOCK` points as `families.eval_f_grid` does, values bitwise
-independent of the blocking.  The identities `general_vs_sum_check` (the sum
-table against the general one, D by construction, in exact trig polynomials) and
+Each, like `dirichlet_sum`, takes a float or an array-like for x and returns
+a float for a float.  Both check x and run it in blocks by
+`families._evaluate`, as `families.eval_f_grid` does, values bitwise
+independent of the blocking; `d_general`'s series split is
+`families._series_or`.  The identities `general_vs_sum_check` (the sum table
+against the general one, D by construction, in exact trig polynomials) and
 `vanishing_limits_check` (D's series, at every real p of the range) are exact.
 """
 
@@ -51,14 +51,14 @@ from .families import (
     DomainError,
     FamilyKind,
     ParameterError,
-    HALF_PI,
     _even_series,
+    _evaluate,
     _RADIUS,
     _BLOCK,
     _as_points,
-    _by_blocks,
     _p_text,
     _ratio_series,
+    _series_or,
     _series_quotient,
     check_param_int,
     check_param_real,
@@ -298,26 +298,15 @@ def d_general(family: FamilyKind, p, x):
     cancels towards 0 (a bracket ~ x^5 against csc^4(x/p), an error of
     ~eps*(p/x)^4), which the series avoids.
 
-    An array runs in blocks of 2^14 points (`families._by_blocks`): values
-    bitwise independent of the blocking, temporaries of about one block."""
+    An array runs in blocks of 2^14 points (`families._evaluate`), each split
+    by `families._series_or`: values bitwise independent of the blocking."""
     p = check_param_real(p)
-    x, least, most = _as_points(x)
-    if not (0.0 < least and most < HALF_PI):
-        raise DomainError("x must lie in (0, pi/2)")
     reach = _RADIUS[not family.is_cos] * abs(p) * math.pi / 4.0
 
     def block(x):
-        small = x < reach
-        if small.all():
-            return _even_series(x, _d_series_coeffs(family, p))
-        out = np.empty_like(x)
-        big = ~small
-        out[big] = eval_sin_comb(family, p, x[big], True)
-        if small.any():
-            out[small] = _even_series(x[small], _d_series_coeffs(family, p))
-        return out
+        return _series_or(x, reach, lambda: _d_series_coeffs(family, p), lambda v: eval_sin_comb(family, p, v, True))
 
-    return _unwrap(_by_blocks(block, x))
+    return _unwrap(_evaluate(x, False, block))
 
 
 def d_sum(family: FamilyKind, p: int, x):
@@ -327,15 +316,11 @@ def d_sum(family: FamilyKind, p: int, x):
 
     The table is read before x: ParityError for the cos families with even
     p, which have none, and ParameterError past MAX_SUM_P, from its builder.
-    An array runs in blocks of 2^14 points after those checks
-    (`families._by_blocks`): values bitwise independent of the blocking,
-    temporaries of about one block."""
+    Then an array runs in blocks of 2^14 points (`families._evaluate`):
+    values bitwise independent of the blocking."""
     p = check_param_int(p)
     sin_comb_form(family, p, False)  # the table's own checks, before x is read
-    x, least, most = _as_points(x)
-    if not (0.0 < least and most < HALF_PI):
-        raise DomainError("x must lie in (0, pi/2)")
-    return _unwrap(_by_blocks(lambda b: eval_sin_comb(family, p, b, False), x))
+    return _unwrap(_evaluate(x, False, lambda b: eval_sin_comb(family, p, b, False)))
 
 
 # dirichlet_sum's caps: on k, where one point's k cosines and their list peak

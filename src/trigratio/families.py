@@ -23,9 +23,11 @@ anything else raises ParameterError.  There g(x/p) has no pole on
 zero x = 0.  Every series coefficient and D-table entry fits float64.
 
 The scalar and interval backends need no numpy.  The numpy backend loads on
-the first array call (`eval_f_grid`, `derivatives`):
-`load_numpy` imports numpy then and adds its entries to `FAMILY_FNS`, so
-point evaluation never pays numpy's import.
+the first array call (`eval_f_grid`, `derivatives`): `load_numpy` imports
+numpy then and adds its entries to `FAMILY_FNS`, so point evaluation never
+pays numpy's import.  Every array evaluator of f and D checks its points and
+runs them in blocks by `_evaluate`; `_series_or` splits a block between a
+series and a closed form.
 
 All functions are defined on (0, pi/2); `eval_f` extends to x = 0 by
 continuity.  Near zero the direct quotient cancels catastrophically, so
@@ -113,7 +115,7 @@ def load_numpy():
 
 
 # the top of p's range, up to which an integer p converts to float exactly
-# (far past it, at p > ~1.8e102, the cos families' D table leaves float64)
+# (from p = 3*2^54 on, D's general table rounds all four frequencies to 1.0)
 _P_MAX = 2.0**53
 
 
@@ -322,19 +324,42 @@ def _as_points(x, dtype=None):
 _BLOCK = 1 << 14
 
 
-def _by_blocks(kernel, xs):
-    """kernel(block) over xs in C order, in blocks of at most _BLOCK points,
-    written into one new array of xs's shape and dtype: values independent of
-    the blocking, as numpy's ufuncs work element by element.  An xs of one
-    block (a scalar, a 2048-point grid) is that block, as it is, so a scalar
-    keeps numpy's scalar arithmetic, 3x faster on D's 16-term series than a
-    one-point array's.  A larger non-contiguous xs is copied first."""
-    if xs.size <= _BLOCK:
-        return kernel(xs)
-    out = load_numpy().empty(xs.shape, xs.dtype)
-    flat_in, flat_out = xs.reshape(-1), out.reshape(-1)
+def _evaluate(x, closed, kernel, dtype=None):
+    """kernel(block) over the points x (`_as_points`, in dtype), once their
+    least and greatest lie in [0, pi/2) if closed, else in (0, pi/2):
+    DomainError before any block runs.  The array evaluators' one path.
+
+    The blocks, of at most _BLOCK points in C order, are written into one new
+    array of x's shape and dtype: values independent of the blocking, as
+    numpy's ufuncs work element by element.  An x of one block (a scalar, a
+    2048-point grid) is that block, as it is, so a scalar keeps numpy's
+    scalar arithmetic, 3x faster on D's 16-term series than a one-point
+    array's.  A larger non-contiguous x is copied first."""
+    x, least, most = _as_points(x, dtype)
+    if not ((0.0 <= least if closed else 0.0 < least) and most < HALF_PI):
+        raise DomainError("grid points must lie in [0, pi/2)" if closed else "x must lie in (0, pi/2)")
+    if x.size <= _BLOCK:
+        return kernel(x)
+    out = load_numpy().empty(x.shape, x.dtype)
+    flat_in, flat_out = x.reshape(-1), out.reshape(-1)
     for i in range(0, flat_out.size, _BLOCK):
         flat_out[i : i + _BLOCK] = kernel(flat_in[i : i + _BLOCK])
+    return out
+
+
+def _series_or(x, th, coeffs, direct):
+    """A block x: the even series on coeffs(), built where first needed, below
+    th and direct(x) above.  A block wholly below th is one series call, a 0-d
+    one's value a 0-d array.  f's split here, D's in `derivatives`."""
+    np = load_numpy()
+    small = x < th
+    if small.all():
+        return np.asarray(_even_series(x, coeffs()))
+    out = np.empty_like(x)
+    big = ~small
+    out[big] = direct(x[big])
+    if small.any():
+        out[small] = _even_series(x[small], coeffs())
     return out
 
 
@@ -342,30 +367,16 @@ def eval_f_grid(family: FamilyKind, p, xs, dtype=None):
     """Vectorized eval_f: a numpy array of f at the points xs in [0, pi/2), in
     the arithmetic of dtype (float64 by default) on float64 series coefficients.
 
-    The points run in blocks of `_BLOCK` (2^14) points: temporaries of about
-    one block, values bitwise the same however the array is split.  The
-    domain is checked on the least and greatest point (`_as_points`) before
-    any block runs."""
+    Checked and run in blocks of 2^14 points by `_evaluate` and `_series_or`:
+    values bitwise the same however the array is split."""
     p = check_param_real(p)
-    np = load_numpy()
-    xs, least, most = _as_points(xs, dtype)
-    if not (0.0 <= least and most < HALF_PI):
-        raise DomainError("grid points must lie in [0, pi/2)")
-    g, sin = FAMILY_FNS[family][np]
+    g, sin = FAMILY_FNS[family][load_numpy()]
     th = series_threshold(family)
 
-    def block(x):
-        out = np.empty_like(x)
-        small = x < th
-        if small.any():
-            out[small] = _even_series(x[small], f_series_coeffs(family, p))
-        big = ~small
-        if big.any():
-            x = x[big]
-            out[big] = _f_direct(family, p, x, g((1.0 / p) * x), g, sin)
-        return out
+    def direct(x):
+        return _f_direct(family, p, x, g((1.0 / p) * x), g, sin)
 
-    return _by_blocks(block, xs)
+    return _evaluate(xs, True, lambda x: _series_or(x, th, lambda: f_series_coeffs(family, p), direct), dtype)
 
 
 def limit_at_zero(family: FamilyKind, p) -> float:

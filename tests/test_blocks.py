@@ -95,6 +95,23 @@ def test_values_do_not_depend_on_the_split(name, family):
             _assert_same_bits(np.asarray(whole), _split_calls(f, xs, rng))
 
 
+@pytest.mark.parametrize("name", EVALUATORS)
+@pytest.mark.parametrize("family", list(FamilyKind))
+def test_scalar_result_type_on_both_sides_of_the_split(name, family):
+    """A scalar x gives eval_f_grid a 0-d array of its dtype, and d_general
+    and d_sum a Python float, below the series split and above it (at
+    p = 1.5, D's split lies at 0.59 or 1.18; d_sum has none), where a block
+    wholly on the series side takes a shortcut that yields a numpy scalar."""
+    fn, (p, _), _ = EVALUATORS[name]
+    for x in (0.005, 1.4):
+        got = fn(family, p, x)
+        if name.startswith("eval_f_grid"):
+            dtype = np.longdouble if name.endswith("longdouble") else np.float64
+            assert type(got) is np.ndarray and (got.ndim, got.dtype) == (0, dtype)
+        else:
+            assert type(got) is float
+
+
 def _forbid_blocks(monkeypatch):
     """Make every kernel of a block fail, so a call that raises the expected
     error has run none."""
@@ -103,6 +120,7 @@ def _forbid_blocks(monkeypatch):
         raise AssertionError("a block ran before the whole array was checked")
 
     for module, name in (
+        (families, "_series_or"),
         (families, "_even_series"),
         (families, "_f_direct"),
         (derivatives, "_even_series"),

@@ -344,7 +344,7 @@ def test_rigorous_bisection_ends_where_floats_do():
     """A cell with no float strictly inside it is a leaf.  Past depth ~53 its
     halves would be copies of it, doubling the cells at each level, so a
     depth cap of 200 never ended; now every cap from 54 up gives one report,
-    hyp-cos p = 2 POS falsified in 94 cells.  Run under a 10 s alarm."""
+    hyp-cos p = 2 POS falsified in 90 cells.  Run under a 10 s alarm."""
 
     def alarm(signum, frame):
         raise TimeoutError("the bisection did not end")
@@ -392,12 +392,12 @@ def test_rigorous_falsifies_wrong_sign():
 @pytest.mark.parametrize("family", [TC, HC])
 @pytest.mark.parametrize("p", [2 * 10**102, 10**103, 10**400], ids=["2e102", "1e103", "1e400"])
 def test_sign_D_past_float64_is_parameter_error(family, p, mode):
-    """The cos families' general-form factor 1/(8p^3) is subnormal at
-    p > ~1.8e102, and their weights ~ p^3 pass float64 at p > ~3.9e102.
-    Such p lie past the top of p's range, 2^53: ParameterError naming it, in
-    both modes, not a verdict from a table that lost its digits (FALSIFIED
-    with margin nan at 3e102) or a bare OverflowError (at 1e103).  The top
-    of the range itself is certified."""
+    """The cos families' general table has factor 1 and weights tending to
+    1/8 and 3/8, but its frequencies 1 -+ 1/p and 1 -+ 3/p all round to 1.0
+    in float64 from p = 3*2^54 on.  Such p lie past the top of p's range,
+    2^53: ParameterError naming it, in both modes, not a verdict from a
+    float table that lost its frequencies.  The top of the range itself is
+    certified."""
     cfg = VerificationConfig(mode=mode)
     name = str(p) if p < 2**1024 else "|p| >= 2^1328"
     with pytest.raises(ParameterError, match=rf"^p must be in \[2, 2\^53\], got {re.escape(name)}$"):
@@ -786,6 +786,18 @@ def test_tolerance_report_tie_is_inconclusive():
     assert (r.status, r.worst_x, r.min_margin) == (Status.INCONCLUSIVE, 0.2, 0.0)
     r = _tolerance_report("c", [0.0, 0.0, math.nan], xs, 1e-13)
     assert (r.status, r.worst_x) == (Status.INCONCLUSIVE, 0.3) and math.isnan(r.min_margin)
+
+
+def test_tolerance_report_nan_hides_no_counterexample():
+    """The verdict reads the least margin that is not NaN: one beyond the
+    tolerance falsifies wherever a NaN stands, and with none the NaN is
+    INCONCLUSIVE at its own x, all-NaN included."""
+    xs = [0.1, 0.2, 0.3]
+    r = _tolerance_report("c", [math.nan, 0.0, 1.0], xs, 1e-13)
+    assert (r.status, r.worst_x, r.min_margin) == (Status.FALSIFIED, 0.3, 1e-13 - 1.0)
+    for errors, x in (([math.nan] * 3, 0.1), ([0.0, math.nan, 1e-14], 0.2)):
+        r = _tolerance_report("c", errors, xs, 1e-13)
+        assert (r.status, r.worst_x) == (Status.INCONCLUSIVE, x) and math.isnan(r.min_margin)
 
 
 # --- grid checks keep their label under a RIGOROUS config --------------------

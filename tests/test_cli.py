@@ -299,8 +299,9 @@ HUGE_P = str(10**400)
         ["eval", "--family", "trig-cos", "--p", HUGE_P, "--x", "0.5"],
         ["cheb", "--p", HUGE_P, "--y", "1e-3"],
         ["verify", "--family", "hyp-sin", "--p", HUGE_P],
-        # past the top of p's range, 2^53 (the cos families' D table leaves
-        # float64 at p > ~1.8e102), and below its bottom, where cos(x/p) has a pole
+        # past the top of p's range, 2^53 (the cos families' D table rounds its
+        # four frequencies to 1.0 in float64 from p = 3*2^54 on), and below its
+        # bottom, where cos(x/p) has a pole
         pytest.param(["eval", "--family", "trig-cos", "--p", str(2**53 + 2), "--x", "1.0"], id="eval-trig-cos-2^53+2"),
         pytest.param(["eval", "--family", "trig-cos", "--p", "1", "--x", "1.5707963267948963"], id="eval-trig-cos-p1"),
         pytest.param(["verify", "--family", "trig-cos", "--p", str(10**103)], id="verify-trig-cos-1e103"),

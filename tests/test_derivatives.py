@@ -197,7 +197,7 @@ def test_d_general_huge_p(family):
     [
         (TC, 1e-120, 0.5),  # p^3 would underflow: ZeroDivisionError
         (TS, 1e-300, 0.5),
-        (TC, 1e-103, 0.5),  # 1/(8p^3) would overflow
+        (TC, 1e-103, 0.5),  # the general table's weights ~ 1/p^3 would overflow
         (TS, 1e-90, 0.5),  # 1 +- 3/p would round to +-3/p: a silent 0.0
         (HC, 0.005, 1.5),  # sinh((1 + 3/p)x) and cosh(x/p)^4 would overflow: nan
         (HS, 0.005, 1.5),
