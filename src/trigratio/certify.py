@@ -12,15 +12,15 @@ p = 2.  Where the lemma is silent or gives the other sign, the proof
 evaluates the closed forms of D(x) in outward-rounded interval arithmetic
 over adaptively bisected subintervals of [margin, pi/2 - margin], so a
 CERTIFIED verdict is a machine-checked sign proof up to the soundness of the
-interval primitives.  Both routes rest on the table being D.
+interval primitives.  Both routes rest on the table being D (below).
 Monotonicity takes the termwise lemma in either mode: D = (x^3 f')'' and
 x^3 f' vanishes with its derivative at 0, so D's sign is f''s, a proof
 that says Mode.RIGOROUS; only where the lemma does not reach (the cos
-families at p = 2, the sin families past MAX_SUM_P) does it sample f on a
-grid.  The envelope checks say Mode.GRID in either mode, as do the
-identity checks, some of which are exact: where the lemma proves f
-monotone they read f at the grid's two ends, where the least margin of a
-monotone f lies, and elsewhere every grid point.
+families at p = 2, the sin families without a checked sum table) does it
+sample f on a grid.  The envelope checks say Mode.GRID in either mode, as
+do the identity checks, all exact: where the lemma proves f monotone they
+read f at the grid's two ends, where the least margin of a monotone f
+lies, and elsewhere every grid point.
 
 Every route reads D from one table, `derivatives.exact_sin_comb_form`: the
 (w, c) terms and the factor of D(x) = -x * factor * sum_i w_i sin(c_i x),
@@ -43,10 +43,10 @@ against a bracket that vanishes like x^5), which is why the sin families
 always take the sum form, one table for both parities of p; the cos bracket
 does not cancel, so float64 suffices for it.  Certification does not call
 `derivatives.d_general`.  The general table is the numerator of D
-differentiated from f's definition, so it is D at every p; the identity
-checks prove in exact algebra that the sum tables equal it, so are D too,
-and that D's series, which `d_general` sums near 0, is the general form's;
-every grid and identity verdict is built by one `_grid_verdict`.
+differentiated from f's definition, so it is D at every p; a sin family's
+sum table enters a proof only where `derivatives.general_vs_sum_check` proves
+it equal in exact algebra at that p, and else the sign claim is INCONCLUSIVE.
+Every grid and identity verdict is built by one `_grid_verdict`.
 """
 
 from __future__ import annotations
@@ -58,9 +58,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chebyshev import cheb_u_eval
 from .derivatives import (
-    dirichlet_sum,
+    _chebyshev_check,
+    _dirichlet_check,
     eval_sin_comb,
     general_vs_sum_check,
     sin_comb_form,
@@ -244,13 +244,17 @@ def verify_sign_D(
     on all of (0, pi/2), and the report is that of a bisection that visited
     no cell: CERTIFIED, min_margin inf, worst_x nan, cells_checked 0.
     Otherwise (the cos families at p = 2, a wrong sign) it bisects
-    [margin, pi/2 - margin] in interval arithmetic."""
+    [margin, pi/2 - margin] in interval arithmetic.  A sin family's sum table
+    not proved D at p (`general_vs_sum_check`) proves nothing: INCONCLUSIVE,
+    min_margin and worst_x nan, no cell."""
     p = check_param_int(p)
     claim = f"sign-D:{family.value}:p={p}:{expected_sign.name}"
     if cfg.mode is Mode.RIGOROUS:
         if termwise_sign(family, p) == expected_sign.value:
             return _termwise_proof(claim)
-        return _verify_sign_rigorous(claim, family, p, expected_sign, cfg)
+        if family.is_cos or general_vs_sum_check(family, p):
+            return _verify_sign_rigorous(claim, family, p, expected_sign, cfg)
+        return VerificationReport(claim, Status.INCONCLUSIVE, math.nan, math.nan, 0, Mode.RIGOROUS)
     xs = _grid(cfg.interior_margin, cfg.grid_points)
     margins = float(expected_sign.value) * eval_sin_comb(family, p, xs, family.is_cos)
     return _grid_verdict(claim, margins, xs, len(xs))
@@ -260,7 +264,7 @@ def _proved_monotone(family: FamilyKind, p: int) -> bool:
     """Whether the termwise lemma gives D the sign `expected_sign_D` names,
     which makes f strictly monotone on (0, pi/2) in the envelope direction:
     every pair but the cos families' p = 2, where the lemma is silent, and
-    the sin families' past MAX_SUM_P, whose sum table is refused."""
+    the sin families' where their sum table is refused or unchecked."""
     return termwise_sign(family, p) == expected_sign_D(family, p).value
 
 
@@ -271,9 +275,8 @@ def verify_monotonicity(family: FamilyKind, p, cfg: VerificationConfig) -> Verif
     `expected_sign_D` names: h = x^3 f' has h(0) = h'(0) = 0 and h'' = D, so
     that sign passes to h', to h and to f' on all of (0, pi/2).  The report
     is the termwise sign proof's, Mode.RIGOROUS.  Elsewhere (the cos
-    families at p = 2, and the sin families past MAX_SUM_P, whose sum table
-    is refused) f is strictly ordered over consecutive grid points, a
-    Mode.GRID report."""
+    families at p = 2, and the sin families without a checked sum table) f
+    is strictly ordered over consecutive grid points, a Mode.GRID report."""
     p = check_param_int(p)
     claim = f"monotone:{family.value}:p={p}"
     if _proved_monotone(family, p):
@@ -323,42 +326,32 @@ def _tolerance_report(claim, errors, xs, tol) -> VerificationReport:
     return _grid_verdict(claim, tol - np.asarray(errors), xs, len(errors))
 
 
+def _exact_report(claim, holds, tol) -> VerificationReport:
+    """One cell per exact check, at x = 0.0: error 0.0 where it holds, else inf."""
+    errs = [0.0 if ok else math.inf for ok in holds]
+    return _tolerance_report(claim, errs, [0.0] * len(errs), tol)
+
+
 def verify_identities(cfg: VerificationConfig) -> list[VerificationReport]:
     """Cross-check every closed-form identity against its independent partner.
 
-    Every report says Mode.GRID, under any `cfg.mode`.  The general-vs-sum
-    claims are exact: `derivatives.general_vs_sum_check` proves each sum
-    table equal to the general one, D by construction, for the trig families
-    at p <= 13, and so for the hyperbolic families, which share the tables.
-    Each (family, p) pair is one cell, with error 0, or infinite where the
-    tables differ at all, and worst_x 0.0 as for the x-free vanishing-limits
-    claim.  That one is exact in D: `derivatives.vanishing_limits_check`
-    compares D's series, which `d_general` takes near 0, with the general
-    form's table coefficient by coefficient, a gap of exactly 0.0 where they
-    agree, and f's series with f at their crossover."""
-    reports = []
+    Every check is exact, with no sample point, so no report reads `cfg`:
+    each says Mode.GRID and worst_x 0.0 under any config.  By `derivatives`:
+    the sum tables equal the general one, D by construction, for the trig
+    families at p <= 13, and so for the hyperbolic ones, which share them
+    (`general_vs_sum_check`); the Dirichlet sum on the frequencies of the sin
+    families' sum table at p = 2k, k = 1..10 (`_dirichlet_check`);
+    U_n(cos t) sin t = sin((n+1) t) on `cheb_u(n)`'s coefficients, n = 0..30
+    (`_chebyshev_check`); and D's series, which `d_general` takes near 0,
+    the general form's coefficient by coefficient, a gap of exactly 0.0, and
+    f's series f at their crossover (`vanishing_limits_check`)."""
     even = [(FamilyKind.TRIG_SIN, 2 * k) for k in range(1, 7)]
     odd = [(family, 2 * k + 1) for k in range(1, 7) for family in (FamilyKind.TRIG_COS, FamilyKind.TRIG_SIN)]
-    for claim, pairs in (("identity:general-vs-even-sum", even), ("identity:general-vs-odd-sum", odd)):
-        errs = [0.0 if general_vs_sum_check(family, p) else math.inf for family, p in pairs]
-        reports.append(_tolerance_report(claim, errs, [0.0] * len(errs), 1e-12))
-
-    # Dirichlet-style sum of cosines vs its closed form, k-major
-    grid = np.linspace(cfg.interior_margin, math.pi - cfg.interior_margin, 100)
-    errs = []
-    for k in range(1, 11):
-        term_sum, closed = dirichlet_sum(k, grid)
-        errs.append(np.abs(term_sum - closed) / np.maximum(1.0, np.abs(closed)))
-    reports.append(_tolerance_report("identity:dirichlet-sum", np.concatenate(errs), np.tile(grid, 10), 1e-13))
-
-    # vanishing limits of x^3 f' and its derivative: f's series against f and D
-    errs = [gap for family in FamilyKind for p in range(2, 9) for gap in vanishing_limits_check(family, p)]
-    reports.append(_tolerance_report("identity:vanishing-limits", errs, [0.0] * len(errs), 1e-12))
-
-    # U_n(cos t) * sin t = sin((n+1) t), n-major
-    thetas = np.linspace(0.01, math.pi - 0.01, 100)
-    cos_t, sin_t = np.cos(thetas), np.sin(thetas)
-    errs = [np.abs(cheb_u_eval(n, cos_t) * sin_t - np.sin((n + 1) * thetas)) for n in range(0, 31)]
-    reports.append(_tolerance_report("identity:chebyshev-trig", np.concatenate(errs), np.tile(thetas, 31), 1e-11))
-
-    return reports
+    gaps = [gap for family in FamilyKind for p in range(2, 9) for gap in vanishing_limits_check(family, p)]
+    return [
+        _exact_report("identity:general-vs-even-sum", (general_vs_sum_check(f, p) for f, p in even), 1e-12),
+        _exact_report("identity:general-vs-odd-sum", (general_vs_sum_check(f, p) for f, p in odd), 1e-12),
+        _exact_report("identity:dirichlet-sum", map(_dirichlet_check, range(1, 11)), 1e-13),
+        _tolerance_report("identity:vanishing-limits", gaps, [0.0] * len(gaps), 1e-12),
+        _exact_report("identity:chebyshev-trig", map(_chebyshev_check, range(31)), 1e-11),
+    ]

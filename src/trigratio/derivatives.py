@@ -31,13 +31,13 @@ from the family table `families.FAMILY_FNS`.  D has two evaluators, one entry po
   families have it at odd p only.  `certify` proves the sin families by it
   and the cos families by the general form, at every p.
 
-Each, like `dirichlet_sum`, takes a float or an array-like for x and returns
-a float for a float.  Both check x and run it in blocks by
-`families._evaluate`, as `families.eval_f_grid` does, values bitwise
-independent of the blocking; `d_general`'s series split is
-`families._series_or`.  The identities `general_vs_sum_check` (the sum table
-against the general one, D by construction, in exact trig polynomials) and
-`vanishing_limits_check` (D's series, at every real p of the range) are exact.
+Each takes a float or an array-like for x and returns a float for a float.
+Both check x and run it in blocks by `families._evaluate`, as `eval_f_grid`
+does, values bitwise independent of the blocking; `d_general`'s series split
+is `families._series_or`.  The identity checks are exact: in trig polynomials
+`general_vs_sum_check` (the sum table against the general one, D by
+construction), `_dirichlet_check` and `_chebyshev_check`, and in series
+`vanishing_limits_check` (D's, at every real p of the range).
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ import functools
 import math
 from fractions import Fraction
 
+from .chebyshev import cheb_u
 from .families import (
     FAMILY_FNS,
     DomainError,
@@ -54,8 +55,7 @@ from .families import (
     _even_series,
     _evaluate,
     _RADIUS,
-    _BLOCK,
-    _as_points,
+    _as_point,
     _p_text,
     _ratio_series,
     _series_or,
@@ -130,7 +130,8 @@ def sin_comb_form(family: FamilyKind, p, general: bool) -> tuple[tuple, float]:
 def termwise_sign(family: FamilyKind, p) -> int:
     """The sign D keeps on all of (0, pi/2) by the termwise lemma, read off
     the family's own table (`general = family.is_cos`): +1 or -1, or 0 where
-    the lemma is silent or the table refused (sin families past MAX_SUM_P).
+    the lemma is silent, or where a sin family's sum table is refused (past
+    MAX_SUM_P) or not proved D at p by `general_vs_sum_check`.
 
     A term w sin(c x) keeps the sign of w*c on (0, pi/2) where |c| <= 2,
     since then |c x| < pi; w sinh(c x) keeps it for every c.  When every
@@ -140,7 +141,7 @@ def termwise_sign(family: FamilyKind, p) -> int:
     libm, no rounding.  The cos families' p = 2 general form mixes signs
     (weights -11/16 at frequency 1/2 and 5/64 at 3/2), so 0 there, as for
     any table the lemma does not reach."""
-    if not family.is_cos and p > MAX_SUM_P:
+    if not family.is_cos and (p > MAX_SUM_P or not _general_vs_sum(family, p)):
         return 0
     terms, factor = exact_sin_comb_form(family, p, family.is_cos)
     sign = 0
@@ -233,8 +234,9 @@ def general_vs_sum_check(family: FamilyKind, p) -> bool:
 
 
 def _per_p(freq: Fraction, p: int) -> int:
-    """The integer k of a frequency k/p."""
-    return freq.numerator * (p // freq.denominator)
+    """The integer k of a frequency k/p; else the Fraction freq * p, equal to no integer."""
+    q, r = divmod(p, freq.denominator)
+    return freq * p if r else freq.numerator * q
 
 
 @functools.lru_cache(maxsize=256)
@@ -248,6 +250,25 @@ def _general_vs_sum(family: FamilyKind, p: int) -> bool:
     sums = _trig(("sin", _per_p(e, p), v.numerator * (d // v.denominator)) for v, e in sums)
     den4 = {("cos", int(k)): int(8 * a) for (_, k), a in _DEN4[family.is_cos].items()}
     return _trig(_trig_product(sums, den4)) == _trig(("sin", _per_p(c, p), f * w * 16 * d / g) for w, c in gen)
+
+
+@functools.lru_cache(maxsize=256)
+def _dirichlet_check(k: int) -> bool:
+    """Whether the frequencies m/p of the sin families' sum table at p = 2k
+    give 2 sin t sum cos(m t) = sin(p t) in units t = x/p, which is
+    sum_{j<k} cos((2j+1)x/(2k)) = sin x / (2 sin(x/(2k)))."""
+    p = 2 * k
+    cosines = _trig(("cos", _per_p(c, p), 1) for _, c in exact_sin_comb_form(FamilyKind.TRIG_SIN, p, False)[0])
+    return _trig(_trig_product(cosines, {("sin", 1): 1})) == {("sin", p): 1}
+
+
+@functools.lru_cache(maxsize=256)
+def _chebyshev_check(n: int) -> bool:
+    """Whether `cheb_u(n)`'s coefficients a_j give U_n(cos t) sin t = sin((n+1) t),
+    in integers: 2^n cos^j t = 2^(n-j) sum_i C(j, i) cos((j-2i) t)."""
+    coeffs = cheb_u(n).coeffs
+    u = _trig(("cos", j - 2 * i, a * math.comb(j, i) << n - j) for j, a in enumerate(coeffs) for i in range(j + 1))
+    return _trig(_trig_product(u, {("sin", 1): 1})) == {("sin", n + 1): 2 ** (n + 1)}
 
 
 def _unwrap(out):
@@ -323,36 +344,20 @@ def d_sum(family: FamilyKind, p: int, x):
     return _unwrap(_evaluate(x, False, lambda b: eval_sin_comb(family, p, b, False)))
 
 
-# dirichlet_sum's caps: on k, where one point's k cosines and their list peak
-# at 48 MiB, and on the cosines of one call, points x k, which take 0.6-1.1 s
-# at the cap (Xeon, CPython 3.11; a 2^20-point array at k = 2^20 would take a day)
-_DIRICHLET_K_CAP = 2**20
-_DIRICHLET_TERMS_CAP = 2**24
+_DIRICHLET_K_CAP = 2**20  # dirichlet_sum's cap: one point's k cosines and their list peak at 48 MiB
 
 
-def dirichlet_sum(k: int, x):
-    """Sum of cos((2j+1)x/(2k)) for j < k, term by term and via sin x / (2 sin(x/(2k))),
-    for a float or an array-like x in (0, pi), k <= 2^20 and points x k <= 2^24:
-    one numpy call per chunk of about `families._BLOCK` cosines, and
-    `math.fsum`, exactly rounded, per point, so the values do not depend on
-    the chunking.  ParameterError past either cap, before any cosine."""
+def dirichlet_sum(k: int, x: float) -> tuple[float, float]:
+    """Sum of cos((2j+1)x/(2k)) for j < k, term by term (`math.fsum`, exactly
+    rounded) and via sin x / (2 sin(x/(2k))), for a real x in (0, pi), not
+    an array, and k <= 2^20, the cap checked before any cosine."""
     if type(k) is not int or not 1 <= k <= _DIRICHLET_K_CAP:
         k = check_param_int(k, "k", 1, _DIRICHLET_K_CAP)
-    x, least, most = _as_points(x)
-    if x.size * k > _DIRICHLET_TERMS_CAP:
-        raise ParameterError(f"{x.size} points x k={k} cosines above cap 2^24 for the Dirichlet sum")
-    if not (0.0 < least and most < math.pi):
-        raise DomainError("x must lie in (0, pi)")
-    # sin(x/(2k)) is least at the least x, and sin(y) = y there
-    if least / (2.0 * k) < 1e-300:
+    x = _as_point(x, math.pi, where="(0, pi)")
+    if x / (2.0 * k) < 1e-300:  # sin(y) = y there
         raise DomainError(f"sin(x/(2k)) vanishes for k={k}")
-    odd, flat = np.arange(1.0, 2 * k, 2.0), x.reshape(-1)
-    term_sum, step = np.empty(flat.size), max(1, _BLOCK // k)
-    for i in range(0, flat.size, step):
-        terms = np.cos(np.multiply.outer(flat[i : i + step], odd) / (2.0 * k))
-        term_sum[i : i + step] = [math.fsum(row) for row in terms.tolist()]
-    closed = np.sin(x) / (2.0 * np.sin(x / (2.0 * k)))
-    return _unwrap(term_sum.reshape(x.shape)), _unwrap(closed)
+    term_sum = math.fsum(math.cos((2 * j + 1) * x / (2.0 * k)) for j in range(k))
+    return term_sum, math.sin(x) / (2.0 * math.sin(x / (2.0 * k)))
 
 
 @functools.lru_cache(maxsize=256)

@@ -11,10 +11,9 @@ def mutate_table(monkeypatch):
     general table (its sum table where general=False, both where None), for
     the given families, has its last weight moved away from 0 by delta (in
     the general table, that of its highest frequency), its first weight scaled by
-    scale and its factor by factor; the other tables stay intact.  The caches built from the table,
-    `sin_comb_form`, `termwise_sign`, D's series `_table_d_series` and the
-    general-vs-sum check `_general_vs_sum`, are emptied on both sides, so no
-    entry built from the mutation outlives the test."""
+    scale and its factor by factor; the other tables stay intact.  The caches
+    built from the tables (`_clear`) are emptied on both sides, so no entry
+    built from the mutation outlives the test."""
     table = derivatives.exact_sin_comb_form
 
     def mutate(families, delta=0, scale=1, factor=1, general=True):
@@ -33,8 +32,22 @@ def mutate_table(monkeypatch):
     _clear()
 
 
+@pytest.fixture
+def fresh_caches():
+    """Empty the caches of `_clear` before and after a test that patches what
+    they are built from itself."""
+    _clear()
+    yield
+    _clear()
+
+
 def _clear():
+    """Empty the caches built from D's tables or from `cheb_u`: `sin_comb_form`,
+    `termwise_sign`, D's series `_table_d_series` and the exact identity
+    checks."""
     derivatives.sin_comb_form.cache_clear()
     derivatives.termwise_sign.cache_clear()
     derivatives._table_d_series.cache_clear()
     derivatives._general_vs_sum.cache_clear()
+    derivatives._dirichlet_check.cache_clear()
+    derivatives._chebyshev_check.cache_clear()

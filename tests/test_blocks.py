@@ -1,8 +1,8 @@
 """Tests for the block-wise array evaluators `eval_f_grid`, `d_general` and
 `d_sum`: their values do not depend on how an array is split, whole-array
 checks run before any block, and temporaries stay at about one block.  Also
-the one point check all five array evaluators share (`families._as_points`),
-and `dirichlet_sum`'s chunks."""
+the one point check all four array evaluators share (`families._as_points`),
+and `dirichlet_sum`'s cap on k."""
 
 import math
 import re
@@ -123,7 +123,6 @@ def _forbid_blocks(monkeypatch):
         (families, "_series_or"),
         (families, "_even_series"),
         (families, "_f_direct"),
-        (derivatives, "_even_series"),
         (derivatives, "eval_sin_comb"),
     ):
         monkeypatch.setattr(module, name, ran)
@@ -177,12 +176,11 @@ def test_peak_memory_of_an_array_call(fn, family):
     assert peak <= out.nbytes + (4 << 20)
 
 
-# the five array evaluators, each on its own domain: name -> call on x
-FIVE = {
+# the four array evaluators, each on its own domain: name -> call on x
+FOUR = {
     "eval_f_grid": lambda x: eval_f_grid(TS, 3, x),
     "d_general": lambda x: d_general(TC, 3, x),
     "d_sum": lambda x: d_sum(TS, 3, x),
-    "dirichlet_sum": lambda x: dirichlet_sum(3, x),
     "cheb_u_eval": lambda x: cheb_u_eval(3, x),
 }
 
@@ -196,27 +194,27 @@ NOT_REAL = [
 ]
 
 
-@pytest.mark.parametrize("name", FIVE)
+@pytest.mark.parametrize("name", FOUR)
 def test_points_that_are_not_real_raise(name):
     """A complex point is no real point, even with a zero imaginary part:
     numpy would drop that part with a ComplexWarning.  Neither is a bool,
     which it would read as 1.0, nor a string or an object, which conversion
-    would parse.  All five evaluators say so alike."""
+    would parse.  All four evaluators say so alike."""
     for x, what in NOT_REAL:
         with pytest.raises(DomainError, match=f"^points must be real numbers, not {what}$"):
-            FIVE[name](x)
+            FOUR[name](x)
 
 
-@pytest.mark.parametrize("name", FIVE)
+@pytest.mark.parametrize("name", FOUR)
 def test_a_list_is_its_array(name):
     """Each evaluator takes any array-like: a list or a tuple gives, bit for
     bit, the array's result; an empty array is in every domain."""
     x = [0.1, 0.2, 0.7, 0.9]
-    want = FIVE[name](np.array(x))
-    for got in (FIVE[name](x), FIVE[name](tuple(x))):
+    want = FOUR[name](np.array(x))
+    for got in (FOUR[name](x), FOUR[name](tuple(x))):
         for a, b in zip(*(w if isinstance(w, tuple) else (w,) for w in (want, got))):
             assert a.dtype == b.dtype == np.float64 and a.tobytes() == b.tobytes()
-    empty = FIVE[name](np.array([]))
+    empty = FOUR[name](np.array([]))
     assert all(e.shape == (0,) for e in (empty if isinstance(empty, tuple) else (empty,)))
 
 
@@ -234,53 +232,9 @@ def test_as_points_reads_the_span():
     assert _as_points(x)[0] is x  # no copy where x already has the dtype
 
 
-def _dirichlet_points(n):
-    return np.random.default_rng(20).uniform(1e-3, math.pi - 1e-3, n)
-
-
-@pytest.mark.parametrize("k", [1, 3, 64, 300, B + 1])
-def test_dirichlet_values_do_not_depend_on_the_chunks(k):
-    """dirichlet_sum on one array equals, bit for bit, its calls on random
-    slices and on each point alone: each point's fsum rounds exactly."""
-    rng = np.random.default_rng(k)
-    xs = _dirichlet_points(3 * max(1, B // k) + 7 if k <= B else 5)
-    terms, closed = dirichlet_sum(k, xs)
-    parts = _split_calls(lambda x: dirichlet_sum(k, x)[0], xs, rng)
-    assert terms.tobytes() == parts.tobytes()
-    assert [dirichlet_sum(k, float(x))[0] for x in xs[:5]] == terms[:5].tolist()
-    assert closed.tobytes() == _split_calls(lambda x: dirichlet_sum(k, x)[1], xs, rng).tobytes()
-    two_d = dirichlet_sum(k, xs[:4].reshape(2, 2))
-    assert two_d[0].tobytes() == terms[:4].tobytes() and two_d[1].shape == (2, 2)
-
-
-def test_peak_memory_of_dirichlet_sum():
-    """k cosines per point run in chunks of about a block: the peak stays
-    within the result plus 4 MiB, where all n*k cosines and their list took
-    ~10 MiB on these points (41.6 MiB on 2^14)."""
-    xs = _dirichlet_points(1 << 12)
-    dirichlet_sum(64, xs[:10])
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        terms, closed = dirichlet_sum(64, xs)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert peak <= terms.nbytes + closed.nbytes + (4 << 20)
-
-
 def test_dirichlet_caps_k():
     """k above 2^20 is refused before any cosine is taken, as a point's k
     terms alone peak at 48 MiB there."""
     for k, text in ((2**20 + 1, "1048577"), (10**400, "|k| >= 2^1328")):
         with pytest.raises(ParameterError, match=rf"^k must be in \[1, 2\^20\], got {re.escape(text)}$"):
-            dirichlet_sum(k, np.full(1 << 20, 0.5))
-
-
-def test_dirichlet_caps_points_times_k(monkeypatch):
-    """points x k above 2^24 cosines is refused before any cosine is taken:
-    2^20 points at k = 2^20 would run for about a day."""
-    monkeypatch.setattr(np, "cos", None)  # any cosine would raise TypeError
-    for n, k in ((1 << 20, 1 << 20), ((1 << 24) // 7 + 1, 7), (17, 1 << 20)):
-        with pytest.raises(ParameterError, match=rf"^{n} points x k={k} cosines above cap 2\^24 for the Dirichlet sum$"):
-            dirichlet_sum(k, np.broadcast_to(0.5, (n,)))
+            dirichlet_sum(k, 0.5)

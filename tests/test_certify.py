@@ -542,9 +542,10 @@ def test_identities_do_not_need_80_bits():
 
 
 def _reference_identities(cfg):
-    """verify_identities as written before its array paths: one scalar
-    `dirichlet_sum` or `cheb_u_eval` call per point, math.cos and math.sin
-    for the Chebyshev identity, the errors listed k-major and n-major."""
+    """verify_identities from the definitions: the sin families' sum table at
+    p = 2k has the Dirichlet sum's frequencies (2j+1)/(2k), j < k, exactly,
+    and cheb_u(n) has U_n's explicit coefficients, sum_i (-1)^i C(n-i, i)
+    (2x)^(n-2i); one cell per k or n, at x = 0.0, error 0.0 or inf."""
     reports = []
     even = [(FamilyKind.TRIG_SIN, 2 * k) for k in range(1, 7)]
     odd = [(family, 2 * k + 1) for k in range(1, 7) for family in (FamilyKind.TRIG_COS, FamilyKind.TRIG_SIN)]
@@ -552,14 +553,11 @@ def _reference_identities(cfg):
         errs = [0.0 if general_vs_sum_check(family, p) else math.inf for family, p in pairs]
         reports.append(_tolerance_report(claim, errs, [0.0] * len(errs), 1e-12))
 
-    errs, pts = [], []
-    grid = np.linspace(cfg.interior_margin, math.pi - cfg.interior_margin, 100)
+    errs = []
     for k in range(1, 11):
-        for x in grid:
-            term_sum, closed = dirichlet_sum(k, float(x))
-            errs.append(abs(term_sum - closed) / max(1.0, abs(closed)))
-            pts.append(x)
-    reports.append(_tolerance_report("identity:dirichlet-sum", errs, pts, 1e-13))
+        terms, _ = derivatives.exact_sin_comb_form(FamilyKind.TRIG_SIN, 2 * k, False)
+        errs.append(0.0 if [c for _, c in terms] == [Fraction(2 * j + 1, 2 * k) for j in range(k)] else math.inf)
+    reports.append(_tolerance_report("identity:dirichlet-sum", errs, [0.0] * 10, 1e-13))
 
     errs, pts = [], []
     for family in FamilyKind:
@@ -569,23 +567,67 @@ def _reference_identities(cfg):
             pts.extend([0.0, 0.0])
     reports.append(_tolerance_report("identity:vanishing-limits", errs, pts, 1e-12))
 
-    errs, pts = [], []
-    thetas = np.linspace(0.01, math.pi - 0.01, 100)
-    for n in range(0, 31):
-        for t in thetas:
-            err = abs(cheb_u_eval(n, math.cos(t)) * math.sin(t) - math.sin((n + 1) * t))
-            errs.append(err)
-            pts.append(t)
-    reports.append(_tolerance_report("identity:chebyshev-trig", errs, pts, 1e-11))
+    errs = []
+    for n in range(31):
+        explicit = [0] * (n + 1)
+        for i in range(n // 2 + 1):
+            explicit[n - 2 * i] = (-1) ** i * math.comb(n - i, i) * 2 ** (n - 2 * i)
+        errs.append(0.0 if list(cheb_u(n).coeffs) == explicit else math.inf)
+    reports.append(_tolerance_report("identity:chebyshev-trig", errs, [0.0] * 31, 1e-11))
     return reports
 
 
 @pytest.mark.parametrize("margin", [1e-3, 1e-6, 0.3])
 def test_identities_match_scalar_reference(margin):
-    """The array identity suite gives the scalar loops' five reports exactly:
-    the same errors in the same order, so the same worst point and margin."""
+    """The identity suite gives the definitions' five reports exactly, under
+    any interior margin, which no exact check reads: the Dirichlet and
+    Chebyshev claims one cell per k and n, margin their tolerance."""
     cfg = VerificationConfig(interior_margin=margin)
-    assert verify_identities(cfg) == _reference_identities(cfg)
+    reports = verify_identities(cfg)
+    assert reports == _reference_identities(cfg)
+    assert reports[2] == VerificationReport("identity:dirichlet-sum", Status.CERTIFIED, 1e-13, 0.0, 10, Mode.GRID)
+    assert reports[4] == VerificationReport("identity:chebyshev-trig", Status.CERTIFIED, 1e-11, 0.0, 31, Mode.GRID)
+
+
+def _falsified(reports):
+    return [r.claim_id for r in reports if r.status is Status.FALSIFIED]
+
+
+def test_chebyshev_identity_reads_cheb_u(monkeypatch, fresh_caches):
+    """One coefficient of U_7 moved by 1 falsifies the Chebyshev claim alone,
+    at that degree's cell: it is decided on cheb_u's own coefficients."""
+
+    def mutated(n):
+        u = cheb_u(n)
+        return u if n != 7 else dataclasses.replace(u, coeffs=(u.coeffs[0], u.coeffs[1] + 1, *u.coeffs[2:]))
+
+    monkeypatch.setattr(derivatives, "cheb_u", mutated)
+    reports = verify_identities(CFG)
+    assert _falsified(reports) == ["identity:chebyshev-trig"]
+    assert reports[4] == VerificationReport("identity:chebyshev-trig", Status.FALSIFIED, -math.inf, 0.0, 31, Mode.GRID)
+
+
+@pytest.mark.parametrize("freq", [Fraction(21, 20), Fraction(19, 11)])
+def test_dirichlet_identity_reads_the_even_sum_table(freq, monkeypatch, fresh_caches):
+    """One frequency of the sin families' sum table at p = 20 moved from
+    19/20 to freq falsifies the Dirichlet claim alone: it is decided on that
+    table's frequencies, which the general-vs-sum claims read only at
+    p <= 13.  19/11 is no multiple of 1/20, yet 19 * (20 // 11) = 19 units
+    of 1/20: neither check may read it as 19/20."""
+    table = derivatives.exact_sin_comb_form
+
+    def moved(family, p, general):
+        terms, factor = table(family, p, general)
+        if (family, p, general) == (TS, 20, False):
+            *head, (w, _) = terms
+            terms = (*head, (w, freq))
+        return terms, factor
+
+    monkeypatch.setattr(derivatives, "exact_sin_comb_form", moved)
+    reports = verify_identities(CFG)
+    assert _falsified(reports) == ["identity:dirichlet-sum"]
+    assert reports[2].min_margin == -math.inf
+    assert not general_vs_sum_check(TS, 20)
 
 
 def test_vanishing_limits_mutation_falsifies(monkeypatch):
@@ -640,8 +682,10 @@ def test_monotonicity_is_the_termwise_proof_in_either_mode(cfg):
 
 def test_monotonicity_takes_no_proof_of_the_other_sign(mutate_table):
     """A table whose termwise sign is the other one proves nothing about the
-    envelope direction: the grid samples f, which does not read the table."""
-    mutate_table((TS,), factor=-1, general=False)
+    envelope direction: the grid samples f, which does not read the table.
+    Both of trig-sin's tables are negated, so that the sum table still
+    passes its check against the general one, as a proof requires."""
+    mutate_table((TS,), factor=-1, general=None)
     assert termwise_sign(TS, 5) == -expected_sign_D(TS, 5).value
     r = verify_monotonicity(TS, 5, RIGOROUS)
     assert (r.status, r.mode, r.cells_checked) == (Status.CERTIFIED, Mode.GRID, RIGOROUS.grid_points - 1)
@@ -1102,6 +1146,25 @@ def test_termwise_route_reports():
     for family, p in ((TC, 2), (HC, 2)):
         sign = expected_sign_D(family, p)
         assert repr(verify_sign_D(family, p, sign, RIGOROUS)) == repr(_bisect(family, p, sign, RIGOROUS))
+
+
+def test_unchecked_sum_table_proves_nothing(mutate_table):
+    """A sum table enters a proof only where the general-vs-sum check holds at
+    its p.  trig-sin's at p = 40 with its last weight moved by 1 still has
+    weights > 0 at frequencies < 1, so the lemma alone would prove D < 0 by
+    it; the check fails instead, so the RIGOROUS sign claim is INCONCLUSIVE
+    with no cell, monotonicity and the envelope sample f on the grid, and
+    hyp-sin, whose table is intact, is still proved."""
+    mutate_table((TS,), delta=1, general=False)
+    assert not general_vs_sum_check(TS, 40) and termwise_sign(TS, 40) == 0
+    for cfg in (CFG, RIGOROUS):
+        assert verify_monotonicity(TS, 40, cfg).mode is Mode.GRID
+        assert verify_envelope(TS, 40, cfg).cells_checked == CFG.grid_points
+    r = verify_sign_D(TS, 40, Sign.NEG, RIGOROUS)
+    assert r == VerificationReport("sign-D:trig-sin:p=40:NEG", Status.INCONCLUSIVE, math.nan, math.nan, 0, Mode.RIGOROUS)
+    r = verify_sign_D(HS, 40, Sign.NEG, RIGOROUS)
+    assert r == VerificationReport("sign-D:hyp-sin:p=40:NEG", Status.CERTIFIED, math.inf, math.nan, 0, Mode.RIGOROUS)
+    assert verify_monotonicity(HS, 40, CFG).mode is Mode.RIGOROUS
 
 
 def test_termwise_sign_reads_no_refused_table():

@@ -26,12 +26,15 @@ from trigratio.derivatives import (
     sin_comb_form,
     termwise_sign,
     vanishing_limits_check,
+    _chebyshev_check,
     _d_series_coeffs,
     _DEN4,
+    _dirichlet_check,
     _general_vs_sum,
     _table_d_series,
     _trig,
 )
+from trigratio.chebyshev import DEGREE_CAP
 from trigratio.families import (
     _even_series,
     _ratio_series,
@@ -625,19 +628,14 @@ def _reference_dirichlet_sum(k, x):
 
 @pytest.mark.parametrize("k", range(1, 11))
 def test_dirichlet_sum_arrays_match_scalar_calls(k):
-    """An array gives, bit for bit, the scalar call at each point, in the
-    shape of x, and a float gives floats; both are the scalar formula's
-    values, the terms summed by math.fsum (numpy's cos and sin being libm's)."""
+    """A float gives floats, bit for bit the scalar formula's values, the
+    terms summed by math.fsum; an array is no point and raises."""
     xs = np.linspace(1e-6, math.pi - 1e-6, 101)
-    term_sums, closeds = dirichlet_sum(k, xs)
     scalar = [dirichlet_sum(k, x) for x in xs.tolist()]
     assert all(type(v) is float for pair in scalar for v in pair)
     assert scalar == [_reference_dirichlet_sum(k, x) for x in xs.tolist()]
-    assert term_sums.tobytes() == np.array([s for s, _ in scalar]).tobytes()
-    assert closeds.tobytes() == np.array([c for _, c in scalar]).tobytes()
-    term_sums, closeds = dirichlet_sum(k, xs[1:].reshape(4, 25))
-    assert term_sums.shape == closeds.shape == (4, 25)
-    assert term_sums.tobytes() == np.array([s for s, _ in scalar[1:]]).tobytes()
+    with pytest.raises(DomainError, match="^x must be a real number, got array"):
+        dirichlet_sum(k, xs)
 
 
 def test_dirichlet_sum_oracle():
@@ -686,16 +684,18 @@ def test_closed_forms_reject_nan(evaluate):
 @pytest.mark.parametrize("x", [True, np.True_, np.array([True, False])], ids=["bool", "np-bool", "bool-array"])
 def test_bool_points_fail_loudly(x):
     """A bool is no point: read as 1.0 or 0.0 it would give D(1.0) or a
-    domain error about 0; every D evaluator and dirichlet_sum raise instead."""
+    domain error about 0; every D evaluator and dirichlet_sum raise instead,
+    dirichlet_sum, which takes a scalar x only, by the scalar-point rule."""
     calls = [
         lambda: d_general(TS, 2, x),
         lambda: d_sum(TS, 2, x),
         lambda: d_sum(HC, 3, x),
-        lambda: dirichlet_sum(3, x),
     ]
     for call in calls:
         with pytest.raises(DomainError, match="bools"):
             call()
+    with pytest.raises(DomainError, match="^x must be a real number, got "):
+        dirichlet_sum(3, x)
 
 
 def test_weights_hook_changes_result(mutate_table):
@@ -709,7 +709,8 @@ def test_weights_hook_changes_result(mutate_table):
 def test_series_caches_are_bounded():
     """A sweep over 300 distinct p holds at most 256 entries in each series
     cache, in eval_f's per-(family, p) record (unbounded, 20,000 p through
-    eval_f grew the process by 53 MiB) and in the general-vs-sum check's."""
+    eval_f grew the process by 53 MiB) and in the exact identity checks'
+    (the Chebyshev one's degree stops at 64)."""
     for i in range(300):
         p = 2.0 + i / 512  # dyadic, so the exact series stay short
         eval_f(TS, p, 0.01)
@@ -720,6 +721,11 @@ def test_series_caches_are_bounded():
     for family in FamilyKind:  # 294 (family, p) pairs with a sum form, p < 100
         for p in range(2 + family.is_cos, 100, 1 + family.is_cos):
             general_vs_sum_check(family, p)
-    caches = (_ratio_series, f_series_coeffs, _scalar_fns, _d_series_coeffs, _table_d_series, termwise_sign, _general_vs_sum)
+    for k in range(1, 301):
+        _dirichlet_check(k)
+    for n in range(DEGREE_CAP + 1):
+        _chebyshev_check(n)
+    caches = (_ratio_series, f_series_coeffs, _scalar_fns, _d_series_coeffs, _table_d_series, termwise_sign)
+    caches += (_general_vs_sum, _dirichlet_check, _chebyshev_check)
     for cache in caches:
         assert cache.cache_info().currsize <= 256
