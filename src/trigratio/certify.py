@@ -8,19 +8,19 @@ where every term of the family's own exact table of D keeps the claimed sign
 on (0, pi/2) (`derivatives.termwise_sign`), D keeps it on all of (0, pi/2),
 by a comparison of rationals with no libm, no rounded constant and no cell.
 That proves 250 of the 252 claims at p = 2..64, all but the cos families' at
-p = 2.  Where the lemma is silent or gives the other sign, the proof
-evaluates the closed forms of D(x) in outward-rounded interval arithmetic
-over adaptively bisected subintervals of [margin, pi/2 - margin], so a
+p = 2, and every sin-family claim up to p = 2^53.  Where the lemma is silent
+or gives the other sign, the proof evaluates the closed forms of D(x) in
+outward-rounded interval arithmetic over adaptively bisected subintervals
+of [margin, pi/2 - margin], so a
 CERTIFIED verdict is a machine-checked sign proof up to the soundness of the
 interval primitives.  Both routes rest on the table being D (below).
 Monotonicity takes the termwise lemma in either mode: D = (x^3 f')'' and
 x^3 f' vanishes with its derivative at 0, so D's sign is f''s, a proof
 that says Mode.RIGOROUS; only where the lemma does not reach (the cos
-families at p = 2, the sin families without a checked sum table) does it
-sample f on a grid.  The envelope checks say Mode.GRID in either mode, as
-do the identity checks, all exact: where the lemma proves f monotone they
-read f at the grid's two ends, where the least margin of a monotone f
-lies, and elsewhere every grid point.
+families at p = 2) does it sample f on a grid.  The envelope checks say
+Mode.GRID in either mode, as do the identity checks, all exact: where the
+lemma proves f monotone they read f at the grid's two ends, where the least
+margin of a monotone f lies, and elsewhere every grid point.
 
 Every route reads D from one table, `derivatives.exact_sin_comb_form`: the
 (w, c) terms and the factor of D(x) = -x * factor * sum_i w_i sin(c_i x),
@@ -44,8 +44,11 @@ always take the sum form, one table for both parities of p; the cos bracket
 does not cancel, so float64 suffices for it.  Certification does not call
 `derivatives.d_general`.  The general table is the numerator of D
 differentiated from f's definition, so it is D at every p; a sin family's
-sum table enters a proof only where `derivatives.general_vs_sum_check` proves
-it equal in exact algebra at that p, and else the sign claim is INCONCLUSIVE.
+sum table is D at every p by the Chebyshev corollary, whose recurrence
+`derivatives._sum_form_lemma` checks once per family in exact algebra with p
+symbolic, also against the general table at its base cases; where it
+fails, the family's sign claims are INCONCLUSIVE.  So the sin families'
+termwise proofs hold at every p of the range and read no table.
 Every grid and identity verdict is built by one `_grid_verdict`.
 """
 
@@ -61,6 +64,7 @@ import numpy as np
 from .derivatives import (
     _chebyshev_check,
     _dirichlet_check,
+    _sum_form_lemma,
     eval_sin_comb,
     general_vs_sum_check,
     sin_comb_form,
@@ -239,22 +243,24 @@ def verify_sign_D(
 ) -> VerificationReport:
     """Certify that D(x) keeps `expected_sign` on the interior of (0, pi/2).
 
+    A family's tables prove nothing where its `derivatives._sum_form_lemma`
+    fails: INCONCLUSIVE in either mode, min_margin and worst_x nan, no cell.
     RIGOROUS tries the termwise lemma first (`derivatives.termwise_sign`):
     where every term of D's exact table keeps the expected sign, D keeps it
     on all of (0, pi/2), and the report is that of a bisection that visited
-    no cell: CERTIFIED, min_margin inf, worst_x nan, cells_checked 0.
-    Otherwise (the cos families at p = 2, a wrong sign) it bisects
-    [margin, pi/2 - margin] in interval arithmetic.  A sin family's sum table
-    not proved D at p (`general_vs_sum_check`) proves nothing: INCONCLUSIVE,
-    min_margin and worst_x nan, no cell."""
+    no cell: CERTIFIED, min_margin inf, worst_x nan, cells_checked 0, at
+    every p.  Otherwise (the cos families at p = 2, a wrong sign) it bisects
+    [margin, pi/2 - margin] in interval arithmetic.  A sin family's sum
+    table, which that bisection and every GRID claim read, is refused past
+    MAX_SUM_P: ParameterError."""
     p = check_param_int(p)
     claim = f"sign-D:{family.value}:p={p}:{expected_sign.name}"
+    if not _sum_form_lemma(family):
+        return VerificationReport(claim, Status.INCONCLUSIVE, math.nan, math.nan, 0, cfg.mode)
     if cfg.mode is Mode.RIGOROUS:
         if termwise_sign(family, p) == expected_sign.value:
             return _termwise_proof(claim)
-        if family.is_cos or general_vs_sum_check(family, p):
-            return _verify_sign_rigorous(claim, family, p, expected_sign, cfg)
-        return VerificationReport(claim, Status.INCONCLUSIVE, math.nan, math.nan, 0, Mode.RIGOROUS)
+        return _verify_sign_rigorous(claim, family, p, expected_sign, cfg)
     xs = _grid(cfg.interior_margin, cfg.grid_points)
     margins = float(expected_sign.value) * eval_sin_comb(family, p, xs, family.is_cos)
     return _grid_verdict(claim, margins, xs, len(xs))
@@ -264,7 +270,7 @@ def _proved_monotone(family: FamilyKind, p: int) -> bool:
     """Whether the termwise lemma gives D the sign `expected_sign_D` names,
     which makes f strictly monotone on (0, pi/2) in the envelope direction:
     every pair but the cos families' p = 2, where the lemma is silent, and
-    the sin families' where their sum table is refused or unchecked."""
+    every pair of a family whose `derivatives._sum_form_lemma` fails."""
     return termwise_sign(family, p) == expected_sign_D(family, p).value
 
 
@@ -275,8 +281,8 @@ def verify_monotonicity(family: FamilyKind, p, cfg: VerificationConfig) -> Verif
     `expected_sign_D` names: h = x^3 f' has h(0) = h'(0) = 0 and h'' = D, so
     that sign passes to h', to h and to f' on all of (0, pi/2).  The report
     is the termwise sign proof's, Mode.RIGOROUS.  Elsewhere (the cos
-    families at p = 2, and the sin families without a checked sum table) f
-    is strictly ordered over consecutive grid points, a Mode.GRID report."""
+    families at p = 2, and a family whose sum form's lemma fails) f is
+    strictly ordered over consecutive grid points, a Mode.GRID report."""
     p = check_param_int(p)
     claim = f"monotone:{family.value}:p={p}"
     if _proved_monotone(family, p):

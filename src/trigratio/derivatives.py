@@ -6,9 +6,10 @@ the ratio families.  Every closed form of D is one weighted sum of sines,
     D(x) = -x * factor * sum_i w_i sin(c_i x),  divided by den(x/p)^4 for the general form,
 
 and `exact_sin_comb_form` builds its (w, c) terms and factor in exact
-rationals, the general form's from f's definition.  `termwise_sign` reads the
-rationals of the family's own table: the sign D keeps on (0, pi/2) where every
-term keeps one, the first route of the rigorous proofs in `certify`.  Both
+rationals, the general form's from f's definition.  `termwise_sign` gives
+the sign D keeps on (0, pi/2) where every term keeps one, the first route of
+the rigorous proofs in `certify`: off the cos families' general table, and for
+the sin families off their sum form's rule, proved D at every p once.  Both
 number backends read its float view `sin_comb_form`: the numpy evaluator
 `eval_sin_comb` here, and the interval kernel `interval.sin_comb` behind the
 rigorous bisection in `certify`.  The hyperbolic families are the x -> ix
@@ -28,8 +29,8 @@ from the family table `families.FAMILY_FNS`.  D has two evaluators, one entry po
   equal to it as exact trig polynomials.
 * `d_sum` -- the sum form for integer 2 <= p <= MAX_SUM_P, one expression
   in m = 1..p-1 for both parities of p (`exact_sin_comb_form`); the cos
-  families have it at odd p only.  `certify` proves the sin families by it
-  and the cos families by the general form, at every p.
+  families have it at odd p only.  `certify` proves the sin families' sign
+  by it and the cos families' by the general form, at every p.
 
 Each takes a float or an array-like for x and returns a float for a float.
 Both check x and run it in blocks by `families._evaluate`, as `eval_f_grid`
@@ -37,7 +38,9 @@ does, values bitwise independent of the blocking; `d_general`'s series split
 is `families._series_or`.  The identity checks are exact: in trig polynomials
 `general_vs_sum_check` (the sum table against the general one, D by
 construction), `_dirichlet_check` and `_chebyshev_check`, and in series
-`vanishing_limits_check` (D's, at every real p of the range).
+`vanishing_limits_check` (D's, at every real p of the range).  The sum table
+is D at every p by the Chebyshev corollary, sin(p t)/sin t = U_(p-1)(cos t),
+whose recurrence `_sum_form_lemma` checks once per family, with p symbolic.
 """
 
 from __future__ import annotations
@@ -76,9 +79,11 @@ class ParityError(ParameterError):
 
 
 # The sum forms have p//2 terms, built in exact rationals (~260 bytes each)
-# and summed one by one.  At p = 2^16 the table takes 0.13 s, the first
-# d_sum on 2048 points 0.9 s and `trigratio verify` 1.5 s (Xeon, CPython
-# 3.11), all linear in p: at p = 10^9 the table alone would need ~130 GB.
+# and summed one by one.  At p = 2^16 the table takes 0.13 s and the first
+# d_sum on 2048 points 0.9 s (Xeon, CPython 3.11), linear in p: at p = 10^9
+# the table alone would need ~130 GB.  No termwise proof reads it: this caps
+# its evaluation only, by d_sum, a GRID sign claim or the bisection of a
+# wrong-sign claim.
 MAX_SUM_P = 2**16
 
 
@@ -104,7 +109,8 @@ def exact_sin_comb_form(family: FamilyKind, p, general: bool) -> tuple[tuple, Fr
     For the cos families at p >= 3 every general-form weight is > 0 and every
     frequency lies in (0, 2], so each term keeps one sign on (0, pi/2): the
     termwise lemma (`termwise_sign`) proves their RIGOROUS sign claims, and
-    the sin families' by the sum form, with no interval cell."""
+    the sin families' by the sum form at every p (`_sum_form_lemma`), with
+    no interval cell and no table."""
     if general:
         n3 = _third_derivative_numerator(family, p)
         return tuple((n3[key], key[1]) for key in sorted(n3)), Fraction(1)
@@ -128,22 +134,28 @@ def sin_comb_form(family: FamilyKind, p, general: bool) -> tuple[tuple, float]:
 
 @functools.lru_cache(maxsize=256)
 def termwise_sign(family: FamilyKind, p) -> int:
-    """The sign D keeps on all of (0, pi/2) by the termwise lemma, read off
-    the family's own table (`general = family.is_cos`): +1 or -1, or 0 where
-    the lemma is silent, or where a sin family's sum table is refused (past
-    MAX_SUM_P) or not proved D at p by `general_vs_sum_check`.
+    """The sign D keeps on all of (0, pi/2) by the termwise lemma, for an
+    integer 2 <= p <= 2^53: +1 or -1, or 0 where the lemma is silent, and
+    for every p where the family's `_sum_form_lemma` fails, since its
+    tables then disagree.
 
-    A term w sin(c x) keeps the sign of w*c on (0, pi/2) where |c| <= 2,
-    since then |c x| < pi; w sinh(c x) keeps it for every c.  When every
-    term with nonzero w and c has one such sign, so has the sum, and D,
-    -x * factor * sum (over den(x/p)^4 > 0, no pole in p's range), has
-    that sign times -sign(factor).  A comparison of rationals: no pi, no
-    libm, no rounding.  The cos families' p = 2 general form mixes signs
-    (weights -11/16 at frequency 1/2 and 5/64 at 3/2), so 0 there, as for
-    any table the lemma does not reach."""
-    if not family.is_cos and (p > MAX_SUM_P or not _general_vs_sum(family, p)):
+    The sin families read no table: their sum table is D at every p,
+    D = -x (2/p^3) sum m^3 sin(m x/p) over 0 < m < p, and each term is > 0
+    on (0, pi/2), where m x/p < pi/2, as is each sinh term: -1.  The cos
+    families read their general table.  A term w sin(c x) keeps the sign
+    of w*c on (0, pi/2) where |c| <= 2, since then |c x| < pi; w sinh(c x)
+    keeps it for every c.  When every term with nonzero w and c has one
+    such sign, so has the sum, and D, -x * factor * sum (over
+    den(x/p)^4 > 0, no pole in p's range), has that sign times
+    -sign(factor).  A comparison of rationals: no pi, no libm, no rounding.
+    The cos families' p = 2 general form mixes signs (weights -11/16 at
+    frequency 1/2 and 5/64 at 3/2), so 0 there, as for any table the lemma
+    does not reach."""
+    if not _sum_form_lemma(family):
         return 0
-    terms, factor = exact_sin_comb_form(family, p, family.is_cos)
+    if not family.is_cos:
+        return -1
+    terms, factor = exact_sin_comb_form(family, p, True)
     sign = 0
     # on numerators and denominators, ints: a rational's sign is its
     # numerator's, and |c| > 2 where |numerator| > 2 denominator
@@ -252,6 +264,42 @@ def _general_vs_sum(family: FamilyKind, p: int) -> bool:
     return _trig(_trig_product(sums, den4)) == _trig(("sin", _per_p(c, p), f * w * 16 * d / g) for w, c in gen)
 
 
+# p kept symbolic by `_sum_form_lemma`: a frequency a p + b, in units of 1/p, is keyed a * _P + b
+_P = 2**64
+
+
+@functools.lru_cache(maxsize=None)
+def _sum_form_lemma(family: FamilyKind) -> bool:
+    """Whether the family's sum table is D at every p it has, by the
+    Chebyshev corollary sin(p t)/sin t = U_(p-1)(cos t), t = x/p.
+
+    The table is one rule in p: terms (eps_m m^3, m/p) over 0 < m < p with
+    m = p-1 (mod 2), factor 2/p^3, which is D = -x R''' read termwise off
+    R = sum eps_m cos(m t) over |m| < p.  From p to p+2 the rule adds the
+    top term m = p+1 and, for the cos families, flips the others' signs
+    (read off the rule, not checked: the sin families' base cases hold one
+    term each, so they would not see an eps_m that alternates).  So,
+    by induction on p in steps of 2, R is the family's ratio, and the table
+    D, at every p of the table if they are at the base cases and the step
+    holds with p symbolic: for the sin families 2 cos((p+1) t) sin t =
+    sin((p+2) t) - sin(p t), for the cos families 2 cos((p+1) t) cos t =
+    cos((p+2) t) + cos(p t).  The base cases are `_general_vs_sum`, the
+    general table being D from f's definition, at the table's first two p:
+    2 and 3 for the sin families, the first of each parity, and 3 and 5 for
+    the cos families, the first flip.  They check the general table, which
+    the cos families' proofs read, against the sum rule too.
+
+    The step is checked in the trig-polynomial algebra with the frequency
+    a p + b keyed as the integer a * 2^64 + b.  That keying is injective and
+    additive for the small a, b here, and every rewrite of `_trig` and
+    `_trig_product` holds at every p: product-to-sum, sign folding
+    (sin(-u) = -sin u, cos(-u) = cos u, on a whole key) and the merging of
+    equal keys.  So equal dicts mean the two sides are equal at every p."""
+    kind, sgn = ("cos", 1) if family.is_cos else ("sin", -1)
+    step = _trig(_trig_product({("cos", _P + 1): 1}, {(kind, 1): 1})) == _trig([(kind, _P + 2, 1), (kind, _P, sgn)])
+    return step and all(_general_vs_sum(family, p) for p in ((3, 5) if family.is_cos else (2, 3)))
+
+
 @functools.lru_cache(maxsize=256)
 def _dirichlet_check(k: int) -> bool:
     """Whether the frequencies m/p of the sin families' sum table at p = 2k
@@ -333,7 +381,9 @@ def d_general(family: FamilyKind, p, x):
 def d_sum(family: FamilyKind, p: int, x):
     """The sum form of D (`exact_sin_comb_form`) for any family and an integer
     p with 2 <= p <= MAX_SUM_P = 2^16: every term is <= 0 for the sin
-    families, and the cos families' terms alternate, at odd p only.
+    families, and the cos families' terms alternate, at odd p only.  No
+    termwise proof reads it (`_sum_form_lemma`): MAX_SUM_P bounds its
+    evaluation alone.
 
     The table is read before x: ParityError for the cos families with even
     p, which have none, and ParameterError past MAX_SUM_P, from its builder.

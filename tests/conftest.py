@@ -43,11 +43,12 @@ def fresh_caches():
 
 def _clear():
     """Empty the caches built from D's tables or from `cheb_u`: `sin_comb_form`,
-    `termwise_sign`, D's series `_table_d_series` and the exact identity
-    checks."""
+    `termwise_sign`, D's series `_table_d_series`, the sum form's lemma
+    `_sum_form_lemma` and the exact identity checks."""
     derivatives.sin_comb_form.cache_clear()
     derivatives.termwise_sign.cache_clear()
     derivatives._table_d_series.cache_clear()
+    derivatives._sum_form_lemma.cache_clear()
     derivatives._general_vs_sum.cache_clear()
     derivatives._dirichlet_check.cache_clear()
     derivatives._chebyshev_check.cache_clear()

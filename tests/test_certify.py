@@ -315,15 +315,24 @@ def test_rigorous_cos_odd_p_one_cell(family, margin, cap):
 
 @pytest.mark.parametrize("mode", Mode)
 def test_sign_D_refuses_sum_form_past_limit(mode):
-    """The sin families' proofs take the sum form, which has no table past
-    derivatives.MAX_SUM_P: ParameterError at once, in both modes, before
-    any of its p//2 exact terms is built, and with no table cached."""
+    """The sin families' sum form has no table past derivatives.MAX_SUM_P.
+    A GRID claim evaluates it, and so does the bisection of a RIGOROUS
+    claim of the wrong sign: ParameterError at once, before any of its p//2
+    exact terms is built, and with no table cached.  The right sign's
+    RIGOROUS claim reads no table: the termwise proof, at every p."""
+    for family in (TS, HS):
+        assert derivatives._sum_form_lemma(family)  # its base cases' tables, at p <= 3, built before the count
     derivatives.exact_sin_comb_form.cache_clear()
     cfg = VerificationConfig(mode=mode)
+    refused = Sign.NEG if mode is Mode.GRID else Sign.POS
     for family in (TS, HS):
         for p in (10**9, 2**53):
             with pytest.raises(ParameterError, match="sum form"):
-                verify_sign_D(family, p, Sign.NEG, cfg)
+                verify_sign_D(family, p, refused, cfg)
+            if mode is Mode.RIGOROUS:
+                claim = f"sign-D:{family.value}:p={p}:NEG"
+                want = VerificationReport(claim, Status.CERTIFIED, math.inf, math.nan, 0, Mode.RIGOROUS)
+                assert verify_sign_D(family, p, Sign.NEG, cfg) == want
     assert derivatives.exact_sin_comb_form.cache_info().currsize == 0
     # the cos families take their general form, with no such limit
     assert verify_sign_D(TC, 10**9 + 1, Sign.NEG, cfg).status is Status.CERTIFIED
@@ -683,11 +692,12 @@ def test_monotonicity_is_the_termwise_proof_in_either_mode(cfg):
 def test_monotonicity_takes_no_proof_of_the_other_sign(mutate_table):
     """A table whose termwise sign is the other one proves nothing about the
     envelope direction: the grid samples f, which does not read the table.
-    Both of trig-sin's tables are negated, so that the sum table still
-    passes its check against the general one, as a proof requires."""
-    mutate_table((TS,), factor=-1, general=None)
-    assert termwise_sign(TS, 5) == -expected_sign_D(TS, 5).value
-    r = verify_monotonicity(TS, 5, RIGOROUS)
+    Both of trig-cos's tables are negated, so that its sum form's lemma
+    still holds, as a proof requires, and the general table it reads gives
+    the other sign.  (The sin families read no table: -1, or 0.)"""
+    mutate_table((TC,), factor=-1, general=None)
+    assert termwise_sign(TC, 5) == -expected_sign_D(TC, 5).value
+    r = verify_monotonicity(TC, 5, RIGOROUS)
     assert (r.status, r.mode, r.cells_checked) == (Status.CERTIFIED, Mode.GRID, RIGOROUS.grid_points - 1)
 
 
@@ -696,19 +706,13 @@ def test_monotonicity_takes_no_proof_of_the_other_sign(mutate_table):
 _MONOTONE_GRID_SHA = {
     (TC, 2): "4c4fd7489e989707",
     (HC, 2): "0ad90c24f1cd800d",
-    (TS, 2**16 + 1): "729335043a829686",
-    (HS, 2**16 + 1): "f736f9e6f674f1f6",
-    (TS, 2**53): "bdde9ec805795ac5",
-    (HS, 2**53): "d6ab16ec0d6bc8c3",
 }
 
 
 @pytest.mark.parametrize("family,p", list(_MONOTONE_GRID_SHA), ids=[f"{f.value}-{p}" for f, p in _MONOTONE_GRID_SHA])
 def test_monotonicity_falls_back_to_the_grid(family, p):
-    """The lemma is silent at the cos families' p = 2, and the sin families'
-    sum table is refused past MAX_SUM_P = 2^16, where no verdict may become
-    a ParameterError: there either config gets the sampled report, unchanged."""
-    assert p == 2 or p > derivatives.MAX_SUM_P
+    """The lemma is silent at the cos families' p = 2 alone: there either
+    config gets the sampled report, unchanged."""
     r = verify_monotonicity(family, p, CFG)
     assert r.mode is Mode.GRID and r.status is Status.CERTIFIED
     assert hashlib.sha256(repr(r).encode()).hexdigest()[:16] == _MONOTONE_GRID_SHA[family, p]
@@ -806,6 +810,27 @@ def test_envelope_samples_the_grid_where_f_is_not_proved_monotone(family, p):
         r = verify_envelope(family, p, cfg)
         assert (r.status, r.min_margin.hex(), r.worst_x.hex(), r.mode) == _full_grid_envelope(family, p, cfg, ec)
         assert r.status is Status.CERTIFIED and r.cells_checked == cfg.grid_points
+        assert verify_envelope(family, p, cfg, constants=_swapped(ec)).status is Status.FALSIFIED
+
+
+_PAST_THE_SUM_TABLE = [(family, p) for family in (TS, HS) for p in (2**16 + 1, 10**9, 2**53)]
+
+
+@pytest.mark.parametrize("family,p", _PAST_THE_SUM_TABLE, ids=[f"{f.value}-{p}" for f, p in _PAST_THE_SUM_TABLE])
+def test_sin_families_are_proved_past_the_sum_table(family, p):
+    """Past MAX_SUM_P = 2^16, where the sum table is refused, the sin
+    families' sign reads no table: monotonicity is the termwise proof under
+    either config, where it sampled f before, and so the envelope reads f
+    at the grid's two ends, cells_checked 2 where it was every grid point,
+    with the full grid's verdict, margin and worst x."""
+    for cfg in (CFG, RIGOROUS):
+        want = VerificationReport(f"monotone:{family.value}:p={p}", Status.CERTIFIED, math.inf, math.nan, 0, Mode.RIGOROUS)
+        assert verify_monotonicity(family, p, cfg) == want
+    ec = envelope_constants(family, p)
+    for cfg in (CFG, VerificationConfig(interior_margin=1e-6, grid_points=512)):
+        r = verify_envelope(family, p, cfg)
+        assert (r.status, r.min_margin.hex(), r.worst_x.hex(), r.mode) == _full_grid_envelope(family, p, cfg, ec)
+        assert r.status is Status.CERTIFIED and r.cells_checked == 2
         assert verify_envelope(family, p, cfg, constants=_swapped(ec)).status is Status.FALSIFIED
 
 
@@ -1149,34 +1174,96 @@ def test_termwise_route_reports():
 
 
 def test_unchecked_sum_table_proves_nothing(mutate_table):
-    """A sum table enters a proof only where the general-vs-sum check holds at
-    its p.  trig-sin's at p = 40 with its last weight moved by 1 still has
-    weights > 0 at frequencies < 1, so the lemma alone would prove D < 0 by
-    it; the check fails instead, so the RIGOROUS sign claim is INCONCLUSIVE
-    with no cell, monotonicity and the envelope sample f on the grid, and
-    hyp-sin, whose table is intact, is still proved."""
-    mutate_table((TS,), delta=1, general=False)
-    assert not general_vs_sum_check(TS, 40) and termwise_sign(TS, 40) == 0
-    for cfg in (CFG, RIGOROUS):
-        assert verify_monotonicity(TS, 40, cfg).mode is Mode.GRID
-        assert verify_envelope(TS, 40, cfg).cells_checked == CFG.grid_points
-    r = verify_sign_D(TS, 40, Sign.NEG, RIGOROUS)
-    assert r == VerificationReport("sign-D:trig-sin:p=40:NEG", Status.INCONCLUSIVE, math.nan, math.nan, 0, Mode.RIGOROUS)
-    r = verify_sign_D(HS, 40, Sign.NEG, RIGOROUS)
-    assert r == VerificationReport("sign-D:hyp-sin:p=40:NEG", Status.CERTIFIED, math.inf, math.nan, 0, Mode.RIGOROUS)
-    assert verify_monotonicity(HS, 40, CFG).mode is Mode.RIGOROUS
+    """A sin family's sum table proves nothing where its lemma fails.  With
+    trig-sin's sum table's last weight moved by 1, or its factor negated,
+    the general table intact either way, the lemma's base cases fail, so at
+    every p the sign claim is INCONCLUSIVE with no cell in either mode,
+    where the GRID claim read the negated table and said FALSIFIED at
+    -14.44, and monotonicity and the envelope sample f on the grid; hyp-sin,
+    whose table is intact, is still proved."""
+    for how in (dict(delta=1), dict(factor=-1)):
+        mutate_table((TS,), general=False, **how)
+        assert not derivatives._sum_form_lemma(TS) and derivatives._sum_form_lemma(HS)
+        for p in (40, 2**16 + 1):
+            assert termwise_sign(TS, p) == 0
+            for cfg in (CFG, RIGOROUS):
+                r = verify_sign_D(TS, p, Sign.NEG, cfg)
+                claim = f"sign-D:trig-sin:p={p}:NEG"
+                assert r == VerificationReport(claim, Status.INCONCLUSIVE, math.nan, math.nan, 0, cfg.mode), how
+                assert verify_monotonicity(TS, p, cfg).mode is Mode.GRID
+                assert verify_envelope(TS, p, cfg).cells_checked == cfg.grid_points
+        r = verify_sign_D(HS, 40, Sign.NEG, RIGOROUS)
+        assert r == VerificationReport("sign-D:hyp-sin:p=40:NEG", Status.CERTIFIED, math.inf, math.nan, 0, Mode.RIGOROUS)
+        assert verify_monotonicity(HS, 40, CFG).mode is Mode.RIGOROUS
 
 
-def test_termwise_sign_reads_no_refused_table():
-    """Past MAX_SUM_P = 2^16 the sin families' own table, the sum form, is
-    refused, so the lemma is silent there without reading any table; the
-    RIGOROUS sign claim then reaches the refusal itself, as before."""
+def _sum_rule(eps=lambda family: -1 if family.is_cos else 1, power=3, factor=lambda p: Fraction(2, p**3)):
+    """`exact_sin_comb_form` with its sum table built from the rule given:
+    terms (eps(family)^((p-1-m)/2) m^power, m/p) over 0 < m < p with
+    m = p-1 (mod 2), factor(p); the defaults are the library's rule."""
+    table = derivatives.exact_sin_comb_form
+
+    def built(family, p, general):
+        if general or (family.is_cos and p % 2 == 0):
+            return table(family, p, general)
+        terms = tuple((Fraction(eps(family) ** ((p - 1 - m) // 2) * m**power), Fraction(m, p)) for m in range(1 + p % 2, p, 2))
+        return terms, factor(p)
+
+    return built
+
+
+# each rule mutation and the families whose rule it changes
+_RULE_MUTATIONS = {
+    "eps-flipped": (dict(eps=lambda family: 1), (TC, HC)),
+    "m-squared": (dict(power=2), tuple(FamilyKind)),
+    "factor-1/p^3": (dict(factor=lambda p: Fraction(1, p**3)), tuple(FamilyKind)),
+}
+
+
+@pytest.mark.parametrize("how", list(_RULE_MUTATIONS))
+def test_sum_form_lemma_fails_on_a_mutated_rule(monkeypatch, fresh_caches, how):
+    """The lemma checks the sum table's rule, not a table at one p: the
+    library's rule, rebuilt, passes for all four families, and each rule
+    mutation fails it for every family whose rule it changes: the cos
+    families' eps_m made 1 (the sin families' rule), which their base case
+    p = 5 sees, m^2 in place of m^3, and factor 1/p^3.  Then no sign claim
+    of the family is a proof, INCONCLUSIVE in either mode with no cell, and
+    its monotonicity is sampled; the other families are still proved."""
+    monkeypatch.setattr(derivatives, "exact_sin_comb_form", _sum_rule())
+    assert all(derivatives._sum_form_lemma(family) for family in FamilyKind)
+    rule, mutated = _RULE_MUTATIONS[how]
+    monkeypatch.setattr(derivatives, "exact_sin_comb_form", _sum_rule(**rule))
+    derivatives._sum_form_lemma.cache_clear()
+    derivatives._general_vs_sum.cache_clear()
     termwise_sign.cache_clear()
-    before = derivatives.exact_sin_comb_form.cache_info()
-    assert termwise_sign(TS, 2**16 + 1) == 0
-    assert derivatives.exact_sin_comb_form.cache_info() == before
-    with pytest.raises(ParameterError, match=r"^D's sum form has p//2 terms, too many at p=65537 > 65536$"):
-        verify_sign_D(TS, 2**16 + 1, Sign.NEG, RIGOROUS)
+    for family in FamilyKind:
+        assert derivatives._sum_form_lemma(family) is (family not in mutated)
+        for p in (5, 64):
+            sign = expected_sign_D(family, p)
+            for cfg in (CFG, RIGOROUS):
+                r = verify_sign_D(family, p, sign, cfg)
+                m = verify_monotonicity(family, p, cfg)
+                if family in mutated:
+                    assert (r.status, r.cells_checked, r.mode) == (Status.INCONCLUSIVE, 0, cfg.mode), r
+                    assert m.mode is Mode.GRID
+                else:
+                    assert r.status is Status.CERTIFIED and m.mode is Mode.RIGOROUS
+
+
+def test_termwise_sign_reads_no_refused_table(monkeypatch, fresh_caches):
+    """The sin families' sign reads no table, at any p: a cold termwise_sign
+    at p = 2^16, past it, or at 2^53 builds none for that p, only the
+    lemma's base cases build theirs, at p <= 3.  So past MAX_SUM_P = 2^16,
+    where the sum table is refused, the RIGOROUS sign claim is the
+    termwise proof."""
+    built = []
+    table = derivatives.exact_sin_comb_form
+    monkeypatch.setattr(derivatives, "exact_sin_comb_form", lambda f, p, general: built.append(p) or table(f, p, general))
+    for family in (TS, HS):
+        assert [termwise_sign(family, p) for p in (2**16, 2**16 + 1, 2**53)] == [-1, -1, -1]
+    assert sorted(set(built)) == [2, 3]
+    r = verify_sign_D(TS, 2**16 + 1, Sign.NEG, RIGOROUS)
+    assert r == VerificationReport("sign-D:trig-sin:p=65537:NEG", Status.CERTIFIED, math.inf, math.nan, 0, Mode.RIGOROUS)
 
 
 @pytest.mark.parametrize("family,p", [(TC, 3), (TS, 3), (HC, 17), (HS, 64)])

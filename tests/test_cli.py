@@ -126,15 +126,28 @@ def test_verify_envelope_tie_exits_inconclusive(capsys):
             "monotone:hyp-cos:p=3: certified min_margin=inf worst_x=nan cells=0 mode=rigorous\n"
             "sign-D:hyp-cos:p=3:NEG: certified min_margin=inf worst_x=nan cells=0 mode=rigorous\n",
         ),
+        (
+            ["verify", "--family", "trig-sin", "--p", "1000000000", "--mode", "rigorous"],
+            "envelope:trig-sin:p=1000000000: certified min_margin=8.3333331346511841 worst_x=0.001 cells=2 mode=grid\n"
+            "monotone:trig-sin:p=1000000000: certified min_margin=inf worst_x=nan cells=0 mode=rigorous\n"
+            "sign-D:trig-sin:p=1000000000:NEG: certified min_margin=inf worst_x=nan cells=0 mode=rigorous\n",
+        ),
+        (
+            ["verify", "--family", "hyp-sin", "--p", "9007199254740992", "--mode", "rigorous"],
+            "envelope:hyp-sin:p=9007199254740992: certified min_margin=75059995.5 worst_x=0.001 cells=2 mode=grid\n"
+            "monotone:hyp-sin:p=9007199254740992: certified min_margin=inf worst_x=nan cells=0 mode=rigorous\n"
+            "sign-D:hyp-sin:p=9007199254740992:NEG: certified min_margin=inf worst_x=nan cells=0 mode=rigorous\n",
+        ),
     ],
-    ids=["trig-sin-64", "hyp-cos-3"],
+    ids=["trig-sin-64", "hyp-cos-3", "trig-sin-1e9", "hyp-sin-2^53"],
 )
 def test_verify_rigorous_output_bytes(capsys, argv, expected):
-    """The stdout bytes of two CI smoke proofs: the 32-term sum form of
-    trig-sin p = 64 and the general form of hyp-cos p = 3, both proved by
-    the termwise lemma, which checks no cell and finds no margin; so is the
-    monotonicity, which follows from D's sign, and so the envelope reads f
-    at the grid's two ends."""
+    """The stdout bytes of four CI smoke proofs: the 32-term sum form of
+    trig-sin p = 64, the general form of hyp-cos p = 3, and the sin
+    families past the sum table's limit 2^16, whose sign reads no table;
+    all proved by the termwise lemma, which checks no cell and finds no
+    margin; so is the monotonicity, which follows from D's sign, and so the
+    envelope reads f at the grid's two ends."""
     assert run(argv) == EXIT_OK
     assert capsys.readouterr().out == expected
 
@@ -308,12 +321,9 @@ HUGE_P = str(10**400)
         pytest.param(
             ["verify", "--family", "hyp-cos", "--p", str(10**103), "--mode", "rigorous"], id="verify-hyp-cos-1e103"
         ),
-        # the sin families' sum form of p//2 terms exists only up to p = 2^16
+        # the sin families' sum form of p//2 terms exists only up to p = 2^16,
+        # and a GRID sign claim evaluates it
         pytest.param(["verify", "--family", "trig-sin", "--p", "1000000000"], id="verify-trig-sin-1e9"),
-        pytest.param(
-            ["verify", "--family", "trig-sin", "--p", "1000000000", "--mode", "rigorous"],
-            id="verify-trig-sin-1e9-rigorous",
-        ),
     ],
     ids=lambda argv: argv[0],
 )

@@ -596,8 +596,7 @@ def test_dirichlet_sum_identity(k):
         (lambda: dirichlet_sum(True, 0.5), ParameterError),
         (lambda: dirichlet_sum(2.5, 0.5), ParameterError),
         (lambda: dirichlet_sum(3.0, 0.5), ParameterError),
-        (lambda: dirichlet_sum(3, np.array([0.5, math.pi])), DomainError),
-        (lambda: dirichlet_sum(3, np.array([0.5, math.nan])), DomainError),
+        (lambda: dirichlet_sum(3, np.array([0.5, 1.0])), DomainError),
     ],
     ids=[
         "even-sum-k0",
@@ -610,8 +609,7 @@ def test_dirichlet_sum_identity(k):
         "dirichlet-k-bool",
         "dirichlet-k-float",
         "dirichlet-k-integral-float",
-        "dirichlet-array-x-pi",
-        "dirichlet-array-x-nan",
+        "dirichlet-x-array",
     ],
 )
 def test_sum_forms_reject_bad_arguments(call, error):
@@ -627,7 +625,7 @@ def _reference_dirichlet_sum(k, x):
 
 
 @pytest.mark.parametrize("k", range(1, 11))
-def test_dirichlet_sum_arrays_match_scalar_calls(k):
+def test_dirichlet_sum_is_its_scalar_formula_and_refuses_arrays(k):
     """A float gives floats, bit for bit the scalar formula's values, the
     terms summed by math.fsum; an array is no point and raises."""
     xs = np.linspace(1e-6, math.pi - 1e-6, 101)
