@@ -701,18 +701,34 @@ def test_monotonicity_takes_no_proof_of_the_other_sign(mutate_table):
     assert (r.status, r.mode, r.cells_checked) == (Status.CERTIFIED, Mode.GRID, RIGOROUS.grid_points - 1)
 
 
-# verify_monotonicity's GRID reports where the lemma does not reach, at the
+# verify_monotonicity's GRID reports where no termwise proof is read, at the
 # default config: the first 16 hex digits of the sha256 of each repr
 _MONOTONE_GRID_SHA = {
     (TC, 2): "4c4fd7489e989707",
     (HC, 2): "0ad90c24f1cd800d",
+    (TS, 2**16 + 1): "729335043a829686",
+    (HS, 2**16 + 1): "f736f9e6f674f1f6",
+    (TS, 2**53): "bdde9ec805795ac5",
+    (HS, 2**53): "d6ab16ec0d6bc8c3",
 }
 
 
+def _without_the_proof(mutate_table, family):
+    """Leave `family` with no termwise proof: the cos families' lemma is
+    silent at p = 2 as it is; a sin family's sum form lemma is made to fail
+    by its sum table's last weight moved by 1."""
+    if not family.is_cos:
+        mutate_table((family,), delta=1, general=False)
+        assert not derivatives._sum_form_lemma(family)
+
+
 @pytest.mark.parametrize("family,p", list(_MONOTONE_GRID_SHA), ids=[f"{f.value}-{p}" for f, p in _MONOTONE_GRID_SHA])
-def test_monotonicity_falls_back_to_the_grid(family, p):
-    """The lemma is silent at the cos families' p = 2 alone: there either
-    config gets the sampled report, unchanged."""
+def test_monotonicity_falls_back_to_the_grid(mutate_table, family, p):
+    """Where no termwise proof is read, either config gets the sampled
+    report, unchanged: the cos families' p = 2, and the sin families past
+    MAX_SUM_P = 2^16 under a failing lemma, where the sum table is refused
+    and so no verdict may become a ParameterError."""
+    _without_the_proof(mutate_table, family)
     r = verify_monotonicity(family, p, CFG)
     assert r.mode is Mode.GRID and r.status is Status.CERTIFIED
     assert hashlib.sha256(repr(r).encode()).hexdigest()[:16] == _MONOTONE_GRID_SHA[family, p]
@@ -803,8 +819,9 @@ def test_envelope_reads_the_grid_ends_where_f_is_proved_monotone(cfg):
 
 
 @pytest.mark.parametrize("family,p", list(_MONOTONE_GRID_SHA), ids=[f"{f.value}-{p}" for f, p in _MONOTONE_GRID_SHA])
-def test_envelope_samples_the_grid_where_f_is_not_proved_monotone(family, p):
+def test_envelope_samples_the_grid_where_f_is_not_proved_monotone(mutate_table, family, p):
     """Where the monotonicity is sampled, so is the envelope: every grid point."""
+    _without_the_proof(mutate_table, family)
     ec = envelope_constants(family, p)
     for cfg in (CFG, VerificationConfig(interior_margin=1e-6, grid_points=512)):
         r = verify_envelope(family, p, cfg)

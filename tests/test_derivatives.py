@@ -596,7 +596,8 @@ def test_dirichlet_sum_identity(k):
         (lambda: dirichlet_sum(True, 0.5), ParameterError),
         (lambda: dirichlet_sum(2.5, 0.5), ParameterError),
         (lambda: dirichlet_sum(3.0, 0.5), ParameterError),
-        (lambda: dirichlet_sum(3, np.array([0.5, 1.0])), DomainError),
+        (lambda: dirichlet_sum(3, np.array([0.5, math.pi])), DomainError),
+        (lambda: dirichlet_sum(3, np.array([0.5, math.nan])), DomainError),
     ],
     ids=[
         "even-sum-k0",
@@ -609,7 +610,8 @@ def test_dirichlet_sum_identity(k):
         "dirichlet-k-bool",
         "dirichlet-k-float",
         "dirichlet-k-integral-float",
-        "dirichlet-x-array",
+        "dirichlet-array-x-pi",
+        "dirichlet-array-x-nan",
     ],
 )
 def test_sum_forms_reject_bad_arguments(call, error):
