@@ -2,54 +2,50 @@
 
 GRID mode samples the interior of (0, pi/2) and reports the worst margin:
 FALSIFIED if the least non-NaN one is negative, else INCONCLUSIVE at a 0.0
-tie or a NaN, else CERTIFIED.  RIGOROUS mode (sign-of-D claims only, all four
-families) proves termwise, then bisects.  The termwise lemma comes first:
-where every term of the family's own exact table of D keeps the claimed sign
-on (0, pi/2) (`derivatives.termwise_sign`), D keeps it on all of (0, pi/2),
-by a comparison of rationals with no libm, no rounded constant and no cell.
-That proves 250 of the 252 claims at p = 2..64, all but the cos families' at
-p = 2, and every sin-family claim up to p = 2^53.  Where the lemma is silent
-or gives the other sign, the proof evaluates the closed forms of D(x) in
-outward-rounded interval arithmetic over adaptively bisected subintervals
-of [margin, pi/2 - margin], so a
-CERTIFIED verdict is a machine-checked sign proof up to the soundness of the
-interval primitives.  Both routes rest on the table being D (below).
-Monotonicity takes the termwise lemma in either mode: D = (x^3 f')'' and
-x^3 f' vanishes with its derivative at 0, so D's sign is f''s, a proof
-that says Mode.RIGOROUS; only where the lemma does not reach (the cos
-families at p = 2) does it sample f on a grid.  The envelope checks say
-Mode.GRID in either mode, as do the identity checks, all exact: where the
-lemma proves f monotone they read f at the grid's two ends, where the least
-margin of a monotone f lies, and elsewhere every grid point.
+tie or a NaN, else CERTIFIED; a sign claim samples `derivatives.d_general`,
+the library's one float D, at every p.  RIGOROUS mode (sign-of-D claims
+only, all four families) decides termwise, then bisects.  Where every term
+of the family's own exact table of D keeps one sign on (0, pi/2)
+(`derivatives.termwise_sign`), D keeps it on all of (0, pi/2), by a
+comparison of rationals with no libm, no rounded constant and no cell: a
+claim of that sign is proved, one of the other sign falsified.  That decides
+500 of the 504 claims of either sign at p = 2..64, all but the cos families'
+at p = 2, and every sin-family claim up to p = 2^53.  Only where the lemma
+is silent does the proof bisect [margin, pi/2 - margin] adaptively,
+enclosing D in outward-rounded interval arithmetic, so a CERTIFIED verdict
+is a machine-checked sign proof up to the soundness of the interval
+primitives.  Monotonicity takes the termwise lemma in either mode:
+D = (x^3 f')'' and x^3 f' vanishes with its derivative at 0, so D's sign is
+f''s, a proof that says Mode.RIGOROUS; only where the lemma does not reach
+(the cos families at p = 2) does it sample f on a grid.  The envelope checks
+say Mode.GRID in either mode, as do the identity checks, all exact: where
+the lemma proves f monotone they read f at the grid's two ends, where the
+least margin of a monotone f lies, and elsewhere every grid point.
 
-Every route reads D from one table, `derivatives.exact_sin_comb_form`: the
+The proofs read D from one table, `derivatives.exact_sin_comb_form`: the
 (w, c) terms and the factor of D(x) = -x * factor * sum_i w_i sin(c_i x),
 over den(x/p)^4 for the general form, with den and the sine (sinh for the
 x -> ix hyperbolic images) from `families.FAMILY_FNS`.  The termwise lemma
-reads its rationals; the evaluators read its float view `sin_comb_form`.
-A GRID sign claim evaluates it in float64 with `derivatives.eval_sin_comb`;
-a bisected cell's D is one `interval.sin_comb` over it.  The bisection runs
-on endpoint floats end to end: it bisects (lo, hi) cells, and `_interval_D` encloses D over one
-through the float-pair functions of `interval` (den and the sine included),
-each step bitwise the one an `Interval` expression of D would take, but
-building no Interval.  The form goes by family, the same on both
-backends, both routes and at every p: `general = family.is_cos`.  The cos
-families take the sec^4 (sech^4) general form: at p >= 3 its weights are
-all positive and its frequencies lie in [0, 2], so every term keeps one
-sign on (0, pi/2) and the lemma proves it, where their odd-p sum form
-alternates and cancels terms of size up to (p-1)^3.  Near
-x -> 0 the sin-family general form is numerically treacherous (csc^4(x/p)
-against a bracket that vanishes like x^5), which is why the sin families
-always take the sum form, one table for both parities of p; the cos bracket
-does not cancel, so float64 suffices for it.  Certification does not call
-`derivatives.d_general`.  The general table is the numerator of D
-differentiated from f's definition, so it is D at every p; a sin family's
-sum table is D at every p by the Chebyshev corollary, whose recurrence
-`derivatives._sum_form_lemma` checks once per family in exact algebra with p
-symbolic, also against the general table at its base cases; where it
-fails, the family's sign claims are INCONCLUSIVE.  So the sin families'
-termwise proofs hold at every p of the range and read no table.
-Every grid and identity verdict is built by one `_grid_verdict`.
+reads its rationals; the bisection runs on endpoint floats, and
+`_interval_D` encloses D over a (lo, hi) cell by one `interval.sin_comb`
+over its float view `sin_comb_form` and the float-pair functions of
+`interval`, each step bitwise that of an `Interval` expression of D,
+building no Interval.  The form goes by family, `general = family.is_cos`:
+the cos families take the sec^4 (sech^4) general form, whose weights at
+p >= 3 are all positive and frequencies in [0, 2], so every term keeps one
+sign on (0, pi/2) and the lemma decides it, where their odd-p sum form
+alternates and cancels terms of size up to (p-1)^3.  The sin families'
+general form cancels near 0 (csc^4(x/p) against a bracket that vanishes
+like x^5), so their bisection, which the lemma leaves no claim to and the
+tests run as its cross-check, takes the sum form.  The general table is
+the numerator of D differentiated from f's definition, so it is D at every
+p; a sin family's sum table is D at every p by the Chebyshev corollary,
+whose recurrence `derivatives._sum_form_lemma` checks once per family in
+exact algebra with p symbolic, also against the general table at its base
+cases; where it fails, the family's sign claims are INCONCLUSIVE.  So no
+claim builds or refuses a sum table at its own p: `MAX_SUM_P` bounds only
+`d_sum` and `general_vs_sum_check`.  Every grid verdict is built by one
+`_grid_verdict`, every exact identity verdict by `_exact_report`.
 """
 
 from __future__ import annotations
@@ -65,7 +61,7 @@ from .derivatives import (
     _chebyshev_check,
     _dirichlet_check,
     _sum_form_lemma,
-    eval_sin_comb,
+    d_general,
     general_vs_sum_check,
     sin_comb_form,
     termwise_sign,
@@ -135,8 +131,8 @@ class VerificationReport:
     midpoint where it was found; cells_checked counts the grid points,
     differences or leaf cells it looked at: for an envelope claim, 2 (the
     grid's ends) where f is proved monotone, else every grid point.  A
-    termwise sign proof looks at none: cells_checked 0, min_margin inf and
-    worst_x nan, as a bisection that visited no cell would report."""
+    termwise sign decision looks at none: cells_checked 0, worst_x nan, and
+    min_margin inf for a proof, -inf for a disproof."""
 
     claim_id: str
     status: Status
@@ -167,9 +163,11 @@ def _grid_verdict(claim, margins, xs, cells) -> VerificationReport:
     return VerificationReport(claim, status, margin, float(xs[worst]), cells, Mode.GRID)
 
 
-def _termwise_proof(claim) -> VerificationReport:
-    """The report of a termwise sign proof, which looks at no cell."""
-    return VerificationReport(claim, Status.CERTIFIED, math.inf, math.nan, 0, Mode.RIGOROUS)
+def _termwise_report(claim, sign: int = 1) -> VerificationReport:
+    """The report of a termwise decision, which looks at no cell: sign +1 (D
+    has the claim's sign) a proof at min_margin inf, -1 a disproof at -inf."""
+    status = Status.CERTIFIED if sign > 0 else Status.FALSIFIED
+    return VerificationReport(claim, status, sign * math.inf, math.nan, 0, Mode.RIGOROUS)
 
 
 def expected_sign_D(family: FamilyKind, p: int) -> Sign:
@@ -245,24 +243,24 @@ def verify_sign_D(
 
     A family's tables prove nothing where its `derivatives._sum_form_lemma`
     fails: INCONCLUSIVE in either mode, min_margin and worst_x nan, no cell.
-    RIGOROUS tries the termwise lemma first (`derivatives.termwise_sign`):
-    where every term of D's exact table keeps the expected sign, D keeps it
-    on all of (0, pi/2), and the report is that of a bisection that visited
-    no cell: CERTIFIED, min_margin inf, worst_x nan, cells_checked 0, at
-    every p.  Otherwise (the cos families at p = 2, a wrong sign) it bisects
-    [margin, pi/2 - margin] in interval arithmetic.  A sin family's sum
-    table, which that bisection and every GRID claim read, is refused past
-    MAX_SUM_P: ParameterError."""
+    RIGOROUS takes the termwise lemma first (`derivatives.termwise_sign`):
+    where every term of D's exact table keeps one sign, so does D on all of
+    (0, pi/2), and the report is that of a bisection that visited no cell:
+    CERTIFIED at min_margin inf for a claim of that sign, FALSIFIED at -inf
+    for the other, worst_x nan and cells_checked 0, at every p.  Only the
+    cos families at p = 2, where the lemma is silent, bisect the interior in
+    interval arithmetic.  GRID samples `derivatives.d_general`."""
     p = check_param_int(p)
     claim = f"sign-D:{family.value}:p={p}:{expected_sign.name}"
     if not _sum_form_lemma(family):
         return VerificationReport(claim, Status.INCONCLUSIVE, math.nan, math.nan, 0, cfg.mode)
     if cfg.mode is Mode.RIGOROUS:
-        if termwise_sign(family, p) == expected_sign.value:
-            return _termwise_proof(claim)
+        sign = termwise_sign(family, p) * expected_sign.value
+        if sign:
+            return _termwise_report(claim, sign)
         return _verify_sign_rigorous(claim, family, p, expected_sign, cfg)
     xs = _grid(cfg.interior_margin, cfg.grid_points)
-    margins = float(expected_sign.value) * eval_sin_comb(family, p, xs, family.is_cos)
+    margins = float(expected_sign.value) * d_general(family, p, xs)
     return _grid_verdict(claim, margins, xs, len(xs))
 
 
@@ -286,7 +284,7 @@ def verify_monotonicity(family: FamilyKind, p, cfg: VerificationConfig) -> Verif
     p = check_param_int(p)
     claim = f"monotone:{family.value}:p={p}"
     if _proved_monotone(family, p):
-        return _termwise_proof(claim)
+        return _termwise_report(claim)
     xs = _grid(cfg.interior_margin, cfg.grid_points)
     diffs = float(expected_sign_D(family, p).value) * np.diff(eval_f_grid(family, p, xs))
     return _grid_verdict(claim, diffs, xs, len(xs) - 1)
@@ -333,9 +331,11 @@ def _tolerance_report(claim, errors, xs, tol) -> VerificationReport:
 
 
 def _exact_report(claim, holds, tol) -> VerificationReport:
-    """One cell per exact check, at x = 0.0: error 0.0 where it holds, else inf."""
-    errs = [0.0 if ok else math.inf for ok in holds]
-    return _tolerance_report(claim, errs, [0.0] * len(errs), tol)
+    """One cell per exact check, at x = 0.0: CERTIFIED at margin tol if every
+    check holds, else FALSIFIED at -inf."""
+    holds = list(holds)
+    status, margin = (Status.CERTIFIED, tol) if all(holds) else (Status.FALSIFIED, -math.inf)
+    return VerificationReport(claim, status, margin, 0.0, len(holds), Mode.GRID)
 
 
 def verify_identities(cfg: VerificationConfig) -> list[VerificationReport]:

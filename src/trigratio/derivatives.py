@@ -81,9 +81,9 @@ class ParityError(ParameterError):
 # The sum forms have p//2 terms, built in exact rationals (~260 bytes each)
 # and summed one by one.  At p = 2^16 the table takes 0.13 s and the first
 # d_sum on 2048 points 0.9 s (Xeon, CPython 3.11), linear in p: at p = 10^9
-# the table alone would need ~130 GB.  No termwise proof reads it: this caps
-# its evaluation only, by d_sum, a GRID sign claim or the bisection of a
-# wrong-sign claim.
+# the table alone would need ~130 GB.  No sign claim reads it past the
+# lemma's base cases (p <= 5), nor identity claim past p = 20: this caps
+# d_sum and general_vs_sum_check only.
 MAX_SUM_P = 2**16
 
 
@@ -277,15 +277,15 @@ def _sum_form_lemma(family: FamilyKind) -> bool:
     m = p-1 (mod 2), factor 2/p^3, which is D = -x R''' read termwise off
     R = sum eps_m cos(m t) over |m| < p.  From p to p+2 the rule adds the
     top term m = p+1 and, for the cos families, flips the others' signs
-    (read off the rule, not checked: the sin families' base cases hold one
-    term each, so they would not see an eps_m that alternates).  So,
+    (read off the rule; the sin tables at p = 4, 5 and the cos one at 5 hold
+    two terms each, so a wrong kind of eps_m fails a base case).  So,
     by induction on p in steps of 2, R is the family's ratio, and the table
     D, at every p of the table if they are at the base cases and the step
     holds with p symbolic: for the sin families 2 cos((p+1) t) sin t =
     sin((p+2) t) - sin(p t), for the cos families 2 cos((p+1) t) cos t =
     cos((p+2) t) + cos(p t).  The base cases are `_general_vs_sum`, the
-    general table being D from f's definition, at the table's first two p:
-    2 and 3 for the sin families, the first of each parity, and 3 and 5 for
+    general table being D from f's definition, at the table's first p:
+    2, 3, 4 and 5 for the sin families, two of each parity, and 3 and 5 for
     the cos families, the first flip.  They check the general table, which
     the cos families' proofs read, against the sum rule too.
 
@@ -297,7 +297,7 @@ def _sum_form_lemma(family: FamilyKind) -> bool:
     equal keys.  So equal dicts mean the two sides are equal at every p."""
     kind, sgn = ("cos", 1) if family.is_cos else ("sin", -1)
     step = _trig(_trig_product({("cos", _P + 1): 1}, {(kind, 1): 1})) == _trig([(kind, _P + 2, 1), (kind, _P, sgn)])
-    return step and all(_general_vs_sum(family, p) for p in ((3, 5) if family.is_cos else (2, 3)))
+    return step and all(_general_vs_sum(family, p) for p in ((3, 5) if family.is_cos else (2, 3, 4, 5)))
 
 
 @functools.lru_cache(maxsize=256)

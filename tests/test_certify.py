@@ -255,12 +255,14 @@ def test_sign_grid_hyperbolic(family, p_range):
 
 
 def test_sign_grid_hyperbolic_reports_closed_form_value():
-    # the margin is -D at the worst point, by closed form; no difference
-    # stencil, so a tiny interior margin is fine
+    # the margin is -D at the worst point, bitwise d_general's value there (its
+    # series near 0), which the sum form's agrees with; no difference stencil,
+    # so a tiny interior margin is fine
     cfg = VerificationConfig(interior_margin=1e-6)
     r = verify_sign_D(HS, 5, Sign.NEG, cfg)
     assert r.status is Status.CERTIFIED
-    assert r.min_margin == -d_sum(HS, 5, r.worst_x)
+    assert r.min_margin == -d_general(HS, 5, r.worst_x)
+    assert r.min_margin == pytest.approx(-d_sum(HS, 5, r.worst_x), rel=1e-14)
 
 
 def test_sign_hyp_cos_p2_not_single_signed():
@@ -315,24 +317,24 @@ def test_rigorous_cos_odd_p_one_cell(family, margin, cap):
 
 @pytest.mark.parametrize("mode", Mode)
 def test_sign_D_refuses_sum_form_past_limit(mode):
-    """The sin families' sum form has no table past derivatives.MAX_SUM_P.
-    A GRID claim evaluates it, and so does the bisection of a RIGOROUS
-    claim of the wrong sign: ParameterError at once, before any of its p//2
-    exact terms is built, and with no table cached.  The right sign's
-    RIGOROUS claim reads no table: the termwise proof, at every p."""
+    """The sin families' sum form has no table past derivatives.MAX_SUM_P,
+    and d_sum refuses it there, but no sign claim reads it: a GRID claim
+    samples d_general, and a RIGOROUS claim of either sign is the termwise
+    lemma's decision, at every p, with no table cached."""
     for family in (TS, HS):
-        assert derivatives._sum_form_lemma(family)  # its base cases' tables, at p <= 3, built before the count
+        assert derivatives._sum_form_lemma(family)  # its base cases' tables, at p <= 5, built before the count
     derivatives.exact_sin_comb_form.cache_clear()
     cfg = VerificationConfig(mode=mode)
-    refused = Sign.NEG if mode is Mode.GRID else Sign.POS
     for family in (TS, HS):
         for p in (10**9, 2**53):
             with pytest.raises(ParameterError, match="sum form"):
-                verify_sign_D(family, p, refused, cfg)
+                d_sum(family, p, 0.5)
+            proved, refuted = (verify_sign_D(family, p, sign, cfg) for sign in (Sign.NEG, Sign.POS))
+            assert (proved.status, refuted.status, proved.mode) == (Status.CERTIFIED, Status.FALSIFIED, mode)
             if mode is Mode.RIGOROUS:
-                claim = f"sign-D:{family.value}:p={p}:NEG"
-                want = VerificationReport(claim, Status.CERTIFIED, math.inf, math.nan, 0, Mode.RIGOROUS)
-                assert verify_sign_D(family, p, Sign.NEG, cfg) == want
+                claim = f"sign-D:{family.value}:p={p}:"
+                assert proved == VerificationReport(claim + "NEG", Status.CERTIFIED, math.inf, math.nan, 0, mode)
+                assert refuted == VerificationReport(claim + "POS", Status.FALSIFIED, -math.inf, math.nan, 0, mode)
     assert derivatives.exact_sin_comb_form.cache_info().currsize == 0
     # the cos families take their general form, with no such limit
     assert verify_sign_D(TC, 10**9 + 1, Sign.NEG, cfg).status is Status.CERTIFIED
@@ -387,14 +389,19 @@ def _assert_falsified(family, p, wrong, r):
 
 
 def test_rigorous_falsifies_wrong_sign():
-    """The bisection over D's table falsifies every wrong-sign claim, 4
-    families x p = 2..64, the cos families' p = 2 included."""
+    """Every wrong-sign claim, 4 families x p = 2..64, is falsified: by the
+    termwise lemma's disproof wherever it decides D's sign (its report:
+    test_lemma_decides_wrong_sign_claims), and by the bisection over D's
+    table at the cos families' p = 2, where it is silent.  The GRID claim
+    agrees at every pair."""
     for family in FamilyKind:
         for p in range(2, 65):
             wrong = Sign(-expected_sign_D(family, p).value)
-            _assert_falsified(family, p, wrong, verify_sign_D(family, p, wrong, RIGOROUS))
-    # on a grid the wrong sign is flatly falsified
-    assert verify_sign_D(TS, 3, Sign.POS, CFG).status is Status.FALSIFIED
+            r = verify_sign_D(family, p, wrong, RIGOROUS)
+            assert (r.status, r.mode) == (Status.FALSIFIED, Mode.RIGOROUS), r
+            if family.is_cos and p == 2:
+                _assert_falsified(family, p, wrong, r)
+            assert verify_sign_D(family, p, wrong, CFG).status is Status.FALSIFIED
 
 
 @pytest.mark.parametrize("mode", Mode)
@@ -1234,6 +1241,7 @@ _RULE_MUTATIONS = {
     "eps-flipped": (dict(eps=lambda family: 1), (TC, HC)),
     "m-squared": (dict(power=2), tuple(FamilyKind)),
     "factor-1/p^3": (dict(factor=lambda p: Fraction(1, p**3)), tuple(FamilyKind)),
+    "eps-alternating": (dict(eps=lambda family: -1), (TS, HS)),
 }
 
 
@@ -1243,7 +1251,9 @@ def test_sum_form_lemma_fails_on_a_mutated_rule(monkeypatch, fresh_caches, how):
     library's rule, rebuilt, passes for all four families, and each rule
     mutation fails it for every family whose rule it changes: the cos
     families' eps_m made 1 (the sin families' rule), which their base case
-    p = 5 sees, m^2 in place of m^3, and factor 1/p^3.  Then no sign claim
+    p = 5 sees, the sin families' eps_m made to alternate (the cos
+    families' rule), which their base cases p = 4 and 5 see, m^2 in place
+    of m^3, and factor 1/p^3.  Then no sign claim
     of the family is a proof, INCONCLUSIVE in either mode with no cell, and
     its monotonicity is sampled; the other families are still proved."""
     monkeypatch.setattr(derivatives, "exact_sin_comb_form", _sum_rule())
@@ -1270,7 +1280,7 @@ def test_sum_form_lemma_fails_on_a_mutated_rule(monkeypatch, fresh_caches, how):
 def test_termwise_sign_reads_no_refused_table(monkeypatch, fresh_caches):
     """The sin families' sign reads no table, at any p: a cold termwise_sign
     at p = 2^16, past it, or at 2^53 builds none for that p, only the
-    lemma's base cases build theirs, at p <= 3.  So past MAX_SUM_P = 2^16,
+    lemma's base cases build theirs, at p <= 5.  So past MAX_SUM_P = 2^16,
     where the sum table is refused, the RIGOROUS sign claim is the
     termwise proof."""
     built = []
@@ -1278,16 +1288,61 @@ def test_termwise_sign_reads_no_refused_table(monkeypatch, fresh_caches):
     monkeypatch.setattr(derivatives, "exact_sin_comb_form", lambda f, p, general: built.append(p) or table(f, p, general))
     for family in (TS, HS):
         assert [termwise_sign(family, p) for p in (2**16, 2**16 + 1, 2**53)] == [-1, -1, -1]
-    assert sorted(set(built)) == [2, 3]
+    assert sorted(set(built)) == [2, 3, 4, 5]
     r = verify_sign_D(TS, 2**16 + 1, Sign.NEG, RIGOROUS)
     assert r == VerificationReport("sign-D:trig-sin:p=65537:NEG", Status.CERTIFIED, math.inf, math.nan, 0, Mode.RIGOROUS)
 
 
 @pytest.mark.parametrize("family,p", [(TC, 3), (TS, 3), (HC, 17), (HS, 64)])
 def test_wrong_sign_claim_still_bisects(family, p):
-    """The lemma proves the other sign, so the claim falls through to the
-    bisection, which looks at cells and falsifies it."""
+    """The lemma proves the other sign, so verify_sign_D falsifies the claim
+    with no cell; the bisection, which the claim no longer reaches, still
+    looks at cells and falsifies it too, an independent check of the lemma."""
     wrong = Sign(-termwise_sign(family, p))
-    r = verify_sign_D(family, p, wrong, RIGOROUS)
-    assert repr(r) == repr(_bisect(family, p, wrong, RIGOROUS))
-    _assert_falsified(family, p, wrong, r)
+    claim = f"sign-D:{family.value}:p={p}:{wrong.name}"
+    want = VerificationReport(claim, Status.FALSIFIED, -math.inf, math.nan, 0, Mode.RIGOROUS)
+    assert verify_sign_D(family, p, wrong, RIGOROUS) == want
+    _assert_falsified(family, p, wrong, _bisect(family, p, wrong, RIGOROUS))
+
+
+_LEMMA_PS = [*range(2, 65), 2**16 + 1, 2**53]
+
+
+def test_lemma_decides_wrong_sign_claims():
+    """Wherever the termwise lemma gives D's sign, a claim of the other sign
+    is FALSIFIED with min_margin -inf, worst_x nan and no cell, the mirror of
+    the proof's report, and D from the definition in 40-digit mpmath has
+    the lemma's sign at x = pi/4; 4 families x p = 2..64, 2^16 + 1, 2^53."""
+    for family in FamilyKind:
+        for p in _LEMMA_PS:
+            sign = termwise_sign(family, p)
+            if not sign:
+                continue
+            wrong = Sign(-sign)
+            claim = f"sign-D:{family.value}:p={p}:{wrong.name}"
+            want = VerificationReport(claim, Status.FALSIFIED, -math.inf, math.nan, 0, Mode.RIGOROUS)
+            assert verify_sign_D(family, p, wrong, RIGOROUS) == want
+            assert sign * mp_D(family, p, math.pi / 4) > 0, (family, p)
+
+
+def test_sign_claims_read_no_sum_table_past_the_lemma(monkeypatch, fresh_caches):
+    """No sign claim reads a sum table past the lemma's base cases, p <= 5:
+    with every such table made to raise, each claim, 4 families x
+    p = 2..64, 2^16 + 1, 2^53 x both signs x both modes, still returns a
+    report, the same as with the tables intact."""
+    modes = (CFG, RIGOROUS)
+    claims = [(family, p, sign, cfg) for family in FamilyKind for p in _LEMMA_PS for sign in Sign for cfg in modes]
+    want = [verify_sign_D(*claim) for claim in claims]
+    table = derivatives.exact_sin_comb_form
+
+    def guarded(family, p, general):
+        if not general and p > 5:
+            raise AssertionError(f"sum table read at {family.value}:p={p}")
+        return table(family, p, general)
+
+    derivatives.sin_comb_form.cache_clear()
+    derivatives.termwise_sign.cache_clear()
+    derivatives._sum_form_lemma.cache_clear()
+    derivatives._general_vs_sum.cache_clear()
+    monkeypatch.setattr(derivatives, "exact_sin_comb_form", guarded)
+    assert [repr(verify_sign_D(*claim)) for claim in claims] == [repr(r) for r in want]

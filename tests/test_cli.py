@@ -152,6 +152,32 @@ def test_verify_rigorous_output_bytes(capsys, argv, expected):
     assert capsys.readouterr().out == expected
 
 
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (
+            ["verify", "--family", "trig-sin", "--p", "65537"],
+            "envelope:trig-sin:p=65537: certified min_margin=0.00054614165310340468 worst_x=0.001 cells=2 mode=grid\n"
+            "monotone:trig-sin:p=65537: certified min_margin=inf worst_x=nan cells=0 mode=rigorous\n"
+            "sign-D:trig-sin:p=65537:NEG: certified min_margin=0.013107398429422931 worst_x=0.001 cells=2048 mode=grid\n",
+        ),
+        (
+            ["verify", "--family", "trig-sin", "--p", "1000000000"],
+            "envelope:trig-sin:p=1000000000: certified min_margin=8.3333331346511841 worst_x=0.001 cells=2 mode=grid\n"
+            "monotone:trig-sin:p=1000000000: certified min_margin=inf worst_x=nan cells=0 mode=rigorous\n"
+            "sign-D:trig-sin:p=1000000000:NEG: certified min_margin=199.9999761904771 worst_x=0.001 cells=2048 mode=grid\n",
+        ),
+    ],
+    ids=["trig-sin-65537", "trig-sin-1e9"],
+)
+def test_verify_grid_output_bytes(capsys, argv, expected):
+    """The stdout bytes of a default (GRID) verify past the sum table's
+    limit 2^16, which it once refused (exit 65): the sign claim samples D
+    by d_general on the 2048-point grid and reads no sum table."""
+    assert run(argv) == EXIT_OK
+    assert capsys.readouterr().out == expected
+
+
 def test_verify_refuses_margin_that_puts_the_grid_end_on_half_pi(capsys):
     """pi/2 - 1e-300 is pi/2 in float64: refused by the config, where every
     claim's grid raised or falsified on it."""
@@ -321,15 +347,11 @@ HUGE_P = str(10**400)
         pytest.param(
             ["verify", "--family", "hyp-cos", "--p", str(10**103), "--mode", "rigorous"], id="verify-hyp-cos-1e103"
         ),
-        # the sin families' sum form of p//2 terms exists only up to p = 2^16,
-        # and a GRID sign claim evaluates it
-        pytest.param(["verify", "--family", "trig-sin", "--p", "1000000000"], id="verify-trig-sin-1e9"),
     ],
     ids=lambda argv: argv[0],
 )
 def test_p_past_float64_is_domain_error(capsys, argv):
-    """A p outside its range 2 <= p <= 2^53, or whose sum form would take
-    minutes and run out of memory to build, exits 65 at once with a
+    """A p outside its range 2 <= p <= 2^53 exits 65 at once with a
     one-line message, not a traceback and the 1 of a FALSIFIED claim."""
     assert run(argv) == EXIT_DOMAIN == 65
     captured = capsys.readouterr()

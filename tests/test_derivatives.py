@@ -593,6 +593,7 @@ def test_dirichlet_sum_identity(k):
         (lambda: dirichlet_sum(0, 1.0), ParameterError),
         (lambda: dirichlet_sum(3, 0.0), DomainError),
         (lambda: dirichlet_sum(3, math.pi), DomainError),
+        (lambda: dirichlet_sum(3, math.nan), DomainError),
         (lambda: dirichlet_sum(True, 0.5), ParameterError),
         (lambda: dirichlet_sum(2.5, 0.5), ParameterError),
         (lambda: dirichlet_sum(3.0, 0.5), ParameterError),
@@ -607,6 +608,7 @@ def test_dirichlet_sum_identity(k):
         "dirichlet-k0",
         "dirichlet-x0",
         "dirichlet-x-pi",
+        "dirichlet-x-nan",
         "dirichlet-k-bool",
         "dirichlet-k-float",
         "dirichlet-k-integral-float",
