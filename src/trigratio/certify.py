@@ -260,7 +260,8 @@ def verify_sign_D(
             return _termwise_report(claim, sign)
         return _verify_sign_rigorous(claim, family, p, expected_sign, cfg)
     xs = _grid(cfg.interior_margin, cfg.grid_points)
-    margins = float(expected_sign.value) * d_general(family, p, xs)
+    margins = d_general(family, p, xs)
+    margins *= float(expected_sign.value)  # d_general's output is new: flipped in place
     return _grid_verdict(claim, margins, xs, len(xs))
 
 

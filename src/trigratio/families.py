@@ -215,12 +215,20 @@ def series_threshold(family: FamilyKind) -> float:
 
 
 def _even_series(x, coeffs):
-    """sum_i coeffs[i] x^(2i) by Horner in x^2: f's series here, D's in
-    `derivatives`."""
+    """sum_i coeffs[i] x^(2i) by Horner in x^2, for at least two coefficients:
+    f's 8 series coefficients here, D's 17 in `derivatives`.
+
+    The first step makes a new accumulator, never x or a view of it, which
+    every later step updates in place: on an array no step allocates, and a
+    scalar (a 0-d array's x * x is one) is rebound.  Each step is still one
+    rounded multiply by x^2, then one rounded add, in Horner's order, and
+    numpy fuses neither pair: the values are bitwise those of the textbook
+    acc = acc * x2 + a, in any float dtype."""
     x2 = x * x
-    acc = coeffs[-1]
-    for a in reversed(coeffs[:-1]):
-        acc = acc * x2 + a
+    acc = coeffs[-1] * x2 + coeffs[-2]
+    for a in reversed(coeffs[:-2]):
+        acc *= x2
+        acc += a
     return acc
 
 
@@ -320,7 +328,10 @@ def _as_points(x, dtype=None):
 
 # Points per block of the array evaluators: 128 KiB per float64 temporary, so
 # a kernel's temporaries stay in cache, where whole-array ones took 8 MiB each
-# at every numpy step of a 2^20-point call (24-50 MiB live at its peak).
+# at every numpy step of a 2^20-point call (24-50 MiB live at its peak).  Such
+# a call peaks at its output plus 0.39 MiB (d_general, whose series
+# updates one accumulator in place), 0.38 (d_sum) or 0.55-0.63 (eval_f_grid),
+# by tracemalloc.
 _BLOCK = 1 << 14
 
 

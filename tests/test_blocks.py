@@ -2,8 +2,10 @@
 `d_sum`: their values do not depend on how an array is split, whole-array
 checks run before any block, and temporaries stay at about one block.  Also
 the one point check all four array evaluators share (`families._as_points`),
-and `dirichlet_sum`'s cap on k."""
+`dirichlet_sum`'s cap on k, and the even series' Horner loop they all sum,
+pinned bit for bit."""
 
+import hashlib
 import math
 import re
 import tracemalloc
@@ -11,9 +13,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from trigratio import derivatives, families
+from trigratio import certify, derivatives, families
 from trigratio.chebyshev import cheb_u_eval
-from trigratio.derivatives import d_general, d_sum, dirichlet_sum
+from trigratio.derivatives import _d_series_coeffs, d_general, d_sum, dirichlet_sum
 from trigratio.families import (
     _BLOCK as B,
     DomainError,
@@ -21,7 +23,9 @@ from trigratio.families import (
     HALF_PI,
     ParameterError,
     _as_points,
+    _even_series,
     eval_f_grid,
+    f_series_coeffs,
 )
 
 TC, TS, HC, HS = (
@@ -238,3 +242,119 @@ def test_dirichlet_caps_k():
     for k, text in ((2**20 + 1, "1048577"), (10**400, "|k| >= 2^1328")):
         with pytest.raises(ParameterError, match=rf"^k must be in \[1, 2\^20\], got {re.escape(text)}$"):
             dirichlet_sum(k, 0.5)
+
+
+def _textbook_horner(x, coeffs):
+    """sum_i coeffs[i] x^(2i) by Horner in x^2, a new value at every step."""
+    x2 = x * x
+    acc = coeffs[-1]
+    for a in reversed(coeffs[:-1]):
+        acc = acc * x2 + a
+    return acc
+
+
+def _series_inputs():
+    """(kind, x) for every kind of point the even series is summed on."""
+    rng = np.random.default_rng(34)
+    xs = _points(rng, 3 * B + 5, True)
+    return [
+        ("float64", xs),
+        ("longdouble", xs.astype(np.longdouble)),
+        ("float64-view", xs[: B // 8]),
+        ("0-d", np.array(0.3)),
+        ("0-d-longdouble", np.array(0.3, dtype=np.longdouble)),
+        ("np.float64", np.float64(0.3)),
+        ("float", 0.3),
+        ("float-zero", 0.0),
+    ]
+
+
+@pytest.mark.parametrize("family", list(FamilyKind))
+def test_even_series_is_textbook_horner(family):
+    """`_even_series` with f's 8 coefficients and D's 17 equals, bit for
+    bit, an out-of-place Horner loop: the same type per kind of input, the
+    same values, with x and the coefficients left as they were and no
+    result that is x itself or a view of it."""
+    for coeffs in (f_series_coeffs(family, 7), _d_series_coeffs(family, 7), f_series_coeffs(family, 7.3)):
+        assert len(coeffs) in (8, 17)
+        kept = tuple(coeffs)
+        for kind, x in _series_inputs():
+            before = np.array(x, copy=True)
+            got, want = _even_series(x, coeffs), _textbook_horner(x, coeffs)
+            assert type(got) is type(want), kind
+            assert coeffs == kept and np.array_equal(np.asarray(x), before), kind
+            if isinstance(x, np.ndarray) and x.ndim:
+                assert not np.shares_memory(got, x), kind
+                _assert_same_bits(got, want)
+            else:  # a scalar: a Python float or a numpy scalar
+                assert np.asarray(got).dtype == np.asarray(want).dtype, kind
+                assert np.array_equal(got, want) and np.signbit(got) == np.signbit(want), kind
+
+
+# sha256 (first 16 hex digits) of the float64 output bytes of each array
+# evaluator, over the p values below in turn, per point set and family,
+# taken before `_even_series` updated its accumulator in place: the values
+# are bit for bit those of the out-of-place Horner loop it replaced.  The
+# point sets are the GRID default (2048 points, margin 1e-3) and 3*2^14+5
+# seeded points, a third of them on the series branches.
+_PIN_PS = (2, 3, 5, 16, 64, 7.3)
+_OUTPUT_SHA = {
+    ("eval_f_grid", TC, "grid"): "ff9cda1f8e11302c",
+    ("eval_f_grid", TS, "grid"): "b5a16ebccd354507",
+    ("eval_f_grid", HC, "grid"): "a985c56cc1ceb799",
+    ("eval_f_grid", HS, "grid"): "ea0ca34775b22276",
+    ("eval_f_grid", TC, "seeded"): "10335d7b706d7db0",
+    ("eval_f_grid", TS, "seeded"): "6c98c303c54fe289",
+    ("eval_f_grid", HC, "seeded"): "f9bc7abf77b59f0a",
+    ("eval_f_grid", HS, "seeded"): "bf7257f9c3efb5eb",
+    ("d_general", TC, "grid"): "0d670df8280b1463",
+    ("d_general", TS, "grid"): "73796d6818c1813c",
+    ("d_general", HC, "grid"): "96c3a39819ee6930",
+    ("d_general", HS, "grid"): "34aa96e1d012eef7",
+    ("d_general", TC, "seeded"): "0ebd013b92321ce8",
+    ("d_general", TS, "seeded"): "67617a2ef3e0ac35",
+    ("d_general", HC, "seeded"): "ee6e7c0cb969b512",
+    ("d_general", HS, "seeded"): "ec1ca5a62dfb919a",
+    ("d_sum", TC, "grid"): "bb12b30fbd28b519",
+    ("d_sum", TS, "grid"): "e0d56089c3565f4b",
+    ("d_sum", HC, "grid"): "c28a5eded468b256",
+    ("d_sum", HS, "grid"): "71713dade31a0d11",
+    ("d_sum", TC, "seeded"): "ccd1972e8cce704d",
+    ("d_sum", TS, "seeded"): "436162531f040a95",
+    ("d_sum", HC, "seeded"): "42b08bc6f4ef0556",
+    ("d_sum", HS, "seeded"): "ebcddebcf50ff45e",
+}
+
+
+def _pin_ps(name, family):
+    """The p of `_PIN_PS` the evaluator takes: d_sum no p = 7.3, and no even
+    p for the cos families, which have no sum form there."""
+    if name != "d_sum":
+        return _PIN_PS
+    return tuple(p for p in _PIN_PS if p == int(p) and (not family.is_cos or p % 2))
+
+
+def _pin_points(where):
+    if where == "grid":
+        return certify._grid(1e-3, 2048)
+    return _points(np.random.default_rng(34), 3 * B + 5, False)
+
+
+def _output_digest(name, family, where):
+    fn = {"eval_f_grid": eval_f_grid, "d_general": d_general, "d_sum": d_sum}[name]
+    xs, h = _pin_points(where), hashlib.sha256()
+    for p in _pin_ps(name, family):
+        out = fn(family, p, xs)
+        assert out.dtype == np.float64 and out.shape == xs.shape
+        h.update(out.tobytes())
+    return h.hexdigest()[:16]
+
+
+PINNED = [(n, f, w) for n in ("eval_f_grid", "d_general", "d_sum") for w in ("grid", "seeded") for f in FamilyKind]
+
+
+@pytest.mark.parametrize(("name", "family", "where"), PINNED, ids=[f"{n}-{f.value}-{w}" for n, f, w in PINNED])
+def test_array_outputs_are_pinned(name, family, where):
+    """Each array evaluator's output bytes on both point sets, at every p it
+    takes, against the pin."""
+    assert _output_digest(name, family, where) == _OUTPUT_SHA[name, family, where]

@@ -963,6 +963,39 @@ def test_grid_reports_equal_fresh_linspace(cfg, monkeypatch):
     assert run() == shared
 
 
+def test_grid_sign_claim_writes_no_shared_array():
+    """A GRID sign claim flips the sign of `d_general`'s fresh output in
+    place: the shared grid stays bitwise as it was and read-only, and two
+    identical claims give equal reports, of either sign and family."""
+    xs = certify._grid(1e-3, 2048)
+    before = xs.tobytes()
+    for family in FamilyKind:
+        for sign in Sign:
+            first = verify_sign_D(family, 5, sign, CFG)
+            assert verify_sign_D(family, 5, sign, CFG) == first
+            assert first.status is (Status.CERTIFIED if sign is expected_sign_D(family, 5) else Status.FALSIFIED)
+    assert certify._grid(1e-3, 2048) is xs
+    assert xs.tobytes() == before and not xs.flags.writeable
+
+
+# the 60 GRID sign reports of the benchmark's sweep (4 families x p = 2..16,
+# the paper's sign, default config): per family the first 16 hex digits of
+# the sha256 of their reprs, one a line, taken before `families._even_series`
+# updated its accumulator in place
+_SIGN_GRID_SHA = {
+    TC: "ef1da7d57e96666f",
+    TS: "ccebe82db3c87a31",
+    HC: "b4faaff704c0f3e3",
+    HS: "5d81b2a2a3b29d56",
+}
+
+
+@pytest.mark.parametrize("family", FamilyKind)
+def test_sign_grid_reports_are_pinned(family):
+    reprs = "\n".join(repr(verify_sign_D(family, p, expected_sign_D(family, p), CFG)) for p in range(2, 17))
+    assert hashlib.sha256(reprs.encode()).hexdigest()[:16] == _SIGN_GRID_SHA[family]
+
+
 # --- the interval evaluation of D ---------------------------------------------
 
 
