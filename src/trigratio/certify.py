@@ -25,26 +25,21 @@ least margin of a monotone f lies, and elsewhere every grid point.
 The proofs read D from one table, `derivatives.exact_sin_comb_form`: the
 (w, c) terms and the factor of D(x) = -x * factor * sum_i w_i sin(c_i x),
 over den(x/p)^4 for the general form, with den and the sine (sinh for the
-x -> ix hyperbolic images) from `families.FAMILY_FNS`.  The termwise lemma
-reads its rationals; the bisection runs on endpoint floats, and
+x -> ix hyperbolic images) from `families.FAMILY_FNS`, whose interval
+backend this module registers, the only one that reads it.  The termwise
+lemma reads its rationals; the bisection runs on endpoint floats, and
 `_interval_D` encloses D over a (lo, hi) cell by one `interval.sin_comb`
 over its float view `sin_comb_form` and the float-pair functions of
 `interval`, each step bitwise that of an `Interval` expression of D,
-building no Interval.  The form goes by family, `general = family.is_cos`:
-the cos families take the sec^4 (sech^4) general form, whose weights at
-p >= 3 are all positive and frequencies in [0, 2], so every term keeps one
-sign on (0, pi/2) and the lemma decides it, where their odd-p sum form
-alternates and cancels terms of size up to (p-1)^3.  The sin families'
-general form cancels near 0 (csc^4(x/p) against a bracket that vanishes
-like x^5), so their bisection, which the lemma leaves no claim to and the
-tests run as its cross-check, takes the sum form.  The general table is
-the numerator of D differentiated from f's definition, so it is D at every
-p; a sin family's sum table is D at every p by the Chebyshev corollary,
-whose recurrence `derivatives._sum_form_lemma` checks once per family in
-exact algebra with p symbolic, also against the general table at its base
-cases; where it fails, the family's sign claims are INCONCLUSIVE.  So no
-claim builds or refuses a sum table at its own p: `MAX_SUM_P` bounds only
-`d_sum` and `general_vs_sum_check`.  Every grid verdict is built by one
+building no Interval.  The bisection always reads D's general table, the
+numerator of D differentiated from f's definition and so D at every p,
+since only the cos families, whose termwise lemma is silent at p = 2, ever
+reach it.  A sin family's sum table is D at every p by the Chebyshev
+corollary, whose recurrence `derivatives._sum_form_lemma` checks once per
+family in exact algebra with p symbolic, also against the general table at
+its base cases; where it fails, the family's sign claims are INCONCLUSIVE.
+So no claim builds or refuses a sum table at its own p: `MAX_SUM_P` bounds
+only `d_sum` and `general_vs_sum_check`.  Every grid verdict is built by one
 `_grid_verdict`, every exact identity verdict by `_exact_report`.
 """
 
@@ -74,12 +69,15 @@ from .families import (
     FamilyKind,
     HALF_PI,
     ParameterError,
+    _add_backend,
     _as_real,
     _f_at,
     check_param_int,
     eval_f_grid,
 )
 from .interval import _mul_bounds, _pow_bounds, _reciprocal_bounds, sin_comb
+
+_add_backend(interval)  # g and the sine on float pairs, for `_interval_D`
 
 
 class Mode(enum.Enum):
@@ -189,16 +187,16 @@ def expected_sign_D(family: FamilyKind, p: int) -> Sign:
 
 
 def _interval_D(family: FamilyKind, p: int, lo: float, hi: float) -> tuple[float, float]:
-    """D's bounds over the cell [lo, hi] from `sin_comb_form`, g and sine from
-    `FAMILY_FNS`: -x (times 1/g(x/p)^4 for the general form) * factor * sum,
-    on endpoint floats, each step bitwise that of the Interval expression."""
+    """D's bounds over the cell [lo, hi] from the general table's
+    `sin_comb_form`, g and sine from `FAMILY_FNS`: -x / g(x/p)^4 * factor *
+    sum, on endpoint floats, each step bitwise that of the Interval
+    expression.  One form for every family; only the cos families at p = 2,
+    where the termwise lemma is silent, reach it from `verify_sign_D`."""
     g, sin = FAMILY_FNS[family][interval]
-    terms, factor = sin_comb_form(family, p, family.is_cos)
-    s_lo, s_hi = -hi, -lo
-    if family.is_cos:
-        s = 1.0 / p
-        sec = _reciprocal_bounds(*g(*_mul_bounds(lo, hi, s, s)))
-        s_lo, s_hi = _mul_bounds(s_lo, s_hi, *_pow_bounds(*sec, 4))
+    terms, factor = sin_comb_form(family, p, True)
+    s = 1.0 / p
+    inv_g = _reciprocal_bounds(*g(*_mul_bounds(lo, hi, s, s)))
+    s_lo, s_hi = _mul_bounds(-hi, -lo, *_pow_bounds(*inv_g, 4))
     s_lo, s_hi = _mul_bounds(s_lo, s_hi, factor, factor)
     return _mul_bounds(s_lo, s_hi, *sin_comb(lo, hi, terms, sin))
 

@@ -9,7 +9,8 @@ values equal the scalar calls bit for bit; this module itself imports no
 numpy, so the CLI's `cheb` verb never loads it.  A degree takes the one
 integer rule (`families.check_param_int`) with its cap: n <= 64 for
 `cheb_u`, whose coefficients would overflow double precision past it, and
-n <= 2^20 for `cheb_u_eval`, whose recurrence would run for hours.
+n <= 2^20 for `cheb_u_eval`, whose recurrence would run for hours, with
+n times the points at most 2^27 for an array t.
 """
 
 from __future__ import annotations
@@ -19,12 +20,17 @@ import numbers
 from dataclasses import dataclass
 
 from .envelopes import ratio_bounds
-from .families import DomainError, FamilyKind, _as_point, _as_points, _as_real, check_param_int
+from .families import DomainError, FamilyKind, ParameterError, _as_point, _as_points, _as_real, check_param_int
 
 DEGREE_CAP = 64
 # cheb_u_eval's degree cap: its recurrence takes ~50 ms for a float t at
 # this degree (~50 ns a step), ~1.5 s for a small array (numpy's per-call cost)
 _EVAL_DEGREE_CAP = 2**20
+# and its cap on n times the points of an array t: an array step costs ~1.5 us
+# plus ~1.2-3 ns a point, so an accepted call runs at most ~1-1.8 s (n = 2^20
+# on 128 points; ~0.4 s for n = 2^7 on 2^20), where n = 2^20 on 2^20 points
+# would run for about half an hour
+_EVAL_WORK_CAP = 2**27
 
 
 @dataclass(frozen=True)
@@ -57,8 +63,9 @@ def cheb_u_eval(n: int, t):
     float, or an array-like taken as float64 (`families._as_points`) and run
     through the same recurrence elementwise; DomainError if any of it lies
     outside [-1, 1] or is NaN, a bool or complex.  U_0 of an array is ones
-    of its shape.  ParameterError above n = 2^20, so that a huge degree
-    fails at once instead of running for hours."""
+    of its shape.  ParameterError above n = 2^20, or for an array whose
+    n times size is above 2^27, so that a huge degree or array fails at
+    once instead of running for hours."""
     if type(n) is not int or not 0 <= n <= _EVAL_DEGREE_CAP:
         n = check_param_int(n, "degree", 0, _EVAL_DEGREE_CAP)
     if type(t) is not float and isinstance(t, numbers.Real):
@@ -69,6 +76,8 @@ def cheb_u_eval(n: int, t):
         u_prev = 1.0
     else:
         t, least, most = _as_points(t)
+        if n * t.size > _EVAL_WORK_CAP:
+            raise ParameterError(f"degree times points must be at most 2^27, got {n} x {t.size}")
         if not (-1.0 <= least and most <= 1.0):
             raise DomainError("t outside [-1, 1]")
         u_prev = 0.0 * t + 1.0  # ones of t's shape, t being finite

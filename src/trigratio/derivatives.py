@@ -142,12 +142,14 @@ def termwise_sign(family: FamilyKind, p) -> int:
     The sin families read no table: their sum table is D at every p,
     D = -x (2/p^3) sum m^3 sin(m x/p) over 0 < m < p, and each term is > 0
     on (0, pi/2), where m x/p < pi/2, as is each sinh term: -1.  The cos
-    families read their general table.  A term w sin(c x) keeps the sign
-    of w*c on (0, pi/2) where |c| <= 2, since then |c x| < pi; w sinh(c x)
-    keeps it for every c.  When every term with nonzero w and c has one
-    such sign, so has the sum, and D, -x * factor * sum (over
-    den(x/p)^4 > 0, no pole in p's range), has that sign times
-    -sign(factor).  A comparison of rationals: no pi, no libm, no rounding.
+    families read their general table, at most 4 terms, as Fractions: one
+    set of term signs and, for the trig ones, one |c| <= 2 test.  A term
+    w sin(c x) keeps the sign of w*c on (0, pi/2) where |c| <= 2, since
+    then |c x| < pi; w sinh(c x) keeps it for every c.  When every term
+    with nonzero w and c has one such sign, so has the sum, and D,
+    -x * factor * sum (over den(x/p)^4 > 0, no pole in p's range), has that
+    sign times -sign(factor).  A comparison of rationals: no pi, no libm,
+    no rounding.
     The cos families' p = 2 general form mixes signs (weights -11/16 at
     frequency 1/2 and 5/64 at 3/2), so 0 there, as for any table the lemma
     does not reach."""
@@ -156,19 +158,11 @@ def termwise_sign(family: FamilyKind, p) -> int:
     if not family.is_cos:
         return -1
     terms, factor = exact_sin_comb_form(family, p, True)
-    sign = 0
-    # on numerators and denominators, ints: a rational's sign is its
-    # numerator's, and |c| > 2 where |numerator| > 2 denominator
-    for w, c in terms:
-        wn, cn = w.numerator, c.numerator
-        if not (wn and cn):
-            continue
-        if family.is_trig and abs(cn) > 2 * c.denominator:
-            return 0
-        term = 1 if (wn > 0) == (cn > 0) else -1
-        if term == -sign:
-            return 0
-        sign = term
+    live = [(w, c) for w, c in terms if w and c]
+    signs = {(w > 0) == (c > 0) for w, c in live}
+    if len(signs) != 1 or family.is_trig and any(abs(c) > 2 for _, c in live):
+        return 0
+    sign = 1 if signs.pop() else -1
     return -sign if factor > 0 else sign
 
 

@@ -10,8 +10,9 @@ removable:
     HYP_SIN:   (p - sinh x / sinh(x/p)) / x^2
 
 Family dispatch lives in one table, `FAMILY_FNS`, read by f, its limits, the
-bare ratio and D: per family and backend (math, numpy, interval), g and the
-sine of the product forms, sinh for the x -> ix images f_hyp(x) = -f_trig(ix).
+bare ratio and D: per family and backend (math, numpy), g and the sine of
+the product forms, sinh for the x -> ix images f_hyp(x) = -f_trig(ix); the
+rigorous proofs in `certify` add the interval backend with `_add_backend`.
 What the dispatch does not read from the table it reads from `FamilyKind`'s
 `is_trig` and `is_cos`, plain member attributes.
 
@@ -22,7 +23,7 @@ anything else raises ParameterError.  There g(x/p) has no pole on
 (0, pi/2): cos(x/p) >= 1/2, and sin(x/p) vanishes only at the removable
 zero x = 0.  Every series coefficient and D-table entry fits float64.
 
-The scalar and interval backends need no numpy.  The numpy backend loads on
+The scalar backend needs no numpy.  The numpy backend loads on
 the first array call (`eval_f_grid`, `derivatives`): `load_numpy` imports
 numpy then and adds its entries to `FAMILY_FNS`, so point evaluation never
 pays numpy's import.  Every array evaluator of f and D checks its points and
@@ -50,8 +51,6 @@ import operator
 import sys
 from fractions import Fraction
 from functools import lru_cache
-
-from . import interval
 
 HALF_PI = math.pi / 2.0
 
@@ -91,8 +90,8 @@ _FNS_NAMES = {
     FamilyKind.HYP_SIN: ("sinh", "sinh"),
 }
 
-# family -> backend module -> (g, sin); the interval backend's g and sin both
-# enclose on float pairs (see `interval`); numpy's entries come with `load_numpy`
+# family -> backend module -> (g, sin); numpy's entries come with `load_numpy`,
+# the interval backend's with `certify`
 FAMILY_FNS = {family: {} for family in _FNS_NAMES}
 
 
@@ -103,7 +102,6 @@ def _add_backend(xp):
 
 
 _add_backend(math)
-_add_backend(interval)
 
 
 @lru_cache(maxsize=None)

@@ -157,7 +157,8 @@ def _cosh_bounds(a: float, b: float) -> tuple[float, float]:
     return lo, hi
 
 
-# the interval backend of families.FAMILY_FNS: g and the sine, both on float pairs
+# the interval backend of families.FAMILY_FNS, which `certify` registers: g and
+# the sine, both on float pairs
 cos, cosh, sin, sinh = _cos_bounds, _cosh_bounds, _sin_bounds, _sinh_bounds
 
 

@@ -292,12 +292,14 @@ def _bisect(family, p, sign, cfg):
 
 @pytest.mark.parametrize("margin,cap", [(1e-3, 20), (1e-6, 40)])
 def test_rigorous_hyperbolic_certified(margin, cap):
-    """The x -> ix images bisect like their partners: hyp-sin p = 2..64 and
-    hyp-cos p = 3..64, each in 1 cell."""
+    """The x -> ix images bisect like their partners, each in 1 cell: hyp-cos
+    p = 3..64 by the library's bisection, and hyp-sin p = 2..64 by the
+    reference prover on its parity sums, since the library bisects the
+    general form only, which for the sin families cancels like x^5."""
     cfg = VerificationConfig(mode=Mode.RIGOROUS, interior_margin=margin, max_subdivisions=cap)
-    for family, ps in ((HS, range(2, 65)), (HC, range(3, 65))):
+    for family, ps, prove in ((HS, range(2, 65), _reference_verify_sign_rigorous), (HC, range(3, 65), _bisect)):
         for p in ps:
-            r = _bisect(family, p, expected_sign_D(family, p), cfg)
+            r = prove(family, p, expected_sign_D(family, p), cfg)
             assert (r.status, r.mode) == (Status.CERTIFIED, Mode.RIGOROUS), r
             assert r.min_margin > 0.0
             assert r.cells_checked == 1, r
@@ -1009,17 +1011,19 @@ def sin_comb(x, terms, sin):
     return Interval(*interval.sin_comb(x.lo, x.hi, terms, sin))
 
 
-def _reference_interval_D(family, p, x):
+def _reference_interval_D(family, p, x, general=None):
     """_interval_D as written before the sin-combination kernel: Interval
     objects throughout, the sum tables rebuilt for every cell; cosh and
-    sinh in place of cos and sin for the hyperbolic families.  The cos
-    families take the general form, whose table is `sin_comb_form`'s, the
-    sin families their parity sums."""
-    g, sin = (Interval.cos, Interval.sin) if family.is_trig else (Interval.cosh, Interval.sinh)
-    if family.is_cos:
+    sinh in place of cos and sin for the hyperbolic families.  The general
+    form, whose table is `sin_comb_form`'s, over g(x/p)^4 with the family's
+    own g (cos, sin, cosh or sinh), where `general` (by default for the cos
+    families), else the sin families' parity sums."""
+    sin = Interval.sin if family.is_trig else Interval.sinh
+    if (family.is_cos if general is None else general):
+        g = {TC: Interval.cos, TS: Interval.sin, HC: Interval.cosh, HS: Interval.sinh}[family]
         terms, factor = sin_comb_form(family, p, True)
-        sec4 = g(x * (1.0 / p)).reciprocal() ** 4
-        scale = -x * sec4 * factor
+        inv_g4 = g(x * (1.0 / p)).reciprocal() ** 4
+        scale = -x * inv_g4 * factor
     elif p % 2 == 0:
         k = p // 2
         terms = [((2 * j + 1) ** 3, (2 * j + 1) / (2.0 * k)) for j in range(k)]
@@ -1053,12 +1057,13 @@ def _seeded_cells(rng, n, margin=1e-6):
 
 @pytest.mark.parametrize("family", [TC, TS, HC, HS])
 def test_interval_D_bitwise_matches_reference(family):
-    """Every form: even and odd sums (sin families), and the general form
-    (cos families, whose frequency 1 - 3/p is -0.5 at p = 2)."""
+    """The general form for every family, over csc^4 (csch^4) for the sin
+    families and sec^4 (sech^4) for the cos ones, whose frequency 1 - 3/p
+    is -0.5 at p = 2."""
     rng = random.Random(1729)
     for p in range(2, 65):
         for x in _seeded_cells(rng, 12):
-            assert _interval_D(family, p, x) == _reference_interval_D(family, p, x), (p, x)
+            assert _interval_D(family, p, x) == _reference_interval_D(family, p, x, general=True), (p, x)
 
 
 @pytest.mark.parametrize("family", [TC, TS, HC, HS])
@@ -1147,10 +1152,11 @@ def _reference_verify_sign_rigorous(family, p, expected_sign, cfg):
 
 
 @pytest.mark.parametrize("margin,cap", [(1e-3, 20), (1e-6, 40), (1e-6, 20)])
-@pytest.mark.parametrize("family", [TC, TS, HC, HS])
+@pytest.mark.parametrize("family", [TC, HC])
 def test_rigorous_reports_bitwise_match_reference_prover(family, margin, cap):
-    """Every bisection report, p = 2..64, is repr-equal to the Interval-cell
-    reference prover's: the same cells, verdict, margin and worst x."""
+    """Every bisection report of the cos families, the only ones that
+    bisect, p = 2..64, is repr-equal to the Interval-cell reference
+    prover's: the same cells, verdict, margin and worst x."""
     cfg = VerificationConfig(mode=Mode.RIGOROUS, interior_margin=margin, max_subdivisions=cap)
     for p in range(2, 65):
         sign = expected_sign_D(family, p)
@@ -1208,14 +1214,18 @@ def test_termwise_sign_is_silent_only_at_the_cos_families_p2():
 
 @pytest.mark.parametrize("family", FamilyKind)
 def test_termwise_sign_agrees_with_bisection_and_mpmath(family):
-    """Wherever the lemma gives a sign, the interval bisection at margin 1e-3
+    """Wherever the lemma gives a sign, an interval bisection at margin 1e-3
     and depth 20 certifies that same sign, and D from the definition in
-    40-digit mpmath has it near both ends of (0, pi/2)."""
+    40-digit mpmath has it near both ends of (0, pi/2).  The cos families
+    bisect in the library, on their general form; the sin families, whose
+    general form cancels like x^5 near 0, in the reference prover on their
+    parity sums, 63 cells each."""
+    prove = _bisect if family.is_cos else _reference_verify_sign_rigorous
     for p in range(2, 65):
         sign = termwise_sign(family, p)
         if not sign:
             continue
-        assert _bisect(family, p, Sign(sign), RIGOROUS).status is Status.CERTIFIED, p
+        assert prove(family, p, Sign(sign), RIGOROUS).status is Status.CERTIFIED, p
         for x in (1e-8, HALF_PI - 1e-8):
             assert sign * mp_D(family, p, x) > 0, (p, x)
 
@@ -1329,13 +1339,18 @@ def test_termwise_sign_reads_no_refused_table(monkeypatch, fresh_caches):
 @pytest.mark.parametrize("family,p", [(TC, 3), (TS, 3), (HC, 17), (HS, 64)])
 def test_wrong_sign_claim_still_bisects(family, p):
     """The lemma proves the other sign, so verify_sign_D falsifies the claim
-    with no cell; the bisection, which the claim no longer reaches, still
-    looks at cells and falsifies it too, an independent check of the lemma."""
+    with no cell; a bisection, which the claim no longer reaches, still
+    looks at cells and falsifies it too, an independent check of the lemma:
+    the library's for the cos families, the reference prover on the parity
+    sums for the sin families, whose general form cancels like x^5 near 0
+    and takes the library's 1.6 s (trig-sin, p = 3) and 12.6 s (hyp-sin,
+    p = 64) to reach a wrong-signed cell."""
     wrong = Sign(-termwise_sign(family, p))
     claim = f"sign-D:{family.value}:p={p}:{wrong.name}"
     want = VerificationReport(claim, Status.FALSIFIED, -math.inf, math.nan, 0, Mode.RIGOROUS)
     assert verify_sign_D(family, p, wrong, RIGOROUS) == want
-    _assert_falsified(family, p, wrong, _bisect(family, p, wrong, RIGOROUS))
+    prove = _bisect if family.is_cos else _reference_verify_sign_rigorous
+    _assert_falsified(family, p, wrong, prove(family, p, wrong, RIGOROUS))
 
 
 _LEMMA_PS = [*range(2, 65), 2**16 + 1, 2**53]
@@ -1362,7 +1377,11 @@ def test_sign_claims_read_no_sum_table_past_the_lemma(monkeypatch, fresh_caches)
     """No sign claim reads a sum table past the lemma's base cases, p <= 5:
     with every such table made to raise, each claim, 4 families x
     p = 2..64, 2^16 + 1, 2^53 x both signs x both modes, still returns a
-    report, the same as with the tables intact."""
+    report, the same as with the tables intact.  Once the lemma is proved,
+    none reads any sum table: with every one made to raise, each claim
+    still returns that report, and `_interval_D` still encloses D on
+    seeded cells of all four families, bitwise the reference's general
+    form."""
     modes = (CFG, RIGOROUS)
     claims = [(family, p, sign, cfg) for family in FamilyKind for p in _LEMMA_PS for sign in Sign for cfg in modes]
     want = [verify_sign_D(*claim) for claim in claims]
@@ -1379,3 +1398,18 @@ def test_sign_claims_read_no_sum_table_past_the_lemma(monkeypatch, fresh_caches)
     derivatives._general_vs_sum.cache_clear()
     monkeypatch.setattr(derivatives, "exact_sin_comb_form", guarded)
     assert [repr(verify_sign_D(*claim)) for claim in claims] == [repr(r) for r in want]
+
+    def general_only(family, p, general):
+        if not general:
+            raise AssertionError(f"sum table read at {family.value}:p={p}")
+        return table(family, p, general)
+
+    derivatives.sin_comb_form.cache_clear()
+    derivatives.termwise_sign.cache_clear()
+    monkeypatch.setattr(derivatives, "exact_sin_comb_form", general_only)
+    assert [repr(verify_sign_D(*claim)) for claim in claims] == [repr(r) for r in want]
+    rng = random.Random(31)
+    for family in FamilyKind:
+        for p in (2, 3, 4, 5, 64):
+            for x in _seeded_cells(rng, 4):
+                assert _interval_D(family, p, x) == _reference_interval_D(family, p, x, general=True), (family, p, x)

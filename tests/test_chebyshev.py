@@ -2,6 +2,7 @@
 
 import math
 import re
+import signal
 import time
 from decimal import Decimal
 from fractions import Fraction
@@ -91,6 +92,30 @@ def test_eval_degree_cap():
             with pytest.raises(ParameterError, match=rf"^degree must be in \[0, 2\^20\], got {re.escape(text)}$"):
                 cheb_u_eval(n, t)
     assert time.perf_counter() - t0 < 0.1
+
+
+def test_eval_work_cap_on_arrays():
+    """An array step costs time per point, so an array t is refused when n
+    times its size is above 2^27, at once (under a 1 s alarm), before the
+    first step: at 87211 x 1539 = 2^27 + 1, the smallest refused product.
+    At 2^13 x 2^14 = 2^27, the largest accepted one, every sampled value is
+    bitwise the scalar call's."""
+
+    def alarm(signum, frame):
+        raise TimeoutError("the refusal ran the recurrence")
+
+    old = signal.signal(signal.SIGALRM, alarm)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        with pytest.raises(ParameterError, match=r"^degree times points must be at most 2\^27, got 87211 x 1539$"):
+            cheb_u_eval(87211, np.full(1539, 0.5))
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, old)
+    n, t = 2**13, np.cos(np.linspace(0.0, math.pi, 2**14))
+    got = cheb_u_eval(n, t)
+    sample = range(0, t.size, 257)
+    assert got[sample].tobytes() == np.array([cheb_u_eval(n, t[i].item()) for i in sample]).tobytes()
 
 
 def test_eval_domain():

@@ -124,6 +124,36 @@ def test_point_verbs_do_not_import_numpy(argv):
     assert "trigratio.certify" not in modules
 
 
+POINT_VERBS = [
+    ["eval", "--family", "trig-sin", "--p", "2", "--x", "1.0"],
+    ["bounds", "--family", "hyp-cos", "--p", "4"],
+    ["cheb", "--n", "6", "--t", "0.995"],
+    ["cheb", "--p", "7", "--y", "pi/28"],
+]
+
+
+def test_point_verbs_load_no_proof_module():
+    """The four point-verb commands, run by `cli.run` in one fresh
+    interpreter, leave no interval arithmetic, no certification engine and
+    no numpy in sys.modules.  `-X importtime` cannot show this: it logs no
+    submodule reached by `from . import` or importlib."""
+    codes, loaded = _fresh(
+        "import contextlib, io, json, sys\n"
+        "from trigratio import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [cli.run(argv) for argv in {POINT_VERBS!r}]\n"
+        "print(json.dumps([codes, sorted(sys.modules)]))"
+    )
+    assert codes == [0, 0, 0, 0]
+    assert "trigratio.families" in loaded
+    assert not {"trigratio.interval", "trigratio.certify", "numpy"} & set(loaded)
+
+
+def test_families_loads_no_interval_arithmetic():
+    loaded = _fresh("import json, sys, trigratio.families; print(json.dumps(sorted(sys.modules)))")
+    assert "trigratio.interval" not in loaded
+
+
 def test_array_verbs_still_run(tmp_path):
     out = tmp_path / "t.csv"
     proc = _python("-m", "trigratio.cli", "table", "--family", "trig-cos", "--p", "3", "--points", "5", "--out", str(out))
