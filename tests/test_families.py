@@ -5,19 +5,22 @@ import math
 import pickle
 import re
 from decimal import Decimal
+from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
 from mp_oracle import mp_f
 
-from trigratio.derivatives import vanishing_limits_check
+from trigratio.derivatives import _d_series_coeffs, vanishing_limits_check
 
 from trigratio.families import (
     DomainError,
     FamilyKind,
     HALF_PI,
     ParameterError,
+    _ratio_series,
+    _series_quotient,
     eval_f,
     eval_f_grid,
     eval_ratio,
@@ -268,6 +271,36 @@ def test_series_coeffs_leading_term(family):
     for p in (2, 3, 7):
         a = f_series_coeffs(family, float(p))
         assert a[0] == pytest.approx(limit_at_zero(family, p), rel=1e-15)
+
+
+def _reference_ratio_series(family, p, n):
+    """The ratio's series by one exact series division per p, as
+    `_ratio_series` computed it before its per-family table."""
+    pf = Fraction(p)
+    q = 1 / (pf * pf)
+    sgn, odd = (-1 if family.is_trig else 1), (0 if family.is_cos else 1)
+    num = [Fraction(sgn**i, math.factorial(2 * i + odd)) for i in range(n)]
+    r = _series_quotient(num, [num[i] * q**i for i in range(n)])
+    if not family.is_cos:
+        r = [pf * ri for ri in r]
+    return tuple(r)
+
+
+@pytest.mark.parametrize("family", FamilyKind)
+def test_series_table_specializes_to_the_per_p_division(family):
+    """The per-family table in q = 1/p^2, specialized at p in integers, is
+    the per-p division's series exactly, at f's 9 terms and D's 18: at every
+    integer p = 2..64 and 2^53, at non-integer p (7/3 as a float, 12345.678)
+    and at negative p.  f's and D's coefficients and the limit at 0 are the
+    reference's rationals rounded once, bit for bit."""
+    for p in [*range(2, 65), 2**53, 1.5, 7 / 3, 7.3, 12345.678, -4.0, -3.5]:
+        ref9, ref18 = _reference_ratio_series(family, p, 9), _reference_ratio_series(family, p, 18)
+        assert _ratio_series(family, p, 9) == ref9 and _ratio_series(family, p, 18) == ref18, p
+        assert [a.hex() for a in f_series_coeffs(family, p)] == [(-float(r)).hex() for r in ref9[1:]], p
+        d = [0.0, *(float(-2 * i * (2 * i + 1) * (2 * i + 2) * ref18[i + 1]) for i in range(1, 17))]
+        assert [a.hex() for a in _d_series_coeffs(family, p)] == [a.hex() for a in d], p
+        if type(p) is int:
+            assert limit_at_zero(family, p).hex() == (-float(ref9[1])).hex(), p
 
 
 def test_removable_zero_is_not_a_pole():
