@@ -43,7 +43,8 @@ def main():
     print("RIGOROUS mode re-proves the sign claims for all four families (the")
     print("hyperbolic ones through their x -> ix images, sin -> sinh): by the termwise")
     print("lemma on D's exact table where every term keeps one sign (0 cells), else")
-    print("in outward-rounded interval arithmetic over adaptively bisected cells:\n")
+    print("(trig-cos p = 2) in outward-rounded interval arithmetic over adaptively")
+    print("bisected cells:\n")
     for p in (2, 3, 8):
         for family in FamilyKind:
             if (family, p) != (FamilyKind.HYP_COS, 2):
@@ -60,11 +61,12 @@ def main():
     print("derivative of x^3 f' is NOT single-signed (it turns negative beyond")
     print("x = 2 acosh(sqrt(3/2)) = 1.31696), even though f itself is increasing, which")
     print("the grid still samples, as no sign of D proves it.  The engine reports the")
-    print("counterexample instead of glossing over it, in both modes:\n")
+    print("counterexample instead of glossing over it, in both modes, RIGOROUS at")
+    print("every interior margin:\n")
     show(verify_sign_D(FamilyKind.HYP_COS, 2, expected_sign_D(FamilyKind.HYP_COS, 2), cfg))
     falsified = verify_sign_D(FamilyKind.HYP_COS, 2, expected_sign_D(FamilyKind.HYP_COS, 2), rigorous)
     show(falsified)
-    print(f"  (the second is RIGOROUS: D < 0 on the whole cell around x = {falsified.worst_x:.6f})")
+    print(f"  (the second is RIGOROUS: D < 0 at x = {falsified.worst_x}, by an exact enclosure there)")
     show(verify_monotonicity(FamilyKind.HYP_COS, 2, cfg))
     print()
 

@@ -4,17 +4,21 @@ GRID mode samples the interior of (0, pi/2) and reports the worst margin:
 FALSIFIED if the least non-NaN one is negative, else INCONCLUSIVE at a 0.0
 tie or a NaN, else CERTIFIED; a sign claim samples `derivatives.d_general`,
 the library's one float D, at every p.  RIGOROUS mode (sign-of-D claims
-only, all four families) decides termwise, then bisects.  Where every term
-of the family's own exact table of D keeps one sign on (0, pi/2)
+only, all four families) decides in exact rationals first.  Where every
+term of the family's own exact table of D keeps one sign on (0, pi/2)
 (`derivatives.termwise_sign`), D keeps it on all of (0, pi/2), by a
 comparison of rationals with no libm, no rounded constant and no cell: a
 claim of that sign is proved, one of the other sign falsified.  That decides
 500 of the 504 claims of either sign at p = 2..64, all but the cos families'
-at p = 2, and every sin-family claim up to p = 2^53.  Only where the lemma
-is silent does the proof bisect [margin, pi/2 - margin] adaptively,
+at p = 2, and every sin-family claim up to p = 2^53.  Where the lemma is
+silent, an exact enclosure of D at x = 1/2 and 3/2
+(`derivatives._falsifying_witness`) falsifies a claim D breaks there, on
+the whole domain whatever the margin: three of those four.  Only trig-cos
+p = 2 POS is left, and it bisects [margin, pi/2 - margin] adaptively,
 enclosing D in outward-rounded interval arithmetic, so a CERTIFIED verdict
 is a machine-checked sign proof up to the soundness of the interval
-primitives.  Monotonicity takes the termwise lemma in either mode:
+primitives; any other claim no exact route decides is INCONCLUSIVE.
+Monotonicity takes the termwise lemma in either mode:
 D = (x^3 f')'' and x^3 f' vanishes with its derivative at 0, so D's sign is
 f''s, a proof that says Mode.RIGOROUS; only where the lemma does not reach
 (the cos families at p = 2) does it sample f on a grid.  The envelope checks
@@ -24,17 +28,14 @@ least margin of a monotone f lies, and elsewhere every grid point.
 
 The proofs read D from one table, `derivatives.exact_sin_comb_form`: the
 (w, c) terms and the factor of D(x) = -x * factor * sum_i w_i sin(c_i x),
-over den(x/p)^4 for the general form, with den and the sine (sinh for the
-x -> ix hyperbolic images) from `families.FAMILY_FNS`, whose interval
-backend this module registers, the only one that reads it.  The termwise
-lemma reads its rationals; the bisection runs on endpoint floats, and
-`_interval_D` encloses D over a (lo, hi) cell by one `interval.sin_comb`
-over its float view `sin_comb_form` and the float-pair functions of
-`interval`, each step bitwise that of an `Interval` expression of D,
-building no Interval.  The bisection always reads D's general table, the
-numerator of D differentiated from f's definition and so D at every p,
-since only the cos families, whose termwise lemma is silent at p = 2, ever
-reach it.  A sin family's sum table is D at every p by the Chebyshev
+over den(x/p)^4 for the general form (sinh and cosh for the x -> ix
+hyperbolic images).  The exact routes read its rationals; the bisection runs
+on endpoint floats, and `_interval_D` encloses trig-cos D over a (lo, hi)
+cell by one `interval.sin_comb` over its float view `sin_comb_form` and the
+float-pair functions of `interval`, cos(x/p) by `_cos_bounds`, each step
+bitwise that of an `Interval` expression of D, building no Interval.  The
+general table is D at every p, the numerator of D differentiated from f's
+definition.  A sin family's sum table is D at every p by the Chebyshev
 corollary, whose recurrence `derivatives._sum_form_lemma` checks once per
 family in exact algebra with p symbolic, also against the general table at
 its base cases; where it fails, the family's sign claims are INCONCLUSIVE.
@@ -55,6 +56,7 @@ import numpy as np
 from .derivatives import (
     _chebyshev_check,
     _dirichlet_check,
+    _falsifying_witness,
     _sum_form_lemma,
     d_general,
     general_vs_sum_check,
@@ -63,21 +65,16 @@ from .derivatives import (
     vanishing_limits_check,
 )
 from .envelopes import Direction, EnvelopeConstants, envelope_constants
-from . import interval
 from .families import (
-    FAMILY_FNS,
     FamilyKind,
     HALF_PI,
     ParameterError,
-    _add_backend,
     _as_real,
     _f_at,
     check_param_int,
     eval_f_grid,
 )
-from .interval import _mul_bounds, _pow_bounds, _reciprocal_bounds, sin_comb
-
-_add_backend(interval)  # g and the sine on float pairs, for `_interval_D`
+from .interval import _cos_bounds, _mul_bounds, _pow_bounds, _reciprocal_bounds, sin_comb
 
 
 class Mode(enum.Enum):
@@ -130,7 +127,9 @@ class VerificationReport:
     differences or leaf cells it looked at: for an envelope claim, 2 (the
     grid's ends) where f is proved monotone, else every grid point.  A
     termwise sign decision looks at none: cells_checked 0, worst_x nan, and
-    min_margin inf for a proof, -inf for a disproof."""
+    min_margin inf for a proof, -inf for a disproof.  A disproof at an
+    exact witness looks at that one point: cells_checked 1, worst_x the
+    witness, min_margin -inf."""
 
     claim_id: str
     status: Status
@@ -175,10 +174,10 @@ def expected_sign_D(family: FamilyKind, p: int) -> Sign:
     only for the cos families at p = 2.  Caveat: for HYP_COS with p = 2 the
     positive sign holds only on (0, 2 acosh(sqrt(3/2))) = (0, 1.3169578969...);
     D turns negative beyond it, so verify_sign_D correctly falsifies that
-    claim in both modes (RIGOROUS on a cell at x = 1.31696) even though f
-    itself is increasing there, which verify_monotonicity still certifies
-    by sampling f on its grid.  Both modes evaluate the hyperbolic D by its
-    x -> ix closed forms."""
+    claim in both modes (RIGOROUS at the exact witness x = 3/2, at every
+    margin) even though f itself is increasing there, which
+    verify_monotonicity still certifies by sampling f on its grid.  Both
+    modes evaluate the hyperbolic D by its x -> ix closed forms."""
     increasing = envelope_constants(family, p).direction is Direction.INCREASING
     return Sign.POS if increasing else Sign.NEG
 
@@ -186,26 +185,26 @@ def expected_sign_D(family: FamilyKind, p: int) -> Sign:
 # --- rigorous interval evaluation of D --------------------------------------
 
 
-def _interval_D(family: FamilyKind, p: int, lo: float, hi: float) -> tuple[float, float]:
-    """D's bounds over the cell [lo, hi] from the general table's
-    `sin_comb_form`, g and sine from `FAMILY_FNS`: -x / g(x/p)^4 * factor *
-    sum, on endpoint floats, each step bitwise that of the Interval
-    expression.  One form for every family; only the cos families at p = 2,
-    where the termwise lemma is silent, reach it from `verify_sign_D`."""
-    g, sin = FAMILY_FNS[family][interval]
-    terms, factor = sin_comb_form(family, p, True)
+def _interval_D(p: int, lo: float, hi: float) -> tuple[float, float]:
+    """Trig-cos D's bounds over the cell [lo, hi] from its general table's
+    `sin_comb_form`: -x / cos(x/p)^4 * factor * sum, on endpoint floats,
+    each step bitwise that of the Interval expression.  Only trig-cos at
+    p = 2, where neither exact route decides, reaches it from `verify_sign_D`."""
+    terms, factor = sin_comb_form(FamilyKind.TRIG_COS, p, True)
     s = 1.0 / p
-    inv_g = _reciprocal_bounds(*g(*_mul_bounds(lo, hi, s, s)))
+    inv_g = _reciprocal_bounds(*_cos_bounds(*_mul_bounds(lo, hi, s, s)))
     s_lo, s_hi = _mul_bounds(-hi, -lo, *_pow_bounds(*inv_g, 4))
     s_lo, s_hi = _mul_bounds(s_lo, s_hi, factor, factor)
-    return _mul_bounds(s_lo, s_hi, *sin_comb(lo, hi, terms, sin))
+    return _mul_bounds(s_lo, s_hi, *sin_comb(lo, hi, terms))
 
 
-def _verify_sign_rigorous(claim, family, p, expected_sign, cfg) -> VerificationReport:
-    """Bisect [margin, pi/2 - margin] on (lo, hi, depth) floats until every
-    leaf's enclosure of D has the expected sign, or the depth cap is hit, or
-    the cell has no float strictly inside it to split at (near depth 53),
-    where two halves would copy the cell and double the work at each level."""
+def _verify_sign_rigorous(claim, p, expected_sign, cfg) -> VerificationReport:
+    """Bisect trig-cos D over [margin, pi/2 - margin] on (lo, hi, depth)
+    floats until every leaf's enclosure of D has the expected sign, or the
+    depth cap is hit, or the cell has no float strictly inside it to split at
+    (near depth 53), where two halves would copy the cell and double the work
+    at each level.  CERTIFIED or INCONCLUSIVE, never FALSIFIED: falsifying
+    is the exact witness route's (`verify_sign_D`)."""
     stack = [(cfg.interior_margin, HALF_PI - cfg.interior_margin, 0)]
     flip = expected_sign is Sign.NEG
     cells = 0
@@ -214,14 +213,11 @@ def _verify_sign_rigorous(claim, family, p, expected_sign, cfg) -> VerificationR
     worst_x = math.nan
     while stack:
         lo, hi, depth = stack.pop()
-        e_lo, e_hi = _interval_D(family, p, lo, hi)
+        e_lo, e_hi = _interval_D(p, lo, hi)
         if flip:
-            e_lo, e_hi = -e_hi, -e_lo
+            e_lo = -e_hi
         mid = 0.5 * (lo + hi)
         if not e_lo > 0.0:
-            if e_hi < 0.0:
-                # the whole enclosure is on the wrong side: a real counterexample
-                return VerificationReport(claim, Status.FALSIFIED, e_hi, mid, cells + 1, Mode.RIGOROUS)
             if depth < cfg.max_subdivisions and lo < mid < hi:
                 stack.append((mid, hi, depth + 1))
                 stack.append((lo, mid, depth + 1))
@@ -245,22 +241,30 @@ def verify_sign_D(
     where every term of D's exact table keeps one sign, so does D on all of
     (0, pi/2), and the report is that of a bisection that visited no cell:
     CERTIFIED at min_margin inf for a claim of that sign, FALSIFIED at -inf
-    for the other, worst_x nan and cells_checked 0, at every p.  Only the
-    cos families at p = 2, where the lemma is silent, bisect the interior in
-    interval arithmetic.  GRID samples `derivatives.d_general`."""
+    for the other, worst_x nan and cells_checked 0, at every p.  Where the
+    lemma is silent (the cos families at p = 2) an exact enclosure of D at
+    x = 1/2 and 3/2 (`derivatives._falsifying_witness`) falsifies a claim
+    D breaks there, at min_margin -inf and worst_x that x, with
+    cells_checked 1, whatever the margin.  Of the rest only trig-cos claims
+    bisect the interior in interval arithmetic, today p = 2 POS; any other
+    is INCONCLUSIVE with no cell.  GRID samples `derivatives.d_general`."""
     p = check_param_int(p)
     claim = f"sign-D:{family.value}:p={p}:{expected_sign.name}"
-    if not _sum_form_lemma(family):
-        return VerificationReport(claim, Status.INCONCLUSIVE, math.nan, math.nan, 0, cfg.mode)
-    if cfg.mode is Mode.RIGOROUS:
+    if _sum_form_lemma(family):
+        if cfg.mode is Mode.GRID:
+            xs = _grid(cfg.interior_margin, cfg.grid_points)
+            margins = d_general(family, p, xs)
+            margins *= float(expected_sign.value)  # d_general's output is new: flipped in place
+            return _grid_verdict(claim, margins, xs, len(xs))
         sign = termwise_sign(family, p) * expected_sign.value
         if sign:
             return _termwise_report(claim, sign)
-        return _verify_sign_rigorous(claim, family, p, expected_sign, cfg)
-    xs = _grid(cfg.interior_margin, cfg.grid_points)
-    margins = d_general(family, p, xs)
-    margins *= float(expected_sign.value)  # d_general's output is new: flipped in place
-    return _grid_verdict(claim, margins, xs, len(xs))
+        witness = _falsifying_witness(family, p, expected_sign.value)
+        if witness is not None:
+            return VerificationReport(claim, Status.FALSIFIED, -math.inf, float(witness), 1, Mode.RIGOROUS)
+        if family is FamilyKind.TRIG_COS:
+            return _verify_sign_rigorous(claim, p, expected_sign, cfg)
+    return VerificationReport(claim, Status.INCONCLUSIVE, math.nan, math.nan, 0, cfg.mode)
 
 
 def _proved_monotone(family: FamilyKind, p: int) -> bool:

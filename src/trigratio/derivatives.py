@@ -9,10 +9,13 @@ and `exact_sin_comb_form` builds its (w, c) terms and factor in exact
 rationals, the general form's from f's definition.  `termwise_sign` gives
 the sign D keeps on (0, pi/2) where every term keeps one, the first route of
 the rigorous proofs in `certify`: off the cos families' general table, and for
-the sin families off their sum form's rule, proved D at every p once.  Both
-number backends read its float view `sin_comb_form`: the numpy evaluator
-`eval_sin_comb` here, and the interval kernel `interval.sin_comb` behind the
-rigorous bisection in `certify`.  The hyperbolic families are the x -> ix
+the sin families off their sum form's rule, proved D at every p once.  Where
+it is silent, `_falsifying_witness`, the second, finds a point x = 1/2 or
+3/2 where D has the other sign, by an exact enclosure of the general table's
+sum there (`_sin_sum_bounds`).  Both number backends read the float view
+`sin_comb_form`: the numpy evaluator `eval_sin_comb` here, and the interval
+kernel `interval.sin_comb` behind trig-cos's bisection at p = 2, the one
+claim both routes leave open, in `certify`.  The hyperbolic families are the x -> ix
 images of the trigonometric ones: f_hyp(x) = -f_trig(ix), hence
 D_hyp(x) = -D_trig(ix).  Under that substitution every form keeps its shape
 and its table with sin -> sinh and cos -> cosh (the powers of i cancel the
@@ -60,7 +63,7 @@ from .families import (
     _RADIUS,
     _as_point,
     _p_text,
-    _ratio_series,
+    _ratio_ints,
     _series_or,
     _series_quotient,
     check_param_int,
@@ -164,6 +167,48 @@ def termwise_sign(family: FamilyKind, p) -> int:
         return 0
     sign = 1 if signs.pop() else -1
     return -sign if factor > 0 else sign
+
+
+def _sin_sum_bounds(family: FamilyKind, terms, x: Fraction) -> tuple[Fraction, Fraction | float]:
+    """(s, err) with |S - s| <= err for S = sum_i w_i sin(c_i x), sinh for
+    the hyperbolic families, at a rational x, in exact rationals: no pi, no
+    libm, no rounding.
+
+    S is the sum over k of sgn^k w_i t_i^(2k+1) / (2k+1)!, t_i = c_i x,
+    sgn = -1 for the trig families; s sums its first n = 16 terms in k,
+    err < 1e-15 at every |c x| <= 15/4 of the p = 2 tables.  In each tail
+    the terms shrink by a ratio of at most
+    r = t^2 / ((2n+2)(2n+3)), t = max |t_i|, so err is
+    sum_i |w_i| |t_i|^(2n+1) / (2n+1)! over 1 - r, and (0, inf) where
+    r >= 1."""
+    sgn, n = (-1 if family.is_trig else 1), 16
+    ts = [(w, c * x) for w, c in terms]
+    ratio = max(t * t for _, t in ts) / ((2 * n + 2) * (2 * n + 3))
+    if ratio >= 1:
+        return Fraction(0), math.inf
+    s = tail = 0
+    for w, t in ts:
+        term, step = w * t, sgn * t * t
+        for k in range(n):  # term = sgn^k w t^(2k+1) / (2k+1)!
+            s += term
+            term *= step / ((2 * k + 2) * (2 * k + 3))
+        tail += abs(term)
+    return s, tail / (1 - ratio)
+
+
+@functools.lru_cache(maxsize=256)
+def _falsifying_witness(family: FamilyKind, p, sign: int) -> Fraction | None:
+    """The first x of 1/2, 3/2, both in (0, pi/2) as pi > 3, where D has the
+    sign opposite to `sign` (+1 or -1), or None where neither is one or the
+    enclosure does not decide.  D = -x * factor * S / den(x/p)^4 over the
+    general table, with den^4 > 0 (no pole in p's range), so D's sign at x
+    is -sign(factor * S), decided where `_sin_sum_bounds` puts S off 0."""
+    terms, factor = exact_sin_comb_form(family, p, True)
+    for x in (Fraction(1, 2), Fraction(3, 2)):
+        s, err = _sin_sum_bounds(family, terms, x)
+        if abs(s) > err and (s * factor > 0) == (sign > 0):
+            return x
+    return None
 
 
 # An exact trig polynomial is a {(kind "sin" or "cos", freq >= 0): weight} dict of
@@ -345,9 +390,10 @@ _D_TERMS = 16
 def _d_series_coeffs(family: FamilyKind, p: float) -> tuple[float, ...]:
     """d_0..d_16 for `_even_series`: d_0 = 0 and d_i = 2i(2i+1)(2i+2) a_i from
     f's exact series f = sum a_i x^(2i) (a_i = -r_(i+1) of the ratio), each
-    rounded once."""
-    r = _ratio_series(family, p, _D_TERMS + 2)
-    return (0.0, *(float(-2 * i * (2 * i + 1) * (2 * i + 2) * r[i + 1]) for i in range(1, _D_TERMS + 1)))
+    the integer quotient of `families._ratio_ints`, rounded once as
+    `f_series_coeffs`' are."""
+    r = _ratio_ints(family, p, _D_TERMS + 2)
+    return (0.0, *(-(2 * i * (2 * i + 1) * (2 * i + 2) * r[i + 1][0]) / r[i + 1][1] for i in range(1, _D_TERMS + 1)))
 
 
 def d_general(family: FamilyKind, p, x):

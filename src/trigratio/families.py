@@ -11,8 +11,9 @@ removable:
 
 Family dispatch lives in one table, `FAMILY_FNS`, read by f, its limits, the
 bare ratio and D: per family and backend (math, numpy), g and the sine of
-the product forms, sinh for the x -> ix images f_hyp(x) = -f_trig(ix); the
-rigorous proofs in `certify` add the interval backend with `_add_backend`.
+the product forms, sinh for the x -> ix images f_hyp(x) = -f_trig(ix).  The
+rigorous proofs read no backend of it: the one claim that bisects, trig-cos
+at p = 2, takes cos and sin from `interval` directly.
 What the dispatch does not read from the table it reads from `FamilyKind`'s
 `is_trig` and `is_cos`, plain member attributes.
 
@@ -34,8 +35,9 @@ All functions are defined on (0, pi/2); `eval_f` extends to x = 0 by
 continuity.  Near zero the direct quotient cancels catastrophically, so
 evaluation switches to a truncated even-power series.  Its exact rational
 coefficients are polynomials in q = 1/p^2, derived once per family
-(`_ratio_rows`), then specialized at each p in Python ints and rounded once
-to float64: ~0.02 ms a p for f's series, where an exact series division
+(`_ratio_rows`), then specialized at each p in Python ints (`_ratio_ints`)
+and rounded once to float64, for f's series here and D's in `derivatives`,
+with no Fraction built: ~0.02 ms a p for f's series, where an exact series division
 per p took ~0.26 ms, and ~0.3 ms for the first p of a family, as before
 (Xeon, CPython 3.11).
 
@@ -93,8 +95,7 @@ _FNS_NAMES = {
     FamilyKind.HYP_SIN: ("sinh", "sinh"),
 }
 
-# family -> backend module -> (g, sin); numpy's entries come with `load_numpy`,
-# the interval backend's with `certify`
+# family -> backend module -> (g, sin); numpy's entries come with `load_numpy`
 FAMILY_FNS = {family: {} for family in _FNS_NAMES}
 
 
@@ -227,14 +228,6 @@ def _ratio_ints(family: FamilyKind, p, n: int) -> list[tuple[int, int]]:
         num = sum(c * bpow[j] * apow[i - j] for j, c in enumerate(row))
         out.append((num, lcd * apow[i]) if family.is_cos else (num * a, lcd * apow[i] * b))
     return out
-
-
-@lru_cache(maxsize=256)
-def _ratio_series(family: FamilyKind, p: float, n: int = _N_COEFFS) -> tuple[Fraction, ...]:
-    """Exact coefficients r0..r(n-1) of the even-power series of the ratio
-    (r0..r8 for f's series branch; D's series asks for more): the family's
-    `_ratio_rows`, derived once, specialized at p in integers."""
-    return tuple(Fraction(num, den) for num, den in _ratio_ints(family, p, n))
 
 
 @lru_cache(maxsize=256)

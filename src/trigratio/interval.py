@@ -1,16 +1,18 @@
-"""Outward-rounded interval arithmetic for rigorous sign certification.
+"""Outward-rounded interval arithmetic for the one claim that bisects.
 
 Every enclosure is written once, as a function of float pairs: the bounds
 (lo, hi) of its operands in, the bounds of the result out.  `Interval` is
-their object face, and the rigorous proofs in `certify` call them on the
-endpoint floats of each cell, so a proof builds no Interval.  Every
-enclosure contains the exact result for any points of its operands.
-Arithmetic relies on IEEE-754 correct rounding plus a one-ulp outward step
-via math.nextafter; transcendental enclosures decompose the argument into
-monotonic pieces and inflate libm endpoint values by two ulps.  `sin_comb`
-encloses a weighted sum of sines, the shape of every closed form of D, in
-the same arithmetic.  A float-pair function whose bounds come out unordered
-(a NaN operand) raises ValueError, as building an Interval of them does.
+their object face, and the rigorous proof in `certify`, the trig-cos
+bisection at p = 2, calls them on the endpoint floats of each cell, so it
+builds no Interval.  Every enclosure contains the exact result for any
+points of its operands.  Arithmetic relies on IEEE-754 correct rounding
+plus a one-ulp outward step via math.nextafter; the sine and cosine
+enclosures decompose the argument into monotonic pieces and inflate libm
+endpoint values by two ulps.  There is no sinh or cosh: every hyperbolic
+claim is decided in exact rationals (`derivatives`).  `sin_comb` encloses
+a weighted sum of sines, the shape of every closed form of D, in the same
+arithmetic.  A float-pair function whose bounds come out unordered (a NaN
+operand) raises ValueError, as building an Interval of them does.
 
 The hot loops pick a least and a greatest value by comparisons that keep
 what min() and max() keep (the first on ties, and NaN as they do), at a
@@ -32,14 +34,6 @@ def _down(v: float) -> float:
 
 def _up(v: float) -> float:
     return _nextafter(v, _INF)
-
-
-def _down2(v: float) -> float:
-    return _nextafter(_nextafter(v, -_INF), -_INF)
-
-
-def _up2(v: float) -> float:
-    return _nextafter(_nextafter(v, _INF), _INF)
 
 
 def _invalid(lo: float, hi: float) -> ValueError:
@@ -115,9 +109,8 @@ def _sin_bounds(a: float, b: float) -> tuple[float, float]:
     if -1.57 < a and b < 1.57:
         # inside (-1.57, 1.57) the slack-widened tests below cannot fire: the
         # nearest critical points are +-pi/2 ~ +-1.5708, and the slack is
-        # < 3e-9.  Since the termwise lemma proves the sin families' claims,
-        # what lands here is mostly the bisection of the trig-cos general
-        # form at p = 2: its |c| = 1/2 terms (|c x| < pi/4), and its c = 3/2
+        # < 3e-9.  What lands here is the one bisection, of the trig-cos
+        # general form at p = 2: its |c| = 1/2 terms (|c x| < pi/4), and its c = 3/2
         # terms on cells below x ~ 1.04; without this path that proof took
         # ~1.4x as long (one Xeon core).  A NaN fails the comparisons and
         # raises below.
@@ -139,32 +132,9 @@ def _cos_bounds(a: float, b: float) -> tuple[float, float]:
     return _sin_bounds(*_add_bounds(a, b, HALF_PI_LO, HALF_PI_HI))
 
 
-def _sinh_bounds(a: float, b: float) -> tuple[float, float]:
-    """(lo, hi) of the monotone sinh over [a, b]: libm at both ends, two ulps outward."""
-    return _down2(math.sinh(a)), _up2(math.sinh(b))
-
-
-def _cosh_bounds(a: float, b: float) -> tuple[float, float]:
-    """cosh over [a, b]: libm at both ends, two ulps outward, and 1 at its
-    minimum where [a, b] holds 0."""
-    lo_c, hi_c = math.cosh(a), math.cosh(b)
-    if a <= 0.0 <= b:
-        lo, hi = 1.0, _up2(max(lo_c, hi_c))
-    else:
-        lo, hi = _down2(min(lo_c, hi_c)), _up2(max(lo_c, hi_c))
-    if not lo <= hi:
-        raise _invalid(lo, hi)
-    return lo, hi
-
-
-# the interval backend of families.FAMILY_FNS, which `certify` registers: g and
-# the sine, both on float pairs
-cos, cosh, sin, sinh = _cos_bounds, _cosh_bounds, _sin_bounds, _sinh_bounds
-
-
-def sin_comb(xl: float, xh: float, terms, sin) -> tuple[float, float]:
+def sin_comb(xl: float, xh: float, terms) -> tuple[float, float]:
     """Enclosure of sum_i w_i * sin(c_i * x) over x in [xl, xh], for point
-    weights and frequencies; `sin` is `_sin_bounds`, or `_sinh_bounds` for sinh.
+    weights and frequencies.
 
     `terms` is a sequence of real (w, c) pairs; either may be negative.
     The result is bitwise the one of the Interval expression
@@ -172,7 +142,7 @@ def sin_comb(xl: float, xh: float, terms, sin) -> tuple[float, float]:
     least and greatest endpoint product with a one-ulp outward step (against
     a point factor the four products are two), the same libm sine enclosure
     and the same sequential outward-rounded sum."""
-    nextafter, inf = _nextafter, _INF
+    nextafter, inf, sin = _nextafter, _INF, _sin_bounds
     lo = hi = 0.0
     for w, c in terms:
         u, v = xl * c, xh * c
@@ -271,9 +241,3 @@ class Interval:
 
     def cos(self) -> "Interval":
         return Interval(*_cos_bounds(self.lo, self.hi))
-
-    def sinh(self) -> "Interval":
-        return Interval(*_sinh_bounds(self.lo, self.hi))
-
-    def cosh(self) -> "Interval":
-        return Interval(*_cosh_bounds(self.lo, self.hi))

@@ -43,10 +43,11 @@ def fresh_caches():
 
 def _clear():
     """Empty the caches built from D's tables or from `cheb_u`: `sin_comb_form`,
-    `termwise_sign`, D's series `_table_d_series`, the sum form's lemma
-    `_sum_form_lemma` and the exact identity checks."""
+    `termwise_sign`, `_falsifying_witness`, D's series `_table_d_series`, the
+    sum form's lemma `_sum_form_lemma` and the exact identity checks."""
     derivatives.sin_comb_form.cache_clear()
     derivatives.termwise_sign.cache_clear()
+    derivatives._falsifying_witness.cache_clear()
     derivatives._table_d_series.cache_clear()
     derivatives._sum_form_lemma.cache_clear()
     derivatives._general_vs_sum.cache_clear()

@@ -285,35 +285,41 @@ def test_sign_rigorous(family, p):
     assert r.min_margin > 0.0
 
 
-def _bisect(family, p, sign, cfg):
-    """The interval bisection alone, past verify_sign_D's termwise route."""
-    return certify._verify_sign_rigorous(f"sign-D:{family.value}:p={p}:{sign.name}", family, p, sign, cfg)
+def _bisect(p, sign, cfg):
+    """The trig-cos interval bisection alone, past verify_sign_D's exact routes."""
+    return certify._verify_sign_rigorous(f"sign-D:trig-cos:p={p}:{sign.name}", p, sign, cfg)
+
+
+def _no_bisection(*args):
+    raise AssertionError(f"bisected {args[0]}")
 
 
 @pytest.mark.parametrize("margin,cap", [(1e-3, 20), (1e-6, 40)])
-def test_rigorous_hyperbolic_certified(margin, cap):
-    """The x -> ix images bisect like their partners, each in 1 cell: hyp-cos
-    p = 3..64 by the library's bisection, and hyp-sin p = 2..64 by the
-    reference prover on its parity sums, since the library bisects the
-    general form only, which for the sin families cancels like x^5."""
+def test_rigorous_hyperbolic_certified(margin, cap, monkeypatch):
+    """The x -> ix images never bisect, whatever the margin and the cap: every
+    claim of expected_sign_D's sign at p = 2..64 is the termwise proof, with
+    no cell, but hyp-cos p = 2 POS, falsified at the exact witness x = 3/2."""
+    monkeypatch.setattr(certify, "_verify_sign_rigorous", _no_bisection)
     cfg = VerificationConfig(mode=Mode.RIGOROUS, interior_margin=margin, max_subdivisions=cap)
-    for family, ps, prove in ((HS, range(2, 65), _reference_verify_sign_rigorous), (HC, range(3, 65), _bisect)):
-        for p in ps:
-            r = prove(family, p, expected_sign_D(family, p), cfg)
-            assert (r.status, r.mode) == (Status.CERTIFIED, Mode.RIGOROUS), r
-            assert r.min_margin > 0.0
-            assert r.cells_checked == 1, r
+    for family in (HC, HS):
+        for p in range(2, 65):
+            claim = f"sign-D:{family.value}:p={p}:{expected_sign_D(family, p).name}"
+            if (family, p) == (HC, 2):
+                want = VerificationReport(claim, Status.FALSIFIED, -math.inf, 1.5, 1, Mode.RIGOROUS)
+            else:
+                want = VerificationReport(claim, Status.CERTIFIED, math.inf, math.nan, 0, Mode.RIGOROUS)
+            assert repr(verify_sign_D(family, p, expected_sign_D(family, p), cfg)) == repr(want)
 
 
 @pytest.mark.parametrize("margin,cap", [(1e-3, 20), (1e-6, 40)])
-@pytest.mark.parametrize("family", [TC, HC])
+@pytest.mark.parametrize("family", [TC])
 def test_rigorous_cos_odd_p_one_cell(family, margin, cap):
     """Every term of the cos families' general form keeps one sign at p >= 3
     (see test_cos_general_form_termwise_positive), so the whole root cell's
     enclosure is one-signed: every odd-p claim is a one-cell bisection."""
     cfg = VerificationConfig(mode=Mode.RIGOROUS, interior_margin=margin, max_subdivisions=cap)
     for p in range(3, 64, 2):
-        r = _bisect(family, p, expected_sign_D(family, p), cfg)
+        r = _bisect(p, expected_sign_D(family, p), cfg)
         assert (r.status, r.cells_checked) == (Status.CERTIFIED, 1), r
 
 
@@ -344,20 +350,25 @@ def test_sign_D_refuses_sum_form_past_limit(mode):
 
 def test_rigorous_hyp_cos_p2_falsified():
     """The rigorous proof finds what GRID finds: D for hyp-cos at p = 2 turns
-    negative at x = 1.3170, so the POS claim falls on a cell just past it."""
-    r = verify_sign_D(HC, 2, expected_sign_D(HC, 2), RIGOROUS)
-    assert (r.status, r.mode) == (Status.FALSIFIED, Mode.RIGOROUS)
-    assert 1.31695 <= r.worst_x <= 1.31697
-    assert r.cells_checked == 39
-    assert -1.1e-7 < r.min_margin < 0.0
-    assert d_general(HC, 2, r.worst_x) < 0.0
+    negative at x = 1.3170, and the exact enclosure at x = 3/2 shows it, so
+    the POS claim is falsified there at every margin, where the bisection of
+    [margin, pi/2 - margin] certified it at margin 0.3 (7 cells), which
+    leaves the negative tail out."""
+    want = VerificationReport("sign-D:hyp-cos:p=2:POS", Status.FALSIFIED, -math.inf, 1.5, 1, Mode.RIGOROUS)
+    for margin in (1e-6, 1e-3, 0.3):
+        assert verify_sign_D(HC, 2, Sign.POS, dataclasses.replace(RIGOROUS, interior_margin=margin)) == want
+    assert d_general(HC, 2, 1.5) < 0.0 and mp_D(HC, 2, 1.5) < 0
 
 
-def test_rigorous_bisection_ends_where_floats_do():
+def test_rigorous_bisection_ends_where_floats_do(monkeypatch):
     """A cell with no float strictly inside it is a leaf.  Past depth ~53 its
     halves would be copies of it, doubling the cells at each level, so a
-    depth cap of 200 never ended; now every cap from 54 up gives one report,
-    hyp-cos p = 2 POS falsified in 90 cells.  Run under a 10 s alarm."""
+    depth cap of 200 never ended.  Trig-cos D's enclosure is tight relative
+    to D near 0, so its p = 2 POS proof ends by depth 55 at every margin
+    allowed; over an enclosure made to touch 0 at x = 1, the one cell around
+    1 splits down to the float limit, and every cap from 54 up gives one
+    report, INCONCLUSIVE.  Run under a 10 s alarm."""
+    monkeypatch.setattr(certify, "_interval_D", lambda p, lo, hi: (0.0, 1.0) if lo <= 1.0 <= hi else (1.0, 1.0))
 
     def alarm(signum, frame):
         raise TimeoutError("the bisection did not end")
@@ -365,11 +376,11 @@ def test_rigorous_bisection_ends_where_floats_do():
     old = signal.signal(signal.SIGALRM, alarm)
     signal.setitimer(signal.ITIMER_REAL, 10.0)
     try:
-        reports = [_bisect(HC, 2, Sign.POS, dataclasses.replace(RIGOROUS, max_subdivisions=d)) for d in (54, 62, 200)]
+        reports = [_bisect(2, Sign.POS, dataclasses.replace(RIGOROUS, max_subdivisions=d)) for d in (54, 62, 200)]
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0.0)
         signal.signal(signal.SIGALRM, old)
-    assert reports[0].status is Status.FALSIFIED and reports[0].cells_checked <= 120
+    assert reports[0].status is Status.INCONCLUSIVE and reports[0].cells_checked <= 120
     assert repr(reports[1]) == repr(reports[2]) == repr(reports[0])
 
 
@@ -382,9 +393,10 @@ def test_rigorous_inconclusive_at_zero_depth():
 
 
 def _assert_falsified(family, p, wrong, r):
-    """r falsifies the claim that D has the sign `wrong`: a cell whose
-    enclosure lies wholly on the other side, and D from the definition in
-    40-digit mpmath has the other sign at its midpoint worst_x."""
+    """r falsifies the claim that D has the sign `wrong`: a witness point or
+    a cell whose enclosure lies wholly on the other side, and D from the
+    definition in 40-digit mpmath has the other sign at worst_x, the point
+    or the cell's midpoint."""
     assert (r.status, r.mode) == (Status.FALSIFIED, Mode.RIGOROUS), r
     assert r.min_margin < 0.0 and r.cells_checked >= 1, r
     assert wrong.value * mp_D(family, p, r.worst_x) < 0, r
@@ -393,9 +405,9 @@ def _assert_falsified(family, p, wrong, r):
 def test_rigorous_falsifies_wrong_sign():
     """Every wrong-sign claim, 4 families x p = 2..64, is falsified: by the
     termwise lemma's disproof wherever it decides D's sign (its report:
-    test_lemma_decides_wrong_sign_claims), and by the bisection over D's
-    table at the cos families' p = 2, where it is silent.  The GRID claim
-    agrees at every pair."""
+    test_lemma_decides_wrong_sign_claims), and at an exact witness at the
+    cos families' p = 2, where it is silent.  The GRID claim agrees at every
+    pair."""
     for family in FamilyKind:
         for p in range(2, 65):
             wrong = Sign(-expected_sign_D(family, p).value)
@@ -1001,28 +1013,24 @@ def test_sign_grid_reports_are_pinned(family):
 # --- the interval evaluation of D ---------------------------------------------
 
 
-def _interval_D(family, p, x):
+def _interval_D(p, x):
     """certify._interval_D over an Interval cell, as an Interval."""
-    return Interval(*certify._interval_D(family, p, x.lo, x.hi))
+    return Interval(*certify._interval_D(p, x.lo, x.hi))
 
 
-def sin_comb(x, terms, sin):
+def sin_comb(x, terms):
     """interval.sin_comb over an Interval cell, as an Interval."""
-    return Interval(*interval.sin_comb(x.lo, x.hi, terms, sin))
+    return Interval(*interval.sin_comb(x.lo, x.hi, terms))
 
 
-def _reference_interval_D(family, p, x, general=None):
-    """_interval_D as written before the sin-combination kernel: Interval
-    objects throughout, the sum tables rebuilt for every cell; cosh and
-    sinh in place of cos and sin for the hyperbolic families.  The general
-    form, whose table is `sin_comb_form`'s, over g(x/p)^4 with the family's
-    own g (cos, sin, cosh or sinh), where `general` (by default for the cos
-    families), else the sin families' parity sums."""
-    sin = Interval.sin if family.is_trig else Interval.sinh
-    if (family.is_cos if general is None else general):
-        g = {TC: Interval.cos, TS: Interval.sin, HC: Interval.cosh, HS: Interval.sinh}[family]
+def _reference_interval_D(family, p, x):
+    """_interval_D as written before the sin-combination kernel, for the trig
+    families: Interval objects throughout, the sum tables rebuilt for every
+    cell.  Trig-cos's general form, whose table is `sin_comb_form`'s, over
+    cos(x/p)^4, and trig-sin's parity sums."""
+    if family.is_cos:
         terms, factor = sin_comb_form(family, p, True)
-        inv_g4 = g(x * (1.0 / p)).reciprocal() ** 4
+        inv_g4 = (x * (1.0 / p)).cos().reciprocal() ** 4
         scale = -x * inv_g4 * factor
     elif p % 2 == 0:
         k = p // 2
@@ -1034,7 +1042,7 @@ def _reference_interval_D(family, p, x, general=None):
         scale = -x * (16.0 / p**3)
     acc = Interval(0.0, 0.0)
     for w, c in terms:
-        acc = acc + sin(x * c) * w
+        acc = acc + (x * c).sin() * w
     return scale * acc
 
 
@@ -1055,56 +1063,48 @@ def _seeded_cells(rng, n, margin=1e-6):
     return cells
 
 
-@pytest.mark.parametrize("family", [TC, TS, HC, HS])
+@pytest.mark.parametrize("family", [TC])
 def test_interval_D_bitwise_matches_reference(family):
-    """The general form for every family, over csc^4 (csch^4) for the sin
-    families and sec^4 (sech^4) for the cos ones, whose frequency 1 - 3/p
-    is -0.5 at p = 2."""
+    """Trig-cos's general form over sec^4, whose frequency 1 - 3/p is -0.5
+    at p = 2."""
     rng = random.Random(1729)
     for p in range(2, 65):
         for x in _seeded_cells(rng, 12):
-            assert _interval_D(family, p, x) == _reference_interval_D(family, p, x, general=True), (p, x)
+            assert _interval_D(p, x) == _reference_interval_D(family, p, x), (p, x)
 
 
-@pytest.mark.parametrize("family", [TC, TS, HC, HS])
+@pytest.mark.parametrize("family", [TC])
 def test_interval_D_contains_mpmath_D(family):
     rng = random.Random(4096 + family.is_cos)
     for p in [2, 3, 4, 5, 16, 17, 63, 64]:
         for x in _seeded_cells(rng, 3):
-            enc = _interval_D(family, p, x)
+            enc = _interval_D(p, x)
             for t in (x.lo, x.mid, x.hi):
                 d = mp_D(family, p, t)
                 assert enc.lo <= d <= enc.hi, (p, x, t, enc, d)
 
 
-@pytest.mark.parametrize("family", [TC, TS, HC, HS])
+@pytest.mark.parametrize("family", [TC])
 def test_grid_D_lies_in_interval_D(family):
     """Both backends read one table: the float64 D that GRID claims use lies
     inside the interval enclosure of every cell at its lo, mid and hi."""
     rng = random.Random(2718 + family.is_cos)
     for p in range(2, 65):
         for x in _seeded_cells(rng, 6):
-            enc = _interval_D(family, p, x)
+            enc = _interval_D(p, x)
             ds = eval_sin_comb(family, p, np.array([x.lo, x.mid, x.hi]), family.is_cos)
             for d in ds:
                 assert enc.lo <= d <= enc.hi, (p, x, enc, d)
 
 
-def _trig_cos_odd_sum_interval_D(family, p, x):
+def _trig_cos_odd_sum_interval_D(p, lo, hi):
     """The trig-cos enclosure by the alternating odd-p sum form, whose
-    cancellation leaves deep cells INCONCLUSIVE."""
+    cancellation leaves deep cells INCONCLUSIVE, as certify._interval_D's
+    (lo, hi) -> (lo, hi)."""
+    x = Interval(lo, hi)
     terms, factor = sin_comb_form(TC, p, False)
-    return -x * factor * sin_comb(x, terms, interval.sin)
-
-
-def _on_endpoints(interval_D):
-    """An Interval D evaluator as certify._interval_D's (lo, hi) -> (lo, hi)."""
-
-    def on_floats(family, p, lo, hi):
-        enc = interval_D(family, p, Interval(lo, hi))
-        return enc.lo, enc.hi
-
-    return on_floats
+    enc = -x * factor * sin_comb(x, terms)
+    return enc.lo, enc.hi
 
 
 def test_rigorous_worst_x_is_the_cell_of_min_margin(monkeypatch):
@@ -1112,9 +1112,9 @@ def test_rigorous_worst_x_is_the_cell_of_min_margin(monkeypatch):
     gave min_margin, not the last one popped (x = 9.239e-6 here).  The
     general form proves this claim in 1 cell, so the proof runs on the odd
     sum form, which leaves cells INCONCLUSIVE."""
-    monkeypatch.setattr(certify, "_interval_D", _on_endpoints(_trig_cos_odd_sum_interval_D))
+    monkeypatch.setattr(certify, "_interval_D", _trig_cos_odd_sum_interval_D)
     cfg = VerificationConfig(mode=Mode.RIGOROUS, interior_margin=1e-6, max_subdivisions=20)
-    r = _bisect(TC, 63, Sign.NEG, cfg)
+    r = _bisect(63, Sign.NEG, cfg)
     assert r.status is Status.INCONCLUSIVE
     assert r.min_margin == -2.577682467244663e-11
     assert r.worst_x == 4.7450655145523465e-06
@@ -1152,22 +1152,26 @@ def _reference_verify_sign_rigorous(family, p, expected_sign, cfg):
 
 
 @pytest.mark.parametrize("margin,cap", [(1e-3, 20), (1e-6, 40), (1e-6, 20)])
-@pytest.mark.parametrize("family", [TC, HC])
+@pytest.mark.parametrize("family", [TC])
 def test_rigorous_reports_bitwise_match_reference_prover(family, margin, cap):
-    """Every bisection report of the cos families, the only ones that
-    bisect, p = 2..64, is repr-equal to the Interval-cell reference
-    prover's: the same cells, verdict, margin and worst x."""
+    """Every bisection report of trig-cos, the only family that bisects,
+    p = 2..64, is repr-equal to the Interval-cell reference prover's: the
+    same cells, verdict, margin and worst x."""
     cfg = VerificationConfig(mode=Mode.RIGOROUS, interior_margin=margin, max_subdivisions=cap)
     for p in range(2, 65):
         sign = expected_sign_D(family, p)
-        assert repr(_bisect(family, p, sign, cfg)) == repr(_reference_verify_sign_rigorous(family, p, sign, cfg))
+        assert repr(_bisect(p, sign, cfg)) == repr(_reference_verify_sign_rigorous(family, p, sign, cfg))
 
 
 @pytest.mark.parametrize("entry", ["factor", "weight", "frequency"])
 @pytest.mark.parametrize("family,p", [(TC, 2), (TS, 7), (HC, 5), (HS, 4)])
 def test_rigorous_nan_in_table_raises(family, p, entry, monkeypatch):
-    """A NaN in the table raises ValueError, as an Interval of it did: min()
-    and max() can drop a NaN, so the float path checks lo <= hi itself."""
+    """A NaN in the float table raises ValueError in the trig-cos bisection,
+    as an Interval of it did: min() and max() can drop a NaN, so the float
+    path checks lo <= hi itself.  The other families never bisect: their
+    RIGOROUS verdicts are read off the exact tables, so with the NaN in the
+    float table each claim's report is unchanged."""
+    want = [repr(verify_sign_D(family, p, sign, RIGOROUS)) for sign in Sign]
     table = sin_comb_form
 
     def with_nan(family, p, general):
@@ -1178,10 +1182,13 @@ def test_rigorous_nan_in_table_raises(family, p, entry, monkeypatch):
         return (*rest, (math.nan, c) if entry == "weight" else (w, math.nan)), factor
 
     monkeypatch.setattr(certify, "sin_comb_form", with_nan)
+    if family is not TC:
+        assert [repr(verify_sign_D(family, p, sign, RIGOROUS)) for sign in Sign] == want
+        return
     # a NaN that slipped through would bisect to the cap: keep that quick
     cfg = VerificationConfig(mode=Mode.RIGOROUS, max_subdivisions=3)
     with pytest.raises(ValueError):
-        _bisect(family, p, expected_sign_D(family, p), cfg)
+        _bisect(p, expected_sign_D(family, p), cfg)
 
 
 @pytest.mark.parametrize(
@@ -1192,7 +1199,7 @@ def test_rigorous_trig_cos_pinned_cell_counts(p, margin, cap, cells):
     """Trig-cos bisections at their pinned cost: the general form's terms keep
     one sign at p >= 3, so p = 63 is one cell; at p = 2 they do not (1 - 3/p < 0)."""
     cfg = VerificationConfig(mode=Mode.RIGOROUS, interior_margin=margin, max_subdivisions=cap)
-    r = _bisect(TC, p, expected_sign_D(TC, p), cfg)
+    r = _bisect(p, expected_sign_D(TC, p), cfg)
     assert r.status is Status.CERTIFIED
     assert r.cells_checked == cells
 
@@ -1214,30 +1221,66 @@ def test_termwise_sign_is_silent_only_at_the_cos_families_p2():
 
 @pytest.mark.parametrize("family", FamilyKind)
 def test_termwise_sign_agrees_with_bisection_and_mpmath(family):
-    """Wherever the lemma gives a sign, an interval bisection at margin 1e-3
-    and depth 20 certifies that same sign, and D from the definition in
-    40-digit mpmath has it near both ends of (0, pi/2).  The cos families
-    bisect in the library, on their general form; the sin families, whose
-    general form cancels like x^5 near 0, in the reference prover on their
-    parity sums, 63 cells each."""
-    prove = _bisect if family.is_cos else _reference_verify_sign_rigorous
+    """Wherever the lemma gives a sign, the exact witness route finds no
+    point against it and x = 1/2 against the other sign, and D from the
+    definition in 40-digit mpmath has it near both ends of (0, pi/2).  For
+    the trig families an interval bisection at margin 1e-3 and depth 20
+    certifies that same sign too: trig-cos in the library, on its general
+    form; trig-sin, whose general form cancels like x^5 near 0, in the
+    reference prover on its parity sums, 63 cells each."""
     for p in range(2, 65):
         sign = termwise_sign(family, p)
         if not sign:
             continue
-        assert prove(family, p, Sign(sign), RIGOROUS).status is Status.CERTIFIED, p
+        witnesses = [derivatives._falsifying_witness(family, p, s) for s in (sign, -sign)]
+        assert witnesses == [None, Fraction(1, 2)], p
+        if family is TC:
+            assert _bisect(p, Sign(sign), RIGOROUS).status is Status.CERTIFIED, p
+        elif family is TS:
+            assert _reference_verify_sign_rigorous(family, p, Sign(sign), RIGOROUS).status is Status.CERTIFIED, p
         for x in (1e-8, HALF_PI - 1e-8):
             assert sign * mp_D(family, p, x) > 0, (p, x)
 
 
 def test_termwise_route_reports():
-    """A termwise proof reports a bisection that visited no cell; a claim the
-    lemma does not prove gets the bisection's own report."""
+    """A termwise proof reports a bisection that visited no cell; the one
+    claim the lemma does not prove and no exact witness falsifies, trig-cos
+    p = 2 POS, gets the bisection's own report."""
     r = verify_sign_D(TS, 64, Sign.NEG, RIGOROUS)
     assert r == VerificationReport("sign-D:trig-sin:p=64:NEG", Status.CERTIFIED, math.inf, math.nan, 0, Mode.RIGOROUS)
-    for family, p in ((TC, 2), (HC, 2)):
-        sign = expected_sign_D(family, p)
-        assert repr(verify_sign_D(family, p, sign, RIGOROUS)) == repr(_bisect(family, p, sign, RIGOROUS))
+    assert repr(verify_sign_D(TC, 2, Sign.POS, RIGOROUS)) == repr(_bisect(2, Sign.POS, RIGOROUS))
+
+
+# the claims at p = 2 of a sign D does not keep on (0, pi/2): hyp-cos's D changes sign
+_WRONG_AT_P2 = [(TC, Sign.NEG), (TS, Sign.POS), (HC, Sign.POS), (HC, Sign.NEG), (HS, Sign.POS)]
+
+
+def test_witness_falsifies_every_wrong_sign_claim_at_p2():
+    """Every wrong-sign claim at p = 2 has an exact witness x, where D from
+    the definition in 40-digit mpmath has the other sign, and the RIGOROUS
+    report names it: FALSIFIED at -inf, worst_x x, one cell.  Trig-cos
+    p = 2 POS, which holds, has none."""
+    for family, wrong in _WRONG_AT_P2:
+        x = derivatives._falsifying_witness(family, 2, wrong.value)
+        assert x in (Fraction(1, 2), Fraction(3, 2)) and wrong.value * mp_D(family, 2, float(x)) < 0, (family, wrong)
+        if termwise_sign(family, 2) == 0:
+            claim = f"sign-D:{family.value}:p=2:{wrong.name}"
+            want = VerificationReport(claim, Status.FALSIFIED, -math.inf, float(x), 1, Mode.RIGOROUS)
+            assert verify_sign_D(family, 2, wrong, RIGOROUS) == want
+    assert derivatives._falsifying_witness(TC, 2, Sign.POS.value) is None
+
+
+def test_claim_no_exact_route_decides_is_inconclusive_unless_trig_cos(monkeypatch):
+    """With no witness found, a hyperbolic claim the lemma leaves open is
+    INCONCLUSIVE with no cell, as a family whose lemma fails is, and never
+    bisects; trig-cos p = 2 POS bisects as before."""
+    monkeypatch.setattr(certify, "_falsifying_witness", lambda family, p, sign: None)
+    want = repr(VerificationReport("sign-D:hyp-cos:p=2:POS", Status.INCONCLUSIVE, math.nan, math.nan, 0, Mode.RIGOROUS))
+    bisect = certify._verify_sign_rigorous
+    monkeypatch.setattr(certify, "_verify_sign_rigorous", _no_bisection)
+    assert repr(verify_sign_D(HC, 2, Sign.POS, RIGOROUS)) == want
+    monkeypatch.setattr(certify, "_verify_sign_rigorous", bisect)
+    assert verify_sign_D(TC, 2, Sign.POS, RIGOROUS).cells_checked == 12
 
 
 def test_unchecked_sum_table_proves_nothing(mutate_table):
@@ -1336,21 +1379,18 @@ def test_termwise_sign_reads_no_refused_table(monkeypatch, fresh_caches):
     assert r == VerificationReport("sign-D:trig-sin:p=65537:NEG", Status.CERTIFIED, math.inf, math.nan, 0, Mode.RIGOROUS)
 
 
-@pytest.mark.parametrize("family,p", [(TC, 3), (TS, 3), (HC, 17), (HS, 64)])
+@pytest.mark.parametrize("family,p", [(TC, 3), (TS, 3)])
 def test_wrong_sign_claim_still_bisects(family, p):
     """The lemma proves the other sign, so verify_sign_D falsifies the claim
-    with no cell; a bisection, which the claim no longer reaches, still
-    looks at cells and falsifies it too, an independent check of the lemma:
-    the library's for the cos families, the reference prover on the parity
-    sums for the sin families, whose general form cancels like x^5 near 0
-    and takes the library's 1.6 s (trig-sin, p = 3) and 12.6 s (hyp-sin,
-    p = 64) to reach a wrong-signed cell."""
+    with no cell; the reference prover's bisection, which no claim reaches
+    in the library, still looks at cells and falsifies it too, an
+    independent check of the lemma: on trig-cos's general form, and on
+    trig-sin's parity sums, since its general form cancels like x^5 near 0."""
     wrong = Sign(-termwise_sign(family, p))
     claim = f"sign-D:{family.value}:p={p}:{wrong.name}"
     want = VerificationReport(claim, Status.FALSIFIED, -math.inf, math.nan, 0, Mode.RIGOROUS)
     assert verify_sign_D(family, p, wrong, RIGOROUS) == want
-    prove = _bisect if family.is_cos else _reference_verify_sign_rigorous
-    _assert_falsified(family, p, wrong, prove(family, p, wrong, RIGOROUS))
+    _assert_falsified(family, p, wrong, _reference_verify_sign_rigorous(family, p, wrong, RIGOROUS))
 
 
 _LEMMA_PS = [*range(2, 65), 2**16 + 1, 2**53]
@@ -1379,9 +1419,8 @@ def test_sign_claims_read_no_sum_table_past_the_lemma(monkeypatch, fresh_caches)
     p = 2..64, 2^16 + 1, 2^53 x both signs x both modes, still returns a
     report, the same as with the tables intact.  Once the lemma is proved,
     none reads any sum table: with every one made to raise, each claim
-    still returns that report, and `_interval_D` still encloses D on
-    seeded cells of all four families, bitwise the reference's general
-    form."""
+    still returns that report, and `_interval_D` still encloses trig-cos D
+    on seeded cells, bitwise the reference's general form."""
     modes = (CFG, RIGOROUS)
     claims = [(family, p, sign, cfg) for family in FamilyKind for p in _LEMMA_PS for sign in Sign for cfg in modes]
     want = [verify_sign_D(*claim) for claim in claims]
@@ -1394,6 +1433,7 @@ def test_sign_claims_read_no_sum_table_past_the_lemma(monkeypatch, fresh_caches)
 
     derivatives.sin_comb_form.cache_clear()
     derivatives.termwise_sign.cache_clear()
+    derivatives._falsifying_witness.cache_clear()
     derivatives._sum_form_lemma.cache_clear()
     derivatives._general_vs_sum.cache_clear()
     monkeypatch.setattr(derivatives, "exact_sin_comb_form", guarded)
@@ -1406,10 +1446,10 @@ def test_sign_claims_read_no_sum_table_past_the_lemma(monkeypatch, fresh_caches)
 
     derivatives.sin_comb_form.cache_clear()
     derivatives.termwise_sign.cache_clear()
+    derivatives._falsifying_witness.cache_clear()
     monkeypatch.setattr(derivatives, "exact_sin_comb_form", general_only)
     assert [repr(verify_sign_D(*claim)) for claim in claims] == [repr(r) for r in want]
     rng = random.Random(31)
-    for family in FamilyKind:
-        for p in (2, 3, 4, 5, 64):
-            for x in _seeded_cells(rng, 4):
-                assert _interval_D(family, p, x) == _reference_interval_D(family, p, x, general=True), (family, p, x)
+    for p in (2, 3, 4, 5, 64):
+        for x in _seeded_cells(rng, 4):
+            assert _interval_D(p, x) == _reference_interval_D(TC, p, x), (p, x)

@@ -85,11 +85,13 @@ def test_verify_rigorous_hyperbolic(capsys):
 
 
 def test_verify_rigorous_hyp_cos_p2_falsified(capsys):
-    code = run(["verify", "--family", "hyp-cos", "--p", "2", "--mode", "rigorous"])
-    sign_line = capsys.readouterr().out.splitlines()[-1]
-    assert code == EXIT_FALSIFIED
-    assert sign_line.startswith("sign-D:hyp-cos:p=2:POS: falsified ")
-    assert sign_line.endswith(" cells=39 mode=rigorous")
+    """Falsified at the exact witness x = 3/2 at every margin, 0.3 included,
+    which leaves out the tail past x = 1.31696 where D < 0."""
+    for margin in ("1e-6", "1e-3", "0.3"):
+        code = run(["verify", "--family", "hyp-cos", "--p", "2", "--mode", "rigorous", "--interior-margin", margin])
+        sign_line = capsys.readouterr().out.splitlines()[-1]
+        assert code == EXIT_FALSIFIED
+        assert sign_line == "sign-D:hyp-cos:p=2:POS: falsified min_margin=-inf worst_x=1.5 cells=1 mode=rigorous"
 
 
 def test_verify_rigorous_inconclusive_exit(capsys):

@@ -8,6 +8,7 @@ import sys
 import time
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from mp_oracle import mp_D
@@ -31,6 +32,7 @@ from trigratio.derivatives import (
     _DEN4,
     _dirichlet_check,
     _general_vs_sum,
+    _sin_sum_bounds,
     _table_d_series,
     _trig,
     _trig_diff,
@@ -40,7 +42,6 @@ from trigratio.families import (
     _even_series,
     _N_COEFFS,
     _ratio_rows,
-    _ratio_series,
     _scalar_fns,
     DomainError,
     FamilyKind,
@@ -461,6 +462,30 @@ def test_cos_general_form_termwise_positive(family):
             assert w > 0 and 0.0 <= c <= 2.0, (p, w, c)
 
 
+def _mp(r):
+    return mpmath.mpf(r.numerator) / r.denominator
+
+
+@pytest.mark.parametrize("family", FamilyKind)
+def test_sin_sum_bounds_hold_mpmath(family):
+    """The exact enclosure the witness route reads holds sin (sinh) at every
+    argument c x of the p = 2 general table, c = 1/2, 3/2, 5/2 at x = 1/2
+    and 3/2, and the table's whole sum, against 50-digit mpmath, within
+    1e-15; hyp-cos's sum is -0.08440 at 1/2 and +0.13317 at 3/2.  Where the
+    tail's ratio is not below 1 it decides nothing: (0, inf)."""
+    terms, _ = exact_sin_comb_form(family, 2, True)
+    g = mpmath.sin if family.is_trig else mpmath.sinh
+    with mpmath.workdps(50):
+        for x in (Fraction(1, 2), Fraction(3, 2)):
+            for table in [[(Fraction(1), c)] for _, c in terms] + [list(terms)]:
+                s, err = _sin_sum_bounds(family, table, x)
+                exact = sum(_mp(w) * g(_mp(c * x)) for w, c in table)
+                assert err < 1e-15 and abs(exact - _mp(s)) <= _mp(err), (x, table)
+            if family is HC:
+                assert round(float(_sin_sum_bounds(family, terms, x)[0]), 5) == (-0.0844 if x < 1 else 0.13317)
+    assert _sin_sum_bounds(family, [(Fraction(1), Fraction(40))], Fraction(1)) == (0, math.inf)
+
+
 @pytest.mark.parametrize("p", range(3, 13))
 def test_sign_trig_cos_negative_for_p_ge_3(p):
     xs = np.linspace(1e-3, HALF_PI - 1e-3, 200)
@@ -756,7 +781,7 @@ def test_series_caches_are_bounded():
         _dirichlet_check(k)
     for n in range(DEGREE_CAP + 1):
         _chebyshev_check(n)
-    caches = (_ratio_series, f_series_coeffs, _scalar_fns, _d_series_coeffs, _table_d_series, termwise_sign)
+    caches = (f_series_coeffs, _scalar_fns, _d_series_coeffs, _table_d_series, termwise_sign)
     caches += (_general_vs_sum, _dirichlet_check, _chebyshev_check)
     for cache in caches:
         assert cache.cache_info().currsize <= 256

@@ -18,7 +18,7 @@ from trigratio.families import (
     f_series_coeffs,
     limit_at_half_pi,
     limit_at_zero,
-    _ratio_series,
+    _ratio_rows,
 )
 
 TC, TS, HC, HS = (
@@ -181,14 +181,14 @@ def test_p_past_float64_raises_parameter_error(family):
     OverflowError) before any limit is taken, so the cache stores nothing
     and f's exact series (~1.3 s at 10**5000) is not even looked up."""
     size = _envelope_constants.cache_info().currsize
-    series = _ratio_series.cache_info(), f_series_coeffs.cache_info()
+    series = _ratio_rows.cache_info(), f_series_coeffs.cache_info()
     for p in (10**400, 10**400, 10**5000):
         with pytest.raises(ParameterError):
             envelope_constants(family, p)
         with pytest.raises(ParameterError):
             ratio_bounds(family, p, 0.5)
     assert _envelope_constants.cache_info().currsize == size
-    assert (_ratio_series.cache_info(), f_series_coeffs.cache_info()) == series
+    assert (_ratio_rows.cache_info(), f_series_coeffs.cache_info()) == series
 
 
 def test_envelope_cache_is_bounded():
