@@ -2,8 +2,11 @@
 
 GRID mode samples the interior of (0, pi/2) and reports the worst margin:
 FALSIFIED if the least non-NaN one is negative, else INCONCLUSIVE at a 0.0
-tie or a NaN, else CERTIFIED; a sign claim samples `derivatives.d_general`,
-the library's one float D, at every p.  RIGOROUS mode (sign-of-D claims
+tie or a NaN, else CERTIFIED.  Every sampled check reads one shared grid
+(`_grid`), checked once when it is built, and runs an array evaluator's
+kernel over it by `families._blocks`, with no per-claim point check: a sign
+claim `derivatives._d_block`, the kernel of `d_general`, the library's one
+float D, at every p, bitwise its values.  RIGOROUS mode (sign-of-D claims
 only, all four families) decides in exact rationals first.  Where every
 term of the family's own exact table of D keeps one sign on (0, pi/2)
 (`derivatives.termwise_sign`), D keeps it on all of (0, pi/2), by a
@@ -41,7 +44,9 @@ family in exact algebra with p symbolic, also against the general table at
 its base cases; where it fails, the family's sign claims are INCONCLUSIVE.
 So no claim builds or refuses a sum table at its own p: `MAX_SUM_P` bounds
 only `d_sum` and `general_vs_sum_check`.  Every grid verdict is built by one
-`_grid_verdict`, every exact identity verdict by `_exact_report`.
+`_grid_report`, from `_grid_verdict`'s pick over an array of margins or
+from the envelope's two grid ends read as floats, and every exact identity
+verdict by `_exact_report`.
 """
 
 from __future__ import annotations
@@ -55,10 +60,10 @@ import numpy as np
 
 from .derivatives import (
     _chebyshev_check,
+    _d_block,
     _dirichlet_check,
     _falsifying_witness,
     _sum_form_lemma,
-    d_general,
     general_vs_sum_check,
     sin_comb_form,
     termwise_sign,
@@ -70,9 +75,11 @@ from .families import (
     HALF_PI,
     ParameterError,
     _as_real,
+    _blocks,
+    _checked_points,
     _f_at,
+    _f_block,
     check_param_int,
-    eval_f_grid,
 )
 from .interval import _cos_bounds, _mul_bounds, _pow_bounds, _reciprocal_bounds, sin_comb
 
@@ -142,22 +149,41 @@ class VerificationReport:
 @functools.lru_cache(maxsize=8)
 def _grid(margin: float, points: int) -> np.ndarray:
     """The GRID checks' sample points, built once per (margin, points) and
-    read-only, since every caller shares the one array."""
-    xs = np.linspace(margin, HALF_PI - margin, points)
+    read-only, since every caller shares the one array.  They are checked
+    here, once, by the array evaluators' own point check
+    (`families._checked_points`), so each sampler runs its kernel on them by
+    `families._blocks` with no check of its own, in blocks of 2^14 points
+    past that size."""
+    xs = _checked_points(np.linspace(margin, HALF_PI - margin, points), False)
     xs.flags.writeable = False
     return xs
 
 
+def _grid_report(claim, margin: float, x: float, cells) -> VerificationReport:
+    """The GRID verdict on a worst margin: FALSIFIED if negative, else
+    INCONCLUSIVE at a 0.0 tie or a NaN, else CERTIFIED."""
+    status = Status.CERTIFIED if margin > 0.0 else Status.FALSIFIED if margin < 0.0 else Status.INCONCLUSIVE
+    return VerificationReport(claim, status, margin, x, cells, Mode.GRID)
+
+
 def _grid_verdict(claim, margins, xs, cells) -> VerificationReport:
-    """The verdict on the least margin that is not NaN: FALSIFIED if negative,
-    else INCONCLUSIVE at a 0.0 tie or at the first NaN, else CERTIFIED."""
+    """`_grid_report` on the worst of the margins: the least that is not NaN
+    if it is negative, else the first NaN, else the least, the first of ties."""
     worst = int(np.argmin(margins))
     if math.isnan(margins[worst]):  # argmin stops at the first NaN, which must not hide a negative margin
         least = int(np.argmin(np.where(np.isnan(margins), np.inf, margins)))
         worst = least if margins[least] < 0.0 else worst
-    margin = float(margins[worst])
-    status = Status.CERTIFIED if margin > 0.0 else Status.FALSIFIED if margin < 0.0 else Status.INCONCLUSIVE
-    return VerificationReport(claim, status, margin, float(xs[worst]), cells, Mode.GRID)
+    return _grid_report(claim, float(margins[worst]), float(xs[worst]), cells)
+
+
+def _second_is_worse(m0: float, m1: float) -> bool:
+    """Whether `_grid_verdict` picks the second of two margins: a negative one
+    beside a NaN, the first NaN, else the least, the first on a tie."""
+    if math.isnan(m0):
+        return m1 < 0.0
+    if math.isnan(m1):
+        return not m0 < 0.0
+    return m1 < m0
 
 
 def _termwise_report(claim, sign: int = 1) -> VerificationReport:
@@ -247,14 +273,16 @@ def verify_sign_D(
     D breaks there, at min_margin -inf and worst_x that x, with
     cells_checked 1, whatever the margin.  Of the rest only trig-cos claims
     bisect the interior in interval arithmetic, today p = 2 POS; any other
-    is INCONCLUSIVE with no cell.  GRID samples `derivatives.d_general`."""
+    is INCONCLUSIVE with no cell.  GRID samples D on the shared grid by
+    `derivatives._d_block`, `d_general`'s kernel, bitwise its values, with
+    no point check past `_grid`'s own."""
     p = check_param_int(p)
     claim = f"sign-D:{family.value}:p={p}:{expected_sign.name}"
     if _sum_form_lemma(family):
         if cfg.mode is Mode.GRID:
             xs = _grid(cfg.interior_margin, cfg.grid_points)
-            margins = d_general(family, p, xs)
-            margins *= float(expected_sign.value)  # d_general's output is new: flipped in place
+            margins = _blocks(xs, _d_block(family, float(p)))
+            margins *= float(expected_sign.value)  # the kernel's output is new: flipped in place
             return _grid_verdict(claim, margins, xs, len(xs))
         sign = termwise_sign(family, p) * expected_sign.value
         if sign:
@@ -289,8 +317,18 @@ def verify_monotonicity(family: FamilyKind, p, cfg: VerificationConfig) -> Verif
     if _proved_monotone(family, p):
         return _termwise_report(claim)
     xs = _grid(cfg.interior_margin, cfg.grid_points)
-    diffs = float(expected_sign_D(family, p).value) * np.diff(eval_f_grid(family, p, xs))
+    diffs = float(expected_sign_D(family, p).value) * np.diff(_blocks(xs, _f_block(family, float(p))))
     return _grid_verdict(claim, diffs, xs, len(xs) - 1)
+
+
+def _end_margin(family: FamilyKind, p: float, ec: EnvelopeConstants, x: float) -> float:
+    """min(f(x) - lower, upper - f(x)) at one float x by np.minimum's rule,
+    a NaN if either is one and the second on a tie, with f from `_f_at` on
+    numpy's g and sine: Python-float Horner on the series branch, bitwise
+    eval_f_grid's value at x either way."""
+    f = _f_at(family, p, x, np)
+    lo, hi = f - ec.lower, ec.upper - f
+    return float(lo if lo < hi or lo != lo else hi)
 
 
 def verify_envelope(
@@ -303,11 +341,13 @@ def verify_envelope(
 
     Where verify_monotonicity proves f monotone (`_proved_monotone`), the
     least of f - lower and upper - f over any points of the interval is at
-    its ends, so f is read at the grid's two ends alone, in numpy's scalar
-    arithmetic, bitwise eval_f_grid's values there: the whole grid's
-    verdict, min_margin and worst_x, with cells_checked 2.  Elsewhere f is
-    sampled at every grid point.  Float values of f either way, so the
-    report says Mode.GRID under any `cfg.mode`.  `constants` overrides the
+    its ends, so f is read at the grid's two ends alone, as floats
+    (`_end_margin`), bitwise eval_f_grid's values there, and the worse end
+    picked by `_grid_verdict`'s rule (`_second_is_worse`), with no array
+    built: the whole grid's verdict, min_margin and worst_x, with
+    cells_checked 2.  Elsewhere f is sampled at every grid point by
+    `families._f_block`, eval_f_grid's kernel.  Float values of f either
+    way, so the report says Mode.GRID under any `cfg.mode`.  `constants` overrides the
     computed envelope (test hook); ParameterError where they are another
     claim's, of another family or p."""
     p = check_param_int(p)
@@ -317,10 +357,12 @@ def verify_envelope(
         raise ParameterError(f"constants of {ec.family.value}:p={ec.p} given for {claim}")
     xs = _grid(cfg.interior_margin, cfg.grid_points)
     if _proved_monotone(family, p):
-        xs = (xs[0], xs[-1])
-        fs = np.array([_f_at(family, float(p), x, np) for x in xs])
-    else:
-        fs = eval_f_grid(family, p, xs)
+        x0, x1 = float(xs[0]), float(xs[-1])
+        m0, m1 = (_end_margin(family, float(p), ec, x) for x in (x0, x1))
+        if _second_is_worse(m0, m1):
+            m0, x0 = m1, x1
+        return _grid_report(claim, m0, x0, 2)
+    fs = _blocks(xs, _f_block(family, float(p)))
     margins = np.minimum(fs - ec.lower, ec.upper - fs)
     return _grid_verdict(claim, margins, xs, len(xs))
 

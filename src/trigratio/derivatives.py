@@ -36,9 +36,10 @@ from the family table `families.FAMILY_FNS`.  D has two evaluators, one entry po
   by it and the cos families' by the general form, at every p.
 
 Each takes a float or an array-like for x and returns a float for a float.
-Both check x and run it in blocks by `families._evaluate`, as `eval_f_grid`
-does, values bitwise independent of the blocking; `d_general`'s series split
-is `families._series_or`.  The identity checks are exact: in trig polynomials
+Both check x by `families._checked_points` and run it in blocks by
+`families._blocks`, as `eval_f_grid` does, values bitwise independent of the
+blocking; `d_general`'s kernel is `_d_block`, its series split
+`families._series_or`.  The identity checks are exact: in trig polynomials
 `general_vs_sum_check` (the sum table against the general one, D by
 construction), `_dirichlet_check` and `_chebyshev_check`, and in series
 `vanishing_limits_check` (D's, at every real p of the range).  The sum table
@@ -58,8 +59,9 @@ from .families import (
     DomainError,
     FamilyKind,
     ParameterError,
+    _blocks,
+    _checked_points,
     _even_series,
-    _evaluate,
     _RADIUS,
     _as_point,
     _p_text,
@@ -396,6 +398,13 @@ def _d_series_coeffs(family: FamilyKind, p: float) -> tuple[float, ...]:
     return (0.0, *(-(2 * i * (2 * i + 1) * (2 * i + 2) * r[i + 1][0]) / r[i + 1][1] for i in range(1, _D_TERMS + 1)))
 
 
+def _d_block(family: FamilyKind, p: float):
+    """d_general's kernel at a checked float p, for `families._blocks`: a
+    block's D series below the reach and general form above (`_series_or`)."""
+    reach = _RADIUS[not family.is_cos] * abs(p) * math.pi / 4.0
+    return lambda x: _series_or(x, reach, lambda: _d_series_coeffs(family, p), lambda v: eval_sin_comb(family, p, v, True))
+
+
 def d_general(family: FamilyKind, p, x):
     """Closed-form D(x) for any family and real 3/2 <= |p| <= 2^53, in float64.
 
@@ -407,15 +416,11 @@ def d_general(family: FamilyKind, p, x):
     cancels towards 0 (a bracket ~ x^5 against csc^4(x/p), an error of
     ~eps*(p/x)^4), which the series avoids.
 
-    An array runs in blocks of 2^14 points (`families._evaluate`), each split
-    by `families._series_or`: values bitwise independent of the blocking."""
-    p = check_param_real(p)
-    reach = _RADIUS[not family.is_cos] * abs(p) * math.pi / 4.0
-
-    def block(x):
-        return _series_or(x, reach, lambda: _d_series_coeffs(family, p), lambda v: eval_sin_comb(family, p, v, True))
-
-    return _unwrap(_evaluate(x, False, block))
+    An array runs in blocks of 2^14 points (`families._blocks` over
+    `_d_block`), each split by `families._series_or`: values bitwise
+    independent of the blocking."""
+    kernel = _d_block(family, check_param_real(p))
+    return _unwrap(_blocks(_checked_points(x, False), kernel))
 
 
 def d_sum(family: FamilyKind, p: int, x):
@@ -427,11 +432,11 @@ def d_sum(family: FamilyKind, p: int, x):
 
     The table is read before x: ParityError for the cos families with even
     p, which have none, and ParameterError past MAX_SUM_P, from its builder.
-    Then an array runs in blocks of 2^14 points (`families._evaluate`):
+    Then an array runs in blocks of 2^14 points (`families._blocks`):
     values bitwise independent of the blocking."""
     p = check_param_int(p)
     sin_comb_form(family, p, False)  # the table's own checks, before x is read
-    return _unwrap(_evaluate(x, False, lambda b: eval_sin_comb(family, p, b, False)))
+    return _unwrap(_blocks(_checked_points(x, False), lambda b: eval_sin_comb(family, p, b, False)))
 
 
 _DIRICHLET_K_CAP = 2**20  # dirichlet_sum's cap: one point's k cosines and their list peak at 48 MiB

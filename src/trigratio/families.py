@@ -27,9 +27,10 @@ zero x = 0.  Every series coefficient and D-table entry fits float64.
 The scalar backend needs no numpy.  The numpy backend loads on
 the first array call (`eval_f_grid`, `derivatives`): `load_numpy` imports
 numpy then and adds its entries to `FAMILY_FNS`, so point evaluation never
-pays numpy's import.  Every array evaluator of f and D checks its points and
-runs them in blocks by `_evaluate`; `_series_or` splits a block between a
-series and a closed form.
+pays numpy's import.  Every array evaluator of f and D checks its points
+(`_checked_points`) and runs them in blocks (`_blocks`) over a kernel built
+per family and p (`_f_block` here, `derivatives._d_block`); `_series_or`
+splits a block between a series and a closed form.
 
 All functions are defined on (0, pi/2); `eval_f` extends to x = 0 by
 continuity.  Near zero the direct quotient cancels catastrophically, so
@@ -296,8 +297,10 @@ def _scalar_fns(family: FamilyKind, xp) -> tuple:
 def _f_at(family: FamilyKind, p: float, x, xp=math):
     """f at one point x of [0, pi/2), unchecked, on one backend's g and sine:
     the series below the crossover, the direct quotient above.  eval_f on
-    math floats; on a numpy float64 scalar, bitwise eval_f_grid's value at
-    that point, in numpy's scalar arithmetic."""
+    math floats.  With xp numpy, bitwise eval_f_grid's value at that point,
+    for a Python float x as for a numpy float64 one: the series is the same
+    rounded multiplies and adds in either arithmetic, and the direct
+    quotient takes numpy's g and sine."""
     g, sin, th = _scalar_fns(family, xp)
     if x < th:
         return _even_series(x, f_series_coeffs(family, p))
@@ -365,10 +368,20 @@ def _as_points(x, dtype=None):
 _BLOCK = 1 << 14
 
 
-def _evaluate(x, closed, kernel, dtype=None):
-    """kernel(block) over the points x (`_as_points`, in dtype), once their
-    least and greatest lie in [0, pi/2) if closed, else in (0, pi/2):
-    DomainError before any block runs.  The array evaluators' one path.
+def _checked_points(x, closed, dtype=None):
+    """The points x (`_as_points`, in dtype), once their least and greatest
+    lie in [0, pi/2) if closed, else in (0, pi/2); DomainError otherwise.
+    The array evaluators' one point check, run before any block; `certify`
+    runs it once on each grid it builds."""
+    x, least, most = _as_points(x, dtype)
+    if not ((0.0 <= least if closed else 0.0 < least) and most < HALF_PI):
+        raise DomainError("grid points must lie in [0, pi/2)" if closed else "x must lie in (0, pi/2)")
+    return x
+
+
+def _blocks(x, kernel):
+    """kernel(block) over checked points x (`_checked_points`): the array
+    evaluators' one loop.
 
     The blocks, of at most _BLOCK points in C order, are written into one new
     array of x's shape and dtype: values independent of the blocking, as
@@ -376,9 +389,6 @@ def _evaluate(x, closed, kernel, dtype=None):
     2048-point grid) is that block, as it is, so a scalar keeps numpy's
     scalar arithmetic, 3x faster on D's 16-term series than a one-point
     array's.  A larger non-contiguous x is copied first."""
-    x, least, most = _as_points(x, dtype)
-    if not ((0.0 <= least if closed else 0.0 < least) and most < HALF_PI):
-        raise DomainError("grid points must lie in [0, pi/2)" if closed else "x must lie in (0, pi/2)")
     if x.size <= _BLOCK:
         return kernel(x)
     out = load_numpy().empty(x.shape, x.dtype)
@@ -404,20 +414,26 @@ def _series_or(x, th, coeffs, direct):
     return out
 
 
-def eval_f_grid(family: FamilyKind, p, xs, dtype=None):
-    """Vectorized eval_f: a numpy array of f at the points xs in [0, pi/2), in
-    the arithmetic of dtype (float64 by default) on float64 series coefficients.
-
-    Checked and run in blocks of 2^14 points by `_evaluate` and `_series_or`:
-    values bitwise the same however the array is split."""
-    p = check_param_real(p)
+def _f_block(family: FamilyKind, p: float):
+    """eval_f_grid's kernel at a checked float p, for `_blocks`: a block's
+    series below the crossover and direct quotient above (`_series_or`)."""
     g, sin = FAMILY_FNS[family][load_numpy()]
     th = series_threshold(family)
 
     def direct(x):
         return _f_direct(family, p, x, g((1.0 / p) * x), g, sin)
 
-    return _evaluate(xs, True, lambda x: _series_or(x, th, lambda: f_series_coeffs(family, p), direct), dtype)
+    return lambda x: _series_or(x, th, lambda: f_series_coeffs(family, p), direct)
+
+
+def eval_f_grid(family: FamilyKind, p, xs, dtype=None):
+    """Vectorized eval_f: a numpy array of f at the points xs in [0, pi/2), in
+    the arithmetic of dtype (float64 by default) on float64 series coefficients.
+
+    Checked by `_checked_points`, then run in blocks of 2^14 points by
+    `_blocks` over `_f_block`: values bitwise the same however the array is split."""
+    kernel = _f_block(family, check_param_real(p))
+    return _blocks(_checked_points(xs, True, dtype), kernel)
 
 
 def limit_at_zero(family: FamilyKind, p) -> float:

@@ -9,6 +9,7 @@ import re
 import signal
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -263,6 +264,65 @@ def test_sign_grid_hyperbolic_reports_closed_form_value():
     assert r.status is Status.CERTIFIED
     assert r.min_margin == -d_general(HS, 5, r.worst_x)
     assert r.min_margin == pytest.approx(-d_sum(HS, 5, r.worst_x), rel=1e-14)
+
+
+_GRID_SIGN_PS = [*range(2, 65), 2**16 + 1, 2**53]
+
+
+@pytest.mark.parametrize(
+    "cfg,ps",
+    [
+        (CFG, _GRID_SIGN_PS),
+        (VerificationConfig(interior_margin=1e-6, grid_points=512), _GRID_SIGN_PS),
+        (VerificationConfig(interior_margin=0.3, grid_points=17), _GRID_SIGN_PS),
+        # 2^20 points run 64 blocks of 2^14; ~13 ms a D, so fewer p
+        (VerificationConfig(grid_points=2**20), [2, 3, 16, 64, 2**16 + 1, 2**53]),
+    ],
+    ids=["default", "1e-6-512", "0.3-17", "1e-3-2^20"],
+)
+def test_grid_sign_reads_d_general_bitwise(cfg, ps):
+    """A GRID sign claim runs d_general's kernel on the shared grid, which
+    `_grid` checked once: its report is, bit for bit, the verdict on the
+    public d_general's values there, under either sign, for all four
+    families, past one block of points too."""
+    xs = certify._grid(cfg.interior_margin, cfg.grid_points)
+    key = lambda v: (v.status, v.min_margin.hex(), v.worst_x.hex(), v.cells_checked, v.mode)
+    for family in FamilyKind:
+        for p in ps:
+            d = d_general(family, p, xs)
+            for sign in Sign:
+                r = verify_sign_D(family, p, sign, cfg)
+                want = certify._grid_verdict(r.claim_id, sign.value * d, xs, len(xs))
+                assert key(r) == key(want), (family, p, sign)
+
+
+def test_grid_sign_past_one_block_keeps_temporaries_to_a_block():
+    """On 2^20 points a GRID sign claim peaks at its margins' array plus the
+    block temporaries, as d_general did when the claim called it: 0.39 MiB,
+    0.78 MiB where a block splits between D's series and general form (the
+    cos families at p = 2), by tracemalloc, on either route."""
+    cfg = VerificationConfig(grid_points=2**20)
+    for family, p in ((TC, 2), (HS, 7)):
+        verify_sign_D(family, p, Sign.NEG, cfg)  # the grid, tables and series, built once
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            verify_sign_D(family, p, Sign.NEG, cfg)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20 + 2**20, (family, p, peak)
+
+
+def test_grid_is_checked_once_when_built():
+    """`_grid` runs the array evaluators' point check as it builds the shared
+    grid, so a grid off (0, pi/2) fails there, before any claim samples it."""
+    certify._grid.cache_clear()
+    try:
+        with pytest.raises(trigratio.DomainError, match=r"^x must lie in \(0, pi/2\)$"):
+            certify._grid(-0.1, 16)
+    finally:
+        certify._grid.cache_clear()
 
 
 def test_sign_hyp_cos_p2_not_single_signed():
@@ -870,6 +930,76 @@ def test_sin_families_are_proved_past_the_sum_table(family, p):
         assert (r.status, r.min_margin.hex(), r.worst_x.hex(), r.mode) == _full_grid_envelope(family, p, cfg, ec)
         assert r.status is Status.CERTIFIED and r.cells_checked == 2
         assert verify_envelope(family, p, cfg, constants=_swapped(ec)).status is Status.FALSIFIED
+
+
+def _two_end_verdict(family, p, cfg, ec):
+    """The envelope verdict over the grid's two ends as two-element numpy
+    arrays, by `_grid_verdict`: (status, float.hex of min_margin and of
+    worst_x, cells)."""
+    xs = certify._grid(cfg.interior_margin, cfg.grid_points)
+    ends = np.array([xs[0], xs[-1]])
+    fs = eval_f_grid(family, p, ends)
+    r = certify._grid_verdict("c", np.minimum(fs - ec.lower, ec.upper - fs), ends, 2)
+    return r.status, r.min_margin.hex(), r.worst_x.hex(), r.cells_checked
+
+
+def _edge_constants(family, p, cfg):
+    """Envelope constants at the two-end verdict's edges: NaN lower, upper or
+    both; infinite ones; each constant set to f's float value at either grid
+    end, a margin of exactly 0.0 where lower is f's least value or upper its
+    greatest, and a negative one where the constant cuts f at the other end;
+    and lower and upper both on f's values at the ends, so both ends'
+    margins are 0.0, a tie."""
+    ec = envelope_constants(family, p)
+    xs = certify._grid(cfg.interior_margin, cfg.grid_points)
+    f0, f1 = eval_f_grid(family, p, np.array([xs[0], xs[-1]])).tolist()
+    edges = [(math.nan, ec.upper), (ec.lower, math.nan), (math.nan, math.nan)]
+    edges += [(-math.inf, math.inf), (math.inf, -math.inf), (-math.inf, ec.upper), (ec.lower, math.inf)]
+    edges += [(f0, ec.upper), (f1, ec.upper), (ec.lower, f0), (ec.lower, f1), (min(f0, f1), max(f0, f1))]
+    return [dataclasses.replace(ec, lower=lo, upper=hi) for lo, hi in edges]
+
+
+@pytest.mark.parametrize("family", FamilyKind)
+def test_envelope_two_end_verdict_edges(family):
+    """The two ends read as floats give, bit for bit, `_grid_verdict`'s
+    verdict over the same two margins in numpy arrays and the full grid's:
+    a NaN constant makes both margins NaN, INCONCLUSIVE at the first end;
+    infinite constants give infinite margins; a constant on f's float value
+    at an end leaves a margin of exactly 0.0 there, INCONCLUSIVE; and 0.0 at
+    both ends is a tie, decided for the first end."""
+    ties = 0
+    for cfg in (CFG, VerificationConfig(interior_margin=1e-6, grid_points=512)):
+        for p in (3, 7, 16, 2**53):
+            for ec in _edge_constants(family, p, cfg):
+                r = verify_envelope(family, p, cfg, constants=ec)
+                got = (r.status, r.min_margin.hex(), r.worst_x.hex(), r.cells_checked)
+                assert got == _two_end_verdict(family, p, cfg, ec), (p, ec)
+                assert (*got[:3], r.mode) == _full_grid_envelope(family, p, cfg, ec), (p, ec)
+                ties += r.min_margin == 0.0
+    assert ties == 2 * 4 * 3  # each config and p: lower on f's least value, upper on its greatest, both
+
+
+_SPECIALS = [0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, math.nan]
+
+
+def test_envelope_two_end_rules_are_numpys_on_signed_zeros_and_nans(monkeypatch):
+    """The two-end route's rules on every pair of special values: an end's
+    margin is np.minimum's, a NaN if either is and the second on a tie, so
+    -0.0 and 0.0 keep their signs as numpy's; the worse end is the one
+    `_grid_verdict` picks from the two margins in an array."""
+    for a in _SPECIALS:
+        for b in _SPECIALS:
+            want = certify._grid_verdict("c", np.array([a, b]), [0.25, 0.75], 2)
+            got = (b, 0.75) if certify._second_is_worse(a, b) else (a, 0.25)
+            assert (got[0].hex(), got[1]) == (want.min_margin.hex(), want.worst_x), (a, b)
+    ec = envelope_constants(TS, 3)
+    for f in _SPECIALS[:4]:  # f is finite
+        monkeypatch.setattr(certify, "_f_at", lambda *args, f=f: f)
+        for lo in _SPECIALS:
+            for hi in _SPECIALS:
+                got = certify._end_margin(TS, 3.0, dataclasses.replace(ec, lower=lo, upper=hi), 0.5)
+                want = np.minimum(np.array([f]) - lo, hi - np.array([f]))[0]
+                assert float(want).hex() == got.hex(), (f, lo, hi)
 
 
 def test_envelope_float_ties_are_inconclusive():

@@ -95,7 +95,7 @@ def test_submodules_resolve_as_attributes():
     got = _fresh(
         "import json, trigratio\n"
         "print(json.dumps([trigratio.certify.__name__, trigratio.derivatives.__name__,"
-        " callable(trigratio.certify.eval_f_grid)]))"
+        " callable(trigratio.certify.verify_envelope)]))"
     )
     assert got == ["trigratio.certify", "trigratio.derivatives", True]
 
