@@ -6,8 +6,13 @@ tie or a NaN, else CERTIFIED.  Every sampled check reads one shared grid
 (`_grid`), checked once when it is built, and runs an array evaluator's
 kernel over it by `families._blocks`, with no per-claim point check: a sign
 claim `derivatives._d_block`, the kernel of `d_general`, the library's one
-float D, at every p, bitwise its values.  RIGOROUS mode (sign-of-D claims
-only, all four families) decides in exact rationals first.  Where every
+float D, at every p, bitwise its values.  Where the whole grid lies on D's
+series branch and `derivatives._d_rise` proves the claim's sign times that
+float series rising, rounding included, the least margin is the grid's
+first: a sign claim reads D at its first two points alone and reports the
+full scan's verdict, with cells_checked 2 (every paper sign but the cos
+families' at p <= 3).  RIGOROUS mode (sign-of-D claims only, all four
+families) decides in exact rationals first.  Where every
 term of the family's own exact table of D keeps one sign on (0, pi/2)
 (`derivatives.termwise_sign`), D keeps it on all of (0, pi/2), by a
 comparison of rationals with no libm, no rounded constant and no cell: a
@@ -45,8 +50,8 @@ its base cases; where it fails, the family's sign claims are INCONCLUSIVE.
 So no claim builds or refuses a sum table at its own p: `MAX_SUM_P` bounds
 only `d_sum` and `general_vs_sum_check`.  Every grid verdict is built by one
 `_grid_report`, from `_grid_verdict`'s pick over an array of margins or
-from the envelope's two grid ends read as floats, and every exact identity
-verdict by `_exact_report`.
+from two grid points read as floats (the envelope's two ends, a rising D's
+first two points), and every exact identity verdict by `_exact_report`.
 """
 
 from __future__ import annotations
@@ -61,6 +66,8 @@ import numpy as np
 from .derivatives import (
     _chebyshev_check,
     _d_block,
+    _d_reach,
+    _d_rise,
     _dirichlet_check,
     _falsifying_witness,
     _sum_form_lemma,
@@ -77,6 +84,7 @@ from .families import (
     _as_real,
     _blocks,
     _checked_points,
+    _even_series,
     _f_at,
     _f_block,
     check_param_int,
@@ -132,9 +140,11 @@ class VerificationReport:
     times D, or the claim's own slack) and worst_x the point or cell
     midpoint where it was found; cells_checked counts the grid points,
     differences or leaf cells it looked at: for an envelope claim, 2 (the
-    grid's ends) where f is proved monotone, else every grid point.  A
-    termwise sign decision looks at none: cells_checked 0, worst_x nan, and
-    min_margin inf for a proof, -inf for a disproof.  A disproof at an
+    grid's ends) where f is proved monotone, else every grid point; for a
+    GRID sign claim, 2 (the grid's first two points) where D's series is
+    proved to rise over the grid, else every grid point.  A termwise sign
+    decision looks at none: cells_checked 0, worst_x nan, and min_margin
+    inf for a proof, -inf for a disproof.  A disproof at an
     exact witness looks at that one point: cells_checked 1, worst_x the
     witness, min_margin -inf."""
 
@@ -153,8 +163,11 @@ def _grid(margin: float, points: int) -> np.ndarray:
     here, once, by the array evaluators' own point check
     (`families._checked_points`), so each sampler runs its kernel on them by
     `families._blocks` with no check of its own, in blocks of 2^14 points
-    past that size."""
+    past that size.  They must increase strictly, as the sign claims'
+    two-point route reads (`verify_sign_D`), checked here too."""
     xs = _checked_points(np.linspace(margin, HALF_PI - margin, points), False)
+    if not (np.diff(xs) > 0.0).all():
+        raise ParameterError(f"the grid of {points} points at margin {margin!r} does not increase strictly")
     xs.flags.writeable = False
     return xs
 
@@ -275,14 +288,32 @@ def verify_sign_D(
     bisect the interior in interval arithmetic, today p = 2 POS; any other
     is INCONCLUSIVE with no cell.  GRID samples D on the shared grid by
     `derivatives._d_block`, `d_general`'s kernel, bitwise its values, with
-    no point check past `_grid`'s own."""
+    no point check past `_grid`'s own.  Where the grid lies below D's series
+    reach (`derivatives._d_reach`) and `derivatives._d_rise` proves the
+    expected sign times D's float series rising on [0, 5/2] in u = x^2, D
+    is read at the grid's first two points alone, by the same float Horner
+    (`families._even_series`); if the second's margin clears the first's by
+    the rounding allowance, every computed margin is at least the first's,
+    which is the full scan's verdict, min_margin and worst_x bit for bit,
+    with cells_checked 2.  Otherwise, and for the cos families at p <= 3,
+    whose grid leaves the series, the whole grid is scanned."""
     p = check_param_int(p)
     claim = f"sign-D:{family.value}:p={p}:{expected_sign.name}"
     if _sum_form_lemma(family):
         if cfg.mode is Mode.GRID:
             xs = _grid(cfg.interior_margin, cfg.grid_points)
-            margins = _blocks(xs, _d_block(family, float(p)))
-            margins *= float(expected_sign.value)  # the kernel's output is new: flipped in place
+            s, fp = float(expected_sign.value), float(p)
+            rise = _d_rise(family, fp, expected_sign.value)
+            if rise is not None and xs[-1] < _d_reach(family, fp):
+                # the whole grid on D's series, which rises: its first point is the worst
+                # if the second's margin clears the first's by the rounding allowance
+                coeffs, gap = rise
+                x0 = float(xs[0])
+                m0, m1 = s * _even_series(x0, coeffs), s * _even_series(float(xs[1]), coeffs)
+                if m1 - m0 >= gap:
+                    return _grid_report(claim, m0, x0, 2)
+            margins = _blocks(xs, _d_block(family, fp))
+            margins *= s  # the kernel's output is new: flipped in place
             return _grid_verdict(claim, margins, xs, len(xs))
         sign = termwise_sign(family, p) * expected_sign.value
         if sign:

@@ -39,7 +39,9 @@ Each takes a float or an array-like for x and returns a float for a float.
 Both check x by `families._checked_points` and run it in blocks by
 `families._blocks`, as `eval_f_grid` does, values bitwise independent of the
 blocking; `d_general`'s kernel is `_d_block`, its series split
-`families._series_or`.  The identity checks are exact: in trig polynomials
+`families._series_or` at `_d_reach`, and `_d_rise` proves a sign times its
+float series rising, rounding included, for `certify`'s two-point GRID sign
+claims.  The identity checks are exact: in trig polynomials
 `general_vs_sum_check` (the sum table against the general one, D by
 construction), `_dirichlet_check` and `_chebyshev_check`, and in series
 `vanishing_limits_check` (D's, at every real p of the range).  The sum table
@@ -398,10 +400,54 @@ def _d_series_coeffs(family: FamilyKind, p: float) -> tuple[float, ...]:
     return (0.0, *(-(2 * i * (2 * i + 1) * (2 * i + 2) * r[i + 1][0]) / r[i + 1][1] for i in range(1, _D_TERMS + 1)))
 
 
+# Horner's forward error bound on D's series, 16 steps of a rounded multiply
+# and add (Higham, eq. 5.3): gamma_32 = 32 eps/(1 - 32 eps), eps = 2^-53
+_GAMMA_32 = Fraction(32, 2**53 - 32)
+# every computed u = x*x of an x in (0, pi/2) lies in [0, 5/2], as pi^2 < 10
+_U_TOP = Fraction(5, 2)
+
+
+@functools.lru_cache(maxsize=256)
+def _d_rise(family: FamilyKind, p: float, sign: int) -> tuple[tuple[float, ...], float] | None:
+    """(coeffs, gap) where P(u) = sum_k s d_k u^k, s = sign (+1 or -1) and
+    d_k = coeffs[k] = `_d_series_coeffs`, is proved to rise on [0, 5/2],
+    else None.  gap is a float such that for any two computed margins
+    m_a, m_b, s times `_even_series` on coeffs at x_a < x_b in (0, pi/2),
+    m_b - m_a >= gap in float64 makes every such margin at an x >= x_b at
+    least m_a.
+
+    The proof, in exact rationals over the float coefficients: on [0, 5/2],
+    P' >= s d_1 - sum k |d_k| (5/2)^(k-1) over the k with s d_k < 0, which
+    must be > 0.  A computed margin is within E of P at its computed
+    u = x*x <= 5/2, with E = gamma_32 sum |d_k| (5/2)^k, plus, for
+    underflow, 2^-1075 per rounded operation, 32 of them, carried by up to
+    (5/2)^16 (1 + gamma_32); no step overflows, as sum |d_k| (5/2)^k <
+    2^1000.  gap is 4E rounded up, so a float difference >= gap is >= 2E
+    exactly, and x >= x_b has P(u) >= P(u_b): its margin is at least
+    m_b - 2E >= m_a."""
+    coeffs = _d_series_coeffs(family, p)
+    if not all(map(math.isfinite, coeffs)):
+        return None
+    d = [sign * Fraction(c) for c in coeffs]
+    falls = sum(k * -c * _U_TOP ** (k - 1) for k, c in enumerate(d) if c < 0)
+    size = sum(abs(c) * _U_TOP**k for k, c in enumerate(d))
+    if not d[1] > falls or size >= 2**1000:
+        return None
+    bound = 4 * (_GAMMA_32 * size + 32 * _U_TOP**_D_TERMS * (1 + _GAMMA_32) / 2**1075)
+    gap = float(bound)
+    return coeffs, (gap if gap >= bound else math.nextafter(gap, math.inf))
+
+
+def _d_reach(family: FamilyKind, p: float) -> float:
+    """Where `d_general` leaves D's series for its general form: x < reach
+    sums the series."""
+    return _RADIUS[not family.is_cos] * abs(p) * math.pi / 4.0
+
+
 def _d_block(family: FamilyKind, p: float):
     """d_general's kernel at a checked float p, for `families._blocks`: a
     block's D series below the reach and general form above (`_series_or`)."""
-    reach = _RADIUS[not family.is_cos] * abs(p) * math.pi / 4.0
+    reach = _d_reach(family, p)
     return lambda x: _series_or(x, reach, lambda: _d_series_coeffs(family, p), lambda v: eval_sin_comb(family, p, v, True))
 
 

@@ -44,7 +44,8 @@ def fresh_caches():
 def _clear():
     """Empty the caches built from D's tables or from `cheb_u`: `sin_comb_form`,
     `termwise_sign`, `_falsifying_witness`, D's series `_table_d_series`, the
-    sum form's lemma `_sum_form_lemma` and the exact identity checks."""
+    sum form's lemma `_sum_form_lemma` and the exact identity checks; and
+    `_d_rise`, the proof read off D's float series, which a test may patch."""
     derivatives.sin_comb_form.cache_clear()
     derivatives.termwise_sign.cache_clear()
     derivatives._falsifying_witness.cache_clear()
@@ -53,3 +54,4 @@ def _clear():
     derivatives._general_vs_sum.cache_clear()
     derivatives._dirichlet_check.cache_clear()
     derivatives._chebyshev_check.cache_clear()
+    derivatives._d_rise.cache_clear()

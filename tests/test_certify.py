@@ -269,24 +269,36 @@ def test_sign_grid_hyperbolic_reports_closed_form_value():
 _GRID_SIGN_PS = [*range(2, 65), 2**16 + 1, 2**53]
 
 
+def _two_point_route(family, p, sign):
+    """Whether a GRID sign claim reads D at the grid's first two points alone
+    under the configs below: the paper's sign, whose D series provably rises,
+    off the cos families at p <= 3, whose grid leaves D's series branch."""
+    return sign is expected_sign_D(family, p) and not (family.is_cos and p <= 3)
+
+
 @pytest.mark.parametrize(
     "cfg,ps",
     [
         (CFG, _GRID_SIGN_PS),
+        (VerificationConfig(interior_margin=1e-2, grid_points=4096), _GRID_SIGN_PS),
         (VerificationConfig(interior_margin=1e-6, grid_points=512), _GRID_SIGN_PS),
         (VerificationConfig(interior_margin=0.3, grid_points=17), _GRID_SIGN_PS),
+        (VerificationConfig(interior_margin=1.2e-16, grid_points=16), _GRID_SIGN_PS),
         # 2^20 points run 64 blocks of 2^14; ~13 ms a D, so fewer p
-        (VerificationConfig(grid_points=2**20), [2, 3, 16, 64, 2**16 + 1, 2**53]),
+        (VerificationConfig(grid_points=2**20), [2, 3, 4, 16, 64, 2**16 + 1, 2**53]),
+        (VerificationConfig(interior_margin=0.39, grid_points=2**20), [2, 3, 4, 16, 64, 2**16 + 1, 2**53]),
     ],
-    ids=["default", "1e-6-512", "0.3-17", "1e-3-2^20"],
+    ids=["default", "1e-2-4096", "1e-6-512", "0.3-17", "1.2e-16-16", "1e-3-2^20", "0.39-2^20"],
 )
 def test_grid_sign_reads_d_general_bitwise(cfg, ps):
     """A GRID sign claim runs d_general's kernel on the shared grid, which
     `_grid` checked once: its report is, bit for bit, the verdict on the
     public d_general's values there, under either sign, for all four
-    families, past one block of points too."""
+    families, past one block of points too.  Where D's series provably
+    rises over the grid, the claim reads its first two points alone and
+    still reports the whole grid's verdict: cells_checked 2, else every point."""
     xs = certify._grid(cfg.interior_margin, cfg.grid_points)
-    key = lambda v: (v.status, v.min_margin.hex(), v.worst_x.hex(), v.cells_checked, v.mode)
+    key = lambda v: (v.status, v.min_margin.hex(), v.worst_x.hex(), v.mode)
     for family in FamilyKind:
         for p in ps:
             d = d_general(family, p, xs)
@@ -294,24 +306,88 @@ def test_grid_sign_reads_d_general_bitwise(cfg, ps):
                 r = verify_sign_D(family, p, sign, cfg)
                 want = certify._grid_verdict(r.claim_id, sign.value * d, xs, len(xs))
                 assert key(r) == key(want), (family, p, sign)
+                assert r.cells_checked == (2 if _two_point_route(family, p, sign) else len(xs)), (family, p, sign)
+
+
+def test_grid_sign_two_point_route_reads_no_grid_array(monkeypatch):
+    """The two-point route runs no kernel over the grid: with `_d_block`
+    raising, every default-config claim of the paper's sign at p = 2..64
+    reports as before, but the cos families' at p <= 3, which still scan."""
+    before = {(family, p): verify_sign_D(family, p, expected_sign_D(family, p), CFG) for family in FamilyKind for p in range(2, 65)}
+
+    def refuse(family, p):
+        raise AssertionError("the grid was scanned")
+
+    monkeypatch.setattr(certify, "_d_block", refuse)
+    for (family, p), report in before.items():
+        if family.is_cos and p <= 3:
+            with pytest.raises(AssertionError, match="the grid was scanned"):
+                verify_sign_D(family, p, expected_sign_D(family, p), CFG)
+        else:
+            assert verify_sign_D(family, p, expected_sign_D(family, p), CFG) == report, (family, p)
+
+
+def test_grid_sign_series_that_turns_falls_back_to_the_scan(monkeypatch, fresh_caches):
+    """A D series P(u) = u - 10 u^2 rises at u = 0 but peaks at u = 1/20,
+    x ~ 0.22, inside the grid: its first point is not the worst, so the claim
+    must scan the grid, which falsifies it at its last point."""
+    series = (0.0, 1.0, -10.0, *(0.0,) * derivatives._D_TERMS)[: derivatives._D_TERMS + 1]
+    monkeypatch.setattr(derivatives, "_d_series_coeffs", lambda family, p: series)
+    xs = certify._grid(CFG.interior_margin, CFG.grid_points)
+    for family in (TS, HS):
+        r = verify_sign_D(family, 7, Sign.POS, CFG)
+        assert r == certify._grid_verdict(r.claim_id, d_general(family, 7, xs), xs, len(xs))
+        assert (r.status, r.worst_x) == (Status.FALSIFIED, xs[-1])
+
+
+def test_grid_sign_route_needs_the_second_margin_clear_of_the_allowance(monkeypatch):
+    """The route returns the first point's margin only where the second's
+    clears it by the rounding allowance: an allowance one float above
+    m1 - m0 falls back to the scan, at the same verdict; one equal to it
+    keeps the two points."""
+    xs = certify._grid(CFG.interior_margin, CFG.grid_points)
+    rise = certify._d_rise
+    for family in FamilyKind:
+        for p in (4, 7, 16):
+            sign = expected_sign_D(family, p)
+            m0, m1 = sign.value * d_general(family, p, xs[:2])
+            want = certify._grid_verdict(f"sign-D:{family.value}:p={p}:{sign.name}", sign.value * d_general(family, p, xs), xs, len(xs))
+            for gap, cells in ((math.nextafter(m1 - m0, math.inf), len(xs)), (m1 - m0, 2)):
+                monkeypatch.setattr(certify, "_d_rise", lambda *key, gap=gap: (rise(*key)[0], gap))
+                assert verify_sign_D(family, p, sign, CFG) == dataclasses.replace(want, cells_checked=cells), (family, p, gap)
 
 
 def test_grid_sign_past_one_block_keeps_temporaries_to_a_block():
     """On 2^20 points a GRID sign claim peaks at its margins' array plus the
     block temporaries, as d_general did when the claim called it: 0.39 MiB,
     0.78 MiB where a block splits between D's series and general form (the
-    cos families at p = 2), by tracemalloc, on either route."""
+    cos families at p = 2), by tracemalloc, on either route.  Both claims
+    scan the grid: trig-cos p = 2 leaves D's series, and hyp-sin p = 7 POS
+    has the wrong sign, whose series falls."""
     cfg = VerificationConfig(grid_points=2**20)
-    for family, p in ((TC, 2), (HS, 7)):
-        verify_sign_D(family, p, Sign.NEG, cfg)  # the grid, tables and series, built once
+    for family, p, sign in ((TC, 2, Sign.NEG), (HS, 7, Sign.POS)):
+        verify_sign_D(family, p, sign, cfg)  # the grid, tables and series, built once
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            verify_sign_D(family, p, Sign.NEG, cfg)
+            assert verify_sign_D(family, p, sign, cfg).cells_checked == 2**20
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
         assert peak <= 8 * 2**20 + 2**20, (family, p, peak)
+
+
+def test_grid_is_checked_to_increase_strictly(monkeypatch):
+    """The two-point sign route rests on a strictly increasing grid, which
+    `_grid` checks once as it builds it: a grid with a repeated point fails
+    there."""
+    monkeypatch.setattr(certify, "_checked_points", lambda xs, closed: np.sort(np.append(xs[1:], xs[1])))
+    certify._grid.cache_clear()
+    try:
+        with pytest.raises(ParameterError, match="^the grid of 16 points at margin 0.001 does not increase strictly$"):
+            certify._grid(1e-3, 16)
+    finally:
+        certify._grid.cache_clear()
 
 
 def test_grid_is_checked_once_when_built():
@@ -1124,20 +1200,27 @@ def test_grid_sign_claim_writes_no_shared_array():
 
 # the 60 GRID sign reports of the benchmark's sweep (4 families x p = 2..16,
 # the paper's sign, default config): per family the first 16 hex digits of
-# the sha256 of their reprs, one a line, taken before `families._even_series`
-# updated its accumulator in place
+# the sha256 of their reprs, one a line; 56 of them read D at two grid points,
+# cells_checked 2, and each one's status, min_margin and worst_x is the full
+# scan's, as it was before `families._even_series` updated its accumulator in place
 _SIGN_GRID_SHA = {
-    TC: "ef1da7d57e96666f",
-    TS: "ccebe82db3c87a31",
-    HC: "b4faaff704c0f3e3",
-    HS: "5d81b2a2a3b29d56",
+    TC: "abfa65cd4f876de1",
+    TS: "71af84c8ffe746f8",
+    HC: "1e4614d666cd5cfb",
+    HS: "0245d267d746e025",
 }
 
 
 @pytest.mark.parametrize("family", FamilyKind)
 def test_sign_grid_reports_are_pinned(family):
-    reprs = "\n".join(repr(verify_sign_D(family, p, expected_sign_D(family, p), CFG)) for p in range(2, 17))
-    assert hashlib.sha256(reprs.encode()).hexdigest()[:16] == _SIGN_GRID_SHA[family]
+    """The pinned reports are the full scan's verdicts, status, min_margin
+    and worst_x bit for bit, whichever route gave them."""
+    reports = [verify_sign_D(family, p, expected_sign_D(family, p), CFG) for p in range(2, 17)]
+    assert hashlib.sha256("\n".join(map(repr, reports)).encode()).hexdigest()[:16] == _SIGN_GRID_SHA[family]
+    xs = certify._grid(CFG.interior_margin, CFG.grid_points)
+    key = lambda v: (v.status, v.min_margin.hex(), v.worst_x.hex())
+    for p, r in enumerate(reports, 2):
+        assert key(r) == key(certify._grid_verdict(r.claim_id, expected_sign_D(family, p).value * d_general(family, p, xs), xs, 0))
 
 
 # --- the interval evaluation of D ---------------------------------------------

@@ -161,21 +161,23 @@ def test_verify_rigorous_output_bytes(capsys, argv, expected):
             ["verify", "--family", "trig-sin", "--p", "65537"],
             "envelope:trig-sin:p=65537: certified min_margin=0.00054614165310340468 worst_x=0.001 cells=2 mode=grid\n"
             "monotone:trig-sin:p=65537: certified min_margin=inf worst_x=nan cells=0 mode=rigorous\n"
-            "sign-D:trig-sin:p=65537:NEG: certified min_margin=0.013107398429422931 worst_x=0.001 cells=2048 mode=grid\n",
+            "sign-D:trig-sin:p=65537:NEG: certified min_margin=0.013107398429422931 worst_x=0.001 cells=2 mode=grid\n",
         ),
         (
             ["verify", "--family", "trig-sin", "--p", "1000000000"],
             "envelope:trig-sin:p=1000000000: certified min_margin=8.3333331346511841 worst_x=0.001 cells=2 mode=grid\n"
             "monotone:trig-sin:p=1000000000: certified min_margin=inf worst_x=nan cells=0 mode=rigorous\n"
-            "sign-D:trig-sin:p=1000000000:NEG: certified min_margin=199.9999761904771 worst_x=0.001 cells=2048 mode=grid\n",
+            "sign-D:trig-sin:p=1000000000:NEG: certified min_margin=199.9999761904771 worst_x=0.001 cells=2 mode=grid\n",
         ),
     ],
     ids=["trig-sin-65537", "trig-sin-1e9"],
 )
 def test_verify_grid_output_bytes(capsys, argv, expected):
     """The stdout bytes of a default (GRID) verify past the sum table's
-    limit 2^16, which it once refused (exit 65): the sign claim samples D
-    by d_general on the 2048-point grid and reads no sum table."""
+    limit 2^16, which it once refused (exit 65): the sign claim reads D's
+    float series, d_general's below its reach, and no sum table; the series
+    provably rises over the 2048-point grid, so it reads the grid's first two
+    points, the worst, alone."""
     assert run(argv) == EXIT_OK
     assert capsys.readouterr().out == expected
 

@@ -762,9 +762,10 @@ def test_weights_hook_changes_result(mutate_table):
 
 def test_series_caches_are_bounded():
     """A sweep over 300 distinct p holds at most 256 entries in each series
-    cache, in eval_f's per-(family, p) record (unbounded, 20,000 p through
-    eval_f grew the process by 53 MiB) and in the exact identity checks'
-    (the Chebyshev one's degree stops at 64).  The series' table in
+    cache, in the proof that D's float series rises (`_d_rise`, per family,
+    p and sign), in eval_f's per-(family, p) record (unbounded, 20,000 p
+    through eval_f grew the process by 53 MiB) and in the exact identity
+    checks' (the Chebyshev one's degree stops at 64).  The series' table in
     q = 1/p^2 holds one entry per family and row count (f's 9, D's 18):
     a new p only specializes it."""
     for i in range(300):
@@ -772,6 +773,7 @@ def test_series_caches_are_bounded():
         eval_f(TS, p, 0.01)
         eval_f_grid(TC, p, [0.005], dtype=np.longdouble)
         d_general(HS, p, 0.5)
+        derivatives._d_rise(HS, p, -1)
         vanishing_limits_check(TC, p)
         termwise_sign(TC, p)
     for family in FamilyKind:  # 294 (family, p) pairs with a sum form, p < 100
@@ -781,7 +783,7 @@ def test_series_caches_are_bounded():
         _dirichlet_check(k)
     for n in range(DEGREE_CAP + 1):
         _chebyshev_check(n)
-    caches = (f_series_coeffs, _scalar_fns, _d_series_coeffs, _table_d_series, termwise_sign)
+    caches = (f_series_coeffs, _scalar_fns, _d_series_coeffs, derivatives._d_rise, _table_d_series, termwise_sign)
     caches += (_general_vs_sum, _dirichlet_check, _chebyshev_check)
     for cache in caches:
         assert cache.cache_info().currsize <= 256
