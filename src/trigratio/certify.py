@@ -52,6 +52,14 @@ only `d_sum` and `general_vs_sum_check`.  Every grid verdict is built by one
 `_grid_report`, from `_grid_verdict`'s pick over an array of margins or
 from two grid points read as floats (the envelope's two ends, a rising D's
 first two points), and every exact identity verdict by `_exact_report`.
+
+numpy loads only where a check builds or scans an array: `_grid`,
+`_grid_verdict`, the sampled monotonicity and envelope checks and
+`_tolerance_report`.  The two-point routes take the grid's first, second and
+last points from `_grid_ends`, np.linspace's formula in floats, and the
+envelope reads f at its two ends on the math backend, numpy's read deciding
+only where its bits could differ (`_worse_end`).  So a `verify` whose three
+claims take the exact and two-point routes never imports numpy.
 """
 
 from __future__ import annotations
@@ -60,8 +68,6 @@ import enum
 import functools
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .derivatives import (
     _chebyshev_check,
@@ -78,6 +84,7 @@ from .derivatives import (
 )
 from .envelopes import Direction, EnvelopeConstants, envelope_constants
 from .families import (
+    FAMILY_FNS,
     FamilyKind,
     HALF_PI,
     ParameterError,
@@ -88,6 +95,8 @@ from .families import (
     _f_at,
     _f_block,
     check_param_int,
+    load_numpy,
+    series_threshold,
 )
 from .interval import _cos_bounds, _mul_bounds, _pow_bounds, _reciprocal_bounds, sin_comb
 
@@ -157,19 +166,40 @@ class VerificationReport:
 
 
 @functools.lru_cache(maxsize=8)
-def _grid(margin: float, points: int) -> np.ndarray:
-    """The GRID checks' sample points, built once per (margin, points) and
-    read-only, since every caller shares the one array.  They are checked
-    here, once, by the array evaluators' own point check
+def _grid(margin: float, points: int):
+    """The GRID checks' sample points, a numpy array built once per (margin,
+    points) and read-only, since every caller shares the one array.  They
+    are checked here, once, by the array evaluators' own point check
     (`families._checked_points`), so each sampler runs its kernel on them by
     `families._blocks` with no check of its own, in blocks of 2^14 points
     past that size.  They must increase strictly, as the sign claims'
     two-point route reads (`verify_sign_D`), checked here too."""
+    np = load_numpy()
     xs = _checked_points(np.linspace(margin, HALF_PI - margin, points), False)
     if not (np.diff(xs) > 0.0).all():
         raise ParameterError(f"the grid of {points} points at margin {margin!r} does not increase strictly")
     xs.flags.writeable = False
     return xs
+
+
+@functools.lru_cache(maxsize=8)
+def _grid_ends(margin: float, points: int) -> tuple[float, float, float]:
+    """`_grid(margin, points)`'s first, second and last points as floats,
+    bitwise, with no array: np.linspace's own formula, start,
+    start + (stop - start)/(points - 1) and stop (numpy sets its last point
+    to stop), the same IEEE operations on the same operands.  Within
+    VerificationConfig's bounds, margin in (0, pi/8), 16 <= points <= 2^20
+    and pi/2 - margin below pi/2, the grid passes `_grid`'s checks: it lies
+    in [margin, pi/2 - margin], and its step, above (pi/4)/2^20 > 7e-7, is
+    far more than the 2 ulp(2) = 2^-50 that keeps every rounded
+    i*step + start strictly above the last and the point before stop below
+    it.  Elsewhere the points are read off `_grid`, which raises what it
+    raises on them."""
+    stop = HALF_PI - margin
+    if 0.0 < margin < math.pi / 8.0 and stop < HALF_PI and 16 <= points <= _GRID_POINTS_CAP:
+        return margin, margin + (stop - margin) / (points - 1), stop
+    xs = _grid(margin, points)
+    return float(xs[0]), float(xs[1]), float(xs[-1])
 
 
 def _grid_report(claim, margin: float, x: float, cells) -> VerificationReport:
@@ -182,6 +212,7 @@ def _grid_report(claim, margin: float, x: float, cells) -> VerificationReport:
 def _grid_verdict(claim, margins, xs, cells) -> VerificationReport:
     """`_grid_report` on the worst of the margins: the least that is not NaN
     if it is negative, else the first NaN, else the least, the first of ties."""
+    np = load_numpy()
     worst = int(np.argmin(margins))
     if math.isnan(margins[worst]):  # argmin stops at the first NaN, which must not hide a negative margin
         least = int(np.argmin(np.where(np.isnan(margins), np.inf, margins)))
@@ -291,7 +322,8 @@ def verify_sign_D(
     no point check past `_grid`'s own.  Where the grid lies below D's series
     reach (`derivatives._d_reach`) and `derivatives._d_rise` proves the
     expected sign times D's float series rising on [0, 5/2] in u = x^2, D
-    is read at the grid's first two points alone, by the same float Horner
+    is read at the grid's first two points alone (`_grid_ends`, with no
+    array built), by the same float Horner
     (`families._even_series`); if the second's margin clears the first's by
     the rounding allowance, every computed margin is at least the first's,
     which is the full scan's verdict, min_margin and worst_x bit for bit,
@@ -301,17 +333,17 @@ def verify_sign_D(
     claim = f"sign-D:{family.value}:p={p}:{expected_sign.name}"
     if _sum_form_lemma(family):
         if cfg.mode is Mode.GRID:
-            xs = _grid(cfg.interior_margin, cfg.grid_points)
+            x0, x1, top = _grid_ends(cfg.interior_margin, cfg.grid_points)
             s, fp = float(expected_sign.value), float(p)
             rise = _d_rise(family, fp, expected_sign.value)
-            if rise is not None and xs[-1] < _d_reach(family, fp):
+            if rise is not None and top < _d_reach(family, fp):
                 # the whole grid on D's series, which rises: its first point is the worst
                 # if the second's margin clears the first's by the rounding allowance
                 coeffs, gap = rise
-                x0 = float(xs[0])
-                m0, m1 = s * _even_series(x0, coeffs), s * _even_series(float(xs[1]), coeffs)
+                m0, m1 = s * _even_series(x0, coeffs), s * _even_series(x1, coeffs)
                 if m1 - m0 >= gap:
                     return _grid_report(claim, m0, x0, 2)
+            xs = _grid(cfg.interior_margin, cfg.grid_points)
             margins = _blocks(xs, _d_block(family, fp))
             margins *= s  # the kernel's output is new: flipped in place
             return _grid_verdict(claim, margins, xs, len(xs))
@@ -348,18 +380,60 @@ def verify_monotonicity(family: FamilyKind, p, cfg: VerificationConfig) -> Verif
     if _proved_monotone(family, p):
         return _termwise_report(claim)
     xs = _grid(cfg.interior_margin, cfg.grid_points)
-    diffs = float(expected_sign_D(family, p).value) * np.diff(_blocks(xs, _f_block(family, float(p))))
+    diffs = float(expected_sign_D(family, p).value) * load_numpy().diff(_blocks(xs, _f_block(family, float(p))))
     return _grid_verdict(claim, diffs, xs, len(xs) - 1)
 
 
-def _end_margin(family: FamilyKind, p: float, ec: EnvelopeConstants, x: float) -> float:
+def _end_margin(family: FamilyKind, p: float, ec: EnvelopeConstants, x: float, xp) -> float:
     """min(f(x) - lower, upper - f(x)) at one float x by np.minimum's rule,
     a NaN if either is one and the second on a tie, with f from `_f_at` on
-    numpy's g and sine: Python-float Horner on the series branch, bitwise
-    eval_f_grid's value at x either way."""
-    f = _f_at(family, p, x, np)
+    backend xp's g and sine: Python-float Horner on the series branch,
+    bitwise eval_f_grid's value at x either way with xp numpy."""
+    f = _f_at(family, p, x, xp)
     lo, hi = f - ec.lower, ec.upper - f
     return float(lo if lo < hi or lo != lo else hi)
+
+
+# The allowance on a math-read end margin off f's series, 2^14 eps = 2^-38
+# times the end's `_direct_size` plus the margin's own size: 2^10 times the
+# 16 eps that bounds the gap to numpy's read.  Off the series f is
+# (a - g(x)/g(x/p))/x^2, the cos families' 1 - g(x)/g(x/p) as two sines over
+# g(x/p), and each backend's g and sine lies within 2 ulp of the true value
+# (glibc's libm; numpy's float64 accuracy data allows 1 ulp for sin, cos,
+# sinh and cosh, SVML or not), so the two reads of f differ by less than
+# 16 eps (a + |g(x)/g(x/p)|)/x^2, and the margins, each one rounded
+# subtraction from f, by that plus 2 eps |margin|.  |f| would not do: a sin
+# family's a - g(x)/g(x/p) cancels at large p, where the two reads of f
+# differ by hundreds of ulp of f (up to 805 for hyp-sin, with numpy's SVML
+# sinh on AVX-512), a few ulp of its operands' size.
+_END_ALLOWANCE = 2.0**-38
+
+
+def _direct_size(family: FamilyKind, p: float, x: float) -> float:
+    """(a + |g(x)/g(x/p)|)/x^2 on the math backend, a = p for the sin
+    families and 1 for the cos ones: the size of the operands of f's direct
+    quotient (a - g(x)/g(x/p))/x^2 at x, which bounds its rounding where the
+    quotient cancels."""
+    g = FAMILY_FNS[family][math][0]
+    return ((1.0 if family.is_cos else p) + abs(g(x) / g((1.0 / p) * x))) / (x * x)
+
+
+def _worse_end(family: FamilyKind, p: float, ec: EnvelopeConstants, x0: float, x1: float) -> tuple[float, float]:
+    """(margin, x) at the worse of the grid ends x0 < x1 by `_second_is_worse`,
+    bitwise that of `_end_margin` on numpy's g and sine, eval_f_grid's values.
+    The ends are read on the math backend first.  Where x0 lies on f's
+    series, whose Horner is bitwise the same on either backend, and x1's
+    margin exceeds x0's by more than the allowance on x1's read
+    (`_END_ALLOWANCE`), numpy's read would pick x0 too, at the same bits.  Elsewhere (the worse
+    end off the series, margins within the allowance of each other, a NaN)
+    numpy's read decides.  One path whether or not numpy is loaded."""
+    m0 = _end_margin(family, p, ec, x0, math)
+    m1 = _end_margin(family, p, ec, x1, math)
+    if x0 < series_threshold(family) and m1 - m0 > _END_ALLOWANCE * (_direct_size(family, p, x1) + abs(m1)):
+        return m0, x0
+    np = load_numpy()
+    m0, m1 = (_end_margin(family, p, ec, x, np) for x in (x0, x1))
+    return (m1, x1) if _second_is_worse(m0, m1) else (m0, x0)
 
 
 def verify_envelope(
@@ -372,11 +446,11 @@ def verify_envelope(
 
     Where verify_monotonicity proves f monotone (`_proved_monotone`), the
     least of f - lower and upper - f over any points of the interval is at
-    its ends, so f is read at the grid's two ends alone, as floats
-    (`_end_margin`), bitwise eval_f_grid's values there, and the worse end
-    picked by `_grid_verdict`'s rule (`_second_is_worse`), with no array
-    built: the whole grid's verdict, min_margin and worst_x, with
-    cells_checked 2.  Elsewhere f is sampled at every grid point by
+    its ends, so f is read at the grid's two ends alone (`_grid_ends`), as
+    floats, and the worse end picked by `_grid_verdict`'s rule
+    (`_second_is_worse`), with no array built (`_worse_end`): bitwise the
+    verdict on eval_f_grid's values there, the whole grid's, min_margin and
+    worst_x, with cells_checked 2.  Elsewhere f is sampled at every grid point by
     `families._f_block`, eval_f_grid's kernel.  Float values of f either
     way, so the report says Mode.GRID under any `cfg.mode`.  `constants` overrides the
     computed envelope (test hook); ParameterError where they are another
@@ -386,15 +460,12 @@ def verify_envelope(
     ec = constants if constants is not None else envelope_constants(family, p)
     if (ec.family, ec.p) != (family, p):
         raise ParameterError(f"constants of {ec.family.value}:p={ec.p} given for {claim}")
-    xs = _grid(cfg.interior_margin, cfg.grid_points)
     if _proved_monotone(family, p):
-        x0, x1 = float(xs[0]), float(xs[-1])
-        m0, m1 = (_end_margin(family, float(p), ec, x) for x in (x0, x1))
-        if _second_is_worse(m0, m1):
-            m0, x0 = m1, x1
-        return _grid_report(claim, m0, x0, 2)
+        x0, _, x1 = _grid_ends(cfg.interior_margin, cfg.grid_points)
+        return _grid_report(claim, *_worse_end(family, float(p), ec, x0, x1), 2)
+    xs = _grid(cfg.interior_margin, cfg.grid_points)
     fs = _blocks(xs, _f_block(family, float(p)))
-    margins = np.minimum(fs - ec.lower, ec.upper - fs)
+    margins = load_numpy().minimum(fs - ec.lower, ec.upper - fs)
     return _grid_verdict(claim, margins, xs, len(xs))
 
 
@@ -403,7 +474,7 @@ def verify_envelope(
 
 def _tolerance_report(claim, errors, xs, tol) -> VerificationReport:
     """The verdict on errors < tol, a tie INCONCLUSIVE: margins tol - errors."""
-    return _grid_verdict(claim, tol - np.asarray(errors), xs, len(errors))
+    return _grid_verdict(claim, tol - load_numpy().asarray(errors), xs, len(errors))
 
 
 def _exact_report(claim, holds, tol) -> VerificationReport:

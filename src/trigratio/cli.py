@@ -4,8 +4,10 @@ Exit codes: 0 success / all CERTIFIED, 1 any FALSIFIED, 2 any INCONCLUSIVE,
 64 usage error, 65 domain error, 73 `table` cannot create its --out file
 (64, 65 and 73 are sysexits' EX_USAGE, EX_DATAERR and EX_CANTCREAT).
 
-`eval`, `bounds` and `cheb` run without loading numpy: `verify` imports the
-certification engine and `table` imports numpy when they run.
+`eval`, `bounds` and `cheb` run without loading numpy.  `verify` imports the
+certification engine when it runs, which loads numpy only for a claim that
+scans its grid (at p = 2..64 the cos families' p = 2, and their p = 3 in
+GRID mode), and `table` imports numpy when it runs.
 """
 
 from __future__ import annotations

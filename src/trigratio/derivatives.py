@@ -47,6 +47,11 @@ construction), `_dirichlet_check` and `_chebyshev_check`, and in series
 `vanishing_limits_check` (D's, at every real p of the range).  The sum table
 is D at every p by the Chebyshev corollary, sin(p t)/sin t = U_(p-1)(cos t),
 whose recurrence `_sum_form_lemma` checks once per family, with p symbolic.
+
+Importing this module loads no numpy: the evaluators load it on their first
+call (`families.load_numpy`, read by `eval_sin_comb` and the point check),
+and the exact routes `certify` reads (`termwise_sign`, `_falsifying_witness`,
+`_d_rise`, the identity checks) need none.
 """
 
 from __future__ import annotations
@@ -77,8 +82,6 @@ from .families import (
     load_numpy,
     series_threshold,
 )
-
-np = load_numpy()  # with its backend in FAMILY_FNS, read by eval_sin_comb
 
 
 class ParityError(ParameterError):
@@ -370,8 +373,8 @@ def eval_sin_comb(family: FamilyKind, p, x, general: bool):
     """D at x from `sin_comb_form`, in float64, with no checks on x.
 
     The sines and the general form's den = g((1/p) * x) come from
-    `families.FAMILY_FNS`."""
-    g, sin = FAMILY_FNS[family][np]
+    `families.FAMILY_FNS`, numpy's backend, loaded by its first call."""
+    g, sin = FAMILY_FNS[family][load_numpy()]
     terms, factor = sin_comb_form(family, p, general)
     acc = 0.0
     for w, c in terms:

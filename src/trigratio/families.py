@@ -25,9 +25,10 @@ anything else raises ParameterError.  There g(x/p) has no pole on
 zero x = 0.  Every series coefficient and D-table entry fits float64.
 
 The scalar backend needs no numpy.  The numpy backend loads on
-the first array call (`eval_f_grid`, `derivatives`): `load_numpy` imports
-numpy then and adds its entries to `FAMILY_FNS`, so point evaluation never
-pays numpy's import.  Every array evaluator of f and D checks its points
+the first array call (`eval_f_grid`, `derivatives`' evaluators, a `certify`
+claim that builds or scans a grid): `load_numpy` imports numpy then and adds
+its entries to `FAMILY_FNS`, so point evaluation, and a proof that reads no
+array, never pays numpy's import.  Every array evaluator of f and D checks its points
 (`_checked_points`) and runs them in blocks (`_blocks`) over a kernel built
 per family and p (`_f_block` here, `derivatives._d_block`); `_series_or`
 splits a block between a series and a closed form.

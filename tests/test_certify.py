@@ -41,7 +41,16 @@ from trigratio.derivatives import (
     vanishing_limits_check,
 )
 from trigratio.envelopes import envelope_constants, ratio_bounds
-from trigratio.families import FamilyKind, HALF_PI, ParameterError, eval_f_grid, limit_at_half_pi, limit_at_zero
+from trigratio.families import (
+    FamilyKind,
+    HALF_PI,
+    ParameterError,
+    eval_f_grid,
+    limit_at_half_pi,
+    limit_at_zero,
+    load_numpy,
+    series_threshold,
+)
 from trigratio.interval import Interval
 import trigratio
 from trigratio import certify, derivatives, interval
@@ -397,6 +406,37 @@ def test_grid_is_checked_once_when_built():
     try:
         with pytest.raises(trigratio.DomainError, match=r"^x must lie in \(0, pi/2\)$"):
             certify._grid(-0.1, 16)
+    finally:
+        certify._grid.cache_clear()
+
+
+def test_grid_ends_are_linspaces_points_without_the_array():
+    """`_grid_ends` is np.linspace's first, second and last points bit for
+    bit, across VerificationConfig's margins and point counts, and builds no
+    array to get them."""
+    margins = (1.2e-16, 1e-6, 1e-3, 1e-2, 0.3, 0.39, math.nextafter(math.pi / 8, 0))
+    certify._grid.cache_clear()
+    certify._grid_ends.cache_clear()
+    for points in (16, 17, 300, 2048, 4096, 2**20):
+        for margin in margins:
+            cfg = VerificationConfig(interior_margin=margin, grid_points=points)
+            want = np.linspace(margin, HALF_PI - margin, points)[[0, 1, -1]]
+            got = certify._grid_ends(cfg.interior_margin, cfg.grid_points)
+            assert [x.hex() for x in got] == [x.hex() for x in want.tolist()], (margin, points)
+    assert certify._grid.cache_info().misses == 0
+
+
+def test_grid_ends_past_the_configs_bounds_read_the_grid():
+    """Past VerificationConfig's bounds `_grid_ends` reads `_grid`'s points,
+    and raises what `_grid` raises, with its message."""
+    certify._grid.cache_clear()
+    try:
+        assert certify._grid_ends(0.5, 8) == tuple(np.linspace(0.5, HALF_PI - 0.5, 8)[[0, 1, -1]].tolist())
+        assert certify._grid.cache_info().misses == 1
+        with pytest.raises(trigratio.DomainError, match=r"^x must lie in \(0, pi/2\)$"):
+            certify._grid_ends(-0.1, 16)
+        with pytest.raises(trigratio.DomainError, match=r"^x must lie in \(0, pi/2\)$"):
+            certify._grid_ends(1e-300, 16)
     finally:
         certify._grid.cache_clear()
 
@@ -1061,8 +1101,9 @@ _SPECIALS = [0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, math.nan]
 def test_envelope_two_end_rules_are_numpys_on_signed_zeros_and_nans(monkeypatch):
     """The two-end route's rules on every pair of special values: an end's
     margin is np.minimum's, a NaN if either is and the second on a tie, so
-    -0.0 and 0.0 keep their signs as numpy's; the worse end is the one
-    `_grid_verdict` picks from the two margins in an array."""
+    -0.0 and 0.0 keep their signs as numpy's, on either backend's read of
+    f; the worse end is the one `_grid_verdict` picks from the two margins
+    in an array."""
     for a in _SPECIALS:
         for b in _SPECIALS:
             want = certify._grid_verdict("c", np.array([a, b]), [0.25, 0.75], 2)
@@ -1073,9 +1114,80 @@ def test_envelope_two_end_rules_are_numpys_on_signed_zeros_and_nans(monkeypatch)
         monkeypatch.setattr(certify, "_f_at", lambda *args, f=f: f)
         for lo in _SPECIALS:
             for hi in _SPECIALS:
-                got = certify._end_margin(TS, 3.0, dataclasses.replace(ec, lower=lo, upper=hi), 0.5)
                 want = np.minimum(np.array([f]) - lo, hi - np.array([f]))[0]
-                assert float(want).hex() == got.hex(), (f, lo, hi)
+                for xp in (math, np):
+                    got = certify._end_margin(TS, 3.0, dataclasses.replace(ec, lower=lo, upper=hi), 0.5, xp)
+                    assert float(want).hex() == got.hex(), (f, lo, hi, xp)
+
+
+# 304 margins across VerificationConfig's range, its ends included, and p over
+# the integer range's small values, the first past the sum tables' cap and its top
+_SWEEP_MARGINS = sorted(
+    {*np.geomspace(1.2e-16, 0.39, 297).tolist(), 1e-6, 1e-3, 1e-2, 0.05, 0.2, 0.3, math.nextafter(math.pi / 8, 0)}
+)
+_SWEEP_PS = [*range(2, 65), 2**16 + 1, 2**40, 2**53]
+
+
+@pytest.mark.parametrize("family", FamilyKind)
+def test_envelope_math_read_reports_numpys_bits(family):
+    """The two-end envelope reads f on the math backend first: over 66 p and
+    304 margins its report is, bit for bit, the one from numpy's read of
+    both ends (eval_f_grid's values), and at every end off f's series the
+    two reads' margins differ by less than 1/1000 of the allowance there;
+    on the series they are equal."""
+    assert len(_SWEEP_MARGINS) == 304
+    assert load_numpy() is np  # numpy's backend in FAMILY_FNS, for the reads below
+    th = series_threshold(family)
+    for p in _SWEEP_PS:
+        if not certify._proved_monotone(family, p):
+            continue  # the cos families' p = 2: f is sampled on the grid
+        ec = envelope_constants(family, p)
+        for margin in _SWEEP_MARGINS:
+            ends = certify._grid_ends(margin, 2048)[::2]
+            math_read, np_read = ([certify._end_margin(family, float(p), ec, x, xp) for x in ends] for xp in (math, np))
+            second = certify._second_is_worse(*np_read)
+            want = certify._grid_report("c", np_read[second], ends[second], 2)
+            r = verify_envelope(family, p, VerificationConfig(interior_margin=margin))
+            got = (r.status, r.min_margin.hex(), r.worst_x.hex(), r.cells_checked)
+            assert got == (want.status, want.min_margin.hex(), want.worst_x.hex(), 2), (p, margin)
+            for x, a, b in zip(ends, math_read, np_read):
+                if x < th:
+                    assert a.hex() == b.hex(), (p, margin, x)
+                else:
+                    allowance = certify._END_ALLOWANCE * (certify._direct_size(family, float(p), x) + abs(a))
+                    assert abs(a - b) < allowance / 1000, (p, margin, x)
+
+
+def test_envelope_math_read_inside_the_allowance_falls_back_to_numpy(monkeypatch):
+    """Constants that leave the grid's top end worse than its bottom by less
+    than the allowance, and a math read of f at the top shifted so that it
+    would pick the bottom end: numpy's read decides, both ends read again,
+    and the report is numpy's.  Shifted past the allowance, the math read
+    decides alone, with no numpy read."""
+    assert load_numpy() is np  # numpy's backend in FAMILY_FNS, for the reads below
+    x0, _, x1 = certify._grid_ends(CFG.interior_margin, CFG.grid_points)
+    assert x0 < series_threshold(TS) <= x1
+    f0, f1 = (certify._f_at(TS, 3.0, x, np) for x in (x0, x1))
+    assert f0 > f1  # f decreases: the bottom end's margin is upper - f, the top's f - lower
+    d = 1e-6
+    ec = dataclasses.replace(envelope_constants(TS, 3), lower=f1 - (d - 1e-13), upper=f0 + d)
+    m0, m1 = (certify._end_margin(TS, 3.0, ec, x, np) for x in (x0, x1))
+    slack = certify._END_ALLOWANCE * (certify._direct_size(TS, 3.0, x1) + abs(m1))
+    assert 0.0 < m0 - m1 < slack / 4
+    real_f_at = certify._f_at
+    for shift, numpy_reads, want in ((2 * (m0 - m1), 2, (m1, x1)), (2 * slack, 0, (m0, x0))):
+        reads = []
+
+        def shifted(family, p, x, xp=math, shift=shift):
+            reads.append(xp)
+            return real_f_at(family, p, x, xp) + (shift if xp is math and x == x1 else 0.0)
+
+        monkeypatch.setattr(certify, "_f_at", shifted)
+        assert not certify._second_is_worse(*(certify._end_margin(TS, 3.0, ec, x, math) for x in (x0, x1)))
+        reads.clear()
+        r = verify_envelope(TS, 3, CFG, constants=ec)
+        assert (r.min_margin.hex(), r.worst_x.hex(), r.cells_checked) == (want[0].hex(), want[1].hex(), 2)
+        assert sum(xp is np for xp in reads) == numpy_reads
 
 
 def test_envelope_float_ties_are_inconclusive():
@@ -1142,13 +1254,17 @@ def test_grid_is_read_only():
 
 def test_grid_is_built_once_per_margin_and_points():
     """A GRID and a RIGOROUS config with one margin and point count share one
-    array, whichever check asks for it."""
+    array, whichever scanning check asks for it; the two-end envelope and
+    the two-point sign routes build none, reading `_grid_ends`."""
     certify._grid.cache_clear()
     grid_cfg = VerificationConfig(interior_margin=2e-3, grid_points=300)
     rigorous_cfg = VerificationConfig(interior_margin=2e-3, grid_points=300, mode=Mode.RIGOROUS)
     verify_envelope(TS, 3, grid_cfg)
-    verify_monotonicity(HC, 2, rigorous_cfg)
     verify_sign_D(TC, 5, Sign.NEG, grid_cfg)
+    assert certify._grid.cache_info().misses == 0
+    verify_envelope(HC, 2, grid_cfg)
+    verify_monotonicity(HC, 2, rigorous_cfg)
+    verify_sign_D(TC, 2, Sign.POS, grid_cfg)
     info = certify._grid.cache_info()
     assert (info.misses, info.hits) == (1, 2)
     assert certify._grid(2e-3, 300) is certify._grid(rigorous_cfg.interior_margin, rigorous_cfg.grid_points)
@@ -1156,11 +1272,14 @@ def test_grid_is_built_once_per_margin_and_points():
 
 def test_grid_cache_is_bounded():
     certify._grid.cache_clear()
+    certify._grid_ends.cache_clear()
     for points in range(16, 66):
-        verify_envelope(TS, 3, VerificationConfig(grid_points=points))
-    info = certify._grid.cache_info()
-    assert info.maxsize is not None and info.currsize == info.maxsize <= 16
-    assert info.misses == 50
+        verify_envelope(HC, 2, VerificationConfig(grid_points=points))  # sampled: f is not proved monotone
+        verify_envelope(TS, 3, VerificationConfig(grid_points=points))  # two ends
+    for cache in (certify._grid, certify._grid_ends):
+        info = cache.cache_info()
+        assert info.maxsize is not None and info.currsize == info.maxsize <= 16
+        assert info.misses == 50
 
 
 @pytest.mark.parametrize(

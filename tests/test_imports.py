@@ -162,3 +162,54 @@ def test_array_verbs_still_run(tmp_path):
     proc = _python("-m", "trigratio.cli", "verify", "--family", "trig-sin", "--p", "3", "--mode", "rigorous")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.count(": certified ") == 3
+
+
+# `verify` pairs whose three claims are decided with no array: exact rationals,
+# the envelope's two ends and the two-point GRID sign route, read as floats
+NUMPY_FREE_VERIFY = [
+    ["verify", "--family", "hyp-sin", "--p", "7"],
+    ["verify", "--family", "trig-sin", "--p", "11", "--mode", "rigorous"],
+]
+# trig-cos p = 3 still scans its GRID sign claim's grid, whose top leaves D's series
+SCANNING_VERIFY = ["verify", "--family", "trig-cos", "--p", "3"]
+SCANNING_VERIFY_OUT = (
+    "envelope:trig-cos:p=3: certified min_margin=1.6460905083448552e-08 worst_x=0.001 cells=2 mode=grid\n"
+    "monotone:trig-cos:p=3: certified min_margin=inf worst_x=nan cells=0 mode=rigorous\n"
+    "sign-D:trig-cos:p=3:NEG: certified min_margin=3.9506169913123062e-07 worst_x=0.001 cells=2048 mode=grid\n"
+)
+
+
+def _numpy_imported(importtime_log):
+    return bool({m for m in _imported_modules(importtime_log) if m == "numpy" or m.startswith("numpy.")})
+
+
+@pytest.mark.parametrize(
+    "argv", [*NUMPY_FREE_VERIFY, SCANNING_VERIFY], ids=["hyp-sin-7", "trig-sin-11-rigorous", "trig-cos-3"]
+)
+def test_verify_imports_numpy_only_to_scan_a_grid(argv):
+    """By `-X importtime`: a `verify` whose claims read no array imports the
+    certification engine but no numpy, and one that scans a grid imports it,
+    printing the same bytes as before numpy became lazy."""
+    proc = _python("-X", "importtime", "-m", "trigratio.cli", *argv)
+    assert proc.returncode == 0, proc.stderr
+    assert "trigratio.certify" in _imported_modules(proc.stderr)
+    assert _numpy_imported(proc.stderr) is (argv is SCANNING_VERIFY)
+    if argv is SCANNING_VERIFY:
+        assert proc.stdout == SCANNING_VERIFY_OUT
+
+
+def test_verify_leaves_numpy_out_of_sys_modules_unless_it_scans():
+    """The same, by sys.modules after `cli.run` in fresh interpreters: the
+    two numpy-free `verify` runs in one, then the scanning one on top."""
+    got = _fresh(
+        "import contextlib, io, json, sys\n"
+        "from trigratio import cli\n"
+        "out = io.StringIO()\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [cli.run(argv) for argv in {NUMPY_FREE_VERIFY!r}]\n"
+        "loaded = ['trigratio.certify' in sys.modules, 'numpy' in sys.modules]\n"
+        "with contextlib.redirect_stdout(out):\n"
+        f"    codes.append(cli.run({SCANNING_VERIFY!r}))\n"
+        "print(json.dumps([codes, loaded, 'numpy' in sys.modules, out.getvalue()]))"
+    )
+    assert got == [[0, 0, 0], [True, False], True, SCANNING_VERIFY_OUT]
